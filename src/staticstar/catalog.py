@@ -12,6 +12,7 @@ Registry: ``MODELS`` maps id -> factory; ``build(model_id, **params)`` and
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -822,6 +823,13 @@ def build(model_id: str, **params) -> AnalyticModel:
         raise UnknownModel(
             f"unknown model {model_id!r}; known: {', '.join(sorted(MODELS))}"
         ) from None
+    accepted = inspect.signature(factory).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise BadParams(
+            f"{model_id} takes no parameter {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted)}"
+        )
     return factory(**params)
 
 
@@ -836,5 +844,8 @@ def parse_model_spec(spec: str) -> AnalyticModel:
             if not eq:
                 raise BadParams(f"bad model parameter {item!r} in {spec!r}")
             key = key.strip()
-            params[key] = int(val) if key == "n" else float(val)
+            try:
+                params[key] = int(val) if key == "n" else float(val)
+            except ValueError:
+                raise BadParams(f"model parameter {item!r} in {spec!r} is not a number") from None
     return build(model_id, **params)

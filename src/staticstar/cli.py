@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog, conformal, energy, quasilocal, tov
 from .config import RunConfig, load_config, merge_config
@@ -126,7 +125,10 @@ def _cmd_catalog(args, cfg: RunConfig) -> int:
         if "=" not in kv:
             raise BadParams(f"--param expects key=value, got {kv!r}")
         key, val = kv.split("=", 1)
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise BadParams(f"--param {kv!r}: the value is not a number") from None
     model = catalog.build(args.catalog_model, **params)
     return _print_verify(model, args, cfg)
 
@@ -156,20 +158,9 @@ def _cmd_mass(args, cfg: RunConfig) -> int:
     model = _resolve_model(args, cfg)
     levels = [float(c) for c in args.level]
     window = _parse_pair(args.window, "--window") if args.window else None
-
-    def one(c: float):
-        try:
-            return quasilocal.level_set_data(
-                model, c, window=window, grid_n=max(cfg.grid_n, 256),
-                degree=cfg.quad_degree,
-            )
-        except NoLevelSet:
-            return []
-
-    with ThreadPoolExecutor(max_workers=min(8, len(levels))) as pool:
-        per_level = list(pool.map(one, levels))
-
-    reports = [rep for found in per_level for rep in found]
+    reports = quasilocal.mass_sweep(
+        model, levels, grid_n=max(cfg.grid_n, 256), degree=cfg.quad_degree, window=window,
+    )
     if not reports:
         raise NoLevelSet(f"no level sets found for levels {levels}")
     if args.out:

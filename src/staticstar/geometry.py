@@ -477,13 +477,10 @@ def _radial_frame(ansatz, fluid_f: RadialFunction, r: np.ndarray) -> dict:
         hess_tan = x * f1 / r
         grad_f = np.sqrt(x) * np.abs(f1)
     elif isinstance(ansatz, WarpedProduct):
+        ric_rr, rab, _ = ricci_warped(ansatz.phi, r)
         p = np.asarray(ansatz.phi.value(r), dtype=float)
         p1 = np.asarray(ansatz.phi.d1(r), dtype=float)
-        p2 = np.asarray(ansatz.phi.d2(r), dtype=float)
-        if np.any(p == 0.0):
-            raise DomainError("warped factor vanishes on the grid")
-        ric_rr = -2.0 * p2 / p
-        ric_tan = (1.0 - p1 * p1 - p * p2) / (p * p)
+        ric_tan = rab / (p * p)
         hess_rr = f2
         hess_tan = p1 * f1 / p
         grad_f = np.abs(f1)

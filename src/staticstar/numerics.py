@@ -35,6 +35,7 @@ __all__ = [
     "fd_derivative",
     "chebyshev_grid",
     "find_brackets",
+    "sign_brackets",
     "refine_root",
     "bisect_root",
     "sphere_rule",
@@ -327,20 +328,31 @@ def chebyshev_grid(lo: float, hi: float, n: int = DEFAULT_GRID_N, margin: float 
 # ----------------------------------------------------------------------------
 
 def find_brackets(func: Callable, grid) -> list[tuple[float, float]]:
-    """Sign-change brackets of ``func`` along ``grid`` (assumed increasing)."""
+    """Sign-change brackets of ``func`` along ``grid`` (assumed increasing).
+
+    ``func`` is called once per grid point, so scalar-only callables work;
+    for a callable that takes arrays, evaluate it on the grid once and use
+    :func:`sign_brackets`.
+    """
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray([float(func(g)) for g in grid])
+    return sign_brackets(grid, np.asarray([float(func(g)) for g in grid]))
+
+
+def sign_brackets(grid, vals) -> list[tuple[float, float]]:
+    """Sign-change brackets of values ``vals`` sampled on increasing ``grid``.
+
+    An exact zero at a grid point is reported as the degenerate bracket
+    (g, g); brackets come in grid order.
+    """
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DomainError("non-finite values while bracketing")
-    out = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            out.append((grid[i], grid[i]))
-        elif a * b < 0.0:
-            out.append((float(grid[i]), float(grid[i + 1])))
-    if vals[-1] == 0.0:
-        out.append((grid[-1], grid[-1]))
+    zero = vals == 0.0
+    hits = np.flatnonzero(zero[:-1] | (vals[:-1] * vals[1:] < 0.0))
+    out = [(float(grid[i]), float(grid[i if zero[i] else i + 1])) for i in hits]
+    if zero[-1]:
+        out.append((float(grid[-1]), float(grid[-1])))
     return out
 
 

@@ -42,7 +42,7 @@ from .geometry import (
     conformal_hessian,
     mean_curvature_sphere,
 )
-from .numerics import ScalarField, find_brackets, refine_root, sphere_rule
+from .numerics import ScalarField, refine_root, sign_brackets, sphere_rule
 
 __all__ = [
     "SphereClass",
@@ -164,8 +164,11 @@ def brown_york_sphere(ansatz, r: float) -> float:
         raise BadParams(f"unsupported ansatz {type(ansatz).__name__}")
     if b <= 0.0:
         raise DomainError(f"non-positive areal radius {b} at r={r}")
-    H = mean_curvature_sphere(ansatz, r)
-    area = 4.0 * math.pi * b * b
+    return _brown_york(4.0 * math.pi * b * b, b, mean_curvature_sphere(ansatz, r))
+
+
+def _brown_york(area: float, b: float, H: float) -> float:
+    """(1/8 pi) area (H_0 - H) on a round sphere of areal radius b, H_0 = 2/b."""
     return area * (2.0 / b - H) / EIGHT_PI
 
 
@@ -259,20 +262,45 @@ def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, float]:
 # ----------------------------------------------------------------------------
 
 def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int):
-    """All simple roots of f - c on [lo, hi]; raises on critical levels."""
+    """All simple roots of f - c on [lo, hi]; raises on critical levels.
+
+    ``f_value`` is evaluated on the whole grid in one call.  Sign changes
+    are polished by Brent's method.  A grid minimum of |f - c| with no sign
+    change beside it is a tangential touch candidate: the extremum of f there
+    is polished on f', and c is critical when f reaches it.  Minima at the
+    ends of the grid are not candidates.
+    """
     grid = np.linspace(lo, hi, grid_n)
+    vals = np.asarray(f_value(grid), dtype=float) - c
+    tol = 1e-12 * max(1.0, abs(c))
 
     def g(r):
         return float(f_value(r)) - c
 
+    def slope(r):
+        return float(f_slope(r))
+
     roots = []
-    for a, b in find_brackets(g, grid):
+    for a, b in sign_brackets(grid, vals):
         r0 = refine_root(g, a, b)
-        if abs(float(f_slope(r0))) < 1e-12 * max(1.0, abs(c)):
+        if abs(slope(r0)) < tol:
             raise NotARegularValue(
                 f"c={c} is a critical value of the lapse (f'({r0}) ~ 0)"
             )
         roots.append(float(r0))
+
+    mag = np.abs(vals)
+    touch = (vals[:-2] * vals[1:-1] > 0.0) & (vals[1:-1] * vals[2:] > 0.0) \
+        & (mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])
+    for i in np.flatnonzero(touch) + 1:
+        a, b = float(grid[i - 1]), float(grid[i + 1])
+        if slope(a) * slope(b) > 0.0:
+            continue
+        r_star = refine_root(slope, a, b)
+        if abs(g(r_star)) <= tol:
+            raise NotARegularValue(
+                f"c={c} is a critical value of the lapse (f = c where f'({r_star}) = 0)"
+            )
     return roots
 
 
@@ -288,7 +316,7 @@ def _assemble_report(c, r0, area, H_out, slope_sign, kappa, rho0, willmore, b,
                      spread=None, gradc=None) -> QuasiLocalReport:
     h_level = -slope_sign * H_out
     m_h = hawking_mass(area, willmore)
-    m_by = area * (2.0 / b - H_out) / EIGHT_PI
+    m_by = _brown_york(area, b, H_out)
     chi_res = topology_identity_residual(h_level, kappa, c, rho0, area)
     cls, thresholds = sphere_classification(h_level, kappa, c, rho0)
     slack = hawking_inequality_slack(h_level, kappa, c, rho0, area, m_h)
@@ -313,9 +341,12 @@ def _assemble_report(c, r0, area, H_out, slope_sign, kappa, rho0, willmore, b,
     )
 
 
-def _radial_level_report(ansatz, f_rf, rho0: float, c: float, r0: float,
-                         degree: int) -> QuasiLocalReport:
-    """Report for a rotationally symmetric chart (Schwarzschild or warped)."""
+def _radial_level_report(ansatz, f_rf, rho0: float, c: float,
+                         r0: float) -> QuasiLocalReport:
+    """Report for a rotationally symmetric chart (Schwarzschild or warped).
+
+    The coordinate sphere is round with constant H, so W = H^2 A exactly.
+    """
     if isinstance(ansatz, SchwarzschildForm):
         b = float(r0)
         x = math.exp(-float(ansatz.gamma.value(r0)))
@@ -327,12 +358,12 @@ def _radial_level_report(ansatz, f_rf, rho0: float, c: float, r0: float,
         raise BadParams(f"unsupported radial ansatz {type(ansatz).__name__}")
     H_out = float(mean_curvature_sphere(ansatz, r0))
     area = 4.0 * math.pi * b * b
-    willmore = willmore_energy(lambda p: H_out, b, degree=degree)
+    willmore = H_out * H_out * area
     sgn = math.copysign(1.0, float(f_rf.d1(r0)))
     return _assemble_report(c, r0, area, H_out, sgn, kappa, rho0, willmore, b)
 
 
-def _catalog_levels(model, c, window, grid_n, degree):
+def _catalog_levels(model, c, window, grid_n):
     found = []
     for piece in model.pieces:
         lo, hi = window if window is not None else piece.scan_window()
@@ -348,17 +379,14 @@ def _catalog_levels(model, c, window, grid_n, degree):
         piece = next(p for r, p in found
                      if abs(r - r0) <= 1e-9 * max(1.0, abs(r0)))
         rho0 = float(piece.fluid.rho.value(r0))
-        reports.append(
-            _radial_level_report(piece.ansatz, piece.fluid.f, rho0, c, r0, degree)
-        )
+        reports.append(_radial_level_report(piece.ansatz, piece.fluid.f, rho0, c, r0))
     if not reports:
         raise NoLevelSet(f"the lapse never reaches c={c} in the scanned windows")
     return sorted(reports, key=lambda rep: rep.r)
 
 
-def _tov_levels(model, c, window, grid_n, degree):
+def _tov_levels(model, c, window, grid_n):
     prof = model.profile
-    f_rf = model.lapse_function()
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
     else:
@@ -367,18 +395,18 @@ def _tov_levels(model, c, window, grid_n, degree):
         if 0.0 < c < 1.0:
             # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
             hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))
-    roots = _dedupe(_root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n))
-    if not roots:
-        raise NoLevelSet(f"the lapse never reaches c={c} on [{lo}, {hi}]")
     ansatz = SchwarzschildForm(
         gamma=model.gamma_function(), v=model.v_function(),
         domain=(lo, hi),
     )
-    reports = []
-    for r0 in roots:
-        rho0 = EIGHT_PI * float(model.rho(r0))
-        reports.append(_radial_level_report(ansatz, f_rf, rho0, c, r0, degree))
-    return reports
+    f_rf = ansatz.lapse()
+    roots = _dedupe(_root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n))
+    if not roots:
+        raise NoLevelSet(f"the lapse never reaches c={c} on [{lo}, {hi}]")
+    return [
+        _radial_level_report(ansatz, f_rf, EIGHT_PI * float(model.rho(r0)), c, r0)
+        for r0 in roots
+    ]
 
 
 def _conformal_levels(model, c, window, grid_n, degree):
@@ -440,25 +468,30 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
 
     Accepts an analytic catalog model, an integrated stellar model, or a
     conformally flat model; raises NoLevelSet when the lapse never attains c
-    in the scanned window and NotARegularValue at critical levels.
+    in the scanned window and NotARegularValue at critical levels, tangential
+    touches at an extremum of f included.  ``degree`` is the sphere
+    quadrature used on conformal models; round spheres of radial charts need
+    none.
     """
     c = float(c)
     if isinstance(model, _catalog.AnalyticModel):
-        return _catalog_levels(model, c, window, grid_n, degree)
+        return _catalog_levels(model, c, window, grid_n)
     if isinstance(model, _tov.StellarModel):
-        return _tov_levels(model, c, window, grid_n, degree)
+        return _tov_levels(model, c, window, grid_n)
     if isinstance(model, _conformal.ConformalModel):
         return _conformal_levels(model, c, window, grid_n, degree)
     raise BadParams(f"no level-set support for {type(model).__name__}")
 
 
-def mass_sweep(model, levels, grid_n: int = 2048,
-               degree: int = 35) -> list[QuasiLocalReport]:
-    """level_set_data over many levels; levels with no level set are skipped."""
+def mass_sweep(model, levels, grid_n: int = 2048, degree: int = 35,
+               window=None) -> list[QuasiLocalReport]:
+    """level_set_data over many levels, in level order; levels with no level
+    set are skipped."""
     out = []
     for c in levels:
         try:
-            out.extend(level_set_data(model, float(c), grid_n=grid_n, degree=degree))
+            out.extend(level_set_data(model, float(c), window=window,
+                                      grid_n=grid_n, degree=degree))
         except NoLevelSet:
             continue
     return out

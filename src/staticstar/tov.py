@@ -4,6 +4,7 @@ Geometrized units throughout (G = c = 1).  The interior system integrated is
 
     rho'(r) = -(m + 4 pi r^3 rho)(mu + rho) / (r (r - 2m))
     m'(r)   =  4 pi r^2 mu
+    v'(r)   =  2 (m + 4 pi r^3 rho) / (r (r - 2m))
     mu      =  eos(rho)
 
 with the center regularized by the series seed
@@ -11,12 +12,13 @@ with the center regularized by the series seed
     rho(r) = rho_c - 2 pi (mu_c/3 + rho_c)(mu_c + rho_c) r^2 + O(r^4)
     m(r)   = (4 pi / 3) mu_c r^3 + O(r^5)
 
-started at a small r_start > 0.  The lapse is recovered afterwards from the
-first integral of the conservation equation,
+started at a small r_start > 0.  The lapse potential v = log f^2 is carried
+by the same solution, up to its additive constant; :func:`integrate_lapse`
+pins that constant, e^{v(r_b)} = 1 - 2M/r_b at the surface or v(r_ref) = 0.
 
-    v(r) = v(r_b) - 2 * int_{rho(r_b)}^{rho(r)} d rho~ / (mu(rho~) + rho~),
-
-which pins e^{v} = 1 - 2M/r_b at the surface and gives f = e^{v/2}.
+Evaluators are array in, array out: ``EquationOfState.mu`` and the dense
+profile and model evaluators take a float or an ndarray of radii (or
+pressures) and return a float or an ndarray of the same shape.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
     NoSurface,
     StepFailure,
 )
+from .geometry import SchwarzschildForm
 from .numerics import EPS_DOM, RadialFunction, bisect_root, chebyshev_grid
 
 __all__ = [
@@ -69,11 +72,15 @@ CSV_COLUMNS = ("r", "m", "mu", "rho", "exp_neg_gamma", "exp_v", "f")
 # ----------------------------------------------------------------------------
 
 class EquationOfState:
-    """Barotropic relation mu(rho).  Subclasses implement ``mu``."""
+    """Barotropic relation mu(rho).  Subclasses implement ``mu``.
+
+    ``mu`` takes a float or an ndarray of pressures and returns a float or an
+    ndarray of the same shape; the ODE right-hand side passes floats.
+    """
 
     name = "eos"
 
-    def mu(self, rho: float) -> float:  # pragma: no cover - interface
+    def mu(self, rho):  # pragma: no cover - interface
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -93,7 +100,10 @@ class EquationOfState:
                 key, _, val = item.partition("=")
                 if not _:
                     raise BadParams(f"bad EOS parameter {item!r} in {spec!r}")
-                params[key.strip()] = float(val)
+                try:
+                    params[key.strip()] = float(val)
+                except ValueError:
+                    raise BadParams(f"EOS parameter {item!r} in {spec!r} is not a number") from None
         if kind == "constant":
             return ConstantDensity(params.get("c", 0.0))
         if kind == "chaplygin":
@@ -103,7 +113,12 @@ class EquationOfState:
         if kind == "table":
             if not path:
                 raise BadParams("table EOS needs a CSV path: 'table:points.csv'")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            try:
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            except ValueError as exc:
+                raise BadParams(f"table EOS {path!r} is not a numeric rho,mu CSV: {exc}") from None
+            if data.shape[1] < 2:
+                raise BadParams(f"table EOS {path!r} needs two columns rho,mu")
             return Tabulated(data[:, 0], data[:, 1])
         raise BadParams(f"unknown EOS kind {kind!r} in {spec!r}")
 
@@ -116,7 +131,7 @@ class ConstantDensity(EquationOfState):
     name = "constant"
 
     def mu(self, rho):
-        return self.c
+        return self.c if _scalar(rho) else np.full(np.shape(rho), self.c)
 
     def spec_string(self):
         return f"constant:c={self.c!r}"
@@ -134,7 +149,7 @@ class Chaplygin(EquationOfState):
             raise BadParams("chaplygin EOS needs c != 0")
 
     def mu(self, rho):
-        if rho == 0.0:
+        if (rho == 0.0) if _scalar(rho) else np.any(rho == 0.0):
             raise CenterSingularity("chaplygin EOS singular at rho = 0")
         return -self.c * self.c / rho
 
@@ -145,11 +160,11 @@ class Chaplygin(EquationOfState):
 class Tabulated(EquationOfState):
     """Monotone-cubic interpolation of (rho, mu) samples; no extrapolation.
 
-    ``rho`` must be strictly increasing.  Evaluation outside the tabulated
-    range raises DomainError — build the table wide enough for the run (for
-    full-star integrations include a small margin below rho = 0, since the
-    integrator evaluates slightly past the surface before the terminal event
-    is located).
+    ``rho`` must be strictly increasing and both columns finite.  Evaluation
+    outside the tabulated range raises DomainError — build the table wide
+    enough for the run (for full-star integrations include a small margin
+    below rho = 0, since the integrator evaluates slightly past the surface
+    before the terminal event is located).
     """
 
     name = "table"
@@ -159,6 +174,8 @@ class Tabulated(EquationOfState):
         mu = np.asarray(mu, dtype=float)
         if rho.ndim != 1 or rho.size < 2 or rho.shape != mu.shape:
             raise BadParams("tabulated EOS needs matching 1-d rho/mu arrays")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mu))):
+            raise BadParams("tabulated EOS needs finite rho/mu values")
         if not np.all(np.diff(rho) > 0.0):
             raise BadParams("tabulated EOS needs strictly increasing rho")
         self.rho_min = float(rho[0])
@@ -166,12 +183,15 @@ class Tabulated(EquationOfState):
         self._interp = PchipInterpolator(rho, mu, extrapolate=False)
 
     def mu(self, rho):
-        if rho < self.rho_min or rho > self.rho_max:
+        outside = np.less(rho, self.rho_min) | np.greater(rho, self.rho_max)
+        if np.any(outside):
+            bad = rho if _scalar(rho) else np.asarray(rho)[outside][0]
             raise DomainError(
-                f"rho={rho} outside tabulated range "
+                f"rho={bad} outside tabulated range "
                 f"[{self.rho_min}, {self.rho_max}] (extrapolation forbidden)"
             )
-        return float(self._interp(rho))
+        out = self._interp(rho)
+        return float(out) if out.ndim == 0 else out
 
     def spec_string(self):
         return f"table:[{self.rho_min},{self.rho_max}]"
@@ -179,14 +199,25 @@ class Tabulated(EquationOfState):
 
 @dataclass(frozen=True)
 class Custom(EquationOfState):
-    """Wrap an arbitrary callable mu(rho)."""
+    """Wrap a callable mu(rho).
 
-    func: Callable[[float], float]
+    ``func`` must accept an ndarray of pressures, like a numpy ufunc: it may
+    return an array of the same shape or one value for all of them, which is
+    broadcast.  Scalar calls (the ODE right-hand side) pass floats.
+    """
+
+    func: Callable
     label: str = "custom"
     name = "custom"
 
     def mu(self, rho):
-        return float(self.func(rho))
+        out = np.asarray(self.func(rho), dtype=float)
+        try:
+            out = np.broadcast_to(out, np.shape(rho))
+        except ValueError:
+            raise BadParams(f"custom EOS {self.label!r} returned shape {out.shape} "
+                            f"for pressures of shape {np.shape(rho)}") from None
+        return float(out) if out.ndim == 0 else out.copy()
 
     def spec_string(self):
         return self.label
@@ -221,9 +252,11 @@ class RadialProfile:
     ``samples`` is a (n, 7) float array with columns ``CSV_COLUMNS``
     (r, m, mu, rho, exp_neg_gamma, exp_v, f); the lapse columns are NaN until
     :func:`integrate_lapse` fills them.  ``exp_neg_gamma`` is *defined* as
-    1 - 2 m(r)/r.  Dense evaluation between samples uses the integrator's
-    own interpolant when available and cubic splines otherwise; the public
-    interpolation contract is cubic either way.
+    1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
+    constant, which :func:`integrate_lapse` pins to give ``v_fn``.  Dense
+    evaluation between samples uses the integrator's own interpolant when
+    available and cubic splines otherwise; the public interpolation contract
+    is cubic either way.  The evaluators take a float or an ndarray of radii.
     """
 
     samples: np.ndarray
@@ -231,13 +264,14 @@ class RadialProfile:
     rho_center: float
     r_start: float
     r_end: float
-    rho_fn: Callable[[float], float]
-    m_fn: Callable[[float], float]
+    rho_fn: Callable
+    m_fn: Callable
     surface_event_r: float | None = None
-    v_fn: Callable[[float], float] | None = None
+    v_fn: Callable | None = None
     lapse_normalized: bool = False  # True when f was pinned by f(r_ref) = 1
     negative_density_seen: bool = False  # advisory only
     options: SolverOptions = SolverOptions()
+    v_free_fn: Callable | None = None
 
     interpolation = "cubic"
 
@@ -265,7 +299,7 @@ class RadialProfile:
         return self.v_fn(r)
 
     def f(self, r):
-        return math.exp(0.5 * self.v(r))
+        return _out(np.exp(0.5 * self.v(r)))
 
     def column(self, name: str) -> np.ndarray:
         return self.samples[:, CSV_COLUMNS.index(name)]
@@ -274,22 +308,24 @@ class RadialProfile:
         return self.v_fn is not None
 
 
-def _profile_samples(grid, rho_fn, m_fn, eos, v_fn=None):
-    n = len(grid)
-    out = np.full((n, 7), np.nan)
-    for i, r in enumerate(grid):
-        rho = rho_fn(r)
-        m = m_fn(r)
-        out[i, 0] = r
-        out[i, 1] = m
-        out[i, 2] = eos.mu(rho)
-        out[i, 3] = rho
-        out[i, 4] = 1.0 - 2.0 * m / r
-        if v_fn is not None:
-            v = v_fn(r)
-            out[i, 5] = math.exp(v)
-            out[i, 6] = math.exp(0.5 * v)
-    return out
+def _scalar(x) -> bool:
+    """True for a float (checked first: the ODE passes floats) or any 0-d value."""
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _out(x):
+    """A float for a 0-d result, the ndarray otherwise."""
+    return float(x) if _scalar(x) else x
+
+
+def _lapse_rate(r, rho, m):
+    """v' = 2 (m + 4 pi r^3 rho) / (r (r - 2m)), inside the star and (rho = 0) outside."""
+    return 2.0 * (m + FOUR_PI * r**3 * rho) / (r * (r - 2.0 * m))
+
+
+def _evaluator(fn):
+    """``fn`` returning a float for a scalar radius."""
+    return lambda r: _out(fn(r))
 
 
 # ----------------------------------------------------------------------------
@@ -306,7 +342,8 @@ def integrate_tov(
     Runs until the surface event (rho crossing zero from above), the horizon
     guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile is
     sampled on a Chebyshev grid of ``options.grid_n`` points and keeps the
-    integrator's dense interpolant for later refinement.
+    integrator's dense interpolant for later refinement, the lapse potential
+    included; its lapse columns stay NaN until :func:`integrate_lapse`.
 
     Raises CenterSingularity if the EOS cannot be evaluated at rho_center,
     HorizonHit or StepFailure as described, and lets Tabulated range errors
@@ -316,12 +353,7 @@ def integrate_tov(
     rho_c = float(rho_center)
     if not math.isfinite(rho_c):
         raise CenterSingularity(f"rho_center={rho_center} is not finite")
-    try:
-        mu_c = eos.mu(rho_c)
-    except CenterSingularity:
-        raise
-    except DomainError:
-        raise
+    mu_c = eos.mu(rho_c)
     if not math.isfinite(mu_c):
         raise CenterSingularity(f"EOS gives non-finite mu at rho_center={rho_c}")
 
@@ -330,11 +362,10 @@ def integrate_tov(
     m0 = FOUR_PI / 3.0 * mu_c * r0**3
 
     def rhs(r, y):
-        rho, m = y
+        rho, m, _v = y
         mu = eos.mu(rho)
-        denom = r * (r - 2.0 * m)
-        drho = -(m + FOUR_PI * r**3 * rho) * (mu + rho) / denom
-        return (drho, FOUR_PI * r * r * mu)
+        dv = _lapse_rate(r, rho, m)
+        return (-0.5 * dv * (mu + rho), FOUR_PI * r * r * mu, dv)
 
     def surface(r, y):
         return y[0]
@@ -357,10 +388,12 @@ def integrate_tov(
     sol = solve_ivp(
         rhs,
         (r0, opts.r_max),
-        (rho0, m0),
+        (rho0, m0, 0.0),
         method="RK45",
         rtol=opts.rel_tol,
-        atol=opts.abs_tol,
+        # v is a logarithm: an absolute error in v is a relative error in f,
+        # so v's absolute tolerance is the relative one
+        atol=(opts.abs_tol, opts.abs_tol, opts.rel_tol),
         dense_output=True,
         events=tuple(events),
     )
@@ -374,25 +407,25 @@ def integrate_tov(
         surface_r = float(sol.t_events[1][0])
     r_end = float(sol.t[-1])
 
-    def rho_fn(r, _s=sol.sol):
-        return float(_s(r)[0])
-
-    def m_fn(r, _s=sol.sol):
-        return float(_s(r)[1])
-
     grid = chebyshev_grid(r0, r_end, opts.grid_n)
-    samples = _profile_samples(grid, rho_fn, m_fn, eos)
+    rho, m, _v = sol.sol(grid)
+    # the event root's own sign is round-off: count densities below the
+    # surface threshold only
+    ytol = opts.surface_ytol_scale * max(1.0, abs(rho_c))
+    nan = np.full(grid.shape, np.nan)
+    samples = np.column_stack((grid, m, eos.mu(rho), rho, 1.0 - 2.0 * m / grid, nan, nan))
     return RadialProfile(
         samples=samples,
         eos=eos,
         rho_center=rho_c,
         r_start=r0,
         r_end=r_end,
-        rho_fn=rho_fn,
-        m_fn=m_fn,
+        rho_fn=_evaluator(lambda r: sol.sol(r)[0]),
+        m_fn=_evaluator(lambda r: sol.sol(r)[1]),
         surface_event_r=surface_r,
-        negative_density_seen=bool(np.any(samples[:, 3] < 0.0)),
+        negative_density_seen=bool(np.any(rho < -ytol)),
         options=opts,
+        v_free_fn=_evaluator(lambda r: sol.sol(r)[2]),
     )
 
 
@@ -427,81 +460,58 @@ def detect_surface(profile: RadialProfile) -> float:
     return float(bisect_root(profile.rho, rr[i - 1], rr[i], ytol=ytol))
 
 
-def _lapse_integral_factory(eos: EquationOfState, rho_ref: float):
-    """I(rho) = int_{rho_ref}^{rho} d rho~ / (mu + rho~), by adaptive quadrature."""
-
-    def integrand(rho):
-        return 1.0 / (eos.mu(rho) + rho)
-
-    def integral(rho):
-        if rho == rho_ref:
-            return 0.0
-        val, _err = quad(integrand, rho_ref, rho, epsabs=1e-13, epsrel=1e-11, limit=200)
-        return val
-
-    return integral
-
-
 def integrate_lapse(
     profile: RadialProfile,
     r_b: float | None = None,
     r_ref: float | None = None,
 ) -> RadialProfile:
-    """Fill in v and f = e^{v/2} from the conservation-equation quadrature.
+    """Fill in v and f = e^{v/2} by pinning the constant of the carried v.
 
     With a surface radius ``r_b`` the constant of integration is fixed by
     continuity with the vacuum exterior, e^{v(r_b)} = 1 - 2 m(r_b)/r_b.
     Without one, f is normalized to 1 at ``r_ref`` (default: the outer end of
     the profile) and the result is flagged ``lapse_normalized``.
 
-    Raises DegenerateFluid when mu + rho vanishes (|mu+rho| < 1e-14) anywhere
-    the quadrature needs it — including constant-density branches whose lapse
-    the fluid equations do not determine.  A profile that is vacuum to
-    round-off gets the flat lapse v = 0 directly.
+    Raises DegenerateFluid when mu + rho vanishes (|mu+rho| < 1e-14) on the
+    sampled profile — including constant-density branches whose lapse the
+    fluid equations do not determine.  A profile that is vacuum to round-off
+    gets the flat lapse v = 0 directly.
     """
     rho_s = profile.column("rho")
     mu_s = profile.column("mu")
 
-    if np.max(np.abs(rho_s)) < 1e-14 and np.max(np.abs(mu_s)) < 1e-14:
-        # vacuum: flat interior, v = 0
-        def v_vac(r):
-            return 0.0
-
-        grid = profile.column("r")
-        samples = _profile_samples(grid, profile.rho_fn, profile.m_fn, profile.eos, v_vac)
-        return dataclasses.replace(
-            profile, samples=samples, v_fn=v_vac, lapse_normalized=True
-        )
-
-    wsum = mu_s + rho_s
-    if np.min(np.abs(wsum)) < 1e-14:
-        raise DegenerateFluid("mu + rho vanishes along the profile")
-
-    if r_b is not None:
-        m_b = profile.m(r_b)
-        x_b = 1.0 - 2.0 * m_b / r_b
-        if x_b <= EPS_DOM:
-            raise HorizonHit(f"surface inside horizon: 1 - 2M/r_b = {x_b}")
-        v_b = math.log(x_b)
-        rho_ref = profile.rho(min(r_b, profile.r_end))
-        base = v_b
+    vacuum = np.max(np.abs(rho_s)) < 1e-14 and np.max(np.abs(mu_s)) < 1e-14
+    if vacuum:
+        # flat interior, v = 0
+        def v_fn(r):
+            return _out(np.zeros(np.shape(r)))
     else:
-        ref = r_ref if r_ref is not None else profile.r_end
-        rho_ref = profile.rho(ref)
-        base = 0.0
+        if np.min(np.abs(mu_s + rho_s)) < 1e-14:
+            raise DegenerateFluid("mu + rho vanishes along the profile")
+        if r_b is not None:
+            x_b = 1.0 - 2.0 * profile.m(r_b) / r_b
+            if x_b <= EPS_DOM:
+                raise HorizonHit(f"surface inside horizon: 1 - 2M/r_b = {x_b}")
+            ref, base = min(r_b, profile.r_end), math.log(x_b)
+        else:
+            ref, base = (r_ref if r_ref is not None else profile.r_end), 0.0
+        v_free = profile.v_free_fn
+        if v_free is None:
+            raise BadParams("profile carries no lapse potential; build it with integrate_tov")
+        shift = base - v_free(ref)
 
-    integral = _lapse_integral_factory(profile.eos, rho_ref)
+        def v_fn(r):
+            return v_free(r) + shift
 
-    def v_fn(r):
-        return base - 2.0 * integral(profile.rho(r))
-
-    grid = profile.column("r")
-    samples = _profile_samples(grid, profile.rho_fn, profile.m_fn, profile.eos, v_fn)
+    samples = profile.samples.copy()
+    v = v_fn(samples[:, 0])
+    samples[:, 5] = np.exp(v)
+    samples[:, 6] = np.exp(0.5 * v)
     return dataclasses.replace(
         profile,
         samples=samples,
         v_fn=v_fn,
-        lapse_normalized=(r_b is None),
+        lapse_normalized=bool(vacuum or r_b is None),
     )
 
 
@@ -526,45 +536,52 @@ class StellarModel:
         if self.r_b <= 2.0 * self.mass + EPS_DOM:
             raise HorizonHit(f"r_b = {self.r_b} <= 2M = {2*self.mass}")
 
-    # -- piecewise scalar evaluators ------------------------------------------
+    # -- piecewise evaluators (float or ndarray of radii) ----------------------
 
-    def _series_rho(self, r):
-        p = self.profile
-        mu_c = p.eos.mu(p.rho_center)
-        return p.rho_center - 2.0 * math.pi * (mu_c / 3.0 + p.rho_center) \
-            * (mu_c + p.rho_center) * r * r
+    def _piecewise(self, r, center, interior, exterior):
+        """One evaluator per region: r < r_start, the interior, r >= r_b."""
+        if _scalar(r):
+            fn = exterior if r >= self.r_b else center if r < self.profile.r_start else interior
+            return float(fn(r))
+        r = np.asarray(r, dtype=float)
+        out = np.empty(r.shape)
+        outside = r >= self.r_b
+        core = ~outside & (r < self.profile.r_start)
+        inside = ~(outside | core)
+        for mask, fn in ((core, center), (inside, interior), (outside, exterior)):
+            if np.any(mask):
+                out[mask] = fn(r[mask])
+        return out
 
     def rho(self, r):
-        if r >= self.r_b:
-            return 0.0
-        if r < self.profile.r_start:
-            return self._series_rho(r)
-        return self.profile.rho(r)
+        p = self.profile
+        mu_c = p.eos.mu(p.rho_center)
+        a2 = 2.0 * math.pi * (mu_c / 3.0 + p.rho_center) * (mu_c + p.rho_center)
+        return self._piecewise(r, lambda x: p.rho_center - a2 * x * x, p.rho, lambda x: 0.0)
 
     def mu(self, r):
-        if r >= self.r_b:
-            return 0.0
-        return self.profile.eos.mu(self.rho(r))
+        return self._piecewise(
+            r, lambda x: self.profile.eos.mu(self.rho(x)),
+            self.profile.mu, lambda x: 0.0,
+        )
 
     def m(self, r):
-        if r >= self.r_b:
-            return self.mass
-        if r < self.profile.r_start:
-            return FOUR_PI / 3.0 * self.profile.eos.mu(self.profile.rho_center) * r**3
-        return self.profile.m(r)
+        p = self.profile
+        mu_c = p.eos.mu(p.rho_center)
+        return self._piecewise(r, lambda x: FOUR_PI / 3.0 * mu_c * x**3, p.m, lambda x: self.mass)
 
     def exp_neg_gamma(self, r):
         return 1.0 - 2.0 * self.m(r) / r
 
     def v(self, r):
-        if r >= self.r_b:
-            return math.log(1.0 - 2.0 * self.mass / r)
-        if r < self.profile.r_start:
-            return self.profile.v(self.profile.r_start)  # flat to O(r^2) at center
-        return self.profile.v(r)
+        p = self.profile
+        # flat to O(r^2) at the center
+        return self._piecewise(
+            r, lambda x: p.v(p.r_start), p.v, lambda x: np.log(1.0 - 2.0 * self.mass / x),
+        )
 
     def f(self, r):
-        return math.exp(0.5 * self.v(r))
+        return _out(np.exp(0.5 * self.v(r)))
 
     # -- derivative-carrying views ---------------------------------------------
 
@@ -572,47 +589,24 @@ class StellarModel:
         """gamma(r) = -log(1 - 2 m(r)/r), derivatives from m' = 4 pi r^2 mu."""
 
         def val(r):
-            return -math.log(self.exp_neg_gamma(r))
+            return _out(-np.log(self.exp_neg_gamma(r)))
 
         def d1(r):
-            x = self.exp_neg_gamma(r)
             xp = -8.0 * math.pi * r * self.mu(r) + 2.0 * self.m(r) / (r * r)
-            return -xp / x
+            return -xp / self.exp_neg_gamma(r)
 
-        return RadialFunction.from_callables(
-            np.vectorize(val, otypes=[float]),
-            np.vectorize(d1, otypes=[float]),
-            domain=(EPS_DOM, r_max),
-        )
+        return RadialFunction.from_callables(val, d1, domain=(EPS_DOM, r_max))
 
     def v_function(self, r_max: float = math.inf) -> RadialFunction:
-        """v(r) with v' = -2 rho'/(mu+rho) inside and the vacuum form outside."""
-
-        def d1(r):
-            if r >= self.r_b:
-                return 2.0 * self.mass / (r * (r - 2.0 * self.mass))
-            rho = self.rho(r)
-            m = self.m(r)
-            mu = self.mu(r)
-            drho = -(m + FOUR_PI * r**3 * rho) * (mu + rho) / (r * (r - 2.0 * m))
-            return -2.0 * drho / (mu + rho)
-
+        """v(r) with v' = 2 (m + 4 pi r^3 rho)/(r (r - 2m)), the vacuum form outside."""
         return RadialFunction.from_callables(
-            np.vectorize(self.v, otypes=[float]),
-            np.vectorize(d1, otypes=[float]),
-            domain=(EPS_DOM, r_max),
+            self.v, lambda r: _lapse_rate(r, self.rho(r), self.m(r)), domain=(EPS_DOM, r_max),
         )
 
     def lapse_function(self, r_max: float = math.inf) -> RadialFunction:
-        v = self.v_function(r_max)
-
-        def val(r):
-            return np.exp(0.5 * np.asarray(v.value(r), dtype=float))
-
-        def d1(r):
-            return 0.5 * np.asarray(v.d1(r), dtype=float) * val(r)
-
-        return RadialFunction.from_callables(val, d1, domain=(EPS_DOM, r_max))
+        return SchwarzschildForm(
+            gamma=self.gamma_function(r_max), v=self.v_function(r_max)
+        ).lapse()
 
     def to_csv(self, path) -> None:
         profile_to_csv(self.profile, path)
@@ -671,20 +665,22 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
     if tuple(header) != CSV_COLUMNS:
         raise BadParams(f"unexpected CSV columns {header}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    r = data[:, 0]
-    rho_sp = CubicSpline(r, data[:, 3])
-    m_sp = CubicSpline(r, data[:, 1])
+    r, m, rho = data[:, 0], data[:, 1], data[:, 3]
     v_fn = None
     if np.all(np.isfinite(data[:, 5])):
-        v_sp = CubicSpline(r, np.log(data[:, 5]))
-        v_fn = lambda rr: float(v_sp(rr))  # noqa: E731
+        v_free = v_fn = _evaluator(CubicSpline(r, np.log(data[:, 5])))
+    else:
+        # no stored lapse: v' from the stored m and rho, integrated
+        v_free = _evaluator(CubicSpline(r, _lapse_rate(r, rho, m)).antiderivative())
     return RadialProfile(
         samples=data,
         eos=eos if eos is not None else Custom(lambda rho: float("nan"), "csv"),
-        rho_center=float(data[0, 3]),
+        rho_center=float(rho[0]),
         r_start=float(r[0]),
         r_end=float(r[-1]),
-        rho_fn=lambda rr: float(rho_sp(rr)),
-        m_fn=lambda rr: float(m_sp(rr)),
+        rho_fn=_evaluator(CubicSpline(r, rho)),
+        m_fn=_evaluator(CubicSpline(r, m)),
         v_fn=v_fn,
+        v_free_fn=v_free,
     )
+

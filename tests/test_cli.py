@@ -159,6 +159,39 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
     assert "model schwarzschild_interior: FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tov", "--eos", "constant:c=abc", "--rho-c", "0.0005"),
+        ("verify", "wyman:R=x"),
+        ("catalog", "verify", "wyman", "--param", "R=x"),
+        ("verify", "wyman:Q=1"),
+    ],
+)
+def test_malformed_spec_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_unknown_parameter_names_the_accepted_ones(capsys):
+    code, _, err = run(capsys, "verify", "wyman:Q=1")
+    assert code == 1 and "'Q'" in err and "R, M" in err
+
+
+def test_level_at_lapse_maximum_is_exit_3(capsys):
+    code, _, err = run(capsys, "mass", "--model", "witten_stellar", "--level", "1.0")
+    assert code == 3 and "NotARegularValue" in err
+
+
+def test_mass_window_and_level_order(capsys):
+    code, out, _ = run(capsys, "mass", "--model", "witten_stellar", "--level", "0.6",
+                       "--level", "0.3", "--window", "0.05,1.5", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["level"] for row in rows] == [0.6, 0.3]
+    assert all(row["r"] <= 1.5 for row in rows)
+
+
 def test_no_level_set_is_exit_3(capsys):
     code, _, err = run(capsys, "mass", "--model", "schwarzschild_exterior:M=1",
                        "--level", "2.0")

@@ -13,6 +13,7 @@ from staticstar.numerics import (
     find_brackets,
     max_rms,
     refine_root,
+    sign_brackets,
     sphere_rule,
 )
 
@@ -158,3 +159,13 @@ def test_max_rms():
     mx, rms = max_rms(np.array([3.0, -4.0]))
     assert mx == 4.0
     assert rms == pytest.approx(math.sqrt(12.5))
+
+
+def test_sign_brackets_match_find_brackets():
+    grid = np.linspace(-1.0, 10.0, 401)
+    vals = np.sin(grid)
+    vals[200] = 0.0
+    assert sign_brackets(grid, vals) == find_brackets(
+        lambda x: 0.0 if x == grid[200] else math.sin(x), grid)
+    with pytest.raises(DomainError):
+        sign_brackets(grid, np.full(grid.shape, np.nan))

@@ -254,3 +254,31 @@ class TestLevelScan:
         assert len(lines) == 3
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[0] == 0.5 and first[1] == pytest.approx(8.0 / 3.0, rel=1e-12)
+
+
+class TestLapseExtremum:
+    """witten_stellar's lapse sin(log cosh t) peaks at 1 at t = acosh(e^{pi/2})."""
+
+    def test_maximum_is_not_a_regular_value(self, witten):
+        with pytest.raises(NotARegularValue):
+            level_set_data(witten, 1.0)
+
+    def test_just_below_the_maximum_gives_two_spheres(self, witten):
+        t_star = math.acosh(math.exp(math.pi / 2.0))
+        inner, outer = level_set_data(witten, 0.999)
+        assert inner.r < t_star < outer.r
+
+    def test_above_the_maximum_has_no_level_set(self, witten):
+        with pytest.raises(NoLevelSet):
+            level_set_data(witten, 1.2)
+
+
+def test_sweep_window(witten):
+    reports = mass_sweep(witten, [TestWarpedLevels.LEVEL, 0.6], window=(0.05, 1.5))
+    assert [rep.level for rep in reports] == [TestWarpedLevels.LEVEL, 0.6]
+    assert all(rep.r <= 1.5 for rep in reports)
+
+
+def test_round_sphere_willmore_is_h_squared_area(vacuum, witten):
+    for rep in level_set_data(vacuum, 0.5) + level_set_data(witten, 0.6):
+        assert rep.willmore == pytest.approx(rep.mean_curvature**2 * rep.area, rel=1e-15)

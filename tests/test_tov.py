@@ -251,3 +251,108 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(BadParams):
             tov.profile_from_csv(path)
+
+
+class TestArrayContract:
+    """Evaluators take arrays and return the same values as one point at a time."""
+
+    RHO = np.array([-1e-4, 0.0, 2.5e-4, 5e-4])
+
+    @pytest.mark.parametrize(
+        "eos",
+        [
+            tov.ConstantDensity(0.001),
+            tov.Chaplygin(0.01),
+            tov.Tabulated([-1e-3, 0.0, 1e-3], [2e-3, 1e-3, 3e-3]),
+            tov.Custom(lambda rho: 0.001 + rho * rho, "quadratic"),
+            tov.Custom(lambda rho: 0.001, "flat"),
+        ],
+    )
+    def test_eos_mu_takes_arrays(self, eos):
+        rho = self.RHO[self.RHO != 0.0] if isinstance(eos, tov.Chaplygin) else self.RHO
+        got = eos.mu(rho)
+        assert isinstance(got, np.ndarray) and got.shape == rho.shape
+        for x, y in zip(rho, got):
+            one = eos.mu(float(x))
+            assert type(one) is float and one == y
+
+    def test_eos_array_errors(self):
+        with pytest.raises(CenterSingularity):
+            tov.Chaplygin(0.01).mu(self.RHO)
+        with pytest.raises(DomainError):
+            tov.Tabulated([0.0, 1.0], [1.0, 1.0]).mu(self.RHO)
+        with pytest.raises(BadParams):
+            tov.Custom(lambda rho: np.ones(3), "wrong").mu(self.RHO)
+
+    def test_model_evaluators(self, const_star):
+        r0, r_b = const_star.profile.r_start, const_star.r_b
+        r = np.array([0.3 * r0, 0.9 * r0, r0, 0.5, 4.0, 0.999 * r_b, r_b, 1.5 * r_b, 40.0])
+        gamma = const_star.gamma_function()
+        v = const_star.v_function()
+        lapse = const_star.lapse_function()
+        for fn in (const_star.rho, const_star.m, const_star.mu, const_star.v,
+                   const_star.f, const_star.exp_neg_gamma, gamma.value, gamma.d1,
+                   v.value, v.d1, lapse.value, lapse.d1):
+            got = fn(r)
+            assert got.shape == r.shape
+            for x, y in zip(r, got):
+                one = fn(float(x))
+                assert isinstance(one, float) and one == pytest.approx(y, rel=1e-15, abs=0.0)
+
+    def test_profile_evaluators(self, const_star):
+        prof = const_star.profile
+        r = np.array([prof.r_start, 1.0, 5.0, prof.r_end])
+        for fn in (prof.rho, prof.m, prof.mu, prof.v, prof.f, prof.exp_neg_gamma):
+            got = fn(r)
+            assert got.shape == r.shape
+            assert all(type(fn(float(x))) is float and fn(float(x)) == y
+                       for x, y in zip(r, got))
+
+
+class TestCarriedLapse:
+    def test_workhorse_lapse_matches_closed_form(self, const_star):
+        # interior Schwarzschild: f = (3 sqrt(x_b) - sqrt(1 - (8 pi c/3) r^2)) / 2
+        prof = const_star.profile
+        r = prof.column("r")
+        r = r[r <= const_star.r_b]
+        closed = 0.5 * (3.0 * 0.6 - np.sqrt(1.0 - (8.0 * math.pi * 0.001 / 3.0) * r * r))
+        assert np.max(np.abs(prof.column("f")[: r.size] - closed)) <= 1e-8
+        assert np.max(np.abs(const_star.f(r) - closed)) <= 1e-8
+
+    def test_profile_lapse_columns_wait_for_the_constant(self):
+        profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+        assert not profile.has_lapse()
+        assert np.all(np.isnan(profile.column("exp_v")))
+        assert np.all(np.isnan(profile.column("f")))
+        with pytest.raises(BadParams):
+            profile.v(1.0)
+
+    def test_csv_without_lapse_can_be_pinned(self, tmp_path, const_star):
+        raw = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+        path = tmp_path / "raw.csv"
+        tov.profile_to_csv(raw, path)
+        back = tov.profile_from_csv(path)
+        assert not back.has_lapse()
+        back = tov.integrate_lapse(back, r_b=const_star.r_b)
+        for r in (1.0, 4.0, 8.0):
+            assert back.f(r) == pytest.approx(const_star.f(r), abs=1e-7)
+
+
+def test_table_rejects_non_finite_values():
+    with pytest.raises(BadParams):
+        tov.Tabulated([0.0, 1.0, 2.0], [1.0, float("nan"), 1.0])
+    with pytest.raises(BadParams):
+        tov.Tabulated([0.0, 1.0, float("inf")], [1.0, 1.0, 1.0])
+
+
+def test_spec_rejects_non_numeric_parameter():
+    with pytest.raises(BadParams):
+        tov.EquationOfState.from_spec("constant:c=abc")
+
+
+@pytest.mark.parametrize("body", ["0.0,1.0\n1.0,abc\n", "0.0\n1.0\n"])
+def test_spec_rejects_malformed_table(tmp_path, body):
+    path = tmp_path / "eos.csv"
+    path.write_text("rho,mu\n" + body)
+    with pytest.raises(BadParams):
+        tov.EquationOfState.from_spec(f"table:{path}")
