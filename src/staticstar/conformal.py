@@ -46,7 +46,14 @@ from .geometry import (
     conformal_curvature,
     spf_residuals,
 )
-from .numerics import EPS_DOM, RadialFunction, ScalarField, chebyshev_grid, max_rms
+from .numerics import (
+    EPS_DOM,
+    RadialFunction,
+    ScalarField,
+    as_points,
+    chebyshev_grid,
+    max_rms,
+)
 
 __all__ = [
     "BasicInvariant",
@@ -108,27 +115,30 @@ class BasicInvariant:
             raise DomainError("tau = 0 invariants have no spherical center")
         return -np.asarray(self.alpha) / (2.0 * self.tau)
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+    def value(self, x):
+        """u at one point ``(n,)`` (a float) or at each row of ``(N, n)``."""
+        x = as_points(x, self.n)
         a = np.asarray(self.alpha)
         b = np.asarray(self.beta)
-        return float(np.sum(self.tau * x * x + a * x + b))
+        return np.sum(self.tau * x * x + a * x + b, axis=-1)
 
-    def sphere_radius(self, u: float) -> float:
-        """Euclidean radius of the level sphere {u(x) = u} (tau > 0)."""
+    def sphere_radius(self, u):
+        """Euclidean radius of the level sphere {u(x) = u} (tau > 0), elementwise."""
         if self.tau <= 0.0:
             raise DomainError("level sets are spheres only for tau > 0")
-        disc = 4.0 * self.tau * u + self.C
-        if disc < 0.0:
-            raise DomainError(f"empty level set: 4 tau u + C = {disc} < 0")
-        return math.sqrt(disc) / (2.0 * self.tau)
+        disc = 4.0 * self.tau * np.asarray(u, dtype=float) + self.C
+        if np.any(disc < 0.0):
+            raise DomainError(f"empty level set: 4 tau u + C = {np.min(disc)} < 0")
+        return np.sqrt(disc) / (2.0 * self.tau)
 
-    def point_at(self, u: float, direction=None) -> np.ndarray:
-        """Some point x with u(x) = u, on the ray ``direction`` from the center.
+    def point_at(self, u, direction=None) -> np.ndarray:
+        """Points x with u(x) = u, on the ray ``direction`` from the center.
 
         tau > 0: center + s(u) * e (e defaults to the first axis).
         tau = 0, alpha != 0: moves along alpha from the plane u = sum(beta).
+        A float u gives one point ``(n,)``; an array gives ``u.shape + (n,)``.
         """
+        u = np.asarray(u, dtype=float)
         if self.tau > 0.0:
             s = self.sphere_radius(u)
             if direction is None:
@@ -140,12 +150,12 @@ class BasicInvariant:
                 if nrm == 0.0:
                     raise BadParams("direction must be nonzero")
                 e = e / nrm
-            return self.center + s * e
+            return self.center + s[..., None] * e
         a = np.asarray(self.alpha)
         a2 = float(a @ a)
         if a2 == 0.0:
             raise DomainError("degenerate invariant: u is constant")
-        return ((u - float(np.sum(self.beta))) / a2) * a
+        return ((u - float(np.sum(self.beta))) / a2)[..., None] * a
 
     def as_field(self, n: int | None = None) -> ScalarField:
         """The invariant as an exact ScalarField (polynomial derivatives)."""
@@ -155,10 +165,11 @@ class BasicInvariant:
         a = np.asarray(self.alpha)
         tau = self.tau
 
+        hess = 2.0 * tau * np.eye(m)
         return ScalarField(
             value=self.value,
-            gradient=lambda x: 2.0 * tau * np.asarray(x, dtype=float) + a,
-            hessian=lambda x: 2.0 * tau * np.eye(m),
+            gradient=lambda x: 2.0 * tau * as_points(x, m) + a,
+            hessian=lambda x: np.broadcast_to(hess, as_points(x, m).shape + (m,)),
             n=m,
         )
 
@@ -475,18 +486,15 @@ def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
     return ResidualReport(entries=(entry,), grid=np.asarray(grid), passed=mx <= tol, tol=tol)
 
 
-def _closure_report(model: ConformalModel, points, labels, tol) -> ResidualReport:
-    """|mu_geo(closed form) - R/2| with R from the generic conformal machinery."""
+def _closure_report(model: ConformalModel, points, tol) -> ResidualReport:
+    """|mu_geo(closed form) - R/2| with R from the generic conformal machinery.
+
+    ``points`` is an ``(N, n)`` batch; both sides are evaluated on it at once.
+    """
     ansatz = model.to_ansatz()
-    vals = []
-    us = []
-    for x in points:
-        u = model.invariant.value(x)
-        _, r_scal = conformal_curvature(ansatz.phi, np.asarray(x, dtype=float))
-        vals.append(abs(float(model.mu_geo(u)) - 0.5 * float(r_scal)))
-        us.append(u)
-    vals = np.asarray(vals)
-    us = np.asarray(us)
+    us = model.invariant.value(points)
+    _, r_scal = conformal_curvature(ansatz.phi, points)
+    vals = np.abs(np.asarray(model.mu_geo(us), dtype=float) - 0.5 * r_scal)
     mx, rms = max_rms(vals)
     worst = float(us[int(np.argmax(vals))]) if vals.size else float("nan")
     entry = ResidualEntry("mu-vs-half-R", mx, rms, worst)
@@ -606,17 +614,16 @@ def build_model(
     rng = np.random.default_rng(rng_seed)
     if invariant.tau > 0.0:
         vec = rng.standard_normal(n)
-        off_ray = lambda u, _v=vec: invariant.point_at(float(u), direction=_v)  # noqa: E731
+        off_ray = lambda u, _v=vec: invariant.point_at(u, direction=_v)  # noqa: E731
     else:
         a = np.asarray(invariant.alpha)
         w_perp = rng.standard_normal(n)
         w_perp -= (w_perp @ a) / (a @ a) * a
-        off_ray = lambda u, _w=w_perp: invariant.point_at(float(u)) + _w  # noqa: E731
+        off_ray = lambda u, _w=w_perp: invariant.point_at(u) + _w  # noqa: E731
     ansatz_off = dataclasses.replace(ansatz, point_of=off_ray)
     checks["field[off-axis]"] = spf_residuals(ansatz_off, fluid, sparse, tol=1e-7)
 
-    pts = [ansatz.point_of(float(u)) for u in sparse]
-    pts += [off_ray(float(u)) for u in sparse]
-    checks["closure"] = _closure_report(model, pts, None, tol=1e-7)
+    pts = np.concatenate([ansatz.point_of(sparse), off_ray(sparse)])
+    checks["closure"] = _closure_report(model, pts, tol=1e-7)
 
     return dataclasses.replace(model, checks=checks)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BadParams, DomainError
 
 __all__ = ["BAND", "ConditionScan", "scan_conditions", "scan_model"]
 
@@ -55,19 +55,30 @@ class ConditionScan:
         }
 
 
+def _on_grid(values, grid: np.ndarray) -> np.ndarray:
+    """A callable (called once per point), a constant, or an array shaped like grid."""
+    if callable(values):
+        return np.asarray([float(values(r)) for r in grid])
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        return np.full(grid.shape, float(arr))
+    if arr.shape != grid.shape:
+        raise BadParams(f"fluid values shaped {arr.shape} do not match the grid {grid.shape}")
+    return arr
+
+
 def scan_conditions(mu_fn, rho_fn, grid) -> ConditionScan:
     """Evaluate the three conditions pointwise on ``grid``.
 
-    ``mu_fn``/``rho_fn`` are callables r -> physical value (scalars are fine
-    too for constant fluids).
+    ``mu_fn``/``rho_fn`` are each a callable r -> physical value, called
+    once per grid point (so scalar-only callables work), a constant, or the
+    values already evaluated on ``grid`` (an array of the grid's shape).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("energy-condition scan needs a non-empty grid")
-    mu = np.asarray([float(mu_fn(r)) for r in grid]) if callable(mu_fn) \
-        else np.full(grid.shape, float(mu_fn))
-    rho = np.asarray([float(rho_fn(r)) for r in grid]) if callable(rho_fn) \
-        else np.full(grid.shape, float(rho_fn))
+    mu = _on_grid(mu_fn, grid)
+    rho = _on_grid(rho_fn, grid)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
         raise DomainError("non-finite fluid values in energy-condition scan")
 
@@ -103,8 +114,14 @@ def scan_model(model, grid=None, n: int = 256) -> ConditionScan:
     """Audit a catalog model or a TOV stellar model.
 
     Catalog models are scanned over each piece's verification window
-    (concatenated); TOV models over the interior (r_start, r_b).
+    (concatenated); TOV models over the interior (r_start, r_b).  A TOV
+    model's evaluators take the whole grid in one call each.
     """
+    if hasattr(model, "profile"):  # tov.StellarModel
+        if grid is None:
+            grid = np.linspace(model.profile.r_start, model.r_b * (1.0 - 1e-12), n)
+        grid = np.asarray(grid, dtype=float)
+        return scan_conditions(model.mu(grid), model.rho(grid), grid)
     if grid is not None:
         return scan_conditions(model.mu, model.rho, grid)
     if hasattr(model, "pieces"):  # catalog.AnalyticModel
@@ -113,8 +130,5 @@ def scan_model(model, grid=None, n: int = 256) -> ConditionScan:
             lo, hi = p.interval
             parts.append(np.linspace(lo, hi, n))
         grid = np.concatenate(parts)
-        return scan_conditions(model.mu, model.rho, grid)
-    if hasattr(model, "profile"):  # tov.StellarModel
-        grid = np.linspace(model.profile.r_start, model.r_b * (1.0 - 1e-12), n)
         return scan_conditions(model.mu, model.rho, grid)
     raise DomainError(f"don't know how to scan {type(model).__name__}")

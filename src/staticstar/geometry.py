@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import EPS_DOM, RadialFunction, ScalarField, max_rms
+from .numerics import EPS_DOM, RadialFunction, ScalarField, as_points, max_rms
 
 __all__ = [
     "SchwarzschildForm",
@@ -160,9 +160,10 @@ class ConformalFlat:
 
     The ansatz is radial in a generalized sense: a scalar ``radial`` field
     u(x) (Euclidean radius, or a quadric invariant) parameterizes the model,
-    radial profiles are functions of u, and ``point_of`` embeds a grid value
-    u into R^n on a reference ray.  ``phi`` is the full field; ``phi_radial``
-    its profile in u.
+    radial profiles are functions of u, and ``point_of`` embeds grid values
+    u (a float or an array) into R^n on a reference ray, as points shaped
+    ``u.shape + (n,)``.  ``phi`` is the full field; ``phi_radial`` its
+    profile in u.
 
     For invariant-parameterized models ``quadric = (tau, C)`` records the
     quadric data needed for sphere geometry: the level sets of u are round
@@ -173,7 +174,7 @@ class ConformalFlat:
     phi_radial: RadialFunction
     n: int
     radial: ScalarField
-    point_of: Callable[[float], np.ndarray]
+    point_of: Callable[[np.ndarray], np.ndarray]
     kind: str = "euclidean"  # "euclidean" | "invariant"
     quadric: tuple[float, float] | None = None  # (tau, C) for kind="invariant"
     domain: tuple[float, float] = (EPS_DOM, math.inf)
@@ -198,21 +199,21 @@ class ConformalFlat:
             domain = (max(lo, EPS_DOM), hi)
 
         def radius_value(x):
-            return float(np.linalg.norm(x))
+            return np.linalg.norm(as_points(x, n), axis=-1)
+
+        def radius_parts(x):
+            x = as_points(x, n)
+            s = np.linalg.norm(x, axis=-1)
+            if np.any(s == 0.0):
+                raise DomainError("Euclidean radius field is singular at the origin")
+            return x / s[..., None], s
 
         def radius_gradient(x):
-            x = np.asarray(x, dtype=float)
-            s = float(np.linalg.norm(x))
-            if s == 0.0:
-                raise DomainError("Euclidean radius field is singular at the origin")
-            return x / s
+            return radius_parts(x)[0]
 
         def radius_hessian(x):
-            x = np.asarray(x, dtype=float)
-            s = float(np.linalg.norm(x))
-            if s == 0.0:
-                raise DomainError("Euclidean radius field is singular at the origin")
-            return (np.eye(len(x)) - np.outer(x, x) / (s * s)) / s
+            e, s = radius_parts(x)
+            return (np.eye(n) - e[..., :, None] * e[..., None, :]) / s[..., None, None]
 
         radial = ScalarField(radius_value, radius_gradient, radius_hessian, n)
         e1 = np.zeros(n)
@@ -222,7 +223,7 @@ class ConformalFlat:
             phi_radial=phi_radial,
             n=n,
             radial=radial,
-            point_of=lambda s, _e=e1: float(s) * _e,
+            point_of=lambda s, _e=e1: np.asarray(s, dtype=float)[..., None] * _e,
             kind="euclidean",
             domain=domain,
         )
@@ -382,27 +383,35 @@ def ricci_warped(phi: RadialFunction, r):
 # curvature: conformally flat metrics
 # ----------------------------------------------------------------------------
 
-def conformal_curvature(phi: ScalarField, x) -> tuple[np.ndarray, float]:
+def _conformal_factor(phi: ScalarField, x):
+    """(points, phi(points)) for one point or a batch; DomainError unless phi > 0."""
+    x = as_points(x, phi.n)
+    p = np.asarray(phi.value(x), dtype=float)
+    if np.any(p <= 0.0):
+        raise DomainError("conformal factor must be positive")
+    return x, p
+
+
+def conformal_curvature(phi: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
     """Ricci tensor (coordinate components) and scalar curvature of phi^{-2} delta.
 
         Ric_ij = phi^{-2} { (n-2) phi phi_{,ij}
                             + [phi Lap phi - (n-1) |dphi|^2] delta_ij }
         R      = (n-1) [ 2 phi Lap phi - n |dphi|^2 ]
 
-    with all derivatives Euclidean.  The returned Ricci is the full (n, n)
-    coordinate matrix; its g-trace reproduces R (a cheap internal consistency
-    check the tests pin to 1e-12).
+    with all derivatives Euclidean.  ``x`` is one point ``(n,)`` or a batch
+    ``(N, n)``; Ricci comes back shaped ``(..., n, n)`` and R ``(...)``.  The
+    g-trace of Ricci reproduces R (a cheap internal consistency check the
+    tests pin to 1e-12).
     """
-    x = np.asarray(x, dtype=float)
+    x, p = _conformal_factor(phi, x)
     n = phi.n
-    p = phi.value(x)
-    if p <= 0.0:
-        raise DomainError("conformal factor must be positive")
     grad = np.asarray(phi.gradient(x), dtype=float)
     hess = np.asarray(phi.hessian(x), dtype=float)
-    lap = float(np.trace(hess))
-    grad2 = float(grad @ grad)
-    ric = ((n - 2) * p * hess + (p * lap - (n - 1) * grad2) * np.eye(n)) / (p * p)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    grad2 = np.einsum("...i,...i->...", grad, grad)
+    ric = ((n - 2) * p[..., None, None] * hess
+           + (p * lap - (n - 1) * grad2)[..., None, None] * np.eye(n)) / (p * p)[..., None, None]
     r_scalar = (n - 1) * (2.0 * p * lap - n * grad2)
     return ric, r_scalar
 
@@ -412,17 +421,19 @@ def conformal_hessian(phi: ScalarField, f: ScalarField, x) -> np.ndarray:
 
         (Hess_g f)_ij = f_{,ij} + (phi_i f_j + phi_j f_i)/phi
                         - delta_ij <dphi, df> / phi
+
+    ``x`` is one point ``(n,)`` or a batch ``(N, n)``; the result is shaped
+    ``(..., n, n)``.
     """
-    x = np.asarray(x, dtype=float)
-    p = phi.value(x)
-    if p <= 0.0:
-        raise DomainError("conformal factor must be positive")
+    x, p = _conformal_factor(phi, x)
     gp = np.asarray(phi.gradient(x), dtype=float)
     gf = np.asarray(f.gradient(x), dtype=float)
     hf = np.asarray(f.hessian(x), dtype=float)
-    n = phi.n
-    return hf + (np.outer(gp, gf) + np.outer(gf, gp)) / p \
-        - (float(gp @ gf) / p) * np.eye(n)
+    cross = gp[..., :, None] * gf[..., None, :]
+    dot = np.einsum("...i,...i->...", gp, gf)
+    pp = p[..., None, None]
+    return hf + (cross + np.swapaxes(cross, -1, -2)) / pp \
+        - (dot[..., None, None] / pp) * np.eye(phi.n)
 
 
 def sectional_conformal(phi: ScalarField, x, i: int, j: int) -> float:
@@ -557,32 +568,29 @@ def _spf_residuals_conformal(
 ) -> ResidualReport:
     n = ansatz.n
     f_field = ansatz.lift(fluid.f)
-    e_field = np.zeros((grid.size, n, n))
-    e_trace = np.zeros(grid.size)
-    e_scal = np.zeros(grid.size)
-    e_tracefree = np.zeros((grid.size, n, n))
+    x = ansatz.point_of(grid)
+    p = np.asarray(ansatz.phi.value(x), dtype=float)
+    if np.any(p <= 0.0):
+        u = grid[int(np.argmax(p <= 0.0))]
+        raise DomainError(f"conformal factor non-positive at grid value {u}")
+    fval = np.asarray(f_field.value(x), dtype=float)
+    if np.any(fval <= 0.0):
+        u = grid[int(np.argmax(fval <= 0.0))]
+        raise DomainError(f"lapse non-positive at grid value {u}")
+    mu = np.asarray(fluid.mu.value(grid), dtype=float)
+    rho = np.asarray(fluid.rho.value(grid), dtype=float)
 
-    for k, u in enumerate(grid):
-        x = ansatz.point_of(float(u))
-        p = ansatz.phi.value(x)
-        if p <= 0.0:
-            raise DomainError(f"conformal factor non-positive at grid value {u}")
-        fval = f_field.value(x)
-        if fval <= 0.0:
-            raise DomainError(f"lapse non-positive at grid value {u}")
-        mu = float(fluid.mu.value(u))
-        rho = float(fluid.rho.value(u))
+    ric, r_scal = conformal_curvature(ansatz.phi, x)
+    hess = conformal_hessian(ansatz.phi, f_field, x)
+    metric = np.eye(n) / (p * p)[:, None, None]
+    lap = (p * p) * np.trace(hess, axis1=-2, axis2=-1)
+    fc = fval[:, None, None]
 
-        ric, r_scal = conformal_curvature(ansatz.phi, x)
-        hess = conformal_hessian(ansatz.phi, f_field, x)
-        metric = np.eye(n) / (p * p)
-        lap = (p * p) * float(np.trace(hess))
-
-        e_field[k] = fval * ric - hess - ((mu - rho) / (n - 1)) * fval * metric
-        e_trace[k] = lap - ((n - 2) * mu + n * rho) / (n - 1) * fval
-        e_scal[k] = mu - 0.5 * r_scal
-        e_tracefree[k] = fval * (ric - (r_scal / n) * metric) \
-            - (hess - (lap / n) * metric)
+    e_field = fc * ric - hess - ((mu - rho) / (n - 1))[:, None, None] * fc * metric
+    e_trace = lap - ((n - 2) * mu + n * rho) / (n - 1) * fval
+    e_scal = mu - 0.5 * r_scal
+    e_tracefree = fc * (ric - (r_scal / n)[:, None, None] * metric) \
+        - (hess - (lap / n)[:, None, None] * metric)
 
     entries = [
         _entry("field[ij]", e_field, grid),

@@ -18,6 +18,7 @@ residual checks assume.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DerivativeError, DomainError
+from .errors import BadParams, DerivativeError, DomainError
 
 __all__ = [
     "EPS_DOM",
     "DEFAULT_GRID_N",
     "RadialFunction",
     "ScalarField",
+    "as_points",
     "fd_derivative",
     "chebyshev_grid",
     "find_brackets",
@@ -224,13 +226,28 @@ class RadialFunction:
 # scalar fields on R^n
 # ----------------------------------------------------------------------------
 
+def as_points(x, n: int) -> np.ndarray:
+    """``x`` as a float array of one point ``(n,)`` or a batch ``(N, n)``.
+
+    Raises BadParams for any other shape, so a mismatched dimension never
+    broadcasts into a wrong answer.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise BadParams(f"expected a point (n,) or points (N, n) with n={n}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar function on R^n exposing value, gradient, and Hessian.
 
-    ``value(x) -> float``, ``gradient(x) -> (n,)``, ``hessian(x) -> (n, n)``
-    for ``x`` an ``(n,)`` array.  Fields built by the ``from_radial_*``
-    constructors are exact compositions (chain rule), not finite differences.
+    Fields built by this package take one point ``(n,)`` or a batch
+    ``(N, n)`` and return values shaped ``()``/``(N,)``, gradients
+    ``(..., n)`` and Hessians ``(..., n, n)``; other shapes raise BadParams.
+    A hand-written field only needs to handle the shapes its caller passes.
+    Fields built by the ``from_radial_*`` constructors are exact compositions
+    (chain rule), not finite differences.
     """
 
     value: Callable
@@ -244,46 +261,60 @@ class ScalarField:
 
         At the origin the gradient is 0 and the Hessian is ``rf''(0) * I``
         (valid for even radial profiles, which is the only case the package
-        constructs); elsewhere the exact chain rule is used.
+        constructs); elsewhere the exact chain rule is used.  The origin is
+        masked per point, and ``rf`` is only evaluated where it is needed.
         """
+        eye = np.eye(n)
+
+        def radii(x):
+            x = as_points(x, n)
+            s = np.linalg.norm(x, axis=-1)
+            return x, s, s > 0.0
 
         def value(x):
-            return float(rf.value(float(np.linalg.norm(x))))
+            return rf.value(np.linalg.norm(as_points(x, n), axis=-1))
 
         def gradient(x):
-            x = np.asarray(x, dtype=float)
-            s = float(np.linalg.norm(x))
-            if s == 0.0:
-                return np.zeros(n)
-            return float(rf.d1(s)) * x / s
+            x, s, off = radii(x)
+            out = np.zeros(x.shape)
+            if np.any(off):
+                so = s[off]
+                out[off] = (np.asarray(rf.d1(so), dtype=float) / so)[:, None] * x[off]
+            return out
 
         def hessian(x):
-            x = np.asarray(x, dtype=float)
-            s = float(np.linalg.norm(x))
-            if s == 0.0:
-                return float(rf.d2(0.0)) * np.eye(n)
-            d1 = float(rf.d1(s))
-            d2 = float(rf.d2(s))
-            outer = np.outer(x, x) / (s * s)
-            return (d2 - d1 / s) * outer + (d1 / s) * np.eye(n)
+            x, s, off = radii(x)
+            out = np.empty(x.shape + (n,))
+            if not np.all(off):
+                out[~off] = float(rf.d2(0.0)) * eye
+            if np.any(off):
+                so = s[off]
+                d1 = np.asarray(rf.d1(so), dtype=float) / so
+                d2 = np.asarray(rf.d2(so), dtype=float)
+                xs = x[off] / so[:, None]
+                out[off] = (d2 - d1)[:, None, None] * (xs[:, :, None] * xs[:, None, :]) \
+                    + d1[:, None, None] * eye
+            return out
 
         return cls(value=value, gradient=gradient, hessian=hessian, n=n)
 
     @classmethod
     def compose(cls, rf: RadialFunction, inner: "ScalarField") -> "ScalarField":
-        """Exact chain-rule lift of ``F(x) = rf(inner(x))``."""
+        """Exact chain-rule lift of ``F(x) = rf(inner(x))``; batches as ``inner`` does."""
 
         def value(x):
-            return float(rf.value(inner.value(x)))
+            return rf.value(inner.value(x))
 
         def gradient(x):
             u = inner.value(x)
-            return float(rf.d1(u)) * inner.gradient(x)
+            return np.asarray(rf.d1(u), dtype=float)[..., None] * np.asarray(inner.gradient(x))
 
         def hessian(x):
             u = inner.value(x)
-            g = inner.gradient(x)
-            return float(rf.d2(u)) * np.outer(g, g) + float(rf.d1(u)) * inner.hessian(x)
+            g = np.asarray(inner.gradient(x), dtype=float)
+            d1 = np.asarray(rf.d1(u), dtype=float)[..., None, None]
+            d2 = np.asarray(rf.d2(u), dtype=float)[..., None, None]
+            return d2 * (g[..., :, None] * g[..., None, :]) + d1 * np.asarray(inner.hessian(x))
 
         return cls(value=value, gradient=gradient, hessian=hessian, n=inner.n)
 
@@ -291,9 +322,9 @@ class ScalarField:
     def constant(cls, c: float, n: int) -> "ScalarField":
         c = float(c)
         return cls(
-            value=lambda x: c,
-            gradient=lambda x: np.zeros(n),
-            hessian=lambda x: np.zeros((n, n)),
+            value=lambda x: np.full(as_points(x, n).shape[:-1], c),
+            gradient=lambda x: np.zeros(as_points(x, n).shape),
+            hessian=lambda x: np.zeros(as_points(x, n).shape + (n,)),
             n=n,
         )
 
@@ -401,6 +432,7 @@ def bisect_root(
 # spherical quadrature
 # ----------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def sphere_rule(degree: int = 35) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature rule on the unit sphere S^2, exact through ``degree``.
 
@@ -409,6 +441,9 @@ def sphere_rule(degree: int = 35) -> tuple[np.ndarray, np.ndarray]:
     integrate e^{i m phi} exactly for |m| <= degree, and GL handles the
     polar polynomial degree, so the product is exact for all spherical
     harmonics through ``degree``.  Weights sum to 4*pi at machine precision.
+
+    Nodes run theta-major, then phi.  The rule is computed once per degree
+    and shared, so both arrays are read-only.
 
     Returns
     -------
@@ -423,17 +458,14 @@ def sphere_rule(degree: int = 35) -> tuple[np.ndarray, np.ndarray]:
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * np.pi / n_phi
     sin_theta = np.sqrt(1.0 - mu**2)
-    pts = np.empty((n_theta * n_phi, 3))
-    wts = np.empty(n_theta * n_phi)
-    k = 0
-    for i in range(n_theta):
-        ct, st, wi = mu[i], sin_theta[i], w_mu[i]
-        for j in range(n_phi):
-            pts[k, 0] = st * np.cos(phi[j])
-            pts[k, 1] = st * np.sin(phi[j])
-            pts[k, 2] = ct
-            wts[k] = wi * w_phi
-            k += 1
+    pts = np.stack([
+        np.outer(sin_theta, np.cos(phi)).ravel(),
+        np.outer(sin_theta, np.sin(phi)).ravel(),
+        np.repeat(mu, n_phi),
+    ], axis=-1)
+    wts = np.repeat(w_mu * w_phi, n_phi)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
     return pts, wts
 
 

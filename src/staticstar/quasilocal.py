@@ -42,7 +42,7 @@ from .geometry import (
     conformal_hessian,
     mean_curvature_sphere,
 )
-from .numerics import ScalarField, refine_root, sign_brackets, sphere_rule
+from .numerics import ScalarField, as_points, refine_root, sign_brackets, sphere_rule
 
 __all__ = [
     "SphereClass",
@@ -222,38 +222,40 @@ def hawking_inequality_slack(h_level: float, kappa: float, c: float, rho0: float
     return lhs - rhs
 
 
-def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, float]:
-    """Level-set shape operator at a point of a conformally flat model.
+def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, np.ndarray]:
+    """Level-set shape operator at points of a conformally flat model.
 
     ``f`` is the lapse, as a radial profile in the ansatz's radial variable or
-    already lifted to a ScalarField.  Returns (A, trace) in a 2-frame tangent
-    to the level set of f through x, for the unit normal along +grad f.
-    A_ab = phi (t_a . Hess_g f . t_b) / |grad f|_euclid with
-    euclidean-orthonormal tangents t_a; the trace is the mean curvature with
-    respect to that normal (so -h_level in the signed convention, and
+    already lifted to a ScalarField.  ``x`` is one point ``(3,)`` or a batch
+    ``(N, 3)``.  Returns (A, trace), shaped ``(..., 2, 2)`` and ``(...)``, in a
+    2-frame tangent to the level set of f through each point, for the unit
+    normal along +grad f.  A_ab = phi (t_a . Hess_g f . t_b) / |grad f|_euclid
+    with euclidean-orthonormal tangents t_a; the trace is the mean curvature
+    with respect to that normal (so -h_level in the signed convention, and
     sign(f') H_outward).
+
+    Raises NotARegularValue if grad f vanishes at any point of the batch.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise BadParams("shape_operator expects a point of R^3")
+    x = as_points(x, 3)
     f_field = f if isinstance(f, ScalarField) else ansatz.lift(f)
     grad = np.asarray(f_field.gradient(x), dtype=float)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm < 1e-300:
-        raise NotARegularValue(f"grad f vanishes at {x}")
-    nu = grad / gnorm
-    k = int(np.argmin(np.abs(nu)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    t1 = e - (e @ nu) * nu
-    t1 /= np.linalg.norm(t1)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    if np.any(gnorm < 1e-300):
+        raise NotARegularValue(f"grad f vanishes at {x.reshape(-1, 3)[int(np.argmin(gnorm))]}")
+    nu = grad / gnorm[..., None]
+    # Gram-Schmidt from the axis least aligned with the normal
+    e = np.eye(3)[np.argmin(np.abs(nu), axis=-1)]
+    t1 = e - np.einsum("...i,...i->...", e, nu)[..., None] * nu
+    t1 /= np.linalg.norm(t1, axis=-1)[..., None]
     t2 = np.cross(nu, t1)
     hess = conformal_hessian(ansatz.phi, f_field, x)
-    p = float(ansatz.phi.value(x))
-    a11 = p * float(t1 @ hess @ t1) / gnorm
-    a22 = p * float(t2 @ hess @ t2) / gnorm
-    a12 = p * float(t1 @ hess @ t2) / gnorm
-    A = np.array([[a11, a12], [a12, a22]])
+    scale = np.asarray(ansatz.phi.value(x), dtype=float) / gnorm
+
+    def form(ta, tb):
+        return scale * np.einsum("...i,...ij,...j->...", ta, hess, tb)
+
+    a11, a22, a12 = form(t1, t1), form(t2, t2), form(t1, t2)
+    A = np.stack([np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2)
     return A, a11 + a22
 
 
@@ -427,12 +429,10 @@ def _conformal_levels(model, c, window, grid_n, degree):
 
     ansatz = model.to_ansatz()
     f_field = ansatz.lift(model.f)
-    phi_field = ansatz.phi
-    center = inv.center
     pts_unit, wts = sphere_rule(degree)
     reports = []
     for u0 in roots:
-        s = inv.sphere_radius(u0)
+        s = float(inv.sphere_radius(u0))
         p0 = float(model.phi.value(u0))
         b = s / p0
         area = 4.0 * math.pi * b * b
@@ -440,24 +440,19 @@ def _conformal_levels(model, c, window, grid_n, degree):
         H_out = float(mean_curvature_sphere(ansatz, u0))
         sgn = math.copysign(1.0, float(model.f.d1(u0)))
 
-        # pointwise audit over the actual 3D surface: gradient constancy,
-        # umbilicity, and the Willmore energy by quadrature
-        traces = np.empty(len(pts_unit))
-        spread = 0.0
-        gnorms = np.empty(len(pts_unit))
-        for i, p in enumerate(pts_unit):
-            x = center + s * p
-            A, tr = shape_operator(ansatz, f_field, x)
-            traces[i] = tr
-            spread = max(spread, math.hypot(A[0, 0] - A[1, 1], 2.0 * A[0, 1]))
-            grad = np.asarray(f_field.gradient(x), dtype=float)
-            gnorms[i] = float(phi_field.value(x)) * float(np.linalg.norm(grad))
-        gradc = float(np.std(gnorms) / np.mean(gnorms)) if np.mean(gnorms) != 0 else math.inf
+        # audit over the actual 3D surface, all quadrature nodes at once:
+        # gradient constancy, umbilicity, and the Willmore energy
+        x = inv.center + s * pts_unit
+        A, traces = shape_operator(ansatz, f_field, x)
+        spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
+        gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
+        mean_g = np.mean(gnorms)
+        gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
         willmore = float(b * b * (wts @ traces**2))
         rho0 = float(model.rho_geo(u0))
         reports.append(
             _assemble_report(c, u0, area, H_out, sgn, kappa, rho0, willmore, b,
-                             spread=float(spread), gradc=gradc)
+                             spread=spread, gradc=gradc)
         )
     return reports
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from staticstar.errors import DomainError
+from staticstar.errors import BadParams, DomainError
 from staticstar import catalog
 from staticstar.energy import BAND, scan_conditions, scan_model
 
@@ -51,6 +51,26 @@ def test_first_violation_is_smallest_radius():
 
     scan = scan_conditions(1.0, rho, GRID)
     assert scan.first_violation == ("nec", 3.0)
+
+
+def test_precomputed_arrays_match_callables():
+    mu = np.array([1.0, 1.0, 1.0])
+    rho = np.array([0.5, 0.5, -2.0])
+    scan = scan_conditions(mu, rho, GRID)
+    assert scan.first_violation == ("nec", 3.0)
+    assert np.array_equal(scan.rho, rho)
+    with pytest.raises(BadParams):
+        scan_conditions(mu, rho[:2], GRID)
+
+
+def test_stellar_model_scan_uses_array_evaluators(const_star):
+    grid = np.linspace(const_star.profile.r_start, 0.999 * const_star.r_b, 64)
+    scan = scan_model(const_star, grid=grid)
+    assert np.array_equal(scan.mu, const_star.mu(grid))
+    assert np.array_equal(scan.rho, const_star.rho(grid))
+    per_point = scan_conditions(const_star.mu, const_star.rho, grid)
+    np.testing.assert_allclose(scan.rho, per_point.rho, rtol=1e-12, atol=1e-18)
+    assert (scan.nec, scan.wec, scan.dec) == (per_point.nec, per_point.wec, per_point.dec)
 
 
 def test_roundoff_band():

@@ -8,6 +8,7 @@ import pytest
 from staticstar.errors import DomainError
 from staticstar.geometry import (
     EIGHT_PI,
+    ConformalFlat,
     FluidData,
     SchwarzschildForm,
     WarpedProduct,
@@ -203,6 +204,20 @@ class TestConformalCurvature:
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = (1.0 / p) / p
         assert np.allclose(h, want, atol=1e-14)
+
+
+def test_euclidean_radius_field_batches():
+    ansatz = ConformalFlat.euclidean(RadialFunction.constant(1.0, (0.0, math.inf)), 3)
+    radius = ansatz.radial
+    pts = ansatz.point_of(np.array([0.5, 2.0]))
+    np.testing.assert_array_equal(pts, [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(radius.value(pts), [0.5, 2.0])
+    hess = radius.hessian(pts)
+    for k, x in enumerate(pts):
+        np.testing.assert_array_equal(radius.gradient(pts)[k], radius.gradient(x))
+        np.testing.assert_allclose(hess[k], np.diag([0.0, 1.0, 1.0]) / x[0], rtol=1e-15)
+    with pytest.raises(DomainError):
+        radius.gradient(np.vstack([pts, np.zeros(3)]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staticstar.errors import DerivativeError, DomainError
+from staticstar.errors import BadParams, DerivativeError, DomainError
 from staticstar.numerics import (
     RadialFunction,
     ScalarField,
@@ -94,6 +94,56 @@ def test_scalar_field_compose_chain_rule():
     assert np.allclose(field.hessian(x), 4.0 * u * np.eye(3) + 8.0 * np.outer(x, x))
 
 
+def test_radial_field_batches_with_the_origin_masked_per_row():
+    rf = RadialFunction.from_callables(
+        lambda r: np.cos(r), d1=lambda r: -np.sin(r), d2=lambda r: -np.cos(r),
+    )
+    field = ScalarField.from_radial_euclidean(rf, 3)
+    pts = np.array([[0.3, -0.4, 1.2], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.25]])
+    vals, grads, hess = field.value(pts), field.gradient(pts), field.hessian(pts)
+    assert vals.shape == (3,) and grads.shape == (3, 3) and hess.shape == (3, 3, 3)
+    for k, x in enumerate(pts):
+        assert vals[k] == pytest.approx(field.value(x), abs=1e-15)
+        np.testing.assert_allclose(grads[k], field.gradient(x), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(hess[k], field.hessian(x), rtol=0, atol=1e-15)
+    assert np.array_equal(grads[1], np.zeros(3))
+    assert np.array_equal(hess[1], -np.eye(3))
+
+
+def test_composed_field_batches_like_its_rows():
+    inner = ScalarField.from_radial_euclidean(
+        RadialFunction.from_callables(lambda r: r * r, d1=lambda r: 2.0 * r,
+                                      d2=lambda r: 2.0 + 0.0 * r), 3)
+    field = ScalarField.compose(
+        RadialFunction.from_callables(np.exp, d1=np.exp, d2=np.exp), inner)
+    pts = np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]])
+    hess = field.hessian(pts)
+    for k, x in enumerate(pts):
+        u = float(x @ x)
+        want = math.exp(u) * (2.0 * np.eye(3) + 4.0 * np.outer(x, x))
+        np.testing.assert_allclose(hess[k], want, rtol=1e-14)
+        np.testing.assert_allclose(field.gradient(pts)[k], 2.0 * math.exp(u) * x, rtol=1e-14)
+
+
+def test_constant_field_batches():
+    field = ScalarField.constant(2.5, 3)
+    pts = np.ones((4, 3))
+    assert np.array_equal(field.value(pts), np.full(4, 2.5))
+    assert field.gradient(pts).shape == (4, 3) and field.hessian(pts).shape == (4, 3, 3)
+    assert field.value(pts[0]) == 2.5 and field.hessian(pts[0]).shape == (3, 3)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3, 3), (2,)])
+@pytest.mark.parametrize("field", [
+    ScalarField.from_radial_euclidean(RadialFunction.constant(1.0), 3),
+    ScalarField.constant(1.0, 3),
+], ids=["radial", "constant"])
+def test_package_fields_reject_malformed_point_arrays(field, shape):
+    for fn in (field.value, field.gradient, field.hessian):
+        with pytest.raises(BadParams):
+            fn(np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # grids, brackets, roots
 # ---------------------------------------------------------------------------
@@ -153,6 +203,43 @@ def test_sphere_rule_kills_odd_and_harmonic_terms():
     pts, wts = sphere_rule()
     assert abs(wts @ pts[:, 2]) < 1e-13
     assert abs(wts @ (3 * pts[:, 2] ** 2 - 1.0)) < 1e-12
+
+
+def _sphere_rule_loop(degree):
+    """The rule written as the explicit theta-major, then phi, double loop."""
+    n_theta = (degree + 2) // 2
+    n_phi = degree + 1
+    mu, w_mu = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sin_theta = np.sqrt(1.0 - mu**2)
+    pts = np.empty((n_theta * n_phi, 3))
+    wts = np.empty(n_theta * n_phi)
+    k = 0
+    for i in range(n_theta):
+        for j in range(n_phi):
+            pts[k] = (sin_theta[i] * np.cos(phi[j]), sin_theta[i] * np.sin(phi[j]), mu[i])
+            wts[k] = w_mu[i] * (2.0 * np.pi / n_phi)
+            k += 1
+    return pts, wts
+
+
+@pytest.mark.parametrize("degree", [1, 2, 35])
+def test_sphere_rule_matches_the_explicit_loop_bit_for_bit(degree):
+    pts, wts = sphere_rule(degree)
+    want_pts, want_wts = _sphere_rule_loop(degree)
+    assert pts.shape == want_pts.shape and wts.shape == want_wts.shape
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(wts, want_wts)
+
+
+def test_sphere_rule_is_shared_and_read_only():
+    pts, wts = sphere_rule(35)
+    again = sphere_rule(35)
+    assert again[0] is pts and again[1] is wts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        wts[0] = 2.0
 
 
 def test_max_rms():

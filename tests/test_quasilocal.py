@@ -13,6 +13,8 @@ import pytest
 
 from staticstar.errors import BadParams, DomainError, NoLevelSet, NotARegularValue
 from staticstar import catalog, conformal, quasilocal
+from staticstar.geometry import conformal_hessian
+from staticstar.numerics import RadialFunction, ScalarField, fd_derivative
 from staticstar.quasilocal import (
     SphereClass,
     brown_york_sphere,
@@ -223,6 +225,124 @@ class TestConformalLevels:
                                   span=(0.0, 4.0), run_checks=False)
         with pytest.raises(DomainError):
             level_set_data(m, 0.5)
+
+
+# an off-centre spherical invariant: tau > 0, alpha != 0, centre (-0.2, 0.1, -0.3)
+OFF_CENTRE = conformal.BasicInvariant(1.0, (0.4, -0.2, 0.6), (0.3, 0.1, 0.2))
+SQRT_ONE_PLUS_U = RadialFunction(
+    value=lambda u: np.sqrt(1.0 + np.asarray(u, dtype=float)),
+    d1=lambda u: 0.5 / np.sqrt(1.0 + np.asarray(u, dtype=float)),
+    d2=lambda u: -0.25 * (1.0 + np.asarray(u, dtype=float)) ** -1.5,
+    domain=(-1.0 + 1e-12, math.inf),
+)
+
+
+def _skew_field():
+    """f = exp(0.3 x) + y^2 - xz/2: its level sets are not round, so A is not umbilic."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(0.3 * x[..., 0]) + x[..., 1] ** 2 - 0.5 * x[..., 0] * x[..., 2]
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([0.3 * np.exp(0.3 * x[..., 0]) - 0.5 * x[..., 2],
+                         2.0 * x[..., 1], -0.5 * x[..., 0]], axis=-1)
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 0] = 0.09 * np.exp(0.3 * x[..., 0])
+        out[..., 0, 2] = out[..., 2, 0] = -0.5
+        out[..., 1, 1] = 2.0
+        return out
+
+    return ScalarField(value, gradient, hessian, 3)
+
+
+def _fd_conformal_hessian(phi: ScalarField, f: ScalarField, x):
+    """Hess_g f from values only: finite-difference derivatives plus connection terms."""
+    e = np.eye(3)
+
+    def along(fn, v, order):
+        return fd_derivative(lambda t: fn(x + t * v), 0.0, order=order)
+
+    hf = np.array([[along(f.value, e[i], 2) if i == j else
+                    0.25 * (along(f.value, e[i] + e[j], 2) - along(f.value, e[i] - e[j], 2))
+                    for j in range(3)] for i in range(3)])
+    gp = np.array([along(phi.value, e[i], 1) for i in range(3)])
+    gf = np.array([along(f.value, e[i], 1) for i in range(3)])
+    p = phi.value(x)
+    return hf + (np.outer(gp, gf) + np.outer(gf, gp)) / p - (gp @ gf / p) * np.eye(3)
+
+
+class TestBatchedShapeOperator:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return conformal.build_model(SQRT_ONE_PLUS_U, n=3, invariant=OFF_CENTRE,
+                                     ic=(1.0, 0.2), span=(0.0, 12.0), run_checks=False)
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        """Points on 12 different level spheres, 1 < u < 8, random directions."""
+        rng = np.random.default_rng(11)
+        u = rng.uniform(1.0, 8.0, 12)
+        dirs = rng.standard_normal((12, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        return OFF_CENTRE.center + OFF_CENTRE.sphere_radius(u)[:, None] * dirs
+
+    @pytest.mark.parametrize("lapse", [False, True], ids=["skew-field", "model-lapse"])
+    def test_batch_equals_rows(self, model, points, lapse):
+        ansatz = model.to_ansatz()
+        f = model.f if lapse else _skew_field()
+        A, tr = quasilocal.shape_operator(ansatz, f, points)
+        assert A.shape == (len(points), 2, 2) and tr.shape == (len(points),)
+        for k, x in enumerate(points):
+            A_k, tr_k = quasilocal.shape_operator(ansatz, f, x)
+            assert A_k.shape == (2, 2) and np.ndim(tr_k) == 0
+            np.testing.assert_allclose(A[k], A_k, rtol=1e-14, atol=1e-14)
+            assert tr[k] == pytest.approx(float(tr_k), rel=1e-14, abs=1e-14)
+        spread = np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])
+        if lapse:  # level sets of the lapse are the invariant's round spheres
+            assert np.max(spread) < 1e-12
+        else:
+            assert np.min(spread) > 1e-3
+
+    def test_hessian_matches_finite_differences(self, model, points):
+        phi = model.to_ansatz().phi
+        f = _skew_field()
+        hess = conformal_hessian(phi, f, points)
+        assert hess.shape == (len(points), 3, 3)
+        for k, x in enumerate(points):
+            np.testing.assert_allclose(hess[k], conformal_hessian(phi, f, x),
+                                       rtol=1e-14, atol=1e-14)
+            # second differences at h = 5e-4 of values up to ~20 lose ~1e-7 to roundoff
+            np.testing.assert_allclose(hess[k], _fd_conformal_hessian(phi, f, x),
+                                       rtol=0, atol=1e-6)
+
+    def test_centre_in_batch_is_not_a_regular_value(self, model, points):
+        batch = np.vstack([points[:3], OFF_CENTRE.center])
+        with pytest.raises(NotARegularValue):
+            quasilocal.shape_operator(model.to_ansatz(), model.f, batch)
+
+    def test_nonpositive_factor_in_batch(self, points):
+        two_minus_u = RadialFunction.from_callables(
+            lambda u: 2.0 - u, d1=lambda u: -1.0 + 0.0 * u, d2=lambda u: 0.0 * u)
+        phi = ScalarField.compose(two_minus_u, OFF_CENTRE.as_field())
+        batch = np.vstack([OFF_CENTRE.point_at(1.0), points])  # u > 2 in `points`
+        with pytest.raises(DomainError):
+            conformal_hessian(phi, _skew_field(), batch)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 3)])
+    def test_malformed_point_arrays(self, model, shape):
+        ansatz = model.to_ansatz()
+        x = np.ones(shape)
+        with pytest.raises(BadParams):
+            quasilocal.shape_operator(ansatz, model.f, x)
+        with pytest.raises(BadParams):
+            conformal_hessian(ansatz.phi, _skew_field(), x)
+        with pytest.raises(BadParams):
+            OFF_CENTRE.as_field().gradient(x)
 
 
 class TestLevelScan:
