@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import PPoly
 
 from .errors import BadParams, DomainError, SignLoss, StepFailure
 from .geometry import (
@@ -53,6 +54,7 @@ from .numerics import (
     as_points,
     chebyshev_grid,
     max_rms,
+    ode_ppoly,
 )
 
 __all__ = [
@@ -247,9 +249,10 @@ def solve_lapse(
 ) -> RadialFunction:
     """Integrate (n-2) f phi'' = f'' phi + 2 phi' f' across ``span`` in u.
 
-    ``ic = (f, f')`` at ``span[0]``.  The returned RadialFunction carries the
-    integrator's dense interpolant; its second derivative is evaluated from
-    the ODE right-hand side (exact given the solution), not by differencing.
+    ``ic = (f, f')`` at ``span[0]``.  The returned RadialFunction reads the
+    integrator's dense output as one ``PPoly``: the value and first derivative
+    are its two components, and the second derivative is evaluated from the
+    ODE right-hand side (exact given the solution), not by differencing.
 
     If the lapse crosses zero the solution beyond that point is meaningless;
     with ``on_sign_loss="truncate"`` the returned domain stops just before the
@@ -302,24 +305,25 @@ def solve_lapse(
             # truncation would leave nothing
             raise SignLoss(f"lapse crossed zero immediately at u={u_zero}")
 
-    dense = sol.sol
+    dense = ode_ppoly(sol.sol)
+    f_pp, f1_pp = (PPoly.construct_fast(dense.c[..., i], dense.x) for i in range(2))
 
     def val(u):
-        out = np.asarray(dense(u))[0]
+        out = f_pp(u)
         return float(out) if out.ndim == 0 else out
 
     def d1(u):
-        out = np.asarray(dense(u))[1]
+        out = f1_pp(u)
         return float(out) if out.ndim == 0 else out
 
     def d2(u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        y = np.asarray(dense(u_arr))
-        p = np.asarray(phi.value(u_arr), dtype=float)
-        p1 = np.asarray(phi.d1(u_arr), dtype=float)
-        p2 = np.asarray(phi.d2(u_arr), dtype=float)
-        out = ((n - 2.0) * y[0] * p2 - 2.0 * p1 * y[1]) / p
-        return float(out[0]) if np.ndim(u) == 0 else out
+        u = np.asarray(u, dtype=float)
+        y = dense(u)
+        p = np.asarray(phi.value(u), dtype=float)
+        p1 = np.asarray(phi.d1(u), dtype=float)
+        p2 = np.asarray(phi.d2(u), dtype=float)
+        out = ((n - 2.0) * y[..., 0] * p2 - 2.0 * p1 * y[..., 1]) / p
+        return float(out) if out.ndim == 0 else out
 
     return RadialFunction(val, d1, d2, provenance="analytic", domain=(u0, u_end))
 

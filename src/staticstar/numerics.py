@@ -8,6 +8,9 @@ Everything geometric in this package is assembled from two building blocks:
 * :class:`ScalarField` — a scalar function on R^n with gradient and Hessian,
   used by the conformally flat machinery.
 
+ODE solutions are read back through :func:`ode_ppoly`, which turns the dense
+output of one Runge–Kutta solve into a single compiled piecewise polynomial.
+
 The finite-difference fallback is deliberately boring and well-characterised:
 4th-order central stencils with step ``h = max(1e-5, 1e-5 |r|)`` and one
 Richardson halving, which eliminates the leading h^4 error term.  On smooth
@@ -24,6 +27,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate._ivp.rk import RkDenseOutput
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .errors import BadParams, DerivativeError, DomainError
@@ -42,6 +47,7 @@ __all__ = [
     "bisect_root",
     "sphere_rule",
     "max_rms",
+    "ode_ppoly",
 ]
 
 # Domain guard used across the package: evaluators refuse points closer than
@@ -220,6 +226,42 @@ class RadialFunction:
         """Same function on a narrower domain."""
         new_lo, new_hi = max(lo, self.domain[0]), min(hi, self.domain[1])
         return dataclasses.replace(self, domain=(new_lo, new_hi))
+
+
+# ----------------------------------------------------------------------------
+# ODE dense output
+# ----------------------------------------------------------------------------
+
+def ode_ppoly(sol) -> PPoly:
+    """The dense output of an RK45 (or RK23) solve as one ``PPoly``.
+
+    ``sol`` is the ``OdeSolution`` of ``solve_ivp(..., dense_output=True)``.
+    Each of its segments is y_old + h Q [x, x^2, ..., x^k] with
+    x = (t - t_old)/h, so in local powers of (t - t_old) the coefficients are
+    c[k] = y_old and c[k-1-j] = Q[:, j] / h^j.  The breakpoints are
+    ``sol.ts`` and the polynomial extrapolates, as ``OdeSolution`` does.
+
+    Values carry the state component on the last axis: ``ode_ppoly(sol)(t)``
+    has shape ``t.shape + (n_states,)`` and equals ``sol(t).T`` to round-off
+    (at a breakpoint ``sol`` takes the left segment, the PPoly the right one).
+    One component alone is ``PPoly.construct_fast(pp.c[..., i], pp.x)``.
+
+    Raises BadParams for a dense output other than ``RkDenseOutput``
+    (DOP853, the implicit methods, LSODA).
+    """
+    parts = sol.interpolants
+    kinds = {type(p).__name__ for p in parts if not isinstance(p, RkDenseOutput)}
+    if kinds:
+        raise BadParams(
+            f"ode_ppoly needs explicit Runge-Kutta (RK45/RK23) dense output, got {sorted(kinds)}"
+        )
+    h = np.array([p.h for p in parts])
+    q = np.array([p.Q for p in parts])  # (segments, states, k)
+    k = q.shape[2]
+    c = np.empty((k + 1,) + q.shape[:2])
+    c[k] = [p.y_old for p in parts]
+    c[k - 1::-1] = np.moveaxis(q / h[:, None, None] ** np.arange(k), 2, 0)
+    return PPoly(c, sol.ts, extrapolate=True)
 
 
 # ----------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 
 from .errors import (
     BadParams,
@@ -42,7 +42,7 @@ from .errors import (
     StepFailure,
 )
 from .geometry import SchwarzschildForm
-from .numerics import EPS_DOM, RadialFunction, bisect_root, chebyshev_grid
+from .numerics import EPS_DOM, RadialFunction, bisect_root, chebyshev_grid, ode_ppoly
 
 __all__ = [
     "EquationOfState",
@@ -254,9 +254,11 @@ class RadialProfile:
     :func:`integrate_lapse` fills them.  ``exp_neg_gamma`` is *defined* as
     1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
     constant, which :func:`integrate_lapse` pins to give ``v_fn``.  Dense
-    evaluation between samples uses the integrator's own interpolant when
-    available and cubic splines otherwise; the public interpolation contract
-    is cubic either way.  The evaluators take a float or an ndarray of radii.
+    evaluation between samples reads a piecewise polynomial (``PPoly``): the
+    integrator's own dense output (:func:`~staticstar.numerics.ode_ppoly`)
+    after :func:`integrate_tov`, cubic splines after :func:`profile_from_csv`;
+    the public interpolation contract is cubic either way.  The evaluators
+    take a float or an ndarray of radii.
     """
 
     samples: np.ndarray
@@ -342,8 +344,9 @@ def integrate_tov(
     Runs until the surface event (rho crossing zero from above), the horizon
     guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile is
     sampled on a Chebyshev grid of ``options.grid_n`` points and keeps the
-    integrator's dense interpolant for later refinement, the lapse potential
-    included; its lapse columns stay NaN until :func:`integrate_lapse`.
+    integrator's dense output, as one ``PPoly``, for later refinement, the
+    lapse potential included; its lapse columns stay NaN until
+    :func:`integrate_lapse`.
 
     Raises CenterSingularity if the EOS cannot be evaluated at rho_center,
     HorizonHit or StepFailure as described, and lets Tabulated range errors
@@ -407,8 +410,12 @@ def integrate_tov(
         surface_r = float(sol.t_events[1][0])
     r_end = float(sol.t[-1])
 
+    dense = ode_ppoly(sol.sol)
+    rho_fn, m_fn, v_free_fn = (
+        _evaluator(PPoly.construct_fast(dense.c[..., i], dense.x)) for i in range(3)
+    )
     grid = chebyshev_grid(r0, r_end, opts.grid_n)
-    rho, m, _v = sol.sol(grid)
+    rho, m, _v = dense(grid).T
     # the event root's own sign is round-off: count densities below the
     # surface threshold only
     ytol = opts.surface_ytol_scale * max(1.0, abs(rho_c))
@@ -420,12 +427,12 @@ def integrate_tov(
         rho_center=rho_c,
         r_start=r0,
         r_end=r_end,
-        rho_fn=_evaluator(lambda r: sol.sol(r)[0]),
-        m_fn=_evaluator(lambda r: sol.sol(r)[1]),
+        rho_fn=rho_fn,
+        m_fn=m_fn,
         surface_event_r=surface_r,
         negative_density_seen=bool(np.any(rho < -ytol)),
         options=opts,
-        v_free_fn=_evaluator(lambda r: sol.sol(r)[2]),
+        v_free_fn=v_free_fn,
     )
 
 

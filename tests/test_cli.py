@@ -24,8 +24,15 @@ def test_tov_text_output(capsys, tmp_path):
     out_csv = tmp_path / "star.csv"
     code, out, _ = run(capsys, "tov", *STAR, "--out", str(out_csv))
     assert code == 0
-    assert out.splitlines()[0].startswith("surface radius r_b = 8.740387")
-    assert "total mass       M = 2.796924" in out
+    lines = out.splitlines()
+    labels = ("surface radius r_b = ", "total mass       M = ", "central lapse    f = ")
+    assert [line[: len(label)] for line, label in zip(lines, labels)] == list(labels)
+    r_b, mass, f_center = (float(line[len(label):]) for line, label in zip(lines, labels))
+    # interior Schwarzschild: r_b = sqrt(240/pi), M = 0.32 r_b, f(0) = 0.4
+    assert r_b == pytest.approx(8.740387444736632, abs=1e-7)
+    assert mass == pytest.approx(2.796923982315722, abs=1e-7)
+    assert f_center == pytest.approx(0.4, abs=1e-6)
+    assert lines[3] == f"profile written to {out_csv}"
     assert out_csv.read_text().splitlines()[0] == "r,m,mu,rho,exp_neg_gamma,exp_v,f"
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from staticstar.errors import BadParams, DomainError, SignLoss
 from staticstar.geometry import EIGHT_PI
-from staticstar.numerics import RadialFunction, chebyshev_grid
+from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative
 from staticstar import conformal
 from staticstar.conformal import (
     BasicInvariant,
@@ -128,6 +128,29 @@ class TestSolveLapse:
         for u in (0.5, 3.0, 8.0):
             rhs = (f.value(u) * phi.d2(u) - 2.0 * phi.d1(u) * f.d1(u)) / phi.value(u)
             assert f.d2(u) == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [
+        sqrt_one_plus_u(),
+        RadialFunction(
+            value=lambda u: 1.0 + 0.1 * np.asarray(u, dtype=float) + 0.02 * np.asarray(u) ** 2,
+            d1=lambda u: 0.1 + 0.04 * np.asarray(u, dtype=float),
+            d2=lambda u: np.full(np.shape(u), 0.04),
+            domain=(-1.0, 20.0),
+        ),
+    ], ids=["sqrt", "quadratic"])
+    def test_derivatives_match_finite_differences(self, phi):
+        # d1 is the carried f' and d2 the ODE right-hand side, not derivatives
+        # of the dense output; the routes differ by its interpolation error,
+        # about 1e-7 at the default rel_tol = 1e-8.  At rel_tol = 1e-13 that
+        # error is a few times the stencil's round-off, which the Richardson
+        # pair makes about 3.3 eps |f| / h; the bound allows 30 times that.
+        f = solve_lapse(phi, 3, (0.0, 10.0), (1.0, 0.2), rel_tol=1e-13, abs_tol=1e-15)
+        u = chebyshev_grid(0.01, 9.99, 200)
+        h = np.maximum(1e-5, 1e-5 * np.abs(u))  # fd_derivative's first-order step
+        for fn, deriv in ((f.value, f.d1), (f.d1, f.d2)):
+            tol = 100.0 * np.finfo(float).eps * np.max(np.abs(fn(u))) / h
+            err = np.abs(fd_derivative(fn, u) - deriv(u))
+            assert np.all(err <= tol), np.max(err / tol)
 
     def test_sign_loss_raise(self):
         one = RadialFunction.constant(1.0, (-math.inf, math.inf))

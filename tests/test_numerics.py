@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from staticstar import conformal, tov
 from staticstar.errors import BadParams, DerivativeError, DomainError
 from staticstar.numerics import (
     RadialFunction,
@@ -12,6 +14,7 @@ from staticstar.numerics import (
     fd_derivative,
     find_brackets,
     max_rms,
+    ode_ppoly,
     refine_root,
     sign_brackets,
     sphere_rule,
@@ -256,3 +259,84 @@ def test_sign_brackets_match_find_brackets():
         lambda x: 0.0 if x == grid[200] else math.sin(x), grid)
     with pytest.raises(DomainError):
         sign_brackets(grid, np.full(grid.shape, np.nan))
+
+
+# --- ODE dense output as one PPoly ------------------------------------------------
+
+def _tov_evaluators():
+    profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+    return profile.rho, profile.m, profile.v_free_fn
+
+
+def _lapse_evaluators():
+    phi = RadialFunction(
+        value=lambda u: np.sqrt(1.0 + np.asarray(u, dtype=float)),
+        d1=lambda u: 0.5 / np.sqrt(1.0 + np.asarray(u, dtype=float)),
+        d2=lambda u: -0.25 * (1.0 + np.asarray(u, dtype=float)) ** -1.5,
+        domain=(-1.0 + 1e-9, math.inf),
+    )
+    f = conformal.solve_lapse(phi, 3, (0.0, 10.0), (1.0, 0.2))
+    return f.value, f.d1
+
+
+ODE_CASES = {"tov": (tov, _tov_evaluators), "lapse": (conformal, _lapse_evaluators)}
+
+
+@pytest.fixture(params=sorted(ODE_CASES))
+def ode_case(request, monkeypatch):
+    """The evaluators of one ODE-backed object and the OdeSolution behind them."""
+    module, build = ODE_CASES[request.param]
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(solve_ivp(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(module, "solve_ivp", spy)
+    evaluators = build()
+    assert len(seen) == 1
+    return evaluators, seen[0].sol
+
+
+def _ode_points(sol):
+    """Random points, every breakpoint and both ends of the solution."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([rng.uniform(sol.ts[0], sol.ts[-1], 400), sol.ts])
+
+
+def test_ode_ppoly_matches_the_ode_solution(ode_case):
+    _, sol = ode_case
+    pp = ode_ppoly(sol)
+    t = _ode_points(sol)
+    want = sol(t)
+    scale = np.max(np.abs(want), axis=1)
+    got = pp(t)
+    assert got.shape == t.shape + scale.shape
+    err = np.max(np.abs(got.T - want), axis=1) / scale
+    assert np.all(err <= 1e-14), err
+    # scalar calls take OdeSolution's one-point path
+    err = max(np.max(np.abs(pp(x) - sol(x)) / scale) for x in sol.ts)
+    assert err <= 1e-14
+
+
+def test_ode_backed_evaluators_read_the_ppoly(ode_case):
+    evaluators, sol = ode_case
+    t = _ode_points(sol)
+    want = sol(t)
+    block = t[:20].reshape(4, 5)
+    for i, fn in enumerate(evaluators):
+        scale = np.max(np.abs(want[i]))
+        assert np.max(np.abs(fn(t) - want[i])) <= 1e-14 * scale
+        assert fn(block).shape == block.shape
+        np.testing.assert_array_equal(fn(block), fn(t[:20]).reshape(4, 5))
+        for x in (sol.ts[0], float(t[0]), sol.ts[-1]):
+            got = fn(float(x))
+            assert type(got) is float
+            assert abs(got - sol(x)[i]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("method", ["DOP853", "Radau"])
+def test_ode_ppoly_rejects_other_dense_output(method):
+    sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method=method, dense_output=True)
+    with pytest.raises(BadParams, match="Runge-Kutta"):
+        ode_ppoly(sol.sol)

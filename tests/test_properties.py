@@ -5,8 +5,9 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from staticstar import conformal, quasilocal
-from staticstar.energy import scan_conditions
+from staticstar import conformal, quasilocal, tov
+from staticstar.energy import BAND, scan_conditions, scan_model
+from staticstar.errors import StaticStarError
 from staticstar.geometry import to_geometric, to_physical
 from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative, max_rms
 
@@ -143,3 +144,92 @@ def test_lapse_ode_is_linear(f0, fp0, scale):
     for u in (0.5, 1.5):
         want = base.value(u) + scale * other.value(u)
         assert abs(combined.value(u) - want) <= 1e-6 * max(1.0, abs(want))
+
+
+# --- whole pipeline: EOS -> star -> level set -> energy conditions --------------
+
+def _decade(lo, hi):
+    """Floats spread evenly in log10 between 10**lo and 10**hi."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+_sign = st.sampled_from([1.0, 1.0, 1.0, -1.0])
+
+
+@st.composite
+def _tabulated(draw):
+    rho_c = draw(_decade(-4.0, -2.0))
+    n = draw(st.integers(min_value=4, max_value=40))
+    rows = np.linspace(-draw(st.floats(0.0, 0.2)) * rho_c,
+                       draw(st.floats(1.0, 2.0)) * rho_c, n)
+    if draw(st.booleans()):
+        mu = draw(_decade(-4.0, -2.0)) * (1.0 + draw(st.floats(0.0, 3.0)) * rows / rho_c)
+    else:
+        mu = np.array(draw(st.lists(st.floats(-1e-3, 1e-2, allow_subnormal=False),
+                                    min_size=n, max_size=n)))
+    return tov.Tabulated(rows, mu), rho_c
+
+
+_stars = st.one_of(
+    st.tuples(_decade(-4.0, -2.0).map(tov.ConstantDensity),
+              st.tuples(_decade(-5.5, -1.0), _sign).map(lambda p: p[0] * p[1])),
+    st.tuples(_decade(-3.0, 0.0).map(tov.Chaplygin),
+              st.tuples(_decade(-4.0, 0.0), _sign).map(lambda p: p[0] * p[1])),
+    _tabulated(),
+)
+
+
+def _pipeline(eos, rho_c, t):
+    """integrate_tov -> detect_surface -> match_exterior -> level_set_data -> scan_model.
+
+    The level is the fraction ``t`` of the way from the central lapse to 1.
+    """
+    profile = tov.integrate_tov(eos, rho_c)
+    model = tov.match_exterior(profile, tov.detect_surface(profile))
+    f_center = model.f(profile.r_start)
+    level = f_center + t * (1.0 - f_center)
+    return model, level, quasilocal.level_set_data(model, level), scan_model(model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_stars, st.floats(min_value=0.05, max_value=0.95))
+def test_pipeline_fails_only_with_package_errors(star, t):
+    eos, rho_c = star
+    try:
+        _pipeline(eos, rho_c, t)
+    except StaticStarError:
+        pass
+
+
+@settings(max_examples=25, deadline=None)
+@given(_decade(-4.0, -2.0), _decade(-1.5, 1.0), st.floats(min_value=0.05, max_value=0.95))
+def test_constant_density_pipeline_matches_interior_schwarzschild(c, ratio, t):
+    rho_c = ratio * c
+    model, level, reports, scan = _pipeline(tov.ConstantDensity(c), rho_c, t)
+    # y = sqrt(1 - a r^2), f = (3 y_b - y)/2 inside, sqrt(1 - 2M/r) outside
+    a = 8.0 * math.pi * c / 3.0
+    y_b = (c + rho_c) / (c + 3.0 * rho_c)
+    r_b = math.sqrt((1.0 - y_b * y_b) / a)
+    mass = 4.0 * math.pi / 3.0 * c * r_b**3
+
+    def f(r):
+        return 1.5 * y_b - 0.5 * math.sqrt(1.0 - a * r * r) if r < r_b \
+            else math.sqrt(1.0 - 2.0 * mass / r)
+
+    # acceptance-gate tolerances: e^{-gamma} to 1e-8 (c01); radius, mass and
+    # lapse to 1e-6 (c11), taken relative because r_b reaches 30 here
+    r = np.linspace(model.profile.r_start, model.r_b, 65)
+    assert np.max(np.abs(model.profile.exp_neg_gamma(r) - (1.0 - a * r * r))) < 1e-8
+    assert math.isclose(model.r_b, r_b, rel_tol=1e-6)
+    assert math.isclose(model.mass, mass, rel_tol=1e-6)
+    assert all(math.isclose(model.f(x), f(x), rel_tol=1e-6) for x in r)
+    assert len(reports) == 1
+    rep = reports[0]
+    assert math.isclose(f(rep.r), level, rel_tol=1e-6)
+    m_enclosed = mass if rep.r >= r_b else 4.0 * math.pi / 3.0 * c * rep.r**3
+    assert math.isclose(rep.m_hawking, m_enclosed, rel_tol=1e-6)
+    # mu = c > 0 and rho > 0 inside: NEC and WEC hold, and DEC (rho <= mu)
+    # exactly when rho_c <= c, up to the scan's band of BAND
+    assert scan.nec and scan.wec
+    if abs(rho_c - c) > 10.0 * BAND:
+        assert scan.dec == (rho_c < c)
