@@ -23,14 +23,15 @@ from .errors import BadParams, UnknownModel
 from .geometry import (
     EIGHT_PI,
     FluidData,
-    ResidualEntry,
     ResidualReport,
     SchwarzschildForm,
     WarpedProduct,
+    _entry,
+    _report,
     spf_residuals,
     tolman_residuals,
 )
-from .numerics import RadialFunction, chebyshev_grid
+from .numerics import Jet, RadialFunction, chebyshev_grid
 
 __all__ = [
     "Piece",
@@ -125,26 +126,36 @@ class AnalyticModel:
 
     # -- piecewise accessors (physical units) ----------------------------------
 
-    def piece_at(self, r: float) -> Piece:
-        for p in self.pieces:
-            lo, hi = p.scan_window()
-            if lo <= r <= hi:
-                return p
-        # fall back on the formal domain of each piece's lapse
-        for p in self.pieces:
-            lo, hi = p.fluid.f.domain
-            if lo < r < hi:
-                return p
-        raise BadParams(f"r={r} outside every piece of {self.id}")
+    def _piecewise(self, r, part: Callable[[Piece], RadialFunction]):
+        """Evaluate ``part(piece)`` at each r on the piece that owns it.
 
-    def mu(self, r: float) -> float:
-        return float(self.piece_at(r).mu_phys(r))
+        A point belongs to the first piece whose scan window holds it; a
+        point in no window falls back on the first piece whose lapse domain
+        holds it (open interval).  A float gives a float.
+        """
+        r_arr = np.asarray(r, dtype=float)
+        out = np.empty(r_arr.shape)
+        todo = np.ones(r_arr.shape, dtype=bool)
+        windows = [(p, *p.scan_window(), True) for p in self.pieces]
+        windows += [(p, *p.fluid.f.domain, False) for p in self.pieces]
+        for piece, lo, hi, closed in windows:
+            inside = (lo <= r_arr) & (r_arr <= hi) if closed else (lo < r_arr) & (r_arr < hi)
+            mask = todo & inside
+            if np.any(mask):
+                out[mask] = part(piece)(r_arr[mask])
+                todo &= ~mask
+        if np.any(todo):
+            raise BadParams(f"r={r_arr[todo][0]} outside every piece of {self.id}")
+        return float(out) if out.ndim == 0 else out
 
-    def rho(self, r: float) -> float:
-        return float(self.piece_at(r).rho_phys(r))
+    def mu(self, r):
+        return self._piecewise(r, lambda p: p.mu_phys)
 
-    def f(self, r: float) -> float:
-        return float(self.piece_at(r).fluid.f(r))
+    def rho(self, r):
+        return self._piecewise(r, lambda p: p.rho_phys)
+
+    def f(self, r):
+        return self._piecewise(r, lambda p: p.fluid.f)
 
     # -- verification -----------------------------------------------------------
 
@@ -190,40 +201,10 @@ class AnalyticModel:
         return out
 
 
-# ----------------------------------------------------------------------------
-# helpers for hand-coded radial functions
-# ----------------------------------------------------------------------------
-
-def _rf(value, d1, d2, domain) -> RadialFunction:
-    return RadialFunction(
-        value=value, d1=d1, d2=d2, provenance="analytic", domain=domain
-    )
-
-
 def _vacuum_gamma_v(M: float, domain) -> tuple[RadialFunction, RadialFunction]:
-    """gamma = -log(1 - 2M/r) and v = -gamma, with exact derivatives."""
-
-    def x(r):
-        return 1.0 - 2.0 * M / np.asarray(r, dtype=float)
-
-    def xp(r):
-        return 2.0 * M / np.asarray(r, dtype=float) ** 2
-
-    def xpp(r):
-        return -4.0 * M / np.asarray(r, dtype=float) ** 3
-
-    gamma = _rf(
-        lambda r: -np.log(x(r)),
-        lambda r: -xp(r) / x(r),
-        lambda r: -xpp(r) / x(r) + (xp(r) / x(r)) ** 2,
-        domain,
-    )
-    v = _rf(
-        lambda r: np.log(x(r)),
-        lambda r: xp(r) / x(r),
-        lambda r: xpp(r) / x(r) - (xp(r) / x(r)) ** 2,
-        domain,
-    )
+    """gamma = -log(1 - 2M/r) and v = -gamma."""
+    gamma = RadialFunction.from_formula(lambda r: -np.log(1.0 - 2.0 * M / r), domain)
+    v = RadialFunction.from_formula(lambda r: np.log(1.0 - 2.0 * M / r), domain)
     return gamma, v
 
 
@@ -273,24 +254,8 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
         domain = (0.0, math.inf)
         hi = 10.0
 
-    def x(r):
-        return 1.0 - a * np.asarray(r, dtype=float) ** 2
-
-    def xp(r):
-        return -2.0 * a * np.asarray(r, dtype=float)
-
-    gamma = _rf(
-        lambda r: -np.log(x(r)),
-        lambda r: -xp(r) / x(r),
-        lambda r: 2.0 * a / x(r) + (xp(r) / x(r)) ** 2,
-        domain,
-    )
-    v = _rf(
-        lambda r: np.log(x(r)),
-        lambda r: xp(r) / x(r),
-        lambda r: -2.0 * a / x(r) - (xp(r) / x(r)) ** 2,
-        domain,
-    )
+    gamma = RadialFunction.from_formula(lambda r: -np.log(1.0 - a * r**2), domain)
+    v = RadialFunction.from_formula(lambda r: np.log(1.0 - a * r**2), domain)
     ansatz = SchwarzschildForm(gamma, v, domain=domain)
     f = ansatz.lapse()
     mu_phys = RadialFunction.constant(c, domain)
@@ -327,32 +292,15 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
     rt = math.sqrt(c2)
 
     def q(r):
-        return TWO_PI * np.asarray(r, dtype=float) ** 2 + c1
+        return TWO_PI * r**2 + c1
 
     gamma = RadialFunction.constant(0.0, domain)
-    f = _rf(
-        lambda r: rt * q(r),
-        lambda r: rt * 2.0 * TWO_PI * np.asarray(r, dtype=float),
-        lambda r: rt * 2.0 * TWO_PI * np.ones_like(np.asarray(r, dtype=float)),
-        domain,
-    )
+    f = RadialFunction.from_formula(lambda r: rt * q(r), domain)
     # v = 2 log f; SchwarzschildForm wants v explicitly for the Tolman route
-    v = _rf(
-        lambda r: np.log(c2) + 2.0 * np.log(q(r)),
-        lambda r: 8.0 * math.pi * np.asarray(r, dtype=float) / q(r),
-        lambda r: 8.0 * math.pi / q(r)
-        - 32.0 * math.pi**2 * np.asarray(r, dtype=float) ** 2 / q(r) ** 2,
-        domain,
-    )
+    v = RadialFunction.from_formula(lambda r: np.log(c2) + 2.0 * np.log(q(r)), domain)
     ansatz = SchwarzschildForm(gamma, v, domain=domain)
     mu_phys = RadialFunction.constant(0.0, domain)
-    rho_phys = _rf(
-        lambda r: 1.0 / q(r),
-        lambda r: -2.0 * TWO_PI * np.asarray(r, dtype=float) / q(r) ** 2,
-        lambda r: (8.0 * TWO_PI**2 * np.asarray(r, dtype=float) ** 2 - 2.0 * TWO_PI * q(r))
-        / q(r) ** 3,
-        domain,
-    )
+    rho_phys = RadialFunction.from_formula(lambda r: 1.0 / q(r), domain)
     fluid = FluidData.from_physical(f, mu_phys, rho_phys)
     piece = Piece(
         label="flat-slice",
@@ -382,15 +330,7 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
     r_h = math.sqrt(1.0 / a)
     domain = (0.0, r_h)
 
-    def x(r):
-        return 1.0 - a * np.asarray(r, dtype=float) ** 2
-
-    gamma = _rf(
-        lambda r: -np.log(x(r)),
-        lambda r: 2.0 * a * np.asarray(r, dtype=float) / x(r),
-        lambda r: 2.0 * a / x(r) + (2.0 * a * np.asarray(r, dtype=float) / x(r)) ** 2,
-        domain,
-    )
+    gamma = RadialFunction.from_formula(lambda r: -np.log(1.0 - a * r**2), domain)
     v = RadialFunction.constant(0.0, domain)
     ansatz = SchwarzschildForm(gamma, v, domain=domain)
     f = RadialFunction.constant(1.0, domain)
@@ -417,17 +357,17 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
 
 # -- quartic-density interior -------------------------------------------------
 
-def _wyman_interior_functions(R: float, M: float):
-    """Closed forms for the e^{-gamma} = 1 - r^4/R^4 interior.
+def _wyman_lapse(R: float, M: float):
+    """The lapse of the e^{-gamma} = 1 - r^4/R^4 interior, as one formula.
 
-    Lapse f = a1 sinh(w/2) + a2 cosh(w/2) with w = asin(sqrt(1 - r^4/R^4));
+    f = a1 sinh(w/2) + a2 cosh(w/2) with w = asin(sqrt(1 - r^4/R^4)), written
+    as w = acos(r^2/R^2), which keeps full precision near the centre;
     (a1, a2) solve the C^1 junction with the vacuum exterior at
     r_b = (2 M R^4)^{1/5}.
     """
-    R4 = R**4
-    r_b = (2.0 * M * R4) ** 0.2
+    r_b = (2.0 * M * R**4) ** 0.2
     s_b = math.sqrt(1.0 - 2.0 * M / r_b)
-    h_b = 0.5 * math.asin(s_b)
+    h_b = 0.5 * math.acos(r_b * r_b / (R * R))
     # a1 sinh(h_b) + a2 cosh(h_b) = s_b        (continuity of f)
     # a1 cosh(h_b) + a2 sinh(h_b) = -r_b^2/(2 R^2)   (continuity of f')
     rhs2 = -r_b * r_b / (2.0 * R * R)
@@ -435,39 +375,11 @@ def _wyman_interior_functions(R: float, M: float):
     a1 = rhs2 * math.cosh(h_b) - s_b * math.sinh(h_b)
     a2 = s_b * math.cosh(h_b) - rhs2 * math.sinh(h_b)
 
-    def x(r):
-        return 1.0 - np.asarray(r, dtype=float) ** 4 / R4
-
-    def xp(r):
-        return -4.0 * np.asarray(r, dtype=float) ** 3 / R4
-
-    def xpp(r):
-        return -12.0 * np.asarray(r, dtype=float) ** 2 / R4
-
-    def w(r):
-        return np.arcsin(np.sqrt(x(r)))
-
-    def wp(r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 * r / (R * R * np.sqrt(x(r)))
-
-    def wpp(r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 / (R * R * np.sqrt(x(r))) - 4.0 * r**4 / (R**6 * x(r) ** 1.5)
-
-    def fval(r):
-        h = 0.5 * w(r)
+    def lapse(r):
+        h = 0.5 * np.arccos(r**2 / (R * R))
         return a1 * np.sinh(h) + a2 * np.cosh(h)
 
-    def fslope(r):
-        h = 0.5 * w(r)
-        return 0.5 * wp(r) * (a1 * np.cosh(h) + a2 * np.sinh(h))
-
-    def fcurv(r):
-        h = 0.5 * w(r)
-        return 0.5 * wpp(r) * (a1 * np.cosh(h) + a2 * np.sinh(h)) + 0.25 * wp(r) ** 2 * fval(r)
-
-    return r_b, a1, a2, x, xp, xpp, fval, fslope, fcurv
+    return r_b, a1, a2, lapse
 
 
 def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
@@ -481,54 +393,23 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     if not (R > 0 and M > 0 and 2.0 * M < R):
         raise BadParams(f"need R > 0, M > 0, 2M < R; got R={R}, M={M}")
     R4 = R**4
-    r_b, a1, a2, x, xp, xpp, fval, fslope, fcurv = _wyman_interior_functions(R, M)
+    r_b, a1, a2, lapse = _wyman_lapse(R, M)
 
     dom_i = (0.0, R * (1.0 - 1e-9))
-    gamma_i = _rf(
-        lambda r: -np.log(x(r)),
-        lambda r: -xp(r) / x(r),
-        lambda r: -xpp(r) / x(r) + (xp(r) / x(r)) ** 2,
-        dom_i,
-    )
-    f_i = _rf(fval, fslope, fcurv, dom_i)
-    v_i = _rf(
-        lambda r: 2.0 * np.log(fval(r)),
-        lambda r: 2.0 * fslope(r) / fval(r),
-        lambda r: 2.0 * fcurv(r) / fval(r) - 2.0 * (fslope(r) / fval(r)) ** 2,
-        dom_i,
-    )
+    gamma_i = RadialFunction.from_formula(lambda r: -np.log(1.0 - r**4 / R4), dom_i)
+    f_i = RadialFunction.from_formula(lapse, dom_i)
+    v_i = RadialFunction.from_formula(lambda r: 2.0 * np.log(lapse(r)), dom_i)
     ansatz_i = SchwarzschildForm(gamma_i, v_i, domain=dom_i)
+    mu_i = RadialFunction.from_formula(lambda r: 5.0 * r**2 / (EIGHT_PI * R4), dom_i)
+    mu_printed = RadialFunction.from_formula(lambda r: 5.0 * r**2 / (EIGHT_PI * R), dom_i)
 
-    def mu_val(r):
-        return 5.0 * np.asarray(r, dtype=float) ** 2 / (EIGHT_PI * R4)
+    def rho(r):
+        # 8 pi rho = -1/r^2 + e^{-gamma} (2 f'/(r f) + 1/r^2); the two 1/r^2
+        # terms cancel to -r^2/R^4, which stays exact near the centre
+        f = lapse(Jet(r, 1.0, 0.0))
+        return (-r**2 / R4 + (1.0 - r**4 / R4) * 2.0 * f.d1 / (r * f.v)) / EIGHT_PI
 
-    mu_i = _rf(
-        mu_val,
-        lambda r: 10.0 * np.asarray(r, dtype=float) / (EIGHT_PI * R4),
-        lambda r: 10.0 / (EIGHT_PI * R4) * np.ones_like(np.asarray(r, dtype=float)),
-        dom_i,
-    )
-    mu_printed = _rf(
-        lambda r: 5.0 * np.asarray(r, dtype=float) ** 2 / (EIGHT_PI * R),
-        lambda r: 10.0 * np.asarray(r, dtype=float) / (EIGHT_PI * R),
-        lambda r: 10.0 / (EIGHT_PI * R) * np.ones_like(np.asarray(r, dtype=float)),
-        dom_i,
-    )
-
-    def rho_val(r):
-        r = np.asarray(r, dtype=float)
-        return (-1.0 / r**2 + x(r) * (2.0 * fslope(r) / (r * fval(r)) + 1.0 / r**2)) / EIGHT_PI
-
-    def rho_d1(r):
-        # differentiate 8 pi rho = -1/r^2 + x P, P = 2 f'/(r f) + 1/r^2
-        r = np.asarray(r, dtype=float)
-        fv, f1, f2 = fval(r), fslope(r), fcurv(r)
-        P = 2.0 * f1 / (r * fv) + 1.0 / r**2
-        P1 = 2.0 * f2 / (r * fv) - 2.0 * f1 / (r**2 * fv) \
-            - 2.0 * f1**2 / (r * fv**2) - 2.0 / r**3
-        return (2.0 / r**3 + xp(r) * P + x(r) * P1) / EIGHT_PI
-
-    rho_i = RadialFunction.from_callables(rho_val, d1=rho_d1, domain=(1e-8, dom_i[1]))
+    rho_i = RadialFunction.from_formula(rho, (1e-8, dom_i[1]))
     fluid_i = FluidData.from_physical(f_i, mu_i, rho_i)
     piece_i = Piece(
         label="interior",
@@ -646,71 +527,24 @@ def witten_stellar(
     lo0, hi0 = windows[0]
     domain = (max(lo0, 0.0), hi0)
 
-    def _t(r):
-        return np.asarray(r, dtype=float)
-
-    phi = _rf(
-        lambda r: np.tanh(_t(r)),
-        lambda r: 1.0 / np.cosh(_t(r)) ** 2,
-        lambda r: -2.0 * np.tanh(_t(r)) / np.cosh(_t(r)) ** 2,
-        domain,
-    )
+    phi = RadialFunction.from_formula(np.tanh, domain)
     ansatz = WarpedProduct(phi, domain=domain)
 
-    def L_of(r):
-        return np.log(np.cosh(_t(r)))
-
-    def fval(r):
-        L = L_of(r)
+    def lapse(t):
+        L = np.log(np.cosh(t))
         return A * np.sin(L) + B * np.cos(L)
 
-    def fslope(r):
-        L = L_of(r)
-        return (A * np.cos(L) - B * np.sin(L)) * np.tanh(_t(r))
+    def mu(t):
+        return (1.0 + 5.0 / np.cosh(t) ** 2 - lam) / EIGHT_PI
 
-    def fcurv(r):
-        t = _t(r)
-        L = L_of(r)
-        return (A * np.cos(L) - B * np.sin(L)) / np.cosh(t) ** 2 - fval(r) * np.tanh(t) ** 2
-
-    f = _rf(fval, fslope, fcurv, domain)
-
-    def mu_geo(r):
-        return 1.0 + 5.0 / np.cosh(_t(r)) ** 2
-
-    def mu_geo_d1(r):
-        t = _t(r)
-        return -10.0 * np.tanh(t) / np.cosh(t) ** 2
-
-    def rho_geo(r):
-        t = _t(r)
+    def rho(t):
         s2 = 1.0 / np.cosh(t) ** 2
-        return -1.0 - s2 + 2.0 * s2 / np.tan(L_of(r) + delta)
+        return (-1.0 - s2 + 2.0 * s2 / np.tan(np.log(np.cosh(t)) + delta) + lam) / EIGHT_PI
 
-    def rho_geo_d1(r):
-        # rho = -1 - s + 2 s cot(L + delta), s = sech^2 t:
-        # s' = -2 s tanh, (cot)' = -csc^2 tanh
-        t = _t(r)
-        s2 = 1.0 / np.cosh(t) ** 2
-        cot = 1.0 / np.tan(L_of(r) + delta)
-        return 2.0 * s2 * np.tanh(t) * (1.0 - (1.0 + cot * cot) - 2.0 * cot)
-
-    mu_phys = RadialFunction.from_callables(
-        lambda r: (mu_geo(r) - lam) / EIGHT_PI,
-        d1=lambda r: mu_geo_d1(r) / EIGHT_PI,
-        domain=domain,
-    )
-    rho_phys = RadialFunction.from_callables(
-        lambda r: (rho_geo(r) + lam) / EIGHT_PI,
-        d1=lambda r: rho_geo_d1(r) / EIGHT_PI,
-        domain=domain,
-    )
-    fluid = FluidData(
-        f=f,
-        mu=RadialFunction.from_callables(mu_geo, d1=mu_geo_d1, domain=domain),
-        rho=RadialFunction.from_callables(rho_geo, d1=rho_geo_d1, domain=domain),
-        lam=lam,
-    )
+    f = RadialFunction.from_formula(lapse, domain)
+    mu_phys = RadialFunction.from_formula(mu, domain)
+    rho_phys = RadialFunction.from_formula(rho, domain)
+    fluid = FluidData.from_physical(f, mu_phys, rho_phys, lam)
     piece = Piece(
         label="star",
         ansatz=ansatz,
@@ -725,25 +559,15 @@ def witten_stellar(
         lo, hi = piece.interval
         grid = chebyshev_grid(lo, hi, grid_n)
         r_t = M * np.cosh(grid) ** 2
-        mu_res = np.abs(
-            EIGHT_PI * np.array([model.mu(t) for t in grid])
-            - (1.0 + 5.0 * M / r_t - lam)
-        )
+        mu_res = np.abs(EIGHT_PI * model.mu(grid) - (1.0 + 5.0 * M / r_t - lam))
         # phase delta = atan2(B, A); the printed sine-branch form is delta = 0
         rho_claim = (
             2.0 * M / (r_t * np.tan(np.log(np.sqrt(r_t / M)) + delta))
             - M / r_t - 1.0 + lam
         )
-        rho_res = np.abs(EIGHT_PI * np.array([model.rho(t) for t in grid]) - rho_claim)
-        entries = [
-            ResidualEntry("tilde-density", *_max_rms_worst(mu_res, grid)),
-            ResidualEntry("tilde-pressure", *_max_rms_worst(rho_res, grid)),
-        ]
-        worst = max(e.max for e in entries)
-        rep = ResidualReport(
-            entries=tuple(entries), grid=np.asarray(grid), passed=worst <= 1e-9, tol=1e-9
-        )
-        return "tilde-chart[star]", rep
+        rho_res = np.abs(EIGHT_PI * model.rho(grid) - rho_claim)
+        entries = [_entry("tilde-density", mu_res, grid), _entry("tilde-pressure", rho_res, grid)]
+        return "tilde-chart[star]", _report(entries, grid, tol=1e-9)
 
     def sectional_check(model: AnalyticModel, grid_n: int):
         lo, hi = piece.interval
@@ -753,14 +577,10 @@ def witten_stellar(
         viol_rad = np.maximum(0.0, -k_rad)
         viol_tan = np.maximum(0.0, -k_tan)
         entries = [
-            ResidualEntry("positivity[rad]", *_max_rms_worst(viol_rad, grid)),
-            ResidualEntry("positivity[tan]", *_max_rms_worst(viol_tan, grid)),
+            _entry("positivity[rad]", viol_rad, grid),
+            _entry("positivity[tan]", viol_tan, grid),
         ]
-        worst = max(e.max for e in entries)
-        rep = ResidualReport(
-            entries=tuple(entries), grid=grid, passed=worst == 0.0, tol=0.0
-        )
-        return "sectional-curvature[star]", rep
+        return "sectional-curvature[star]", _report(entries, grid, tol=0.0)
 
     note_windows = ", ".join(f"({a:.4f}, {b:.4f})" for a, b in windows)
     return AnalyticModel(
@@ -794,12 +614,6 @@ def witten_pressure_poles(model: AnalyticModel, count: int = 3) -> np.ndarray:
             out.append(math.acosh(math.exp(L)))
         k += 1
     return np.array(out)
-
-
-def _max_rms_worst(vals: np.ndarray, grid: np.ndarray):
-    vals = np.asarray(vals, dtype=float)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(np.sqrt(np.mean(vals**2))), float(np.asarray(grid)[i])
 
 
 # ----------------------------------------------------------------------------

@@ -220,22 +220,11 @@ def _witten_u_lapse(n: int, A: float, B: float, domain) -> RadialFunction:
     """The same solution as a RadialFunction of the invariant u (analytic)."""
     w = 0.5 * math.sqrt(n - 2.0)
 
-    def L(u):
-        return np.log1p(np.asarray(u, dtype=float))
+    def lapse(u):
+        L = w * np.log1p(u)
+        return A * np.sin(L) + B * np.cos(L)
 
-    def val(u):
-        return A * np.sin(w * L(u)) + B * np.cos(w * L(u))
-
-    def d1(u):
-        one_p = 1.0 + np.asarray(u, dtype=float)
-        return (w / one_p) * (A * np.cos(w * L(u)) - B * np.sin(w * L(u)))
-
-    def d2(u):
-        one_p = 1.0 + np.asarray(u, dtype=float)
-        osc = A * np.cos(w * L(u)) - B * np.sin(w * L(u))
-        return -(w / one_p**2) * osc - (w * w / one_p**2) * val(u)
-
-    return RadialFunction(val, d1, d2, provenance="analytic", domain=domain)
+    return RadialFunction.from_formula(lapse, domain)
 
 
 def solve_lapse(
@@ -554,23 +543,15 @@ def build_model(
 
     if isinstance(phi, str):
         if phi == "witten":
-            phi_rf = RadialFunction(
-                value=lambda u: np.sqrt(1.0 + np.asarray(u, dtype=float)),
-                d1=lambda u: 0.5 / np.sqrt(1.0 + np.asarray(u, dtype=float)),
-                d2=lambda u: -0.25 * (1.0 + np.asarray(u, dtype=float)) ** -1.5,
-                provenance="analytic",
-                domain=(-1.0 + EPS_DOM, math.inf),
+            phi_rf = RadialFunction.from_formula(
+                lambda u: np.sqrt(1.0 + u), (-1.0 + EPS_DOM, math.inf)
             )
-            w = 0.5 * math.sqrt(n - 2.0)
             if ic is None:
                 A, B = 1.0, 0.0
             else:
                 # rotate (f, f') at u0 into the (A, B) basis
-                L0 = w * math.log1p(u0)
-                mat = np.array([
-                    [math.sin(L0), math.cos(L0)],
-                    [w / (1.0 + u0) * math.cos(L0), -w / (1.0 + u0) * math.sin(L0)],
-                ])
+                basis = [_witten_u_lapse(n, *ab, (u0, u1)) for ab in ((1.0, 0.0), (0.0, 1.0))]
+                mat = [[g(u0) for g in basis], [g.d1(u0) for g in basis]]
                 A, B = np.linalg.solve(mat, np.asarray(ic, dtype=float))
             f_rf = _witten_u_lapse(n, float(A), float(B), (u0, u1))
             truncated = False
@@ -578,15 +559,7 @@ def build_model(
             phi_rf = RadialFunction.constant(1.0, (-math.inf, math.inf))
             f0, f1 = ic if ic is not None else (1.0, 0.0)
             # ODE reduces to f'' = 0: affine lapse
-            f_rf = RadialFunction(
-                value=lambda u: f0 + f1 * (np.asarray(u, dtype=float) - u0),
-                d1=lambda u: np.full_like(np.asarray(u, dtype=float), f1)
-                if np.ndim(u) else f1,
-                d2=lambda u: np.zeros_like(np.asarray(u, dtype=float))
-                if np.ndim(u) else 0.0,
-                provenance="analytic",
-                domain=(u0, u1),
-            )
+            f_rf = RadialFunction.from_formula(lambda u: f0 + f1 * (u - u0), (u0, u1))
             truncated = False
         else:
             raise BadParams(f"unknown phi preset {phi!r} (use 'witten' or 'unit')")

@@ -114,21 +114,15 @@ def scan_model(model, grid=None, n: int = 256) -> ConditionScan:
     """Audit a catalog model or a TOV stellar model.
 
     Catalog models are scanned over each piece's verification window
-    (concatenated); TOV models over the interior (r_start, r_b).  A TOV
+    (concatenated); TOV models over the interior (r_start, r_b).  Either
     model's evaluators take the whole grid in one call each.
     """
-    if hasattr(model, "profile"):  # tov.StellarModel
-        if grid is None:
+    if grid is None:
+        if hasattr(model, "profile"):  # tov.StellarModel
             grid = np.linspace(model.profile.r_start, model.r_b * (1.0 - 1e-12), n)
-        grid = np.asarray(grid, dtype=float)
-        return scan_conditions(model.mu(grid), model.rho(grid), grid)
-    if grid is not None:
-        return scan_conditions(model.mu, model.rho, grid)
-    if hasattr(model, "pieces"):  # catalog.AnalyticModel
-        parts = []
-        for p in model.pieces:
-            lo, hi = p.interval
-            parts.append(np.linspace(lo, hi, n))
-        grid = np.concatenate(parts)
-        return scan_conditions(model.mu, model.rho, grid)
-    raise DomainError(f"don't know how to scan {type(model).__name__}")
+        elif hasattr(model, "pieces"):  # catalog.AnalyticModel
+            grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
+        else:
+            raise DomainError(f"don't know how to scan {type(model).__name__}")
+    grid = np.asarray(grid, dtype=float)
+    return scan_conditions(model.mu(grid), model.rho(grid), grid)

@@ -5,6 +5,8 @@ Everything geometric in this package is assembled from two building blocks:
 * :class:`RadialFunction` — a scalar function of one radial variable together
   with its first two derivatives and a provenance tag saying whether those
   derivatives are analytic or produced by the finite-difference fallback.
+  Closed forms are written once and differentiated by a second-order
+  :class:`Jet` (:meth:`RadialFunction.from_formula`).
 * :class:`ScalarField` — a scalar function on R^n with gradient and Hessian,
   used by the conformally flat machinery.
 
@@ -36,6 +38,7 @@ from .errors import BadParams, DerivativeError, DomainError
 __all__ = [
     "EPS_DOM",
     "DEFAULT_GRID_N",
+    "Jet",
     "RadialFunction",
     "ScalarField",
     "as_points",
@@ -131,6 +134,163 @@ def fd_derivative(
 
 
 # ----------------------------------------------------------------------------
+# second-order jets
+# ----------------------------------------------------------------------------
+
+def _jet_add(a, b):
+    if not isinstance(a, Jet):
+        return Jet(a + b.v, b.d1, b.d2)
+    if not isinstance(b, Jet):
+        return Jet(a.v + b, a.d1, a.d2)
+    return Jet(a.v + b.v, a.d1 + b.d1, a.d2 + b.d2)
+
+
+def _jet_sub(a, b):
+    return _jet_add(a, -b)
+
+
+def _jet_mul(a, b):
+    if not isinstance(a, Jet):
+        return Jet(a * b.v, a * b.d1, a * b.d2)
+    if not isinstance(b, Jet):
+        return Jet(a.v * b, a.d1 * b, a.d2 * b)
+    return Jet(a.v * b.v, a.d1 * b.v + a.v * b.d1,
+               a.d2 * b.v + 2.0 * a.d1 * b.d1 + a.v * b.d2)
+
+
+def _jet_div(a, b):
+    if not isinstance(b, Jet):
+        return Jet(a.v / b, a.d1 / b, a.d2 / b)
+    a0, a1, a2 = (a.v, a.d1, a.d2) if isinstance(a, Jet) else (a, 0.0, 0.0)
+    q = a0 / b.v
+    q1 = (a1 - q * b.d1) / b.v
+    return Jet(q, q1, (a2 - 2.0 * q1 * b.d1 - q * b.d2) / b.v)
+
+
+def _jet_pow(a, n):
+    if isinstance(n, Jet):
+        return NotImplemented
+    x = a.v
+    return a._chain(x**n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2))
+
+
+class Jet:
+    """A value with its first and second derivative in one variable, carried forward.
+
+    Arithmetic and the numpy ufuncs in ``_JET_UFUNCS`` apply the chain rule,
+    so a formula written with ``np.sin``, ``np.arccos``, ``np.tanh``, ...
+    runs unchanged on floats, arrays and jets: ``fn(Jet(r, 1, 0))`` holds
+    fn(r), fn'(r) and fn''(r).  Components may be floats, arrays or jets;
+    ``fn(Jet(r, 1, 0)).d1`` is therefore fn' as a formula that itself takes
+    a jet.  Exponents are constants, and a jet meets only constants and jets
+    of the same variable.
+    """
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def _chain(self, g0, g1, g2):
+        """g(self) from g, g', g'' at self.v."""
+        return Jet(g0, g1 * self.d1, g1 * self.d2 + g2 * self.d1 * self.d1)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _JET_UFUNCS.get(ufunc)
+        if method != "__call__" or kwargs or rule is None:
+            return NotImplemented
+        return rule(*inputs)
+
+    # each operator is the rule its ufunc uses; + and * commute exactly
+    __add__ = __radd__ = _jet_add
+    __sub__ = _jet_sub
+    __mul__ = __rmul__ = _jet_mul
+    __truediv__ = _jet_div
+    __pow__ = _jet_pow
+
+    def __rsub__(self, other):
+        return _jet_sub(other, self)
+
+    def __rtruediv__(self, other):
+        return _jet_div(other, self)
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d1, -self.d2)
+
+
+def _jet_sqrt(a):
+    s = np.sqrt(a.v)
+    return a._chain(s, 0.5 / s, -0.25 / (s * a.v))
+
+
+def _jet_log(a):
+    return a._chain(np.log(a.v), 1.0 / a.v, -1.0 / (a.v * a.v))
+
+
+def _jet_log1p(a):
+    p = 1.0 + a.v
+    return a._chain(np.log1p(a.v), 1.0 / p, -1.0 / (p * p))
+
+
+def _jet_sin(a):
+    s = np.sin(a.v)
+    return a._chain(s, np.cos(a.v), -s)
+
+
+def _jet_cos(a):
+    c = np.cos(a.v)
+    return a._chain(c, -np.sin(a.v), -c)
+
+
+def _jet_tan(a):
+    t = np.tan(a.v)
+    sec2 = 1.0 + t * t
+    return a._chain(t, sec2, 2.0 * t * sec2)
+
+
+def _jet_sinh(a):
+    s = np.sinh(a.v)
+    return a._chain(s, np.cosh(a.v), s)
+
+
+def _jet_cosh(a):
+    c = np.cosh(a.v)
+    return a._chain(c, np.sinh(a.v), c)
+
+
+def _jet_tanh(a):
+    # sech^2 from cosh, not 1 - tanh^2, which cancels for large arguments
+    t = np.tanh(a.v)
+    sech2 = 1.0 / np.cosh(a.v) ** 2
+    return a._chain(t, sech2, -2.0 * t * sech2)
+
+
+def _jet_arccos(a):
+    w = (1.0 - a.v) * (1.0 + a.v)
+    g1 = -1.0 / np.sqrt(w)
+    return a._chain(np.arccos(a.v), g1, a.v * g1 / w)
+
+
+_JET_UFUNCS = {
+    np.add: _jet_add,
+    np.subtract: _jet_sub,
+    np.multiply: _jet_mul,
+    np.true_divide: _jet_div,
+    np.power: _jet_pow,
+    np.sqrt: _jet_sqrt,
+    np.log: _jet_log,
+    np.log1p: _jet_log1p,
+    np.sin: _jet_sin,
+    np.cos: _jet_cos,
+    np.tan: _jet_tan,
+    np.sinh: _jet_sinh,
+    np.cosh: _jet_cosh,
+    np.tanh: _jet_tanh,
+    np.arccos: _jet_arccos,
+}
+
+
+# ----------------------------------------------------------------------------
 # radial functions
 # ----------------------------------------------------------------------------
 
@@ -143,8 +303,9 @@ class RadialFunction:
     value, d1, d2:
         Vectorized callables (accept float or ndarray).
     provenance:
-        ``"analytic"`` if both derivatives were supplied in closed form,
-        ``"finite-difference"`` if either fell back to the stencil.
+        ``"analytic"`` if both derivatives are exact (supplied in closed form,
+        or from a :class:`Jet` through one formula), ``"finite-difference"``
+        if either fell back to the stencil.
     domain:
         Open interval ``(lo, hi)`` on which evaluation is admissible; ``hi``
         may be ``math.inf``.
@@ -197,6 +358,39 @@ class RadialFunction:
             d1=d1,
             d2=d2,
             provenance="analytic" if analytic else "finite-difference",
+            domain=domain,
+        )
+
+    @classmethod
+    def from_formula(cls, fn: Callable, domain=(-math.inf, math.inf)) -> "RadialFunction":
+        """One closed form: ``fn(r)`` is the value, and a :class:`Jet` through
+        ``fn`` gives both derivatives exactly (provenance ``"analytic"``).
+
+        ``fn`` takes a float or an array, and must use only the operations a
+        Jet implements.  ``d1`` and ``d2`` called at the same points (as the
+        residual checks call them) share one jet evaluation.
+        """
+        last = (None, None)  # (a copy of the points, their jet)
+
+        def jet(r):
+            nonlocal last
+            points, j = last
+            if points is None or not np.array_equal(points, r):
+                j = fn(Jet(r, 1.0, 0.0))
+                last = (np.array(r, dtype=float), j)
+            return j
+
+        def shaped(x, r):
+            # a new array each call, so no caller can write into the shared
+            # jet; a formula linear in r also gets its constant derivative in
+            # r's shape
+            return x + np.zeros(np.shape(r))
+
+        return cls(
+            value=fn,
+            d1=lambda r: shaped(jet(r).d1, r),
+            d2=lambda r: shaped(jet(r).d2, r),
+            provenance="analytic",
             domain=domain,
         )
 

@@ -180,7 +180,16 @@ class Tabulated(EquationOfState):
             raise BadParams("tabulated EOS needs strictly increasing rho")
         self.rho_min = float(rho[0])
         self.rho_max = float(rho[-1])
-        self._interp = PchipInterpolator(rho, mu, extrapolate=False)
+        # subnormal steps in mu overflow pchip's slope ratios harmlessly, so
+        # the interpolant is judged by its coefficients, not by the warnings
+        try:
+            with np.errstate(all="ignore"):
+                self._interp = PchipInterpolator(rho, mu, extrapolate=False)
+            finite = np.all(np.isfinite(self._interp.c))
+        except ValueError:  # scipy refuses non-finite slopes
+            finite = False
+        if not finite:
+            raise BadParams("tabulated EOS rows give a non-finite interpolant")
 
     def mu(self, rho):
         outside = np.less(rho, self.rho_min) | np.greater(rho, self.rho_max)

@@ -47,6 +47,35 @@ def test_every_model_verifies(model_id):
     assert all(v <= 1e-9 for v in res.junction.values())
 
 
+def _sample_points(model):
+    pts = [np.linspace(*p.scan_window(), 9) for p in model.pieces]
+    if model.id == "wyman":
+        r_b = model.extras["r_b"]
+        # both sides of the seam, and a point left of every scan window that
+        # falls back on the interior lapse's domain
+        pts.append([r_b * (1.0 - 1e-12), r_b, r_b * (1.0 + 1e-12), 1e-3 * r_b])
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("model_id", ALL_IDS)
+def test_array_evaluators_match_the_scalar_loop(model_id):
+    model = catalog.build(model_id)
+    r = _sample_points(model)
+    for name in ("mu", "rho", "f"):
+        evaluate = getattr(model, name)
+        loop = [evaluate(float(x)) for x in r]
+        assert all(type(v) is float for v in loop)
+        assert np.array_equal(evaluate(r), loop), name
+        assert evaluate(r.reshape(-1, 1)).shape == (r.size, 1)
+
+
+def test_array_with_an_outside_point_is_refused(wyman):
+    with pytest.raises(BadParams):
+        wyman.mu(np.array([0.5, 1.0, -1.0]))
+    with pytest.raises(BadParams):
+        wyman.f(-1.0)
+
+
 def test_verify_result_json(vacuum):
     d = vacuum.verify().to_json_dict()
     assert d["model"] == "schwarzschild_exterior"

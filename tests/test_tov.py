@@ -11,6 +11,7 @@ few radii; the solver at default tolerances lands within ~3e-7 of them.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,24 @@ def test_table_rejects_non_finite_values():
         tov.Tabulated([0.0, 1.0, 2.0], [1.0, float("nan"), 1.0])
     with pytest.raises(BadParams):
         tov.Tabulated([0.0, 1.0, float("inf")], [1.0, 1.0, 1.0])
+
+
+def test_table_with_subnormal_steps_builds_without_warning():
+    # pchip's slope ratios overflow on these rows; the interpolant is still finite
+    rho = [0.0, 1.0, 2.0, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eos = tov.Tabulated(rho, [0.0, 1e-310, 0.0, 1e-3])
+    assert np.all(np.isfinite(eos.mu(np.array(rho))))
+
+
+@pytest.mark.parametrize("rho,mu", [
+    ([0.0, 1e-300, 2e-300], [0.0, 1e300, 2e300]),          # infinite slopes
+    ([0.0, 1e-8, 2e-8, 3e-8], [0.0, 1e292, 0.0, 1e292]),   # infinite cubic terms
+])
+def test_table_with_an_overflowing_interpolant_is_refused(rho, mu):
+    with pytest.raises(BadParams):
+        tov.Tabulated(rho, mu)
 
 
 def test_spec_rejects_non_numeric_parameter():
