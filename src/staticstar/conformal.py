@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PPoly
 
 from .errors import BadParams, DomainError, SignLoss, StepFailure
 from .geometry import (
@@ -55,6 +53,7 @@ from .numerics import (
     chebyshev_grid,
     max_rms,
     ode_ppoly,
+    solve_ivp,
 )
 
 __all__ = [
@@ -293,6 +292,8 @@ def solve_lapse(
             # the crossing is at (or numerically at) the left endpoint:
             # truncation would leave nothing
             raise SignLoss(f"lapse crossed zero immediately at u={u_zero}")
+
+    from scipy.interpolate import PPoly
 
     dense = ode_ppoly(sol.sol)
     f_pp, f1_pp = (PPoly.construct_fast(dense.c[..., i], dense.x) for i in range(2))

@@ -12,6 +12,9 @@ Everything geometric in this package is assembled from two building blocks:
 
 ODE solutions are read back through :func:`ode_ppoly`, which turns the dense
 output of one Runge–Kutta solve into a single compiled piecewise polynomial.
+scipy is imported only inside the functions that integrate or interpolate, so
+importing the package, and every command that integrates no ODE, loads none
+of it.
 
 The finite-difference fallback is deliberately boring and well-characterised:
 4th-order central stencils with step ``h = max(1e-5, 1e-5 |r|)`` and one
@@ -27,13 +30,14 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate._ivp.rk import RkDenseOutput
-from scipy.interpolate import PPoly
-from scipy.optimize import brentq
 
 from .errors import BadParams, DerivativeError, DomainError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PPoly
 
 __all__ = [
     "EPS_DOM",
@@ -51,6 +55,7 @@ __all__ = [
     "sphere_rule",
     "max_rms",
     "ode_ppoly",
+    "solve_ivp",
 ]
 
 # Domain guard used across the package: evaluators refuse points closer than
@@ -423,8 +428,19 @@ class RadialFunction:
 
 
 # ----------------------------------------------------------------------------
-# ODE dense output
+# ODE solutions and their dense output
 # ----------------------------------------------------------------------------
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported when first called.
+
+    Importing ``scipy.integrate`` costs about three times the rest of the
+    package's start-up, so only the commands that integrate an ODE pay it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 def ode_ppoly(sol) -> PPoly:
     """The dense output of an RK45 (or RK23) solve as one ``PPoly``.
@@ -443,6 +459,9 @@ def ode_ppoly(sol) -> PPoly:
     Raises BadParams for a dense output other than ``RkDenseOutput``
     (DOP853, the implicit methods, LSODA).
     """
+    from scipy.integrate._ivp.rk import RkDenseOutput
+    from scipy.interpolate import PPoly
+
     parts = sol.interpolants
     kinds = {type(p).__name__ for p in parts if not isinstance(p, RkDenseOutput)}
     if kinds:
@@ -623,11 +642,73 @@ def sign_brackets(grid, vals) -> list[tuple[float, float]]:
     return out
 
 
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
 def refine_root(func: Callable, a: float, b: float, xtol: float = 1e-12) -> float:
-    """Brent's method on a bracket; degenerate brackets return the endpoint."""
+    """Brent's method on a sign-change bracket; a degenerate bracket returns a.
+
+    A step-for-step port of scipy's ``brentq`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4) with ``rtol = 4 eps`` and
+    at most 100 iterations: on the same bracket it returns the same float.
+    Raises DomainError when f(a) and f(b) share a sign, when f is NaN, and
+    when the iterations run out.
+    """
     if a == b:
         return float(a)
-    return float(brentq(func, a, b, xtol=xtol, rtol=4.0 * np.finfo(float).eps))
+
+    def f(x):
+        fx = float(func(x))
+        if math.isnan(fx):
+            raise DomainError(f"f is NaN at x={x} while refining a root")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"root bracket [{a}, {b}] does not straddle a sign change")
+    # xcur is the best estimate, xblk the other end of the bracket and xpre
+    # the previous iterate; spre and scur are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator gives C an infinite step: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations "
+                      f"on [{a}, {b}]")
 
 
 def bisect_root(

@@ -263,17 +263,24 @@ def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, np.ndarray]
 # level-set extraction
 # ----------------------------------------------------------------------------
 
-def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int):
+def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
+               scans: dict, key=None):
     """All simple roots of f - c on [lo, hi]; raises on critical levels.
 
-    ``f_value`` is evaluated on the whole grid in one call.  Sign changes
+    ``f_value`` is evaluated on the whole grid in one call, which ``scans``
+    keeps for the other levels of the same model; ``key`` tells the model's
+    lapses apart (the piece of a catalog model).  Sign changes
     are polished by Brent's method.  A grid minimum of |f - c| with no sign
     change beside it is a tangential touch candidate: the extremum of f there
     is polished on f', and c is critical when f reaches it.  Minima at the
     ends of the grid are not candidates.
     """
-    grid = np.linspace(lo, hi, grid_n)
-    vals = np.asarray(f_value(grid), dtype=float) - c
+    k = (key, lo, hi, grid_n)
+    if k not in scans:
+        grid = np.linspace(lo, hi, grid_n)
+        scans[k] = grid, np.asarray(f_value(grid), dtype=float)
+    grid, f_grid = scans[k]
+    vals = f_grid - c
     tol = 1e-12 * max(1.0, abs(c))
 
     def g(r):
@@ -365,16 +372,16 @@ def _radial_level_report(ansatz, f_rf, rho0: float, c: float,
     return _assemble_report(c, r0, area, H_out, sgn, kappa, rho0, willmore, b)
 
 
-def _catalog_levels(model, c, window, grid_n):
+def _catalog_levels(model, c, window, grid_n, scans):
     found = []
-    for piece in model.pieces:
+    for i, piece in enumerate(model.pieces):
         lo, hi = window if window is not None else piece.scan_window()
         p_lo, p_hi = piece.scan_window()
         lo, hi = max(lo, p_lo), min(hi, p_hi)
         if not lo < hi:
             continue
         rf = piece.fluid.f
-        for r0 in _root_scan(rf.value, rf.d1, c, lo, hi, grid_n):
+        for r0 in _root_scan(rf.value, rf.d1, c, lo, hi, grid_n, scans, i):
             found.append((r0, piece))
     reports = []
     for r0 in _dedupe([r for r, _ in found]):
@@ -387,7 +394,7 @@ def _catalog_levels(model, c, window, grid_n):
     return sorted(reports, key=lambda rep: rep.r)
 
 
-def _tov_levels(model, c, window, grid_n):
+def _tov_levels(model, c, window, grid_n, scans):
     prof = model.profile
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
@@ -402,7 +409,7 @@ def _tov_levels(model, c, window, grid_n):
         domain=(lo, hi),
     )
     f_rf = ansatz.lapse()
-    roots = _dedupe(_root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n))
+    roots = _dedupe(_root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n, scans))
     if not roots:
         raise NoLevelSet(f"the lapse never reaches c={c} on [{lo}, {hi}]")
     return [
@@ -411,7 +418,7 @@ def _tov_levels(model, c, window, grid_n):
     ]
 
 
-def _conformal_levels(model, c, window, grid_n, degree):
+def _conformal_levels(model, c, window, grid_n, degree, scans):
     if model.n != 3:
         raise DomainError(f"quasi-local masses are defined here for n=3, not n={model.n}")
     inv = model.invariant
@@ -423,7 +430,7 @@ def _conformal_levels(model, c, window, grid_n, degree):
         lo, hi = model.domain
         pad = max(1e-9, 1e-9 * (hi - lo))
         lo, hi = lo + pad, hi - pad
-    roots = _dedupe(_root_scan(model.f.value, model.f.d1, c, lo, hi, grid_n))
+    roots = _dedupe(_root_scan(model.f.value, model.f.d1, c, lo, hi, grid_n, scans))
     if not roots:
         raise NoLevelSet(f"the lapse never reaches c={c} on [{lo}, {hi}]")
 
@@ -458,7 +465,7 @@ def _conformal_levels(model, c, window, grid_n, degree):
 
 
 def level_set_data(model, c: float, window=None, grid_n: int = 2048,
-                   degree: int = 35) -> list[QuasiLocalReport]:
+                   degree: int = 35, *, scans: dict | None = None) -> list[QuasiLocalReport]:
     """All level-set spheres {f = c} of a model, innermost first.
 
     Accepts an analytic catalog model, an integrated stellar model, or a
@@ -466,27 +473,29 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     in the scanned window and NotARegularValue at critical levels, tangential
     touches at an extremum of f included.  ``degree`` is the sphere
     quadrature used on conformal models; round spheres of radial charts need
-    none.
+    none.  Calls on one model that pass the same ``scans`` dict evaluate f
+    once per scan window (see :func:`mass_sweep`).
     """
     c = float(c)
+    scans = {} if scans is None else scans
     if isinstance(model, _catalog.AnalyticModel):
-        return _catalog_levels(model, c, window, grid_n)
+        return _catalog_levels(model, c, window, grid_n, scans)
     if isinstance(model, _tov.StellarModel):
-        return _tov_levels(model, c, window, grid_n)
+        return _tov_levels(model, c, window, grid_n, scans)
     if isinstance(model, _conformal.ConformalModel):
-        return _conformal_levels(model, c, window, grid_n, degree)
+        return _conformal_levels(model, c, window, grid_n, degree, scans)
     raise BadParams(f"no level-set support for {type(model).__name__}")
 
 
 def mass_sweep(model, levels, grid_n: int = 2048, degree: int = 35,
                window=None) -> list[QuasiLocalReport]:
     """level_set_data over many levels, in level order; levels with no level
-    set are skipped."""
-    out = []
+    set are skipped.  Levels with the same scan window share f on its grid."""
+    out, scans = [], {}
     for c in levels:
         try:
             out.extend(level_set_data(model, float(c), window=window,
-                                      grid_n=grid_n, degree=degree))
+                                      grid_n=grid_n, degree=degree, scans=scans))
         except NoLevelSet:
             continue
     return out

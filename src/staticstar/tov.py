@@ -29,8 +29,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 
 from .errors import (
     BadParams,
@@ -42,7 +40,14 @@ from .errors import (
     StepFailure,
 )
 from .geometry import SchwarzschildForm
-from .numerics import EPS_DOM, RadialFunction, bisect_root, chebyshev_grid, ode_ppoly
+from .numerics import (
+    EPS_DOM,
+    RadialFunction,
+    bisect_root,
+    chebyshev_grid,
+    ode_ppoly,
+    solve_ivp,
+)
 
 __all__ = [
     "EquationOfState",
@@ -178,6 +183,8 @@ class Tabulated(EquationOfState):
             raise BadParams("tabulated EOS needs finite rho/mu values")
         if not np.all(np.diff(rho) > 0.0):
             raise BadParams("tabulated EOS needs strictly increasing rho")
+        from scipy.interpolate import PchipInterpolator
+
         self.rho_min = float(rho[0])
         self.rho_max = float(rho[-1])
         # subnormal steps in mu overflow pchip's slope ratios harmlessly, so
@@ -418,6 +425,8 @@ def integrate_tov(
     if len(sol.t_events) > 1 and len(sol.t_events[1]):
         surface_r = float(sol.t_events[1][0])
     r_end = float(sol.t[-1])
+
+    from scipy.interpolate import PPoly
 
     dense = ode_ppoly(sol.sol)
     rho_fn, m_fn, v_free_fn = (
@@ -676,6 +685,8 @@ def profile_to_csv(profile: RadialProfile, path) -> None:
 
 def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
     """Rebuild a profile from a CSV sample table (cubic-spline evaluators)."""
+    from scipy.interpolate import CubicSpline
+
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     if tuple(header) != CSV_COLUMNS:

@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import staticstar
 from staticstar import catalog
 from staticstar.cli import main
 from staticstar.numerics import RadialFunction
@@ -247,3 +251,42 @@ def test_unknown_config_key(capsys, tmp_path):
     code, _, err = run(capsys, "audit", "--model", "schwarzschild_interior:c=0.001",
                        "--config", str(cfg))
     assert code == 1 and "grid_m" in err
+
+
+# --- import footprint -----------------------------------------------------------
+
+# Runs each argv through cli.main in one fresh interpreter, in order, and
+# prints the exit code and the scipy modules loaded after each.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from staticstar import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    out.append((code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(out))
+"""
+
+NO_ODE_COMMANDS = (
+    ["verify", "wyman"],
+    ["catalog", "verify", "wyman"],
+    ["audit", "--model", "wyman"],
+    ["mass", "--model", "witten_stellar", "--level", "0.5"],
+    ["build", "--phi", "witten"],
+)
+
+
+def test_commands_without_an_ode_import_no_scipy():
+    src = os.path.dirname(os.path.dirname(staticstar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argvs = [*NO_ODE_COMMANDS, ["tov", *STAR]]
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argvs)], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    results = json.loads(proc.stdout)
+    for argv, (code, loaded) in zip(NO_ODE_COMMANDS, results):
+        assert (code, loaded) == (0, []), argv
+    # the TOV run integrates an ODE, so the check above can see scipy
+    code, loaded = results[-1]
+    assert code == 0 and "scipy.integrate" in loaded

@@ -8,7 +8,7 @@ import pytest
 from staticstar.errors import BadParams, DomainError, SignLoss
 from staticstar.geometry import EIGHT_PI
 from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative
-from staticstar import conformal
+from staticstar import catalog, conformal
 from staticstar.conformal import (
     BasicInvariant,
     basic_invariant_eval,
@@ -113,6 +113,17 @@ class TestWittenLapse:
             assert f_u(u) == pytest.approx(
                 witten_lapse(5, 0.7, -0.2, r), rel=1e-13
             )
+
+    @pytest.mark.parametrize("params", [{}, {"A": 0.6, "B": 0.8}, {"A": 2.0, "B": -0.5}])
+    def test_catalog_chart_agrees(self, params):
+        # witten_stellar's lapse is the n = 3 Witten lapse in the warped variable
+        model = catalog.build("witten_stellar", **params)
+        A, B = model.params["A"], model.params["B"]
+        f = model.pieces[0].fluid.f
+        t = np.linspace(*model.pieces[0].scan_window(), 9)
+        np.testing.assert_allclose(f.value(t), witten_lapse(3, A, B, t), rtol=1e-14, atol=1e-15)
+        for r in t[::4]:
+            assert f(float(r)) == pytest.approx(witten_lapse(3, A, B, float(r)), rel=1e-14)
 
 
 class TestSolveLapse:

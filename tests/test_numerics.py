@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
-from staticstar import conformal, tov
+from staticstar import catalog, conformal, tov
 from staticstar.errors import BadParams, DerivativeError, DomainError
 from staticstar.numerics import (
     RadialFunction,
@@ -177,6 +178,72 @@ def test_find_brackets_exact_zero_degenerate():
     # the exact grid zero is reported as a degenerate bracket
     assert (0.0, 0.0) in brackets
     assert refine_root(lambda x: x, 0.0, 0.0) == 0.0
+
+
+def test_refine_root_degenerate_bracket_returns_its_point():
+    assert refine_root(math.cos, 1.25, 1.25) == 1.25
+
+
+def test_refine_root_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(DomainError, match="sign change"):
+        refine_root(math.cos, 2.0, 3.0)  # cos < 0 on [2, 3]
+
+
+@pytest.mark.parametrize("func", [
+    lambda x: math.nan if x > 0.9 else x - 0.5,          # at an end of the bracket
+    lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,    # at the first iterate
+])
+def test_refine_root_rejects_nan(func):
+    with pytest.raises(DomainError, match="NaN"):
+        refine_root(func, 0.0, 1.0)
+
+
+# --- Brent's method against scipy's brentq --------------------------------------
+
+def _lapse_brackets(model, rng, levels):
+    """(g, a, b): sign brackets of f - c on each piece at random levels c."""
+    for piece in model.pieces:
+        f = piece.fluid.f
+        grid = np.linspace(*piece.scan_window(), 128)
+        f_grid = f.value(grid)
+        for c in rng.uniform(f_grid.min(), f_grid.max(), levels):
+            for a, b in sign_brackets(grid, f_grid - c):
+                yield (lambda r, f=f, c=c: float(f.value(r)) - c), a, b
+
+
+def _polynomial_brackets(rng, count):
+    """(p, a, b): random polynomials on random intervals where they change sign."""
+    while count:
+        coef = rng.normal(size=rng.integers(2, 8))
+        a, b = rng.uniform(-3.0, 3.0, 2)
+        p = np.polynomial.Polynomial(coef)
+        if p(a) * p(b) < 0.0:
+            count -= 1
+            yield (lambda x, p=p: float(p(x))), float(a), float(b)
+
+
+def test_refine_root_is_brentq_bit_for_bit():
+    rng = np.random.default_rng(20231)
+    cases = [
+        *_lapse_brackets(catalog.build("witten_stellar"), rng, 250),
+        *_lapse_brackets(catalog.build("witten_stellar", A=0.6, B=0.8), rng, 100),
+        *_lapse_brackets(catalog.build("wyman"), rng, 150),
+        *_polynomial_brackets(rng, 500),
+    ]
+    assert len(cases) >= 1000
+    rtol = 4.0 * np.finfo(float).eps
+    diff = [(a, b) for g, a, b in cases
+            if refine_root(g, a, b) != brentq(g, a, b, xtol=1e-12, rtol=rtol)]
+    assert diff == []
+
+
+def test_refine_root_follows_brentq_through_an_underflowed_step():
+    # on f ~ 1e-200 the denominator of the inverse quadratic step underflows to 0
+    def f(x):
+        return 1e-200 * (x**3 - 0.1)
+
+    rtol = 4.0 * np.finfo(float).eps
+    assert refine_root(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=1e-12, rtol=rtol)
 
 
 def test_bisect_root():

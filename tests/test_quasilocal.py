@@ -6,6 +6,7 @@ exactly M and the Brown-York mass 2M/(1 + c).  The warped-chart rows were
 computed independently at high precision and frozen.
 """
 
+import json
 import math
 
 import numpy as np
@@ -397,6 +398,24 @@ def test_sweep_window(witten):
     reports = mass_sweep(witten, [TestWarpedLevels.LEVEL, 0.6], window=(0.05, 1.5))
     assert [rep.level for rep in reports] == [TestWarpedLevels.LEVEL, 0.6]
     assert all(rep.r <= 1.5 for rep in reports)
+
+
+@pytest.mark.parametrize("fixture, levels, windows", [
+    ("const_star", [0.45, 0.5, 0.7], 1),
+    # on the star the scan reaches past 3 r_b for levels above ~0.86
+    ("const_star", [0.5, 0.9, 0.7], 2),
+    ("witten", [0.3, 0.6, 0.999], 1),
+    ("conformal_witten", [0.3, 0.5, 0.9], 1),
+])
+def test_sweep_shares_scans_and_matches_each_level(request, fixture, levels, windows):
+    model = request.getfixturevalue(fixture)
+    swept = [rep.to_json_dict() for rep in mass_sweep(model, levels)]
+    single = [rep.to_json_dict() for c in levels for rep in level_set_data(model, c)]
+    assert json.dumps(swept) == json.dumps(single)
+    scans = {}
+    for c in levels:
+        level_set_data(model, c, scans=scans)
+    assert len(scans) == windows
 
 
 def test_round_sphere_willmore_is_h_squared_area(vacuum, witten):
