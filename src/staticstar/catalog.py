@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conformal import _witten_form
 from .errors import BadParams, UnknownModel
 from .geometry import (
     EIGHT_PI,
@@ -27,6 +28,7 @@ from .geometry import (
     SchwarzschildForm,
     WarpedProduct,
     _entry,
+    _radial_chart,
     _report,
     spf_residuals,
     tolman_residuals,
@@ -531,8 +533,7 @@ def witten_stellar(
     ansatz = WarpedProduct(phi, domain=domain)
 
     def lapse(t):
-        L = np.log(np.cosh(t))
-        return A * np.sin(L) + B * np.cos(L)
+        return _witten_form(3, A, B, 2.0 * np.log(np.cosh(t)))
 
     def mu(t):
         return (1.0 + 5.0 / np.cosh(t) ** 2 - lam) / EIGHT_PI
@@ -570,10 +571,12 @@ def witten_stellar(
         return "tilde-chart[star]", _report(entries, grid, tol=1e-9)
 
     def sectional_check(model: AnalyticModel, grid_n: int):
-        lo, hi = piece.interval
-        grid = np.linspace(lo, hi, 1000)
-        k_rad = 2.0 / np.cosh(grid) ** 2
-        k_tan = 1.0 + 1.0 / np.cosh(grid) ** 2
+        # K_rad = -b_ss/b and K_tan = (1 - b_s^2)/b^2 of the model's own chart
+        star = model.pieces[0]
+        grid = np.linspace(*star.interval, 1000)
+        b, b1, b2, e2, ee1 = _radial_chart(star.ansatz, grid)
+        k_rad = -(e2 * b2 + ee1 * b1) / b
+        k_tan = (1.0 - e2 * b1 * b1) / (b * b)
         viol_rad = np.maximum(0.0, -k_rad)
         viol_tan = np.maximum(0.0, -k_tan)
         entries = [

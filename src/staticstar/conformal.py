@@ -201,29 +201,33 @@ def basic_invariant_eval(x, invariant: BasicInvariant) -> float:
 # lapse solutions
 # ----------------------------------------------------------------------------
 
+def _witten_form(n: int, A: float, B: float, lam):
+    """A sin(w lam) + B cos(w lam) with w = sqrt(n-2)/2: the Witten lapse in
+    its phase lam = log(1 + u) = 2 log(cosh r).
+
+    Each chart supplies its own lam; a float, an array or a :class:`Jet`
+    passes through.
+    """
+    phase = 0.5 * math.sqrt(n - 2.0) * lam
+    return A * np.sin(phase) + B * np.cos(phase)
+
+
 def witten_lapse(n: int, A: float, B: float, r):
     """Closed-form lapse in the warped variable: A sin(w L) + B cos(w L).
 
-    L = sqrt(n-2) * log(cosh r).  (In the invariant variable u = sinh^2 r this
-    is the Euler-equation solution with frequency sqrt(n-2)/2 in log(1+u).)
+    L = 2 log(cosh r) and w = sqrt(n-2)/2.  (In the invariant variable
+    u = sinh^2 r this is the Euler-equation solution with frequency
+    sqrt(n-2)/2 in log(1+u).)
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
-    r = np.asarray(r, dtype=float)
-    L = math.sqrt(n - 2.0) * np.log(np.cosh(r))
-    out = A * np.sin(L) + B * np.cos(L)
+    out = _witten_form(n, A, B, 2.0 * np.log(np.cosh(np.asarray(r, dtype=float))))
     return float(out) if out.ndim == 0 else out
 
 
 def _witten_u_lapse(n: int, A: float, B: float, domain) -> RadialFunction:
     """The same solution as a RadialFunction of the invariant u (analytic)."""
-    w = 0.5 * math.sqrt(n - 2.0)
-
-    def lapse(u):
-        L = w * np.log1p(u)
-        return A * np.sin(L) + B * np.cos(L)
-
-    return RadialFunction.from_formula(lapse, domain)
+    return RadialFunction.from_formula(lambda u: _witten_form(n, A, B, np.log1p(u)), domain)
 
 
 def solve_lapse(
@@ -423,22 +427,36 @@ class ConformalModel:
     truncated: bool = False
     degenerate: bool = False
     checks: dict = field(default_factory=dict, repr=False)
+    _geo_last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return all(rep.passed for rep in self.checks.values())
 
+    def _geo(self, u):
+        """(mu_geo, rho_geo) at u; the four accessors share one evaluation
+        per set of points, as the residual checks call them.  The shared
+        arrays are read-only, and the pair is replaced in one assignment."""
+        points, pair = self._geo_last
+        if points is None or not np.array_equal(points, u):
+            pair = _geo_pair(self.phi, self.f, self.invariant, self.n, u)
+            for part in pair:
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            object.__setattr__(self, "_geo_last", (np.array(u, dtype=float), pair))
+        return pair
+
     def mu(self, u):
-        return density_pressure(self.phi, self.f, self.invariant, self.lam, self.n, u)[0]
+        return (self._geo(u)[0] - self.lam) / EIGHT_PI
 
     def rho(self, u):
-        return density_pressure(self.phi, self.f, self.invariant, self.lam, self.n, u)[1]
+        return (self._geo(u)[1] + self.lam) / EIGHT_PI
 
     def rho_geo(self, u):
-        return _geo_pair(self.phi, self.f, self.invariant, self.n, u)[1]
+        return self._geo(u)[1]
 
     def mu_geo(self, u):
-        return _geo_pair(self.phi, self.f, self.invariant, self.n, u)[0]
+        return self._geo(u)[0]
 
     def to_ansatz(self) -> ConformalFlat:
         inv_field = self.invariant.as_field()

@@ -56,6 +56,7 @@ __all__ = [
     "spf_residuals",
     "tolman_residuals",
     "conservation_residual",
+    "coordinate_sphere",
     "mean_curvature_sphere",
 ]
 
@@ -234,18 +235,6 @@ class ConformalFlat:
             return ScalarField.from_radial_euclidean(rf, self.n)
         return ScalarField.compose(rf, self.radial)
 
-    def areal_radius(self, u: float) -> float:
-        """Euclidean radius of the level sphere {radial = u} about its center."""
-        if self.kind == "euclidean":
-            return float(u)
-        tau, c_inv = self.quadric
-        if tau <= 0.0:
-            raise DomainError("level sets of a tau <= 0 invariant are not spheres")
-        disc = 4.0 * tau * u + c_inv
-        if disc <= 0.0:
-            raise DomainError(f"invariant value u={u} has empty level sphere")
-        return math.sqrt(disc) / (2.0 * tau)
-
 
 MetricAnsatz = SchwarzschildForm | WarpedProduct | ConformalFlat
 
@@ -354,8 +343,44 @@ def _report(entries: list[ResidualEntry], grid: np.ndarray, tol: float) -> Resid
 
 
 # ----------------------------------------------------------------------------
-# curvature: warped products
+# curvature: radial charts g = a(r)^2 dr^2 + b(r)^2 g_{S^2}
 # ----------------------------------------------------------------------------
+
+def _radial_chart(ansatz, r):
+    """(b, b', b'', e^2, e e') of a radial chart at r, with e = 1/a = |grad r|_g.
+
+    SchwarzschildForm is a = e^{gamma/2}, b = r; WarpedProduct is a = 1,
+    b = phi.  This is the one place the two are told apart: the radial
+    quantities below are written once in proper distance s, where d/ds =
+    e d/dr, so that f_s = e f' and f_ss = e^2 f'' + e e' f'.  e^2 is read as
+    it stands (e^{-gamma}), never squared from e, so 1 - b_s^2 = 1 - e^2 b'^2
+    keeps every digit.
+    """
+    r = np.asarray(r, dtype=float)
+    if isinstance(ansatz, SchwarzschildForm):
+        e2 = np.exp(-np.asarray(ansatz.gamma.value(r), dtype=float))
+        return r, 1.0, 0.0, e2, -0.5 * np.asarray(ansatz.gamma.d1(r), dtype=float) * e2
+    if isinstance(ansatz, WarpedProduct):
+        phi = ansatz.phi
+        return (np.asarray(phi.value(r), dtype=float), np.asarray(phi.d1(r), dtype=float),
+                np.asarray(phi.d2(r), dtype=float), 1.0, 0.0)
+    raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
+
+
+def _chart_ricci(b, b1, b2, e2, ee1):
+    """(R_rr, Rab, R) from :func:`_radial_chart` data, as in :func:`ricci_warped`.
+
+    With b_ss = e^2 b'' + e e' b': R_rr = -2 b_ss/b (orthonormal frame),
+    Rab = 1 - b_s^2 - b b_ss (tangential block in coordinates), and
+    R = R_rr + 2 Rab/b^2.
+    """
+    if np.any(b == 0.0):
+        raise DomainError("areal radius b vanishes on the evaluation set")
+    b_ss = e2 * b2 + ee1 * b1
+    r11 = -2.0 * b_ss / b
+    rab = 1.0 - e2 * b1 * b1 - b * b_ss
+    return r11, rab, r11 + 2.0 * rab / (b * b)
+
 
 def ricci_warped(phi: RadialFunction, r):
     """Ricci data of g = dr^2 + phi(r)^2 g_{S^2} at radius r.
@@ -368,15 +393,7 @@ def ricci_warped(phi: RadialFunction, r):
         in coordinates, with ``Rab_coeff = 1 - phi'^2 - phi phi''``; and
         ``R_scalar = R11 + 2 Rab_coeff / phi^2``.
     """
-    p = np.asarray(phi.value(r), dtype=float)
-    p1 = np.asarray(phi.d1(r), dtype=float)
-    p2 = np.asarray(phi.d2(r), dtype=float)
-    if np.any(p == 0.0):
-        raise DomainError("warped factor phi vanishes on the evaluation set")
-    r11 = -2.0 * p2 / p
-    rab = 1.0 - p1 * p1 - p * p2
-    r_scalar = r11 + 2.0 * rab / (p * p)
-    return r11, rab, r_scalar
+    return _chart_ricci(*_radial_chart(WarpedProduct(phi), r))
 
 
 # ----------------------------------------------------------------------------
@@ -477,34 +494,16 @@ def _radial_frame(ansatz, fluid_f: RadialFunction, r: np.ndarray) -> dict:
     f = np.asarray(fluid_f.value(r), dtype=float)
     f1 = np.asarray(fluid_f.d1(r), dtype=float)
     f2 = np.asarray(fluid_f.d2(r), dtype=float)
-
-    if isinstance(ansatz, SchwarzschildForm):
-        g = np.asarray(ansatz.gamma.value(r), dtype=float)
-        g1 = np.asarray(ansatz.gamma.d1(r), dtype=float)
-        x = np.exp(-g)  # e^{-gamma}
-        ric_rr = g1 * x / r
-        ric_tan = (1.0 - x + 0.5 * r * g1 * x) / (r * r)
-        hess_rr = x * (f2 - 0.5 * g1 * f1)
-        hess_tan = x * f1 / r
-        grad_f = np.sqrt(x) * np.abs(f1)
-    elif isinstance(ansatz, WarpedProduct):
-        ric_rr, rab, _ = ricci_warped(ansatz.phi, r)
-        p = np.asarray(ansatz.phi.value(r), dtype=float)
-        p1 = np.asarray(ansatz.phi.d1(r), dtype=float)
-        ric_tan = rab / (p * p)
-        hess_rr = f2
-        hess_tan = p1 * f1 / p
-        grad_f = np.abs(f1)
-    else:  # pragma: no cover - guarded by callers
-        raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
-
-    lap = hess_rr + 2.0 * hess_tan
-    scal = ric_rr + 2.0 * ric_tan
+    chart = _radial_chart(ansatz, r)
+    b, b1, _, e2, ee1 = chart
+    ric_rr, rab, scal = _chart_ricci(*chart)
+    hess_rr = e2 * f2 + ee1 * f1  # f_ss
+    hess_tan = e2 * b1 * f1 / b  # b_s f_s / b
     return {
         "f": f, "f1": f1, "f2": f2,
-        "ric_rr": ric_rr, "ric_tan": ric_tan, "R": scal,
-        "hess_rr": hess_rr, "hess_tan": hess_tan, "lap": lap,
-        "grad_f": grad_f,
+        "ric_rr": ric_rr, "ric_tan": rab / (b * b), "R": scal,
+        "hess_rr": hess_rr, "hess_tan": hess_tan, "lap": hess_rr + 2.0 * hess_tan,
+        "grad_f": np.sqrt(e2) * np.abs(f1),
     }
 
 
@@ -663,48 +662,54 @@ def conservation_residual(f: RadialFunction, mu: RadialFunction,
 
 
 # ----------------------------------------------------------------------------
-# mean curvature of coordinate spheres
+# coordinate spheres
 # ----------------------------------------------------------------------------
 
-def mean_curvature_sphere(ansatz: MetricAnsatz, r: float) -> float:
-    """Mean curvature of the coordinate sphere at radial value r, outward normal.
+def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, float]:
+    """(b, H, e) on the coordinate sphere at radial value r.
 
-    * SchwarzschildForm: H = (2/r) e^{-gamma/2}
-    * WarpedProduct:     H = 2 phi'/phi
-    * ConformalFlat:     H = (n-1) (phi - s dphi/ds) / s on the level sphere,
-      with s the Euclidean radius about the sphere's center (for invariant
-      parameterizations s = sqrt(4 tau u + C)/(2 tau) and the chain rule in
-      the invariant is applied).
+    b is the areal radius, H the mean curvature for the normal of increasing
+    r, and e = |grad r|_g, so a lapse f(r) has surface gravity e |f'(r)|
+    there.
 
-    "Outward" means the normal of increasing radial parameter.  Sign
-    conventions for level-set normals are handled by the quasi-local layer,
-    not here.
+    * radial charts, g = a^2 dr^2 + b^2 g_{S^2}: H = 2 b_s/b = 2 e b'/b with
+      e = 1/a (so H = (2/r) e^{-gamma/2} in Schwarzschild form and
+      2 phi'/phi in a warped product);
+    * ConformalFlat: the level sphere has Euclidean radius s about its
+      center (s = sqrt(4 tau u + C)/(2 tau) for an invariant), b = s/phi,
+      H = (n-1) (phi - s dphi/ds)/s and e = phi |grad u|_euclid.
+
+    Sign conventions for level-set normals are handled by the quasi-local
+    layer, not here.
     """
-    if isinstance(ansatz, SchwarzschildForm):
-        rr = float(r)
-        if rr <= 0.0:
-            raise DomainError("coordinate sphere needs r > 0")
-        g = float(ansatz.gamma.value(rr))
-        return (2.0 / rr) * math.exp(-0.5 * g)
-    if isinstance(ansatz, WarpedProduct):
-        rr = float(r)
-        p = float(ansatz.phi.value(rr))
-        if p == 0.0:
-            raise DomainError("warped factor vanishes: no sphere here")
-        return 2.0 * float(ansatz.phi.d1(rr)) / p
+    u = float(r)
     if isinstance(ansatz, ConformalFlat):
-        u = float(r)
-        n = ansatz.n
         p = float(ansatz.phi_radial.value(u))
         dp = float(ansatz.phi_radial.d1(u))
         if ansatz.kind == "euclidean":
-            s = u
-            if s <= 0.0:
-                raise DomainError("coordinate sphere needs positive radius")
-            dp_ds = dp
+            s, du_ds = u, 1.0
         else:
             tau, c_inv = ansatz.quadric
-            s = ansatz.areal_radius(u)
-            dp_ds = dp * 2.0 * tau * s  # du/ds on the level sphere
-        return (n - 1) * (p - s * dp_ds) / s
-    raise BadParams(f"unknown ansatz {type(ansatz).__name__}")
+            if tau <= 0.0:
+                raise DomainError("level sets of a tau <= 0 invariant are not spheres")
+            disc = 4.0 * tau * u + c_inv
+            if disc <= 0.0:
+                raise DomainError(f"invariant value u={u} has empty level sphere")
+            s = math.sqrt(disc) / (2.0 * tau)
+            du_ds = 2.0 * tau * s
+        if s <= 0.0 or p <= 0.0:
+            raise DomainError(f"no coordinate sphere at u={u}: radius {s}, phi {p}")
+        return s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds
+    if u <= 0.0:
+        raise DomainError("coordinate sphere needs r > 0")
+    b, b1, _, e2, _ = (float(v) for v in _radial_chart(ansatz, u))
+    if b <= 0.0:
+        raise DomainError(f"non-positive areal radius {b} at r={u}")
+    e = math.sqrt(e2)
+    return b, 2.0 * e * b1 / b, e
+
+
+def mean_curvature_sphere(ansatz: MetricAnsatz, r: float) -> float:
+    """Mean curvature of the coordinate sphere at radial value r, outward
+    normal: the H of :func:`coordinate_sphere`."""
+    return coordinate_sphere(ansatz, r)[1]

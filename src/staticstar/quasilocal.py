@@ -38,9 +38,8 @@ from .geometry import (
     EIGHT_PI,
     ConformalFlat,
     SchwarzschildForm,
-    WarpedProduct,
     conformal_hessian,
-    mean_curvature_sphere,
+    coordinate_sphere,
 )
 from .numerics import ScalarField, as_points, refine_root, sign_brackets, sphere_rule
 
@@ -141,30 +140,22 @@ def hawking_mass(area: float, willmore: float) -> float:
 def willmore_energy(h_point, areal_radius: float, degree: int = 35) -> float:
     """int H^2 dA over a round sphere of areal radius b, by quadrature.
 
-    ``h_point`` maps a unit vector (shape (3,)) to the mean curvature at the
-    corresponding surface point; the area element is b^2 times the unit-sphere
-    measure (the product rule used sums to 4 pi).
+    ``h_point`` maps the ``(N, 3)`` batch of unit quadrature nodes to the
+    mean curvature at the corresponding surface points, as ``(N,)`` values
+    or one value for all of them; the area element is b^2 times the
+    unit-sphere measure (the product rule used sums to 4 pi).
     """
     if areal_radius <= 0.0:
         raise DomainError(f"need positive areal radius, got {areal_radius}")
     pts, wts = sphere_rule(degree)
-    vals = np.array([float(h_point(p)) ** 2 for p in pts])
-    return float(areal_radius**2 * (wts @ vals))
+    h = np.broadcast_to(np.asarray(h_point(pts), dtype=float), wts.shape)
+    return float(areal_radius**2 * (wts @ h**2))
 
 
 def brown_york_sphere(ansatz, r: float) -> float:
     """(1/8 pi) area (H_0 - H) with flat reference H_0 = 2/b."""
-    if isinstance(ansatz, SchwarzschildForm):
-        b = float(r)
-    elif isinstance(ansatz, WarpedProduct):
-        b = float(ansatz.phi.value(r))
-    elif isinstance(ansatz, ConformalFlat):
-        b = float(ansatz.areal_radius(r) / ansatz.phi_radial.value(r))
-    else:
-        raise BadParams(f"unsupported ansatz {type(ansatz).__name__}")
-    if b <= 0.0:
-        raise DomainError(f"non-positive areal radius {b} at r={r}")
-    return _brown_york(4.0 * math.pi * b * b, b, mean_curvature_sphere(ansatz, r))
+    b, H, _ = coordinate_sphere(ansatz, r)
+    return _brown_york(4.0 * math.pi * b * b, b, H)
 
 
 def _brown_york(area: float, b: float, H: float) -> float:
@@ -269,7 +260,7 @@ def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
 
     ``f_value`` is evaluated on the whole grid in one call, which ``scans``
     keeps for the other levels of the same model; ``key`` tells the model's
-    lapses apart (the piece of a catalog model).  Sign changes
+    charts apart (the pieces of a catalog model).  Sign changes
     are polished by Brent's method.  A grid minimum of |f - c| with no sign
     change beside it is a tangential touch candidate: the extremum of f there
     is polished on f', and c is critical when f reaches it.  Minima at the
@@ -313,17 +304,23 @@ def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
     return roots
 
 
-def _dedupe(roots):
-    out = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-9 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+def _level_report(c, r0, chart) -> QuasiLocalReport:
+    """Everything measured on the level sphere {f = c} at r0 in a chart of :func:`_charts`.
 
-
-def _assemble_report(c, r0, area, H_out, slope_sign, kappa, rho0, willmore, b,
-                     spread=None, gradc=None) -> QuasiLocalReport:
-    h_level = -slope_sign * H_out
+    A round coordinate sphere has constant H, so W = H^2 A exactly; a chart
+    with an ``audit`` replaces W by quadrature over the sampled surface.
+    """
+    ansatz, f_rf, rho, _, _, audit = chart
+    b, H_out, e = coordinate_sphere(ansatz, r0)
+    f1 = float(f_rf.d1(r0))
+    area = 4.0 * math.pi * b * b
+    kappa = e * abs(f1)
+    rho0 = float(rho(r0))
+    h_level = -math.copysign(1.0, f1) * H_out
+    spread = gradc = None
+    willmore = H_out * H_out * area
+    if audit is not None:
+        spread, gradc, willmore = audit(r0, b)
     m_h = hawking_mass(area, willmore)
     m_by = _brown_york(area, b, H_out)
     chi_res = topology_identity_residual(h_level, kappa, c, rho0, area)
@@ -350,118 +347,70 @@ def _assemble_report(c, r0, area, H_out, slope_sign, kappa, rho0, willmore, b,
     )
 
 
-def _radial_level_report(ansatz, f_rf, rho0: float, c: float,
-                         r0: float) -> QuasiLocalReport:
-    """Report for a rotationally symmetric chart (Schwarzschild or warped).
+def _sphere_audit(model, ansatz: ConformalFlat, degree: int):
+    """Audit of a conformal level sphere over its actual 3D surface.
 
-    The coordinate sphere is round with constant H, so W = H^2 A exactly.
+    Returns a function of (u0, b) giving the umbilicity spread of the shape
+    operator, the relative spread of |grad f|_g and the Willmore energy, all
+    from one batch of shape operators at the quadrature nodes.
     """
-    if isinstance(ansatz, SchwarzschildForm):
-        b = float(r0)
-        x = math.exp(-float(ansatz.gamma.value(r0)))
-        kappa = math.sqrt(max(x, 0.0)) * abs(float(f_rf.d1(r0)))
-    elif isinstance(ansatz, WarpedProduct):
-        b = float(ansatz.phi.value(r0))
-        kappa = abs(float(f_rf.d1(r0)))
-    else:
-        raise BadParams(f"unsupported radial ansatz {type(ansatz).__name__}")
-    H_out = float(mean_curvature_sphere(ansatz, r0))
-    area = 4.0 * math.pi * b * b
-    willmore = H_out * H_out * area
-    sgn = math.copysign(1.0, float(f_rf.d1(r0)))
-    return _assemble_report(c, r0, area, H_out, sgn, kappa, rho0, willmore, b)
-
-
-def _catalog_levels(model, c, window, grid_n, scans):
-    found = []
-    for i, piece in enumerate(model.pieces):
-        lo, hi = window if window is not None else piece.scan_window()
-        p_lo, p_hi = piece.scan_window()
-        lo, hi = max(lo, p_lo), min(hi, p_hi)
-        if not lo < hi:
-            continue
-        rf = piece.fluid.f
-        for r0 in _root_scan(rf.value, rf.d1, c, lo, hi, grid_n, scans, i):
-            found.append((r0, piece))
-    reports = []
-    for r0 in _dedupe([r for r, _ in found]):
-        piece = next(p for r, p in found
-                     if abs(r - r0) <= 1e-9 * max(1.0, abs(r0)))
-        rho0 = float(piece.fluid.rho.value(r0))
-        reports.append(_radial_level_report(piece.ansatz, piece.fluid.f, rho0, c, r0))
-    if not reports:
-        raise NoLevelSet(f"the lapse never reaches c={c} in the scanned windows")
-    return sorted(reports, key=lambda rep: rep.r)
-
-
-def _tov_levels(model, c, window, grid_n, scans):
-    prof = model.profile
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-    else:
-        lo = prof.r_start
-        hi = 3.0 * model.r_b
-        if 0.0 < c < 1.0:
-            # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
-            hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))
-    ansatz = SchwarzschildForm(
-        gamma=model.gamma_function(), v=model.v_function(),
-        domain=(lo, hi),
-    )
-    f_rf = ansatz.lapse()
-    roots = _dedupe(_root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n, scans))
-    if not roots:
-        raise NoLevelSet(f"the lapse never reaches c={c} on [{lo}, {hi}]")
-    return [
-        _radial_level_report(ansatz, f_rf, EIGHT_PI * float(model.rho(r0)), c, r0)
-        for r0 in roots
-    ]
-
-
-def _conformal_levels(model, c, window, grid_n, degree, scans):
-    if model.n != 3:
-        raise DomainError(f"quasi-local masses are defined here for n=3, not n={model.n}")
     inv = model.invariant
-    if inv.tau <= 0.0:
-        raise DomainError("level-set spheres need tau > 0 in the invariant")
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-    else:
-        lo, hi = model.domain
-        pad = max(1e-9, 1e-9 * (hi - lo))
-        lo, hi = lo + pad, hi - pad
-    roots = _dedupe(_root_scan(model.f.value, model.f.d1, c, lo, hi, grid_n, scans))
-    if not roots:
-        raise NoLevelSet(f"the lapse never reaches c={c} on [{lo}, {hi}]")
-
-    ansatz = model.to_ansatz()
     f_field = ansatz.lift(model.f)
-    pts_unit, wts = sphere_rule(degree)
-    reports = []
-    for u0 in roots:
-        s = float(inv.sphere_radius(u0))
-        p0 = float(model.phi.value(u0))
-        b = s / p0
-        area = 4.0 * math.pi * b * b
-        kappa = p0 * abs(float(model.f.d1(u0))) * 2.0 * inv.tau * s
-        H_out = float(mean_curvature_sphere(ansatz, u0))
-        sgn = math.copysign(1.0, float(model.f.d1(u0)))
 
-        # audit over the actual 3D surface, all quadrature nodes at once:
-        # gradient constancy, umbilicity, and the Willmore energy
-        x = inv.center + s * pts_unit
+    def audit(u0, b):
+        x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(degree)[0]
         A, traces = shape_operator(ansatz, f_field, x)
         spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
         gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
         mean_g = np.mean(gnorms)
         gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
-        willmore = float(b * b * (wts @ traces**2))
-        rho0 = float(model.rho_geo(u0))
-        reports.append(
-            _assemble_report(c, u0, area, H_out, sgn, kappa, rho0, willmore, b,
-                             spread=spread, gradc=gradc)
+        # the traces are H at these very nodes
+        return spread, gradc, willmore_energy(lambda _: traces, b, degree)
+
+    return audit
+
+
+def _charts(model, c: float, window, degree: int):
+    """(ansatz, lapse, geometric rho, lo, hi, audit) for each chart of a model.
+
+    [lo, hi] is the scan window in the chart's radial value (empty when a
+    catalog piece lies outside ``window``); ``audit`` is None for round
+    coordinate spheres and :func:`_sphere_audit` for conformal models.
+    """
+    if isinstance(model, _catalog.AnalyticModel):
+        charts = []
+        for piece in model.pieces:
+            lo, hi = window if window is not None else piece.scan_window()
+            p_lo, p_hi = piece.scan_window()
+            charts.append((piece.ansatz, piece.fluid.f, piece.fluid.rho.value,
+                           max(lo, p_lo), min(hi, p_hi), None))
+        return charts
+    if isinstance(model, _tov.StellarModel):
+        if window is not None:
+            lo, hi = float(window[0]), float(window[1])
+        else:
+            lo, hi = model.profile.r_start, 3.0 * model.r_b
+            if 0.0 < c < 1.0:
+                # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
+                hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))
+        ansatz = SchwarzschildForm(
+            gamma=model.gamma_function(), v=model.v_function(), domain=(lo, hi),
         )
-    return reports
+        return [(ansatz, ansatz.lapse(), lambda r: EIGHT_PI * model.rho(r), lo, hi, None)]
+    if isinstance(model, _conformal.ConformalModel):
+        if model.n != 3:
+            raise DomainError(f"quasi-local masses are defined here for n=3, not n={model.n}")
+        if model.invariant.tau <= 0.0:
+            raise DomainError("level-set spheres need tau > 0 in the invariant")
+        if window is not None:
+            lo, hi = float(window[0]), float(window[1])
+        else:
+            lo, hi = model.domain
+            pad = max(1e-9, 1e-9 * (hi - lo))
+            lo, hi = lo + pad, hi - pad
+        ansatz = model.to_ansatz()
+        return [(ansatz, model.f, model.rho_geo, lo, hi, _sphere_audit(model, ansatz, degree))]
+    raise BadParams(f"no level-set support for {type(model).__name__}")
 
 
 def level_set_data(model, c: float, window=None, grid_n: int = 2048,
@@ -475,16 +424,27 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     quadrature used on conformal models; round spheres of radial charts need
     none.  Calls on one model that pass the same ``scans`` dict evaluate f
     once per scan window (see :func:`mass_sweep`).
+
+    Every chart is scanned; a root found by two charts (the seam of a
+    two-piece catalog model) is reported once, from the chart that found
+    the smaller value.
     """
     c = float(c)
     scans = {} if scans is None else scans
-    if isinstance(model, _catalog.AnalyticModel):
-        return _catalog_levels(model, c, window, grid_n, scans)
-    if isinstance(model, _tov.StellarModel):
-        return _tov_levels(model, c, window, grid_n, scans)
-    if isinstance(model, _conformal.ConformalModel):
-        return _conformal_levels(model, c, window, grid_n, degree, scans)
-    raise BadParams(f"no level-set support for {type(model).__name__}")
+    charts = _charts(model, c, window, degree)
+    found = []
+    for i, (_, f_rf, _, lo, hi, _) in enumerate(charts):
+        if lo < hi:
+            roots = _root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n, scans, i)
+            found += [(r0, i) for r0 in roots]
+    kept = []
+    for r0, i in sorted(found):
+        if not kept or abs(r0 - kept[-1][0]) > 1e-9 * max(1.0, abs(r0)):
+            kept.append((r0, i))
+    if not kept:
+        spans = ", ".join(f"[{lo}, {hi}]" for _, _, _, lo, hi, _ in charts)
+        raise NoLevelSet(f"the lapse never reaches c={c} on {spans}")
+    return [_level_report(c, r0, charts[i]) for r0, i in kept]
 
 
 def mass_sweep(model, levels, grid_n: int = 2048, degree: int = 35,

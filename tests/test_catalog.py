@@ -1,5 +1,6 @@
 """Catalog models: frozen values, verification gates, parameter guards."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from staticstar.errors import BadParams, UnknownModel
 from staticstar import catalog
-from staticstar.geometry import EIGHT_PI, tolman_residuals
+from staticstar.geometry import EIGHT_PI, WarpedProduct, tolman_residuals
+from staticstar.numerics import RadialFunction
 
 ALL_IDS = sorted(catalog.MODELS)
 
@@ -37,9 +39,10 @@ def test_parse_model_spec():
         catalog.parse_model_spec("wyman:R2.5")
 
 
+@pytest.mark.parametrize("grid_n", [96, 512])
 @pytest.mark.parametrize("model_id", ALL_IDS)
-def test_every_model_verifies(model_id):
-    res = catalog.build(model_id).verify()
+def test_every_model_verifies(model_id, grid_n):
+    res = catalog.build(model_id).verify(grid_n=grid_n)
     assert res.passed, {k: r.worst for k, r in res.reports.items()}
     for name, rep in res.reports.items():
         if not name.startswith("diagnostic"):
@@ -215,6 +218,20 @@ class TestWittenStellar:
         res = witten.verify(grid_n=48)
         assert res.reports["tilde-chart[star]"].passed
         assert res.reports["sectional-curvature[star]"].passed
+
+    def test_sectional_check_reads_the_chart(self):
+        # every entry is 0 on the tanh warp; a sinh warp (K = -1) must fail
+        model = catalog.build("witten_stellar")
+        rep = model.verify().reports["sectional-curvature[star]"]
+        assert rep.passed and rep.worst == 0.0
+        star = model.pieces[0]
+        hyperbolic = WarpedProduct(RadialFunction.from_formula(np.sinh, star.ansatz.domain),
+                                   domain=star.ansatz.domain)
+        model.pieces[0] = dataclasses.replace(star, ansatz=hyperbolic)
+        rep = model.verify().reports["sectional-curvature[star]"]
+        assert not rep.passed
+        assert rep.entry("positivity[rad]").max == pytest.approx(1.0, rel=1e-12)
+        assert rep.entry("positivity[tan]").max == pytest.approx(1.0, rel=1e-12)
 
     def test_cosine_branch(self):
         m = catalog.build("witten_stellar", A=0.0, B=1.0)

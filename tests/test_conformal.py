@@ -242,6 +242,31 @@ class TestDensityPressure:
 
 
 class TestBuildModel:
+    @pytest.mark.parametrize("phi", ["witten", "custom"])
+    def test_one_geo_pair_per_point_set(self, monkeypatch, phi):
+        # the on- and off-axis residuals share their grid; the closure check
+        # has its own points: two evaluations per build, whatever reads them
+        calls = []
+        real = conformal._geo_pair
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(conformal, "_geo_pair", counted)
+        if phi == "custom":
+            phi = RadialFunction.from_formula(lambda u: 1.0 + 0.1 * u, (-1.0, math.inf))
+        m = build_model(phi, span=(0.0, 4.0))
+        assert m.passed
+        assert len(calls) == 2
+        u = np.linspace(0.5, 3.5, 7)
+        mu, rho = conformal.density_pressure(m.phi, m.f, m.invariant, m.lam, m.n, u)
+        del calls[:]
+        np.testing.assert_array_equal(m.mu(u), mu)
+        np.testing.assert_array_equal(m.rho(u), rho)
+        m.mu_geo(u), m.rho_geo(u)
+        assert len(calls) == 1
+
     def test_standard_model(self, conformal_witten):
         m = conformal_witten
         assert m.passed, {k: r.worst for k, r in m.checks.items()}

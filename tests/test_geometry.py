@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from staticstar import catalog, quasilocal
 from staticstar.errors import DomainError
 from staticstar.geometry import (
     EIGHT_PI,
@@ -14,7 +15,9 @@ from staticstar.geometry import (
     WarpedProduct,
     conformal_curvature,
     conformal_hessian,
+    _radial_frame,
     conservation_residual,
+    coordinate_sphere,
     mean_curvature_sphere,
     ricci_warped,
     sectional_conformal,
@@ -298,3 +301,68 @@ class TestResiduals:
         grid = np.linspace(lo + 0.01, hi - 0.01, 200)
         res = conservation_residual(piece.fluid.f, piece.fluid.mu, piece.fluid.rho, grid)
         assert np.max(np.abs(res)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the two radial charts against each other
+# ---------------------------------------------------------------------------
+
+
+def _chart_pair(space):
+    """One space and lapse in both radial charts: (warped, schwarzschild, r(s)).
+
+    ``space`` is "sphere" (the unit 3-sphere, phi = sin s, e^gamma = 1/(1 - r^2)
+    with r = sin s) or "flat" (phi = s, gamma = 0, r = s).  The lapse is
+    cos s = sqrt(1 - r^2) on the sphere and cos s = cos r on flat space.
+    """
+    s_dom = (0.0, 0.5 * math.pi)
+    if space == "sphere":
+        warped = WarpedProduct(RadialFunction.from_formula(np.sin, s_dom), domain=s_dom)
+        r_dom = (0.0, 1.0)
+        schw = SchwarzschildForm(
+            RadialFunction.from_formula(lambda r: -np.log(1.0 - r * r), r_dom), domain=r_dom)
+        f_r = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - r * r), r_dom)
+        return (warped, RadialFunction.from_formula(np.cos, s_dom)), (schw, f_r), np.sin
+    warped = WarpedProduct(RadialFunction.from_formula(lambda s: s, s_dom), domain=s_dom)
+    schw = SchwarzschildForm(RadialFunction.constant(0.0, s_dom), domain=s_dom)
+    f = RadialFunction.from_formula(np.cos, s_dom)
+    return (warped, f), (schw, f), lambda s: s
+
+
+def _chart_model(ansatz, f, lo, hi):
+    zero = RadialFunction.constant(0.0, (lo, hi))
+    piece = catalog.Piece("chart", ansatz, FluidData(f=f, mu=zero, rho=zero),
+                          zero, zero, interval=(lo, hi))
+    return catalog.AnalyticModel("chart", {}, [piece], native_form="chart",
+                                 expected_residual_tol=1e-9)
+
+
+@pytest.mark.parametrize("space", ["sphere", "flat"])
+class TestRadialChartsAgree:
+    S = np.linspace(0.1, 1.4, 14)
+
+    def test_frame(self, space):
+        (warped, f_s), (schw, f_r), r_of = _chart_pair(space)
+        a = _radial_frame(warped, f_s, self.S)
+        b = _radial_frame(schw, f_r, r_of(self.S))
+        for key in ("f", "ric_rr", "ric_tan", "R", "hess_rr", "hess_tan", "lap", "grad_f"):
+            np.testing.assert_allclose(a[key], b[key], rtol=1e-12, atol=1e-12, err_msg=key)
+
+    def test_coordinate_sphere(self, space):
+        (warped, f_s), (schw, f_r), r_of = _chart_pair(space)
+        for s in self.S:
+            b_w, h_w, e_w = coordinate_sphere(warped, s)
+            b_s, h_s, e_s = coordinate_sphere(schw, r_of(s))
+            assert b_w == pytest.approx(b_s, rel=1e-12)
+            assert h_w == pytest.approx(h_s, rel=1e-12)
+            assert e_w * abs(f_s.d1(s)) == pytest.approx(e_s * abs(f_r.d1(r_of(s))), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [0.3, 0.6, 0.9])
+    def test_level_sets(self, space, c):
+        (warped, f_s), (schw, f_r), r_of = _chart_pair(space)
+        lo, hi = 0.05, 1.5
+        (rep_w,) = quasilocal.level_set_data(_chart_model(warped, f_s, lo, hi), c)
+        (rep_s,) = quasilocal.level_set_data(_chart_model(schw, f_r, r_of(lo), r_of(hi)), c)
+        assert rep_s.r == pytest.approx(r_of(rep_w.r), rel=1e-12)
+        for name in ("area", "mean_curvature", "kappa", "m_hawking"):
+            assert getattr(rep_w, name) == pytest.approx(getattr(rep_s, name), rel=1e-12), name
