@@ -52,7 +52,6 @@ from .numerics import (
     as_points,
     chebyshev_grid,
     max_rms,
-    ode_ppoly,
     solve_ivp,
 )
 
@@ -242,9 +241,10 @@ def solve_lapse(
     """Integrate (n-2) f phi'' = f'' phi + 2 phi' f' across ``span`` in u.
 
     ``ic = (f, f')`` at ``span[0]``.  The returned RadialFunction reads the
-    integrator's dense output as one ``PPoly``: the value and first derivative
-    are its two components, and the second derivative is evaluated from the
-    ODE right-hand side (exact given the solution), not by differencing.
+    integrator's dense output as one piecewise polynomial: the value and
+    first derivative are its two components, and the second derivative is
+    evaluated from the ODE right-hand side (exact given the solution), not
+    by differencing.
 
     If the lapse crosses zero the solution beyond that point is meaningless;
     with ``on_sign_loss="truncate"`` the returned domain stops just before the
@@ -277,10 +277,8 @@ def solve_lapse(
         rhs,
         (u0, u1),
         (float(ic[0]), float(ic[1])),
-        method="RK45",
         rtol=rel_tol,
         atol=abs_tol,
-        dense_output=True,
         events=(lapse_zero,),
     )
     if sol.status == -1:
@@ -297,18 +295,7 @@ def solve_lapse(
             # truncation would leave nothing
             raise SignLoss(f"lapse crossed zero immediately at u={u_zero}")
 
-    from scipy.interpolate import PPoly
-
-    dense = ode_ppoly(sol.sol)
-    f_pp, f1_pp = (PPoly.construct_fast(dense.c[..., i], dense.x) for i in range(2))
-
-    def val(u):
-        out = f_pp(u)
-        return float(out) if out.ndim == 0 else out
-
-    def d1(u):
-        out = f1_pp(u)
-        return float(out) if out.ndim == 0 else out
+    dense = sol.dense
 
     def d2(u):
         u = np.asarray(u, dtype=float)
@@ -319,7 +306,8 @@ def solve_lapse(
         out = ((n - 2.0) * y[..., 0] * p2 - 2.0 * p1 * y[..., 1]) / p
         return float(out) if out.ndim == 0 else out
 
-    return RadialFunction(val, d1, d2, provenance="analytic", domain=(u0, u_end))
+    return RadialFunction(dense.component(0), dense.component(1), d2, provenance="analytic",
+                          domain=(u0, u_end))
 
 
 # ----------------------------------------------------------------------------

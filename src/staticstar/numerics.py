@@ -10,11 +10,11 @@ Everything geometric in this package is assembled from two building blocks:
 * :class:`ScalarField` — a scalar function on R^n with gradient and Hessian,
   used by the conformally flat machinery.
 
-ODE solutions are read back through :func:`ode_ppoly`, which turns the dense
-output of one Runge–Kutta solve into a single compiled piecewise polynomial.
-scipy is imported only inside the functions that integrate or interpolate, so
-importing the package, and every command that integrates no ODE, loads none
-of it.
+ODE solutions come from :func:`solve_ivp`, a step-for-step port of scipy's
+RK45 whose dense output is one :class:`PiecewisePoly`; tabulated data is
+fitted by :func:`pchip` and :func:`cubic_spline`.  All of it runs on numpy
+alone and returns scipy's floats (the splines to round-off), so the package
+needs no scipy at run time; the tests keep scipy as the oracle.
 
 The finite-difference fallback is deliberately boring and well-characterised:
 4th-order central stencils with step ``h = max(1e-5, 1e-5 |r|)`` and one
@@ -25,19 +25,16 @@ residual checks assume.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BadParams, DerivativeError, DomainError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PPoly
 
 __all__ = [
     "EPS_DOM",
@@ -54,7 +51,10 @@ __all__ = [
     "bisect_root",
     "sphere_rule",
     "max_rms",
-    "ode_ppoly",
+    "PiecewisePoly",
+    "pchip",
+    "cubic_spline",
+    "OdeResult",
     "solve_ivp",
 ]
 
@@ -428,53 +428,333 @@ class RadialFunction:
 
 
 # ----------------------------------------------------------------------------
+# piecewise polynomials and the fits built on them
+# ----------------------------------------------------------------------------
+
+def _power_sums(c, s):
+    """sum_k c[k] s^(K-k) over the leading axis of ``c``, lowest power first,
+    each s^j the product of the one before and s."""
+    res, z = c[-1] + 0.0, None  # + 0.0 as a sum from 0.0 does: -0.0 becomes 0.0
+    for ck in c[-2::-1]:
+        z = s if z is None else z * s
+        res = res + ck * z
+    return res
+
+
+class PiecewisePoly:
+    """A piecewise polynomial in local powers, evaluated as scipy's ``PPoly``.
+
+    On [x[i], x[i+1]) the value is sum_k c[k, i] (t - x[i])^(K-k), highest
+    power first.  The last piece is closed, and the end pieces extrapolate:
+    t < x[0] reads piece 0 and t > x[-1] the last one.  Terms are summed
+    lowest power first, as scipy's compiled ``evaluate_poly1`` sums them, so
+    the values are ``PPoly``'s bit for bit.
+
+    ``c`` may carry trailing axes (the state components of an ODE solution):
+    points ``t`` then give values shaped ``t.shape + c.shape[2:]``, and
+    :meth:`component` picks one.  A one-component polynomial called with a
+    float, or any 0-d value, returns a float through a pure-Python path: root
+    finders and ODE right-hand sides call it one point at a time.
+    """
+
+    def __init__(self, c, x):
+        self.c = np.asarray(c, dtype=float)
+        self.x = np.asarray(x, dtype=float)
+        # the count of interior breakpoints <= t is t's piece, both ends included
+        self._inner = self.x[1:-1]
+        if self.c.ndim == 2:
+            self._breaks, self._pieces = self.x.tolist(), self.c.T.tolist()
+
+    def __call__(self, t):
+        if self.c.ndim == 2 and (isinstance(t, float) or np.ndim(t) == 0):
+            t = float(t)
+            i = bisect.bisect_right(self._breaks, t, 1, len(self._breaks) - 1) - 1
+            return _power_sums(self._pieces[i], t - self._breaks[i])
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        i = np.searchsorted(self._inner, flat, side="right")
+        s = (flat - self.x[i]).reshape((-1,) + (1,) * (self.c.ndim - 2))
+        return _power_sums(self.c[:, i], s).reshape(t.shape + self.c.shape[2:])
+
+    def component(self, i: int) -> "PiecewisePoly":
+        """State component ``i`` as a one-component polynomial."""
+        return PiecewisePoly(self.c[..., i], self.x)
+
+    def antiderivative(self) -> "PiecewisePoly":
+        """The antiderivative that vanishes at x[0], continuous at every breakpoint."""
+        k = self.c.shape[0]
+        c = np.zeros((k + 1,) + self.c.shape[1:])
+        c[:-1] = self.c / np.arange(k, 0, -1).reshape((k,) + (1,) * (self.c.ndim - 1))
+        # each piece's constant is the integral over the pieces before it
+        widths = np.diff(self.x).reshape((-1,) + (1,) * (self.c.ndim - 2))
+        c[-1, 1:] = np.cumsum(_power_sums(c, widths)[:-1], axis=0)
+        return PiecewisePoly(c, self.x)
+
+
+def _hermite(x, y, slopes) -> PiecewisePoly:
+    """The cubic through (x, y) with the given slopes, as scipy's ``CubicHermiteSpline``."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
+    return PiecewisePoly(np.stack((t / dx, (slope - slopes[:-1]) / dx - t, slopes[:-1], y[:-1])),
+                         x)
+
+
+def pchip(x, y) -> PiecewisePoly:
+    """Monotone cubic through (x, y) (Fritsch & Carlson, *SIAM J. Numer. Anal.*
+    17, 1980): scipy's ``PchipInterpolator`` slopes, bit for bit.
+
+    ``x`` is strictly increasing and both arrays are finite; the caller judges
+    the result, whose coefficients overflow on extreme data.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        return _hermite(x, y, np.array([m[0], m[0]]))
+    # the weighted harmonic mean of the two secants, or 0 at an extremum or a flat run
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    # one-sided three-point slopes at both ends, clipped to keep the data's shape
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+    d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(steep, 3.0 * m0, end))
+    return _hermite(x, y, d)
+
+
+def cubic_spline(x, y) -> PiecewisePoly:
+    """Not-a-knot cubic spline through (x, y), as scipy's ``CubicSpline``.
+
+    The slopes solve scipy's tridiagonal system by plain elimination, so they
+    agree with scipy's pivoted banded solve to round-off, not bit for bit.
+    Raises BadParams unless ``x`` is strictly increasing and finite.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dx = np.diff(x)
+    if x.size < 2 or not (np.all(dx > 0.0) and np.all(np.isfinite(x))):
+        raise BadParams("a spline needs at least 2 strictly increasing, finite abscissae")
+    slope = np.diff(y) / dx
+    n = x.size
+    if n == 2:
+        return _hermite(x, y, np.array([slope[0], slope[0]]))
+    if n == 3:  # not-a-knot at both ends: the parabola through the points
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2.0 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+        return _hermite(x, y, np.linalg.solve(a, b))
+    lower = np.concatenate(([0.0], dx[1:], [x[-1] - x[-3]])).tolist()
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([x[2] - x[0]], dx[:-1], [0.0])).tolist()
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+    )).tolist()
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):  # back substitution turns b into the slopes
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    return _hermite(x, y, np.array(b))
+
+
+# ----------------------------------------------------------------------------
 # ODE solutions and their dense output
 # ----------------------------------------------------------------------------
 
-def solve_ivp(*args, **kwargs):
-    """scipy's ``solve_ivp``, imported when first called.
+_EPS = np.finfo(float).eps
 
-    Importing ``scipy.integrate`` costs about three times the rest of the
-    package's start-up, so only the commands that integrate an ODE pay it.
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): the 5(4) pair with
+# Shampine's dense-output weights P, written as scipy's RK45 writes them
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+_MESSAGES = {
+    -1: "Required step size is less than spacing between numbers.",
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """One :func:`solve_ivp` run: the breakpoints ``t`` (the start, each step
+    and a terminal event's root; ``t[-1]`` is the end point), the ``dense``
+    solution on them, state on the last axis (None if no step was accepted),
+    and ``status`` 0 (span done), 1 (event j fired, its root in
+    ``t_events[j]``) or -1 (the step size collapsed)."""
+
+    t: np.ndarray
+    dense: PiecewisePoly | None
+    t_events: list[np.ndarray]
+    nfev: int
+    status: int
+    message: str
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk_step(fun, t, y, f, h, K):
+    """One Dormand–Prince step; the stages land in ``K``, the last one f(t + h, y_new)."""
+    K[0] = f
+    for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, _RK_B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+    """The first step size of Hairer, Nørsett & Wanner, *Solving ODEs I*, Sec. II.4."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _advance(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
+    """One accepted step from t: (t_new, y_new, f_new, the next step size), or
+    None when the step size falls below ten ulps of t."""
+    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while h_abs >= min_step:
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        h_abs = np.abs(h)
+        y_new, f_new = _rk_step(fun, t, y, f, h, K)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
+        if error_norm < 1:
+            factor = _MAX_FACTOR if error_norm == 0 else min(
+                _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            # after a rejection the step may not grow
+            return t_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor)
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        rejected = True
+    return None
+
+
+def _crossed(g, g_new, direction) -> bool:
+    """Whether an event went from g to g_new through zero in its direction (0: either)."""
+    return (g <= 0 <= g_new and direction >= 0) or (g >= 0 >= g_new and direction <= 0)
+
+
+def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeResult:
+    """Integrate y' = fun(t, y) forward over ``t_span`` with adaptive RK45.
+
+    A step-for-step port of scipy's ``solve_ivp(method="RK45",
+    dense_output=True)``: the same tableau, first step, RMS error norm and
+    step control (safety 0.9, step factors 0.2 to 10, a minimum step of ten
+    ulps of t), with ``rtol`` raised to at least 100 eps.  On the same
+    problem it takes the same steps, makes the same ``nfev`` calls of
+    ``fun`` and returns the same floats.
+
+    Every event ``g(t, y)`` is terminal and may carry a ``direction``
+    attribute, as in scipy: the solve stops at the first root, which Brent's
+    method (:func:`refine_root`, ``xtol = 4 eps``) finds on the step's own
+    dense output.  Raises BadParams for an empty or backward span and for a
+    non-finite initial state.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    t0, t_bound = map(float, t_span)
+    if not t0 < t_bound:
+        raise BadParams(f"need an increasing span, got {t_span}")
+    y = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise BadParams(f"the initial state {y0} is not finite")
+    rtol = max(rtol, 100 * _EPS)
+    atol = np.asarray(atol)
+    nfev = 0
 
-    return scipy_solve_ivp(*args, **kwargs)
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
 
+    f_cur = f(t0, y)
+    h_abs = _initial_step(f, t0, y, t_bound, f_cur, rtol, atol)
+    K = np.empty((len(_RK_C) + 1, y.size))
+    directions = [getattr(event, "direction", 0) for event in events]
+    g = [event(t0, y) for event in events]
+    t_events = [[] for _ in events]
+    t, ts, pieces = t0, [t0], []
+    status = None
+    while status is None:
+        step = _advance(f, t, y, f_cur, h_abs, t_bound, rtol, atol, K)
+        if step is None:
+            status = -1
+            break
+        t_old, y_old, Q = t, y, K.T.dot(_RK_P)
+        t, y, f_cur, h_abs = step
+        h = t - t_old
+        # the step's dense output y_old + h Q [x, ..., x^4], x = (t - t_old)/h,
+        # in local powers of t - t_old, highest first
+        pieces.append(np.vstack(((Q / h ** np.arange(Q.shape[1]))[:, ::-1].T, y_old)))
+        if t >= t_bound:
+            status = 0
 
-def ode_ppoly(sol) -> PPoly:
-    """The dense output of an RK45 (or RK23) solve as one ``PPoly``.
+        g_new = [event(t, y) for event in events]
+        hits = [j for j in range(len(events)) if _crossed(g[j], g_new[j], directions[j])]
+        if hits:
+            def y_at(s):  # the step's dense output, as scipy's RkDenseOutput computes it
+                out = h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, Q.shape[1])))
+                out += y_old
+                return out
 
-    ``sol`` is the ``OdeSolution`` of ``solve_ivp(..., dense_output=True)``.
-    Each of its segments is y_old + h Q [x, x^2, ..., x^k] with
-    x = (t - t_old)/h, so in local powers of (t - t_old) the coefficients are
-    c[k] = y_old and c[k-1-j] = Q[:, j] / h^j.  The breakpoints are
-    ``sol.ts`` and the polynomial extrapolates, as ``OdeSolution`` does.
+            t, j = min((refine_root(lambda s: events[j](s, y_at(s)), t_old, t, xtol=4 * _EPS), j)
+                       for j in hits)
+            t_events[j].append(t)
+            status = 1
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:  # an event root on the last breakpoint
+            pieces.pop()
+        else:
+            ts.append(t)
 
-    Values carry the state component on the last axis: ``ode_ppoly(sol)(t)``
-    has shape ``t.shape + (n_states,)`` and equals ``sol(t).T`` to round-off
-    (at a breakpoint ``sol`` takes the left segment, the PPoly the right one).
-    One component alone is ``PPoly.construct_fast(pp.c[..., i], pp.x)``.
-
-    Raises BadParams for a dense output other than ``RkDenseOutput``
-    (DOP853, the implicit methods, LSODA).
-    """
-    from scipy.integrate._ivp.rk import RkDenseOutput
-    from scipy.interpolate import PPoly
-
-    parts = sol.interpolants
-    kinds = {type(p).__name__ for p in parts if not isinstance(p, RkDenseOutput)}
-    if kinds:
-        raise BadParams(
-            f"ode_ppoly needs explicit Runge-Kutta (RK45/RK23) dense output, got {sorted(kinds)}"
-        )
-    h = np.array([p.h for p in parts])
-    q = np.array([p.Q for p in parts])  # (segments, states, k)
-    k = q.shape[2]
-    c = np.empty((k + 1,) + q.shape[:2])
-    c[k] = [p.y_old for p in parts]
-    c[k - 1::-1] = np.moveaxis(q / h[:, None, None] ** np.arange(k), 2, 0)
-    return PPoly(c, sol.ts, extrapolate=True)
+    dense = PiecewisePoly(np.stack(pieces, axis=1), ts) if pieces else None
+    return OdeResult(t=np.array(ts), dense=dense, t_events=[np.asarray(te) for te in t_events],
+                     nfev=nfev, status=status, message=_MESSAGES[status])
 
 
 # ----------------------------------------------------------------------------

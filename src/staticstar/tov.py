@@ -45,7 +45,8 @@ from .numerics import (
     RadialFunction,
     bisect_root,
     chebyshev_grid,
-    ode_ppoly,
+    cubic_spline,
+    pchip,
     solve_ivp,
 )
 
@@ -183,19 +184,13 @@ class Tabulated(EquationOfState):
             raise BadParams("tabulated EOS needs finite rho/mu values")
         if not np.all(np.diff(rho) > 0.0):
             raise BadParams("tabulated EOS needs strictly increasing rho")
-        from scipy.interpolate import PchipInterpolator
-
         self.rho_min = float(rho[0])
         self.rho_max = float(rho[-1])
         # subnormal steps in mu overflow pchip's slope ratios harmlessly, so
         # the interpolant is judged by its coefficients, not by the warnings
-        try:
-            with np.errstate(all="ignore"):
-                self._interp = PchipInterpolator(rho, mu, extrapolate=False)
-            finite = np.all(np.isfinite(self._interp.c))
-        except ValueError:  # scipy refuses non-finite slopes
-            finite = False
-        if not finite:
+        with np.errstate(all="ignore"):
+            self._interp = pchip(rho, mu)
+        if not np.all(np.isfinite(self._interp.c)):
             raise BadParams("tabulated EOS rows give a non-finite interpolant")
 
     def mu(self, rho):
@@ -206,8 +201,7 @@ class Tabulated(EquationOfState):
                 f"rho={bad} outside tabulated range "
                 f"[{self.rho_min}, {self.rho_max}] (extrapolation forbidden)"
             )
-        out = self._interp(rho)
-        return float(out) if out.ndim == 0 else out
+        return self._interp(rho)
 
     def spec_string(self):
         return f"table:[{self.rho_min},{self.rho_max}]"
@@ -270,10 +264,11 @@ class RadialProfile:
     :func:`integrate_lapse` fills them.  ``exp_neg_gamma`` is *defined* as
     1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
     constant, which :func:`integrate_lapse` pins to give ``v_fn``.  Dense
-    evaluation between samples reads a piecewise polynomial (``PPoly``): the
-    integrator's own dense output (:func:`~staticstar.numerics.ode_ppoly`)
-    after :func:`integrate_tov`, cubic splines after :func:`profile_from_csv`;
-    the public interpolation contract is cubic either way.  The evaluators
+    evaluation between samples reads a piecewise polynomial
+    (:class:`~staticstar.numerics.PiecewisePoly`): the integrator's own dense
+    output after :func:`integrate_tov`, cubic splines after
+    :func:`profile_from_csv`; the public interpolation contract is cubic
+    either way.  The evaluators
     take a float or an ndarray of radii.
     """
 
@@ -341,11 +336,6 @@ def _lapse_rate(r, rho, m):
     return 2.0 * (m + FOUR_PI * r**3 * rho) / (r * (r - 2.0 * m))
 
 
-def _evaluator(fn):
-    """``fn`` returning a float for a scalar radius."""
-    return lambda r: _out(fn(r))
-
-
 # ----------------------------------------------------------------------------
 # TOV integration
 # ----------------------------------------------------------------------------
@@ -360,9 +350,9 @@ def integrate_tov(
     Runs until the surface event (rho crossing zero from above), the horizon
     guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile is
     sampled on a Chebyshev grid of ``options.grid_n`` points and keeps the
-    integrator's dense output, as one ``PPoly``, for later refinement, the
-    lapse potential included; its lapse columns stay NaN until
-    :func:`integrate_lapse`.
+    integrator's dense output, as one piecewise polynomial, for later
+    refinement, the lapse potential included; its lapse columns stay NaN
+    until :func:`integrate_lapse`.
 
     Raises CenterSingularity if the EOS cannot be evaluated at rho_center,
     HorizonHit or StepFailure as described, and lets Tabulated range errors
@@ -408,12 +398,10 @@ def integrate_tov(
         rhs,
         (r0, opts.r_max),
         (rho0, m0, 0.0),
-        method="RK45",
         rtol=opts.rel_tol,
         # v is a logarithm: an absolute error in v is a relative error in f,
         # so v's absolute tolerance is the relative one
         atol=(opts.abs_tol, opts.abs_tol, opts.rel_tol),
-        dense_output=True,
         events=tuple(events),
     )
     if sol.status == -1:
@@ -426,12 +414,8 @@ def integrate_tov(
         surface_r = float(sol.t_events[1][0])
     r_end = float(sol.t[-1])
 
-    from scipy.interpolate import PPoly
-
-    dense = ode_ppoly(sol.sol)
-    rho_fn, m_fn, v_free_fn = (
-        _evaluator(PPoly.construct_fast(dense.c[..., i], dense.x)) for i in range(3)
-    )
+    dense = sol.dense
+    rho_fn, m_fn, v_free_fn = (dense.component(i) for i in range(3))
     grid = chebyshev_grid(r0, r_end, opts.grid_n)
     rho, m, _v = dense(grid).T
     # the event root's own sign is round-off: count densities below the
@@ -685,8 +669,6 @@ def profile_to_csv(profile: RadialProfile, path) -> None:
 
 def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
     """Rebuild a profile from a CSV sample table (cubic-spline evaluators)."""
-    from scipy.interpolate import CubicSpline
-
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     if tuple(header) != CSV_COLUMNS:
@@ -695,18 +677,18 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
     r, m, rho = data[:, 0], data[:, 1], data[:, 3]
     v_fn = None
     if np.all(np.isfinite(data[:, 5])):
-        v_free = v_fn = _evaluator(CubicSpline(r, np.log(data[:, 5])))
+        v_free = v_fn = cubic_spline(r, np.log(data[:, 5]))
     else:
         # no stored lapse: v' from the stored m and rho, integrated
-        v_free = _evaluator(CubicSpline(r, _lapse_rate(r, rho, m)).antiderivative())
+        v_free = cubic_spline(r, _lapse_rate(r, rho, m)).antiderivative()
     return RadialProfile(
         samples=data,
         eos=eos if eos is not None else Custom(lambda rho: float("nan"), "csv"),
         rho_center=float(rho[0]),
         r_start=float(r[0]),
         r_end=float(r[-1]),
-        rho_fn=_evaluator(CubicSpline(r, rho)),
-        m_fn=_evaluator(CubicSpline(r, m)),
+        rho_fn=cubic_spline(r, rho),
+        m_fn=cubic_spline(r, m),
         v_fn=v_fn,
         v_free_fn=v_free,
     )

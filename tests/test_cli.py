@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -255,6 +256,24 @@ def test_unknown_config_key(capsys, tmp_path):
 
 # --- import footprint -----------------------------------------------------------
 
+def _fresh_python(code, *args):
+    """Runs ``code`` in a fresh interpreter that imports staticstar from this tree."""
+    src = os.path.dirname(os.path.dirname(staticstar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _table_eos(tmp_path):
+    """A ``table:`` twin of constant:c=0.001, reaching below rho = 0."""
+    path = tmp_path / "twin.csv"
+    path.write_text("rho,mu\n" + "".join(f"{-5e-4 + i * 1.25e-3 / 39!r},0.001\n"
+                                          for i in range(40)))
+    return f"table:{path}"
+
+
 # Runs each argv through cli.main in one fresh interpreter, in order, and
 # prints the exit code and the scipy modules loaded after each.
 FOOTPRINT = """
@@ -277,16 +296,42 @@ NO_ODE_COMMANDS = (
 )
 
 
-def test_commands_without_an_ode_import_no_scipy():
-    src = os.path.dirname(os.path.dirname(staticstar.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    argvs = [*NO_ODE_COMMANDS, ["tov", *STAR]]
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argvs)], env=env,
-                          stdout=subprocess.PIPE, text=True, check=True)
-    results = json.loads(proc.stdout)
-    for argv, (code, loaded) in zip(NO_ODE_COMMANDS, results):
+def test_commands_without_an_ode_import_no_scipy(tmp_path):
+    # the ODE commands too: the integrator and the fits are numpy code
+    argvs = [*NO_ODE_COMMANDS, ["tov", *STAR], ["mass", *STAR, "--level", "0.6"],
+             ["audit", "--eos", _table_eos(tmp_path), "--rho-c", "0.0005"]]
+    for argv, (code, loaded) in zip(argvs, _fresh_python(FOOTPRINT, json.dumps(argvs))):
         assert (code, loaded) == (0, []), argv
-    # the TOV run integrates an ODE, so the check above can see scipy
-    code, loaded = results[-1]
-    assert code == 0 and "scipy.integrate" in loaded
+
+
+# scipy made unimportable, then a table star, a custom conformal factor and a
+# CSV round trip
+WITHOUT_SCIPY = """
+import contextlib, io, json, math, os, sys
+sys.modules["scipy"] = None
+import numpy as np
+from staticstar import cli, conformal, tov
+from staticstar.numerics import RadialFunction
+table, work = sys.argv[1:]
+codes = []
+for argv in (["tov", "--eos", table, "--rho-c", "0.0005", "--json"],
+             ["mass", "--eos", table, "--rho-c", "0.0005", "--level", "0.6", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+phi = RadialFunction.from_formula(lambda u: np.sqrt(1.0 + u), (-1.0 + 1e-9, math.inf))
+f = conformal.solve_lapse(phi, 3, (0.0, 10.0), (1.0, 0.2))
+star = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+path = os.path.join(work, "star.csv")
+tov.profile_to_csv(star, path)
+back = tov.profile_from_csv(path)
+print(json.dumps({"codes": codes, "f": [f(5.0), f.d1(5.0), f.d2(5.0)],
+                  "rho": [back.rho(4.0), star.rho(4.0)], "m": [back.m(4.0), star.m(4.0)]}))
+"""
+
+
+def test_ode_paths_run_without_scipy(tmp_path):
+    out = _fresh_python(WITHOUT_SCIPY, _table_eos(tmp_path), str(tmp_path))
+    assert out["codes"] == [0, 0]
+    assert all(math.isfinite(x) for x in out["f"])
+    for back, star in (out["rho"], out["m"]):
+        assert back == pytest.approx(star, rel=1e-9)

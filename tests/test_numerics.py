@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
-from staticstar import catalog, conformal, tov
-from staticstar.errors import BadParams, DerivativeError, DomainError
+from staticstar import catalog, conformal, numerics, tov
+from staticstar.errors import BadParams, DerivativeError, DomainError, StaticStarError, StepFailure
 from staticstar.numerics import (
     RadialFunction,
     ScalarField,
@@ -15,7 +17,6 @@ from staticstar.numerics import (
     fd_derivative,
     find_brackets,
     max_rms,
-    ode_ppoly,
     refine_root,
     sign_brackets,
     sphere_rule,
@@ -328,7 +329,139 @@ def test_sign_brackets_match_find_brackets():
         sign_brackets(grid, np.full(grid.shape, np.nan))
 
 
-# --- ODE dense output as one PPoly ------------------------------------------------
+# --- the RK45 port against scipy's solve_ivp ----------------------------------------
+
+def _scipy_coefficients(sol):
+    """scipy's RK45 dense output in local powers, one piece per step.
+
+    Each of its segments is y_old + h Q [x, ..., x^k] with x = (t - t_old)/h,
+    so c[k] = y_old and c[k-1-j] = Q[:, j] / h^j.
+    """
+    parts = sol.interpolants
+    h = np.array([p.h for p in parts])
+    q = np.array([p.Q for p in parts])
+    k = q.shape[2]
+    c = np.empty((k + 1,) + q.shape[:2])
+    c[k] = [p.y_old for p in parts]
+    c[k - 1::-1] = np.moveaxis(q / h[:, None, None] ** np.arange(k), 2, 0)
+    return c
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _recorded_call(module, build):
+    """The arguments ``build`` passes to ``module.solve_ivp``, and the port's result."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, numerics.solve_ivp(*args, **kwargs)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_ivp", spy)
+        try:
+            build()
+        except StaticStarError:
+            pass
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _terminal(fn, direction):
+    fn.terminal, fn.direction = True, direction
+    return fn
+
+
+def _tov_run(eos, rho_c, **options):
+    return lambda: _recorded_call(
+        tov, lambda: tov.integrate_tov(eos, rho_c, tov.SolverOptions(**options)))
+
+
+def _sqrt_phi():
+    return RadialFunction(
+        value=lambda u: np.sqrt(1.0 + np.asarray(u, dtype=float)),
+        d1=lambda u: 0.5 / np.sqrt(1.0 + np.asarray(u, dtype=float)),
+        d2=lambda u: -0.25 * (1.0 + np.asarray(u, dtype=float)) ** -1.5,
+        domain=(-1.0 + 1e-9, math.inf),
+    )
+
+
+def _lapse_run(ic):
+    return lambda: _recorded_call(
+        conformal, lambda: conformal.solve_lapse(_sqrt_phi(), 3, (0.0, 10.0), ic))
+
+
+def _direct_run(fun, span, y0, events=(), **tol):
+    def run():
+        kwargs = dict(events=events, **tol)
+        return (fun, span, y0), kwargs, numerics.solve_ivp(fun, span, y0, **kwargs)
+    return run
+
+
+_TWIN_RHO = np.linspace(-5e-4, 7.5e-4, 40)
+
+SOLVE_CASES = {
+    "tov-constant": _tov_run(tov.ConstantDensity(0.001), 5e-4),
+    "tov-table-twin": _tov_run(tov.Tabulated(_TWIN_RHO, np.full(_TWIN_RHO.shape, 0.001)), 5e-4),
+    "tov-horizon-hit": _tov_run(tov.Chaplygin(1.0), -1.0 / math.sqrt(3.0)),
+    "tov-no-surface": _tov_run(tov.ConstantDensity(0.001), 5e-4, r_max=5.0),
+    "lapse": _lapse_run((1.0, 0.2)),
+    "lapse-sign-loss": _lapse_run((1.0, -0.5)),
+    "event-in-first-step": _direct_run(lambda t, y: (-1.0,), (0.0, 10.0), (1e-7,),
+                                       events=(_terminal(lambda t, y: y[0], -1.0),)),
+    "event-at-start": _direct_run(lambda t, y: (-1.0,), (0.0, 10.0), (0.0,),
+                                  events=(_terminal(lambda t, y: y[0], -1.0),)),
+    # both cross in one step; the earlier root, the second event's, ends the run
+    "two-events-in-one-step": _direct_run(
+        lambda t, y: (1.0,), (0.0, 10.0), (0.0,),
+        events=(_terminal(lambda t, y: y[0] - 0.95, 1.0), _terminal(lambda t, y: y[0] - 0.9, 0.0))),
+    "step-size-collapse": _direct_run(lambda t, y: y * y, (0.0, 2.0), (1.0,)),
+    "rtol-below-100-eps": _direct_run(lambda t, y: -y, (0.0, 3.0), (1.0, 2.0),
+                                      rtol=1e-17, atol=1e-20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_ivp_is_scipy_rk45_bit_for_bit(case):
+    (fun, span, y0), kwargs, got = SOLVE_CASES[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # scipy's note that it raised rtol
+        want = scipy_solve_ivp(fun, span, y0, method="RK45", dense_output=True, **kwargs)
+    assert (got.status, got.message, got.nfev) == (want.status, want.message, want.nfev)
+    assert _same_bits(got.t, want.t)
+    assert len(got.t_events) == len(want.t_events)
+    assert all(_same_bits(a, b) for a, b in zip(got.t_events, want.t_events))
+    if want.sol.interpolants:
+        assert _same_bits(got.dense.x, want.sol.ts)
+        assert _same_bits(got.dense.c, _scipy_coefficients(want.sol))
+    else:
+        assert got.dense is None
+    if case == "step-size-collapse":
+        assert got.status == -1 and want.t[-1] < 1.0
+    if "event" in case:
+        assert got.status == 1
+
+
+def test_a_collapsed_step_is_a_step_failure(monkeypatch):
+    def diverging(*args, **kwargs):
+        return numerics.solve_ivp(lambda t, y: y * y, (0.0, 2.0), (1.0, 1.0), **kwargs)
+
+    monkeypatch.setattr(conformal, "solve_ivp", diverging)
+    with pytest.raises(StepFailure, match="step size"):
+        conformal.solve_lapse(_sqrt_phi(), 3, (0.0, 10.0), (1.0, 0.2))
+
+
+@pytest.mark.parametrize("span, y0", [((1.0, 1.0), (1.0,)), ((1.0, 0.0), (1.0,)),
+                                      ((0.0, 1.0), (math.inf,))])
+def test_solve_ivp_refuses_what_it_does_not_port(span, y0):
+    with pytest.raises(BadParams):
+        numerics.solve_ivp(lambda t, y: -y, span, y0)
+
+
+# --- ODE-backed evaluators read the dense output ------------------------------------
 
 def _tov_evaluators():
     profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
@@ -336,13 +469,7 @@ def _tov_evaluators():
 
 
 def _lapse_evaluators():
-    phi = RadialFunction(
-        value=lambda u: np.sqrt(1.0 + np.asarray(u, dtype=float)),
-        d1=lambda u: 0.5 / np.sqrt(1.0 + np.asarray(u, dtype=float)),
-        d2=lambda u: -0.25 * (1.0 + np.asarray(u, dtype=float)) ** -1.5,
-        domain=(-1.0 + 1e-9, math.inf),
-    )
-    f = conformal.solve_lapse(phi, 3, (0.0, 10.0), (1.0, 0.2))
+    f = conformal.solve_lapse(_sqrt_phi(), 3, (0.0, 10.0), (1.0, 0.2))
     return f.value, f.d1
 
 
@@ -350,40 +477,19 @@ ODE_CASES = {"tov": (tov, _tov_evaluators), "lapse": (conformal, _lapse_evaluato
 
 
 @pytest.fixture(params=sorted(ODE_CASES))
-def ode_case(request, monkeypatch):
-    """The evaluators of one ODE-backed object and the OdeSolution behind them."""
+def ode_case(request):
+    """The evaluators of one ODE-backed object and scipy's OdeSolution of its ODE."""
     module, build = ODE_CASES[request.param]
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(solve_ivp(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(module, "solve_ivp", spy)
-    evaluators = build()
-    assert len(seen) == 1
-    return evaluators, seen[0].sol
+    evaluators = []
+    (args, kwargs, _) = _recorded_call(module, lambda: evaluators.extend(build()))
+    sol = scipy_solve_ivp(*args, method="RK45", dense_output=True, **kwargs)
+    return evaluators, sol.sol
 
 
 def _ode_points(sol):
     """Random points, every breakpoint and both ends of the solution."""
     rng = np.random.default_rng(11)
     return np.concatenate([rng.uniform(sol.ts[0], sol.ts[-1], 400), sol.ts])
-
-
-def test_ode_ppoly_matches_the_ode_solution(ode_case):
-    _, sol = ode_case
-    pp = ode_ppoly(sol)
-    t = _ode_points(sol)
-    want = sol(t)
-    scale = np.max(np.abs(want), axis=1)
-    got = pp(t)
-    assert got.shape == t.shape + scale.shape
-    err = np.max(np.abs(got.T - want), axis=1) / scale
-    assert np.all(err <= 1e-14), err
-    # scalar calls take OdeSolution's one-point path
-    err = max(np.max(np.abs(pp(x) - sol(x)) / scale) for x in sol.ts)
-    assert err <= 1e-14
 
 
 def test_ode_backed_evaluators_read_the_ppoly(ode_case):
@@ -402,8 +508,85 @@ def test_ode_backed_evaluators_read_the_ppoly(ode_case):
             assert abs(got - sol(x)[i]) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("method", ["DOP853", "Radau"])
-def test_ode_ppoly_rejects_other_dense_output(method):
-    sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method=method, dense_output=True)
-    with pytest.raises(BadParams, match="Runge-Kutta"):
-        ode_ppoly(sol.sol)
+# --- piecewise polynomials and fits against scipy's ----------------------------------
+
+def _random_ppoly(rng, pieces, degree, *trailing):
+    x = np.cumsum(rng.uniform(0.01, 1.0, pieces + 1)) - 3.0
+    return rng.normal(size=(degree + 1, pieces) + trailing), x
+
+
+@pytest.mark.parametrize("trailing", [(), (3,)])
+def test_piecewise_poly_is_ppoly_bit_for_bit(trailing):
+    rng = np.random.default_rng(7)
+    c, x = _random_ppoly(rng, 40, 4, *trailing)
+    pp, want = numerics.PiecewisePoly(c, x), PPoly(c, x)
+    points = np.concatenate([
+        rng.uniform(x[0], x[-1], 500), x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        [x[0] - 1.5, x[-1] + 2.5, -1e3, 1e3, np.nan],
+    ])
+    for t in (points, points[:60].reshape(6, 10), np.asarray(points[3])):
+        assert _same_bits(pp(t), want(t))
+    assert np.all(np.isnan(pp(np.array([np.nan]))))
+    for i in range(trailing[0] if trailing else 0):
+        part = pp.component(i)
+        assert _same_bits(part(points), want(points)[:, i])
+        for t in points[::25]:
+            got = part(float(t))
+            assert type(got) is float and _same_bits(got, want(t)[i])
+        assert type(part(np.float64(1.0))) is float and type(part(np.array(1.0))) is float
+    if not trailing:
+        for t in points[::7]:
+            got = pp(float(t))
+            assert type(got) is float and _same_bits(got, want(t))
+
+
+def test_piecewise_poly_antiderivative_matches_ppoly():
+    rng = np.random.default_rng(8)
+    c, x = _random_ppoly(rng, 60, 3)
+    got, want = numerics.PiecewisePoly(c, x).antiderivative(), PPoly(c, x).antiderivative()
+    t = np.concatenate([rng.uniform(x[0], x[-1], 300), x])
+    assert got(x[0]) == 0.0
+    assert np.max(np.abs(got(t) - want(t))) <= 1e-13 * np.max(np.abs(want(t)))
+
+
+PCHIP_TABLES = {
+    "random": (np.cumsum(np.random.default_rng(3).uniform(0.1, 1.0, 30)),
+               np.random.default_rng(4).normal(size=30)),
+    "monotone": (np.linspace(-1e-3, 2e-3, 40), 3.0 * np.linspace(-1e-3, 2e-3, 40) + 4e-4),
+    "flat-runs": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+    "sign-changes": (np.linspace(0.0, 10.0, 25), np.sin(np.linspace(0.0, 10.0, 25))),
+    "soft-surface": (np.linspace(-2e-4, 3e-4, 60),
+                     np.sqrt(np.maximum(np.linspace(-2e-4, 3e-4, 60), 0.0) / 100.0)),
+    "two-rows": ([0.0, 1.0], [1.0, 3.0]),
+    "three-rows": ([0.0, 1.0, 3.0], [2.0, -1.0, 5.0]),
+    "subnormal": ([0.0, 1.0, 2.0, 3.0], [0.0, 1e-310, 0.0, 1e-3]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(PCHIP_TABLES))
+def test_pchip_is_scipy_pchip_bit_for_bit(table):
+    x, y = (np.asarray(v, dtype=float) for v in PCHIP_TABLES[table])
+    with np.errstate(all="ignore"):
+        got = numerics.pchip(x, y)
+        want = PchipInterpolator(x, y)
+    assert _same_bits(got.x, want.x) and _same_bits(got.c, want.c)
+    if table != "subnormal":  # its cubic terms overflow past the rows
+        t = np.linspace(x[0], x[-1], 301)
+        assert _same_bits(got(t), want(t))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 512])
+def test_cubic_spline_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    x = numerics.chebyshev_grid(1e-6, 9.0, n) if n > 7 else np.sort(rng.uniform(0.0, 5.0, n))
+    for y in (np.exp(-x) * np.sin(3 * x), rng.normal(size=n)):
+        got, want = numerics.cubic_spline(x, y), CubicSpline(x, y)
+        t = np.concatenate([rng.uniform(x[0], x[-1], 400), x])
+        for g, w in ((got, want), (got.antiderivative(), want.antiderivative())):
+            assert np.max(np.abs(g(t) - w(t))) <= 1e-13 * np.max(np.abs(w(t)))
+
+
+def test_cubic_spline_refuses_bad_abscissae():
+    for x in ([0.0], [0.0, 0.0, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(BadParams):
+            numerics.cubic_spline(x, np.zeros(len(x)))
