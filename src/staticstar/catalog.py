@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 JUNCTION_TOL = 1e-9
+RESIDUAL_TOL = 1e-9  # every model's field-equation residual gate
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,6 @@ class AnalyticModel:
         model_id: str,
         params: dict,
         pieces: list[Piece],
-        native_form: str,
-        expected_residual_tol: float,
-        lam: float = 0.0,
         unbounded: bool = False,
         junction_points: tuple[float, ...] = (),
         extra_verify: tuple[Callable, ...] = (),
@@ -117,9 +115,6 @@ class AnalyticModel:
         self.id = model_id
         self.params = dict(params)
         self.pieces = list(pieces)
-        self.native_form = native_form
-        self.expected_residual_tol = float(expected_residual_tol)
-        self.lam = float(lam)
         self.unbounded = bool(unbounded)
         self.junction_points = tuple(junction_points)
         self.extra_verify = tuple(extra_verify)
@@ -163,16 +158,16 @@ class AnalyticModel:
 
     def verify(self, grid_n: int = 96) -> VerifyResult:
         """Recompute field-equation residuals for every piece on fresh grids."""
-        tol = self.expected_residual_tol
         reports: dict[str, ResidualReport] = {}
         for p in self.pieces:
             lo, hi = p.interval
             pad = 1e-6 * (hi - lo)
             grid = chebyshev_grid(lo + pad, hi - pad, grid_n)
-            reports[f"field[{p.label}]"] = spf_residuals(p.ansatz, p.fluid, grid, tol=tol)
+            reports[f"field[{p.label}]"] = spf_residuals(p.ansatz, p.fluid, grid,
+                                                         tol=RESIDUAL_TOL)
             if isinstance(p.ansatz, SchwarzschildForm) and p.ansatz.v is not None:
                 reports[f"tolman[{p.label}]"] = tolman_residuals(
-                    p.ansatz.gamma, p.ansatz.v, p.mu_phys, p.rho_phys, grid, tol=tol
+                    p.ansatz.gamma, p.ansatz.v, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
                 )
         junction = self._junction_residuals()
         for hook in self.extra_verify:
@@ -233,13 +228,7 @@ def schwarzschild_exterior(M: float = 1.0) -> AnalyticModel:
         interval=(2.02 * M, 60.0 * M),
         scan_interval=(2.0 * M * (1.0 + 1e-9), 2000.0 * M),
     )
-    return AnalyticModel(
-        "schwarzschild_exterior",
-        {"M": M},
-        [piece],
-        native_form="schwarzschild",
-        expected_residual_tol=1e-9,
-    )
+    return AnalyticModel("schwarzschild_exterior", {"M": M}, [piece])
 
 
 def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
@@ -256,8 +245,8 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
         domain = (0.0, math.inf)
         hi = 10.0
 
-    gamma = RadialFunction.from_formula(lambda r: -np.log(1.0 - a * r**2), domain)
-    v = RadialFunction.from_formula(lambda r: np.log(1.0 - a * r**2), domain)
+    gamma = RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain)
+    v = RadialFunction.from_formula(lambda r: np.log1p(-a * r**2), domain)
     ansatz = SchwarzschildForm(gamma, v, domain=domain)
     f = ansatz.lapse()
     mu_phys = RadialFunction.constant(c, domain)
@@ -275,8 +264,6 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
         "schwarzschild_interior",
         {"c": c},
         [piece],
-        native_form="schwarzschild",
-        expected_residual_tol=1e-9,
         notes=("c = 0 is flat space with zero fluid",),
     )
 
@@ -317,8 +304,6 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
         "gamma_zero",
         {"c1": c1, "c2": c2},
         [piece],
-        native_form="schwarzschild",
-        expected_residual_tol=1e-9,
         unbounded=True,
         notes=("unbounded fluid: exempt from surface matching",),
     )
@@ -332,7 +317,7 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
     r_h = math.sqrt(1.0 / a)
     domain = (0.0, r_h)
 
-    gamma = RadialFunction.from_formula(lambda r: -np.log(1.0 - a * r**2), domain)
+    gamma = RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain)
     v = RadialFunction.constant(0.0, domain)
     ansatz = SchwarzschildForm(gamma, v, domain=domain)
     f = RadialFunction.constant(1.0, domain)
@@ -351,8 +336,6 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
         "einstein_static",
         {"c": c},
         [piece],
-        native_form="schwarzschild",
-        expected_residual_tol=1e-9,
         notes=("lapse is constant: every level set of f is critical",),
     )
 
@@ -398,7 +381,7 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     r_b, a1, a2, lapse = _wyman_lapse(R, M)
 
     dom_i = (0.0, R * (1.0 - 1e-9))
-    gamma_i = RadialFunction.from_formula(lambda r: -np.log(1.0 - r**4 / R4), dom_i)
+    gamma_i = RadialFunction.from_formula(lambda r: -np.log1p(-r**4 / R4), dom_i)
     f_i = RadialFunction.from_formula(lapse, dom_i)
     v_i = RadialFunction.from_formula(lambda r: 2.0 * np.log(lapse(r)), dom_i)
     ansatz_i = SchwarzschildForm(gamma_i, v_i, domain=dom_i)
@@ -443,7 +426,7 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         grid = chebyshev_grid(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), grid_n)
         rep = tolman_residuals(
             gamma_i, v_i, model.extras["mu_printed"], rho_i, grid,
-            tol=model.expected_residual_tol,
+            tol=RESIDUAL_TOL,
         )
         return "diagnostic[printed-mu]", rep
 
@@ -451,8 +434,6 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         "wyman",
         {"R": R, "M": M},
         [piece_i, piece_o],
-        native_form="schwarzschild",
-        expected_residual_tol=1e-9,
         junction_points=(r_b,),
         extra_verify=(printed_mu_diagnostic,),
         extras={"r_b": r_b, "a1": a1, "a2": a2, "mu_printed": mu_printed},
@@ -574,9 +555,9 @@ def witten_stellar(
         # K_rad = -b_ss/b and K_tan = (1 - b_s^2)/b^2 of the model's own chart
         star = model.pieces[0]
         grid = np.linspace(*star.interval, 1000)
-        b, b1, b2, e2, ee1 = _radial_chart(star.ansatz, grid)
+        b, b1, b2, e2, ee1, one_minus_bs2 = _radial_chart(star.ansatz, grid)
         k_rad = -(e2 * b2 + ee1 * b1) / b
-        k_tan = (1.0 - e2 * b1 * b1) / (b * b)
+        k_tan = one_minus_bs2 / (b * b)
         viol_rad = np.maximum(0.0, -k_rad)
         viol_tan = np.maximum(0.0, -k_tan)
         entries = [
@@ -590,9 +571,6 @@ def witten_stellar(
         "witten_stellar",
         {"n": n, "A": A, "B": B, "lam": lam, "M": M, "t_max": t_max},
         [piece],
-        native_form="warped",
-        expected_residual_tol=1e-9,
-        lam=lam,
         extra_verify=(tilde_chart_check, sectional_check),
         extras={
             "delta": delta,

@@ -40,8 +40,9 @@ from .geometry import (
     EIGHT_PI,
     ConformalFlat,
     FluidData,
-    ResidualEntry,
     ResidualReport,
+    _entry,
+    _report,
     conformal_curvature,
     spf_residuals,
 )
@@ -51,7 +52,6 @@ from .numerics import (
     ScalarField,
     as_points,
     chebyshev_grid,
-    max_rms,
     solve_ivp,
 )
 
@@ -447,17 +447,7 @@ class ConformalModel:
         return self._geo(u)[0]
 
     def to_ansatz(self) -> ConformalFlat:
-        inv_field = self.invariant.as_field()
-        return ConformalFlat(
-            phi=ScalarField.compose(self.phi, inv_field),
-            phi_radial=self.phi,
-            n=self.n,
-            radial=inv_field,
-            point_of=self.invariant.point_at,
-            kind="invariant",
-            quadric=(self.invariant.tau, self.invariant.C),
-            domain=self.domain,
-        )
+        return ConformalFlat(self.phi, self.invariant, self.domain)
 
     def fluid(self) -> FluidData:
         mu_rf = RadialFunction.from_callables(
@@ -468,9 +458,6 @@ class ConformalModel:
         )
         return FluidData(f=self.f, mu=mu_rf, rho=rho_rf, lam=self.lam)
 
-    def verify_reports(self) -> dict:
-        return dict(self.checks)
-
 
 def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
     p = np.asarray(phi.value(grid), dtype=float)
@@ -480,10 +467,7 @@ def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
     f1 = np.asarray(f.d1(grid), dtype=float)
     f2 = np.asarray(f.d2(grid), dtype=float)
     res = (n - 2.0) * fv * p2 - f2 * p - 2.0 * p1 * f1
-    mx, rms = max_rms(res)
-    worst = float(grid[int(np.argmax(np.abs(res)))])
-    entry = ResidualEntry("lapse-ode", mx, rms, worst)
-    return ResidualReport(entries=(entry,), grid=np.asarray(grid), passed=mx <= tol, tol=tol)
+    return _report([_entry("lapse-ode", res, grid)], grid, tol)
 
 
 def _closure_report(model: ConformalModel, points, tol) -> ResidualReport:
@@ -494,11 +478,8 @@ def _closure_report(model: ConformalModel, points, tol) -> ResidualReport:
     ansatz = model.to_ansatz()
     us = model.invariant.value(points)
     _, r_scal = conformal_curvature(ansatz.phi, points)
-    vals = np.abs(np.asarray(model.mu_geo(us), dtype=float) - 0.5 * r_scal)
-    mx, rms = max_rms(vals)
-    worst = float(us[int(np.argmax(vals))]) if vals.size else float("nan")
-    entry = ResidualEntry("mu-vs-half-R", mx, rms, worst)
-    return ResidualReport(entries=(entry,), grid=us, passed=mx <= tol, tol=tol)
+    vals = np.asarray(model.mu_geo(us), dtype=float) - 0.5 * r_scal
+    return _report([_entry("mu-vs-half-R", vals, us)], us, tol)
 
 
 def build_model(

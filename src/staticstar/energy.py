@@ -56,9 +56,16 @@ class ConditionScan:
 
 
 def _on_grid(values, grid: np.ndarray) -> np.ndarray:
-    """A callable (called once per point), a constant, or an array shaped like grid."""
+    """A callable (called once on the whole grid), a constant, or an array
+    shaped like grid; a callable's constant result is broadcast too."""
     if callable(values):
-        return np.asarray([float(values(r)) for r in grid])
+        try:
+            values = values(grid)
+        except (TypeError, ValueError) as exc:
+            raise BadParams(
+                "fluid callables are called once with the whole grid array "
+                f"and must return values on it (array in, array out): {exc}"
+            ) from exc
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
         return np.full(grid.shape, float(arr))
@@ -70,9 +77,10 @@ def _on_grid(values, grid: np.ndarray) -> np.ndarray:
 def scan_conditions(mu_fn, rho_fn, grid) -> ConditionScan:
     """Evaluate the three conditions pointwise on ``grid``.
 
-    ``mu_fn``/``rho_fn`` are each a callable r -> physical value, called
-    once per grid point (so scalar-only callables work), a constant, or the
-    values already evaluated on ``grid`` (an array of the grid's shape).
+    ``mu_fn``/``rho_fn`` are each a callable taking the grid array and
+    returning the physical values on it (array in, array out), a constant,
+    or the values already evaluated on ``grid`` (an array of the grid's
+    shape).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:

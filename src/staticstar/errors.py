@@ -20,7 +20,6 @@ __all__ = [
     "DegenerateFluid",
     "NotARegularValue",
     "NoLevelSet",
-    "ComplexThreshold",
     "SignLoss",
 ]
 
@@ -80,10 +79,6 @@ class NotARegularValue(StaticStarError):
 
 class NoLevelSet(StaticStarError):
     """The requested lapse value is not attained on the model's domain."""
-
-
-class ComplexThreshold(StaticStarError):
-    """Classification thresholds are complex (kappa^2 + c^2 rho0 < 0)."""
 
 
 class SignLoss(StaticStarError):

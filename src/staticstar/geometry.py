@@ -24,7 +24,7 @@ Supported metric ansatz classes
 -------------------------------
 * :class:`SchwarzschildForm` — g = e^{gamma(r)} dr^2 + r^2 g_{S^2}
 * :class:`WarpedProduct`     — g = dr^2 + phi(r)^2 g_{S^2}   (r = proper distance)
-* :class:`ConformalFlat`     — g = phi(x)^{-2} delta  on a subset of R^n
+* :class:`ConformalFlat`     — g = phi(u(x))^{-2} delta  on a subset of R^n, u a quadric invariant
 """
 
 from __future__ import annotations
@@ -33,11 +33,15 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import EPS_DOM, RadialFunction, ScalarField, as_points, max_rms
+from .numerics import RadialFunction, ScalarField, as_points, max_rms
+
+if TYPE_CHECKING:  # conformal imports this module
+    from .conformal import BasicInvariant
 
 __all__ = [
     "SchwarzschildForm",
@@ -109,14 +113,6 @@ class SchwarzschildForm:
     def n(self) -> int:
         return 3
 
-    def interval(self) -> tuple[float, float]:
-        if self.domain is not None:
-            return self.domain
-        lo, hi = self.gamma.domain
-        if self.v is not None:
-            lo, hi = max(lo, self.v.domain[0]), min(hi, self.v.domain[1])
-        return max(lo, EPS_DOM), hi
-
     def lapse(self) -> RadialFunction:
         """f = e^{v/2} with analytic derivatives, when v is present."""
         if self.v is None:
@@ -148,91 +144,42 @@ class WarpedProduct:
     def n(self) -> int:
         return 3
 
-    def interval(self) -> tuple[float, float]:
-        if self.domain is not None:
-            return self.domain
-        lo, hi = self.phi.domain
-        return max(lo, EPS_DOM), hi
-
 
 @dataclass(frozen=True)
 class ConformalFlat:
-    """g = phi(x)^{-2} delta_ij on (a subset of) R^n, n >= 3.
+    """g = phi(u(x))^{-2} delta_ij on (a subset of) R^n, n >= 3, for a quadric
+    invariant u (:class:`~staticstar.conformal.BasicInvariant`).
 
-    The ansatz is radial in a generalized sense: a scalar ``radial`` field
-    u(x) (Euclidean radius, or a quadric invariant) parameterizes the model,
-    radial profiles are functions of u, and ``point_of`` embeds grid values
-    u (a float or an array) into R^n on a reference ray, as points shaped
-    ``u.shape + (n,)``.  ``phi`` is the full field; ``phi_radial`` its
-    profile in u.
-
-    For invariant-parameterized models ``quadric = (tau, C)`` records the
-    quadric data needed for sphere geometry: the level sets of u are round
-    spheres of Euclidean radius sqrt(4 tau u + C) / (2 tau) (tau > 0).
+    ``phi_radial`` is the factor's profile in u; everything else is read from
+    the invariant: ``n``, the field ``radial`` = u(x), the full factor field
+    ``phi`` (built once per ansatz) and, unless ``point_of`` is given, the
+    reference ray ``invariant.point_at``, which embeds grid values u (a float
+    or an array) into R^n as points shaped ``u.shape + (n,)``.  For tau > 0
+    the level sets of u are round spheres about the invariant's center.
     """
 
-    phi: ScalarField
     phi_radial: RadialFunction
-    n: int
-    radial: ScalarField
-    point_of: Callable[[np.ndarray], np.ndarray]
-    kind: str = "euclidean"  # "euclidean" | "invariant"
-    quadric: tuple[float, float] | None = None  # (tau, C) for kind="invariant"
-    domain: tuple[float, float] = (EPS_DOM, math.inf)
+    invariant: BasicInvariant
+    domain: tuple[float, float]
+    point_of: Callable[[np.ndarray], np.ndarray] | None = None
+    radial: ScalarField = field(init=False, repr=False, compare=False)
+    phi: ScalarField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise BadParams(f"conformally flat ansatz needs n >= 3, got n={self.n}")
-        if self.kind not in ("euclidean", "invariant"):
-            raise BadParams(f"unknown radial kind {self.kind!r}")
-        if self.kind == "invariant" and self.quadric is None:
-            raise BadParams("invariant-parameterized ansatz requires quadric=(tau, C)")
+        radial = self.invariant.as_field()
+        object.__setattr__(self, "radial", radial)
+        object.__setattr__(self, "phi", ScalarField.compose(self.phi_radial, radial))
+        if self.point_of is None:
+            object.__setattr__(self, "point_of", self.invariant.point_at)
 
-    def interval(self) -> tuple[float, float]:
-        return self.domain
-
-    @classmethod
-    def euclidean(cls, phi_radial: RadialFunction, n: int,
-                  domain: tuple[float, float] | None = None) -> "ConformalFlat":
-        """Radially symmetric factor phi(|x|); grid values are Euclidean radii."""
-        if domain is None:
-            lo, hi = phi_radial.domain
-            domain = (max(lo, EPS_DOM), hi)
-
-        def radius_value(x):
-            return np.linalg.norm(as_points(x, n), axis=-1)
-
-        def radius_parts(x):
-            x = as_points(x, n)
-            s = np.linalg.norm(x, axis=-1)
-            if np.any(s == 0.0):
-                raise DomainError("Euclidean radius field is singular at the origin")
-            return x / s[..., None], s
-
-        def radius_gradient(x):
-            return radius_parts(x)[0]
-
-        def radius_hessian(x):
-            e, s = radius_parts(x)
-            return (np.eye(n) - e[..., :, None] * e[..., None, :]) / s[..., None, None]
-
-        radial = ScalarField(radius_value, radius_gradient, radius_hessian, n)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        return cls(
-            phi=ScalarField.from_radial_euclidean(phi_radial, n),
-            phi_radial=phi_radial,
-            n=n,
-            radial=radial,
-            point_of=lambda s, _e=e1: np.asarray(s, dtype=float)[..., None] * _e,
-            kind="euclidean",
-            domain=domain,
-        )
+    @property
+    def n(self) -> int:
+        return self.invariant.n
 
     def lift(self, rf: RadialFunction) -> ScalarField:
         """Interpret a radial profile as a field on R^n: F(x) = rf(u(x))."""
-        if self.kind == "euclidean":
-            return ScalarField.from_radial_euclidean(rf, self.n)
         return ScalarField.compose(rf, self.radial)
 
 
@@ -347,27 +294,32 @@ def _report(entries: list[ResidualEntry], grid: np.ndarray, tol: float) -> Resid
 # ----------------------------------------------------------------------------
 
 def _radial_chart(ansatz, r):
-    """(b, b', b'', e^2, e e') of a radial chart at r, with e = 1/a = |grad r|_g.
+    """(b, b', b'', e^2, e e', 1 - b_s^2) of a radial chart at r, with
+    e = 1/a = |grad r|_g.
 
     SchwarzschildForm is a = e^{gamma/2}, b = r; WarpedProduct is a = 1,
     b = phi.  This is the one place the two are told apart: the radial
     quantities below are written once in proper distance s, where d/ds =
-    e d/dr, so that f_s = e f' and f_ss = e^2 f'' + e e' f'.  e^2 is read as
-    it stands (e^{-gamma}), never squared from e, so 1 - b_s^2 = 1 - e^2 b'^2
-    keeps every digit.
+    e d/dr, so that f_s = e f' and f_ss = e^2 f'' + e e' f'.  1 - b_s^2 is
+    formed here in each chart's own terms, -expm1(-gamma) and 1 - phi'^2:
+    near a regular centre gamma ~ r^2, and 1 - e^{-gamma} formed as a
+    difference would keep only about eps/gamma of its digits.
     """
     r = np.asarray(r, dtype=float)
     if isinstance(ansatz, SchwarzschildForm):
-        e2 = np.exp(-np.asarray(ansatz.gamma.value(r), dtype=float))
-        return r, 1.0, 0.0, e2, -0.5 * np.asarray(ansatz.gamma.d1(r), dtype=float) * e2
+        gamma = np.asarray(ansatz.gamma.value(r), dtype=float)
+        e2 = np.exp(-gamma)
+        ee1 = -0.5 * np.asarray(ansatz.gamma.d1(r), dtype=float) * e2
+        return r, 1.0, 0.0, e2, ee1, -np.expm1(-gamma)
     if isinstance(ansatz, WarpedProduct):
         phi = ansatz.phi
-        return (np.asarray(phi.value(r), dtype=float), np.asarray(phi.d1(r), dtype=float),
-                np.asarray(phi.d2(r), dtype=float), 1.0, 0.0)
+        b1 = np.asarray(phi.d1(r), dtype=float)
+        return (np.asarray(phi.value(r), dtype=float), b1,
+                np.asarray(phi.d2(r), dtype=float), 1.0, 0.0, 1 - b1**2)
     raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
 
 
-def _chart_ricci(b, b1, b2, e2, ee1):
+def _chart_ricci(b, b1, b2, e2, ee1, one_minus_bs2):
     """(R_rr, Rab, R) from :func:`_radial_chart` data, as in :func:`ricci_warped`.
 
     With b_ss = e^2 b'' + e e' b': R_rr = -2 b_ss/b (orthonormal frame),
@@ -378,7 +330,7 @@ def _chart_ricci(b, b1, b2, e2, ee1):
         raise DomainError("areal radius b vanishes on the evaluation set")
     b_ss = e2 * b2 + ee1 * b1
     r11 = -2.0 * b_ss / b
-    rab = 1.0 - e2 * b1 * b1 - b * b_ss
+    rab = one_minus_bs2 - b * b_ss
     return r11, rab, r11 + 2.0 * rab / (b * b)
 
 
@@ -495,7 +447,7 @@ def _radial_frame(ansatz, fluid_f: RadialFunction, r: np.ndarray) -> dict:
     f1 = np.asarray(fluid_f.d1(r), dtype=float)
     f2 = np.asarray(fluid_f.d2(r), dtype=float)
     chart = _radial_chart(ansatz, r)
-    b, b1, _, e2, ee1 = chart
+    b, b1, _, e2, ee1, _ = chart
     ric_rr, rab, scal = _chart_ricci(*chart)
     hess_rr = e2 * f2 + ee1 * f1  # f_ss
     hess_tan = e2 * b1 * f1 / b  # b_s f_s / b
@@ -616,11 +568,13 @@ def tolman_residuals(
 
     With x = e^{-gamma}:
 
-        density:       8 pi mu  - (1 - (r x)') / r^2
-        pressure:      8 pi rho - [ -1/r^2 + x (v'/r + 1/r^2) ]
+        density:       8 pi mu  - (1 - x + r gamma' x) / r^2
+        pressure:      8 pi rho - [ x v'/r - (1 - x)/r^2 ]
         conservation:  2 rho' + v' (rho + mu)
 
-    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda).
+    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda).  1 - x is
+    formed as -expm1(-gamma), so near a regular centre, where gamma ~ r^2,
+    the 1/r^2 terms carry no round-off of size eps/r^2.
     """
     r = np.asarray(grid, dtype=float)
     if np.any(r <= 0.0):
@@ -628,14 +582,14 @@ def tolman_residuals(
     g = np.asarray(gamma.value(r), dtype=float)
     g1 = np.asarray(gamma.d1(r), dtype=float)
     x = np.exp(-g)
-    x1 = -g1 * x
+    one_minus_x = -np.expm1(-g)
     v1 = np.asarray(v.d1(r), dtype=float)
     mu_v = np.asarray(mu.value(r), dtype=float)
     rho_v = np.asarray(rho.value(r), dtype=float)
     rho1 = np.asarray(rho.d1(r), dtype=float)
 
-    t_density = EIGHT_PI * mu_v - (1.0 - (x + r * x1)) / (r * r)
-    t_pressure = EIGHT_PI * rho_v - (-1.0 / (r * r) + x * (v1 / r + 1.0 / (r * r)))
+    t_density = EIGHT_PI * mu_v - (one_minus_x + r * g1 * x) / (r * r)
+    t_pressure = EIGHT_PI * rho_v - (x * v1 / r - one_minus_x / (r * r))
     t_conserv = 2.0 * rho1 + v1 * (rho_v + mu_v)
 
     entries = [
@@ -675,34 +629,26 @@ def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, flo
     * radial charts, g = a^2 dr^2 + b^2 g_{S^2}: H = 2 b_s/b = 2 e b'/b with
       e = 1/a (so H = (2/r) e^{-gamma/2} in Schwarzschild form and
       2 phi'/phi in a warped product);
-    * ConformalFlat: the level sphere has Euclidean radius s about its
-      center (s = sqrt(4 tau u + C)/(2 tau) for an invariant), b = s/phi,
-      H = (n-1) (phi - s dphi/ds)/s and e = phi |grad u|_euclid.
+    * ConformalFlat: the level sphere of the invariant has Euclidean radius
+      s = sqrt(4 tau u + C)/(2 tau) about its center, b = s/phi,
+      H = (n-1) (phi - s dphi/ds)/s and e = phi |grad u|_euclid, where
+      du/ds = 2 tau s.
 
     Sign conventions for level-set normals are handled by the quasi-local
     layer, not here.
     """
     u = float(r)
     if isinstance(ansatz, ConformalFlat):
+        s = float(ansatz.invariant.sphere_radius(u))
         p = float(ansatz.phi_radial.value(u))
         dp = float(ansatz.phi_radial.d1(u))
-        if ansatz.kind == "euclidean":
-            s, du_ds = u, 1.0
-        else:
-            tau, c_inv = ansatz.quadric
-            if tau <= 0.0:
-                raise DomainError("level sets of a tau <= 0 invariant are not spheres")
-            disc = 4.0 * tau * u + c_inv
-            if disc <= 0.0:
-                raise DomainError(f"invariant value u={u} has empty level sphere")
-            s = math.sqrt(disc) / (2.0 * tau)
-            du_ds = 2.0 * tau * s
         if s <= 0.0 or p <= 0.0:
             raise DomainError(f"no coordinate sphere at u={u}: radius {s}, phi {p}")
+        du_ds = 2.0 * ansatz.invariant.tau * s
         return s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds
     if u <= 0.0:
         raise DomainError("coordinate sphere needs r > 0")
-    b, b1, _, e2, _ = (float(v) for v in _radial_chart(ansatz, u))
+    b, b1, _, e2, _, _ = (float(v) for v in _radial_chart(ansatz, u))
     if b <= 0.0:
         raise DomainError(f"non-positive areal radius {b} at r={u}")
     e = math.sqrt(e2)

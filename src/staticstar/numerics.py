@@ -26,7 +26,6 @@ residual checks assume.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import functools
 import math
 from collections.abc import Callable
@@ -45,7 +44,6 @@ __all__ = [
     "as_points",
     "fd_derivative",
     "chebyshev_grid",
-    "find_brackets",
     "sign_brackets",
     "refine_root",
     "bisect_root",
@@ -421,11 +419,6 @@ class RadialFunction:
     def __call__(self, r):
         return self.value(r)
 
-    def restricted(self, lo: float, hi: float) -> "RadialFunction":
-        """Same function on a narrower domain."""
-        new_lo, new_hi = max(lo, self.domain[0]), min(hi, self.domain[1])
-        return dataclasses.replace(self, domain=(new_lo, new_hi))
-
 
 # ----------------------------------------------------------------------------
 # piecewise polynomials and the fits built on them
@@ -781,57 +774,14 @@ class ScalarField:
     ``(N, n)`` and return values shaped ``()``/``(N,)``, gradients
     ``(..., n)`` and Hessians ``(..., n, n)``; other shapes raise BadParams.
     A hand-written field only needs to handle the shapes its caller passes.
-    Fields built by the ``from_radial_*`` constructors are exact compositions
-    (chain rule), not finite differences.
+    Fields built by :meth:`compose` are exact (chain rule), not finite
+    differences.
     """
 
     value: Callable
     gradient: Callable
     hessian: Callable
     n: int
-
-    @classmethod
-    def from_radial_euclidean(cls, rf: RadialFunction, n: int) -> "ScalarField":
-        """Lift ``F(x) = rf(|x|)`` to a field on R^n.
-
-        At the origin the gradient is 0 and the Hessian is ``rf''(0) * I``
-        (valid for even radial profiles, which is the only case the package
-        constructs); elsewhere the exact chain rule is used.  The origin is
-        masked per point, and ``rf`` is only evaluated where it is needed.
-        """
-        eye = np.eye(n)
-
-        def radii(x):
-            x = as_points(x, n)
-            s = np.linalg.norm(x, axis=-1)
-            return x, s, s > 0.0
-
-        def value(x):
-            return rf.value(np.linalg.norm(as_points(x, n), axis=-1))
-
-        def gradient(x):
-            x, s, off = radii(x)
-            out = np.zeros(x.shape)
-            if np.any(off):
-                so = s[off]
-                out[off] = (np.asarray(rf.d1(so), dtype=float) / so)[:, None] * x[off]
-            return out
-
-        def hessian(x):
-            x, s, off = radii(x)
-            out = np.empty(x.shape + (n,))
-            if not np.all(off):
-                out[~off] = float(rf.d2(0.0)) * eye
-            if np.any(off):
-                so = s[off]
-                d1 = np.asarray(rf.d1(so), dtype=float) / so
-                d2 = np.asarray(rf.d2(so), dtype=float)
-                xs = x[off] / so[:, None]
-                out[off] = (d2 - d1)[:, None, None] * (xs[:, :, None] * xs[:, None, :]) \
-                    + d1[:, None, None] * eye
-            return out
-
-        return cls(value=value, gradient=gradient, hessian=hessian, n=n)
 
     @classmethod
     def compose(cls, rf: RadialFunction, inner: "ScalarField") -> "ScalarField":
@@ -852,16 +802,6 @@ class ScalarField:
             return d2 * (g[..., :, None] * g[..., None, :]) + d1 * np.asarray(inner.hessian(x))
 
         return cls(value=value, gradient=gradient, hessian=hessian, n=inner.n)
-
-    @classmethod
-    def constant(cls, c: float, n: int) -> "ScalarField":
-        c = float(c)
-        return cls(
-            value=lambda x: np.full(as_points(x, n).shape[:-1], c),
-            gradient=lambda x: np.zeros(as_points(x, n).shape),
-            hessian=lambda x: np.zeros(as_points(x, n).shape + (n,)),
-            n=n,
-        )
 
 
 # ----------------------------------------------------------------------------
@@ -892,17 +832,6 @@ def chebyshev_grid(lo: float, hi: float, n: int = DEFAULT_GRID_N, margin: float 
 # ----------------------------------------------------------------------------
 # roots
 # ----------------------------------------------------------------------------
-
-def find_brackets(func: Callable, grid) -> list[tuple[float, float]]:
-    """Sign-change brackets of ``func`` along ``grid`` (assumed increasing).
-
-    ``func`` is called once per grid point, so scalar-only callables work;
-    for a callable that takes arrays, evaluate it on the grid once and use
-    :func:`sign_brackets`.
-    """
-    grid = np.asarray(grid, dtype=float)
-    return sign_brackets(grid, np.asarray([float(func(g)) for g in grid]))
-
 
 def sign_brackets(grid, vals) -> list[tuple[float, float]]:
     """Sign-change brackets of values ``vals`` sampled on increasing ``grid``.

@@ -347,15 +347,16 @@ def _level_report(c, r0, chart) -> QuasiLocalReport:
     )
 
 
-def _sphere_audit(model, ansatz: ConformalFlat, degree: int):
+def _sphere_audit(ansatz: ConformalFlat, f, degree: int):
     """Audit of a conformal level sphere over its actual 3D surface.
 
     Returns a function of (u0, b) giving the umbilicity spread of the shape
-    operator, the relative spread of |grad f|_g and the Willmore energy, all
-    from one batch of shape operators at the quadrature nodes.
+    operator of the lapse profile ``f``, the relative spread of |grad f|_g
+    and the Willmore energy, all from one batch of shape operators at the
+    quadrature nodes.
     """
-    inv = model.invariant
-    f_field = ansatz.lift(model.f)
+    inv = ansatz.invariant
+    f_field = ansatz.lift(f)
 
     def audit(u0, b):
         x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(degree)[0]
@@ -409,7 +410,7 @@ def _charts(model, c: float, window, degree: int):
             pad = max(1e-9, 1e-9 * (hi - lo))
             lo, hi = lo + pad, hi - pad
         ansatz = model.to_ansatz()
-        return [(ansatz, model.f, model.rho_geo, lo, hi, _sphere_audit(model, ansatz, degree))]
+        return [(ansatz, model.f, model.rho_geo, lo, hi, _sphere_audit(ansatz, model.f, degree))]
     raise BadParams(f"no level-set support for {type(model).__name__}")
 
 

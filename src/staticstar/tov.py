@@ -286,8 +286,6 @@ class RadialProfile:
     options: SolverOptions = SolverOptions()
     v_free_fn: Callable | None = None
 
-    interpolation = "cubic"
-
     def __post_init__(self):
         if self.r_start <= 0.0:
             raise BadParams("profiles start at r_start > 0")

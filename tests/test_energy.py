@@ -47,10 +47,33 @@ def test_nec_subsumes_the_rest():
 
 def test_first_violation_is_smallest_radius():
     def rho(r):
-        return -2.0 if r >= 3.0 else 0.5
+        return np.where(r >= 3.0, -2.0, 0.5)
 
     scan = scan_conditions(1.0, rho, GRID)
     assert scan.first_violation == ("nec", 3.0)
+
+
+def test_callables_are_called_once_on_the_whole_grid():
+    calls = []
+
+    def mu(r):
+        calls.append(np.shape(r))
+        return 2.0 * r
+
+    scan = scan_conditions(mu, lambda r: 1.0, GRID)
+    assert calls == [GRID.shape]
+    assert np.array_equal(scan.mu, 2.0 * GRID)
+    assert np.array_equal(scan.rho, np.ones(GRID.shape))
+
+
+def test_scalar_only_callables_are_refused():
+    def rho(r):
+        return -2.0 if r >= 3.0 else 0.5
+
+    with pytest.raises(BadParams, match="whole grid array"):
+        scan_conditions(1.0, rho, GRID)
+    with pytest.raises(BadParams, match="whole grid array"):
+        scan_conditions(lambda r: float(r), 0.0, GRID)
 
 
 def test_precomputed_arrays_match_callables():
@@ -68,7 +91,9 @@ def test_stellar_model_scan_uses_array_evaluators(const_star):
     scan = scan_model(const_star, grid=grid)
     assert np.array_equal(scan.mu, const_star.mu(grid))
     assert np.array_equal(scan.rho, const_star.rho(grid))
-    per_point = scan_conditions(const_star.mu, const_star.rho, grid)
+    # the scalar branch of the model's evaluators, one float per point
+    per_point = scan_conditions(np.array([const_star.mu(float(r)) for r in grid]),
+                                np.array([const_star.rho(float(r)) for r in grid]), grid)
     np.testing.assert_allclose(scan.rho, per_point.rho, rtol=1e-12, atol=1e-18)
     assert (scan.nec, scan.wec, scan.dec) == (per_point.nec, per_point.wec, per_point.dec)
 

@@ -15,7 +15,6 @@ from staticstar.numerics import (
     bisect_root,
     chebyshev_grid,
     fd_derivative,
-    find_brackets,
     max_rms,
     refine_root,
     sign_brackets,
@@ -63,24 +62,6 @@ def test_radial_function_domain_gate():
         rf.check_domain(2.5)
 
 
-def test_radial_function_restricted():
-    rf = RadialFunction.constant(4.0, domain=(0.0, 10.0))
-    sub = rf.restricted(1.0, 3.0)
-    assert sub.domain == (1.0, 3.0)
-    assert sub.value(2.0) == 4.0
-
-
-def test_scalar_field_from_radial():
-    rf = RadialFunction.from_callables(
-        lambda r: r**2, d1=lambda r: 2 * r, d2=lambda r: 2.0 + 0 * r,
-    )
-    field = ScalarField.from_radial_euclidean(rf, 3)
-    x = np.array([1.0, 2.0, 2.0])
-    assert abs(field.value(x) - 9.0) < 1e-12
-    assert np.allclose(field.gradient(x), 2.0 * x)
-    assert np.allclose(field.hessian(x), 2.0 * np.eye(3))
-
-
 def test_scalar_field_compose_chain_rule():
     # F(x) = (|x|^2)^2: gradient 4 |x|^2 x, hessian 4 |x|^2 I + 8 x x^T
     inner = ScalarField(
@@ -99,26 +80,12 @@ def test_scalar_field_compose_chain_rule():
     assert np.allclose(field.hessian(x), 4.0 * u * np.eye(3) + 8.0 * np.outer(x, x))
 
 
-def test_radial_field_batches_with_the_origin_masked_per_row():
-    rf = RadialFunction.from_callables(
-        lambda r: np.cos(r), d1=lambda r: -np.sin(r), d2=lambda r: -np.cos(r),
-    )
-    field = ScalarField.from_radial_euclidean(rf, 3)
-    pts = np.array([[0.3, -0.4, 1.2], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.25]])
-    vals, grads, hess = field.value(pts), field.gradient(pts), field.hessian(pts)
-    assert vals.shape == (3,) and grads.shape == (3, 3) and hess.shape == (3, 3, 3)
-    for k, x in enumerate(pts):
-        assert vals[k] == pytest.approx(field.value(x), abs=1e-15)
-        np.testing.assert_allclose(grads[k], field.gradient(x), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(hess[k], field.hessian(x), rtol=0, atol=1e-15)
-    assert np.array_equal(grads[1], np.zeros(3))
-    assert np.array_equal(hess[1], -np.eye(3))
+# u = |x|^2 as a quadric invariant
+_SQUARED_RADIUS = conformal.BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3)
 
 
 def test_composed_field_batches_like_its_rows():
-    inner = ScalarField.from_radial_euclidean(
-        RadialFunction.from_callables(lambda r: r * r, d1=lambda r: 2.0 * r,
-                                      d2=lambda r: 2.0 + 0.0 * r), 3)
+    inner = _SQUARED_RADIUS.as_field()
     field = ScalarField.compose(
         RadialFunction.from_callables(np.exp, d1=np.exp, d2=np.exp), inner)
     pts = np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]])
@@ -130,19 +97,11 @@ def test_composed_field_batches_like_its_rows():
         np.testing.assert_allclose(field.gradient(pts)[k], 2.0 * math.exp(u) * x, rtol=1e-14)
 
 
-def test_constant_field_batches():
-    field = ScalarField.constant(2.5, 3)
-    pts = np.ones((4, 3))
-    assert np.array_equal(field.value(pts), np.full(4, 2.5))
-    assert field.gradient(pts).shape == (4, 3) and field.hessian(pts).shape == (4, 3, 3)
-    assert field.value(pts[0]) == 2.5 and field.hessian(pts[0]).shape == (3, 3)
-
-
 @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 3), (2,)])
 @pytest.mark.parametrize("field", [
-    ScalarField.from_radial_euclidean(RadialFunction.constant(1.0), 3),
-    ScalarField.constant(1.0, 3),
-], ids=["radial", "constant"])
+    _SQUARED_RADIUS.as_field(),
+    ScalarField.compose(RadialFunction.constant(1.0), _SQUARED_RADIUS.as_field()),
+], ids=["invariant", "composed"])
 def test_package_fields_reject_malformed_point_arrays(field, shape):
     for fn in (field.value, field.gradient, field.hessian):
         with pytest.raises(BadParams):
@@ -166,16 +125,16 @@ def test_chebyshev_grid_margin():
     assert g[0] == pytest.approx(0.01) and g[-1] == pytest.approx(0.99)
 
 
-def test_find_brackets_sin():
+def test_sign_brackets_sin():
     grid = np.linspace(0.5, 10.0, 400)
-    brackets = find_brackets(math.sin, grid)
+    brackets = sign_brackets(grid, np.sin(grid))
     roots = [refine_root(math.sin, a, b) for a, b in brackets]
     assert np.allclose(roots, [math.pi, 2 * math.pi, 3 * math.pi], atol=1e-10)
 
 
-def test_find_brackets_exact_zero_degenerate():
+def test_sign_brackets_exact_zero_degenerate():
     grid = np.array([-1.0, 0.0, 1.0])
-    brackets = find_brackets(lambda x: x, grid)
+    brackets = sign_brackets(grid, grid)
     # the exact grid zero is reported as a degenerate bracket
     assert (0.0, 0.0) in brackets
     assert refine_root(lambda x: x, 0.0, 0.0) == 0.0
@@ -319,12 +278,18 @@ def test_max_rms():
     assert rms == pytest.approx(math.sqrt(12.5))
 
 
-def test_sign_brackets_match_find_brackets():
+def test_sign_brackets_exact_zero_among_sign_changes():
     grid = np.linspace(-1.0, 10.0, 401)
     vals = np.sin(grid)
     vals[200] = 0.0
-    assert sign_brackets(grid, vals) == find_brackets(
-        lambda x: 0.0 if x == grid[200] else math.sin(x), grid)
+    # each bracket is one grid step holding a root of sin, in grid order,
+    # with the planted zero reported as the degenerate bracket at its point
+    want = [0.0, math.pi, grid[200], 2.0 * math.pi, 3.0 * math.pi]
+    brackets = sign_brackets(grid, vals)
+    assert len(brackets) == len(want)
+    assert brackets[2] == (grid[200], grid[200])
+    for (a, b), root in zip(brackets, want):
+        assert a <= root <= b and b - a < 1.01 * (grid[1] - grid[0])
     with pytest.raises(DomainError):
         sign_brackets(grid, np.full(grid.shape, np.nan))
 

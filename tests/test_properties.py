@@ -40,8 +40,9 @@ def test_unit_bridge_round_trip(mu, rho, lam):
 def test_condition_implications(pairs):
     grid = np.arange(1.0, 1.0 + len(pairs))
     mu = np.array([p[0] for p in pairs])
-    scan = scan_conditions(lambda r: mu[int(r - 1.0)],
-                           lambda r: pairs[int(r - 1.0)][1], grid)
+    rho = np.array([p[1] for p in pairs])
+    scan = scan_conditions(lambda r: mu[(r - 1.0).astype(int)],
+                           lambda r: rho[(r - 1.0).astype(int)], grid)
     assert (not scan.dec) or scan.wec
     assert (not scan.wec) or scan.nec
     if not (scan.nec and scan.wec and scan.dec):
