@@ -12,6 +12,7 @@ Registry: ``MODELS`` maps id -> factory; ``build(model_id, **params)`` and
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from collections.abc import Callable
@@ -611,6 +612,12 @@ MODELS: dict[str, Callable[..., AnalyticModel]] = {
 }
 
 
+@functools.cache
+def _parameter_names(factory: Callable[..., AnalyticModel]) -> tuple[str, ...]:
+    """A factory's keyword names in signature order, read once per factory."""
+    return tuple(inspect.signature(factory).parameters)
+
+
 def build(model_id: str, **params) -> AnalyticModel:
     try:
         factory = MODELS[model_id]
@@ -618,7 +625,7 @@ def build(model_id: str, **params) -> AnalyticModel:
         raise UnknownModel(
             f"unknown model {model_id!r}; known: {', '.join(sorted(MODELS))}"
         ) from None
-    accepted = inspect.signature(factory).parameters
+    accepted = _parameter_names(factory)
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise BadParams(

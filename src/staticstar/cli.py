@@ -21,6 +21,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -229,7 +230,13 @@ def _cmd_build(args, cfg: RunConfig) -> int:
 # parser
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every ``main`` call.
+
+    ``parse_args`` fills a fresh namespace on each call and leaves the parser
+    as it was, so one tree serves every request in a process.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file ([staticstar] key = value)")
     common.add_argument("--json", action="store_true", help="machine-readable output")

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process: exit codes, output shapes, config."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -10,8 +11,9 @@ import sys
 import pytest
 
 import staticstar
-from staticstar import catalog
+from staticstar import catalog, cli
 from staticstar.cli import main
+from staticstar.config import RunConfig
 from staticstar.numerics import RadialFunction
 
 STAR = ["--eos", "constant:c=0.001", "--rho-c", "0.0005"]
@@ -252,6 +254,81 @@ def test_unknown_config_key(capsys, tmp_path):
     code, _, err = run(capsys, "audit", "--model", "schwarzschild_interior:c=0.001",
                        "--config", str(cfg))
     assert code == 1 and "grid_m" in err
+
+
+# --- one parser per process ---------------------------------------------------
+
+def _fresh_parser_run(capsys, *argv):
+    cli._build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def test_param_from_one_call_does_not_reach_the_next(capsys):
+    argv = ("catalog", "verify", "witten_stellar", "--json")
+    fresh = _fresh_parser_run(capsys, *argv)
+    with_param = run(capsys, *argv, "--param", "A=2")
+    assert with_param[0] == 0 and with_param[1] != fresh[1]
+    assert run(capsys, *argv) == fresh
+
+
+def test_levels_from_one_call_do_not_reach_the_next(capsys):
+    model = ("--model", "schwarzschild_exterior:M=1", "--json")
+    code, out, _ = run(capsys, "mass", *model, "--level", "0.1", "--level", "0.5")
+    assert code == 0 and len(json.loads(out)) == 2
+    code, out, _ = run(capsys, "mass", *model, "--level", "0.3")
+    assert code == 0
+    assert [row["level"] for row in json.loads(out)] == [0.3]
+
+
+def test_config_from_one_call_does_not_reach_the_next(capsys, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[staticstar]\ngrid_n = 96\n")
+    argv = ("audit", "--model", "schwarzschild_interior:c=0.001", "--json")
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["n_points"] == 96
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["n_points"] == RunConfig().grid_n
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _fresh_parser_run(capsys, "catalog", "list")
+    per_tree = len(built)
+    assert per_tree > 0
+    for _ in range(9):
+        run(capsys, "catalog", "list")
+    assert len(built) == per_tree
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "wyman", "--grid-n", "48", "--json"),
+        ("verify", "wyman", "--grid-n", "48"),
+        ("--help",),
+        ("mass", "--help"),
+    ],
+)
+def test_repeated_argv_gives_identical_bytes(capsys, argv):
+    first = _fresh_parser_run(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    for _ in range(3):
+        assert run(capsys, *argv) == first
+
+
+def test_usage_error_repeats(capsys):
+    argv = ("mass", "--model", "schwarzschild_exterior:M=1")
+    first = _fresh_parser_run(capsys, *argv)
+    assert first[0] == 1 and "--level" in first[2]
+    for _ in range(3):
+        assert run(capsys, *argv) == first
 
 
 # --- import footprint -----------------------------------------------------------
