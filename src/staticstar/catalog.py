@@ -166,9 +166,9 @@ class AnalyticModel:
             grid = chebyshev_grid(lo + pad, hi - pad, grid_n)
             reports[f"field[{p.label}]"] = spf_residuals(p.ansatz, p.fluid, grid,
                                                          tol=RESIDUAL_TOL)
-            if isinstance(p.ansatz, SchwarzschildForm) and p.ansatz.v is not None:
+            if isinstance(p.ansatz, SchwarzschildForm):
                 reports[f"tolman[{p.label}]"] = tolman_residuals(
-                    p.ansatz.gamma, p.ansatz.v, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
+                    p.ansatz.gamma, p.fluid.f, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
                 )
         junction = self._junction_residuals()
         for hook in self.extra_verify:
@@ -199,11 +199,25 @@ class AnalyticModel:
         return out
 
 
-def _vacuum_gamma_v(M: float, domain) -> tuple[RadialFunction, RadialFunction]:
-    """gamma = -log(1 - 2M/r) and v = -gamma."""
-    gamma = RadialFunction.from_formula(lambda r: -np.log(1.0 - 2.0 * M / r), domain)
-    v = RadialFunction.from_formula(lambda r: np.log(1.0 - 2.0 * M / r), domain)
-    return gamma, v
+def _vacuum_piece(M: float, interval, scan_interval) -> Piece:
+    """The vacuum exterior of mass M on (2M, infinity): with x = 1 - 2M/r,
+    gamma = -log x and f = sqrt(x)."""
+    domain = (2.0 * M, math.inf)
+
+    def x(r):
+        return 1.0 - 2.0 * M / r
+
+    zero = RadialFunction.constant(0.0, domain)
+    return Piece(
+        label="exterior",
+        ansatz=SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log(x(r)), domain)),
+        fluid=FluidData(f=RadialFunction.from_formula(lambda r: np.sqrt(x(r)), domain),
+                        mu=zero, rho=zero),
+        mu_phys=zero,
+        rho_phys=zero,
+        interval=interval,
+        scan_interval=scan_interval,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -214,26 +228,12 @@ def schwarzschild_exterior(M: float = 1.0) -> AnalyticModel:
     """Vacuum exterior of mass M on (2M, infinity)."""
     if M <= 0:
         raise BadParams(f"need M > 0, got {M}")
-    domain = (2.0 * M, math.inf)
-    gamma, v = _vacuum_gamma_v(M, domain)
-    ansatz = SchwarzschildForm(gamma, v, domain=domain)
-    f = ansatz.lapse()
-    zero = RadialFunction.constant(0.0, domain)
-    fluid = FluidData(f=f, mu=zero, rho=zero)
-    piece = Piece(
-        label="exterior",
-        ansatz=ansatz,
-        fluid=fluid,
-        mu_phys=zero,
-        rho_phys=zero,
-        interval=(2.02 * M, 60.0 * M),
-        scan_interval=(2.0 * M * (1.0 + 1e-9), 2000.0 * M),
-    )
+    piece = _vacuum_piece(M, (2.02 * M, 60.0 * M), (2.0 * M * (1.0 + 1e-9), 2000.0 * M))
     return AnalyticModel("schwarzschild_exterior", {"M": M}, [piece])
 
 
 def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
-    """Constant negative pressure: mu = c, rho = -c, e^v = e^{-gamma} = 1 - (8 pi c/3) r^2.
+    """Constant negative pressure: mu = c, rho = -c, f^2 = e^{-gamma} = 1 - (8 pi c/3) r^2.
 
     c = 0 degenerates to flat space with vanishing fluid.
     """
@@ -246,10 +246,8 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
         domain = (0.0, math.inf)
         hi = 10.0
 
-    gamma = RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain)
-    v = RadialFunction.from_formula(lambda r: np.log1p(-a * r**2), domain)
-    ansatz = SchwarzschildForm(gamma, v, domain=domain)
-    f = ansatz.lapse()
+    ansatz = SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain))
+    f = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - a * r**2), domain)
     mu_phys = RadialFunction.constant(c, domain)
     rho_phys = RadialFunction.constant(-c, domain)
     fluid = FluidData.from_physical(f, mu_phys, rho_phys, lam=0.0)
@@ -284,11 +282,8 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
     def q(r):
         return TWO_PI * r**2 + c1
 
-    gamma = RadialFunction.constant(0.0, domain)
+    ansatz = SchwarzschildForm(RadialFunction.constant(0.0, domain))
     f = RadialFunction.from_formula(lambda r: rt * q(r), domain)
-    # v = 2 log f; SchwarzschildForm wants v explicitly for the Tolman route
-    v = RadialFunction.from_formula(lambda r: np.log(c2) + 2.0 * np.log(q(r)), domain)
-    ansatz = SchwarzschildForm(gamma, v, domain=domain)
     mu_phys = RadialFunction.constant(0.0, domain)
     rho_phys = RadialFunction.from_formula(lambda r: 1.0 / q(r), domain)
     fluid = FluidData.from_physical(f, mu_phys, rho_phys)
@@ -318,9 +313,7 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
     r_h = math.sqrt(1.0 / a)
     domain = (0.0, r_h)
 
-    gamma = RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain)
-    v = RadialFunction.constant(0.0, domain)
-    ansatz = SchwarzschildForm(gamma, v, domain=domain)
+    ansatz = SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain))
     f = RadialFunction.constant(1.0, domain)
     mu_phys = RadialFunction.constant(math.sqrt(3.0) * c, domain)
     rho_phys = RadialFunction.constant(-c / math.sqrt(3.0), domain)
@@ -384,8 +377,6 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     dom_i = (0.0, R * (1.0 - 1e-9))
     gamma_i = RadialFunction.from_formula(lambda r: -np.log1p(-r**4 / R4), dom_i)
     f_i = RadialFunction.from_formula(lapse, dom_i)
-    v_i = RadialFunction.from_formula(lambda r: 2.0 * np.log(lapse(r)), dom_i)
-    ansatz_i = SchwarzschildForm(gamma_i, v_i, domain=dom_i)
     mu_i = RadialFunction.from_formula(lambda r: 5.0 * r**2 / (EIGHT_PI * R4), dom_i)
     mu_printed = RadialFunction.from_formula(lambda r: 5.0 * r**2 / (EIGHT_PI * R), dom_i)
 
@@ -399,34 +390,20 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     fluid_i = FluidData.from_physical(f_i, mu_i, rho_i)
     piece_i = Piece(
         label="interior",
-        ansatz=ansatz_i,
+        ansatz=SchwarzschildForm(gamma_i),
         fluid=fluid_i,
         mu_phys=mu_i,
         rho_phys=rho_i,
         interval=(5e-3 * r_b, r_b),
     )
 
-    dom_o = (2.0 * M, math.inf)
-    gamma_o, v_o = _vacuum_gamma_v(M, dom_o)
-    ansatz_o = SchwarzschildForm(gamma_o, v_o, domain=dom_o)
-    f_o = ansatz_o.lapse()
-    zero_o = RadialFunction.constant(0.0, dom_o)
-    fluid_o = FluidData(f=f_o, mu=zero_o, rho=zero_o)
-    piece_o = Piece(
-        label="exterior",
-        ansatz=ansatz_o,
-        fluid=fluid_o,
-        mu_phys=zero_o,
-        rho_phys=zero_o,
-        interval=(r_b, 40.0 * max(M, 1.0)),
-        scan_interval=(r_b, 500.0 * max(M, 1.0)),
-    )
+    piece_o = _vacuum_piece(M, (r_b, 40.0 * max(M, 1.0)), (r_b, 500.0 * max(M, 1.0)))
 
     def printed_mu_diagnostic(model: AnalyticModel, grid_n: int):
         lo, hi = piece_i.interval
         grid = chebyshev_grid(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), grid_n)
         rep = tolman_residuals(
-            gamma_i, v_i, model.extras["mu_printed"], rho_i, grid,
+            gamma_i, f_i, model.extras["mu_printed"], rho_i, grid,
             tol=RESIDUAL_TOL,
         )
         return "diagnostic[printed-mu]", rep
@@ -512,7 +489,7 @@ def witten_stellar(
     domain = (max(lo0, 0.0), hi0)
 
     phi = RadialFunction.from_formula(np.tanh, domain)
-    ansatz = WarpedProduct(phi, domain=domain)
+    ansatz = WarpedProduct(phi)
 
     def lapse(t):
         return _witten_form(3, A, B, 2.0 * np.log(np.cosh(t)))
@@ -632,6 +609,9 @@ def build(model_id: str, **params) -> AnalyticModel:
             f"{model_id} takes no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted)}"
         )
+    infinite = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
+    if infinite:
+        raise BadParams(f"{model_id} needs finite parameters, got {', '.join(infinite)}")
     return factory(**params)
 
 

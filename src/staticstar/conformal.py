@@ -447,7 +447,7 @@ class ConformalModel:
         return self._geo(u)[0]
 
     def to_ansatz(self) -> ConformalFlat:
-        return ConformalFlat(self.phi, self.invariant, self.domain)
+        return ConformalFlat(self.phi, self.invariant)
 
     def fluid(self) -> FluidData:
         mu_rf = RadialFunction.from_callables(
@@ -498,7 +498,7 @@ def build_model(
     presets ``"witten"`` (phi = sqrt(1+u), closed-form lapse — no integration)
     and ``"unit"`` (phi = 1, affine lapse).  ``ic = (f, f')`` at ``span[0]``;
     preset defaults: witten (0, sqrt(n-2)/2) — the pure-sine solution — and
-    unit (1, 0).
+    unit (1, 0).  A ``span`` that is not finite and increasing is BadParams.
 
     Construction always runs three independent validations (skippable with
     ``run_checks=False`` for speed): the lapse-ODE residual, the traceless
@@ -514,6 +514,8 @@ def build_model(
     if invariant.n != n:
         raise BadParams(f"invariant lives on R^{invariant.n}, model wants n={n}")
     u0, u1 = float(span[0]), float(span[1])
+    if not (math.isfinite(u0) and math.isfinite(u1) and u0 < u1):
+        raise BadParams(f"span must be finite and increasing, got {span}")
     label = phi if isinstance(phi, str) else "custom"
 
     if invariant.degenerate:

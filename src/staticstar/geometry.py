@@ -99,38 +99,13 @@ def scale_shift(rf: RadialFunction, a: float, b: float) -> RadialFunction:
 
 @dataclass(frozen=True)
 class SchwarzschildForm:
-    """g = e^{gamma(r)} dr^2 + r^2 g_{S^2}, optionally with the lapse potential v.
-
-    ``v`` is the logarithm of the squared lapse (f = e^{v/2}); it is required
-    by the Tolman-style residuals but not by purely spatial curvature.
-    """
+    """g = e^{gamma(r)} dr^2 + r^2 g_{S^2}."""
 
     gamma: RadialFunction
-    v: RadialFunction | None = None
-    domain: tuple[float, float] | None = None
 
     @property
     def n(self) -> int:
         return 3
-
-    def lapse(self) -> RadialFunction:
-        """f = e^{v/2} with analytic derivatives, when v is present."""
-        if self.v is None:
-            raise BadParams("SchwarzschildForm has no lapse potential v")
-        v = self.v
-
-        def f_val(r):
-            return np.exp(0.5 * np.asarray(v.value(r), dtype=float))
-
-        def f_d1(r):
-            return 0.5 * np.asarray(v.d1(r), dtype=float) * f_val(r)
-
-        def f_d2(r):
-            vv1 = np.asarray(v.d1(r), dtype=float)
-            vv2 = np.asarray(v.d2(r), dtype=float)
-            return (0.5 * vv2 + 0.25 * vv1 * vv1) * f_val(r)
-
-        return RadialFunction(f_val, f_d1, f_d2, provenance=v.provenance, domain=v.domain)
 
 
 @dataclass(frozen=True)
@@ -138,7 +113,6 @@ class WarpedProduct:
     """g = dr^2 + phi(r)^2 g_{S^2}; r is proper radial distance."""
 
     phi: RadialFunction
-    domain: tuple[float, float] | None = None
 
     @property
     def n(self) -> int:
@@ -160,7 +134,6 @@ class ConformalFlat:
 
     phi_radial: RadialFunction
     invariant: BasicInvariant
-    domain: tuple[float, float]
     point_of: Callable[[np.ndarray], np.ndarray] | None = None
     radial: ScalarField = field(init=False, repr=False, compare=False)
     phi: ScalarField = field(init=False, repr=False, compare=False)
@@ -558,7 +531,7 @@ def _spf_residuals_conformal(
 
 def tolman_residuals(
     gamma: RadialFunction,
-    v: RadialFunction,
+    f: RadialFunction,
     mu: RadialFunction,
     rho: RadialFunction,
     grid,
@@ -566,7 +539,7 @@ def tolman_residuals(
 ) -> ResidualReport:
     """Residuals of the first-order static-star system in physical variables.
 
-    With x = e^{-gamma}:
+    With x = e^{-gamma} and v' = 2 f'/f (v = log f^2 is Tolman's potential):
 
         density:       8 pi mu  - (1 - x + r gamma' x) / r^2
         pressure:      8 pi rho - [ x v'/r - (1 - x)/r^2 ]
@@ -583,7 +556,7 @@ def tolman_residuals(
     g1 = np.asarray(gamma.d1(r), dtype=float)
     x = np.exp(-g)
     one_minus_x = -np.expm1(-g)
-    v1 = np.asarray(v.d1(r), dtype=float)
+    v1 = 2.0 * np.asarray(f.d1(r), dtype=float) / np.asarray(f.value(r), dtype=float)
     mu_v = np.asarray(mu.value(r), dtype=float)
     rho_v = np.asarray(rho.value(r), dtype=float)
     rho1 = np.asarray(rho.d1(r), dtype=float)

@@ -388,23 +388,21 @@ def _charts(model, c: float, window, degree: int):
         return charts
     if isinstance(model, _tov.StellarModel):
         if window is not None:
-            lo, hi = float(window[0]), float(window[1])
+            lo, hi = window
         else:
             lo, hi = model.profile.r_start, 3.0 * model.r_b
             if 0.0 < c < 1.0:
                 # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
                 hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))
-        ansatz = SchwarzschildForm(
-            gamma=model.gamma_function(), v=model.v_function(), domain=(lo, hi),
-        )
-        return [(ansatz, ansatz.lapse(), lambda r: EIGHT_PI * model.rho(r), lo, hi, None)]
+        return [(SchwarzschildForm(model.gamma_function()), model.lapse_function(),
+                 lambda r: EIGHT_PI * model.rho(r), lo, hi, None)]
     if isinstance(model, _conformal.ConformalModel):
         if model.n != 3:
             raise DomainError(f"quasi-local masses are defined here for n=3, not n={model.n}")
         if model.invariant.tau <= 0.0:
             raise DomainError("level-set spheres need tau > 0 in the invariant")
         if window is not None:
-            lo, hi = float(window[0]), float(window[1])
+            lo, hi = window
         else:
             lo, hi = model.domain
             pad = max(1e-9, 1e-9 * (hi - lo))
@@ -421,16 +419,24 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     Accepts an analytic catalog model, an integrated stellar model, or a
     conformally flat model; raises NoLevelSet when the lapse never attains c
     in the scanned window and NotARegularValue at critical levels, tangential
-    touches at an extremum of f included.  ``degree`` is the sphere
-    quadrature used on conformal models; round spheres of radial charts need
-    none.  Calls on one model that pass the same ``scans`` dict evaluate f
-    once per scan window (see :func:`mass_sweep`).
+    touches at an extremum of f included.  A non-finite level, or a
+    ``window`` (lo, hi) that is not finite and increasing, is BadParams.
+    ``degree`` is the sphere quadrature used on conformal models; round
+    spheres of radial charts need none.  Calls on one model that pass the
+    same ``scans`` dict evaluate f once per scan window (see
+    :func:`mass_sweep`).
 
     Every chart is scanned; a root found by two charts (the seam of a
     two-piece catalog model) is reported once, from the chart that found
     the smaller value.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise BadParams(f"level c={c} is not finite")
+    if window is not None:
+        window = lo, hi = float(window[0]), float(window[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise BadParams(f"scan window must be finite and increasing, got {window}")
     scans = {} if scans is None else scans
     charts = _charts(model, c, window, degree)
     found = []

@@ -39,7 +39,6 @@ from .errors import (
     NoSurface,
     StepFailure,
 )
-from .geometry import SchwarzschildForm
 from .numerics import (
     EPS_DOM,
     RadialFunction,
@@ -592,7 +591,7 @@ class StellarModel:
 
     # -- derivative-carrying views ---------------------------------------------
 
-    def gamma_function(self, r_max: float = math.inf) -> RadialFunction:
+    def gamma_function(self) -> RadialFunction:
         """gamma(r) = -log(1 - 2 m(r)/r), derivatives from m' = 4 pi r^2 mu."""
 
         def val(r):
@@ -602,18 +601,15 @@ class StellarModel:
             xp = -8.0 * math.pi * r * self.mu(r) + 2.0 * self.m(r) / (r * r)
             return -xp / self.exp_neg_gamma(r)
 
-        return RadialFunction.from_callables(val, d1, domain=(EPS_DOM, r_max))
+        return RadialFunction.from_callables(val, d1, domain=(EPS_DOM, math.inf))
 
-    def v_function(self, r_max: float = math.inf) -> RadialFunction:
-        """v(r) with v' = 2 (m + 4 pi r^3 rho)/(r (r - 2m)), the vacuum form outside."""
+    def lapse_function(self) -> RadialFunction:
+        """f(r) with f' = f v'/2, v' = 2 (m + 4 pi r^3 rho)/(r (r - 2m)) (the
+        vacuum form outside); f'' is a finite difference of f'."""
         return RadialFunction.from_callables(
-            self.v, lambda r: _lapse_rate(r, self.rho(r), self.m(r)), domain=(EPS_DOM, r_max),
+            self.f, lambda r: 0.5 * _lapse_rate(r, self.rho(r), self.m(r)) * self.f(r),
+            domain=(EPS_DOM, math.inf),
         )
-
-    def lapse_function(self, r_max: float = math.inf) -> RadialFunction:
-        return SchwarzschildForm(
-            gamma=self.gamma_function(r_max), v=self.v_function(r_max)
-        ).lapse()
 
     def to_csv(self, path) -> None:
         profile_to_csv(self.profile, path)

@@ -181,7 +181,7 @@ class TestWyman:
         piece = wyman.pieces[0]
         rep = tolman_residuals(
             piece.ansatz.gamma,
-            piece.ansatz.v,
+            piece.fluid.f,
             wyman.extras["mu_printed"],
             piece.rho_phys,
             np.array([1.0]),
@@ -242,8 +242,7 @@ class TestWittenStellar:
         rep = model.verify().reports["sectional-curvature[star]"]
         assert rep.passed and rep.worst == 0.0
         star = model.pieces[0]
-        hyperbolic = WarpedProduct(RadialFunction.from_formula(np.sinh, star.ansatz.domain),
-                                   domain=star.ansatz.domain)
+        hyperbolic = WarpedProduct(RadialFunction.from_formula(np.sinh, star.ansatz.phi.domain))
         model.pieces[0] = dataclasses.replace(star, ansatz=hyperbolic)
         rep = model.verify().reports["sectional-curvature[star]"]
         assert not rep.passed

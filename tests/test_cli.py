@@ -180,6 +180,22 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
         ("verify", "wyman:R=x"),
         ("catalog", "verify", "wyman", "--param", "R=x"),
         ("verify", "wyman:Q=1"),
+        # non-finite catalog parameters, on every route into catalog.build
+        ("verify", "schwarzschild_exterior:M=inf"),
+        ("verify", "einstein_static:c=inf"),
+        ("verify", "witten_stellar:t_max=nan"),
+        ("verify", "schwarzschild_interior:c=nan"),
+        ("catalog", "verify", "witten_stellar", "--param", "t_max=nan"),
+        ("mass", "--model", "einstein_static:c=inf", "--level", "0.5"),
+        ("audit", "--model", "schwarzschild_exterior:M=inf"),
+        # a conformal span that is not finite and increasing
+        ("build", "--phi", "witten", "--span", "5,1"),
+        ("build", "--phi", "witten", "--span", "0,nan"),
+        ("build", "--phi", "unit", "--span", "0,inf"),
+        # a non-finite level, or a scan window that is not finite and increasing
+        ("mass", "--model", "schwarzschild_exterior", "--level", "0.6", "--window", "5,1"),
+        ("mass", *STAR, "--level", "0.6", "--window", "1,inf"),
+        ("mass", "--model", "schwarzschild_exterior", "--level", "nan"),
     ],
 )
 def test_malformed_spec_is_usage_error(capsys, argv):

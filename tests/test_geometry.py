@@ -82,7 +82,7 @@ class TestWarpedCurvature:
             ricci_warped(TANH_WARP, 0.0)
 
     def test_mean_curvature(self):
-        ansatz = WarpedProduct(phi=TANH_WARP, domain=(0.01, 10.0))
+        ansatz = WarpedProduct(phi=TANH_WARP)
         want = 2.0 / (math.sinh(1.0) * math.cosh(1.0))
         assert mean_curvature_sphere(ansatz, 1.0) == pytest.approx(want, abs=1e-14)
 
@@ -94,6 +94,7 @@ class TestWarpedCurvature:
 
 class TestSchwarzschildForm:
     def _vacuum(self, M=1.0):
+        """The vacuum ansatz and its lapse f = sqrt(1 - 2M/r)."""
         dom = (2.0 * M + 1e-9, math.inf)
         gamma = _rf(
             lambda r: -np.log(1.0 - 2.0 * M / r),
@@ -101,29 +102,24 @@ class TestSchwarzschildForm:
             lambda r: 2.0 * M * (2.0 * r - 2.0 * M) / (r * (r - 2.0 * M)) ** 2,
             dom,
         )
-        v = _rf(
-            lambda r: np.log(1.0 - 2.0 * M / r),
-            lambda r: 2.0 * M / (r * (r - 2.0 * M)),
-            lambda r: -2.0 * M * (2.0 * r - 2.0 * M) / (r * (r - 2.0 * M)) ** 2,
+        f = _rf(
+            lambda r: np.sqrt(1.0 - 2.0 * M / r),
+            lambda r: M / (r * r * np.sqrt(1.0 - 2.0 * M / r)),
+            lambda r: -2.0 * M / (r**3 * np.sqrt(1.0 - 2.0 * M / r))
+            - M * M / (r**4 * np.sqrt(1.0 - 2.0 * M / r) ** 3),
             dom,
         )
-        return SchwarzschildForm(gamma, v, domain=dom)
-
-    def test_lapse_from_v(self):
-        f = self._vacuum().lapse()
-        assert f.value(4.0) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
-        # f' = (e^{v/2})' = f v'/2
-        assert f.d1(4.0) == pytest.approx(0.5 * f.value(4.0) * 2.0 / (4.0 * 2.0))
+        return SchwarzschildForm(gamma), f
 
     def test_mean_curvature(self):
-        assert mean_curvature_sphere(self._vacuum(), 4.0) == pytest.approx(
+        assert mean_curvature_sphere(self._vacuum()[0], 4.0) == pytest.approx(
             0.35355339059327376, abs=1e-15
         )
 
     def test_vacuum_field_equations(self):
-        ansatz = self._vacuum()
-        zero = RadialFunction.constant(0.0, ansatz.domain)
-        fluid = FluidData(f=ansatz.lapse(), mu=zero, rho=zero)
+        ansatz, f = self._vacuum()
+        zero = RadialFunction.constant(0.0, ansatz.gamma.domain)
+        fluid = FluidData(f=f, mu=zero, rho=zero)
         rep = spf_residuals(ansatz, fluid, chebyshev_grid(2.5, 30.0, 48), tol=1e-9)
         assert rep.passed
         assert rep.worst < 1e-11
@@ -227,15 +223,14 @@ class TestResiduals:
             lambda r: 2.0 * a * (1.0 + a * r * r) / (1.0 - a * r * r) ** 2,
             dom,
         )
-        v = RadialFunction.constant(0.0, dom)
+        f = RadialFunction.constant(1.0, dom)
         mu = RadialFunction.constant(c, dom)
         rho = RadialFunction.constant(-c / 3.0, dom)
         grid = chebyshev_grid(0.05 * r_h, 0.9 * r_h, 64)
-        rep = tolman_residuals(gamma, v, mu, rho, grid)
+        rep = tolman_residuals(gamma, f, mu, rho, grid)
         assert rep.passed, rep.to_json_dict()
 
-        ansatz = SchwarzschildForm(gamma, v, domain=dom)
-        f = RadialFunction.constant(1.0, dom)
+        ansatz = SchwarzschildForm(gamma)
         mu_g, rho_g = to_geometric(c, -c / 3.0)
         fluid = FluidData(
             f=f,
@@ -258,10 +253,10 @@ class TestResiduals:
             lambda r: 2.0 * a * (1.0 + a * r * r) / (1.0 - a * r * r) ** 2,
             dom,
         )
-        v = RadialFunction.constant(0.0, dom)
+        f = RadialFunction.constant(1.0, dom)
         mu = RadialFunction.constant(2.0 * c, dom)  # wrong by a factor of two
         rho = RadialFunction.constant(-c, dom)
-        rep = tolman_residuals(gamma, v, mu, rho, chebyshev_grid(0.5, 5.0, 16))
+        rep = tolman_residuals(gamma, f, mu, rho, chebyshev_grid(0.5, 5.0, 16))
         assert not rep.passed
         assert rep.entry("density").max == pytest.approx(EIGHT_PI * c, abs=1e-12)
 
@@ -303,14 +298,14 @@ def _chart_pair(space):
     """
     s_dom = (0.0, 0.5 * math.pi)
     if space == "sphere":
-        warped = WarpedProduct(RadialFunction.from_formula(np.sin, s_dom), domain=s_dom)
+        warped = WarpedProduct(RadialFunction.from_formula(np.sin, s_dom))
         r_dom = (0.0, 1.0)
         schw = SchwarzschildForm(
-            RadialFunction.from_formula(lambda r: -np.log(1.0 - r * r), r_dom), domain=r_dom)
+            RadialFunction.from_formula(lambda r: -np.log(1.0 - r * r), r_dom))
         f_r = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - r * r), r_dom)
         return (warped, RadialFunction.from_formula(np.cos, s_dom)), (schw, f_r), np.sin
-    warped = WarpedProduct(RadialFunction.from_formula(lambda s: s, s_dom), domain=s_dom)
-    schw = SchwarzschildForm(RadialFunction.constant(0.0, s_dom), domain=s_dom)
+    warped = WarpedProduct(RadialFunction.from_formula(lambda s: s, s_dom))
+    schw = SchwarzschildForm(RadialFunction.constant(0.0, s_dom))
     f = RadialFunction.from_formula(np.cos, s_dom)
     return (warped, f), (schw, f), lambda s: s
 
@@ -355,7 +350,7 @@ class TestRadialChartsAgree:
 
 @pytest.mark.parametrize("model_id, radius", [
     ("wyman", lambda m: m.extras["r_b"]),
-    ("einstein_static", lambda m: m.pieces[0].ansatz.domain[1]),
+    ("einstein_static", lambda m: m.pieces[0].ansatz.gamma.domain[1]),
 ], ids=["wyman", "einstein_static"])
 def test_residuals_hold_near_a_regular_centre(model_id, radius):
     """Both residual checks at the 1e-9 gate from 1e-4 of the surface (wyman)
@@ -364,7 +359,7 @@ def test_residuals_hold_near_a_regular_centre(model_id, radius):
     p = model.pieces[0]
     grid = chebyshev_grid(1e-4 * radius(model), p.interval[1], 512)
     field = spf_residuals(p.ansatz, p.fluid, grid, tol=1e-9)
-    tolman = tolman_residuals(p.ansatz.gamma, p.ansatz.v, p.mu_phys, p.rho_phys, grid, tol=1e-9)
+    tolman = tolman_residuals(p.ansatz.gamma, p.fluid.f, p.mu_phys, p.rho_phys, grid, tol=1e-9)
     assert field.passed, field.to_json_dict()
     assert tolman.passed, tolman.to_json_dict()
 
@@ -390,10 +385,10 @@ def test_conformal_sphere_needs_a_nonempty_round_level_set():
     phi = RadialFunction.from_formula(lambda u: np.sqrt(1.0 + u), (-1.0, math.inf))
     plane = conformal.BasicInvariant(0.0, (1.0, 0.5, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        coordinate_sphere(ConformalFlat(phi, plane, (0.0, 10.0)), 0.5)
+        coordinate_sphere(ConformalFlat(phi, plane), 0.5)
     # C = 0.61, so the level spheres of u are empty below u = -C/(4 tau) = -0.1525
     shifted = conformal.BasicInvariant(1.0, (0.4, -0.2, 0.1), (0.0, 0.0, -0.1))
-    chart = ConformalFlat(phi, shifted, (-0.15, 10.0))
+    chart = ConformalFlat(phi, shifted)
     assert coordinate_sphere(chart, -0.15)[0] > 0.0
     with pytest.raises(DomainError):
         coordinate_sphere(chart, -0.2)

@@ -140,18 +140,15 @@ class TestUniformStar:
 
     def test_metric_function_derivatives(self, const_star):
         gamma = const_star.gamma_function()
-        v = const_star.v_function()
         lapse = const_star.lapse_function()
         for r in (3.0, 7.0, 15.0):
             h = 1e-5 * r
             fd = (gamma.value(r + h) - gamma.value(r - h)) / (2 * h)
             assert gamma.d1(r) == pytest.approx(fd, abs=1e-6)
-            fd = (v.value(r + h) - v.value(r - h)) / (2 * h)
-            assert v.d1(r) == pytest.approx(fd, abs=1e-6)
-            # f' = f v'/2 by construction
-            assert lapse.d1(r) == pytest.approx(
-                0.5 * lapse.value(r) * v.d1(r), rel=1e-12
-            )
+            # v' = 2 f'/f against a difference of v = log f^2
+            fd = (const_star.v(r + h) - const_star.v(r - h)) / (2 * h)
+            assert 2.0 * lapse.d1(r) / lapse.value(r) == pytest.approx(fd, abs=1e-6)
+            assert lapse.value(r) == const_star.f(r)
 
     def test_no_negative_density_sampled(self, const_star):
         assert not const_star.profile.negative_density_seen
@@ -289,11 +286,10 @@ class TestArrayContract:
         r0, r_b = const_star.profile.r_start, const_star.r_b
         r = np.array([0.3 * r0, 0.9 * r0, r0, 0.5, 4.0, 0.999 * r_b, r_b, 1.5 * r_b, 40.0])
         gamma = const_star.gamma_function()
-        v = const_star.v_function()
         lapse = const_star.lapse_function()
         for fn in (const_star.rho, const_star.m, const_star.mu, const_star.v,
                    const_star.f, const_star.exp_neg_gamma, gamma.value, gamma.d1,
-                   v.value, v.d1, lapse.value, lapse.d1):
+                   lapse.value, lapse.d1):
             got = fn(r)
             assert got.shape == r.shape
             for x, y in zip(r, got):
