@@ -14,7 +14,7 @@ Examples
     staticstar catalog verify witten_stellar --n 3
     staticstar verify wyman:R=2,M=0.2 --json
     staticstar mass --model schwarzschild_exterior:M=1 --level 0.5 --json
-    staticstar audit --eos chaplygin:c=1 --rho-c -0.5
+    staticstar audit --eos constant:c=0.001 --rho-c 0.0005
     staticstar build --phi witten --n 3 --span 0,10
 """
 

@@ -46,7 +46,6 @@ __all__ = [
     "chebyshev_grid",
     "sign_brackets",
     "refine_root",
-    "bisect_root",
     "sphere_rule",
     "max_rms",
     "PiecewisePoly",
@@ -918,40 +917,6 @@ def refine_root(func: Callable, a: float, b: float, xtol: float = 1e-12) -> floa
         fcur = f(xcur)
     raise DomainError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations "
                       f"on [{a}, {b}]")
-
-
-def bisect_root(
-    func: Callable,
-    a: float,
-    b: float,
-    ytol: float,
-    max_iter: int = 200,
-) -> float:
-    """Plain bisection until ``|func| < ytol`` (and the bracket is tight).
-
-    Used where the contract is phrased in terms of the residual value rather
-    than the abscissa (surface detection).
-    """
-    fa, fb = float(func(a)), float(func(b))
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    if fa * fb > 0.0:
-        raise DomainError("bisection bracket does not straddle a sign change")
-    lo, hi = float(a), float(b)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = float(func(mid))
-        if abs(fm) < ytol and (hi - lo) < max(1e-13, 1e-13 * abs(mid)) * 1e3:
-            return mid
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            hi, fb = mid, fm
-        else:
-            lo, fa = mid, fm
-    return 0.5 * (lo + hi)
 
 
 # ----------------------------------------------------------------------------

@@ -177,11 +177,15 @@ def sphere_classification(h_level: float, kappa: float, c: float,
 
     I+- = (2/c)(kappa +- sqrt(kappa^2 + c^2 rho_0)).  A negative discriminant
     leaves the window empty of real endpoints; that case is reported as
-    Indeterminate rather than forced, with no thresholds.
+    Indeterminate rather than forced, with no thresholds.  A discriminant
+    within 1e-12 of the size of its terms is round-off of a zero: the window
+    closes to the point 2 kappa / c.
     """
     if c <= 0.0:
         raise DomainError(f"classification needs a positive level value, got c={c}")
     disc = kappa * kappa + c * c * rho0
+    if abs(disc) <= 1e-12 * (kappa * kappa + c * c * abs(rho0)):
+        disc = 0.0
     if disc < 0.0:
         return SphereClass.INDETERMINATE, None
     root = math.sqrt(disc)

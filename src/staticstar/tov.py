@@ -14,7 +14,7 @@ with the center regularized by the series seed
 
 started at a small r_start > 0.  The lapse potential v = log f^2 is carried
 by the same solution, up to its additive constant; :func:`integrate_lapse`
-pins that constant, e^{v(r_b)} = 1 - 2M/r_b at the surface or v(r_ref) = 0.
+pins that constant, e^{v(r_b)} = 1 - 2M/r_b at the surface or v(r_end) = 0.
 
 Evaluators are array in, array out: ``EquationOfState.mu`` and the dense
 profile and model evaluators take a float or an ndarray of radii (or
@@ -42,7 +42,6 @@ from .errors import (
 from .numerics import (
     EPS_DOM,
     RadialFunction,
-    bisect_root,
     chebyshev_grid,
     cubic_spline,
     pchip,
@@ -280,14 +279,24 @@ class RadialProfile:
     m_fn: Callable
     surface_event_r: float | None = None
     v_fn: Callable | None = None
-    lapse_normalized: bool = False  # True when f was pinned by f(r_ref) = 1
-    negative_density_seen: bool = False  # advisory only
+    lapse_normalized: bool = False  # True when f was pinned by f(r_end) = 1
     options: SolverOptions = SolverOptions()
     v_free_fn: Callable | None = None
 
     def __post_init__(self):
         if self.r_start <= 0.0:
             raise BadParams("profiles start at r_start > 0")
+
+    @property
+    def surface_tol(self) -> float:
+        """The surface threshold on |rho|: surface_ytol_scale * max(1, |rho_center|)."""
+        return self.options.surface_ytol_scale * max(1.0, abs(self.rho_center))
+
+    @property
+    def negative_density_seen(self) -> bool:
+        """Advisory: a sampled rho lies below -surface_tol.  The surface root's
+        own sign is round-off, so only densities past the threshold count."""
+        return bool(np.any(self.column("rho") < -self.surface_tol))
 
     # -- dense evaluators -----------------------------------------------------
 
@@ -415,9 +424,6 @@ def integrate_tov(
     rho_fn, m_fn, v_free_fn = (dense.component(i) for i in range(3))
     grid = chebyshev_grid(r0, r_end, opts.grid_n)
     rho, m, _v = dense(grid).T
-    # the event root's own sign is round-off: count densities below the
-    # surface threshold only
-    ytol = opts.surface_ytol_scale * max(1.0, abs(rho_c))
     nan = np.full(grid.shape, np.nan)
     samples = np.column_stack((grid, m, eos.mu(rho), rho, 1.0 - 2.0 * m / grid, nan, nan))
     return RadialProfile(
@@ -429,54 +435,34 @@ def integrate_tov(
         rho_fn=rho_fn,
         m_fn=m_fn,
         surface_event_r=surface_r,
-        negative_density_seen=bool(np.any(rho < -ytol)),
         options=opts,
         v_free_fn=v_free_fn,
     )
 
 
 def detect_surface(profile: RadialProfile) -> float:
-    """Locate the surface radius r_b with |rho(r_b)| < tol by bisection.
+    """The surface radius r_b: where the profile stopped because rho reached zero.
 
-    tol = surface_ytol_scale * max(1, rho_center).  Raises NoSurface when the
-    density never crosses zero on the integrated range (vacuum runs, constant
-    negative-pressure branches, integrations stopped by r_max).
+    That radius is ``surface_event_r``, the integrator's terminal event (or the
+    last row of a CSV table that ends on its surface), accepted when
+    |rho(r_b)| <= ``profile.surface_tol``.  Raises NoSurface otherwise: vacuum
+    runs, constant negative-pressure branches, integrations stopped by r_max.
     """
-    ytol = profile.options.surface_ytol_scale * max(1.0, abs(profile.rho_center))
     if profile.rho_center == 0.0:
         raise NoSurface("vacuum run: rho is identically zero")
-
-    # the terminal event, if the integrator saw one, is already a root located
-    # to integrator precision; accept it when it clears the threshold
-    if profile.surface_event_r is not None:
-        r_ev = min(profile.surface_event_r, profile.r_end)
-        if abs(profile.rho(r_ev)) <= ytol:
-            return float(r_ev)
-
-    # otherwise bracket a sign change on the sample grid and bisect
-    rr = profile.column("r")
-    rho_s = profile.column("rho")
-    sgn = math.copysign(1.0, profile.rho_center)
-    idx = np.nonzero(rho_s * sgn <= 0.0)[0]
-    if len(idx) == 0 or idx[0] == 0:
+    r_b = profile.surface_event_r
+    if r_b is None or abs(profile.rho(r_b)) > profile.surface_tol:
         raise NoSurface("density never crosses zero on the integrated range")
-    i = idx[0]
-    if rho_s[i] == 0.0:
-        return float(rr[i])
-    return float(bisect_root(profile.rho, rr[i - 1], rr[i], ytol=ytol))
+    return r_b
 
 
-def integrate_lapse(
-    profile: RadialProfile,
-    r_b: float | None = None,
-    r_ref: float | None = None,
-) -> RadialProfile:
+def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialProfile:
     """Fill in v and f = e^{v/2} by pinning the constant of the carried v.
 
     With a surface radius ``r_b`` the constant of integration is fixed by
     continuity with the vacuum exterior, e^{v(r_b)} = 1 - 2 m(r_b)/r_b.
-    Without one, f is normalized to 1 at ``r_ref`` (default: the outer end of
-    the profile) and the result is flagged ``lapse_normalized``.
+    Without one, f is normalized to 1 at the outer end ``r_end`` of the
+    profile and the result is flagged ``lapse_normalized``.
 
     Raises DegenerateFluid when mu + rho vanishes (|mu+rho| < 1e-14) on the
     sampled profile — including constant-density branches whose lapse the
@@ -498,9 +484,9 @@ def integrate_lapse(
             x_b = 1.0 - 2.0 * profile.m(r_b) / r_b
             if x_b <= EPS_DOM:
                 raise HorizonHit(f"surface inside horizon: 1 - 2M/r_b = {x_b}")
-            ref, base = min(r_b, profile.r_end), math.log(x_b)
+            ref, base = r_b, math.log(x_b)
         else:
-            ref, base = (r_ref if r_ref is not None else profile.r_end), 0.0
+            ref, base = profile.r_end, 0.0
         v_free = profile.v_free_fn
         if v_free is None:
             raise BadParams("profile carries no lapse potential; build it with integrate_tov")
@@ -625,14 +611,14 @@ def match_exterior(profile: RadialProfile, r_b: float) -> StellarModel:
     if not profile.has_lapse():
         profile = integrate_lapse(profile, r_b=r_b)
     mass = profile.m(r_b)
-    ytol = profile.options.surface_ytol_scale * max(1.0, abs(profile.rho_center))
-    rho_b = profile.rho(min(r_b, profile.r_end))
-    if abs(rho_b) > 10.0 * ytol:
-        raise BadParams(f"rho(r_b) = {rho_b} is not a surface (tol {ytol})")
+    tol = profile.surface_tol
+    rho_b = profile.rho(r_b)
+    if abs(rho_b) > 10.0 * tol:
+        raise BadParams(f"rho(r_b) = {rho_b} is not a surface (tol {tol})")
     x_b = 1.0 - 2.0 * mass / r_b
     if x_b <= EPS_DOM:
         raise HorizonHit(f"matching surface inside horizon: 1-2M/r_b = {x_b}")
-    ev_b = math.exp(profile.v(min(r_b, profile.r_end)))
+    ev_b = math.exp(profile.v(r_b))
     if abs(ev_b - x_b) > 1e-9:
         raise BadParams(
             f"lapse mismatch at surface: e^v = {ev_b}, 1-2M/r_b = {x_b}"
@@ -662,7 +648,12 @@ def profile_to_csv(profile: RadialProfile, path) -> None:
 
 
 def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
-    """Rebuild a profile from a CSV sample table (cubic-spline evaluators)."""
+    """Rebuild a profile from a CSV sample table (cubic-spline evaluators).
+
+    A table written from a star ends on its surface: when the last row's
+    |rho| is within ``surface_tol`` (and rho_center != 0), that row's radius
+    is the profile's ``surface_event_r``.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     if tuple(header) != CSV_COLUMNS:
@@ -675,7 +666,7 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
     else:
         # no stored lapse: v' from the stored m and rho, integrated
         v_free = cubic_spline(r, _lapse_rate(r, rho, m)).antiderivative()
-    return RadialProfile(
+    profile = RadialProfile(
         samples=data,
         eos=eos if eos is not None else Custom(lambda rho: float("nan"), "csv"),
         rho_center=float(rho[0]),
@@ -686,4 +677,7 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
         v_fn=v_fn,
         v_free_fn=v_free,
     )
+    if profile.rho_center != 0.0 and abs(rho[-1]) <= profile.surface_tol:
+        profile = dataclasses.replace(profile, surface_event_r=profile.r_end)
+    return profile
 

@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -131,6 +133,21 @@ def test_json_is_deterministic(capsys):
     _, second, _ = run(capsys, "mass", "--model", "schwarzschild_exterior:M=1",
                        "--level", "0.5", "--json")
     assert first == second
+
+
+def _documented_examples():
+    """Every ``staticstar ...`` line of the cli docstring and README's Quick start (CLI)."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start (CLI)", 1)[1].split("```")[1]
+    lines = cli.__doc__.splitlines() + quick_start.splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("staticstar ")]
+
+
+@pytest.mark.parametrize("example", _documented_examples())
+def test_documented_example_succeeds(capsys, monkeypatch, tmp_path, example):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *shlex.split(example)[1:])
+    assert code == 0, err
 
 
 # --- exit codes ---------------------------------------------------------------

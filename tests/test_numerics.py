@@ -12,7 +12,6 @@ from staticstar.errors import BadParams, DerivativeError, DomainError, StaticSta
 from staticstar.numerics import (
     RadialFunction,
     ScalarField,
-    bisect_root,
     chebyshev_grid,
     fd_derivative,
     max_rms,
@@ -204,11 +203,6 @@ def test_refine_root_follows_brentq_through_an_underflowed_step():
 
     rtol = 4.0 * np.finfo(float).eps
     assert refine_root(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=1e-12, rtol=rtol)
-
-
-def test_bisect_root():
-    r = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, ytol=1e-13)
-    assert abs(r - math.sqrt(2.0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,21 @@ class TestFunctionals:
         with pytest.raises(DomainError):
             sphere_classification(0.5, 0.1, -1.0, 0.0)
 
+    @pytest.mark.parametrize("c", [0.001, 0.003, 0.02])
+    def test_classification_ignores_round_off_in_a_zero_discriminant(self, c):
+        # schwarzschild_interior at f = 1/2: kappa^2 + c^2 rho_0 = 0 exactly,
+        # and the computed value's sign followed the scan grid
+        model = catalog.build("schwarzschild_interior", c=c)
+        verdicts = []
+        for grid_n in (200, 228, 256, 2048):
+            (rep,) = quasilocal.level_set_data(model, 0.5, grid_n=grid_n)
+            verdicts.append((rep.classification, rep.thresholds))
+        cls, (lo, hi) = verdicts[0]
+        assert cls is SphereClass.SPHERE_FORCED and lo == hi
+        for got_cls, got in verdicts[1:]:
+            assert got_cls is cls
+            assert got == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
+
 
 class TestVacuumLevels:
     @pytest.mark.parametrize(

@@ -227,6 +227,14 @@ class TestSurfaceDetection:
         with pytest.raises(BadParams):
             tov.match_exterior(const_star.profile, 4.0)
 
+    @pytest.mark.parametrize("k", [1.02, 1.2, 0.5])
+    def test_match_off_the_surface_is_refused(self, const_star, k):
+        # past r_end the profile is extrapolated: rho(1.2 r_b) ~ -2e-4, and
+        # M = m(1.2 r_b) would come from beyond the star
+        profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+        with pytest.raises(BadParams):
+            tov.match_exterior(profile, k * const_star.r_b)
+
     def test_model_rejects_trapped_surface(self, const_star):
         with pytest.raises(HorizonHit):
             tov.StellarModel(profile=const_star.profile, r_b=1.0, mass=0.6)
@@ -243,6 +251,25 @@ class TestCsv:
             assert back.rho(r) == pytest.approx(const_star.rho(r), abs=1e-9)
             assert back.m(r) == pytest.approx(const_star.m(r), abs=1e-9)
             assert back.v(r) == pytest.approx(const_star.profile.v(r), abs=1e-9)
+
+    def test_round_trip_keeps_the_surface(self, tmp_path, const_star):
+        # the table ends on the surface, where the stored rho is round-off
+        # of either sign (+1.4e-20 here)
+        path = tmp_path / "star.csv"
+        const_star.to_csv(path)
+        back = tov.profile_from_csv(path, eos=const_star.profile.eos)
+        r_b = tov.detect_surface(back)
+        assert r_b == const_star.r_b
+        assert tov.match_exterior(back, r_b).mass == pytest.approx(const_star.mass, rel=1e-15)
+
+    def test_table_stopped_short_has_no_surface(self, tmp_path):
+        raw = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005, tov.SolverOptions(r_max=5.0))
+        path = tmp_path / "short.csv"
+        tov.profile_to_csv(raw, path)
+        back = tov.profile_from_csv(path)
+        assert back.surface_event_r is None
+        with pytest.raises(NoSurface):
+            tov.detect_surface(back)
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "junk.csv"
