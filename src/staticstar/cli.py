@@ -160,7 +160,7 @@ def _cmd_mass(args, cfg: RunConfig) -> int:
     levels = [float(c) for c in args.level]
     window = _parse_pair(args.window, "--window") if args.window else None
     reports = quasilocal.mass_sweep(
-        model, levels, grid_n=max(cfg.grid_n, 256), degree=cfg.quad_degree, window=window,
+        model, levels, grid_n=max(cfg.grid_n, 256), window=window,
     )
     if not reports:
         raise NoLevelSet(f"no level sets found for levels {levels}")
@@ -244,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
     common.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
     common.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-    common.add_argument("--quad-degree", type=int, default=None, dest="quad_degree")
     common.add_argument("--surface-tol-scale", type=float, default=None,
                         dest="surface_tol_scale")
     common.add_argument("--lam", type=float, default=None,
@@ -321,7 +320,6 @@ def main(argv=None) -> int:
                 "abs_tol": args.abs_tol,
                 "rel_tol": args.rel_tol,
                 "grid_n": args.grid_n,
-                "quad_degree": args.quad_degree,
                 "surface_tol_scale": args.surface_tol_scale,
                 "lam": args.lam,
             },

@@ -25,15 +25,14 @@ class RunConfig:
 
     abs_tol / rel_tol feed the ODE integrators, surface_tol_scale the
     surface-detection gate (scaled by the central density), grid_n the
-    residual / root-scan grids, quad_degree the sphere quadrature, lam the
-    cosmological constant for builders that accept one.
+    residual / root-scan grids, lam the cosmological constant for builders
+    that accept one.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     surface_tol_scale: float = 1e-12
     grid_n: int = 512
-    quad_degree: int = 35
     lam: float = 0.0
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class RunConfig:
                 raise BadParams(f"{name} must be positive, got {getattr(self, name)}")
         if self.grid_n < 8:
             raise BadParams(f"grid_n must be at least 8, got {self.grid_n}")
-        if self.quad_degree < 3:
-            raise BadParams(f"quad_degree must be at least 3, got {self.quad_degree}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

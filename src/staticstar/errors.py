@@ -17,7 +17,6 @@ __all__ = [
     "HorizonHit",
     "StepFailure",
     "NoSurface",
-    "DegenerateFluid",
     "NotARegularValue",
     "NoLevelSet",
     "SignLoss",
@@ -67,10 +66,6 @@ class StepFailure(StaticStarError):
 
 class NoSurface(StaticStarError):
     """No radius with rho = 0 exists on the integrated range."""
-
-
-class DegenerateFluid(StaticStarError):
-    """mu + rho vanishes somewhere the lapse quadrature needs to divide by it."""
 
 
 class NotARegularValue(StaticStarError):

@@ -93,7 +93,10 @@ def fd_derivative(
     """Derivative of ``func`` at ``r`` by 4th-order central differences.
 
     One Richardson halving is applied, ``(16 D(h/2) - D(h)) / 15``, so the
-    effective truncation order is six.  ``order`` is 1 or 2.
+    effective truncation order is six.  ``order`` is 1 or 2.  ``r`` is a
+    float or an ndarray; a float gives a float, and ``func`` is then called
+    with numpy float64 values, which scalar-only callables (``math.sin``)
+    accept.
 
     Raises
     ------
@@ -104,22 +107,7 @@ def fd_derivative(
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
     base = _FD_BASE_STEP if order == 1 else _FD_BASE_STEP_D2
-    if scalar:
-        # keep plain floats so scalar-only callables (math.sin, ...) work
-        r_s = float(r_arr)
-        h = max(base, base * abs(r_s))
-        if domain is not None and (r_s - 2.0 * h < domain[0] or r_s + 2.0 * h > domain[1]):
-            raise DerivativeError(
-                f"finite-difference stencil leaves domain {domain}"
-            )
-        coarse = _fd_once(func, r_s, h, order)
-        fine = _fd_once(func, r_s, 0.5 * h, order)
-        out = (16.0 * float(fine) - float(coarse)) / 15.0
-        if not math.isfinite(out):
-            raise DerivativeError("non-finite values inside finite-difference stencil")
-        return out
     h = np.maximum(base, base * np.abs(r_arr))
     if domain is not None:
         lo, hi = domain
@@ -132,7 +120,7 @@ def fd_derivative(
     out = (16.0 * fine - coarse) / 15.0
     if not np.all(np.isfinite(out)):
         raise DerivativeError("non-finite values inside finite-difference stencil")
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------

@@ -13,8 +13,10 @@ with the center regularized by the series seed
     m(r)   = (4 pi / 3) mu_c r^3 + O(r^5)
 
 started at a small r_start > 0.  The lapse potential v = log f^2 is carried
-by the same solution, up to its additive constant; :func:`integrate_lapse`
-pins that constant, e^{v(r_b)} = 1 - 2M/r_b at the surface or v(r_end) = 0.
+by the same solution, up to its additive constant, which :func:`integrate_tov`
+pins where the integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface
+event, or v(r_end) = 0 without one.  Every profile therefore has its lapse;
+:func:`integrate_lapse` re-pins it at another radius.
 
 Evaluators are array in, array out: ``EquationOfState.mu`` and the dense
 profile and model evaluators take a float or an ndarray of radii (or
@@ -24,6 +26,7 @@ pressures) and return a float or an ndarray of the same shape.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -33,7 +36,6 @@ import numpy as np
 from .errors import (
     BadParams,
     CenterSingularity,
-    DegenerateFluid,
     DomainError,
     HorizonHit,
     NoSurface,
@@ -258,10 +260,10 @@ class RadialProfile:
     """Sampled interior solution plus dense evaluators.
 
     ``samples`` is a (n, 7) float array with columns ``CSV_COLUMNS``
-    (r, m, mu, rho, exp_neg_gamma, exp_v, f); the lapse columns are NaN until
-    :func:`integrate_lapse` fills them.  ``exp_neg_gamma`` is *defined* as
-    1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
-    constant, which :func:`integrate_lapse` pins to give ``v_fn``.  Dense
+    (r, m, mu, rho, exp_neg_gamma, exp_v, f).  ``exp_neg_gamma`` is *defined*
+    as 1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
+    constant and ``v_shift`` the pinned constant, so v = v_free_fn + v_shift;
+    ``lapse_normalized`` marks a lapse pinned by f(r_end) = 1.  Dense
     evaluation between samples reads a piecewise polynomial
     (:class:`~staticstar.numerics.PiecewisePoly`): the integrator's own dense
     output after :func:`integrate_tov`, cubic splines after
@@ -277,11 +279,11 @@ class RadialProfile:
     r_end: float
     rho_fn: Callable
     m_fn: Callable
+    v_free_fn: Callable
+    v_shift: float
+    lapse_normalized: bool
     surface_event_r: float | None = None
-    v_fn: Callable | None = None
-    lapse_normalized: bool = False  # True when f was pinned by f(r_end) = 1
     options: SolverOptions = SolverOptions()
-    v_free_fn: Callable | None = None
 
     def __post_init__(self):
         if self.r_start <= 0.0:
@@ -313,18 +315,13 @@ class RadialProfile:
         return 1.0 - 2.0 * self.m_fn(r) / r
 
     def v(self, r):
-        if self.v_fn is None:
-            raise BadParams("lapse not integrated yet; call integrate_lapse")
-        return self.v_fn(r)
+        return self.v_free_fn(r) + self.v_shift
 
     def f(self, r):
         return _out(np.exp(0.5 * self.v(r)))
 
     def column(self, name: str) -> np.ndarray:
         return self.samples[:, CSV_COLUMNS.index(name)]
-
-    def has_lapse(self) -> bool:
-        return self.v_fn is not None
 
 
 def _scalar(x) -> bool:
@@ -342,6 +339,23 @@ def _lapse_rate(r, rho, m):
     return 2.0 * (m + FOUR_PI * r**3 * rho) / (r * (r - 2.0 * m))
 
 
+def _lapse_shift(m_fn, v_free_fn, r_end: float, r_b: float | None) -> float:
+    """The constant of v = v_free + shift: e^{v(r_b)} = 1 - 2 m(r_b)/r_b at a
+    surface r_b, or v(r_end) = 0 without one.  HorizonHit if r_b is trapped."""
+    if r_b is None:
+        return -v_free_fn(r_end)
+    x_b = 1.0 - 2.0 * m_fn(r_b) / r_b
+    if x_b <= EPS_DOM:
+        raise HorizonHit(f"surface inside horizon: 1 - 2M/r_b = {x_b}")
+    return math.log(x_b) - v_free_fn(r_b)
+
+
+def _center_series(rho_c: float, mu_c: float, r):
+    """(rho, m) at radius r from the regular-center series, to O(r^4) and O(r^5)."""
+    a2 = 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c)
+    return rho_c - a2 * r * r, FOUR_PI / 3.0 * mu_c * r**3
+
+
 # ----------------------------------------------------------------------------
 # TOV integration
 # ----------------------------------------------------------------------------
@@ -357,12 +371,13 @@ def integrate_tov(
     guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile is
     sampled on a Chebyshev grid of ``options.grid_n`` points and keeps the
     integrator's dense output, as one piecewise polynomial, for later
-    refinement, the lapse potential included; its lapse columns stay NaN
-    until :func:`integrate_lapse`.
+    refinement, the lapse potential included.  The lapse is pinned where the
+    integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface event, or
+    else v(r_end) = 0, flagged ``lapse_normalized``.
 
     Raises CenterSingularity if the EOS cannot be evaluated at rho_center,
-    HorizonHit or StepFailure as described, and lets Tabulated range errors
-    propagate as DomainError.
+    HorizonHit (also for a surface event inside the horizon) or StepFailure
+    as described, and lets Tabulated range errors propagate as DomainError.
     """
     opts = options or SolverOptions()
     rho_c = float(rho_center)
@@ -373,8 +388,7 @@ def integrate_tov(
         raise CenterSingularity(f"EOS gives non-finite mu at rho_center={rho_c}")
 
     r0 = opts.r_start
-    rho0 = rho_c - 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c) * r0 * r0
-    m0 = FOUR_PI / 3.0 * mu_c * r0**3
+    rho0, m0 = _center_series(rho_c, mu_c, r0)
 
     def rhs(r, y):
         rho, m, _v = y
@@ -423,9 +437,12 @@ def integrate_tov(
     dense = sol.dense
     rho_fn, m_fn, v_free_fn = (dense.component(i) for i in range(3))
     grid = chebyshev_grid(r0, r_end, opts.grid_n)
-    rho, m, _v = dense(grid).T
-    nan = np.full(grid.shape, np.nan)
-    samples = np.column_stack((grid, m, eos.mu(rho), rho, 1.0 - 2.0 * m / grid, nan, nan))
+    rho, m, v_free = dense(grid).T
+    shift = _lapse_shift(m_fn, v_free_fn, r_end, surface_r)
+    v = v_free + shift
+    samples = np.column_stack(
+        (grid, m, eos.mu(rho), rho, 1.0 - 2.0 * m / grid, np.exp(v), np.exp(0.5 * v))
+    )
     return RadialProfile(
         samples=samples,
         eos=eos,
@@ -434,9 +451,11 @@ def integrate_tov(
         r_end=r_end,
         rho_fn=rho_fn,
         m_fn=m_fn,
+        v_free_fn=v_free_fn,
+        v_shift=shift,
+        lapse_normalized=surface_r is None,
         surface_event_r=surface_r,
         options=opts,
-        v_free_fn=v_free_fn,
     )
 
 
@@ -457,53 +476,20 @@ def detect_surface(profile: RadialProfile) -> float:
 
 
 def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialProfile:
-    """Fill in v and f = e^{v/2} by pinning the constant of the carried v.
+    """Re-pin the profile's lapse: a copy with the constant of v moved.
 
-    With a surface radius ``r_b`` the constant of integration is fixed by
-    continuity with the vacuum exterior, e^{v(r_b)} = 1 - 2 m(r_b)/r_b.
-    Without one, f is normalized to 1 at the outer end ``r_end`` of the
-    profile and the result is flagged ``lapse_normalized``.
-
-    Raises DegenerateFluid when mu + rho vanishes (|mu+rho| < 1e-14) on the
-    sampled profile — including constant-density branches whose lapse the
-    fluid equations do not determine.  A profile that is vacuum to round-off
-    gets the flat lapse v = 0 directly.
+    With a surface radius ``r_b`` the constant is fixed by continuity with
+    the vacuum exterior, e^{v(r_b)} = 1 - 2 m(r_b)/r_b (HorizonHit if that
+    is not positive).  Without one, f is normalized to 1 at the outer end
+    ``r_end`` of the profile and the result is flagged ``lapse_normalized``.
+    The ``exp_v`` and ``f`` sample columns follow the new constant.
     """
-    rho_s = profile.column("rho")
-    mu_s = profile.column("mu")
-
-    vacuum = np.max(np.abs(rho_s)) < 1e-14 and np.max(np.abs(mu_s)) < 1e-14
-    if vacuum:
-        # flat interior, v = 0
-        def v_fn(r):
-            return _out(np.zeros(np.shape(r)))
-    else:
-        if np.min(np.abs(mu_s + rho_s)) < 1e-14:
-            raise DegenerateFluid("mu + rho vanishes along the profile")
-        if r_b is not None:
-            x_b = 1.0 - 2.0 * profile.m(r_b) / r_b
-            if x_b <= EPS_DOM:
-                raise HorizonHit(f"surface inside horizon: 1 - 2M/r_b = {x_b}")
-            ref, base = r_b, math.log(x_b)
-        else:
-            ref, base = profile.r_end, 0.0
-        v_free = profile.v_free_fn
-        if v_free is None:
-            raise BadParams("profile carries no lapse potential; build it with integrate_tov")
-        shift = base - v_free(ref)
-
-        def v_fn(r):
-            return v_free(r) + shift
-
+    shift = _lapse_shift(profile.m_fn, profile.v_free_fn, profile.r_end, r_b)
     samples = profile.samples.copy()
-    v = v_fn(samples[:, 0])
-    samples[:, 5] = np.exp(v)
-    samples[:, 6] = np.exp(0.5 * v)
+    v = profile.v_free_fn(samples[:, 0]) + shift
+    samples[:, 5], samples[:, 6] = np.exp(v), np.exp(0.5 * v)
     return dataclasses.replace(
-        profile,
-        samples=samples,
-        v_fn=v_fn,
-        lapse_normalized=bool(vacuum or r_b is None),
+        profile, samples=samples, v_shift=shift, lapse_normalized=r_b is None,
     )
 
 
@@ -528,6 +514,10 @@ class StellarModel:
         if self.r_b <= 2.0 * self.mass + EPS_DOM:
             raise HorizonHit(f"r_b = {self.r_b} <= 2M = {2*self.mass}")
 
+    @functools.cached_property
+    def _mu_center(self) -> float:
+        return self.profile.eos.mu(self.profile.rho_center)
+
     # -- piecewise evaluators (float or ndarray of radii) ----------------------
 
     def _piecewise(self, r, center, interior, exterior):
@@ -547,9 +537,10 @@ class StellarModel:
 
     def rho(self, r):
         p = self.profile
-        mu_c = p.eos.mu(p.rho_center)
-        a2 = 2.0 * math.pi * (mu_c / 3.0 + p.rho_center) * (mu_c + p.rho_center)
-        return self._piecewise(r, lambda x: p.rho_center - a2 * x * x, p.rho, lambda x: 0.0)
+        return self._piecewise(
+            r, lambda x: _center_series(p.rho_center, self._mu_center, x)[0], p.rho,
+            lambda x: 0.0,
+        )
 
     def mu(self, r):
         return self._piecewise(
@@ -559,8 +550,10 @@ class StellarModel:
 
     def m(self, r):
         p = self.profile
-        mu_c = p.eos.mu(p.rho_center)
-        return self._piecewise(r, lambda x: FOUR_PI / 3.0 * mu_c * x**3, p.m, lambda x: self.mass)
+        return self._piecewise(
+            r, lambda x: _center_series(p.rho_center, self._mu_center, x)[1], p.m,
+            lambda x: self.mass,
+        )
 
     def exp_neg_gamma(self, r):
         return 1.0 - 2.0 * self.m(r) / r
@@ -606,10 +599,8 @@ def match_exterior(profile: RadialProfile, r_b: float) -> StellarModel:
 
     Checks (construction-time): rho(r_b) below the surface threshold,
     e^{v(r_b)} equal to 1 - 2M/r_b within 1e-9, and r_b > 2M (HorizonHit
-    otherwise).  The profile must already carry its lapse.
+    otherwise).
     """
-    if not profile.has_lapse():
-        profile = integrate_lapse(profile, r_b=r_b)
     mass = profile.m(r_b)
     tol = profile.surface_tol
     rho_b = profile.rho(r_b)
@@ -652,7 +643,10 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
 
     A table written from a star ends on its surface: when the last row's
     |rho| is within ``surface_tol`` (and rho_center != 0), that row's radius
-    is the profile's ``surface_event_r``.
+    is the profile's ``surface_event_r``.  A stored lapse is read as it is;
+    a table without one (non-finite ``exp_v``) gets v' from its m and rho,
+    integrated and pinned as :func:`integrate_tov` pins it: at the surface
+    row, or else at r_end.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -660,11 +654,10 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
         raise BadParams(f"unexpected CSV columns {header}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     r, m, rho = data[:, 0], data[:, 1], data[:, 3]
-    v_fn = None
-    if np.all(np.isfinite(data[:, 5])):
-        v_free = v_fn = cubic_spline(r, np.log(data[:, 5]))
+    stored = bool(np.all(np.isfinite(data[:, 5])))
+    if stored:
+        v_free = cubic_spline(r, np.log(data[:, 5]))
     else:
-        # no stored lapse: v' from the stored m and rho, integrated
         v_free = cubic_spline(r, _lapse_rate(r, rho, m)).antiderivative()
     profile = RadialProfile(
         samples=data,
@@ -674,10 +667,11 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
         r_end=float(r[-1]),
         rho_fn=cubic_spline(r, rho),
         m_fn=cubic_spline(r, m),
-        v_fn=v_fn,
         v_free_fn=v_free,
+        v_shift=0.0,
+        lapse_normalized=False,
     )
     if profile.rho_center != 0.0 and abs(rho[-1]) <= profile.surface_tol:
         profile = dataclasses.replace(profile, surface_event_r=profile.r_end)
-    return profile
+    return profile if stored else integrate_lapse(profile, profile.surface_event_r)
 

@@ -162,9 +162,18 @@ def test_bad_model_param(capsys):
     assert code == 1 and "bad model parameter" in err
 
 
-def test_missing_required_flag(capsys):
-    code, _, _ = run(capsys, "tov", "--eos", "constant:c=0.001")
-    assert code == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tov", "--eos", "constant:c=0.001"),
+        # mass builds catalog and TOV models, whose round level spheres need
+        # no quadrature: there is no degree to choose
+        ("mass", *STAR, "--level", "0.6", "--quad-degree", "5"),
+    ],
+)
+def test_missing_or_unknown_flag(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "usage:" in err and "Traceback" not in err
 
 
 def test_catalog_verify_needs_id(capsys):
@@ -281,12 +290,13 @@ def test_missing_config_file(capsys):
     assert code == 4
 
 
-def test_unknown_config_key(capsys, tmp_path):
+@pytest.mark.parametrize("key", ["grid_m", "quad_degree"])
+def test_unknown_config_key(capsys, tmp_path, key):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[staticstar]\ngrid_m = 64\n")
+    cfg.write_text(f"[staticstar]\n{key} = 64\n")
     code, _, err = run(capsys, "audit", "--model", "schwarzschild_interior:c=0.001",
                        "--config", str(cfg))
-    assert code == 1 and "grid_m" in err
+    assert code == 1 and key in err
 
 
 # --- one parser per process ---------------------------------------------------

@@ -10,6 +10,7 @@ Frozen sample rows below come from the closed-form interior evaluated at a
 few radii; the solver at default tolerances lands within ~3e-7 of them.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -19,7 +20,6 @@ import pytest
 from staticstar.errors import (
     BadParams,
     CenterSingularity,
-    DegenerateFluid,
     DomainError,
     HorizonHit,
     NoSurface,
@@ -182,24 +182,51 @@ class TestLapseConstruction:
         profile = tov.integrate_tov(eos, 0.0, tov.SolverOptions(r_max=10.0))
         with pytest.raises(NoSurface):
             tov.detect_surface(profile)
+        # the carried v' is exactly 0, so the profile's own lapse is flat
+        assert profile.lapse_normalized
+        assert profile.v(5.0) == 0.0 and profile.f(5.0) == 1.0
+        assert np.all(profile.column("f") == 1.0)
         profile = tov.integrate_lapse(profile)
         assert profile.v(5.0) == 0.0 and profile.f(5.0) == 1.0
 
-    def test_degenerate_fluid_rejected(self):
-        # chaplygin with rho_c = -c rides the mu + rho = 0 line exactly
-        # (stop before 2m catches up with r, which happens near r = 3.45)
-        eos = tov.Chaplygin(1e-2)
-        profile = tov.integrate_tov(eos, -1e-2, tov.SolverOptions(r_max=3.0))
-        assert profile.rho(2.5) == pytest.approx(-1e-2, abs=1e-14)
+    def test_mu_plus_rho_zero_branch_has_the_closed_form_lapse(self):
+        # chaplygin with rho_c = -c rides the mu + rho = 0 line exactly: mu = c,
+        # rho = -c, m = (4 pi/3) c r^3, so v' = -2 a r / (1 - a r^2) with
+        # a = 8 pi c / 3, and normalized at r_end the lapse is interior
+        # Schwarzschild's f = sqrt((1 - a r^2) / (1 - a r_end^2)).  (Stop
+        # before 2m catches up with r, which happens near r = 3.45.)
+        c = 1e-2
+        profile = tov.integrate_tov(tov.Chaplygin(c), -c, tov.SolverOptions(r_max=3.0))
+        assert profile.rho(2.5) == pytest.approx(-c, abs=1e-14)
+        assert np.all(profile.column("mu") + profile.column("rho") == 0.0)
         with pytest.raises(NoSurface):
             tov.detect_surface(profile)
-        with pytest.raises(DegenerateFluid):
-            tov.integrate_lapse(profile)
+        assert profile.lapse_normalized and profile.r_end == 3.0
+        a = 8.0 * math.pi * c / 3.0
+        r = profile.column("r")
+        closed = np.sqrt((1.0 - a * r * r) / (1.0 - a * profile.r_end**2))
+        assert np.max(np.abs(profile.column("f") - closed)) <= 1e-6
+        assert np.max(np.abs(profile.f(r) - closed)) <= 1e-6
+
+    def test_polytrope_surface_where_mu_plus_rho_vanishes(self):
+        # Gamma = 1.5 polytrope rho = 10 mu^1.5: mu(0) = 0, so on the surface
+        # row mu + rho is round-off (7e-19 here)
+        eos = tov.Custom(lambda rho: (np.maximum(rho, 0.0) / 10.0) ** (1 / 1.5), "polytrope")
+        profile = tov.integrate_tov(eos, 1e-4)
+        r_b = tov.detect_surface(profile)
+        assert r_b == pytest.approx(35.384, abs=1e-3)
+        assert abs(profile.column("mu")[-1] + profile.column("rho")[-1]) < 1e-14
+        star = tov.match_exterior(profile, r_b)
+        assert not star.profile.lapse_normalized
+        x_b = 1.0 - 2.0 * star.mass / r_b
+        assert star.profile.f(r_b) == pytest.approx(math.sqrt(x_b), rel=1e-12)
+        assert star.profile.column("f")[-1] == pytest.approx(math.sqrt(x_b), rel=1e-12)
 
     def test_static_chaplygin_branch(self):
-        # rho_c = -c/sqrt(3) balances the pressure gradient: rho' = 0, so rho
-        # stays put and the lapse quadrature returns a constant.  The balance
-        # is one ulp off in floating point, hence the loose 1e-7 bands.
+        # rho_c = -c/sqrt(3) balances the pressure gradient: mu/3 + rho = 0, so
+        # m + 4 pi r^3 rho = 0 and rho' = v' = 0: rho stays put and the carried
+        # lapse is constant.  The balance is one ulp off in floating point,
+        # hence the loose 1e-7 bands.
         c = 1.0
         eos = tov.Chaplygin(c)
         opts = tov.SolverOptions(r_max=0.2)
@@ -343,20 +370,34 @@ class TestCarriedLapse:
         assert np.max(np.abs(prof.column("f")[: r.size] - closed)) <= 1e-8
         assert np.max(np.abs(const_star.f(r) - closed)) <= 1e-8
 
-    def test_profile_lapse_columns_wait_for_the_constant(self):
+    def test_integrate_tov_pins_its_own_lapse(self):
+        # integrate_tov's own profile, before any match_exterior: pinned at
+        # its surface event
         profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
-        assert not profile.has_lapse()
-        assert np.all(np.isnan(profile.column("exp_v")))
-        assert np.all(np.isnan(profile.column("f")))
-        with pytest.raises(BadParams):
-            profile.v(1.0)
+        assert not profile.lapse_normalized
+        r = profile.column("r")
+        closed = 0.5 * (3.0 * 0.6 - np.sqrt(1.0 - (8.0 * math.pi * 0.001 / 3.0) * r * r))
+        assert np.max(np.abs(profile.column("f") - closed)) <= 1e-8
+        assert np.allclose(profile.column("exp_v"), profile.column("f") ** 2, rtol=1e-14, atol=0)
+        # stopped by r_max: pinned by f(r_end) = 1
+        short = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005,
+                                  tov.SolverOptions(r_max=5.0))
+        assert short.lapse_normalized and short.r_end == 5.0
+        assert short.f(short.r_end) == 1.0 and short.column("f")[-1] == 1.0
 
     def test_csv_without_lapse_can_be_pinned(self, tmp_path, const_star):
+        # a table with no stored lapse: v' comes from its m and rho, and v is
+        # pinned at the surface row the table ends on
         raw = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+        samples = raw.samples.copy()
+        samples[:, 5:] = np.nan
         path = tmp_path / "raw.csv"
-        tov.profile_to_csv(raw, path)
+        tov.profile_to_csv(dataclasses.replace(raw, samples=samples), path)
         back = tov.profile_from_csv(path)
-        assert not back.has_lapse()
+        assert back.surface_event_r == back.r_end and not back.lapse_normalized
+        assert np.all(np.isfinite(back.samples))
+        for r in (1.0, 4.0, 8.0):
+            assert back.f(r) == pytest.approx(const_star.f(r), abs=1e-7)
         back = tov.integrate_lapse(back, r_b=const_star.r_b)
         for r in (1.0, 4.0, 8.0):
             assert back.f(r) == pytest.approx(const_star.f(r), abs=1e-7)
