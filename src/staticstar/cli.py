@@ -5,6 +5,14 @@ failed (residuals above tolerance, failed build checks); 3 a mathematical or
 integration failure (horizon hit, no surface, no level set, step failure,
 domain errors); 4 I/O failure.
 
+Each subcommand takes only the shared flags it reads (a catalog model takes
+its Lambda as ``--param lam=...`` or ``id:lam=...``, not as ``--lam``)::
+
+    tov, mass        --config --json --grid-n --abs-tol --rel-tol --out
+    audit            --config --json --grid-n --abs-tol --rel-tol
+    catalog, verify  --config --json --grid-n
+    build            --config --json --lam
+
 Examples
 --------
 ::
@@ -56,22 +64,19 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
 
 def _tov_model(args, cfg: RunConfig) -> tov.StellarModel:
     eos = tov.EquationOfState.from_spec(args.eos)
-    opts = tov.SolverOptions(
-        abs_tol=cfg.abs_tol,
-        rel_tol=cfg.rel_tol,
-        grid_n=cfg.grid_n,
-        surface_ytol_scale=cfg.surface_tol_scale,
-    )
+    opts = tov.SolverOptions(abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, grid_n=cfg.grid_n)
     profile = tov.integrate_tov(eos, args.rho_c, opts)
     r_b = tov.detect_surface(profile)
     return tov.match_exterior(profile, r_b)
 
 
 def _resolve_model(args, cfg: RunConfig):
-    if getattr(args, "model", None):
+    if args.model:
+        if args.eos or args.rho_c is not None:
+            raise BadParams("give --model or --eos/--rho-c, not both")
         return catalog.parse_model_spec(args.model)
-    if getattr(args, "eos", None):
-        if getattr(args, "rho_c", None) is None:
+    if args.eos:
+        if args.rho_c is None:
             raise BadParams("--eos also needs --rho-c")
         return _tov_model(args, cfg)
     raise BadParams("give a model with --model ID[:k=v,...] or --eos/--rho-c")
@@ -237,17 +242,27 @@ def _build_parser() -> argparse.ArgumentParser:
     ``parse_args`` fills a fresh namespace on each call and leaves the parser
     as it was, so one tree serves every request in a process.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="config file ([staticstar] key = value)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
-    common.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    common.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-    common.add_argument("--surface-tol-scale", type=float, default=None,
-                        dest="surface_tol_scale")
-    common.add_argument("--lam", type=float, default=None,
-                        help="cosmological constant (builders that accept one)")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", help="config file ([staticstar] key = value)")
+    base.add_argument("--json", action="store_true", help="machine-readable output")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file path")
+    tols = argparse.ArgumentParser(add_help=False)
+    tols.add_argument("--abs-tol", type=float,
+                      help="absolute tolerance of the TOV integrator (tov; mass, audit with --eos)")
+    tols.add_argument("--rel-tol", type=float,
+                      help="relative tolerance of the TOV integrator (tov; mass, audit with --eos)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-n", type=int,
+                      help="TOV profile rows (tov; mass, audit with --eos), residual grid "
+                           "(verify, catalog verify), scan points (audit; mass scans at "
+                           "least 256)")
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lam", type=float, help="cosmological constant of the built model")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--model", help="catalog model spec id[:k=v,...]")
+    source.add_argument("--eos", help="equation of state (integrated star source)")
+    source.add_argument("--rho-c", type=float)
 
     parser = argparse.ArgumentParser(
         prog="staticstar",
@@ -256,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tov", parents=[common],
+    p = sub.add_parser("tov", parents=[base, out, tols, grid],
                        help="integrate an interior model from an equation of state")
     p.add_argument("--eos", required=True,
                    help="constant:c=..., chaplygin:c=..., or table:path.csv")
@@ -264,36 +279,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="central pressure value")
     p.set_defaults(handler=_cmd_tov)
 
-    p = sub.add_parser("catalog", parents=[common], help="exact-solution catalog")
+    p = sub.add_parser("catalog", parents=[base, grid], help="exact-solution catalog")
     p.add_argument("action", choices=("list", "verify"))
     p.add_argument("catalog_model", nargs="?", help="model id (for verify)")
     p.add_argument("--n", type=int, default=None, help="dimension parameter")
     p.add_argument("--param", action="append", help="extra key=value model parameter")
     p.set_defaults(handler=_cmd_catalog)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[base, grid],
                        help="verify a catalog model given as id[:k=v,...]")
     p.add_argument("model")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("mass", parents=[common],
+    p = sub.add_parser("mass", parents=[base, out, tols, grid, source],
                        help="quasi-local masses on lapse level sets")
-    p.add_argument("--model", help="catalog model spec id[:k=v,...]")
-    p.add_argument("--eos", help="equation of state (integrated star source)")
-    p.add_argument("--rho-c", type=float, dest="rho_c", default=None)
     p.add_argument("--level", action="append", required=True, type=float,
                    help="lapse level c (repeatable)")
     p.add_argument("--window", help="scan window lo,hi in the radial variable")
     p.set_defaults(handler=_cmd_mass)
 
-    p = sub.add_parser("audit", parents=[common],
+    p = sub.add_parser("audit", parents=[base, tols, grid, source],
                        help="energy-condition scan (WEC / NEC / DEC)")
-    p.add_argument("--model", help="catalog model spec id[:k=v,...]")
-    p.add_argument("--eos", help="equation of state (integrated star source)")
-    p.add_argument("--rho-c", type=float, dest="rho_c", default=None)
     p.set_defaults(handler=_cmd_audit)
 
-    p = sub.add_parser("build", parents=[common],
+    p = sub.add_parser("build", parents=[base, lam],
                        help="build and validate a conformally flat model")
     p.add_argument("--phi", default="witten",
                    help="'witten', 'unit' (closed-form presets)")
@@ -316,13 +325,7 @@ def main(argv=None) -> int:
         file_overrides = load_config(args.config) if args.config else None
         cfg = merge_config(
             file_overrides,
-            {
-                "abs_tol": args.abs_tol,
-                "rel_tol": args.rel_tol,
-                "grid_n": args.grid_n,
-                "surface_tol_scale": args.surface_tol_scale,
-                "lam": args.lam,
-            },
+            {key: getattr(args, key, None) for key in ("abs_tol", "rel_tol", "grid_n", "lam")},
         )
         return args.handler(args, cfg)
     except (BadParams, UnknownModel) as exc:

@@ -21,22 +21,17 @@ CONFIG_SECTION = "staticstar"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Numeric knobs shared across CLI commands.
-
-    abs_tol / rel_tol feed the ODE integrators, surface_tol_scale the
-    surface-detection gate (scaled by the central density), grid_n the
-    residual / root-scan grids, lam the cosmological constant for builders
-    that accept one.
-    """
+    """Numeric knobs of the CLI, one per config key: abs_tol / rel_tol for the
+    TOV integrator, grid_n for its sample rows and the residual and scan grids,
+    and lam, the cosmological constant of ``build`` (not of catalog models)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    surface_tol_scale: float = 1e-12
     grid_n: int = 512
     lam: float = 0.0
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "surface_tol_scale"):
+        for name in ("abs_tol", "rel_tol"):
             if not getattr(self, name) > 0.0:
                 raise BadParams(f"{name} must be positive, got {getattr(self, name)}")
         if self.grid_n < 8:

@@ -161,10 +161,8 @@ class BasicInvariant:
             raise DomainError("degenerate invariant: u is constant")
         return ((u - float(np.sum(self.beta))) / a2)[..., None] * a
 
-    def as_field(self, n: int | None = None) -> ScalarField:
+    def as_field(self) -> ScalarField:
         """The invariant as an exact ScalarField (polynomial derivatives)."""
-        if n is not None and n != self.n:
-            raise BadParams(f"invariant is on R^{self.n}, requested n={n}")
         m = self.n
         a = np.asarray(self.alpha)
         tau = self.tau
@@ -501,7 +499,8 @@ def build_model(
     presets ``"witten"`` (phi = sqrt(1+u), closed-form lapse — no integration)
     and ``"unit"`` (phi = 1, affine lapse).  ``ic = (f, f')`` at ``span[0]``;
     preset defaults: witten (0, sqrt(n-2)/2) — the pure-sine solution — and
-    unit (1, 0).  A ``span`` that is not finite and increasing is BadParams.
+    unit (1, 0).  A ``span`` that is not finite and increasing, a non-finite
+    ``lam`` or a non-finite ``ic`` is BadParams.
 
     Construction always runs three independent validations (skippable with
     ``run_checks=False`` for speed): the lapse-ODE residual, the traceless
@@ -519,6 +518,8 @@ def build_model(
     u0, u1 = float(span[0]), float(span[1])
     if not (math.isfinite(u0) and math.isfinite(u1) and u0 < u1):
         raise BadParams(f"span must be finite and increasing, got {span}")
+    if not all(map(math.isfinite, (lam, *(ic or ())))):
+        raise BadParams(f"lam and ic must be finite, got lam={lam}, ic={ic}")
     label = phi if isinstance(phi, str) else "custom"
 
     if invariant.degenerate:

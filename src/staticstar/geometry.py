@@ -29,7 +29,6 @@ Supported metric ansatz classes
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -242,9 +241,6 @@ class ResidualReport:
             ],
             "pass": self.passed,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _entry(eq: str, values: np.ndarray, grid: np.ndarray) -> ResidualEntry:

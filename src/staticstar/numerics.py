@@ -795,24 +795,21 @@ class ScalarField:
 # grids
 # ----------------------------------------------------------------------------
 
-def chebyshev_grid(lo: float, hi: float, n: int = DEFAULT_GRID_N, margin: float = 0.0):
-    """Chebyshev–Lobatto points on [lo + margin, hi - margin], increasing.
+def chebyshev_grid(lo: float, hi: float, n: int = DEFAULT_GRID_N):
+    """Chebyshev–Lobatto points on [lo, hi], increasing.
 
     Lobatto points cluster near the interval ends, which is where the residual
     checks need resolution (centers, surfaces, horizons).
     """
     if not lo < hi:
         raise DomainError(f"empty grid interval ({lo}, {hi})")
-    a, b = lo + margin, hi - margin
-    if not a < b:
-        raise DomainError(f"margin {margin} exhausts interval ({lo}, {hi})")
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     j = np.arange(n)
-    grid = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * j / (n - 1))
+    grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * j / (n - 1))
     # the affine map can land an ulp off the interval ends; pin them so that
-    # callers may rely on grid[0] == a and grid[-1] == b
-    grid[0], grid[-1] = a, b
+    # callers may rely on grid[0] == lo and grid[-1] == hi
+    grid[0], grid[-1] = lo, hi
     return grid
 
 

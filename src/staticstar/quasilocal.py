@@ -58,6 +58,8 @@ __all__ = [
     "write_sweep_csv",
 ]
 
+AUDIT_DEGREE = 35  # of the sphere rule that audits a conformal level sphere
+
 SWEEP_COLUMNS = (
     "c", "r", "area", "H", "kappa", "rho0",
     "m_hawking", "m_brown_york", "chi_residual", "ineq_slack",
@@ -351,31 +353,31 @@ def _level_report(c, r0, chart) -> QuasiLocalReport:
     )
 
 
-def _sphere_audit(ansatz: ConformalFlat, f, degree: int):
+def _sphere_audit(ansatz: ConformalFlat, f):
     """Audit of a conformal level sphere over its actual 3D surface.
 
     Returns a function of (u0, b) giving the umbilicity spread of the shape
     operator of the lapse profile ``f``, the relative spread of |grad f|_g
     and the Willmore energy, all from one batch of shape operators at the
-    quadrature nodes.
+    nodes of the degree-``AUDIT_DEGREE`` sphere rule.
     """
     inv = ansatz.invariant
     f_field = ansatz.lift(f)
 
     def audit(u0, b):
-        x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(degree)[0]
+        x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(AUDIT_DEGREE)[0]
         A, traces = shape_operator(ansatz, f_field, x)
         spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
         gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
         mean_g = np.mean(gnorms)
         gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
         # the traces are H at these very nodes
-        return spread, gradc, willmore_energy(lambda _: traces, b, degree)
+        return spread, gradc, willmore_energy(lambda _: traces, b, AUDIT_DEGREE)
 
     return audit
 
 
-def _charts(model, c: float, window, degree: int):
+def _charts(model, c: float, window):
     """(ansatz, lapse, geometric rho, lo, hi, audit) for each chart of a model.
 
     [lo, hi] is the scan window in the chart's radial value (empty when a
@@ -412,12 +414,12 @@ def _charts(model, c: float, window, degree: int):
             pad = max(1e-9, 1e-9 * (hi - lo))
             lo, hi = lo + pad, hi - pad
         ansatz = model.to_ansatz()
-        return [(ansatz, model.f, model.rho_geo, lo, hi, _sphere_audit(ansatz, model.f, degree))]
+        return [(ansatz, model.f, model.rho_geo, lo, hi, _sphere_audit(ansatz, model.f))]
     raise BadParams(f"no level-set support for {type(model).__name__}")
 
 
 def level_set_data(model, c: float, window=None, grid_n: int = 2048,
-                   degree: int = 35, *, scans: dict | None = None) -> list[QuasiLocalReport]:
+                   *, scans: dict | None = None) -> list[QuasiLocalReport]:
     """All level-set spheres {f = c} of a model, innermost first.
 
     Accepts an analytic catalog model, an integrated stellar model, or a
@@ -425,10 +427,10 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     in the scanned window and NotARegularValue at critical levels, tangential
     touches at an extremum of f included.  A non-finite level, or a
     ``window`` (lo, hi) that is not finite and increasing, is BadParams.
-    ``degree`` is the sphere quadrature used on conformal models; round
-    spheres of radial charts need none.  Calls on one model that pass the
-    same ``scans`` dict evaluate f once per scan window (see
-    :func:`mass_sweep`).
+    ``grid_n`` points scan each chart's window for sign changes of f - c;
+    conformal level spheres are audited with the degree-``AUDIT_DEGREE``
+    sphere rule.  Calls on one model that pass the same ``scans`` dict
+    evaluate f once per scan window (see :func:`mass_sweep`).
 
     Every chart is scanned; a root found by two charts (the seam of a
     two-piece catalog model) is reported once, from the chart that found
@@ -442,7 +444,7 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise BadParams(f"scan window must be finite and increasing, got {window}")
     scans = {} if scans is None else scans
-    charts = _charts(model, c, window, degree)
+    charts = _charts(model, c, window)
     found = []
     for i, (_, f_rf, _, lo, hi, _) in enumerate(charts):
         if lo < hi:
@@ -458,15 +460,14 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     return [_level_report(c, r0, charts[i]) for r0, i in kept]
 
 
-def mass_sweep(model, levels, grid_n: int = 2048, degree: int = 35,
-               window=None) -> list[QuasiLocalReport]:
+def mass_sweep(model, levels, grid_n: int = 2048, window=None) -> list[QuasiLocalReport]:
     """level_set_data over many levels, in level order; levels with no level
     set are skipped.  Levels with the same scan window share f on its grid."""
     out, scans = [], {}
     for c in levels:
         try:
             out.extend(level_set_data(model, float(c), window=window,
-                                      grid_n=grid_n, degree=degree, scans=scans))
+                                      grid_n=grid_n, scans=scans))
         except NoLevelSet:
             continue
     return out

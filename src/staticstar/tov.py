@@ -12,7 +12,7 @@ with the center regularized by the series seed
     rho(r) = rho_c - 2 pi (mu_c/3 + rho_c)(mu_c + rho_c) r^2 + O(r^4)
     m(r)   = (4 pi / 3) mu_c r^3 + O(r^5)
 
-started at a small r_start > 0.  The lapse potential v = log f^2 is carried
+started at r = R_START.  The lapse potential v = log f^2 is carried
 by the same solution, up to its additive constant, which :func:`integrate_tov`
 pins where the integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface
 event, or v(r_end) = 0 without one.  Every profile therefore has its lapse;
@@ -70,6 +70,9 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
+R_START = 1e-6  # the integration starts here, off the regular center
+SURFACE_TOL_SCALE = 1e-12  # the surface threshold on |rho| is this * max(1, |rho_center|)
+
 CSV_COLUMNS = ("r", "m", "mu", "rho", "exp_neg_gamma", "exp_v", "f")
 
 
@@ -110,6 +113,9 @@ class EquationOfState:
                     params[key.strip()] = float(val)
                 except ValueError:
                     raise BadParams(f"EOS parameter {item!r} in {spec!r} is not a number") from None
+        infinite = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
+        if infinite:
+            raise BadParams(f"EOS {spec!r} needs finite parameters, got {', '.join(infinite)}")
         if kind == "constant":
             return ConstantDensity(params.get("c", 0.0))
         if kind == "chaplygin":
@@ -239,18 +245,19 @@ class Custom(EquationOfState):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Knobs of :func:`integrate_tov`; its start radius and surface threshold
+    are the constants ``R_START`` and ``SURFACE_TOL_SCALE``."""
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    r_start: float = 1e-6
     r_max: float = 1e3
     grid_n: int = 512
-    surface_ytol_scale: float = 1e-12  # threshold = scale * max(1, rho_center)
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise BadParams("tolerances must be positive")
-        if not 0 < self.r_start < self.r_max:
-            raise BadParams("need 0 < r_start < r_max")
+        if not R_START < self.r_max:
+            raise BadParams(f"need r_max > R_START = {R_START}")
         if self.grid_n < 8:
             raise BadParams("grid_n must be at least 8")
 
@@ -262,8 +269,9 @@ class RadialProfile:
     ``samples`` is a (n, 7) float array with columns ``CSV_COLUMNS``
     (r, m, mu, rho, exp_neg_gamma, exp_v, f).  ``exp_neg_gamma`` is *defined*
     as 1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
-    constant and ``v_shift`` the pinned constant, so v = v_free_fn + v_shift;
-    ``lapse_normalized`` marks a lapse pinned by f(r_end) = 1.  Dense
+    constant and ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.
+    ``r_start`` is the first row's radius (``R_START`` after integrate_tov),
+    and ``lapse_normalized`` is read off the table as a last f of 1.  Dense
     evaluation between samples reads a piecewise polynomial
     (:class:`~staticstar.numerics.PiecewisePoly`): the integrator's own dense
     output after :func:`integrate_tov`, cubic splines after
@@ -281,9 +289,7 @@ class RadialProfile:
     m_fn: Callable
     v_free_fn: Callable
     v_shift: float
-    lapse_normalized: bool
     surface_event_r: float | None = None
-    options: SolverOptions = SolverOptions()
 
     def __post_init__(self):
         if self.r_start <= 0.0:
@@ -291,8 +297,13 @@ class RadialProfile:
 
     @property
     def surface_tol(self) -> float:
-        """The surface threshold on |rho|: surface_ytol_scale * max(1, |rho_center|)."""
-        return self.options.surface_ytol_scale * max(1.0, abs(self.rho_center))
+        """The surface threshold on |rho|: SURFACE_TOL_SCALE * max(1, |rho_center|)."""
+        return SURFACE_TOL_SCALE * max(1.0, abs(self.rho_center))
+
+    @property
+    def lapse_normalized(self) -> bool:
+        """The lapse is pinned by f(r_end) = 1, not at a surface."""
+        return bool(self.column("f")[-1] == 1.0)
 
     @property
     def negative_density_seen(self) -> bool:
@@ -375,20 +386,20 @@ def integrate_tov(
     integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface event, or
     else v(r_end) = 0, flagged ``lapse_normalized``.
 
-    Raises CenterSingularity if the EOS cannot be evaluated at rho_center,
-    HorizonHit (also for a surface event inside the horizon) or StepFailure
-    as described, and lets Tabulated range errors propagate as DomainError.
+    Raises BadParams for a non-finite rho_center, CenterSingularity if the
+    EOS cannot be evaluated there, HorizonHit (also for a surface event
+    inside the horizon) or StepFailure as described, and lets Tabulated range
+    errors propagate as DomainError.
     """
     opts = options or SolverOptions()
     rho_c = float(rho_center)
     if not math.isfinite(rho_c):
-        raise CenterSingularity(f"rho_center={rho_center} is not finite")
+        raise BadParams(f"rho_center={rho_center} is not finite")
     mu_c = eos.mu(rho_c)
     if not math.isfinite(mu_c):
         raise CenterSingularity(f"EOS gives non-finite mu at rho_center={rho_c}")
 
-    r0 = opts.r_start
-    rho0, m0 = _center_series(rho_c, mu_c, r0)
+    rho0, m0 = _center_series(rho_c, mu_c, R_START)
 
     def rhs(r, y):
         rho, m, _v = y
@@ -409,14 +420,14 @@ def integrate_tov(
     horizon.direction = -1.0
 
     # starting on the surface (rho_c = 0: vacuum or dust-edge runs) would trip
-    # the terminal event at r0 itself; such runs get no surface event at all
+    # the terminal event at R_START itself; such runs get no surface event at all
     events = [horizon]
     if rho_c != 0.0:
         events.append(surface)
 
     sol = solve_ivp(
         rhs,
-        (r0, opts.r_max),
+        (R_START, opts.r_max),
         (rho0, m0, 0.0),
         rtol=opts.rel_tol,
         # v is a logarithm: an absolute error in v is a relative error in f,
@@ -436,7 +447,7 @@ def integrate_tov(
 
     dense = sol.dense
     rho_fn, m_fn, v_free_fn = (dense.component(i) for i in range(3))
-    grid = chebyshev_grid(r0, r_end, opts.grid_n)
+    grid = chebyshev_grid(R_START, r_end, opts.grid_n)
     rho, m, v_free = dense(grid).T
     shift = _lapse_shift(m_fn, v_free_fn, r_end, surface_r)
     v = v_free + shift
@@ -447,15 +458,13 @@ def integrate_tov(
         samples=samples,
         eos=eos,
         rho_center=rho_c,
-        r_start=r0,
+        r_start=R_START,
         r_end=r_end,
         rho_fn=rho_fn,
         m_fn=m_fn,
         v_free_fn=v_free_fn,
         v_shift=shift,
-        lapse_normalized=surface_r is None,
         surface_event_r=surface_r,
-        options=opts,
     )
 
 
@@ -488,9 +497,7 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
     samples = profile.samples.copy()
     v = profile.v_free_fn(samples[:, 0]) + shift
     samples[:, 5], samples[:, 6] = np.exp(v), np.exp(0.5 * v)
-    return dataclasses.replace(
-        profile, samples=samples, v_shift=shift, lapse_normalized=r_b is None,
-    )
+    return dataclasses.replace(profile, samples=samples, v_shift=shift)
 
 
 # ----------------------------------------------------------------------------
@@ -669,7 +676,6 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
         m_fn=cubic_spline(r, m),
         v_free_fn=v_free,
         v_shift=0.0,
-        lapse_normalized=False,
     )
     if profile.rho_center != 0.0 and abs(rho[-1]) <= profile.surface_tol:
         profile = dataclasses.replace(profile, surface_event_r=profile.r_end)

@@ -169,6 +169,15 @@ def test_bad_model_param(capsys):
         # mass builds catalog and TOV models, whose round level spheres need
         # no quadrature: there is no degree to choose
         ("mass", *STAR, "--level", "0.6", "--quad-degree", "5"),
+        # each subcommand takes only the shared flags it reads
+        ("verify", "wyman", "--out", "x.json"),
+        # a catalog model's Lambda is a model parameter, --param lam=...
+        ("catalog", "verify", "witten_stellar", "--lam", "0.5"),
+        ("audit", "--model", "wyman", "--out", "x.json"),
+        ("build", "--phi", "witten", "--abs-tol", "1e-3"),
+        ("build", "--phi", "witten", "--grid-n", "64"),
+        # the surface threshold is the constant tov.SURFACE_TOL_SCALE
+        ("tov", *STAR, "--surface-tol-scale", "1e-10"),
     ],
 )
 def test_missing_or_unknown_flag(capsys, argv):
@@ -222,6 +231,16 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
         ("mass", "--model", "schwarzschild_exterior", "--level", "0.6", "--window", "5,1"),
         ("mass", *STAR, "--level", "0.6", "--window", "1,inf"),
         ("mass", "--model", "schwarzschild_exterior", "--level", "nan"),
+        # non-finite numbers on the build and tov routes
+        ("build", "--phi", "witten", "--lam", "nan", "--json"),
+        ("build", "--phi", "witten", "--ic", "nan,0"),
+        ("tov", "--eos", "constant:c=nan", "--rho-c", "5e-4"),
+        ("tov", "--eos", "constant:c=0.001", "--rho-c", "inf"),
+        # mass and audit take one model source: --model, or --eos with --rho-c
+        ("mass", "--model", "schwarzschild_exterior:M=1", *STAR, "--level", "0.5"),
+        ("mass", "--model", "schwarzschild_exterior:M=1", "--rho-c", "5e-4", "--level", "0.5"),
+        ("audit", "--model", "wyman", *STAR),
+        ("audit", "--model", "wyman", "--eos", "constant:c=0.001"),
     ],
 )
 def test_malformed_spec_is_usage_error(capsys, argv):
@@ -290,13 +309,75 @@ def test_missing_config_file(capsys):
     assert code == 4
 
 
-@pytest.mark.parametrize("key", ["grid_m", "quad_degree"])
+@pytest.mark.parametrize("key", ["grid_m", "quad_degree", "surface_tol_scale"])
 def test_unknown_config_key(capsys, tmp_path, key):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[staticstar]\n{key} = 64\n")
     code, _, err = run(capsys, "audit", "--model", "schwarzschild_interior:c=0.001",
                        "--config", str(cfg))
     assert code == 1 and key in err
+
+
+# --- shared flags ---------------------------------------------------------------
+
+# the shared flags each subcommand takes: exactly those its handler reads
+SHARED_FLAGS = {
+    "tov": {"--config", "--json", "--grid-n", "--abs-tol", "--rel-tol", "--out"},
+    "mass": {"--config", "--json", "--grid-n", "--abs-tol", "--rel-tol", "--out"},
+    "audit": {"--config", "--json", "--grid-n", "--abs-tol", "--rel-tol"},
+    "catalog": {"--config", "--json", "--grid-n"},
+    "verify": {"--config", "--json", "--grid-n"},
+    "build": {"--config", "--json", "--lam"},
+}
+ALL_SHARED = set().union(*SHARED_FLAGS.values()) | {"--surface-tol-scale"}
+
+
+def test_each_subcommand_takes_only_the_shared_flags_it_reads():
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SHARED_FLAGS)
+    for name, expected in SHARED_FLAGS.items():
+        taken = {s for a in sub.choices[name]._actions for s in a.option_strings}
+        assert taken & ALL_SHARED == expected, name
+
+
+def _dip_eos(tmp_path):
+    """A table EOS with mu < 0 on 1e-4 < rho < 2e-4: the energy conditions
+    first fail inside the star, at a radius that moves with the solution."""
+    rows = [(-5e-4 + i * 2.5e-5, 1e-3) for i in range(51)]
+    rows = [(x, -0.25 * x if 1e-4 < x < 2e-4 else y) for x, y in rows]
+    path = tmp_path / "dip.csv"
+    path.write_text("rho,mu\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    return ["--eos", f"table:{path}", "--rho-c", "5e-4"]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command, flags in SHARED_FLAGS.items() for flag in sorted(flags)],
+)
+def test_every_shared_flag_changes_a_result(capsys, monkeypatch, tmp_path, command, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[staticstar]\ngrid_n = 64\nlam = 0.5\n")
+    base = {
+        "tov": ["tov", *STAR],
+        "mass": ["mass", *STAR, "--level", "0.7"],
+        "audit": ["audit", *_dip_eos(tmp_path)],
+        "catalog": ["catalog", "verify", "wyman"],
+        "verify": ["verify", "wyman"],
+        "build": ["build", "--phi", "witten"],
+    }[command]
+    value = {"--config": ["run.ini"], "--json": [], "--grid-n": ["64"], "--abs-tol": ["1e-6"],
+             "--rel-tol": ["1e-5"], "--out": ["out.csv"], "--lam": ["0.5"]}[flag]
+    if flag != "--json":
+        base.append("--json")
+
+    def result(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        return out, sorted(os.listdir(tmp_path))
+
+    before = result(*base)
+    assert result(*base, flag, *value) != before
 
 
 # --- one parser per process ---------------------------------------------------

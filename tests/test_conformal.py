@@ -83,9 +83,6 @@ class TestBasicInvariant:
             BasicInvariant(1.0, (1.0, 0.0), (0.0,))
         with pytest.raises(BadParams):
             BasicInvariant(1.0, (), ())
-        inv = BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3)
-        with pytest.raises(BadParams):
-            inv.as_field(n=4)
 
     def test_eval_rejects_garbage(self):
         inv = BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3)

@@ -119,11 +119,6 @@ def test_chebyshev_grid_basic():
     assert np.all(np.diff(g) > 0)
 
 
-def test_chebyshev_grid_margin():
-    g = chebyshev_grid(0.0, 1.0, 9, margin=0.01)
-    assert g[0] == pytest.approx(0.01) and g[-1] == pytest.approx(0.99)
-
-
 def test_sign_brackets_sin():
     grid = np.linspace(0.5, 10.0, 400)
     brackets = sign_brackets(grid, np.sin(grid))

@@ -295,6 +295,8 @@ class TestCsv:
         tov.profile_to_csv(raw, path)
         back = tov.profile_from_csv(path)
         assert back.surface_event_r is None
+        # the stored lapse was pinned by f(r_end) = 1, and reads back so
+        assert raw.lapse_normalized and back.lapse_normalized
         with pytest.raises(NoSurface):
             tov.detect_surface(back)
 
