@@ -13,6 +13,10 @@ its Lambda as ``--param lam=...`` or ``id:lam=...``, not as ``--lam``)::
     catalog, verify  --config --json --grid-n
     build            --config --json --lam
 
+``mass``/``audit`` with ``--model`` refuse ``--abs-tol``/``--rel-tol``, and
+``catalog list`` refuses a model id, ``--n``, ``--param`` and ``--grid-n``:
+neither runs what those flags tune.
+
 Examples
 --------
 ::
@@ -74,6 +78,9 @@ def _resolve_model(args, cfg: RunConfig):
     if args.model:
         if args.eos or args.rho_c is not None:
             raise BadParams("give --model or --eos/--rho-c, not both")
+        if args.abs_tol is not None or args.rel_tol is not None:
+            raise BadParams("--abs-tol/--rel-tol tune the TOV integrator; "
+                            "a catalog --model runs none")
         return catalog.parse_model_spec(args.model)
     if args.eos:
         if args.rho_c is None:
@@ -114,6 +121,11 @@ def _cmd_tov(args, cfg: RunConfig) -> int:
 
 def _cmd_catalog(args, cfg: RunConfig) -> int:
     if args.action == "list":
+        unread = [name for name, given in (
+            ("model id", args.catalog_model), ("--n", args.n is not None),
+            ("--param", args.param), ("--grid-n", args.grid_n is not None)) if given]
+        if unread:
+            raise BadParams(f"catalog list takes no {', '.join(unread)}; catalog verify does")
         ids = sorted(catalog.MODELS)
         if args.json:
             print(_dump({"models": ids}))

@@ -600,17 +600,23 @@ class OdeResult:
     message: str
 
 
+# the inner stages s = 1..5: (s, c_s as a float, the row a_s[:s])
+_RK_STAGES = [(s, float(c), a[:s]) for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1)]
+
+
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """np.linalg.norm(x) / sqrt(x.size) for a real 1-d x, as that norm computes it."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand–Prince step; the stages land in ``K``, the last one f(t + h, y_new)."""
+def _rk_step(fun, t, y, f, h, K, KT):
+    """One Dormand–Prince step; the stages land in ``K``, the last one f(t + h, y_new).
+    ``KT[s]`` is the view K[:s].T, made once per solve since K is reused."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, c, a in _RK_STAGES:
+        dy = np.dot(KT[s], a) * h
         K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _RK_B)
+    y_new = y + h * np.dot(KT[-2], _RK_B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
@@ -633,19 +639,19 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _advance(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
+def _advance(fun, t, y, f, h_abs, t_bound, rtol, atol, K, KT):
     """One accepted step from t: (t_new, y_new, f_new, the next step size), or
     None when the step size falls below ten ulps of t."""
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     h_abs = max(h_abs, min_step)
     rejected = False
     while h_abs >= min_step:
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, K)
+        h_abs = abs(h)
+        y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
+        error_norm = _rms(np.dot(KT[-1], _RK_E) * h / scale)
         if error_norm < 1:
             factor = _MAX_FACTOR if error_norm == 0 else min(
                 _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -674,13 +680,15 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     Every event ``g(t, y)`` is terminal and may carry a ``direction``
     attribute, as in scipy: the solve stops at the first root, which Brent's
     method (:func:`refine_root`, ``xtol = 4 eps``) finds on the step's own
-    dense output.  Raises BadParams for an empty or backward span and for a
-    non-finite initial state.
+    dense output.  Raises BadParams for an empty or backward span and for an
+    initial state that is not 1-d or not finite.
     """
     t0, t_bound = map(float, t_span)
     if not t0 < t_bound:
         raise BadParams(f"need an increasing span, got {t_span}")
     y = np.asarray(y0, dtype=float)
+    if y.ndim != 1:
+        raise BadParams(f"the initial state must be 1-d, as scipy's, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise BadParams(f"the initial state {y0} is not finite")
     rtol = max(rtol, 100 * _EPS)
@@ -695,22 +703,21 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     f_cur = f(t0, y)
     h_abs = _initial_step(f, t0, y, t_bound, f_cur, rtol, atol)
     K = np.empty((len(_RK_C) + 1, y.size))
+    KT = [K[:s].T for s in range(len(K) + 1)]
     directions = [getattr(event, "direction", 0) for event in events]
     g = [event(t0, y) for event in events]
     t_events = [[] for _ in events]
-    t, ts, pieces = t0, [t0], []
+    t, ts, steps = t0, [t0], []
     status = None
     while status is None:
-        step = _advance(f, t, y, f_cur, h_abs, t_bound, rtol, atol, K)
+        step = _advance(f, t, y, f_cur, h_abs, t_bound, rtol, atol, K, KT)
         if step is None:
             status = -1
             break
-        t_old, y_old, Q = t, y, K.T.dot(_RK_P)
+        t_old, y_old, Q = t, y, KT[-1].dot(_RK_P)
         t, y, f_cur, h_abs = step
         h = t - t_old
-        # the step's dense output y_old + h Q [x, ..., x^4], x = (t - t_old)/h,
-        # in local powers of t - t_old, highest first
-        pieces.append(np.vstack(((Q / h ** np.arange(Q.shape[1]))[:, ::-1].T, y_old)))
+        steps.append((Q, h, y_old))
         if t >= t_bound:
             status = 0
 
@@ -718,7 +725,11 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
         hits = [j for j in range(len(events)) if _crossed(g[j], g_new[j], directions[j])]
         if hits:
             def y_at(s):  # the step's dense output, as scipy's RkDenseOutput computes it
-                out = h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, Q.shape[1])))
+                x = (s - t_old) / h
+                powers = [x]  # x, x^2, ... as a running product, as cumprod forms them
+                for _ in range(Q.shape[1] - 1):
+                    powers.append(powers[-1] * x)
+                out = h * np.dot(Q, powers)
                 out += y_old
                 return out
 
@@ -728,11 +739,20 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
             status = 1
         g = g_new
         if len(ts) > 1 and ts[-1] == t:  # an event root on the last breakpoint
-            pieces.pop()
+            steps.pop()
         else:
             ts.append(t)
 
-    dense = PiecewisePoly(np.stack(pieces, axis=1), ts) if pieces else None
+    dense = None
+    if steps:
+        # each step's dense output y_old + h Q [x, ..., x^k], x = (t - t_old)/h,
+        # in local powers of t - t_old, highest first: c[k] = y_old, c[k-1-j] = Q[:, j] / h^j
+        qs, hs, y_olds = (np.array(part) for part in zip(*steps))
+        k = qs.shape[2]
+        c = np.empty((k + 1,) + qs.shape[:2])
+        c[k] = y_olds
+        c[k - 1::-1] = np.moveaxis(qs / hs[:, None, None] ** np.arange(k), 2, 0)
+        dense = PiecewisePoly(c, ts)
     return OdeResult(t=np.array(ts), dense=dense, t_events=[np.asarray(te) for te in t_events],
                      nfev=nfev, status=status, message=_MESSAGES[status])
 

@@ -200,14 +200,19 @@ class Tabulated(EquationOfState):
             raise BadParams("tabulated EOS rows give a non-finite interpolant")
 
     def mu(self, rho):
+        if isinstance(rho, float):  # one pressure, as the ODE right-hand side passes it
+            # not `not lo <= rho <= hi`: NaN passes through, as on the array path
+            if rho < self.rho_min or rho > self.rho_max:
+                raise self._outside(rho)
+            return self._interp(rho)
         outside = np.less(rho, self.rho_min) | np.greater(rho, self.rho_max)
         if np.any(outside):
-            bad = rho if _scalar(rho) else np.asarray(rho)[outside][0]
-            raise DomainError(
-                f"rho={bad} outside tabulated range "
-                f"[{self.rho_min}, {self.rho_max}] (extrapolation forbidden)"
-            )
+            raise self._outside(rho if _scalar(rho) else np.asarray(rho)[outside][0])
         return self._interp(rho)
+
+    def _outside(self, rho) -> DomainError:
+        return DomainError(f"rho={rho} outside tabulated range "
+                           f"[{self.rho_min}, {self.rho_max}] (extrapolation forbidden)")
 
     def spec_string(self):
         return f"table:[{self.rho_min},{self.rho_max}]"
@@ -402,7 +407,7 @@ def integrate_tov(
     rho0, m0 = _center_series(rho_c, mu_c, R_START)
 
     def rhs(r, y):
-        rho, m, _v = y
+        rho, m, _v = y.tolist()
         mu = eos.mu(rho)
         dv = _lapse_rate(r, rho, m)
         return (-0.5 * dv * (mu + rho), FOUR_PI * r * r * mu, dv)

@@ -241,6 +241,15 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
         ("mass", "--model", "schwarzschild_exterior:M=1", "--rho-c", "5e-4", "--level", "0.5"),
         ("audit", "--model", "wyman", *STAR),
         ("audit", "--model", "wyman", "--eos", "constant:c=0.001"),
+        # a catalog model runs no integrator: its tolerances are not read
+        ("audit", "--model", "wyman", "--json", "--abs-tol", "1e-3"),
+        ("audit", "--model", "wyman", "--rel-tol", "1e-5"),
+        ("mass", "--model", "schwarzschild_exterior:M=1", "--level", "0.5", "--abs-tol", "1e-3"),
+        # catalog list reads none of the arguments of catalog verify
+        ("catalog", "list", "--grid-n", "64"),
+        ("catalog", "list", "wyman"),
+        ("catalog", "list", "--n", "3"),
+        ("catalog", "list", "--param", "R=2", "--json"),
     ],
 )
 def test_malformed_spec_is_usage_error(capsys, argv):
@@ -301,6 +310,14 @@ def test_cli_flag_beats_config_file(capsys, tmp_path):
                        "--config", str(cfg), "--grid-n", "32", "--json")
     assert code == 0
     assert json.loads(out)["n_points"] == 32
+
+
+def test_config_tolerances_are_shared_by_catalog_models(capsys, tmp_path):
+    # a config file serves every subcommand, so a catalog model ignores its tolerances
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[staticstar]\nabs_tol = 1e-3\nrel_tol = 1e-5\n")
+    argv = ("audit", "--model", "wyman", "--json")
+    assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv)
 
 
 def test_missing_config_file(capsys):

@@ -356,12 +356,21 @@ def _direct_run(fun, span, y0, events=(), **tol):
 
 
 _TWIN_RHO = np.linspace(-5e-4, 7.5e-4, 40)
+# the EOS shapes of a tov_stars pass: a self-bound bag model mu = 3 rho + 4B,
+# finite at the surface, and a Gamma = 2 polytrope rho = K mu^2, mu -> 0 there
+_BAG_RHO = np.linspace(-3.5e-4, 5.25e-4, 60)
+_SOFT_RHO = np.linspace(-2e-4, 3e-4, 60)
 
 SOLVE_CASES = {
     "tov-constant": _tov_run(tov.ConstantDensity(0.001), 5e-4),
     "tov-table-twin": _tov_run(tov.Tabulated(_TWIN_RHO, np.full(_TWIN_RHO.shape, 0.001)), 5e-4),
     "tov-horizon-hit": _tov_run(tov.Chaplygin(1.0), -1.0 / math.sqrt(3.0)),
     "tov-no-surface": _tov_run(tov.ConstantDensity(0.001), 5e-4, r_max=5.0),
+    "tov-bag-table": _tov_run(tov.Tabulated(_BAG_RHO, 3.0 * _BAG_RHO + 4e-4), 3.5e-4),
+    "tov-soft-table": _tov_run(
+        tov.Tabulated(_SOFT_RHO, np.sqrt(np.maximum(_SOFT_RHO, 0.0) / 100.0)), 2e-4),
+    # a Custom EOS gets the right-hand side's Python floats
+    "tov-custom": _tov_run(tov.Custom(lambda rho: 1e-3 + rho + 1e3 * rho * rho), 5e-4),
     "lapse": _lapse_run((1.0, 0.2)),
     "lapse-sign-loss": _lapse_run((1.0, -0.5)),
     "event-in-first-step": _direct_run(lambda t, y: (-1.0,), (0.0, 10.0), (1e-7,),
@@ -409,7 +418,8 @@ def test_a_collapsed_step_is_a_step_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("span, y0", [((1.0, 1.0), (1.0,)), ((1.0, 0.0), (1.0,)),
-                                      ((0.0, 1.0), (math.inf,))])
+                                      ((0.0, 1.0), (math.inf,)), ((0.0, 1.0), 1.0),
+                                      ((0.0, 1.0), ((1.0, 2.0),))])
 def test_solve_ivp_refuses_what_it_does_not_port(span, y0):
     with pytest.raises(BadParams):
         numerics.solve_ivp(lambda t, y: -y, span, y0)

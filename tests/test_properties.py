@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from staticstar import conformal, quasilocal, tov
 from staticstar.energy import BAND, scan_conditions, scan_model
-from staticstar.errors import StaticStarError
+from staticstar.errors import DomainError, StaticStarError
 from staticstar.geometry import to_geometric, to_physical
 from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative, max_rms
 
@@ -234,3 +234,30 @@ def test_constant_density_pipeline_matches_interior_schwarzschild(c, ratio, t):
     assert scan.nec and scan.wec
     if abs(rho_c - c) > 10.0 * BAND:
         assert scan.dec == (rho_c < c)
+
+
+def _mu_outcome(eos, rho):
+    """``eos.mu(rho)`` as its bytes, or the text of the DomainError it raises."""
+    try:
+        return np.asarray(eos.mu(rho), dtype=float).tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(_tabulated(), st.data())
+def test_tabulated_mu_on_a_float_is_its_array_path(table, data):
+    eos, _ = table
+    lo, hi = eos.rho_min, eos.rho_max
+    rho = data.draw(st.one_of(
+        st.floats(lo, hi),
+        st.floats(max_value=lo, exclude_max=True),
+        st.floats(min_value=hi, exclude_min=True),
+        st.sampled_from([-math.inf, math.inf, math.nan]),
+    ))
+    got, want = _mu_outcome(eos, rho), _mu_outcome(eos, np.array([rho]))
+    assert got == want
+    assert isinstance(got, str) == (rho < lo or rho > hi)
+    if math.isnan(rho):
+        assert math.isnan(eos.mu(rho))
+    elif lo <= rho <= hi:
+        assert type(eos.mu(rho)) is float
