@@ -30,6 +30,7 @@ never collapsed into one code path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +44,8 @@ from .geometry import (
     ResidualReport,
     _entry,
     _report,
-    conformal_curvature,
-    spf_residuals,
+    _spf_arrays_conformal,
+    _spf_report_conformal,
 )
 from .numerics import (
     EPS_DOM,
@@ -472,16 +473,13 @@ def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
     return _report([_entry("lapse-ode", res, grid)], grid, tol)
 
 
-def _closure_report(model: ConformalModel, points, tol) -> ResidualReport:
-    """|mu_geo(closed form) - R/2| with R from the generic conformal machinery.
-
-    ``points`` is an ``(N, n)`` batch; both sides are evaluated on it at once.
-    """
-    ansatz = model.to_ansatz()
-    us = model.invariant.value(points)
-    _, r_scal = conformal_curvature(ansatz.phi, points)
-    vals = np.asarray(model.mu_geo(us), dtype=float) - 0.5 * r_scal
-    return _report([_entry("mu-vs-half-R", vals, us)], us, tol)
+@functools.cache
+def _off_axis_draw(n: int) -> np.ndarray:
+    """The one standard-normal draw behind build_model's off-axis ray on R^n,
+    read-only."""
+    vec = np.random.default_rng(_OFF_AXIS_SEED).standard_normal(n)
+    vec.flags.writeable = False
+    return vec
 
 
 def build_model(
@@ -502,12 +500,15 @@ def build_model(
     unit (1, 0).  A ``span`` that is not finite and increasing, a non-finite
     ``lam`` or a non-finite ``ic`` is BadParams.
 
-    Construction always runs three independent validations (skippable with
+    Construction always runs four independent validations (skippable with
     ``run_checks=False`` for speed): the lapse-ODE residual, the traceless
-    field equations sampled on the reference ray and on a random off-axis
-    ray, and the closure of the closed-form density against R/2 computed by
-    the generic conformal-curvature machinery.  Results land in ``.checks``;
-    nothing is raised on failure — inspect ``.passed``.
+    field equations sampled on the reference ray and on a fixed random
+    off-axis ray, and the closure of the closed-form density against R/2
+    computed by the generic conformal-curvature machinery.  The last three
+    share one batched evaluation: both rays are stacked into one set of
+    points, the curvature and the lapse Hessian are evaluated on it once,
+    and each report reads its slice.  Results land in ``.checks``; nothing
+    is raised on failure — inspect ``.passed``.
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
@@ -577,24 +578,27 @@ def build_model(
     grid = chebyshev_grid(lo + pad, hi - pad, 64)
     checks = {"lapse-ode": _ode_residual_report(phi_rf, f_rf, n, grid, tol=1e-9)}
 
-    ansatz = model.to_ansatz()
-    fluid = model.fluid()
+    # the on- and off-axis residuals and the closure read one batched
+    # evaluation of both rays
     sparse = grid[:: max(1, len(grid) // 16)]
-    checks["field[on-axis]"] = spf_residuals(ansatz, fluid, sparse, tol=1e-7)
-
-    rng = np.random.default_rng(_OFF_AXIS_SEED)
+    on_axis = invariant.point_at(sparse)
     if invariant.tau > 0.0:
-        vec = rng.standard_normal(n)
-        off_ray = lambda u, _v=vec: invariant.point_at(u, direction=_v)  # noqa: E731
+        off_axis = invariant.point_at(sparse, direction=_off_axis_draw(n))
     else:
         a = np.asarray(invariant.alpha)
-        w_perp = rng.standard_normal(n)
-        w_perp -= (w_perp @ a) / (a @ a) * a
-        off_ray = lambda u, _w=w_perp: invariant.point_at(u) + _w  # noqa: E731
-    ansatz_off = dataclasses.replace(ansatz, point_of=off_ray)
-    checks["field[off-axis]"] = spf_residuals(ansatz_off, fluid, sparse, tol=1e-7)
+        w = _off_axis_draw(n)
+        off_axis = on_axis + (w - (w @ a) / (a @ a) * a)
+    points = np.concatenate([on_axis, off_axis])
+    ansatz = model.to_ansatz()
+    rays = np.concatenate([sparse, sparse])
+    residuals, r_scal = _spf_arrays_conformal(ansatz, model.fluid(), points, rays)
+    k = len(sparse)
+    checks["field[on-axis]"] = _spf_report_conformal(residuals, rays, slice(None, k), tol=1e-7)
+    checks["field[off-axis]"] = _spf_report_conformal(residuals, rays, slice(k, None), tol=1e-7)
 
-    pts = np.concatenate([ansatz.point_of(sparse), off_ray(sparse)])
-    checks["closure"] = _closure_report(model, pts, tol=1e-7)
+    # the closed-form mu_geo against R/2 from the generic curvature route
+    us = invariant.value(points)
+    closure = np.asarray(model.mu_geo(us), dtype=float) - 0.5 * r_scal
+    checks["closure"] = _report([_entry("mu-vs-half-R", closure, us)], us, tol=1e-7)
 
     return dataclasses.replace(model, checks=checks)

@@ -455,7 +455,8 @@ def spf_residuals(
         raise DomainError("empty residual grid")
 
     if isinstance(ansatz, ConformalFlat):
-        return _spf_residuals_conformal(ansatz, fluid, grid, tol)
+        residuals, _ = _spf_arrays_conformal(ansatz, fluid, ansatz.point_of(grid), grid)
+        return _spf_report_conformal(residuals, grid, slice(None), tol)
 
     n = ansatz.n
     d = _radial_frame(ansatz, fluid.f, grid)
@@ -483,12 +484,16 @@ def spf_residuals(
     return _report(entries, grid, tol)
 
 
-def _spf_residuals_conformal(
-    ansatz: ConformalFlat, fluid: FluidData, grid: np.ndarray, tol: float
-) -> ResidualReport:
+def _spf_arrays_conformal(ansatz: ConformalFlat, fluid: FluidData, x: np.ndarray,
+                          grid: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Pointwise residual arrays of the static perfect-fluid system, and R, at
+    the points ``x`` ``(N, n)`` whose grid values are ``grid`` ``(N,)``.
+
+    Rows are independent: several rays may be stacked into one batch and each
+    slice reported on its own by :func:`_spf_report_conformal`.
+    """
     n = ansatz.n
     f_field = ansatz.lift(fluid.f)
-    x = ansatz.point_of(grid)
     p = np.asarray(ansatz.phi.value(x), dtype=float)
     if np.any(p <= 0.0):
         u = grid[int(np.argmax(p <= 0.0))]
@@ -506,19 +511,21 @@ def _spf_residuals_conformal(
     lap = (p * p) * np.trace(hess, axis1=-2, axis2=-1)
     fc = fval[:, None, None]
 
-    e_field = fc * ric - hess - ((mu - rho) / (n - 1))[:, None, None] * fc * metric
-    e_trace = lap - ((n - 2) * mu + n * rho) / (n - 1) * fval
-    e_scal = mu - 0.5 * r_scal
-    e_tracefree = fc * (ric - (r_scal / n)[:, None, None] * metric) \
-        - (hess - (lap / n)[:, None, None] * metric)
+    residuals = {
+        "field[ij]": fc * ric - hess - ((mu - rho) / (n - 1))[:, None, None] * fc * metric,
+        "trace": lap - ((n - 2) * mu + n * rho) / (n - 1) * fval,
+        "scalar-curvature": mu - 0.5 * r_scal,
+        "traceless": fc * (ric - (r_scal / n)[:, None, None] * metric)
+        - (hess - (lap / n)[:, None, None] * metric),
+    }
+    return residuals, r_scal
 
-    entries = [
-        _entry("field[ij]", e_field, grid),
-        _entry("trace", e_trace, grid),
-        _entry("scalar-curvature", e_scal, grid),
-        _entry("traceless", e_tracefree, grid),
-    ]
-    return _report(entries, grid, tol)
+
+def _spf_report_conformal(residuals: dict, grid: np.ndarray, rows: slice,
+                          tol: float) -> ResidualReport:
+    """The report of the rows ``rows`` of :func:`_spf_arrays_conformal`'s arrays."""
+    grid = grid[rows]
+    return _report([_entry(eq, vals[rows], grid) for eq, vals in residuals.items()], grid, tol)
 
 
 # ----------------------------------------------------------------------------

@@ -393,8 +393,9 @@ def integrate_tov(
 
     Raises BadParams for a non-finite rho_center, CenterSingularity if the
     EOS cannot be evaluated there, HorizonHit (also for a surface event
-    inside the horizon) or StepFailure as described, and lets Tabulated range
-    errors propagate as DomainError.
+    inside the horizon) or StepFailure as described, DomainError where the
+    EOS gives a non-finite mu along the way, and lets Tabulated range errors
+    propagate as DomainError.
     """
     opts = options or SolverOptions()
     rho_c = float(rho_center)
@@ -409,6 +410,9 @@ def integrate_tov(
     def rhs(r, y):
         rho, m, _v = y.tolist()
         mu = eos.mu(rho)
+        if not math.isfinite(mu):
+            # a NaN would otherwise shrink the step until it underflows
+            raise DomainError(f"EOS gives non-finite mu={mu} at rho={rho} (r={r})")
         dv = _lapse_rate(r, rho, m)
         return (-0.5 * dv * (mu + rho), FOUR_PI * r * r * mu, dv)
 

@@ -10,10 +10,11 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import staticstar
-from staticstar import catalog, cli
+from staticstar import catalog, cli, tov
 from staticstar.cli import main
 from staticstar.config import RunConfig
 from staticstar.numerics import RadialFunction
@@ -265,6 +266,14 @@ def test_unknown_parameter_names_the_accepted_ones(capsys):
 def test_level_at_lapse_maximum_is_exit_3(capsys):
     code, _, err = run(capsys, "mass", "--model", "witten_stellar", "--level", "1.0")
     assert code == 3 and "NotARegularValue" in err
+
+
+def test_nan_from_the_eos_is_exit_3(capsys, monkeypatch):
+    # no EOS spec gives a NaN, so the spec parser is stood in for
+    eos = tov.Custom(lambda rho: np.where(np.asarray(rho) < 2e-4, np.nan, 1e-3))
+    monkeypatch.setattr(tov.EquationOfState, "from_spec", staticmethod(lambda spec: eos))
+    code, _, err = run(capsys, "tov", *STAR)
+    assert code == 3 and "DomainError" in err and "non-finite mu" in err
 
 
 def test_mass_window_and_level_order(capsys):

@@ -1,12 +1,15 @@
 """Conformally flat models: the quadric invariant, lapse ODE, dual routes."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from staticstar.errors import BadParams, DomainError, SignLoss
-from staticstar.geometry import EIGHT_PI
+from staticstar import geometry
+from staticstar.geometry import EIGHT_PI, _entry, _report, conformal_curvature, spf_residuals
 from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative
 from staticstar import catalog, conformal
 from staticstar.conformal import (
@@ -263,6 +266,73 @@ class TestBuildModel:
         np.testing.assert_array_equal(m.rho(u), rho)
         m.mu_geo(u), m.rho_geo(u)
         assert len(calls) == 1
+
+    def test_one_curvature_pass_per_build(self, monkeypatch):
+        # the on-axis, off-axis and closure checks read one batched evaluation
+        counts = {"conformal_curvature": 0, "conformal_hessian": 0, "_geo_pair": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(geometry, "conformal_curvature")
+        counted(geometry, "conformal_hessian")
+        counted(conformal, "_geo_pair")
+        assert build_model("witten", n=3).passed
+        assert counts == {"conformal_curvature": 1, "conformal_hessian": 1, "_geo_pair": 2}
+
+    @pytest.mark.parametrize("case", [
+        "witten-3", "witten-4", "witten-5", "witten-6", "unit", "custom", "truncated", "plane",
+    ])
+    def test_fused_checks_match_per_ray_reference(self, case):
+        # each check byte for byte as three separate evaluations give it:
+        # spf_residuals on each ray, and the closure against its own
+        # curvature call
+        if case.startswith("witten"):
+            m = build_model("witten", n=int(case[-1]), span=(0.0, 6.0))
+        elif case == "unit":
+            m = build_model("unit", n=3, ic=(1.0, 0.2), span=(0.0, 5.0))
+        elif case == "custom":
+            m = build_model(sqrt_one_plus_u(), n=3, ic=(0.9, 0.2), span=(0.0, 8.0))
+        elif case == "truncated":
+            one = RadialFunction.constant(1.0, (-math.inf, math.inf))
+            m = build_model(one, n=3, ic=(1.0, -1.0), span=(0.0, 2.0))
+            assert m.truncated
+        else:
+            inv = BasicInvariant(0.0, (1.0, 0.5, -0.5), (0.0, 0.0, 0.0))
+            m = build_model("witten", n=3, invariant=inv, span=(0.0, 5.0))
+        inv, n = m.invariant, m.n
+        lo, hi = m.domain
+        pad = max(1e-6 * (hi - lo), 1e-9)
+        sparse = chebyshev_grid(lo + pad, hi - pad, 64)[::4]
+        draw = np.random.default_rng(conformal._OFF_AXIS_SEED).standard_normal(n)
+        if inv.tau > 0.0:
+            off_ray = lambda u: inv.point_at(u, direction=draw)  # noqa: E731
+        else:
+            a = np.asarray(inv.alpha)
+            draw -= (draw @ a) / (a @ a) * a
+            off_ray = lambda u: inv.point_at(u) + draw  # noqa: E731
+        ansatz = m.to_ansatz()
+        fluid = m.fluid()
+        points = np.concatenate([ansatz.point_of(sparse), off_ray(sparse)])
+        us = inv.value(points)
+        _, r_scal = conformal_curvature(ansatz.phi, points)
+        closure = np.asarray(m.mu_geo(us), dtype=float) - 0.5 * r_scal
+        reference = {
+            "field[on-axis]": spf_residuals(ansatz, fluid, sparse, tol=1e-7),
+            "field[off-axis]": spf_residuals(
+                dataclasses.replace(ansatz, point_of=off_ray), fluid, sparse, tol=1e-7),
+            "closure": _report([_entry("mu-vs-half-R", closure, us)], us, tol=1e-7),
+        }
+        assert m.passed
+        for name, rep in reference.items():
+            assert json.dumps(m.checks[name].to_json_dict()) == json.dumps(rep.to_json_dict())
+        np.testing.assert_array_equal(m.checks["field[on-axis]"].grid, sparse)
 
     def test_standard_model(self, conformal_witten):
         m = conformal_witten

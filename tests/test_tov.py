@@ -242,6 +242,13 @@ class TestLapseConstruction:
         with pytest.raises(HorizonHit):
             tov.integrate_tov(eos, -1.0 / math.sqrt(3.0))
 
+    def test_nan_from_the_eos_is_a_domain_error(self):
+        # finite at the center, NaN once the pressure falls below 2e-4: the
+        # error names the pressure instead of collapsing the step size
+        eos = tov.Custom(lambda rho: np.where(np.asarray(rho) < 2e-4, np.nan, 1e-3))
+        with pytest.raises(DomainError, match="non-finite mu=nan at rho=0.000"):
+            tov.integrate_tov(eos, 5e-4)
+
 
 class TestSurfaceDetection:
     def test_rmax_stop_is_not_a_surface(self):
