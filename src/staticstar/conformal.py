@@ -453,13 +453,7 @@ class ConformalModel:
         return ConformalFlat(self.phi, self.invariant)
 
     def fluid(self) -> FluidData:
-        mu_rf = RadialFunction.from_callables(
-            lambda u: self.mu_geo(u), domain=self.domain
-        )
-        rho_rf = RadialFunction.from_callables(
-            lambda u: self.rho_geo(u), domain=self.domain
-        )
-        return FluidData(f=self.f, mu=mu_rf, rho=rho_rf, lam=self.lam)
+        return FluidData(f=self.f, mu=self.mu_geo, rho=self.rho_geo, lam=self.lam)
 
 
 def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:

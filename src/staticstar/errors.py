@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "StaticStarError",
     "DomainError",
-    "DerivativeError",
     "BadParams",
     "UnknownModel",
     "CenterSingularity",
@@ -33,14 +32,6 @@ class DomainError(StaticStarError):
     Also used for structurally inadmissible inputs (non-positive areas, wrong
     dimension, table extrapolation, zero level value where a division by the
     level is required).
-    """
-
-
-class DerivativeError(StaticStarError):
-    """A finite-difference stencil could not be evaluated.
-
-    Raised when the stencil footprint (r ± 2h, plus the half-step refinement)
-    leaves the declared domain, or the sampled values are non-finite.
     """
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "ResidualReport",
     "to_geometric",
     "to_physical",
-    "scale_shift",
     "ricci_warped",
     "conformal_curvature",
     "conformal_hessian",
@@ -78,18 +77,6 @@ def to_geometric(mu_phys: float, rho_phys: float, lam: float = 0.0) -> tuple[flo
 def to_physical(mu_geo: float, rho_geo: float, lam: float = 0.0) -> tuple[float, float]:
     """(mu, rho) geometric -> physical; inverse of :func:`to_geometric`."""
     return (mu_geo - lam) / EIGHT_PI, (rho_geo + lam) / EIGHT_PI
-
-
-def scale_shift(rf: RadialFunction, a: float, b: float) -> RadialFunction:
-    """The radial function a * rf + b (derivatives scale by a)."""
-    a, b = float(a), float(b)
-    return RadialFunction(
-        value=lambda r: a * np.asarray(rf.value(r), dtype=float) + b,
-        d1=lambda r: a * np.asarray(rf.d1(r), dtype=float),
-        d2=lambda r: a * np.asarray(rf.d2(r), dtype=float),
-        provenance=rf.provenance,
-        domain=rf.domain,
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -166,8 +153,10 @@ MetricAnsatz = SchwarzschildForm | WarpedProduct | ConformalFlat
 class FluidData:
     """Lapse and fluid profiles in the geometric convention.
 
-    ``mu`` and ``rho`` are geometric (mu = R/2 on solutions); construct from
-    physical profiles with :meth:`from_physical`.  ``lam`` records the
+    ``f`` carries its two derivatives; ``mu`` and ``rho`` are values only,
+    callables of a float or an ndarray, since no residual differentiates the
+    geometric pair.  They are geometric (mu = R/2 on solutions); construct
+    from physical profiles with :meth:`from_physical`.  ``lam`` records the
     cosmological constant used in the bridge, for reporting only — it is
     already absorbed into the geometric values.
 
@@ -176,22 +165,22 @@ class FluidData:
     """
 
     f: RadialFunction
-    mu: RadialFunction
-    rho: RadialFunction
+    mu: Callable
+    rho: Callable
     lam: float = 0.0
 
     @classmethod
     def from_physical(
         cls,
         f: RadialFunction,
-        mu_phys: RadialFunction,
-        rho_phys: RadialFunction,
+        mu_phys: Callable,
+        rho_phys: Callable,
         lam: float = 0.0,
     ) -> "FluidData":
         return cls(
             f=f,
-            mu=scale_shift(mu_phys, EIGHT_PI, lam),
-            rho=scale_shift(rho_phys, EIGHT_PI, -lam),
+            mu=lambda r: EIGHT_PI * np.asarray(mu_phys(r), dtype=float) + lam,
+            rho=lambda r: EIGHT_PI * np.asarray(rho_phys(r), dtype=float) - lam,
             lam=lam,
         )
 
@@ -463,8 +452,8 @@ def spf_residuals(
     f = d["f"]
     if np.any(f <= 0.0):
         raise DomainError("lapse is not positive on the residual grid")
-    mu = np.asarray(fluid.mu.value(grid), dtype=float)
-    rho = np.asarray(fluid.rho.value(grid), dtype=float)
+    mu = np.asarray(fluid.mu(grid), dtype=float)
+    rho = np.asarray(fluid.rho(grid), dtype=float)
 
     coef = (mu - rho) / (n - 1)
     e_rr = f * d["ric_rr"] - d["hess_rr"] - coef * f
@@ -502,8 +491,8 @@ def _spf_arrays_conformal(ansatz: ConformalFlat, fluid: FluidData, x: np.ndarray
     if np.any(fval <= 0.0):
         u = grid[int(np.argmax(fval <= 0.0))]
         raise DomainError(f"lapse non-positive at grid value {u}")
-    mu = np.asarray(fluid.mu.value(grid), dtype=float)
-    rho = np.asarray(fluid.rho.value(grid), dtype=float)
+    mu = np.asarray(fluid.mu(grid), dtype=float)
+    rho = np.asarray(fluid.rho(grid), dtype=float)
 
     ric, r_scal = conformal_curvature(ansatz.phi, x)
     hess = conformal_hessian(ansatz.phi, f_field, x)

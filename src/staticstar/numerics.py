@@ -1,12 +1,12 @@
-"""Shared numerical kernels: radial functions, derivatives, grids, roots, quadrature.
+"""Shared numerical kernels: radial functions, grids, roots, quadrature, ODEs.
 
 Everything geometric in this package is assembled from two building blocks:
 
 * :class:`RadialFunction` — a scalar function of one radial variable together
-  with its first two derivatives and a provenance tag saying whether those
-  derivatives are analytic or produced by the finite-difference fallback.
-  Closed forms are written once and differentiated by a second-order
-  :class:`Jet` (:meth:`RadialFunction.from_formula`).
+  with its first two derivatives, every one of them exact.  Closed forms are
+  written once and differentiated by a second-order :class:`Jet`
+  (:meth:`RadialFunction.from_formula`); ODE solutions differentiate their
+  dense output (:meth:`PiecewisePoly.derivative`) or their right-hand side.
 * :class:`ScalarField` — a scalar function on R^n with gradient and Hessian,
   used by the conformally flat machinery.
 
@@ -14,13 +14,8 @@ ODE solutions come from :func:`solve_ivp`, a step-for-step port of scipy's
 RK45 whose dense output is one :class:`PiecewisePoly`; tabulated data is
 fitted by :func:`pchip` and :func:`cubic_spline`.  All of it runs on numpy
 alone and returns scipy's floats (the splines to round-off), so the package
-needs no scipy at run time; the tests keep scipy as the oracle.
-
-The finite-difference fallback is deliberately boring and well-characterised:
-4th-order central stencils with step ``h = max(1e-5, 1e-5 |r|)`` and one
-Richardson halving, which eliminates the leading h^4 error term.  On smooth
-functions this lands comfortably below the 1e-6 agreement tolerance the
-residual checks assume.
+needs no scipy at run time; the tests keep scipy as the oracle, and finite
+differences as the independent check of every derivative.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DerivativeError, DomainError
+from .errors import BadParams, DomainError
 
 __all__ = [
     "EPS_DOM",
@@ -42,7 +37,6 @@ __all__ = [
     "RadialFunction",
     "ScalarField",
     "as_points",
-    "fd_derivative",
     "chebyshev_grid",
     "sign_brackets",
     "refine_root",
@@ -61,66 +55,6 @@ EPS_DOM = 1e-9
 
 # Default resolution for residual grids.
 DEFAULT_GRID_N = 512
-
-_FD_BASE_STEP = 1e-5
-# Second derivatives divide by h^2, so roundoff forces a much larger step:
-# with h ~ 5e-4 truncation (~h^4) and cancellation (~eps/h^2) balance near 1e-9.
-_FD_BASE_STEP_D2 = 5e-4
-
-
-# ----------------------------------------------------------------------------
-# finite differences
-# ----------------------------------------------------------------------------
-
-def _fd_once(func: Callable, r: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-    """One 4th-order central stencil evaluation at step h (vectorized)."""
-    fm2 = np.asarray(func(r - 2.0 * h), dtype=float)
-    fm1 = np.asarray(func(r - h), dtype=float)
-    fp1 = np.asarray(func(r + h), dtype=float)
-    fp2 = np.asarray(func(r + 2.0 * h), dtype=float)
-    if order == 1:
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    f0 = np.asarray(func(r), dtype=float)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-
-
-def fd_derivative(
-    func: Callable,
-    r,
-    order: int = 1,
-    domain: tuple[float, float] | None = None,
-):
-    """Derivative of ``func`` at ``r`` by 4th-order central differences.
-
-    One Richardson halving is applied, ``(16 D(h/2) - D(h)) / 15``, so the
-    effective truncation order is six.  ``order`` is 1 or 2.  ``r`` is a
-    float or an ndarray; a float gives a float, and ``func`` is then called
-    with numpy float64 values, which scalar-only callables (``math.sin``)
-    accept.
-
-    Raises
-    ------
-    DerivativeError
-        If the stencil footprint ``r ± 2h`` leaves ``domain``, or any sampled
-        value is non-finite.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    r_arr = np.asarray(r, dtype=float)
-    base = _FD_BASE_STEP if order == 1 else _FD_BASE_STEP_D2
-    h = np.maximum(base, base * np.abs(r_arr))
-    if domain is not None:
-        lo, hi = domain
-        if np.any(r_arr - 2.0 * h < lo) or np.any(r_arr + 2.0 * h > hi):
-            raise DerivativeError(
-                f"finite-difference stencil leaves domain ({lo}, {hi})"
-            )
-    coarse = _fd_once(func, r_arr, h, order)
-    fine = _fd_once(func, r_arr, 0.5 * h, order)
-    out = (16.0 * fine - coarse) / 15.0
-    if not np.all(np.isfinite(out)):
-        raise DerivativeError("non-finite values inside finite-difference stencil")
-    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------
@@ -293,9 +227,8 @@ class RadialFunction:
     value, d1, d2:
         Vectorized callables (accept float or ndarray).
     provenance:
-        ``"analytic"`` if both derivatives are exact (supplied in closed form,
-        or from a :class:`Jet` through one formula), ``"finite-difference"``
-        if either fell back to the stencil.
+        ``"analytic"``, the only value: both derivatives are exact (closed
+        forms, a :class:`Jet` through one formula, or an ODE's own equations).
     domain:
         Open interval ``(lo, hi)`` on which evaluation is admissible; ``hi``
         may be ``math.inf``.
@@ -308,48 +241,13 @@ class RadialFunction:
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self):
-        if self.provenance not in ("analytic", "finite-difference"):
-            raise ValueError(f"bad provenance {self.provenance!r}")
+        if self.provenance != "analytic":
+            raise BadParams(f"bad provenance {self.provenance!r}")
         lo, hi = self.domain
         if not lo < hi:
-            raise ValueError(f"empty domain {self.domain}")
+            raise BadParams(f"empty domain {self.domain}")
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_callables(
-        cls,
-        value: Callable,
-        d1: Callable | None = None,
-        d2: Callable | None = None,
-        domain: tuple[float, float] = (-math.inf, math.inf),
-    ) -> "RadialFunction":
-        """Build a RadialFunction, filling missing derivatives by differencing.
-
-        Missing ``d2`` with analytic ``d1`` differences ``d1`` once (keeping
-        the error budget of a first derivative); with no ``d1`` either, ``d2``
-        uses one order-2 stencil on ``value`` rather than nesting two order-1
-        stencils (which would square the roundoff).
-        """
-        analytic = d1 is not None and d2 is not None
-        had_d1 = d1 is not None
-        if d1 is None:
-            def d1(r, _v=value, _dom=domain):  # noqa: E731 - closure over value
-                return fd_derivative(_v, r, order=1, domain=_dom)
-        if d2 is None:
-            if had_d1:
-                def d2(r, _d1=d1, _dom=domain):
-                    return fd_derivative(_d1, r, order=1, domain=_dom)
-            else:
-                def d2(r, _v=value, _dom=domain):
-                    return fd_derivative(_v, r, order=2, domain=_dom)
-        return cls(
-            value=value,
-            d1=d1,
-            d2=d2,
-            provenance="analytic" if analytic else "finite-difference",
-            domain=domain,
-        )
 
     @classmethod
     def from_formula(cls, fn: Callable, domain=(-math.inf, math.inf)) -> "RadialFunction":
@@ -396,12 +294,6 @@ class RadialFunction:
         )
 
     # -- evaluation ----------------------------------------------------------
-
-    def check_domain(self, r) -> None:
-        lo, hi = self.domain
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < lo) or np.any(r_arr > hi):
-            raise DomainError(f"r={r} outside domain ({lo}, {hi})")
 
     def __call__(self, r):
         return self.value(r)
@@ -459,6 +351,15 @@ class PiecewisePoly:
     def component(self, i: int) -> "PiecewisePoly":
         """State component ``i`` as a one-component polynomial."""
         return PiecewisePoly(self.c[..., i], self.x)
+
+    def derivative(self) -> "PiecewisePoly":
+        """The derivative, c[:-1] * [K, ..., 1] as scipy's ``PPoly.derivative()``
+        forms it; a constant's is one row of zeros."""
+        k = self.c.shape[0] - 1
+        if k == 0:
+            return PiecewisePoly(np.zeros_like(self.c), self.x)
+        powers = np.arange(k, 0, -1).reshape((k,) + (1,) * (self.c.ndim - 1))
+        return PiecewisePoly(self.c[:-1] * powers, self.x)
 
     def antiderivative(self) -> "PiecewisePoly":
         """The antiderivative that vanishes at x[0], continuous at every breakpoint."""
@@ -824,7 +725,7 @@ def chebyshev_grid(lo: float, hi: float, n: int = DEFAULT_GRID_N):
     if not lo < hi:
         raise DomainError(f"empty grid interval ({lo}, {hi})")
     if n < 2:
-        raise ValueError("grid needs at least 2 points")
+        raise BadParams("grid needs at least 2 points")
     j = np.arange(n)
     grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * j / (n - 1))
     # the affine map can land an ulp off the interval ends; pin them so that
@@ -947,7 +848,7 @@ def sphere_rule(degree: int = 35) -> tuple[np.ndarray, np.ndarray]:
     weights : (N,) positive weights
     """
     if degree < 1:
-        raise ValueError("degree must be positive")
+        raise BadParams("degree must be positive")
     n_theta = (degree + 2) // 2
     n_phi = degree + 1
     mu, w_mu = np.polynomial.legendre.leggauss(n_theta)  # mu = cos(theta)

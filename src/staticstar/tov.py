@@ -584,27 +584,61 @@ class StellarModel:
     def f(self, r):
         return _out(np.exp(0.5 * self.v(r)))
 
+    def _m_d2(self, r):
+        """m''(r): 8 pi mu_c r from the center series, the dense m's exact second
+        derivative inside, 0 outside."""
+        return self._piecewise(
+            r, lambda x: 2.0 * FOUR_PI * self._mu_center * x,
+            self.profile.m_fn.derivative().derivative(), lambda x: 0.0,
+        )
+
     # -- derivative-carrying views ---------------------------------------------
 
     def gamma_function(self) -> RadialFunction:
-        """gamma(r) = -log(1 - 2 m(r)/r), derivatives from m' = 4 pi r^2 mu."""
+        """gamma(r) = -log x, x = 1 - 2 m(r)/r, with x' from m' = 4 pi r^2 mu and
+        gamma'' = (x'/x)^2 - x''/x, x'' from the dense m''.
+
+        Inside a tabulated-EOS star m'' is the curvature of the integrator's
+        quartic pieces, coarse (about 1e-2 relative on a soft-surface table);
+        nothing in the package reads gamma'' (the chart and the Tolman
+        residuals read gamma and gamma' only).
+        """
 
         def val(r):
             return _out(-np.log(self.exp_neg_gamma(r)))
 
-        def d1(r):
-            xp = -8.0 * math.pi * r * self.mu(r) + 2.0 * self.m(r) / (r * r)
-            return -xp / self.exp_neg_gamma(r)
+        def x1(r):
+            return -8.0 * math.pi * r * self.mu(r) + 2.0 * self.m(r) / (r * r)
 
-        return RadialFunction.from_callables(val, d1, domain=(EPS_DOM, math.inf))
+        def d1(r):
+            return -x1(r) / self.exp_neg_gamma(r)
+
+        def d2(r):
+            x, xp = self.exp_neg_gamma(r), x1(r)
+            xpp = -2.0 * self._m_d2(r) / r + 16.0 * math.pi * self.mu(r) - 4.0 * self.m(r) / r**3
+            return _out((xp / x) ** 2 - xpp / x)
+
+        return RadialFunction(val, d1, d2, domain=(EPS_DOM, math.inf))
 
     def lapse_function(self) -> RadialFunction:
-        """f(r) with f' = f v'/2, v' = 2 (m + 4 pi r^3 rho)/(r (r - 2m)) (the
-        vacuum form outside); f'' is a finite difference of f'."""
-        return RadialFunction.from_callables(
-            self.f, lambda r: 0.5 * _lapse_rate(r, self.rho(r), self.m(r)) * self.f(r),
-            domain=(EPS_DOM, math.inf),
-        )
+        """f(r) with f' = f v'/2 and f'' = f (v''/2 + v'^2/4), all from the TOV
+        right-hand side (its vacuum form outside): v' = N/D with
+        N = 2 (m + 4 pi r^3 rho) and D = r (r - 2m), v'' = (N' - v' D')/D,
+        m' = 4 pi r^2 mu and rho' = -(mu + rho) v'/2, so no EOS derivative."""
+
+        def d1(r):
+            return 0.5 * _lapse_rate(r, self.rho(r), self.m(r)) * self.f(r)
+
+        def d2(r):
+            rho, mu, m = self.rho(r), self.mu(r), self.m(r)
+            dv = _lapse_rate(r, rho, m)
+            m1 = FOUR_PI * r * r * mu
+            rho1 = -0.5 * (mu + rho) * dv
+            n1 = 2.0 * (m1 + 3.0 * FOUR_PI * r * r * rho + FOUR_PI * r**3 * rho1)
+            dv2 = (n1 - dv * 2.0 * (r - m - r * m1)) / (r * (r - 2.0 * m))
+            return _out(self.f(r) * (0.5 * dv2 + 0.25 * dv * dv))
+
+        return RadialFunction(self.f, d1, d2, domain=(EPS_DOM, math.inf))
 
     def to_csv(self, path) -> None:
         profile_to_csv(self.profile, path)

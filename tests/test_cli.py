@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -136,9 +137,12 @@ def test_json_is_deterministic(capsys):
     assert first == second
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _documented_examples():
     """Every ``staticstar ...`` line of the cli docstring and README's Quick start (CLI)."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     quick_start = readme.split("## Quick start (CLI)", 1)[1].split("```")[1]
     lines = cli.__doc__.splitlines() + quick_start.splitlines()
     return [line.strip() for line in lines if line.strip().startswith("staticstar ")]
@@ -149,6 +153,28 @@ def test_documented_example_succeeds(capsys, monkeypatch, tmp_path, example):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *shlex.split(example)[1:])
     assert code == 0, err
+
+
+def _readme_python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+# the quick start's comment states r_b, M and f(0) to four decimals
+_STATED_DIGITS = re.compile(r"print\(star\.r_b, star\.mass, star\.f\(0\.0\)\) +# (.+)")
+
+
+@pytest.mark.parametrize("block", _readme_python_blocks(), ids=lambda b: b.split("\n", 1)[0])
+def test_readme_python_block_runs(tmp_path, block):
+    out = subprocess.run([sys.executable, "-c", block], env=_fresh_env(), cwd=tmp_path,
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    stated = _STATED_DIGITS.search(block)
+    if stated is not None:
+        printed = out.splitlines()[0].split()
+        assert [f"{float(x):.4f}" for x in printed] == stated.group(1).split(", ")
+
+
+def test_readme_quick_start_states_its_digits():
+    assert sum(bool(_STATED_DIGITS.search(b)) for b in _readme_python_blocks()) == 1
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -199,7 +225,7 @@ def test_bad_param_syntax(capsys):
 def test_failed_gate_is_exit_2(capsys, monkeypatch):
     model = catalog.build("schwarzschild_interior", c=0.001)
     piece = model.pieces[0]
-    wrong = RadialFunction.constant(0.05, piece.fluid.mu.domain)
+    wrong = RadialFunction.constant(0.05, piece.mu_phys.domain)
     model.pieces[0] = dataclasses.replace(
         piece, fluid=dataclasses.replace(piece.fluid, mu=wrong)
     )
@@ -483,12 +509,16 @@ def test_usage_error_repeats(capsys):
 
 # --- import footprint -----------------------------------------------------------
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports staticstar from this tree."""
+    src = os.path.dirname(os.path.dirname(staticstar.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _fresh_python(code, *args):
     """Runs ``code`` in a fresh interpreter that imports staticstar from this tree."""
-    src = os.path.dirname(os.path.dirname(staticstar.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 

@@ -3,7 +3,8 @@
 Every radial function of the catalog and of the conformal presets is written
 once and differentiated by a second-order Jet.  These tests hold the Jet to
 sympy, the catalog's derivatives to finite differences of their own values,
-and Wyman's lapse to mpmath.
+Wyman's lapse to mpmath, and each piece's geometric mu and rho to the
+convention bridge applied to its physical pair.
 """
 
 import math
@@ -15,8 +16,10 @@ import pytest
 import sympy
 
 from staticstar import catalog, conformal
-from staticstar.geometry import SchwarzschildForm, WarpedProduct
-from staticstar.numerics import Jet, RadialFunction, chebyshev_grid, fd_derivative
+from staticstar.geometry import SchwarzschildForm, WarpedProduct, to_geometric
+from staticstar.numerics import Jet, RadialFunction, chebyshev_grid
+
+from fd import fd_derivative
 
 # -- every closed form against finite differences ------------------------------
 
@@ -47,8 +50,6 @@ def _closed_forms():
         for p in model.pieces:
             named = {
                 "f": p.fluid.f,
-                "mu_geo": p.fluid.mu,
-                "rho_geo": p.fluid.rho,
                 "mu": p.mu_phys,
                 "rho": p.rho_phys,
             }
@@ -97,6 +98,33 @@ def test_derivatives_match_finite_differences(rf, window):
         d2, fd_derivative(rf.d1, r, order=1, domain=rf.domain),
         float(np.max(np.abs(d1))) / span,
     )
+
+
+def _geometric_pairs():
+    """(id, piece, 0 for mu / 1 for rho) for every catalog piece."""
+    out = []
+    for spec in MODEL_SPECS:
+        for p in catalog.parse_model_spec(spec).pieces:
+            out += [(f"{spec}/{p.label}/{k}_geo", p, i) for i, k in enumerate(("mu", "rho"))]
+    return out
+
+
+GEOMETRIC_PAIRS = _geometric_pairs()
+
+
+@pytest.mark.parametrize(
+    "piece,which", [c[1:] for c in GEOMETRIC_PAIRS], ids=[c[0] for c in GEOMETRIC_PAIRS]
+)
+def test_geometric_fluid_is_the_bridged_physical_pair(piece, which):
+    """The geometric mu and rho are values only: 8 pi mu_phys + lam and
+    8 pi rho_phys - lam, the same floats as the scalar convention bridge."""
+    lo, hi = piece.interval
+    r = chebyshev_grid(lo, hi, 9)
+    fluid = piece.fluid
+    got = np.asarray((fluid.mu, fluid.rho)[which](r), dtype=float)
+    want = to_geometric(piece.mu_phys(r), piece.rho_phys(r), fluid.lam)[which]
+    assert got.shape == r.shape
+    np.testing.assert_array_equal(got, np.broadcast_to(want, r.shape))
 
 
 def test_wyman_lapse_derivatives_match_mpmath(wyman):

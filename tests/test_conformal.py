@@ -10,7 +10,7 @@ import pytest
 from staticstar.errors import BadParams, DomainError, SignLoss
 from staticstar import geometry
 from staticstar.geometry import EIGHT_PI, _entry, _report, conformal_curvature, spf_residuals
-from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative
+from staticstar.numerics import RadialFunction, chebyshev_grid
 from staticstar import catalog, conformal
 from staticstar.conformal import (
     BasicInvariant,
@@ -21,6 +21,8 @@ from staticstar.conformal import (
     solve_lapse,
     witten_lapse,
 )
+
+from fd import fd_derivative
 
 
 def sqrt_one_plus_u():

@@ -8,12 +8,11 @@ from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from staticstar import catalog, conformal, numerics, tov
-from staticstar.errors import BadParams, DerivativeError, DomainError, StaticStarError, StepFailure
+from staticstar.errors import BadParams, DomainError, StaticStarError, StepFailure
 from staticstar.numerics import (
     RadialFunction,
     ScalarField,
     chebyshev_grid,
-    fd_derivative,
     max_rms,
     refine_root,
     sign_brackets,
@@ -21,44 +20,15 @@ from staticstar.numerics import (
 )
 
 
-def test_fd_first_derivative_richardson():
-    # Richardson-extrapolated central stencil should hit ~1e-10 on smooth data
-    assert abs(fd_derivative(math.sin, 1.2, order=1) - math.cos(1.2)) < 1e-10
-    assert abs(fd_derivative(math.exp, 0.3, order=1) - math.exp(0.3)) < 1e-9
-
-
-def test_fd_second_derivative():
-    assert abs(fd_derivative(math.sin, 1.2, order=2) + math.sin(1.2)) < 1e-7
-
-
-def test_fd_rejects_footprint_outside_domain():
-    with pytest.raises(DerivativeError):
-        fd_derivative(math.log, 1e-9, order=1, domain=(0.0, math.inf))
-
-
-def test_fd_bad_order():
-    with pytest.raises(ValueError):
-        fd_derivative(math.sin, 0.0, order=3)
-
-
-def test_radial_function_from_callables_provenance():
-    rf = RadialFunction.from_callables(lambda r: r**3, domain=(-5.0, 5.0))
-    assert rf.provenance == "finite-difference"
-    assert abs(rf.d1(2.0) - 12.0) < 1e-8
-    assert abs(rf.d2(2.0) - 12.0) < 1e-6
-
-    rf2 = RadialFunction.from_callables(
-        lambda r: r**3, d1=lambda r: 3 * r**2, d2=lambda r: 6 * r,
-    )
-    assert rf2.provenance == "analytic"
-
-
-def test_radial_function_domain_gate():
-    rf = RadialFunction.constant(1.0, domain=(0.0, 2.0))
-    rf.check_domain(1.0)
-    rf.check_domain(0.0)  # closed endpoints admissible
-    with pytest.raises(DomainError):
-        rf.check_domain(2.5)
+@pytest.mark.parametrize("refused", [
+    lambda: RadialFunction.constant(1.0, domain=(2.0, 2.0)),
+    lambda: RadialFunction(math.sin, math.cos, math.sin, provenance="finite-difference"),
+    lambda: chebyshev_grid(0.0, 1.0, 1),
+    lambda: sphere_rule(0),
+], ids=["empty-domain", "provenance", "one-point-grid", "degree-0-rule"])
+def test_deliberate_refusals_are_bad_params(refused):
+    with pytest.raises(BadParams):
+        refused()
 
 
 def test_scalar_field_compose_chain_rule():
@@ -69,9 +39,7 @@ def test_scalar_field_compose_chain_rule():
         hessian=lambda x: 2.0 * np.eye(len(x)),
         n=3,
     )
-    outer = RadialFunction.from_callables(
-        lambda u: u**2, d1=lambda u: 2.0 * u, d2=lambda u: 2.0 + 0 * u,
-    )
+    outer = RadialFunction(lambda u: u**2, d1=lambda u: 2.0 * u, d2=lambda u: 2.0 + 0 * u)
     field = ScalarField.compose(outer, inner)
     x = np.array([1.0, -1.0, 0.5])
     u = float(x @ x)
@@ -86,7 +54,7 @@ _SQUARED_RADIUS = conformal.BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3)
 def test_composed_field_batches_like_its_rows():
     inner = _SQUARED_RADIUS.as_field()
     field = ScalarField.compose(
-        RadialFunction.from_callables(np.exp, d1=np.exp, d2=np.exp), inner)
+        RadialFunction(np.exp, d1=np.exp, d2=np.exp), inner)
     pts = np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]])
     hess = field.hessian(pts)
     for k, x in enumerate(pts):
@@ -504,13 +472,18 @@ def test_piecewise_poly_is_ppoly_bit_for_bit(trailing):
             assert type(got) is float and _same_bits(got, want(t))
 
 
-def test_piecewise_poly_antiderivative_matches_ppoly():
+@pytest.mark.parametrize("degree", [3, 0])
+@pytest.mark.parametrize("op", ["antiderivative", "derivative"])
+def test_piecewise_poly_calculus_matches_ppoly(op, degree):
     rng = np.random.default_rng(8)
-    c, x = _random_ppoly(rng, 60, 3)
-    got, want = numerics.PiecewisePoly(c, x).antiderivative(), PPoly(c, x).antiderivative()
+    c, x = _random_ppoly(rng, 60, degree)
+    got, want = getattr(numerics.PiecewisePoly(c, x), op)(), getattr(PPoly(c, x), op)()
     t = np.concatenate([rng.uniform(x[0], x[-1], 300), x])
-    assert got(x[0]) == 0.0
-    assert np.max(np.abs(got(t) - want(t))) <= 1e-13 * np.max(np.abs(want(t)))
+    if op == "derivative":  # c[:-1] * [K, ..., 1] on both sides: the same floats
+        assert _same_bits(got.c, want.c) and _same_bits(got(t), want(t))
+    else:
+        assert got(x[0]) == 0.0
+        assert np.max(np.abs(got(t) - want(t))) <= 1e-13 * np.max(np.abs(want(t)))
 
 
 PCHIP_TABLES = {

@@ -9,7 +9,9 @@ from staticstar import conformal, quasilocal, tov
 from staticstar.energy import BAND, scan_conditions, scan_model
 from staticstar.errors import DomainError, StaticStarError
 from staticstar.geometry import to_geometric, to_physical
-from staticstar.numerics import RadialFunction, chebyshev_grid, fd_derivative, max_rms
+from staticstar.numerics import RadialFunction, chebyshev_grid, max_rms
+
+from fd import fd_derivative
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)

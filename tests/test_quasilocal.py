@@ -15,7 +15,7 @@ import pytest
 from staticstar.errors import BadParams, DomainError, NoLevelSet, NotARegularValue
 from staticstar import catalog, conformal, quasilocal
 from staticstar.geometry import conformal_hessian
-from staticstar.numerics import RadialFunction, ScalarField, fd_derivative
+from staticstar.numerics import RadialFunction, ScalarField
 from staticstar.quasilocal import (
     SphereClass,
     brown_york_sphere,
@@ -28,6 +28,8 @@ from staticstar.quasilocal import (
     willmore_energy,
     write_sweep_csv,
 )
+
+from fd import fd_derivative
 
 
 class TestFunctionals:
@@ -342,7 +344,7 @@ class TestBatchedShapeOperator:
             quasilocal.shape_operator(model.to_ansatz(), model.f, batch)
 
     def test_nonpositive_factor_in_batch(self, points):
-        two_minus_u = RadialFunction.from_callables(
+        two_minus_u = RadialFunction(
             lambda u: 2.0 - u, d1=lambda u: -1.0 + 0.0 * u, d2=lambda u: 0.0 * u)
         phi = ScalarField.compose(two_minus_u, OFF_CENTRE.as_field())
         batch = np.vstack([OFF_CENTRE.point_at(1.0), points])  # u > 2 in `points`
