@@ -107,7 +107,6 @@ class AnalyticModel:
         model_id: str,
         params: dict,
         pieces: list[Piece],
-        unbounded: bool = False,
         junction_points: tuple[float, ...] = (),
         extra_verify: tuple[Callable, ...] = (),
         extras: dict | None = None,
@@ -116,7 +115,6 @@ class AnalyticModel:
         self.id = model_id
         self.params = dict(params)
         self.pieces = list(pieces)
-        self.unbounded = bool(unbounded)
         self.junction_points = tuple(junction_points)
         self.extra_verify = tuple(extra_verify)
         self.extras = dict(extras or {})
@@ -271,7 +269,7 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
     """Spatially flat slice: gamma = 0, rho = 1/(2 pi r^2 + c1), f = sqrt(c2) (2 pi r^2 + c1).
 
     The fluid fills all of space (rho -> 0 only as r -> infinity), so there is
-    no surface to match; the model is flagged unbounded.
+    no surface to match; the model's note says so.
     """
     if c1 <= 0 or c2 <= 0:
         raise BadParams(f"need c1, c2 > 0, got c1={c1}, c2={c2}")
@@ -300,7 +298,6 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
         "gamma_zero",
         {"c1": c1, "c2": c2},
         [piece],
-        unbounded=True,
         notes=("unbounded fluid: exempt from surface matching",),
     )
 
@@ -443,7 +440,6 @@ def _witten_zeros(delta: float, t_max: float) -> list[float]:
 
 
 def witten_stellar(
-    n: int = 3,
     A: float = 1.0,
     B: float = 0.0,
     lam: float = 0.0,
@@ -461,8 +457,6 @@ def witten_stellar(
     M re-labels the radial coordinate (r~ = M cosh^2 t) without changing the
     geometry; it enters the r~-chart formulas checked by verify().
     """
-    if n != 3:
-        raise BadParams(f"witten_stellar is a 3-dimensional model, got n={n}")
     if M <= 0:
         raise BadParams(f"need M > 0, got {M}")
     if A == 0.0 and B == 0.0:
@@ -547,7 +541,7 @@ def witten_stellar(
     note_windows = ", ".join(f"({a:.4f}, {b:.4f})" for a, b in windows)
     return AnalyticModel(
         "witten_stellar",
-        {"n": n, "A": A, "B": B, "lam": lam, "M": M, "t_max": t_max},
+        {"A": A, "B": B, "lam": lam, "M": M, "t_max": t_max},
         [piece],
         extra_verify=(tilde_chart_check, sectional_check),
         extras={
@@ -561,12 +555,13 @@ def witten_stellar(
 
 
 def witten_pressure_poles(model: AnalyticModel, count: int = 3) -> np.ndarray:
-    """First ``count`` pressure poles t_k = acosh(exp(k pi - delta)), k >= 1."""
+    """First ``count`` pressure poles t_k = acosh(exp(k pi - delta)) with
+    k >= 0 and t_k > 0 (k = 0 is a pole when delta < 0)."""
     if model.id != "witten_stellar":
         raise BadParams("pressure poles are defined for witten_stellar")
     delta = model.extras["delta"]
     out = []
-    k = 1
+    k = 0
     while len(out) < count:
         L = k * math.pi - delta
         if L > 0.0:
@@ -627,7 +622,7 @@ def parse_model_spec(spec: str) -> AnalyticModel:
                 raise BadParams(f"bad model parameter {item!r} in {spec!r}")
             key = key.strip()
             try:
-                params[key] = int(val) if key == "n" else float(val)
+                params[key] = float(val)
             except ValueError:
                 raise BadParams(f"model parameter {item!r} in {spec!r} is not a number") from None
     return build(model_id, **params)

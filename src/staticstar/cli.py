@@ -14,7 +14,7 @@ its Lambda as ``--param lam=...`` or ``id:lam=...``, not as ``--lam``)::
     build            --config --json --lam
 
 ``mass``/``audit`` with ``--model`` refuse ``--abs-tol``/``--rel-tol``, and
-``catalog list`` refuses a model id, ``--n``, ``--param`` and ``--grid-n``:
+``catalog list`` refuses a model id, ``--param`` and ``--grid-n``:
 neither runs what those flags tune.
 
 Examples
@@ -23,7 +23,7 @@ Examples
 
     staticstar tov --eos constant:c=0.001 --rho-c 0.0005 --out star.csv
     staticstar catalog list
-    staticstar catalog verify witten_stellar --n 3
+    staticstar catalog verify witten_stellar --param B=1.0
     staticstar verify wyman:R=2,M=0.2 --json
     staticstar mass --model schwarzschild_exterior:M=1 --level 0.5 --json
     staticstar audit --eos constant:c=0.001 --rho-c 0.0005
@@ -122,8 +122,8 @@ def _cmd_tov(args, cfg: RunConfig) -> int:
 def _cmd_catalog(args, cfg: RunConfig) -> int:
     if args.action == "list":
         unread = [name for name, given in (
-            ("model id", args.catalog_model), ("--n", args.n is not None),
-            ("--param", args.param), ("--grid-n", args.grid_n is not None)) if given]
+            ("model id", args.catalog_model), ("--param", args.param),
+            ("--grid-n", args.grid_n is not None)) if given]
         if unread:
             raise BadParams(f"catalog list takes no {', '.join(unread)}; catalog verify does")
         ids = sorted(catalog.MODELS)
@@ -137,8 +137,6 @@ def _cmd_catalog(args, cfg: RunConfig) -> int:
     if not args.catalog_model:
         raise BadParams("catalog verify needs a model id")
     params = {}
-    if args.n is not None:
-        params["n"] = args.n
     for kv in args.param or ():
         if "=" not in kv:
             raise BadParams(f"--param expects key=value, got {kv!r}")
@@ -214,12 +212,7 @@ def _cmd_audit(args, cfg: RunConfig) -> int:
 def _cmd_build(args, cfg: RunConfig) -> int:
     ic = _parse_pair(args.ic, "--ic") if args.ic else None
     span = _parse_pair(args.span, "--span") if args.span else (0.0, 10.0)
-    invariant = None
-    if args.n != 3:
-        invariant = conformal.BasicInvariant(1.0, (0.0,) * args.n, (0.0,) * args.n)
-    model = conformal.build_model(
-        args.phi, n=args.n, ic=ic, invariant=invariant, lam=cfg.lam, span=span,
-    )
+    model = conformal.build_model(args.phi, n=args.n, ic=ic, lam=cfg.lam, span=span)
     if args.json:
         payload = {
             "label": model.label,
@@ -294,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", parents=[base, grid], help="exact-solution catalog")
     p.add_argument("action", choices=("list", "verify"))
     p.add_argument("catalog_model", nargs="?", help="model id (for verify)")
-    p.add_argument("--n", type=int, default=None, help="dimension parameter")
     p.add_argument("--param", action="append", help="extra key=value model parameter")
     p.set_defaults(handler=_cmd_catalog)
 

@@ -51,6 +51,7 @@ from .numerics import (
     EPS_DOM,
     RadialFunction,
     ScalarField,
+    as_point,
     as_points,
     chebyshev_grid,
     solve_ivp,
@@ -178,13 +179,14 @@ class BasicInvariant:
 
 
 def basic_invariant_eval(x, invariant: BasicInvariant) -> float:
-    """Evaluate u(x), asserting both defining identities to 1e-12.
+    """Evaluate u at one point x ``(n,)``, asserting both defining identities
+    to 1e-12; any other shape of x is BadParams.
 
     |grad u|^2 = 4 tau u + C and Lap u = 2 n tau are algebraic identities of
     the quadric; a violation means the inputs are corrupt (NaN, overflow), so
     it is reported as a DomainError rather than silently propagated.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_point(x, invariant.n)
     fld = invariant.as_field()
     with np.errstate(invalid="ignore", over="ignore"):
         u = fld.value(x)
@@ -239,7 +241,6 @@ def solve_lapse(
     ic: tuple[float, float],
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
-    on_sign_loss: str = "truncate",
 ) -> RadialFunction:
     """Integrate (n-2) f phi'' = f'' phi + 2 phi' f' across ``span`` in u.
 
@@ -249,18 +250,16 @@ def solve_lapse(
     evaluated from the ODE right-hand side (exact given the solution), not
     by differencing.
 
-    If the lapse crosses zero the solution beyond that point is meaningless;
-    with ``on_sign_loss="truncate"`` the returned domain stops just before the
-    crossing, with ``"raise"`` a SignLoss is raised.  StepFailure propagates
-    integrator breakdowns.
+    If the lapse crosses zero the solution beyond that point is meaningless,
+    so the returned domain stops just before the crossing; a crossing at the
+    left end, which would leave nothing, is a SignLoss.  StepFailure
+    propagates integrator breakdowns.
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
     u0, u1 = float(span[0]), float(span[1])
     if not u0 < u1:
         raise BadParams(f"need an increasing span, got {span}")
-    if on_sign_loss not in ("truncate", "raise"):
-        raise BadParams(f"on_sign_loss must be 'truncate' or 'raise', not {on_sign_loss!r}")
 
     def rhs(u, y):
         p = float(phi.value(u))
@@ -290,8 +289,6 @@ def solve_lapse(
     u_end = u1
     if len(sol.t_events[0]):
         u_zero = float(sol.t_events[0][0])
-        if on_sign_loss == "raise":
-            raise SignLoss(f"lapse crossed zero at u={u_zero}")
         u_end = u_zero - max(EPS_DOM, 1e-9 * (u1 - u0))
         if u_end <= u0:
             # the crossing is at (or numerically at) the left endpoint:
@@ -405,20 +402,26 @@ class ConformalModel:
     residual, traceless field equations on- and off-axis, scalar-curvature
     closure); ``passed`` aggregates them.  ``truncated`` records that the
     lapse lost positivity before the requested span ended and the domain was
-    cut back.
+    cut back.  ``n`` and ``degenerate`` are read from the invariant.
     """
 
     phi: RadialFunction
     f: RadialFunction
     invariant: BasicInvariant
-    n: int
     lam: float
     domain: tuple[float, float]
     label: str = "custom"
     truncated: bool = False
-    degenerate: bool = False
     checks: dict = field(default_factory=dict, repr=False)
     _geo_last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.invariant.n
+
+    @property
+    def degenerate(self) -> bool:
+        return self.invariant.degenerate
 
     @property
     def passed(self) -> bool:
@@ -453,7 +456,7 @@ class ConformalModel:
         return ConformalFlat(self.phi, self.invariant)
 
     def fluid(self) -> FluidData:
-        return FluidData(f=self.f, mu=self.mu_geo, rho=self.rho_geo, lam=self.lam)
+        return FluidData(f=self.f, mu=self.mu_geo, rho=self.rho_geo)
 
 
 def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
@@ -483,7 +486,6 @@ def build_model(
     invariant: BasicInvariant | None = None,
     lam: float = 0.0,
     span: tuple[float, float] = (0.0, 10.0),
-    run_checks: bool = True,
 ) -> ConformalModel:
     """Assemble and validate a conformally flat model.
 
@@ -494,15 +496,15 @@ def build_model(
     unit (1, 0).  A ``span`` that is not finite and increasing, a non-finite
     ``lam`` or a non-finite ``ic`` is BadParams.
 
-    Construction always runs four independent validations (skippable with
-    ``run_checks=False`` for speed): the lapse-ODE residual, the traceless
-    field equations sampled on the reference ray and on a fixed random
-    off-axis ray, and the closure of the closed-form density against R/2
-    computed by the generic conformal-curvature machinery.  The last three
-    share one batched evaluation: both rays are stacked into one set of
-    points, the curvature and the lapse Hessian are evaluated on it once,
-    and each report reads its slice.  Results land in ``.checks``; nothing
-    is raised on failure — inspect ``.passed``.
+    Construction always runs four independent validations (a degenerate
+    invariant, whose fluid is the vacuum pair, runs none): the lapse-ODE
+    residual, the traceless field equations sampled on the reference ray and
+    on a fixed random off-axis ray, and the closure of the closed-form
+    density against R/2 computed by the generic conformal-curvature
+    machinery.  The last three share one batched evaluation: both rays are
+    stacked into one set of points, the curvature and the lapse Hessian are
+    evaluated on it once, and each report reads its slice.  Results land in
+    ``.checks``; nothing is raised on failure — inspect ``.passed``.
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
@@ -526,8 +528,8 @@ def build_model(
             phi_rf = phi
         f_rf = RadialFunction.constant(ic[0] if ic else 1.0, (-math.inf, math.inf))
         return ConformalModel(
-            phi=phi_rf, f=f_rf, invariant=invariant, n=n, lam=lam,
-            domain=(u0, u1), label=label, degenerate=True,
+            phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
+            domain=(u0, u1), label=label,
         )
 
     if isinstance(phi, str):
@@ -561,12 +563,9 @@ def build_model(
 
     domain = (u0, min(u1, f_rf.domain[1]))
     model = ConformalModel(
-        phi=phi_rf, f=f_rf, invariant=invariant, n=n, lam=lam,
+        phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
         domain=domain, label=label, truncated=truncated,
     )
-    if not run_checks:
-        return model
-
     lo, hi = domain
     pad = max(1e-6 * (hi - lo), 1e-9)
     grid = chebyshev_grid(lo + pad, hi - pad, 64)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DomainError
+from .numerics import check_grid_n
 
 __all__ = ["BAND", "ConditionScan", "scan_conditions", "scan_model"]
 
@@ -56,37 +57,27 @@ class ConditionScan:
 
 
 def _on_grid(values, grid: np.ndarray) -> np.ndarray:
-    """A callable (called once on the whole grid), a constant, or an array
-    shaped like grid; a callable's constant result is broadcast too."""
-    if callable(values):
-        try:
-            values = values(grid)
-        except (TypeError, ValueError) as exc:
-            raise BadParams(
-                "fluid callables are called once with the whole grid array "
-                f"and must return values on it (array in, array out): {exc}"
-            ) from exc
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.shape, float(arr))
-    if arr.shape != grid.shape:
+    """A number or an array shaped like grid, broadcast onto grid."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise BadParams(f"fluid values must be numbers, got {type(values).__name__}")
+    if arr.shape not in ((), grid.shape):
         raise BadParams(f"fluid values shaped {arr.shape} do not match the grid {grid.shape}")
-    return arr
+    return np.broadcast_to(arr.astype(float, copy=False), grid.shape)
 
 
-def scan_conditions(mu_fn, rho_fn, grid) -> ConditionScan:
+def scan_conditions(mu, rho, grid) -> ConditionScan:
     """Evaluate the three conditions pointwise on ``grid``.
 
-    ``mu_fn``/``rho_fn`` are each a callable taking the grid array and
-    returning the physical values on it (array in, array out), a constant,
-    or the values already evaluated on ``grid`` (an array of the grid's
-    shape).
+    ``mu``/``rho`` are the physical values on ``grid`` (an array of the
+    grid's shape) or one number for every point; anything else, a callable
+    included, is BadParams.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("energy-condition scan needs a non-empty grid")
-    mu = _on_grid(mu_fn, grid)
-    rho = _on_grid(rho_fn, grid)
+    mu = _on_grid(mu, grid)
+    rho = _on_grid(rho, grid)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
         raise DomainError("non-finite fluid values in energy-condition scan")
 
@@ -118,19 +109,19 @@ def scan_conditions(mu_fn, rho_fn, grid) -> ConditionScan:
     )
 
 
-def scan_model(model, grid=None, n: int = 256) -> ConditionScan:
-    """Audit a catalog model or a TOV stellar model.
+def scan_model(model, n: int = 256) -> ConditionScan:
+    """Audit a catalog model or a TOV stellar model on ``n`` points per window
+    (an integer of at least 1, else BadParams).
 
     Catalog models are scanned over each piece's verification window
     (concatenated); TOV models over the interior (r_start, r_b).  Either
     model's evaluators take the whole grid in one call each.
     """
-    if grid is None:
-        if hasattr(model, "profile"):  # tov.StellarModel
-            grid = np.linspace(model.profile.r_start, model.r_b * (1.0 - 1e-12), n)
-        elif hasattr(model, "pieces"):  # catalog.AnalyticModel
-            grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
-        else:
-            raise DomainError(f"don't know how to scan {type(model).__name__}")
-    grid = np.asarray(grid, dtype=float)
+    check_grid_n(n, 1)
+    if hasattr(model, "profile"):  # tov.StellarModel
+        grid = np.linspace(model.profile.r_start, model.r_b * (1.0 - 1e-12), n)
+    elif hasattr(model, "pieces"):  # catalog.AnalyticModel
+        grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
+    else:
+        raise DomainError(f"don't know how to scan {type(model).__name__}")
     return scan_conditions(model.mu(grid), model.rho(grid), grid)

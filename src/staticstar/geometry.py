@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import RadialFunction, ScalarField, as_points, max_rms
+from .numerics import RadialFunction, ScalarField, as_point, as_points, max_rms
 
 if TYPE_CHECKING:  # conformal imports this module
     from .conformal import BasicInvariant
@@ -156,9 +156,8 @@ class FluidData:
     ``f`` carries its two derivatives; ``mu`` and ``rho`` are values only,
     callables of a float or an ndarray, since no residual differentiates the
     geometric pair.  They are geometric (mu = R/2 on solutions); construct
-    from physical profiles with :meth:`from_physical`.  ``lam`` records the
-    cosmological constant used in the bridge, for reporting only — it is
-    already absorbed into the geometric values.
+    from physical profiles with :meth:`from_physical`, whose ``lam`` (the
+    cosmological constant) is absorbed into the geometric values.
 
     The lapse must be positive on the evaluation domain; residual evaluation
     raises DomainError the moment it sees f <= 0.
@@ -167,7 +166,6 @@ class FluidData:
     f: RadialFunction
     mu: Callable
     rho: Callable
-    lam: float = 0.0
 
     @classmethod
     def from_physical(
@@ -181,7 +179,6 @@ class FluidData:
             f=f,
             mu=lambda r: EIGHT_PI * np.asarray(mu_phys(r), dtype=float) + lam,
             rho=lambda r: EIGHT_PI * np.asarray(rho_phys(r), dtype=float) - lam,
-            lam=lam,
         )
 
 
@@ -370,7 +367,8 @@ def sectional_conformal(phi: ScalarField, x, i: int, j: int) -> float:
 
         K_ij = phi^2 [ w_{,ii} + w_{,jj} - sum_{l != i,j} (w_{,l})^2 ].
 
-    Raises IndexError for i == j or out-of-range indices (a 2-plane needs two
+    ``x`` is one point ``(n,)``; any other shape is BadParams.  Raises
+    IndexError for i == j or out-of-range indices (a 2-plane needs two
     distinct directions).
     """
     n = phi.n
@@ -378,7 +376,7 @@ def sectional_conformal(phi: ScalarField, x, i: int, j: int) -> float:
         raise IndexError(f"plane indices ({i}, {j}) out of range for n={n}")
     if i == j:
         raise IndexError("sectional curvature needs two distinct directions")
-    x = np.asarray(x, dtype=float)
+    x = as_point(x, n)
     p = phi.value(x)
     if p <= 0.0:
         raise DomainError("conformal factor must be positive")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -32,11 +33,12 @@ from .errors import BadParams, DomainError
 
 __all__ = [
     "EPS_DOM",
-    "DEFAULT_GRID_N",
     "Jet",
     "RadialFunction",
     "ScalarField",
+    "as_point",
     "as_points",
+    "check_grid_n",
     "chebyshev_grid",
     "sign_brackets",
     "refine_root",
@@ -52,9 +54,6 @@ __all__ = [
 # Domain guard used across the package: evaluators refuse points closer than
 # this to a declared singular boundary (horizon, axis, lapse zero).
 EPS_DOM = 1e-9
-
-# Default resolution for residual grids.
-DEFAULT_GRID_N = 512
 
 
 # ----------------------------------------------------------------------------
@@ -662,6 +661,14 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
 # scalar fields on R^n
 # ----------------------------------------------------------------------------
 
+def as_point(x, n: int) -> np.ndarray:
+    """``x`` as a float array of one point ``(n,)``; any other shape is BadParams."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise BadParams(f"expected one point (n,) with n={n}, got shape {x.shape}")
+    return x
+
+
 def as_points(x, n: int) -> np.ndarray:
     """``x`` as a float array of one point ``(n,)`` or a batch ``(N, n)``.
 
@@ -716,16 +723,24 @@ class ScalarField:
 # grids
 # ----------------------------------------------------------------------------
 
-def chebyshev_grid(lo: float, hi: float, n: int = DEFAULT_GRID_N):
-    """Chebyshev–Lobatto points on [lo, hi], increasing.
+def check_grid_n(n, least: int) -> None:
+    """Refuse, as BadParams, a number of grid points ``n`` that is not an
+    integer of at least ``least`` (a float, a bool, fewer points)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise BadParams(f"a grid needs an integer number of points, at least {least}; "
+                        f"got {n!r}")
+
+
+def chebyshev_grid(lo: float, hi: float, n: int):
+    """Chebyshev–Lobatto points on [lo, hi], increasing; ``n`` is an integer
+    of at least 2.
 
     Lobatto points cluster near the interval ends, which is where the residual
     checks need resolution (centers, surfaces, horizons).
     """
     if not lo < hi:
         raise DomainError(f"empty grid interval ({lo}, {hi})")
-    if n < 2:
-        raise BadParams("grid needs at least 2 points")
+    check_grid_n(n, 2)
     j = np.arange(n)
     grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * j / (n - 1))
     # the affine map can land an ulp off the interval ends; pin them so that

@@ -41,7 +41,7 @@ from .geometry import (
     conformal_hessian,
     coordinate_sphere,
 )
-from .numerics import ScalarField, as_points, refine_root, sign_brackets, sphere_rule
+from .numerics import ScalarField, as_points, check_grid_n, refine_root, sign_brackets, sphere_rule
 
 __all__ = [
     "SphereClass",
@@ -139,8 +139,9 @@ def hawking_mass(area: float, willmore: float) -> float:
     return math.sqrt(area / (16.0 * math.pi)) * (1.0 - willmore / (16.0 * math.pi))
 
 
-def willmore_energy(h_point, areal_radius: float, degree: int = 35) -> float:
-    """int H^2 dA over a round sphere of areal radius b, by quadrature.
+def willmore_energy(h_point, areal_radius: float) -> float:
+    """int H^2 dA over a round sphere of areal radius b, by the
+    degree-``AUDIT_DEGREE`` sphere rule.
 
     ``h_point`` maps the ``(N, 3)`` batch of unit quadrature nodes to the
     mean curvature at the corresponding surface points, as ``(N,)`` values
@@ -149,7 +150,7 @@ def willmore_energy(h_point, areal_radius: float, degree: int = 35) -> float:
     """
     if areal_radius <= 0.0:
         raise DomainError(f"need positive areal radius, got {areal_radius}")
-    pts, wts = sphere_rule(degree)
+    pts, wts = sphere_rule(AUDIT_DEGREE)
     h = np.broadcast_to(np.asarray(h_point(pts), dtype=float), wts.shape)
     return float(areal_radius**2 * (wts @ h**2))
 
@@ -372,7 +373,7 @@ def _sphere_audit(ansatz: ConformalFlat, f):
         mean_g = np.mean(gnorms)
         gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
         # the traces are H at these very nodes
-        return spread, gradc, willmore_energy(lambda _: traces, b, AUDIT_DEGREE)
+        return spread, gradc, willmore_energy(lambda _: traces, b)
 
     return audit
 
@@ -427,16 +428,18 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     in the scanned window and NotARegularValue at critical levels, tangential
     touches at an extremum of f included.  A non-finite level, or a
     ``window`` (lo, hi) that is not finite and increasing, is BadParams.
-    ``grid_n`` points scan each chart's window for sign changes of f - c;
-    conformal level spheres are audited with the degree-``AUDIT_DEGREE``
-    sphere rule.  Calls on one model that pass the same ``scans`` dict
-    evaluate f once per scan window (see :func:`mass_sweep`).
+    ``grid_n`` points (an integer of at least 2, else BadParams) scan each
+    chart's window for sign changes of f - c; conformal level spheres are
+    audited with the degree-``AUDIT_DEGREE`` sphere rule.  Calls on one
+    model that pass the same ``scans`` dict evaluate f once per scan window
+    (see :func:`mass_sweep`).
 
     Every chart is scanned; a root found by two charts (the seam of a
     two-piece catalog model) is reported once, from the chart that found
     the smaller value.
     """
     c = float(c)
+    check_grid_n(grid_n, 2)
     if not math.isfinite(c):
         raise BadParams(f"level c={c} is not finite")
     if window is not None:

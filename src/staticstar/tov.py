@@ -45,6 +45,7 @@ from .numerics import (
     EPS_DOM,
     RadialFunction,
     chebyshev_grid,
+    check_grid_n,
     cubic_spline,
     pchip,
     solve_ivp,
@@ -263,8 +264,7 @@ class SolverOptions:
             raise BadParams("tolerances must be positive")
         if not R_START < self.r_max:
             raise BadParams(f"need r_max > R_START = {R_START}")
-        if self.grid_n < 8:
-            raise BadParams("grid_n must be at least 8")
+        check_grid_n(self.grid_n, 8)
 
 
 @dataclass(frozen=True)

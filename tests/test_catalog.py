@@ -33,8 +33,10 @@ def test_unknown_model():
 def test_parse_model_spec():
     m = catalog.parse_model_spec("wyman:R=2.5,M=0.3")
     assert m.params == {"R": 2.5, "M": 0.3}
-    m = catalog.parse_model_spec("witten_stellar:n=3,B=1.0")
-    assert m.params["n"] == 3 and isinstance(m.params["n"], int)
+    m = catalog.parse_model_spec("witten_stellar:B=1.0")
+    assert m.params["B"] == 1.0 and "n" not in m.params
+    with pytest.raises(BadParams, match="no parameter 'n'"):
+        catalog.parse_model_spec("witten_stellar:n=3")
     with pytest.raises(BadParams):
         catalog.parse_model_spec("wyman:R2.5")
 
@@ -131,7 +133,7 @@ class TestInteriorAndStatic:
         assert m.f(1.0) == pytest.approx(2.0 * math.pi + 1.0, rel=1e-14)
         assert m.rho(1.0) == pytest.approx(1.0 / (2.0 * math.pi + 1.0), rel=1e-14)
         assert m.mu(5.0) == 0.0
-        assert m.unbounded
+        assert m.notes == ("unbounded fluid: exempt from surface matching",)
 
     def test_gamma_zero_guard(self):
         with pytest.raises(BadParams):
@@ -213,13 +215,21 @@ class TestWittenStellar:
         # mu_geo = 1 + 5 sech^2 t in closed form
         assert mu_geo == pytest.approx(1.0 + 5.0 / math.cosh(t) ** 2, rel=1e-12)
 
-    def test_pressure_poles(self, witten):
-        poles = catalog.witten_pressure_poles(witten, count=3)
-        for k, t_k in enumerate(poles, start=1):
-            assert math.log(math.cosh(t_k)) == pytest.approx(k * math.pi, abs=1e-12)
-        # extras["zeros"] also lists the t = 0 lapse zero; poles start above it
-        positive = [z for z in witten.extras["zeros"] if z > 0.0]
-        assert positive[0] == pytest.approx(poles[0], abs=1e-12)
+    @pytest.mark.parametrize("B", [0.0, 0.5, -0.5])
+    def test_pressure_poles(self, B):
+        model = catalog.build("witten_stellar", B=B)
+        delta = model.extras["delta"]
+        poles = catalog.witten_pressure_poles(model, count=3)
+        # log cosh t_k + delta is a multiple of pi: cot diverges there
+        phase = np.log(np.cosh(poles)) + delta
+        np.testing.assert_allclose(phase / math.pi, np.round(phase / math.pi),
+                                   rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(poles) > 0.0) and poles[0] > 0.0
+        # extras["zeros"] also lists a t = 0 lapse zero; every positive zero
+        # below t_max is a pole, in order
+        positive = [z for z in model.extras["zeros"] if z > 0.0]
+        below = poles[poles < model.params["t_max"]]
+        np.testing.assert_allclose(below, positive, rtol=0.0, atol=1e-12)
 
     def test_pressure_poles_wrong_model(self, vacuum):
         with pytest.raises(BadParams):
@@ -262,7 +272,6 @@ class TestWittenStellar:
         lam = 0.1
         m = catalog.build("witten_stellar", lam=lam)
         t = 0.7
-        assert m.pieces[0].fluid.lam == lam
         assert EIGHT_PI * m.mu(t) + lam == pytest.approx(4.1736979499122929, rel=1e-12)
         assert EIGHT_PI * m.rho(t) - lam == pytest.approx(3.8545257862493758, rel=1e-12)
 

@@ -67,7 +67,7 @@ def test_catalog_list(capsys):
 
 def test_catalog_verify_with_params(capsys):
     code, out, _ = run(capsys, "catalog", "verify", "witten_stellar",
-                       "--n", "3", "--param", "B=1.0", "--grid-n", "48")
+                       "--param", "B=1.0", "--grid-n", "48")
     assert code == 0
     assert "model witten_stellar: PASS" in out
 
@@ -205,6 +205,9 @@ def test_bad_model_param(capsys):
         ("build", "--phi", "witten", "--grid-n", "64"),
         # the surface threshold is the constant tov.SURFACE_TOL_SCALE
         ("tov", *STAR, "--surface-tol-scale", "1e-10"),
+        # no catalog model has a dimension parameter
+        ("catalog", "verify", "witten_stellar", "--n", "3"),
+        ("catalog", "list", "--n", "3"),
     ],
 )
 def test_missing_or_unknown_flag(capsys, argv):
@@ -242,6 +245,8 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
         ("verify", "wyman:R=x"),
         ("catalog", "verify", "wyman", "--param", "R=x"),
         ("verify", "wyman:Q=1"),
+        # witten_stellar is 3-dimensional: it takes no dimension parameter
+        ("verify", "witten_stellar:n=3"),
         # non-finite catalog parameters, on every route into catalog.build
         ("verify", "schwarzschild_exterior:M=inf"),
         ("verify", "einstein_static:c=inf"),
@@ -275,7 +280,6 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
         # catalog list reads none of the arguments of catalog verify
         ("catalog", "list", "--grid-n", "64"),
         ("catalog", "list", "wyman"),
-        ("catalog", "list", "--n", "3"),
         ("catalog", "list", "--param", "R=2", "--json"),
     ],
 )

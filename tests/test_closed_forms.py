@@ -62,7 +62,7 @@ def _closed_forms():
             interval = model.pieces[0].interval
             out.append((f"{spec}/mu_printed", model.extras["mu_printed"], interval))
     for name, kw in PRESETS.items():
-        cm = conformal.build_model(run_checks=False, **kw)
+        cm = conformal.build_model(**kw)
         out += [(f"conformal:{name}/{k}", getattr(cm, k), cm.domain) for k in ("phi", "f")]
     return out
 
@@ -101,11 +101,15 @@ def test_derivatives_match_finite_differences(rf, window):
 
 
 def _geometric_pairs():
-    """(id, piece, 0 for mu / 1 for rho) for every catalog piece."""
+    """(id, piece, the model's Lambda, 0 for mu / 1 for rho) for every
+    catalog piece."""
     out = []
     for spec in MODEL_SPECS:
-        for p in catalog.parse_model_spec(spec).pieces:
-            out += [(f"{spec}/{p.label}/{k}_geo", p, i) for i, k in enumerate(("mu", "rho"))]
+        model = catalog.parse_model_spec(spec)
+        lam = model.params.get("lam", 0.0)
+        for p in model.pieces:
+            out += [(f"{spec}/{p.label}/{k}_geo", p, lam, i)
+                    for i, k in enumerate(("mu", "rho"))]
     return out
 
 
@@ -113,16 +117,16 @@ GEOMETRIC_PAIRS = _geometric_pairs()
 
 
 @pytest.mark.parametrize(
-    "piece,which", [c[1:] for c in GEOMETRIC_PAIRS], ids=[c[0] for c in GEOMETRIC_PAIRS]
+    "piece,lam,which", [c[1:] for c in GEOMETRIC_PAIRS], ids=[c[0] for c in GEOMETRIC_PAIRS]
 )
-def test_geometric_fluid_is_the_bridged_physical_pair(piece, which):
+def test_geometric_fluid_is_the_bridged_physical_pair(piece, lam, which):
     """The geometric mu and rho are values only: 8 pi mu_phys + lam and
     8 pi rho_phys - lam, the same floats as the scalar convention bridge."""
     lo, hi = piece.interval
     r = chebyshev_grid(lo, hi, 9)
     fluid = piece.fluid
     got = np.asarray((fluid.mu, fluid.rho)[which](r), dtype=float)
-    want = to_geometric(piece.mu_phys(r), piece.rho_phys(r), fluid.lam)[which]
+    want = to_geometric(piece.mu_phys(r), piece.rho_phys(r), lam)[which]
     assert got.shape == r.shape
     np.testing.assert_array_equal(got, np.broadcast_to(want, r.shape))
 

@@ -165,11 +165,6 @@ class TestSolveLapse:
             err = np.abs(fd_derivative(fn, u) - deriv(u))
             assert np.all(err <= tol), np.max(err / tol)
 
-    def test_sign_loss_raise(self):
-        one = RadialFunction.constant(1.0, (-math.inf, math.inf))
-        with pytest.raises(SignLoss):
-            solve_lapse(one, 3, (0.0, 2.0), (1.0, -1.0), on_sign_loss="raise")
-
     def test_sign_loss_truncates(self):
         one = RadialFunction.constant(1.0, (-math.inf, math.inf))
         f = solve_lapse(one, 3, (0.0, 2.0), (1.0, -1.0))
@@ -188,8 +183,6 @@ class TestSolveLapse:
             solve_lapse(one, 2, (0.0, 1.0), (1.0, 0.0))
         with pytest.raises(BadParams):
             solve_lapse(one, 3, (1.0, 1.0), (1.0, 0.0))
-        with pytest.raises(BadParams):
-            solve_lapse(one, 3, (0.0, 1.0), (1.0, 0.0), on_sign_loss="ignore")
 
     def test_nonpositive_factor_rejected(self):
         dying = RadialFunction(
@@ -350,7 +343,7 @@ class TestBuildModel:
         assert m.passed, {k: r.worst for k, r in m.checks.items()}
 
     def test_initial_conditions_honored(self):
-        m = build_model("witten", n=3, ic=(0.3, 0.1), run_checks=False)
+        m = build_model("witten", n=3, ic=(0.3, 0.1))
         assert m.f.value(0.0) == pytest.approx(0.3, abs=1e-12)
         assert m.f.d1(0.0) == pytest.approx(0.1, abs=1e-12)
 
@@ -365,6 +358,15 @@ class TestBuildModel:
         inv = BasicInvariant(0.0, (0.0,) * 3, (1.0, 0.0, 0.0))
         m = build_model("unit", n=3, invariant=inv)
         assert m.degenerate and m.checks == {}
+
+    def test_dimension_and_degeneracy_come_from_the_invariant(self):
+        field_names = {f.name for f in dataclasses.fields(conformal.ConformalModel)}
+        assert not {"n", "degenerate"} & field_names
+        flat = BasicInvariant(0.0, (0.0,) * 4, (1.0, 0.0, 0.0, 0.0))
+        for m in (build_model("witten", n=5, span=(0.0, 6.0)),
+                  build_model("unit", n=4, invariant=flat)):
+            assert (m.n, m.degenerate) == (m.invariant.n, m.invariant.degenerate)
+            assert m.n == len(m.invariant.alpha)
 
     def test_custom_factor_goes_through_the_integrator(self):
         m = build_model(sqrt_one_plus_u(), n=3, ic=(0.0, 0.5), span=(0.0, 6.0))
@@ -384,7 +386,3 @@ class TestBuildModel:
             build_model("spiral", n=3)
         with pytest.raises(BadParams):
             build_model("witten", n=3, invariant=BasicInvariant(1.0, (0.0,) * 2, (0.0,) * 2))
-
-    def test_no_checks_mode(self):
-        m = build_model("witten", n=3, run_checks=False)
-        assert m.checks == {} and m.passed

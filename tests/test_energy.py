@@ -13,7 +13,7 @@ GRID = np.array([1.0, 2.0, 3.0])
 # --- pointwise logic ---------------------------------------------------------
 
 def test_all_satisfied():
-    scan = scan_conditions(lambda r: 2.0, lambda r: 1.0, GRID)
+    scan = scan_conditions(np.full(GRID.shape, 2.0), np.ones(GRID.shape), GRID)
     assert scan.nec and scan.wec and scan.dec
     assert scan.first_violation is None
 
@@ -46,37 +46,27 @@ def test_nec_subsumes_the_rest():
 
 
 def test_first_violation_is_smallest_radius():
-    def rho(r):
-        return np.where(r >= 3.0, -2.0, 0.5)
-
+    rho = np.where(GRID >= 3.0, -2.0, 0.5)
     scan = scan_conditions(1.0, rho, GRID)
     assert scan.first_violation == ("nec", 3.0)
 
 
-def test_callables_are_called_once_on_the_whole_grid():
-    calls = []
-
-    def mu(r):
-        calls.append(np.shape(r))
-        return 2.0 * r
-
-    scan = scan_conditions(mu, lambda r: 1.0, GRID)
-    assert calls == [GRID.shape]
+def test_arrays_and_numbers_fill_the_grid():
+    scan = scan_conditions(2.0 * GRID, 1.0, GRID)
     assert np.array_equal(scan.mu, 2.0 * GRID)
     assert np.array_equal(scan.rho, np.ones(GRID.shape))
 
 
-def test_scalar_only_callables_are_refused():
-    def rho(r):
-        return -2.0 if r >= 3.0 else 0.5
+@pytest.mark.parametrize("value", [lambda r: 2.0 * r, "dense", None, {"mu": 1.0}],
+                         ids=["callable", "string", "none", "dict"])
+def test_callables_and_non_numbers_are_refused(value):
+    with pytest.raises(BadParams, match="must be numbers"):
+        scan_conditions(value, 0.0, GRID)
+    with pytest.raises(BadParams, match="must be numbers"):
+        scan_conditions(1.0, value, GRID)
 
-    with pytest.raises(BadParams, match="whole grid array"):
-        scan_conditions(1.0, rho, GRID)
-    with pytest.raises(BadParams, match="whole grid array"):
-        scan_conditions(lambda r: float(r), 0.0, GRID)
 
-
-def test_precomputed_arrays_match_callables():
+def test_precomputed_arrays_pass_through():
     mu = np.array([1.0, 1.0, 1.0])
     rho = np.array([0.5, 0.5, -2.0])
     scan = scan_conditions(mu, rho, GRID)
@@ -87,8 +77,8 @@ def test_precomputed_arrays_match_callables():
 
 
 def test_stellar_model_scan_uses_array_evaluators(const_star):
-    grid = np.linspace(const_star.profile.r_start, 0.999 * const_star.r_b, 64)
-    scan = scan_model(const_star, grid=grid)
+    scan = scan_model(const_star, n=64)
+    grid = scan.grid
     assert np.array_equal(scan.mu, const_star.mu(grid))
     assert np.array_equal(scan.rho, const_star.rho(grid))
     # the scalar branch of the model's evaluators, one float per point
@@ -117,7 +107,7 @@ def test_rejects_bad_grids():
     with pytest.raises(DomainError):
         scan_conditions(1.0, 0.0, np.array([]))
     with pytest.raises(DomainError):
-        scan_conditions(lambda r: float("nan"), 0.0, GRID)
+        scan_conditions(float("nan"), 0.0, GRID)
 
 
 def test_json_shape():
@@ -161,10 +151,19 @@ def test_stellar_model_scan(const_star):
     assert scan.grid[-1] < const_star.r_b
 
 
-def test_explicit_grid_overrides(const_star):
-    grid = np.array([1.0, 2.0])
-    scan = scan_model(const_star, grid=grid)
+def test_point_count_sets_the_grid(const_star):
+    scan = scan_model(const_star, n=2)
     assert scan.grid.size == 2 and scan.dec
+    assert scan.grid[0] == const_star.profile.r_start
+
+
+@pytest.mark.parametrize("source", ["wyman", "witten"])
+def test_catalog_scan_arrays_are_the_model_on_its_grid(source, request):
+    # test_stellar_model_scan_uses_array_evaluators holds a TOV star to this
+    model = request.getfixturevalue(source)
+    scan = scan_model(model)
+    assert np.array_equal(scan.mu, model.mu(scan.grid))
+    assert np.array_equal(scan.rho, model.rho(scan.grid))
 
 
 def test_unknown_model_type():

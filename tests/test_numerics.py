@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
-from staticstar import catalog, conformal, numerics, tov
+from staticstar import catalog, conformal, energy, geometry, numerics, quasilocal, tov
 from staticstar.errors import BadParams, DomainError, StaticStarError, StepFailure
 from staticstar.numerics import (
     RadialFunction,
@@ -29,6 +29,43 @@ from staticstar.numerics import (
 def test_deliberate_refusals_are_bad_params(refused):
     with pytest.raises(BadParams):
         refused()
+
+
+VACUUM = "schwarzschild_exterior:M=1"
+POSITIVE_FIELD = conformal.BasicInvariant(1.0, (0.0,) * 3, (1.0, 0.0, 0.0))  # |x|^2 + 1
+TWO_POINTS = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: quasilocal.level_set_data(catalog.parse_model_spec(VACUUM), 0.5, grid_n=0),
+    lambda: quasilocal.level_set_data(catalog.parse_model_spec(VACUUM), 0.5, grid_n=1),
+    lambda: quasilocal.level_set_data(catalog.parse_model_spec(VACUUM), 0.5, grid_n=64.0),
+    lambda: quasilocal.mass_sweep(catalog.parse_model_spec(VACUUM), [0.5], grid_n=0),
+    lambda: quasilocal.mass_sweep(catalog.parse_model_spec(VACUUM), [0.5], grid_n=1),
+    lambda: geometry.sectional_conformal(POSITIVE_FIELD.as_field(), TWO_POINTS, 0, 1),
+    lambda: conformal.basic_invariant_eval(TWO_POINTS, POSITIVE_FIELD),
+    lambda: chebyshev_grid(0.0, 1.0, 2.5),
+    lambda: chebyshev_grid(0.0, 1.0, True),
+    lambda: tov.SolverOptions(grid_n=8.5),
+    lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=2.5),
+    lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=-1),
+], ids=["level-set-grid-0", "level-set-grid-1", "level-set-float-grid", "sweep-grid-0",
+        "sweep-grid-1", "sectional-batch", "invariant-eval-batch", "chebyshev-float-n",
+        "chebyshev-bool-n", "solver-float-grid", "scan-float-n", "scan-negative-n"])
+def test_library_edges_refuse_bad_sizes_and_shapes(refused):
+    """Grid sizes that are not integers of the documented least size (2, or 1
+    for an energy-condition scan), and a batch where one point is documented,
+    are BadParams, not a raw IndexError, TypeError or ValueError and not a
+    wrong answer."""
+    with pytest.raises(BadParams):
+        refused()
+
+
+def test_two_point_scan_finds_the_vacuum_sphere():
+    """The smallest admissible scan still brackets f = c: sqrt(1 - 2/r) = 0.5
+    at r = 8/3."""
+    (rep,) = quasilocal.level_set_data(catalog.parse_model_spec(VACUUM), 0.5, grid_n=2)
+    assert rep.r == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
 def test_scalar_field_compose_chain_rule():

@@ -43,8 +43,7 @@ def test_condition_implications(pairs):
     grid = np.arange(1.0, 1.0 + len(pairs))
     mu = np.array([p[0] for p in pairs])
     rho = np.array([p[1] for p in pairs])
-    scan = scan_conditions(lambda r: mu[(r - 1.0).astype(int)],
-                           lambda r: rho[(r - 1.0).astype(int)], grid)
+    scan = scan_conditions(mu, rho, grid)
     assert (not scan.dec) or scan.wec
     assert (not scan.wec) or scan.nec
     if not (scan.nec and scan.wec and scan.dec):
@@ -128,21 +127,25 @@ def test_lapse_ode_is_linear(f0, fp0, scale):
         domain=(-1.0 + 1e-9, math.inf),
     )
     span = (0.0, 2.0)
+
+    def whole_span(ic):
+        """The lapse with data ic, or None when it crosses zero in the span:
+        truncated (or, at the left end, refused), it is not comparable."""
+        try:
+            f = conformal.solve_lapse(phi, 3, span, ic)
+        except conformal.SignLoss:
+            return None
+        return None if f.domain[1] < span[1] else f
+
     base = conformal.solve_lapse(phi, 3, span, (1.0, 0.25))
     if f0 <= 0.0:
         return   # starts at or below zero: no lapse to superpose
-    try:
-        other = conformal.solve_lapse(phi, 3, span, (f0, fp0),
-                                      on_sign_loss="raise")
-    except conformal.SignLoss:
-        return   # crosses zero inside the span: truncated, not comparable
+    other = whole_span((f0, fp0))
     combined_ic = (1.0 + scale * f0, 0.25 + scale * fp0)
-    if combined_ic[0] <= 0.0:
+    if other is None or combined_ic[0] <= 0.0:
         return   # the combined lapse may start non-positive: skip quietly
-    try:
-        combined = conformal.solve_lapse(phi, 3, span, combined_ic,
-                                         on_sign_loss="raise")
-    except conformal.SignLoss:
+    combined = whole_span(combined_ic)
+    if combined is None:
         return
     for u in (0.5, 1.5):
         want = base.value(u) + scale * other.value(u)

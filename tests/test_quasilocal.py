@@ -233,14 +233,13 @@ class TestConformalLevels:
         assert "umbilical_spread" in d and "grad_constancy" in d
 
     def test_dimension_gate(self):
-        m = conformal.build_model("witten", n=4, span=(0.0, 4.0), run_checks=False)
+        m = conformal.build_model("witten", n=4, span=(0.0, 4.0))
         with pytest.raises(DomainError):
             level_set_data(m, 0.3)
 
     def test_needs_spherical_invariant(self):
         inv = conformal.BasicInvariant(0.0, (1.0, 0.0, 0.0), (0.0,) * 3)
-        m = conformal.build_model("unit", n=3, invariant=inv,
-                                  span=(0.0, 4.0), run_checks=False)
+        m = conformal.build_model("unit", n=3, invariant=inv, span=(0.0, 4.0))
         with pytest.raises(DomainError):
             level_set_data(m, 0.5)
 
@@ -297,8 +296,10 @@ def _fd_conformal_hessian(phi: ScalarField, f: ScalarField, x):
 class TestBatchedShapeOperator:
     @pytest.fixture(scope="class")
     def model(self):
+        # OFF_CENTRE's level spheres exist for u >= -C/(4 tau) = 0.46, and the
+        # construction checks sample the whole span
         return conformal.build_model(SQRT_ONE_PLUS_U, n=3, invariant=OFF_CENTRE,
-                                     ic=(1.0, 0.2), span=(0.0, 12.0), run_checks=False)
+                                     ic=(1.0, 0.2), span=(0.5, 12.0))
 
     @pytest.fixture(scope="class")
     def points(self):
