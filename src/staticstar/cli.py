@@ -104,7 +104,7 @@ def _cmd_tov(args, cfg: RunConfig) -> int:
         "r_b": model.r_b,
         "mass": model.mass,
         "f_center": float(model.f(prof.r_start)),
-        "samples": int(prof.samples.shape[0]),
+        "samples": prof.grid_n,
         "negative_density_seen": prof.negative_density_seen,
         "out": args.out,
     }

@@ -15,6 +15,7 @@ import configparser
 from dataclasses import dataclass, fields, replace
 
 from .errors import BadParams
+from .numerics import check_grid_n
 
 CONFIG_SECTION = "staticstar"
 
@@ -34,8 +35,7 @@ class RunConfig:
         for name in ("abs_tol", "rel_tol"):
             if not getattr(self, name) > 0.0:
                 raise BadParams(f"{name} must be positive, got {getattr(self, name)}")
-        if self.grid_n < 8:
-            raise BadParams(f"grid_n must be at least 8, got {self.grid_n}")
+        check_grid_n(self.grid_n, 8)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

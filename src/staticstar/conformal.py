@@ -493,8 +493,9 @@ def build_model(
     presets ``"witten"`` (phi = sqrt(1+u), closed-form lapse — no integration)
     and ``"unit"`` (phi = 1, affine lapse).  ``ic = (f, f')`` at ``span[0]``;
     preset defaults: witten (0, sqrt(n-2)/2) — the pure-sine solution — and
-    unit (1, 0).  A ``span`` that is not finite and increasing, a non-finite
-    ``lam`` or a non-finite ``ic`` is BadParams.
+    unit (1, 0).  A ``span`` that is not finite and increasing, or that
+    starts below the invariant's range u >= -C/(4 tau) (tau > 0), a
+    non-finite ``lam`` or a non-finite ``ic`` is BadParams.
 
     Construction always runs four independent validations (a degenerate
     invariant, whose fluid is the vacuum pair, runs none): the lapse-ODE
@@ -517,6 +518,10 @@ def build_model(
         raise BadParams(f"span must be finite and increasing, got {span}")
     if not all(map(math.isfinite, (lam, *(ic or ())))):
         raise BadParams(f"lam and ic must be finite, got lam={lam}, ic={ic}")
+    disc = 4.0 * invariant.tau * u0 + invariant.C
+    if invariant.tau > 0.0 and disc < 0.0:
+        raise BadParams(f"span starts at u = {u0}, below the invariant's range "
+                        f"u >= -C/(4 tau): its level set is empty, 4 tau u + C = {disc} < 0")
     label = phi if isinstance(phi, str) else "custom"
 
     if invariant.degenerate:

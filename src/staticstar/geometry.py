@@ -253,8 +253,9 @@ def _radial_chart(ansatz, r):
     e = 1/a = |grad r|_g.
 
     SchwarzschildForm is a = e^{gamma/2}, b = r; WarpedProduct is a = 1,
-    b = phi.  This is the one place the two are told apart: the radial
-    quantities below are written once in proper distance s, where d/ds =
+    b = phi.  This is where the two are told apart for curvature (a
+    coordinate sphere reads the first-order part, :func:`_sphere_chart`): the
+    radial quantities below are written once in proper distance s, where d/ds =
     e d/dr, so that f_s = e f' and f_ss = e^2 f'' + e e' f'.  1 - b_s^2 is
     formed here in each chart's own terms, -expm1(-gamma) and 1 - phi'^2:
     near a regular centre gamma ~ r^2, and 1 - e^{-gamma} formed as a
@@ -271,6 +272,20 @@ def _radial_chart(ansatz, r):
         b1 = np.asarray(phi.d1(r), dtype=float)
         return (np.asarray(phi.value(r), dtype=float), b1,
                 np.asarray(phi.d2(r), dtype=float), 1.0, 0.0, 1 - b1**2)
+    raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
+
+
+def _sphere_chart(ansatz, r):
+    """(b, b', e^2) of a radial chart at r: the first-order part of
+    :func:`_radial_chart`, all a coordinate sphere reads.  It evaluates gamma
+    of a SchwarzschildForm, or phi and phi' of a WarpedProduct, and no
+    derivative beyond those."""
+    r = np.asarray(r, dtype=float)
+    if isinstance(ansatz, SchwarzschildForm):
+        return r, 1.0, np.exp(-np.asarray(ansatz.gamma.value(r), dtype=float))
+    if isinstance(ansatz, WarpedProduct):
+        phi = ansatz.phi
+        return np.asarray(phi.value(r), dtype=float), np.asarray(phi.d1(r), dtype=float), 1.0
     raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
 
 
@@ -611,7 +626,7 @@ def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, flo
         return s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds
     if u <= 0.0:
         raise DomainError("coordinate sphere needs r > 0")
-    b, b1, _, e2, _, _ = (float(v) for v in _radial_chart(ansatz, u))
+    b, b1, e2 = (float(v) for v in _sphere_chart(ansatz, u))
     if b <= 0.0:
         raise DomainError(f"non-positive areal radius {b} at r={u}")
     e = math.sqrt(e2)

@@ -510,16 +510,16 @@ def _rms(x):
 
 
 def _rk_step(fun, t, y, f, h, K, KT):
-    """One Dormand–Prince step; the stages land in ``K``, the last one f(t + h, y_new).
-    ``KT[s]`` is the view K[:s].T, made once per solve since K is reused."""
+    """One Dormand–Prince step: y_new.  Each stage's right-hand side is written
+    straight into its row of ``K``, the last one f(t + h, y_new); ``KT[s]`` is
+    the view K[:s].T, made once per solve since K is reused.  The products are
+    ``ndarray.dot``, which is ``np.dot`` without its dispatch call."""
     K[0] = f
     for s, c, a in _RK_STAGES:
-        dy = np.dot(KT[s], a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(KT[-2], _RK_B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+        K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
+    y_new = y + h * KT[-2].dot(_RK_B)
+    K[-1] = fun(t + h, y_new)
+    return y_new
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -530,7 +530,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
+    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -549,14 +549,14 @@ def _advance(fun, t, y, f, h_abs, t_bound, rtol, atol, K, KT):
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
         h_abs = abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
+        y_new = _rk_step(fun, t, y, f, h, K, KT)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.dot(KT[-1], _RK_E) * h / scale)
+        error_norm = _rms(KT[-1].dot(_RK_E) * h / scale)
         if error_norm < 1:
             factor = _MAX_FACTOR if error_norm == 0 else min(
                 _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            # after a rejection the step may not grow
-            return t_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor)
+            # after a rejection the step may not grow; K is reused, so f_new is a copy
+            return t_new, y_new, K[-1].copy(), h_abs * (min(1, factor) if rejected else factor)
         h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
         rejected = True
     return None
@@ -595,12 +595,12 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     atol = np.asarray(atol)
     nfev = 0
 
-    def f(t, y):
+    def f(t, y):  # fun's own result: a tuple, list or array, made an array where it is needed
         nonlocal nfev
         nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
+        return fun(t, y)
 
-    f_cur = f(t0, y)
+    f_cur = np.asarray(f(t0, y), dtype=float)
     h_abs = _initial_step(f, t0, y, t_bound, f_cur, rtol, atol)
     K = np.empty((len(_RK_C) + 1, y.size))
     KT = [K[:s].T for s in range(len(K) + 1)]
@@ -629,7 +629,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
                 powers = [x]  # x, x^2, ... as a running product, as cumprod forms them
                 for _ in range(Q.shape[1] - 1):
                     powers.append(powers[-1] * x)
-                out = h * np.dot(Q, powers)
+                out = h * Q.dot(powers)
                 out += y_old
                 return out
 

@@ -269,23 +269,26 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled interior solution plus dense evaluators.
+    """Dense interior solution, with a sample table built on first read.
 
-    ``samples`` is a (n, 7) float array with columns ``CSV_COLUMNS``
-    (r, m, mu, rho, exp_neg_gamma, exp_v, f).  ``exp_neg_gamma`` is *defined*
-    as 1 - 2 m(r)/r.  ``v_free_fn`` is the lapse potential up to its additive
-    constant and ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.
-    ``r_start`` is the first row's radius (``R_START`` after integrate_tov),
-    and ``lapse_normalized`` is read off the table as a last f of 1.  Dense
-    evaluation between samples reads a piecewise polynomial
+    ``v_free_fn`` is the lapse potential up to its additive constant and
+    ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.  ``r_start``
+    is the innermost radius (``R_START`` after integrate_tov).  Dense
+    evaluation reads a piecewise polynomial
     (:class:`~staticstar.numerics.PiecewisePoly`): the integrator's own dense
     output after :func:`integrate_tov`, cubic splines after
     :func:`profile_from_csv`; the public interpolation contract is cubic
-    either way.  The evaluators
-    take a float or an ndarray of radii.
+    either way.  The evaluators take a float or an ndarray of radii.
+
+    ``samples`` is a (grid_n, 7) float array with columns ``CSV_COLUMNS``
+    (r, m, mu, rho, exp_neg_gamma, exp_v, f); ``exp_neg_gamma`` is *defined*
+    as 1 - 2 m(r)/r.  A profile read from CSV keeps its ``rows`` as read,
+    ``grid_n`` of them.  Otherwise the table samples the dense evaluators on the Chebyshev grid of
+    ``grid_n`` points over [r_start, r_end] the first time ``samples``,
+    :meth:`column` or :func:`profile_to_csv` reads it, and keeps it; an EOS
+    that refuses a sampled density raises there, not in integrate_tov.
     """
 
-    samples: np.ndarray
     eos: EquationOfState
     rho_center: float
     r_start: float
@@ -295,10 +298,17 @@ class RadialProfile:
     v_free_fn: Callable
     v_shift: float
     surface_event_r: float | None = None
+    grid_n: int = 512
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.r_start <= 0.0:
             raise BadParams("profiles start at r_start > 0")
+
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """The (grid_n, 7) table: the CSV rows, or built on this first read and kept."""
+        return self.rows if self.rows is not None else _sample_table(self)
 
     @property
     def surface_tol(self) -> float:
@@ -308,13 +318,18 @@ class RadialProfile:
     @property
     def lapse_normalized(self) -> bool:
         """The lapse is pinned by f(r_end) = 1, not at a surface."""
-        return bool(self.column("f")[-1] == 1.0)
+        f_end = self.rows[-1, 6] if self.rows is not None else self.f(self.r_end)
+        return bool(f_end == 1.0)
 
     @property
     def negative_density_seen(self) -> bool:
         """Advisory: a sampled rho lies below -surface_tol.  The surface root's
         own sign is round-off, so only densities past the threshold count."""
-        return bool(np.any(self.column("rho") < -self.surface_tol))
+        rho = self.rows[:, 3] if self.rows is not None else self.rho_fn(self._grid())
+        return bool(np.any(rho < -self.surface_tol))
+
+    def _grid(self) -> np.ndarray:
+        return chebyshev_grid(self.r_start, self.r_end, self.grid_n)
 
     # -- dense evaluators -----------------------------------------------------
 
@@ -338,6 +353,16 @@ class RadialProfile:
 
     def column(self, name: str) -> np.ndarray:
         return self.samples[:, CSV_COLUMNS.index(name)]
+
+
+def _sample_table(profile: RadialProfile) -> np.ndarray:
+    """The ``CSV_COLUMNS`` table of a dense profile on its Chebyshev grid."""
+    grid = profile._grid()
+    rho, m = profile.rho_fn(grid), profile.m_fn(grid)
+    v = profile.v_free_fn(grid) + profile.v_shift
+    return np.column_stack(
+        (grid, m, profile.eos.mu(rho), rho, 1.0 - 2.0 * m / grid, np.exp(v), np.exp(0.5 * v))
+    )
 
 
 def _scalar(x) -> bool:
@@ -384,18 +409,20 @@ def integrate_tov(
     """Integrate the interior system outward from the regular center.
 
     Runs until the surface event (rho crossing zero from above), the horizon
-    guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile is
-    sampled on a Chebyshev grid of ``options.grid_n`` points and keeps the
-    integrator's dense output, as one piecewise polynomial, for later
-    refinement, the lapse potential included.  The lapse is pinned where the
-    integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface event, or
-    else v(r_end) = 0, flagged ``lapse_normalized``.
+    guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile
+    holds the integrator's dense output, one piecewise polynomial per
+    component, the lapse potential included, and the lapse constant, pinned
+    where the integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface
+    event, or else v(r_end) = 0, flagged ``lapse_normalized``.  It samples
+    nothing: its table of ``options.grid_n`` Chebyshev rows is built when
+    first read (:class:`RadialProfile`).
 
     Raises BadParams for a non-finite rho_center, CenterSingularity if the
     EOS cannot be evaluated there, HorizonHit (also for a surface event
     inside the horizon) or StepFailure as described, DomainError where the
     EOS gives a non-finite mu along the way, and lets Tabulated range errors
-    propagate as DomainError.
+    propagate as DomainError.  A density the integrator never passed to the
+    EOS but the table samples is refused where the table is read.
     """
     opts = options or SolverOptions()
     rho_c = float(rho_center)
@@ -454,17 +481,8 @@ def integrate_tov(
         surface_r = float(sol.t_events[1][0])
     r_end = float(sol.t[-1])
 
-    dense = sol.dense
-    rho_fn, m_fn, v_free_fn = (dense.component(i) for i in range(3))
-    grid = chebyshev_grid(R_START, r_end, opts.grid_n)
-    rho, m, v_free = dense(grid).T
-    shift = _lapse_shift(m_fn, v_free_fn, r_end, surface_r)
-    v = v_free + shift
-    samples = np.column_stack(
-        (grid, m, eos.mu(rho), rho, 1.0 - 2.0 * m / grid, np.exp(v), np.exp(0.5 * v))
-    )
+    rho_fn, m_fn, v_free_fn = (sol.dense.component(i) for i in range(3))
     return RadialProfile(
-        samples=samples,
         eos=eos,
         rho_center=rho_c,
         r_start=R_START,
@@ -472,8 +490,9 @@ def integrate_tov(
         rho_fn=rho_fn,
         m_fn=m_fn,
         v_free_fn=v_free_fn,
-        v_shift=shift,
+        v_shift=_lapse_shift(m_fn, v_free_fn, r_end, surface_r),
         surface_event_r=surface_r,
+        grid_n=opts.grid_n,
     )
 
 
@@ -500,13 +519,16 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
     the vacuum exterior, e^{v(r_b)} = 1 - 2 m(r_b)/r_b (HorizonHit if that
     is not positive).  Without one, f is normalized to 1 at the outer end
     ``r_end`` of the profile and the result is flagged ``lapse_normalized``.
-    The ``exp_v`` and ``f`` sample columns follow the new constant.
+    The ``exp_v`` and ``f`` columns of rows read from CSV follow the new
+    constant; a dense profile's table is built from it when read.
     """
     shift = _lapse_shift(profile.m_fn, profile.v_free_fn, profile.r_end, r_b)
-    samples = profile.samples.copy()
-    v = profile.v_free_fn(samples[:, 0]) + shift
-    samples[:, 5], samples[:, 6] = np.exp(v), np.exp(0.5 * v)
-    return dataclasses.replace(profile, samples=samples, v_shift=shift)
+    rows = profile.rows
+    if rows is not None:
+        rows = rows.copy()
+        v = profile.v_free_fn(rows[:, 0]) + shift
+        rows[:, 5], rows[:, 6] = np.exp(v), np.exp(0.5 * v)
+    return dataclasses.replace(profile, v_shift=shift, rows=rows)
 
 
 # ----------------------------------------------------------------------------
@@ -681,10 +703,15 @@ def volkoff_gamma(c: float, k: float, r):
 
 
 def profile_to_csv(profile: RadialProfile, path) -> None:
-    """Write the sample table with a header row and round-trip floats."""
+    """Write the sample table with a header row and round-trip floats.
+
+    The table is built before the file is opened, so an EOS that refuses a
+    sampled density leaves no partial file.
+    """
+    samples = profile.samples
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in profile.samples:
+        for row in samples:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
@@ -710,7 +737,6 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
     else:
         v_free = cubic_spline(r, _lapse_rate(r, rho, m)).antiderivative()
     profile = RadialProfile(
-        samples=data,
         eos=eos if eos is not None else Custom(lambda rho: float("nan"), "csv"),
         rho_center=float(rho[0]),
         r_start=float(r[0]),
@@ -719,6 +745,8 @@ def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
         m_fn=cubic_spline(r, m),
         v_free_fn=v_free,
         v_shift=0.0,
+        grid_n=len(data),
+        rows=data,
     )
     if profile.rho_center != 0.0 and abs(rho[-1]) <= profile.surface_tol:
         profile = dataclasses.replace(profile, surface_event_r=profile.r_end)

@@ -259,6 +259,8 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
         ("build", "--phi", "witten", "--span", "5,1"),
         ("build", "--phi", "witten", "--span", "0,nan"),
         ("build", "--phi", "unit", "--span", "0,inf"),
+        # a span starting below u = -C/(4 tau), where witten's level sets are empty
+        ("build", "--phi", "witten", "--span=-0.5,5"),
         # a non-finite level, or a scan window that is not finite and increasing
         ("mass", "--model", "schwarzschild_exterior", "--level", "0.6", "--window", "5,1"),
         ("mass", *STAR, "--level", "0.6", "--window", "1,inf"),
@@ -286,6 +288,12 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
 def test_malformed_spec_is_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1 and err.startswith("error: ")
+
+
+def test_a_small_grid_is_refused_in_the_library_edges_words(capsys):
+    code, _, err = run(capsys, "tov", *STAR, "--grid-n", "4")
+    assert code == 1
+    assert err == "error: a grid needs an integer number of points, at least 8; got 4\n"
 
 
 def test_unknown_parameter_names_the_accepted_ones(capsys):

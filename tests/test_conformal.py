@@ -386,3 +386,16 @@ class TestBuildModel:
             build_model("spiral", n=3)
         with pytest.raises(BadParams):
             build_model("witten", n=3, invariant=BasicInvariant(1.0, (0.0,) * 2, (0.0,) * 2))
+
+    def test_span_below_the_invariants_range(self):
+        # |x|^2 >= 0: no level set below u = 0, where witten's phi is still defined
+        with pytest.raises(BadParams, match="below the invariant's range"):
+            build_model("witten", n=3, span=(-0.5, 5.0))
+        # C = 0.61, so the level spheres are empty below u = -C/(4 tau) = -0.1525
+        shifted = BasicInvariant(1.0, (0.4, -0.2, 0.1), (0.0, 0.0, -0.1))
+        with pytest.raises(BadParams):
+            build_model("witten", n=3, invariant=shifted, span=(-0.2, 5.0))
+        assert build_model("unit", n=3, invariant=shifted, span=(-0.15, 5.0)).domain[0] == -0.15
+        # a degenerate invariant has no range to leave
+        flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
+        assert build_model("unit", n=3, invariant=flat, span=(-0.5, 5.0)).domain == (-0.5, 5.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from staticstar import catalog, conformal, quasilocal
+from staticstar import catalog, conformal, quasilocal, tov
 from staticstar.errors import DomainError
 from staticstar.geometry import (
     EIGHT_PI,
@@ -15,6 +15,7 @@ from staticstar.geometry import (
     WarpedProduct,
     conformal_curvature,
     conformal_hessian,
+    _radial_chart,
     _radial_frame,
     conservation_residual,
     coordinate_sphere,
@@ -368,6 +369,45 @@ def test_residuals_hold_near_a_regular_centre(model_id, radius):
 # ---------------------------------------------------------------------------
 # level spheres of the conformal chart
 # ---------------------------------------------------------------------------
+
+
+def _sphere_from_full_chart(ansatz, r):
+    """(b, H, e) from all of the chart's data, as coordinate_sphere once read it."""
+    b, b1, _, e2, _, _ = (float(v) for v in _radial_chart(ansatz, r))
+    e = math.sqrt(e2)
+    return b, 2.0 * e * b1 / b, e
+
+
+def _tov_star_ansatz():
+    profile = tov.integrate_tov(tov.ConstantDensity(0.001), 5e-4)
+    star = tov.match_exterior(profile, tov.detect_surface(profile))
+    return SchwarzschildForm(star.gamma_function()), star.r_b
+
+
+@pytest.mark.parametrize("chart", ["tov", "wyman", "witten_stellar"])
+def test_coordinate_sphere_reads_first_order_data_only(chart):
+    """Bit for bit the sphere of the full chart data, with every derivative
+    beyond gamma, phi and phi' made to raise."""
+    if chart == "tov":
+        ansatz, r_b = _tov_star_ansatz()
+        radii = [1e-3, 0.5, 0.9 * r_b, r_b, 3.0 * r_b]
+    else:
+        ansatz = catalog.build(chart).pieces[0].ansatz
+        radii = [0.05, 0.3, 0.7, 1.2]
+
+    def refuse(r):
+        raise AssertionError("a derivative the sphere does not read")
+
+    if isinstance(ansatz, SchwarzschildForm):
+        g = ansatz.gamma
+        first_order = SchwarzschildForm(RadialFunction(g.value, refuse, refuse, domain=g.domain))
+    else:
+        p = ansatz.phi
+        first_order = WarpedProduct(RadialFunction(p.value, p.d1, refuse, domain=p.domain))
+    for r in radii:
+        got = coordinate_sphere(first_order, r)
+        assert got == _sphere_from_full_chart(ansatz, r)
+        assert all(type(x) is float for x in got)
 
 
 def test_conformal_sphere_matches_the_warped_chart():

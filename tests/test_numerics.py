@@ -8,6 +8,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from staticstar import catalog, conformal, energy, geometry, numerics, quasilocal, tov
+from staticstar.config import RunConfig
 from staticstar.errors import BadParams, DomainError, StaticStarError, StepFailure
 from staticstar.numerics import (
     RadialFunction,
@@ -47,11 +48,13 @@ TWO_POINTS = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
     lambda: chebyshev_grid(0.0, 1.0, 2.5),
     lambda: chebyshev_grid(0.0, 1.0, True),
     lambda: tov.SolverOptions(grid_n=8.5),
+    lambda: RunConfig(grid_n=8.5),
     lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=2.5),
     lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=-1),
 ], ids=["level-set-grid-0", "level-set-grid-1", "level-set-float-grid", "sweep-grid-0",
         "sweep-grid-1", "sectional-batch", "invariant-eval-batch", "chebyshev-float-n",
-        "chebyshev-bool-n", "solver-float-grid", "scan-float-n", "scan-negative-n"])
+        "chebyshev-bool-n", "solver-float-grid", "config-float-grid", "scan-float-n",
+        "scan-negative-n"])
 def test_library_edges_refuse_bad_sizes_and_shapes(refused):
     """Grid sizes that are not integers of the documented least size (2, or 1
     for an energy-condition scan), and a batch where one point is documented,
@@ -411,6 +414,26 @@ def test_solve_ivp_is_scipy_rk45_bit_for_bit(case):
         assert got.status == -1 and want.t[-1] < 1.0
     if "event" in case:
         assert got.status == 1
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+def test_solve_ivp_takes_fun_results_as_tuple_list_or_array(wrap):
+    """The stage rows take fun's result as it comes: every container gives the
+    bits of scipy's solve, whose fun returns an ndarray."""
+
+    def fun(t, y):
+        return wrap((y[1], -y[0] - 0.1 * y[1] * abs(y[1])))
+
+    def crossing(t, y):
+        return y[0] + 0.5
+
+    events = (_terminal(crossing, -1.0),)
+    got = numerics.solve_ivp(fun, (0.0, 20.0), (1.0, 0.0), rtol=1e-8, atol=1e-10, events=events)
+    want = scipy_solve_ivp(lambda t, y: np.array(fun(t, y)), (0.0, 20.0), (1.0, 0.0),
+                           method="RK45", dense_output=True, rtol=1e-8, atol=1e-10, events=events)
+    assert got.status == want.status == 1 and got.nfev == want.nfev
+    assert _same_bits(got.t, want.t) and _same_bits(got.t_events[0], want.t_events[0])
+    assert _same_bits(got.dense.c, _scipy_coefficients(want.sol))
 
 
 def test_a_collapsed_step_is_a_step_failure(monkeypatch):

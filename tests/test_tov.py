@@ -11,6 +11,7 @@ few radii; the solver at default tolerances lands within ~3e-7 of them.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -25,6 +26,8 @@ from staticstar.errors import (
     NoSurface,
 )
 from staticstar import tov
+from staticstar.cli import main
+from staticstar.numerics import PiecewisePoly, chebyshev_grid
 
 from fd import fd_derivative
 
@@ -446,7 +449,7 @@ class TestCarriedLapse:
         samples = raw.samples.copy()
         samples[:, 5:] = np.nan
         path = tmp_path / "raw.csv"
-        tov.profile_to_csv(dataclasses.replace(raw, samples=samples), path)
+        tov.profile_to_csv(dataclasses.replace(raw, rows=samples), path)
         back = tov.profile_from_csv(path)
         assert back.surface_event_r == back.r_end and not back.lapse_normalized
         assert np.all(np.isfinite(back.samples))
@@ -493,3 +496,121 @@ def test_spec_rejects_malformed_table(tmp_path, body):
     path.write_text("rho,mu\n" + body)
     with pytest.raises(BadParams):
         tov.EquationOfState.from_spec(f"table:{path}")
+
+
+# --- the sample table, built on first read ------------------------------------
+
+def _eager_table(profile):
+    """The table as integrate_tov used to sample it: the three-component dense
+    output on the Chebyshev grid in one call, then the lapse columns."""
+    dense = PiecewisePoly(np.stack([fn.c for fn in (profile.rho_fn, profile.m_fn,
+                                                    profile.v_free_fn)], axis=-1),
+                          profile.rho_fn.x)
+    grid = chebyshev_grid(tov.R_START, profile.r_end, profile.grid_n)
+    rho, m, v_free = dense(grid).T
+    v = v_free + profile.v_shift
+    return np.column_stack((grid, m, profile.eos.mu(rho), rho, 1.0 - 2.0 * m / grid,
+                            np.exp(v), np.exp(0.5 * v)))
+
+
+def _table_eos(rho_lo, rho_hi, rows, mu_of):
+    rho = np.linspace(rho_lo, rho_hi, rows)
+    return tov.Tabulated(rho, mu_of(rho))
+
+
+def _twin_table_file(tmp_path):
+    """A ``table:`` EOS of the workhorse star, mu = 0.001 on 40 rows."""
+    path = tmp_path / "twin.csv"
+    rho = np.linspace(-5e-4, 7.5e-4, 40)
+    path.write_text("rho,mu\n" + "".join(f"{float(r)!r},0.001\n" for r in rho))
+    return f"table:{path}"
+
+
+# the EOS shapes of the benchmark's tov_stars pass, a Custom EOS and a run
+# stopped by r_max
+TABLE_STARS = {
+    "constant": (tov.ConstantDensity(0.0015), 8e-4, {}),
+    "table-twin": (_table_eos(-8e-4, 1.2e-3, 40, lambda r: np.full(r.shape, 0.0015)), 8e-4, {}),
+    "bag": (_table_eos(-3.5e-4, 5.25e-4, 60, lambda r: 3.0 * r + 4e-4), 3.5e-4, {}),
+    "soft-grid-64": (_table_eos(-2e-4, 3e-4, 60, lambda r: np.sqrt(np.maximum(r, 0.0) / 100.0)),
+                     2e-4, {"grid_n": 64}),
+    "custom": (tov.Custom(lambda rho: 1e-3 + 0.5 * rho, "linear"), 5e-4, {}),
+    "stopped-at-r-max": (tov.ConstantDensity(0.001), 5e-4, {"r_max": 5.0}),
+}
+
+
+@pytest.mark.parametrize("star", sorted(TABLE_STARS))
+def test_table_on_first_read_is_the_eager_table(star):
+    eos, rho_c, options = TABLE_STARS[star]
+    profile = tov.integrate_tov(eos, rho_c, tov.SolverOptions(**options))
+    assert "samples" not in vars(profile)  # integrate_tov sampled nothing
+    table = profile.samples
+    want = _eager_table(profile)
+    assert table.shape == (profile.grid_n, 7)
+    assert table.tobytes() == want.tobytes()
+    assert profile.samples is table  # built once, then kept
+    # the flags read the dense solution, and agree with the table
+    assert profile.negative_density_seen == bool(np.any(want[:, 3] < -profile.surface_tol))
+    assert profile.lapse_normalized == bool(want[-1, 6] == 1.0)
+
+
+def test_tov_out_writes_the_eager_table(capsys, tmp_path):
+    path = tmp_path / "star.csv"
+    assert main(["tov", "--eos", "constant:c=0.001", "--rho-c", "0.0005", "--json",
+                 "--out", str(path)]) == 0
+    r_b = json.loads(capsys.readouterr().out)["r_b"]
+    profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
+    rows = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in _eager_table(profile))
+    assert path.read_bytes() == (",".join(tov.CSV_COLUMNS) + "\n" + rows).encode()
+    back = tov.profile_from_csv(path)
+    assert tov.detect_surface(back) == r_b
+
+
+@pytest.mark.parametrize("argv", [
+    ("mass", "--level", "0.6", "--json"),
+    ("mass", "--level", "0.5", "--level", "0.7", "--json"),
+    ("audit", "--json"),
+    ("tov", "--json"),
+])
+def test_requests_that_read_no_table_build_none(capsys, monkeypatch, tmp_path, argv):
+    def refuse(profile):
+        raise AssertionError("the sample table was built")
+
+    monkeypatch.setattr(tov, "_sample_table", refuse)
+    for eos in ("constant:c=0.001", _twin_table_file(tmp_path)):
+        assert main([*argv, "--eos", eos, "--rho-c", "0.0005"]) == 0
+        capsys.readouterr()
+
+
+def _narrowed_after_integration(monkeypatch):
+    """integrate_tov runs as it is; then its Tabulated EOS refuses densities
+    below half the central one, which the table's grid samples."""
+    integrate = tov.integrate_tov
+
+    def run(eos, rho_center, options=None):
+        profile = integrate(eos, rho_center, options)
+        eos.rho_min = 0.5 * rho_center
+        return profile
+
+    monkeypatch.setattr(tov, "integrate_tov", run)
+
+
+def test_a_refused_grid_density_raises_where_the_table_is_read(monkeypatch):
+    eos = _table_eos(-5e-4, 7.5e-4, 40, lambda r: np.full(r.shape, 0.001))
+    _narrowed_after_integration(monkeypatch)
+    profile = tov.integrate_tov(eos, 5e-4)
+    assert not profile.negative_density_seen and not profile.lapse_normalized
+    star = tov.match_exterior(profile, tov.detect_surface(profile))
+    assert star.mass == pytest.approx(MASS_EXACT, abs=5e-6)
+    with pytest.raises(DomainError, match="outside tabulated range"):
+        profile.samples
+    with pytest.raises(DomainError):
+        profile.column("mu")
+
+
+def test_a_refused_grid_density_leaves_no_partial_csv(capsys, monkeypatch, tmp_path):
+    _narrowed_after_integration(monkeypatch)
+    out = tmp_path / "star.csv"
+    code = main(["tov", "--eos", _twin_table_file(tmp_path), "--rho-c", "0.0005", "--out", str(out)])
+    assert code == 3 and "DomainError" in capsys.readouterr().err
+    assert not out.exists()
