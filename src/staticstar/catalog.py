@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import _witten_form
+from .conformal import witten_lapse
 from .errors import BadParams, UnknownModel
 from .geometry import (
     EIGHT_PI,
@@ -485,9 +485,6 @@ def witten_stellar(
     phi = RadialFunction.from_formula(np.tanh, domain)
     ansatz = WarpedProduct(phi)
 
-    def lapse(t):
-        return _witten_form(3, A, B, 2.0 * np.log(np.cosh(t)))
-
     def mu(t):
         return (1.0 + 5.0 / np.cosh(t) ** 2 - lam) / EIGHT_PI
 
@@ -495,7 +492,7 @@ def witten_stellar(
         s2 = 1.0 / np.cosh(t) ** 2
         return (-1.0 - s2 + 2.0 * s2 / np.tan(np.log(np.cosh(t)) + delta) + lam) / EIGHT_PI
 
-    f = RadialFunction.from_formula(lapse, domain)
+    f = RadialFunction.from_formula(lambda t: witten_lapse(3, A, B, t), domain)
     mu_phys = RadialFunction.from_formula(mu, domain)
     rho_phys = RadialFunction.from_formula(rho, domain)
     fluid = FluidData.from_physical(f, mu_phys, rho_phys, lam)

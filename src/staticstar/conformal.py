@@ -46,6 +46,7 @@ from .geometry import (
     _report,
     _spf_arrays_conformal,
     _spf_report_conformal,
+    to_physical,
 )
 from .numerics import (
     EPS_DOM,
@@ -221,12 +222,12 @@ def witten_lapse(n: int, A: float, B: float, r):
 
     L = 2 log(cosh r) and w = sqrt(n-2)/2.  (In the invariant variable
     u = sinh^2 r this is the Euler-equation solution with frequency
-    sqrt(n-2)/2 in log(1+u).)
+    sqrt(n-2)/2 in log(1+u).)  A float, an array or a :class:`Jet` passes
+    through; a float gives a float.
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
-    out = _witten_form(n, A, B, 2.0 * np.log(np.cosh(np.asarray(r, dtype=float))))
-    return float(out) if out.ndim == 0 else out
+    return _witten_form(n, A, B, 2.0 * np.log(np.cosh(r)))
 
 
 def _witten_u_lapse(n: int, A: float, B: float, domain) -> RadialFunction:
@@ -354,8 +355,7 @@ def density_pressure(
     cosmological constant split off: mu = (mu_geo - Lambda)/8 pi,
     rho = (rho_geo + Lambda)/8 pi.
     """
-    mu_geo, rho_geo = _geo_pair(phi, f, invariant, n, u)
-    return (mu_geo - lam) / EIGHT_PI, (rho_geo + lam) / EIGHT_PI
+    return to_physical(*_geo_pair(phi, f, invariant, n, u), lam)
 
 
 def pressure_closed_form(
@@ -441,10 +441,10 @@ class ConformalModel:
         return pair
 
     def mu(self, u):
-        return (self._geo(u)[0] - self.lam) / EIGHT_PI
+        return to_physical(*self._geo(u), self.lam)[0]
 
     def rho(self, u):
-        return (self._geo(u)[1] + self.lam) / EIGHT_PI
+        return to_physical(*self._geo(u), self.lam)[1]
 
     def rho_geo(self, u):
         return self._geo(u)[1]

@@ -114,12 +114,12 @@ def scan_model(model, n: int = 256) -> ConditionScan:
     (an integer of at least 1, else BadParams).
 
     Catalog models are scanned over each piece's verification window
-    (concatenated); TOV models over the interior (r_start, r_b).  Either
+    (concatenated); TOV models over the interior (R_START, r_b).  Either
     model's evaluators take the whole grid in one call each.
     """
     check_grid_n(n, 1)
     if hasattr(model, "profile"):  # tov.StellarModel
-        grid = np.linspace(model.profile.r_start, model.r_b * (1.0 - 1e-12), n)
+        grid = np.linspace(model.profile.R_START, model.r_b * (1.0 - 1e-12), n)
     elif hasattr(model, "pieces"):  # catalog.AnalyticModel
         grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
     else:

@@ -12,10 +12,10 @@ Everything geometric in this package is assembled from two building blocks:
 
 ODE solutions come from :func:`solve_ivp`, a step-for-step port of scipy's
 RK45 whose dense output is one :class:`PiecewisePoly`; tabulated data is
-fitted by :func:`pchip` and :func:`cubic_spline`.  All of it runs on numpy
-alone and returns scipy's floats (the splines to round-off), so the package
-needs no scipy at run time; the tests keep scipy as the oracle, and finite
-differences as the independent check of every derivative.
+fitted by :func:`pchip`.  All of it runs on numpy alone and returns scipy's
+floats, so the package needs no scipy at run time; the tests keep scipy as
+the oracle, and finite differences as the independent check of every
+derivative.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "max_rms",
     "PiecewisePoly",
     "pchip",
-    "cubic_spline",
     "OdeResult",
     "solve_ivp",
 ]
@@ -360,16 +359,6 @@ class PiecewisePoly:
         powers = np.arange(k, 0, -1).reshape((k,) + (1,) * (self.c.ndim - 1))
         return PiecewisePoly(self.c[:-1] * powers, self.x)
 
-    def antiderivative(self) -> "PiecewisePoly":
-        """The antiderivative that vanishes at x[0], continuous at every breakpoint."""
-        k = self.c.shape[0]
-        c = np.zeros((k + 1,) + self.c.shape[1:])
-        c[:-1] = self.c / np.arange(k, 0, -1).reshape((k,) + (1,) * (self.c.ndim - 1))
-        # each piece's constant is the integral over the pieces before it
-        widths = np.diff(self.x).reshape((-1,) + (1,) * (self.c.ndim - 2))
-        c[-1, 1:] = np.cumsum(_power_sums(c, widths)[:-1], axis=0)
-        return PiecewisePoly(c, self.x)
-
 
 def _hermite(x, y, slopes) -> PiecewisePoly:
     """The cubic through (x, y) with the given slopes, as scipy's ``CubicHermiteSpline``."""
@@ -407,44 +396,6 @@ def pchip(x, y) -> PiecewisePoly:
     steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
     d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(steep, 3.0 * m0, end))
     return _hermite(x, y, d)
-
-
-def cubic_spline(x, y) -> PiecewisePoly:
-    """Not-a-knot cubic spline through (x, y), as scipy's ``CubicSpline``.
-
-    The slopes solve scipy's tridiagonal system by plain elimination, so they
-    agree with scipy's pivoted banded solve to round-off, not bit for bit.
-    Raises BadParams unless ``x`` is strictly increasing and finite.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    dx = np.diff(x)
-    if x.size < 2 or not (np.all(dx > 0.0) and np.all(np.isfinite(x))):
-        raise BadParams("a spline needs at least 2 strictly increasing, finite abscissae")
-    slope = np.diff(y) / dx
-    n = x.size
-    if n == 2:
-        return _hermite(x, y, np.array([slope[0], slope[0]]))
-    if n == 3:  # not-a-knot at both ends: the parabola through the points
-        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2.0 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
-        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-        return _hermite(x, y, np.linalg.solve(a, b))
-    lower = np.concatenate(([0.0], dx[1:], [x[-1] - x[-3]])).tolist()
-    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
-    upper = np.concatenate(([x[2] - x[0]], dx[:-1], [0.0])).tolist()
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b = np.concatenate((
-        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
-    )).tolist()
-    for i in range(1, n):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        b[i] -= w * b[i - 1]
-    b[-1] /= diag[-1]
-    for i in range(n - 2, -1, -1):  # back substitution turns b into the slopes
-        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
-    return _hermite(x, y, np.array(b))
 
 
 # ----------------------------------------------------------------------------

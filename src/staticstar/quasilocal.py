@@ -397,7 +397,7 @@ def _charts(model, c: float, window):
         if window is not None:
             lo, hi = window
         else:
-            lo, hi = model.profile.r_start, 3.0 * model.r_b
+            lo, hi = model.profile.R_START, 3.0 * model.r_b
             if 0.0 < c < 1.0:
                 # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
                 hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))

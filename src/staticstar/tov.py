@@ -46,7 +46,6 @@ from .numerics import (
     RadialFunction,
     chebyshev_grid,
     check_grid_n,
-    cubic_spline,
     pchip,
     solve_ivp,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "match_exterior",
     "volkoff_gamma",
     "profile_to_csv",
-    "profile_from_csv",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -88,13 +86,8 @@ class EquationOfState:
     ndarray of the same shape; the ODE right-hand side passes floats.
     """
 
-    name = "eos"
-
     def mu(self, rho):  # pragma: no cover - interface
         raise NotImplementedError
-
-    def spec_string(self) -> str:
-        return self.name
 
     @staticmethod
     def from_spec(spec: str) -> "EquationOfState":
@@ -141,13 +134,9 @@ class ConstantDensity(EquationOfState):
     """mu == c for every pressure; c = 0 is the vacuum EOS."""
 
     c: float
-    name = "constant"
 
     def mu(self, rho):
         return self.c if _scalar(rho) else np.full(np.shape(rho), self.c)
-
-    def spec_string(self):
-        return f"constant:c={self.c!r}"
 
 
 @dataclass(frozen=True)
@@ -155,7 +144,6 @@ class Chaplygin(EquationOfState):
     """mu = -c^2 / rho (negative density for positive pressure)."""
 
     c: float
-    name = "chaplygin"
 
     def __post_init__(self):
         if self.c == 0.0:
@@ -165,9 +153,6 @@ class Chaplygin(EquationOfState):
         if (rho == 0.0) if _scalar(rho) else np.any(rho == 0.0):
             raise CenterSingularity("chaplygin EOS singular at rho = 0")
         return -self.c * self.c / rho
-
-    def spec_string(self):
-        return f"chaplygin:c={self.c!r}"
 
 
 class Tabulated(EquationOfState):
@@ -179,8 +164,6 @@ class Tabulated(EquationOfState):
     below rho = 0, since the integrator evaluates slightly past the surface
     before the terminal event is located).
     """
-
-    name = "table"
 
     def __init__(self, rho, mu):
         rho = np.asarray(rho, dtype=float)
@@ -215,9 +198,6 @@ class Tabulated(EquationOfState):
         return DomainError(f"rho={rho} outside tabulated range "
                            f"[{self.rho_min}, {self.rho_max}] (extrapolation forbidden)")
 
-    def spec_string(self):
-        return f"table:[{self.rho_min},{self.rho_max}]"
-
 
 @dataclass(frozen=True)
 class Custom(EquationOfState):
@@ -230,7 +210,6 @@ class Custom(EquationOfState):
 
     func: Callable
     label: str = "custom"
-    name = "custom"
 
     def mu(self, rho):
         out = np.asarray(self.func(rho), dtype=float)
@@ -240,9 +219,6 @@ class Custom(EquationOfState):
             raise BadParams(f"custom EOS {self.label!r} returned shape {out.shape} "
                             f"for pressures of shape {np.shape(rho)}") from None
         return float(out) if out.ndim == 0 else out.copy()
-
-    def spec_string(self):
-        return self.label
 
 
 # ----------------------------------------------------------------------------
@@ -269,29 +245,29 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Dense interior solution, with a sample table built on first read.
+    """Dense interior solution of :func:`integrate_tov`, its only constructor,
+    with a sample table built on first read.
 
     ``v_free_fn`` is the lapse potential up to its additive constant and
-    ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.  ``r_start``
-    is the innermost radius (``R_START`` after integrate_tov).  Dense
-    evaluation reads a piecewise polynomial
-    (:class:`~staticstar.numerics.PiecewisePoly`): the integrator's own dense
-    output after :func:`integrate_tov`, cubic splines after
-    :func:`profile_from_csv`; the public interpolation contract is cubic
-    either way.  The evaluators take a float or an ndarray of radii.
+    ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.  The
+    solution runs from ``R_START`` to ``r_end``, and dense evaluation reads
+    the integrator's own dense output, one
+    :class:`~staticstar.numerics.PiecewisePoly` per component.  The
+    evaluators take a float or an ndarray of radii.
 
     ``samples`` is a (grid_n, 7) float array with columns ``CSV_COLUMNS``
     (r, m, mu, rho, exp_neg_gamma, exp_v, f); ``exp_neg_gamma`` is *defined*
-    as 1 - 2 m(r)/r.  A profile read from CSV keeps its ``rows`` as read,
-    ``grid_n`` of them.  Otherwise the table samples the dense evaluators on the Chebyshev grid of
-    ``grid_n`` points over [r_start, r_end] the first time ``samples``,
-    :meth:`column` or :func:`profile_to_csv` reads it, and keeps it; an EOS
-    that refuses a sampled density raises there, not in integrate_tov.
+    as 1 - 2 m(r)/r.  The table samples the dense evaluators on the Chebyshev
+    grid of ``grid_n`` points over [R_START, r_end] the first time
+    ``samples``, :meth:`column` or :func:`profile_to_csv` reads it, and keeps
+    it; an EOS that refuses a sampled density raises there, not in
+    integrate_tov.
     """
+
+    R_START = R_START  # the innermost radius, where integrate_tov starts
 
     eos: EquationOfState
     rho_center: float
-    r_start: float
     r_end: float
     rho_fn: Callable
     m_fn: Callable
@@ -299,16 +275,11 @@ class RadialProfile:
     v_shift: float
     surface_event_r: float | None = None
     grid_n: int = 512
-    rows: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.r_start <= 0.0:
-            raise BadParams("profiles start at r_start > 0")
 
     @functools.cached_property
     def samples(self) -> np.ndarray:
-        """The (grid_n, 7) table: the CSV rows, or built on this first read and kept."""
-        return self.rows if self.rows is not None else _sample_table(self)
+        """The (grid_n, 7) table, built on this first read and kept."""
+        return _sample_table(self)
 
     @property
     def surface_tol(self) -> float:
@@ -318,18 +289,16 @@ class RadialProfile:
     @property
     def lapse_normalized(self) -> bool:
         """The lapse is pinned by f(r_end) = 1, not at a surface."""
-        f_end = self.rows[-1, 6] if self.rows is not None else self.f(self.r_end)
-        return bool(f_end == 1.0)
+        return bool(self.f(self.r_end) == 1.0)
 
     @property
     def negative_density_seen(self) -> bool:
         """Advisory: a sampled rho lies below -surface_tol.  The surface root's
         own sign is round-off, so only densities past the threshold count."""
-        rho = self.rows[:, 3] if self.rows is not None else self.rho_fn(self._grid())
-        return bool(np.any(rho < -self.surface_tol))
+        return bool(np.any(self.rho_fn(self._grid()) < -self.surface_tol))
 
     def _grid(self) -> np.ndarray:
-        return chebyshev_grid(self.r_start, self.r_end, self.grid_n)
+        return chebyshev_grid(R_START, self.r_end, self.grid_n)
 
     # -- dense evaluators -----------------------------------------------------
 
@@ -485,7 +454,6 @@ def integrate_tov(
     return RadialProfile(
         eos=eos,
         rho_center=rho_c,
-        r_start=R_START,
         r_end=r_end,
         rho_fn=rho_fn,
         m_fn=m_fn,
@@ -499,10 +467,10 @@ def integrate_tov(
 def detect_surface(profile: RadialProfile) -> float:
     """The surface radius r_b: where the profile stopped because rho reached zero.
 
-    That radius is ``surface_event_r``, the integrator's terminal event (or the
-    last row of a CSV table that ends on its surface), accepted when
-    |rho(r_b)| <= ``profile.surface_tol``.  Raises NoSurface otherwise: vacuum
-    runs, constant negative-pressure branches, integrations stopped by r_max.
+    That radius is ``surface_event_r``, the integrator's terminal event,
+    accepted when |rho(r_b)| <= ``profile.surface_tol``.  Raises NoSurface
+    otherwise: vacuum runs, constant negative-pressure branches, integrations
+    stopped by r_max.
     """
     if profile.rho_center == 0.0:
         raise NoSurface("vacuum run: rho is identically zero")
@@ -519,16 +487,10 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
     the vacuum exterior, e^{v(r_b)} = 1 - 2 m(r_b)/r_b (HorizonHit if that
     is not positive).  Without one, f is normalized to 1 at the outer end
     ``r_end`` of the profile and the result is flagged ``lapse_normalized``.
-    The ``exp_v`` and ``f`` columns of rows read from CSV follow the new
-    constant; a dense profile's table is built from it when read.
+    The copy's table is built from the new constant when read.
     """
     shift = _lapse_shift(profile.m_fn, profile.v_free_fn, profile.r_end, r_b)
-    rows = profile.rows
-    if rows is not None:
-        rows = rows.copy()
-        v = profile.v_free_fn(rows[:, 0]) + shift
-        rows[:, 5], rows[:, 6] = np.exp(v), np.exp(0.5 * v)
-    return dataclasses.replace(profile, v_shift=shift, rows=rows)
+    return dataclasses.replace(profile, v_shift=shift)
 
 
 # ----------------------------------------------------------------------------
@@ -539,8 +501,8 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
 class StellarModel:
     """Interior profile C^1-matched to the vacuum exterior at r_b.
 
-    Evaluators are valid on (0, infinity): inside ``r_start`` the center
-    series is used, between r_start and r_b the dense interior solution, and
+    Evaluators are valid on (0, infinity): inside ``R_START`` the center
+    series is used, between R_START and r_b the dense interior solution, and
     outside r_b the vacuum closed forms with mass M = m(r_b).
     """
 
@@ -559,14 +521,14 @@ class StellarModel:
     # -- piecewise evaluators (float or ndarray of radii) ----------------------
 
     def _piecewise(self, r, center, interior, exterior):
-        """One evaluator per region: r < r_start, the interior, r >= r_b."""
+        """One evaluator per region: r < R_START, the interior, r >= r_b."""
         if _scalar(r):
-            fn = exterior if r >= self.r_b else center if r < self.profile.r_start else interior
+            fn = exterior if r >= self.r_b else center if r < R_START else interior
             return float(fn(r))
         r = np.asarray(r, dtype=float)
         out = np.empty(r.shape)
         outside = r >= self.r_b
-        core = ~outside & (r < self.profile.r_start)
+        core = ~outside & (r < R_START)
         inside = ~(outside | core)
         for mask, fn in ((core, center), (inside, interior), (outside, exterior)):
             if np.any(mask):
@@ -600,7 +562,7 @@ class StellarModel:
         p = self.profile
         # flat to O(r^2) at the center
         return self._piecewise(
-            r, lambda x: p.v(p.r_start), p.v, lambda x: np.log(1.0 - 2.0 * self.mass / x),
+            r, lambda x: p.v(R_START), p.v, lambda x: np.log(1.0 - 2.0 * self.mass / x),
         )
 
     def f(self, r):
@@ -713,42 +675,4 @@ def profile_to_csv(profile: RadialProfile, path) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in samples:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def profile_from_csv(path, eos: EquationOfState | None = None) -> RadialProfile:
-    """Rebuild a profile from a CSV sample table (cubic-spline evaluators).
-
-    A table written from a star ends on its surface: when the last row's
-    |rho| is within ``surface_tol`` (and rho_center != 0), that row's radius
-    is the profile's ``surface_event_r``.  A stored lapse is read as it is;
-    a table without one (non-finite ``exp_v``) gets v' from its m and rho,
-    integrated and pinned as :func:`integrate_tov` pins it: at the surface
-    row, or else at r_end.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    if tuple(header) != CSV_COLUMNS:
-        raise BadParams(f"unexpected CSV columns {header}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    r, m, rho = data[:, 0], data[:, 1], data[:, 3]
-    stored = bool(np.all(np.isfinite(data[:, 5])))
-    if stored:
-        v_free = cubic_spline(r, np.log(data[:, 5]))
-    else:
-        v_free = cubic_spline(r, _lapse_rate(r, rho, m)).antiderivative()
-    profile = RadialProfile(
-        eos=eos if eos is not None else Custom(lambda rho: float("nan"), "csv"),
-        rho_center=float(rho[0]),
-        r_start=float(r[0]),
-        r_end=float(r[-1]),
-        rho_fn=cubic_spline(r, rho),
-        m_fn=cubic_spline(r, m),
-        v_free_fn=v_free,
-        v_shift=0.0,
-        grid_n=len(data),
-        rows=data,
-    )
-    if profile.rho_center != 0.0 and abs(rho[-1]) <= profile.surface_tol:
-        profile = dataclasses.replace(profile, surface_event_r=profile.r_end)
-    return profile if stored else integrate_lapse(profile, profile.surface_event_r)
 

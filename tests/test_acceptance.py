@@ -43,7 +43,7 @@ def test_c01_constant_density_interior_matches_closed_form():
     profile = tov.integrate_tov(eos, 0.0005)
     elapsed = time.perf_counter() - t0
     r_b = tov.detect_surface(profile)
-    grid = chebyshev_grid(profile.r_start, r_b, 257)
+    grid = chebyshev_grid(profile.R_START, r_b, 257)
     got = np.array([1.0 - 2.0 * profile.m(r) / r for r in grid])
     want = 1.0 - (8.0 * math.pi * c / 3.0) * grid**2
     assert np.max(np.abs(got - want)) < 1e-8
@@ -146,7 +146,7 @@ def test_c09_tov_runs_satisfy_conservation(const_star):
     def worst_residual(profile, hi):
         # stay off the center series: the FD stencil needs room below r
         grid = chebyshev_grid(0.05 * hi, hi, 129)
-        domain = (profile.r_start, 1.01 * hi)
+        domain = (profile.R_START, 1.01 * hi)
         rho1 = fd_derivative(profile.rho, grid, domain=domain)
         v1 = fd_derivative(profile.v, grid, domain=domain)
         rho = profile.rho(grid)
@@ -207,7 +207,7 @@ def test_c11_tabulated_eos_reproduces_analytic_run(const_star):
 
     assert abs(twin.r_b - const_star.r_b) < 1e-6
     assert abs(twin.mass - const_star.mass) < 1e-6
-    grid = chebyshev_grid(2.0 * profile.r_start,
+    grid = chebyshev_grid(2.0 * profile.R_START,
                           0.98 * min(twin.r_b, const_star.r_b), 65)
     for r in grid:
         assert abs(twin.rho(r) - const_star.rho(r)) < 1e-6

@@ -10,7 +10,7 @@ import pytest
 from staticstar.errors import BadParams, DomainError, SignLoss
 from staticstar import geometry
 from staticstar.geometry import EIGHT_PI, _entry, _report, conformal_curvature, spf_residuals
-from staticstar.numerics import RadialFunction, chebyshev_grid
+from staticstar.numerics import Jet, RadialFunction, chebyshev_grid
 from staticstar import catalog, conformal
 from staticstar.conformal import (
     BasicInvariant,
@@ -126,6 +126,30 @@ class TestWittenLapse:
         np.testing.assert_allclose(f.value(t), witten_lapse(3, A, B, t), rtol=1e-14, atol=1e-15)
         for r in t[::4]:
             assert f(float(r)) == pytest.approx(witten_lapse(3, A, B, float(r)), rel=1e-14)
+
+    @pytest.mark.parametrize("A,B", [(0.6, 0.8), (2.0, -0.5)])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_runs_through_a_jet(self, n, A, B):
+        r = np.linspace(0.05, 1.5, 13)
+        jet = witten_lapse(n, A, B, Jet(r, 1.0, 0.0))
+        # the value is the plain call's, for an array and for each float
+        assert jet.v.tobytes() == witten_lapse(n, A, B, r).tobytes()
+        for x in r:
+            one = witten_lapse(n, A, B, Jet(float(x), 1.0, 0.0))
+            assert isinstance(one.v, float) and one.v == witten_lapse(n, A, B, float(x))
+        # f' = 2w tanh r (A cos phi - B sin phi), phi = 2w log cosh r
+        w = 0.5 * math.sqrt(n - 2.0)
+        phase = 2.0 * w * np.log(np.cosh(r))
+        d1 = 2.0 * w * np.tanh(r) * (A * np.cos(phase) - B * np.sin(phase))
+        # relative to max |f'|: near a zero of f' both sides are differences
+        np.testing.assert_allclose(jet.d1, d1, rtol=0.0, atol=1e-14 * np.max(np.abs(d1)))
+        if n == 3:  # witten_stellar's f is this lapse, differentiated by the same jet
+            model = catalog.build("witten_stellar", A=A, B=B)
+            f = model.pieces[0].fluid.f
+            t = np.linspace(*model.pieces[0].scan_window(), 9)
+            want = witten_lapse(3, A, B, Jet(t, 1.0, 0.0))
+            assert f.d1(t).tobytes() == want.d1.tobytes()
+            assert f.d2(t).tobytes() == want.d2.tobytes()
 
 
 class TestSolveLapse:
@@ -346,6 +370,19 @@ class TestBuildModel:
         m = build_model("witten", n=3, ic=(0.3, 0.1))
         assert m.f.value(0.0) == pytest.approx(0.3, abs=1e-12)
         assert m.f.d1(0.0) == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, -0.3])
+    @pytest.mark.parametrize("phi", ["witten", "unit", "custom"])
+    def test_physical_pair_is_the_bridged_geometric_one(self, phi, lam):
+        if phi == "custom":
+            m = build_model(sqrt_one_plus_u(), n=3, ic=(0.9, 0.2), span=(0.0, 8.0), lam=lam)
+        else:
+            m = build_model(phi, n=3, lam=lam, span=(0.0, 5.0))
+        u = np.linspace(*m.domain, 35)[1:-1]  # off the witten lapse zero at u = 0
+        mu, rho = geometry.to_physical(m.mu_geo(u), m.rho_geo(u), lam)
+        assert m.mu(u).tobytes() == mu.tobytes() and m.rho(u).tobytes() == rho.tobytes()
+        pair = density_pressure(m.phi, m.f, m.invariant, lam, m.n, u)
+        assert pair[0].tobytes() == mu.tobytes() and pair[1].tobytes() == rho.tobytes()
 
     def test_unit_preset_is_vacuum_plus_lambda(self):
         lam = 0.4

@@ -154,7 +154,7 @@ def test_stellar_model_scan(const_star):
 def test_point_count_sets_the_grid(const_star):
     scan = scan_model(const_star, n=2)
     assert scan.grid.size == 2 and scan.dec
-    assert scan.grid[0] == const_star.profile.r_start
+    assert scan.grid[0] == const_star.profile.R_START
 
 
 @pytest.mark.parametrize("source", ["wyman", "witten"])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from staticstar import catalog, conformal, energy, geometry, numerics, quasilocal, tov
@@ -533,17 +533,13 @@ def test_piecewise_poly_is_ppoly_bit_for_bit(trailing):
 
 
 @pytest.mark.parametrize("degree", [3, 0])
-@pytest.mark.parametrize("op", ["antiderivative", "derivative"])
-def test_piecewise_poly_calculus_matches_ppoly(op, degree):
+def test_piecewise_poly_derivative_matches_ppoly(degree):
     rng = np.random.default_rng(8)
     c, x = _random_ppoly(rng, 60, degree)
-    got, want = getattr(numerics.PiecewisePoly(c, x), op)(), getattr(PPoly(c, x), op)()
+    got, want = numerics.PiecewisePoly(c, x).derivative(), PPoly(c, x).derivative()
     t = np.concatenate([rng.uniform(x[0], x[-1], 300), x])
-    if op == "derivative":  # c[:-1] * [K, ..., 1] on both sides: the same floats
-        assert _same_bits(got.c, want.c) and _same_bits(got(t), want(t))
-    else:
-        assert got(x[0]) == 0.0
-        assert np.max(np.abs(got(t) - want(t))) <= 1e-13 * np.max(np.abs(want(t)))
+    # c[:-1] * [K, ..., 1] on both sides: the same floats
+    assert _same_bits(got.c, want.c) and _same_bits(got(t), want(t))
 
 
 PCHIP_TABLES = {
@@ -570,20 +566,3 @@ def test_pchip_is_scipy_pchip_bit_for_bit(table):
     if table != "subnormal":  # its cubic terms overflow past the rows
         t = np.linspace(x[0], x[-1], 301)
         assert _same_bits(got(t), want(t))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 512])
-def test_cubic_spline_matches_scipy(n):
-    rng = np.random.default_rng(n)
-    x = numerics.chebyshev_grid(1e-6, 9.0, n) if n > 7 else np.sort(rng.uniform(0.0, 5.0, n))
-    for y in (np.exp(-x) * np.sin(3 * x), rng.normal(size=n)):
-        got, want = numerics.cubic_spline(x, y), CubicSpline(x, y)
-        t = np.concatenate([rng.uniform(x[0], x[-1], 400), x])
-        for g, w in ((got, want), (got.antiderivative(), want.antiderivative())):
-            assert np.max(np.abs(g(t) - w(t))) <= 1e-13 * np.max(np.abs(w(t)))
-
-
-def test_cubic_spline_refuses_bad_abscissae():
-    for x in ([0.0], [0.0, 0.0, 1.0], [0.0, 1.0, np.inf]):
-        with pytest.raises(BadParams):
-            numerics.cubic_spline(x, np.zeros(len(x)))

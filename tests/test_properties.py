@@ -192,7 +192,7 @@ def _pipeline(eos, rho_c, t):
     """
     profile = tov.integrate_tov(eos, rho_c)
     model = tov.match_exterior(profile, tov.detect_surface(profile))
-    f_center = model.f(profile.r_start)
+    f_center = model.f(profile.R_START)
     level = f_center + t * (1.0 - f_center)
     return model, level, quasilocal.level_set_data(model, level), scan_model(model)
 
@@ -224,7 +224,7 @@ def test_constant_density_pipeline_matches_interior_schwarzschild(c, ratio, t):
 
     # acceptance-gate tolerances: e^{-gamma} to 1e-8 (c01); radius, mass and
     # lapse to 1e-6 (c11), taken relative because r_b reaches 30 here
-    r = np.linspace(model.profile.r_start, model.r_b, 65)
+    r = np.linspace(model.profile.R_START, model.r_b, 65)
     assert np.max(np.abs(model.profile.exp_neg_gamma(r) - (1.0 - a * r * r))) < 1e-8
     assert math.isclose(model.r_b, r_b, rel_tol=1e-6)
     assert math.isclose(model.mass, mass, rel_tol=1e-6)

@@ -10,7 +10,6 @@ Frozen sample rows below come from the closed-form interior evaluated at a
 few radii; the solver at default tolerances lands within ~3e-7 of them.
 """
 
-import dataclasses
 import json
 import math
 import warnings
@@ -82,7 +81,6 @@ class TestEquationOfState:
     def test_custom_wrapper(self):
         eos = tov.Custom(lambda rho: 2.0 * rho, "toy")
         assert eos.mu(3.0) == 6.0
-        assert eos.spec_string() == "toy"
 
 
 class TestUniformStar:
@@ -133,12 +131,12 @@ class TestUniformStar:
         assert const_star.exp_neg_gamma(r) == 1.0 - 2.0 * M / r
 
     def test_center_series(self, const_star):
-        # below r_start the O(r^2) series takes over, smoothly
+        # below R_START the O(r^2) series takes over, smoothly
         assert const_star.rho(1e-9) == pytest.approx(0.0005, abs=1e-12)
         assert const_star.m(1e-8) == pytest.approx(
             4.0 * math.pi / 3.0 * 0.001 * 1e-24, rel=1e-12
         )
-        r0 = const_star.profile.r_start
+        r0 = const_star.profile.R_START
         assert const_star.rho(r0 * (1 - 1e-9)) == pytest.approx(
             const_star.rho(r0 * (1 + 1e-9)), rel=1e-9
         )
@@ -322,46 +320,6 @@ class TestSurfaceDetection:
             tov.StellarModel(profile=const_star.profile, r_b=1.0, mass=0.6)
 
 
-class TestCsv:
-    def test_round_trip(self, tmp_path, const_star):
-        path = tmp_path / "star.csv"
-        const_star.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "r,m,mu,rho,exp_neg_gamma,exp_v,f"
-        back = tov.profile_from_csv(path, eos=const_star.profile.eos)
-        for r in (1.0, 4.0, 7.0):
-            assert back.rho(r) == pytest.approx(const_star.rho(r), abs=1e-9)
-            assert back.m(r) == pytest.approx(const_star.m(r), abs=1e-9)
-            assert back.v(r) == pytest.approx(const_star.profile.v(r), abs=1e-9)
-
-    def test_round_trip_keeps_the_surface(self, tmp_path, const_star):
-        # the table ends on the surface, where the stored rho is round-off
-        # of either sign (+1.4e-20 here)
-        path = tmp_path / "star.csv"
-        const_star.to_csv(path)
-        back = tov.profile_from_csv(path, eos=const_star.profile.eos)
-        r_b = tov.detect_surface(back)
-        assert r_b == const_star.r_b
-        assert tov.match_exterior(back, r_b).mass == pytest.approx(const_star.mass, rel=1e-15)
-
-    def test_table_stopped_short_has_no_surface(self, tmp_path):
-        raw = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005, tov.SolverOptions(r_max=5.0))
-        path = tmp_path / "short.csv"
-        tov.profile_to_csv(raw, path)
-        back = tov.profile_from_csv(path)
-        assert back.surface_event_r is None
-        # the stored lapse was pinned by f(r_end) = 1, and reads back so
-        assert raw.lapse_normalized and back.lapse_normalized
-        with pytest.raises(NoSurface):
-            tov.detect_surface(back)
-
-    def test_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(BadParams):
-            tov.profile_from_csv(path)
-
-
 class TestArrayContract:
     """Evaluators take arrays and return the same values as one point at a time."""
 
@@ -394,7 +352,7 @@ class TestArrayContract:
             tov.Custom(lambda rho: np.ones(3), "wrong").mu(self.RHO)
 
     def test_model_evaluators(self, const_star):
-        r0, r_b = const_star.profile.r_start, const_star.r_b
+        r0, r_b = const_star.profile.R_START, const_star.r_b
         r = np.array([0.3 * r0, 0.9 * r0, r0, 0.5, 4.0, 0.999 * r_b, r_b, 1.5 * r_b, 40.0])
         gamma = const_star.gamma_function()
         lapse = const_star.lapse_function()
@@ -409,7 +367,7 @@ class TestArrayContract:
 
     def test_profile_evaluators(self, const_star):
         prof = const_star.profile
-        r = np.array([prof.r_start, 1.0, 5.0, prof.r_end])
+        r = np.array([prof.R_START, 1.0, 5.0, prof.r_end])
         for fn in (prof.rho, prof.m, prof.mu, prof.v, prof.f, prof.exp_neg_gamma):
             got = fn(r)
             assert got.shape == r.shape
@@ -441,23 +399,6 @@ class TestCarriedLapse:
                                   tov.SolverOptions(r_max=5.0))
         assert short.lapse_normalized and short.r_end == 5.0
         assert short.f(short.r_end) == 1.0 and short.column("f")[-1] == 1.0
-
-    def test_csv_without_lapse_can_be_pinned(self, tmp_path, const_star):
-        # a table with no stored lapse: v' comes from its m and rho, and v is
-        # pinned at the surface row the table ends on
-        raw = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
-        samples = raw.samples.copy()
-        samples[:, 5:] = np.nan
-        path = tmp_path / "raw.csv"
-        tov.profile_to_csv(dataclasses.replace(raw, rows=samples), path)
-        back = tov.profile_from_csv(path)
-        assert back.surface_event_r == back.r_end and not back.lapse_normalized
-        assert np.all(np.isfinite(back.samples))
-        for r in (1.0, 4.0, 8.0):
-            assert back.f(r) == pytest.approx(const_star.f(r), abs=1e-7)
-        back = tov.integrate_lapse(back, r_b=const_star.r_b)
-        for r in (1.0, 4.0, 8.0):
-            assert back.f(r) == pytest.approx(const_star.f(r), abs=1e-7)
 
 
 def test_table_rejects_non_finite_values():
@@ -554,6 +495,24 @@ def test_table_on_first_read_is_the_eager_table(star):
     assert profile.lapse_normalized == bool(want[-1, 6] == 1.0)
 
 
+class TestCsv:
+    @pytest.mark.parametrize("star", sorted(TABLE_STARS))
+    def test_export_is_the_sample_table(self, tmp_path, star):
+        eos, rho_c, options = TABLE_STARS[star]
+        profile = tov.integrate_tov(eos, rho_c, tov.SolverOptions(**options))
+        path = tmp_path / "star.csv"
+        tov.profile_to_csv(profile, path)
+        assert path.read_text().splitlines()[0] == ",".join(tov.CSV_COLUMNS)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.tobytes() == profile.samples.tobytes()
+        # the table ends where the integration stopped: on the surface, if
+        # one was found
+        assert rows[-1, 0] == profile.r_end
+        assert (profile.surface_event_r is None) == (star == "stopped-at-r-max")
+        if profile.surface_event_r is not None:
+            assert profile.r_end == profile.surface_event_r
+
+
 def test_tov_out_writes_the_eager_table(capsys, tmp_path):
     path = tmp_path / "star.csv"
     assert main(["tov", "--eos", "constant:c=0.001", "--rho-c", "0.0005", "--json",
@@ -562,8 +521,7 @@ def test_tov_out_writes_the_eager_table(capsys, tmp_path):
     profile = tov.integrate_tov(tov.ConstantDensity(0.001), 0.0005)
     rows = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in _eager_table(profile))
     assert path.read_bytes() == (",".join(tov.CSV_COLUMNS) + "\n" + rows).encode()
-    back = tov.profile_from_csv(path)
-    assert tov.detect_surface(back) == r_b
+    assert float(path.read_text().splitlines()[-1].split(",")[0]) == r_b
 
 
 @pytest.mark.parametrize("argv", [
