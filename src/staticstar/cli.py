@@ -49,7 +49,71 @@ def _fmt(x) -> str:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    ``indent`` sends ``json.dumps`` through its pure-Python encoder.  Here
+    only the dicts and lists that hold a container are walked in Python; every
+    other container, and each run of scalar-valued keys of a dict, is one call
+    of the C encoder.
+    """
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return _dump_at(obj, 0)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _c_encoder(depth: int):
+    """(C encoder, newline and indent) of a container at ``depth``: the
+    encoder sorts keys and separates items by a newline and the indent of
+    ``depth + 1``."""
+    pad = "\n" + "  " * depth
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", "," + pad + "  ", True, False, True), pad
+
+
+def _dump_at(obj, depth: int) -> str:
+    enc, pad = _c_encoder(depth)
+    if isinstance(obj, dict):
+        values, bra, ket = obj.values(), "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        values, bra, ket = obj, "[", "]"
+    else:
+        return "".join(enc(obj, depth))
+    if not obj:
+        return bra + ket
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        return bra + pad + "  " + "".join(enc(obj, depth))[1:-1] + pad + ket
+    parts = []
+    if bra == "{":
+        run = {}
+        for k, v in sorted(obj.items()):
+            if isinstance(v, _CONTAINERS):
+                if run:
+                    parts.append("".join(enc(run, depth))[1:-1])
+                    run = {}
+                # a key that is not a str as the C encoder writes it: '{KEY: null}'
+                key = (json.encoder.encode_basestring_ascii(k) if type(k) is str
+                       else "".join(enc({k: None}, depth))[1:-7])
+                parts.append(key + ": " + _dump_at(v, depth + 1))
+            else:
+                run[k] = v
+    else:
+        run = []
+        for v in obj:
+            if isinstance(v, _CONTAINERS):
+                if run:
+                    parts.append("".join(enc(run, depth))[1:-1])
+                    run = []
+                parts.append(_dump_at(v, depth + 1))
+            else:
+                run.append(v)
+    if run:
+        parts.append("".join(enc(run, depth))[1:-1])
+    return bra + pad + "  " + ("," + pad + "  ").join(parts) + pad + ket
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:

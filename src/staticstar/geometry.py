@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import RadialFunction, ScalarField, as_point, as_points, max_rms
+from .numerics import RadialFunction, ScalarField, as_point, as_points
 
 if TYPE_CHECKING:  # conformal imports this module
     from .conformal import BasicInvariant
@@ -230,12 +230,20 @@ class ResidualReport:
 
 
 def _entry(eq: str, values: np.ndarray, grid: np.ndarray) -> ResidualEntry:
-    values = np.abs(np.asarray(values, dtype=float))
-    if values.ndim > 1:  # componentwise residual: collapse components first
-        values = values.reshape(values.shape[0], -1).max(axis=1)
-    mx, rms = max_rms(values)
-    worst = float(grid[int(np.argmax(values))]) if values.size else float("nan")
-    return ResidualEntry(eq=eq, max=mx, rms=rms, worst_r=worst)
+    """max |v|, rms |v| and the grid point of the max, in one pass over |v|.
+
+    ``np.add.reduce`` is the float64 sum ``np.mean`` takes, and ``argmax``
+    finds the first NaN, the one ``np.max`` returns.  Empty input is (0, 0, nan).
+    """
+    v = np.abs(np.asarray(values, dtype=float))
+    if v.ndim > 1:  # componentwise residual: collapse components first
+        v = v.reshape(v.shape[0], -1).max(axis=1)
+    v = v.ravel()
+    if not v.size:
+        return ResidualEntry(eq=eq, max=0.0, rms=0.0, worst_r=float("nan"))
+    i = int(v.argmax())
+    rms = math.sqrt(float(np.add.reduce(v * v)) / v.size)
+    return ResidualEntry(eq=eq, max=float(v[i]), rms=rms, worst_r=float(grid[i]))
 
 
 def _report(entries: list[ResidualEntry], grid: np.ndarray, tol: float) -> ResidualReport:

@@ -13,9 +13,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import staticstar
-from staticstar import catalog, cli, tov
+from staticstar import catalog, cli, numerics, tov
 from staticstar.cli import main
 from staticstar.config import RunConfig
 from staticstar.numerics import RadialFunction
@@ -135,6 +136,69 @@ def test_json_is_deterministic(capsys):
     _, second, _ = run(capsys, "mass", "--model", "schwarzschild_exterior:M=1",
                        "--level", "0.5", "--json")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "wyman", "--json"),
+    ("mass", "--model", "witten_stellar", "--level", "0.42", "--json"),
+    ("build", "--phi", "witten", "--json"),
+    ("audit", "--eos", "constant:c=0.001", "--rho-c", "5e-4", "--json"),
+])
+def test_json_output_is_json_dumps_indent_2_sorted(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_TRICKY_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600'),
+                                 st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TRICKY_TEXT, st.floats(), st.floats().map(np.float64),
+    st.integers(), st.integers(min_value=10**29, max_value=10**30 - 1).map(lambda i: i * (-1) ** i))
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TRICKY_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_dump_is_json_dumps_indent_2_sorted(c_encoder):
+    """``cli._dump`` writes the bytes of ``json.dumps(indent=2,
+    sort_keys=True)``; without ``_json``'s encoder it is that call."""
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_TREES)
+    def check(tree):
+        assert cli._dump(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if not c_encoder:
+            mp.setattr(json.encoder, "c_make_encoder", None)
+            mp.setattr(cli, "_dump_at", None)
+        check()
+
+
+@pytest.mark.parametrize("tree", [
+    {1: [1.5], 2.5: {}, 0: "x", -3: [[]]},
+    {True: [None], False: 2},
+    {None: ({"a": 1},)},
+    {float("nan"): [1], 1e300: 0.0},
+], ids=["int-float", "bool", "none", "nan-key"])
+def test_dump_writes_keys_that_are_not_str_as_json_dumps(tree):
+    assert cli._dump(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}],
+                         ids=["int64", "bool_", "set"])
+@pytest.mark.parametrize("where", [
+    lambda x: x, lambda x: [1, x], lambda x: {"a": 1, "b": x},
+    lambda x: {"a": [], "b": [x, "s"]}, lambda x: [{"k": x}, [2]],
+], ids=["top", "leaf-list", "leaf-dict", "nested-dict", "nested-list"])
+def test_dump_refuses_what_json_dumps_refuses(value, where):
+    with pytest.raises(TypeError):
+        json.dumps(where(value), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dump(where(value))
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -294,6 +358,17 @@ def test_a_small_grid_is_refused_in_the_library_edges_words(capsys):
     code, _, err = run(capsys, "tov", *STAR, "--grid-n", "4")
     assert code == 1
     assert err == "error: a grid needs an integer number of points, at least 8; got 4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", "--model", "gamma_zero", "--grid-n", "1000000000"),
+    ("verify", "wyman", "--grid-n", str(numerics.GRID_N_MAX + 1)),
+    ("tov", *STAR, "--grid-n", str(numerics.GRID_N_MAX + 1)),
+], ids=["audit-1e9", "verify-cap-plus-one", "tov-cap-plus-one"])
+def test_a_huge_grid_is_refused_before_it_is_allocated(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: a grid takes at most {numerics.GRID_N_MAX} points; got {argv[-1]}\n"
 
 
 def test_unknown_parameter_names_the_accepted_ones(capsys):

@@ -13,6 +13,7 @@ from staticstar.geometry import (
     FluidData,
     SchwarzschildForm,
     WarpedProduct,
+    _entry,
     conformal_curvature,
     conformal_hessian,
     _radial_chart,
@@ -284,6 +285,64 @@ class TestResiduals:
         res = conservation_residual(piece.fluid.f, piece.mu_phys, piece.rho_phys, grid)
         # the geometric residual is 8 pi times the physical one
         assert np.max(np.abs(EIGHT_PI * res)) < 1e-10
+
+
+def _two_call_entry(values, grid):
+    """(max, rms, worst_r) as two numpy calls and an argmax formed them, the
+    reference for :func:`staticstar.geometry._entry`."""
+    values = np.abs(np.asarray(values, dtype=float))
+    if values.ndim > 1:
+        values = values.reshape(values.shape[0], -1).max(axis=1)
+    v = values.ravel()
+    mx, rms = (float(np.max(v)), float(np.sqrt(np.mean(v * v)))) if v.size else (0.0, 0.0)
+    worst = float(grid[int(np.argmax(values))]) if values.size else float("nan")
+    return mx, rms, worst
+
+
+def _decades(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_ENTRY_CASES = {
+    "decades-16": _decades(16, 1),
+    "decades-96": _decades(96, 2),
+    "decades-512": _decades(512, 3),
+    # one magnitude, where the order of the sum shows in the rms's last bit: at
+    # these seeds an ndarray.dot sum of squares gives a different rms
+    "one-decade-16": np.random.default_rng(12).standard_normal(16),
+    "one-decade-96": np.random.default_rng(0).standard_normal(96),
+    "one-decade-512": np.random.default_rng(3).standard_normal(512),
+    "componentwise": _decades(96 * 2, 4).reshape(96, 2),
+    "componentwise-3x3": _decades(16 * 9, 5).reshape(16, 3, 3),
+    "zero-d": np.float64(-3.5e-7),
+    "empty": np.array([]),
+    "nan": np.array([1.0, _NAN, 3.0, -_NAN, 2.0]),
+    "nan-after-inf": np.array([_INF, 1.0, _NAN]),
+    "inf": np.array([1.0, -_INF, _INF, 2.0]),
+    "negative-zero": np.array([-0.0, 0.0, -0.0]),
+    "subnormal": np.array([5e-324, -1e-310, 2.2e-308, -0.0]),
+    "overflowing-square": np.array([1e200, -1e-200, 3.0]),
+    "nan-component": np.array([[1.0, 2.0], [_NAN, 0.5], [4.0, -_INF]]),
+}
+
+
+@pytest.mark.parametrize("values", _ENTRY_CASES.values(), ids=_ENTRY_CASES.keys())
+def test_entry_is_the_two_call_formula_bit_for_bit(values):
+    grid = np.linspace(0.5, 7.0, max(np.shape(values)[:1], default=1))
+    with np.errstate(over="ignore"):  # 1e200 squared, in both
+        entry = _entry("eq", values, grid)
+        want = _two_call_entry(values, grid)
+    got = np.array([entry.max, entry.rms, entry.worst_r])
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_entry_max_rms_and_worst_point():
+    entry = _entry("eq", np.array([3.0, -4.0]), np.array([1.0, 2.0]))
+    assert (entry.eq, entry.max, entry.worst_r) == ("eq", 4.0, 2.0)
+    assert entry.rms == pytest.approx(math.sqrt(12.5))
+    assert _entry("eq", np.array([]), np.array([])).rms == 0.0
 
 
 # ---------------------------------------------------------------------------

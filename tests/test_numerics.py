@@ -11,10 +11,11 @@ from staticstar import catalog, conformal, energy, geometry, numerics, quasiloca
 from staticstar.config import RunConfig
 from staticstar.errors import BadParams, DomainError, StaticStarError, StepFailure
 from staticstar.numerics import (
+    GRID_N_MAX,
     RadialFunction,
     ScalarField,
+    check_grid_n,
     chebyshev_grid,
-    max_rms,
     refine_root,
     sign_brackets,
     sphere_rule,
@@ -51,17 +52,30 @@ TWO_POINTS = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
     lambda: RunConfig(grid_n=8.5),
     lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=2.5),
     lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=-1),
+    # one point past the cap, refused before anything is allocated
+    lambda: check_grid_n(GRID_N_MAX + 1, 2),
+    lambda: quasilocal.level_set_data(catalog.parse_model_spec(VACUUM), 0.5, grid_n=GRID_N_MAX + 1),
+    lambda: chebyshev_grid(0.0, 1.0, GRID_N_MAX + 1),
+    lambda: tov.SolverOptions(grid_n=GRID_N_MAX + 1),
+    lambda: RunConfig(grid_n=GRID_N_MAX + 1),
+    lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=GRID_N_MAX + 1),
 ], ids=["level-set-grid-0", "level-set-grid-1", "level-set-float-grid", "sweep-grid-0",
         "sweep-grid-1", "sectional-batch", "invariant-eval-batch", "chebyshev-float-n",
         "chebyshev-bool-n", "solver-float-grid", "config-float-grid", "scan-float-n",
-        "scan-negative-n"])
+        "scan-negative-n", "cap-plus-one", "level-set-cap-plus-one", "chebyshev-cap-plus-one",
+        "solver-cap-plus-one", "config-cap-plus-one", "scan-cap-plus-one"])
 def test_library_edges_refuse_bad_sizes_and_shapes(refused):
-    """Grid sizes that are not integers of the documented least size (2, or 1
-    for an energy-condition scan), and a batch where one point is documented,
-    are BadParams, not a raw IndexError, TypeError or ValueError and not a
-    wrong answer."""
+    """Grid sizes that are not integers from the documented least size (2, or
+    1 for an energy-condition scan) to GRID_N_MAX, and a batch where one point
+    is documented, are BadParams, not a raw IndexError, TypeError or
+    ValueError, not a wrong answer and not an allocation the host cannot
+    hold."""
     with pytest.raises(BadParams):
         refused()
+
+
+def test_the_cap_itself_is_a_grid_size():
+    assert check_grid_n(GRID_N_MAX, 2) is None
 
 
 def test_two_point_scan_finds_the_vacuum_sphere():
@@ -267,12 +281,6 @@ def test_sphere_rule_is_shared_and_read_only():
         pts[0, 0] = 2.0
     with pytest.raises(ValueError):
         wts[0] = 2.0
-
-
-def test_max_rms():
-    mx, rms = max_rms(np.array([3.0, -4.0]))
-    assert mx == 4.0
-    assert rms == pytest.approx(math.sqrt(12.5))
 
 
 def test_sign_brackets_exact_zero_among_sign_changes():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from staticstar import conformal, quasilocal, tov
 from staticstar.energy import BAND, scan_conditions, scan_model
 from staticstar.errors import DomainError, StaticStarError
-from staticstar.geometry import to_geometric, to_physical
-from staticstar.numerics import RadialFunction, chebyshev_grid, max_rms
+from staticstar.geometry import _entry, to_geometric, to_physical
+from staticstar.numerics import RadialFunction, chebyshev_grid
 
 from fd import fd_derivative
 
@@ -51,9 +51,10 @@ def test_condition_implications(pairs):
 
 
 @given(st.lists(finite, min_size=1, max_size=50))
-def test_max_dominates_rms(vals):
-    mx, rms = max_rms(np.array(vals))
-    assert mx >= rms - 1e-15 and rms >= 0.0
+def test_entry_max_dominates_rms(vals):
+    entry = _entry("eq", np.array(vals), np.arange(len(vals), dtype=float))
+    assert entry.max >= entry.rms - 1e-15 and entry.rms >= 0.0
+    assert abs(vals[int(entry.worst_r)]) == entry.max
 
 
 @given(st.floats(min_value=0.1, max_value=1e3),
