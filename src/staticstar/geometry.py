@@ -229,11 +229,18 @@ class ResidualReport:
         }
 
 
+# squares of values up to this, summed over GRID_N_MAX points, stay finite
+_SQUARE_SAFE = 2.0**500
+
+
 def _entry(eq: str, values: np.ndarray, grid: np.ndarray) -> ResidualEntry:
     """max |v|, rms |v| and the grid point of the max, in one pass over |v|.
 
     ``np.add.reduce`` is the float64 sum ``np.mean`` takes, and ``argmax``
-    finds the first NaN, the one ``np.max`` returns.  Empty input is (0, 0, nan).
+    finds the first NaN, the one ``np.max`` returns.  A max above 2**500,
+    whose square could overflow, scales |v| by a power of two before the
+    squares and the root back after, which is exact; below it the RMS is
+    that of the plain squares.  Empty input is (0, 0, nan).
     """
     v = np.abs(np.asarray(values, dtype=float))
     if v.ndim > 1:  # componentwise residual: collapse components first
@@ -242,8 +249,11 @@ def _entry(eq: str, values: np.ndarray, grid: np.ndarray) -> ResidualEntry:
     if not v.size:
         return ResidualEntry(eq=eq, max=0.0, rms=0.0, worst_r=float("nan"))
     i = int(v.argmax())
-    rms = math.sqrt(float(np.add.reduce(v * v)) / v.size)
-    return ResidualEntry(eq=eq, max=float(v[i]), rms=rms, worst_r=float(grid[i]))
+    mx = float(v[i])
+    k = math.frexp(mx)[1] if mx > _SQUARE_SAFE else 0  # frexp(inf) is (inf, 0)
+    w = np.ldexp(v, -k) if k else v
+    rms = math.ldexp(math.sqrt(float(np.add.reduce(w * w)) / v.size), k)
+    return ResidualEntry(eq=eq, max=mx, rms=rms, worst_r=float(grid[i]))
 
 
 def _report(entries: list[ResidualEntry], grid: np.ndarray, tol: float) -> ResidualReport:

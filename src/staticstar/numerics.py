@@ -11,7 +11,9 @@ Everything geometric in this package is assembled from two building blocks:
   used by the conformally flat machinery.
 
 ODE solutions come from :func:`solve_ivp`, a step-for-step port of scipy's
-RK45 whose dense output is one :class:`PiecewisePoly`; tabulated data is
+RK45 whose dense output is one :class:`PiecewisePoly`: its right-hand side
+and events get the state as a list of Python floats, only the tableau
+products are numpy, and ``nfev`` counts as scipy's does.  Tabulated data is
 fitted by :func:`pchip`.  All of it runs on numpy alone and returns scipy's
 floats, so the package needs no scipy at run time; the tests keep scipy as
 the oracle, and finite differences as the independent check of every
@@ -402,7 +404,7 @@ def pchip(x, y) -> PiecewisePoly:
 # ODE solutions and their dense output
 # ----------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980): the 5(4) pair with
 # Shampine's dense-output weights P, written as scipy's RK45 writes them
@@ -461,27 +463,31 @@ def _rms(x):
 
 
 def _rk_step(fun, t, y, f, h, K, KT):
-    """One Dormand–Prince step: y_new.  Each stage's right-hand side is written
-    straight into its row of ``K``, the last one f(t + h, y_new); ``KT[s]`` is
-    the view K[:s].T, made once per solve since K is reused.  The products are
-    ``ndarray.dot``, which is ``np.dot`` without its dispatch call."""
+    """One Dormand–Prince step from the state ``y``, a list of floats: y_new,
+    a list too.  Each stage's right-hand side is written straight into its
+    row of ``K``, the last one f(t + h, y_new); ``KT[s]`` is the view K[:s].T,
+    made once per solve since K is reused.  Only the products are numpy
+    (``ndarray.dot``, scipy's BLAS call without ``np.dot``'s dispatch); the
+    sums and scalings around them are exactly rounded, so on floats they
+    give numpy's bits, in scipy's operand order."""
     K[0] = f
     for s, c, a in _RK_STAGES:
-        K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
-    y_new = y + h * KT[-2].dot(_RK_B)
+        K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, KT[s].dot(a).tolist())])
+    y_new = [yi + h * di for yi, di in zip(y, KT[-2].dot(_RK_B).tolist())]
     K[-1] = fun(t + h, y_new)
     return y_new
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
-    """The first step size of Hairer, Nørsett & Wanner, *Solving ODEs I*, Sec. II.4."""
+    """The first step size of Hairer, Nørsett & Wanner, *Solving ODEs I*, Sec. II.4.
+    ``y0``, ``f0`` and ``atol`` are arrays; ``fun`` gets its probe as a list."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
+    f1 = np.asarray(fun(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -490,27 +496,41 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
+def _error_norm(e, y, y_new, h, rtol, atol):
+    """scipy's RMS of e h / (atol + max(|y|, |y_new|) rtol), on lists of floats.
+    The max propagates NaN as ``np.maximum`` does, and a zero scale divides
+    as numpy divides."""
+    scale = [at + (b if b > a or b != b else a) * rtol
+             for at, a, b in zip(atol, map(abs, y), map(abs, y_new))]
+    try:
+        err = [ei * h / s for ei, s in zip(e, scale)]
+    except ZeroDivisionError:  # atol 0 on a state at 0 both ends: inf or nan, as numpy gives
+        err = np.array(e) * h / np.array(scale)
+    return _rms(np.array(err))
+
+
 def _advance(fun, t, y, f, h_abs, t_bound, rtol, atol, K, KT):
-    """One accepted step from t: (t_new, y_new, f_new, the next step size), or
-    None when the step size falls below ten ulps of t."""
+    """One step from t: the number of attempts, each six calls of ``fun``,
+    and (t_new, y_new, f_new, the next step size), or None in its place when
+    the step size falls below ten ulps of t."""
     min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     h_abs = max(h_abs, min_step)
-    rejected = False
+    attempts = 0
     while h_abs >= min_step:
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
         h_abs = abs(h)
         y_new = _rk_step(fun, t, y, f, h, K, KT)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(KT[-1].dot(_RK_E) * h / scale)
+        attempts += 1
+        error_norm = _error_norm(KT[-1].dot(_RK_E).tolist(), y, y_new, h, rtol, atol)
         if error_norm < 1:
             factor = _MAX_FACTOR if error_norm == 0 else min(
                 _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             # after a rejection the step may not grow; K is reused, so f_new is a copy
-            return t_new, y_new, K[-1].copy(), h_abs * (min(1, factor) if rejected else factor)
+            return attempts, (t_new, y_new, K[-1].copy(),
+                              h_abs * (min(1, factor) if attempts > 1 else factor))
         h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-        rejected = True
-    return None
+    return attempts, None
 
 
 def _crossed(g, g_new, direction) -> bool:
@@ -525,8 +545,15 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     dense_output=True)``: the same tableau, first step, RMS error norm and
     step control (safety 0.9, step factors 0.2 to 10, a minimum step of ten
     ulps of t), with ``rtol`` raised to at least 100 eps.  On the same
-    problem it takes the same steps, makes the same ``nfev`` calls of
-    ``fun`` and returns the same floats.
+    problem it takes the same steps and returns the same floats, and
+    ``nfev`` counts as scipy's does: f(t0), the first-step probe and six
+    calls per attempted step.
+
+    ``fun`` and every event get ``y`` as a list of Python floats, in every
+    call; ``fun`` may return a tuple, list or array.  The step holds its
+    state as such a list and does its elementwise arithmetic on floats,
+    which round as numpy's do; only the tableau products and the error
+    norm's dot product are numpy's, the BLAS calls scipy makes.
 
     Every event ``g(t, y)`` is terminal and may carry a ``direction``
     attribute, as in scipy: the solve stops at the first root, which Brent's
@@ -542,18 +569,14 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
         raise BadParams(f"the initial state must be 1-d, as scipy's, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise BadParams(f"the initial state {y0} is not finite")
-    rtol = max(rtol, 100 * _EPS)
-    atol = np.asarray(atol)
-    nfev = 0
-
-    def f(t, y):  # fun's own result: a tuple, list or array, made an array where it is needed
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
-
-    f_cur = np.asarray(f(t0, y), dtype=float)
-    h_abs = _initial_step(f, t0, y, t_bound, f_cur, rtol, atol)
-    K = np.empty((len(_RK_C) + 1, y.size))
+    rtol = max(float(rtol), 100 * _EPS)
+    atol = np.asarray(atol, dtype=float)
+    f_cur = np.asarray(fun(t0, y.tolist()), dtype=float)
+    h_abs = _initial_step(fun, t0, y, t_bound, f_cur, rtol, atol)
+    nfev = 2
+    # from here on the state and atol are lists of floats
+    y, atol = y.tolist(), np.broadcast_to(atol, y.shape).tolist()
+    K = np.empty((len(_RK_C) + 1, len(y)))
     KT = [K[:s].T for s in range(len(K) + 1)]
     directions = [getattr(event, "direction", 0) for event in events]
     g = [event(t0, y) for event in events]
@@ -561,7 +584,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     t, ts, steps = t0, [t0], []
     status = None
     while status is None:
-        step = _advance(f, t, y, f_cur, h_abs, t_bound, rtol, atol, K, KT)
+        attempts, step = _advance(fun, t, y, f_cur, h_abs, t_bound, rtol, atol, K, KT)
+        nfev += 6 * attempts
         if step is None:
             status = -1
             break
@@ -580,9 +604,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
                 powers = [x]  # x, x^2, ... as a running product, as cumprod forms them
                 for _ in range(Q.shape[1] - 1):
                     powers.append(powers[-1] * x)
-                out = h * Q.dot(powers)
-                out += y_old
-                return out
+                return [d + yi for d, yi in zip((h * Q.dot(powers)).tolist(), y_old)]
 
             t, j = min((refine_root(lambda s: events[j](s, y_at(s)), t_old, t, xtol=4 * _EPS), j)
                        for j in hits)

@@ -404,7 +404,7 @@ def integrate_tov(
     rho0, m0 = _center_series(rho_c, mu_c, R_START)
 
     def rhs(r, y):
-        rho, m, _v = y.tolist()
+        rho, m, _v = y
         mu = eos.mu(rho)
         if not math.isfinite(mu):
             # a NaN would otherwise shrink the step until it underflows

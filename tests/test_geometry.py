@@ -323,7 +323,6 @@ _ENTRY_CASES = {
     "inf": np.array([1.0, -_INF, _INF, 2.0]),
     "negative-zero": np.array([-0.0, 0.0, -0.0]),
     "subnormal": np.array([5e-324, -1e-310, 2.2e-308, -0.0]),
-    "overflowing-square": np.array([1e200, -1e-200, 3.0]),
     "nan-component": np.array([[1.0, 2.0], [_NAN, 0.5], [4.0, -_INF]]),
 }
 
@@ -331,11 +330,18 @@ _ENTRY_CASES = {
 @pytest.mark.parametrize("values", _ENTRY_CASES.values(), ids=_ENTRY_CASES.keys())
 def test_entry_is_the_two_call_formula_bit_for_bit(values):
     grid = np.linspace(0.5, 7.0, max(np.shape(values)[:1], default=1))
-    with np.errstate(over="ignore"):  # 1e200 squared, in both
-        entry = _entry("eq", values, grid)
-        want = _two_call_entry(values, grid)
+    entry = _entry("eq", values, grid)
     got = np.array([entry.max, entry.rms, entry.worst_r])
-    assert got.tobytes() == np.array(want).tobytes()
+    assert got.tobytes() == np.array(_two_call_entry(values, grid)).tobytes()
+
+
+def test_entry_rms_of_a_max_whose_square_overflows():
+    """1e200 squared overflows; the RMS scales by a power of two first and
+    reads 1e200 / sqrt(3), to an ulp, with no overflow warning."""
+    entry = _entry("eq", np.array([1e200, -1e-200, 3.0]), np.array([1.0, 2.0, 3.0]))
+    assert (entry.max, entry.worst_r) == (1e200, 1.0)
+    want = 1e200 / math.sqrt(3.0)
+    assert abs(entry.rms - want) <= math.ulp(want)
 
 
 def test_entry_max_rms_and_worst_point():

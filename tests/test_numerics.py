@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
@@ -379,6 +380,7 @@ _SOFT_RHO = np.linspace(-2e-4, 3e-4, 60)
 
 SOLVE_CASES = {
     "tov-constant": _tov_run(tov.ConstantDensity(0.001), 5e-4),
+    "tov-constant-rejections": _tov_run(tov.ConstantDensity(1.5e-3), 9e-4, rel_tol=1e-4),
     "tov-table-twin": _tov_run(tov.Tabulated(_TWIN_RHO, np.full(_TWIN_RHO.shape, 0.001)), 5e-4),
     "tov-horizon-hit": _tov_run(tov.Chaplygin(1.0), -1.0 / math.sqrt(3.0)),
     "tov-no-surface": _tov_run(tov.ConstantDensity(0.001), 5e-4, r_max=5.0),
@@ -397,15 +399,15 @@ SOLVE_CASES = {
     "two-events-in-one-step": _direct_run(
         lambda t, y: (1.0,), (0.0, 10.0), (0.0,),
         events=(_terminal(lambda t, y: y[0] - 0.95, 1.0), _terminal(lambda t, y: y[0] - 0.9, 0.0))),
-    "step-size-collapse": _direct_run(lambda t, y: y * y, (0.0, 2.0), (1.0,)),
-    "rtol-below-100-eps": _direct_run(lambda t, y: -y, (0.0, 3.0), (1.0, 2.0),
+    "step-size-collapse": _direct_run(lambda t, y: [v * v for v in y], (0.0, 2.0), (1.0,)),
+    "rtol-below-100-eps": _direct_run(lambda t, y: [-v for v in y], (0.0, 3.0), (1.0, 2.0),
                                       rtol=1e-17, atol=1e-20),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
-def test_solve_ivp_is_scipy_rk45_bit_for_bit(case):
-    (fun, span, y0), kwargs, got = SOLVE_CASES[case]()
+def _assert_is_scipy(call):
+    """The port's result ``call[2]`` is scipy's RK45 solve of ``call[:2]``, bit for bit."""
+    (fun, span, y0), kwargs, got = call
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # scipy's note that it raised rtol
         want = scipy_solve_ivp(fun, span, y0, method="RK45", dense_output=True, **kwargs)
@@ -418,10 +420,114 @@ def test_solve_ivp_is_scipy_rk45_bit_for_bit(case):
         assert _same_bits(got.dense.c, _scipy_coefficients(want.sol))
     else:
         assert got.dense is None
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_ivp_is_scipy_rk45_bit_for_bit(case):
+    call = SOLVE_CASES[case]()
+    _assert_is_scipy(call)
+    got = call[2]
     if case == "step-size-collapse":
-        assert got.status == -1 and want.t[-1] < 1.0
+        assert got.status == -1 and got.t[-1] < 1.0
+    if case == "tov-constant-rejections":  # six calls per attempt, accepted or not
+        assert got.nfev > 2 + 6 * (len(got.t) - 1)
     if "event" in case:
         assert got.status == 1
+
+
+def test_a_nan_in_y_new_rejects_the_step_as_np_maximum_does():
+    """A right-hand side that stays finite overflows y to +inf, a step its
+    infinite error scale accepts, then turns negative, so y_new = inf - inf
+    is NaN.  scipy's scale takes ``np.maximum``, which keeps the NaN: every
+    attempt is rejected until the step size collapses.  A max that dropped
+    the NaN would accept the step and run on to the end."""
+    nan_seen = []
+
+    def fun(t, y):
+        nan_seen.append(math.isnan(y[0]))
+        return (1.7e308 if t < 1.0 else -1.7e308,)
+
+    with np.errstate(all="ignore"):
+        call = _direct_run(fun, (0.0, 3.0), (0.0,))()
+        assert any(nan_seen) and call[2].status == -1
+        _assert_is_scipy(call)
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-2])
+def test_a_zero_atol_divides_an_underflowed_state_as_numpy_does(rtol):
+    """With atol = 0, y' = -y decays until the state and its scale underflow
+    to zero; e h / 0 is then inf or nan, as numpy divides, not an error."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        call = _direct_run(lambda t, y: [-v for v in y], (0.0, 1000.0), (1.0,),
+                           rtol=rtol, atol=0.0)()
+        _assert_is_scipy(call)
+
+
+def test_every_fun_and_event_call_gets_a_list_of_floats():
+    """f(t0), the first-step probe, every stage, the events at each step and
+    the event-root refinement all get ``y`` as a list of Python floats; the
+    count of fun's calls is ``nfev``."""
+    states = {"fun": [], "event": []}
+
+    def fun(t, y):
+        states["fun"].append(y)
+        return np.array([y[1], -y[0]])
+
+    def crossing(t, y):
+        states["event"].append(y)
+        return y[0] + 0.5
+
+    got = numerics.solve_ivp(fun, (0.0, 20.0), (1.0, 0.0), rtol=1e-8, atol=1e-10,
+                             events=(_terminal(crossing, -1.0),))
+    assert got.status == 1 and got.nfev == len(states["fun"])
+    # the events' calls: t0, each of the accepted steps and Brent's iterations
+    assert len(states["event"]) > len(got.t)
+    for y in states["fun"] + states["event"]:
+        assert type(y) is list and len(y) == 2 and all(type(v) is float for v in y)
+
+
+_TOV_STARS = st.one_of(
+    # tov_stars' constant-density stars, and its self-bound bag models mu = 3 rho + 4B
+    st.tuples(st.just("constant"), st.floats(1e-3, 2e-3), st.floats(0.4, 0.8)),
+    st.tuples(st.just("bag"), st.floats(8e-5, 1.2e-4), st.floats(3e-4, 4e-4)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_TOV_STARS, st.sampled_from([1e-4, 1e-6, 1e-8, 1e-12]))
+@example(("constant", 1.5e-3, 0.6), 1e-12)
+@example(("bag", 1e-4, 3.5e-4), 1e-12)
+def test_tov_solves_are_scipy_rk45_bit_for_bit(star, rel_tol):
+    """Loose tolerances reject attempts on the constant stars; the tightest
+    takes several hundred steps."""
+    kind, a, b = star
+    if kind == "constant":
+        eos, rho_c = tov.ConstantDensity(a), a * b
+    else:
+        rho = np.linspace(-b, 1.5 * b, 60)
+        eos, rho_c = tov.Tabulated(rho, 3.0 * rho + 4.0 * a), b
+    _assert_is_scipy(_tov_run(eos, rho_c, rel_tol=rel_tol)())
+
+
+_ANY_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308]),
+                       st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, st.sampled_from([0.0, 1e-10, 1.0])),
+    min_size=n, max_size=n)), st.floats(1e-3, 10.0), st.sampled_from([1e-3, 1e-12]))
+def test_error_norm_is_scipys_on_every_float(rows, h, rtol):
+    """NaN, inf, zero and an atol of 0 included: the list arithmetic gives the
+    norm of scipy's ``norm(e h / (atol + np.maximum(|y|, |y_new|) rtol))``."""
+    e, y, y_new, atol = (list(col) for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        got = numerics._error_norm(e, y, y_new, h, rtol, atol)
+        scale = np.array(atol) + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        x = np.array(e) * h / scale
+        want = np.linalg.norm(x) / x.size ** 0.5
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
@@ -446,7 +552,8 @@ def test_solve_ivp_takes_fun_results_as_tuple_list_or_array(wrap):
 
 def test_a_collapsed_step_is_a_step_failure(monkeypatch):
     def diverging(*args, **kwargs):
-        return numerics.solve_ivp(lambda t, y: y * y, (0.0, 2.0), (1.0, 1.0), **kwargs)
+        return numerics.solve_ivp(lambda t, y: [v * v for v in y], (0.0, 2.0), (1.0, 1.0),
+                                  **kwargs)
 
     monkeypatch.setattr(conformal, "solve_ivp", diverging)
     with pytest.raises(StepFailure, match="step size"):
