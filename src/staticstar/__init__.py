@@ -2,6 +2,9 @@
 
 Subpackage map
 --------------
+``numerics``    radial functions and jets, grids, root finding, RK45, piecewise polynomials
+``errors``      the package's exceptions, each mapped to a CLI exit code
+``config``      run configuration: built-in defaults, INI file, CLI overrides
 ``geometry``    curvature, field-equation residuals, convention bridge
 ``tov``         equations of state and interior integration (TOV system)
 ``catalog``     exact solutions with closed-form evaluators and self-checks

@@ -551,22 +551,6 @@ def witten_stellar(
     )
 
 
-def witten_pressure_poles(model: AnalyticModel, count: int = 3) -> np.ndarray:
-    """First ``count`` pressure poles t_k = acosh(exp(k pi - delta)) with
-    k >= 0 and t_k > 0 (k = 0 is a pole when delta < 0)."""
-    if model.id != "witten_stellar":
-        raise BadParams("pressure poles are defined for witten_stellar")
-    delta = model.extras["delta"]
-    out = []
-    k = 0
-    while len(out) < count:
-        L = k * math.pi - delta
-        if L > 0.0:
-            out.append(math.acosh(math.exp(L)))
-        k += 1
-    return np.array(out)
-
-
 # ----------------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------------

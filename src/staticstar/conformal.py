@@ -22,9 +22,9 @@ and the fluid follows algebraically:
     rho_geo =  [ (n-1) Lap_g f / f - (n-2) mu_geo ] / n,
 
 with Lap_g f = phi^2 [ f'' q + 2 n tau f' + (2-n) phi' f' q / phi ],
-q = 4 tau u + C.  A second, independent closed form for the pressure is kept
-in :func:`pressure_closed_form` so the two routes can be compared; they are
-never collapsed into one code path.
+q = 4 tau u + C.  A second, independent closed form for the pressure, which
+eliminates f'' through the lapse ODE instead of taking the trace, is the
+oracle ``tests/test_conformal.py`` compares this route against on solutions.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import BadParams, DomainError, SignLoss, StepFailure
 from .geometry import (
-    EIGHT_PI,
     ConformalFlat,
     FluidData,
     ResidualReport,
@@ -52,7 +51,6 @@ from .numerics import (
     EPS_DOM,
     RadialFunction,
     ScalarField,
-    as_point,
     as_points,
     chebyshev_grid,
     solve_ivp,
@@ -60,11 +58,8 @@ from .numerics import (
 
 __all__ = [
     "BasicInvariant",
-    "basic_invariant_eval",
     "witten_lapse",
     "solve_lapse",
-    "density_pressure",
-    "pressure_closed_form",
     "ConformalModel",
     "build_model",
 ]
@@ -179,29 +174,6 @@ class BasicInvariant:
         )
 
 
-def basic_invariant_eval(x, invariant: BasicInvariant) -> float:
-    """Evaluate u at one point x ``(n,)``, asserting both defining identities
-    to 1e-12; any other shape of x is BadParams.
-
-    |grad u|^2 = 4 tau u + C and Lap u = 2 n tau are algebraic identities of
-    the quadric; a violation means the inputs are corrupt (NaN, overflow), so
-    it is reported as a DomainError rather than silently propagated.
-    """
-    x = as_point(x, invariant.n)
-    fld = invariant.as_field()
-    with np.errstate(invalid="ignore", over="ignore"):
-        u = fld.value(x)
-        g = fld.gradient(x)
-        lap = float(np.trace(fld.hessian(x)))
-        lhs = float(g @ g)
-    rhs = 4.0 * invariant.tau * u + invariant.C
-    if not math.isfinite(u) or abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-        raise DomainError(f"|grad u|^2 = {lhs} but 4 tau u + C = {rhs} at x={x}")
-    if abs(lap - 2.0 * invariant.n * invariant.tau) > 1e-12 * max(1.0, abs(lap)):
-        raise DomainError(f"Lap u = {lap} != 2 n tau at x={x}")
-    return u
-
-
 # ----------------------------------------------------------------------------
 # lapse solutions
 # ----------------------------------------------------------------------------
@@ -254,7 +226,8 @@ def solve_lapse(
     If the lapse crosses zero the solution beyond that point is meaningless,
     so the returned domain stops just before the crossing; a crossing at the
     left end, which would leave nothing, is a SignLoss.  StepFailure
-    propagates integrator breakdowns.
+    propagates integrator breakdowns, and :func:`solve_ivp`'s BadParams a
+    negative or NaN tolerance.
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
@@ -337,57 +310,6 @@ def _geo_pair(phi: RadialFunction, f: RadialFunction, invariant: BasicInvariant,
     lap_g = p * p * lap_flat_part
     rho_geo = ((n - 1) * lap_g / fv - (n - 2) * mu_geo) / n
     return mu_geo, rho_geo
-
-
-def density_pressure(
-    phi: RadialFunction,
-    f: RadialFunction,
-    invariant: BasicInvariant,
-    lam: float,
-    n: int,
-    u,
-) -> tuple:
-    """Physical (mu, rho) at invariant value(s) u.
-
-    mu comes from the closed-form scalar-curvature expression; rho from the
-    trace of the conformal Hessian of f (so it is exact whenever f actually
-    solves the lapse ODE).  Physical values are the geometric ones with the
-    cosmological constant split off: mu = (mu_geo - Lambda)/8 pi,
-    rho = (rho_geo + Lambda)/8 pi.
-    """
-    return to_physical(*_geo_pair(phi, f, invariant, n, u), lam)
-
-
-def pressure_closed_form(
-    phi: RadialFunction,
-    f: RadialFunction,
-    invariant: BasicInvariant,
-    lam: float,
-    n: int,
-    u,
-):
-    """Independent closed form for the physical pressure.
-
-        8 pi rho - Lambda = (n-1)/n * { [ (n/2)(n-2) phi'^2 - n phi phi' f'/f ] q
-                                        + 2 n tau (phi/f) [ f' phi - (n-2) f phi' ] }
-
-    with q = 4 tau u + C.  Kept as a separate code path from
-    :func:`density_pressure` deliberately; the two must agree on solutions of
-    the lapse ODE and the tests compare them.
-    """
-    u = np.asarray(u, dtype=float)
-    tau, C = invariant.tau, invariant.C
-    q = 4.0 * tau * u + C
-    p = np.asarray(phi.value(u), dtype=float)
-    p1 = np.asarray(phi.d1(u), dtype=float)
-    fv = np.asarray(f.value(u), dtype=float)
-    f1 = np.asarray(f.d1(u), dtype=float)
-    if np.any(fv == 0.0):
-        raise DomainError("lapse vanishes on evaluation set")
-    bracket = (0.5 * n * (n - 2) * p1 * p1 - n * p * p1 * f1 / fv) * q \
-        + 2.0 * n * tau * (p / fv) * (f1 * p - (n - 2) * fv * p1)
-    rho_geo = (n - 1) / n * bracket
-    return (rho_geo + lam) / EIGHT_PI
 
 
 # ----------------------------------------------------------------------------

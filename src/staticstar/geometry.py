@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import RadialFunction, ScalarField, as_point, as_points
+from .numerics import RadialFunction, ScalarField, as_points
 
 if TYPE_CHECKING:  # conformal imports this module
     from .conformal import BasicInvariant
@@ -51,15 +51,11 @@ __all__ = [
     "ResidualReport",
     "to_geometric",
     "to_physical",
-    "ricci_warped",
     "conformal_curvature",
     "conformal_hessian",
-    "sectional_conformal",
     "spf_residuals",
     "tolman_residuals",
-    "conservation_residual",
     "coordinate_sphere",
-    "mean_curvature_sphere",
 ]
 
 EIGHT_PI = 8.0 * math.pi
@@ -240,7 +236,8 @@ def _entry(eq: str, values: np.ndarray, grid: np.ndarray) -> ResidualEntry:
     finds the first NaN, the one ``np.max`` returns.  A max above 2**500,
     whose square could overflow, scales |v| by a power of two before the
     squares and the root back after, which is exact; below it the RMS is
-    that of the plain squares.  Empty input is (0, 0, nan).
+    that of the plain squares.  An inf or NaN max is also the RMS.  Empty
+    input is (0, 0, nan).
     """
     v = np.abs(np.asarray(values, dtype=float))
     if v.ndim > 1:  # componentwise residual: collapse components first
@@ -250,9 +247,12 @@ def _entry(eq: str, values: np.ndarray, grid: np.ndarray) -> ResidualEntry:
         return ResidualEntry(eq=eq, max=0.0, rms=0.0, worst_r=float("nan"))
     i = int(v.argmax())
     mx = float(v[i])
-    k = math.frexp(mx)[1] if mx > _SQUARE_SAFE else 0  # frexp(inf) is (inf, 0)
-    w = np.ldexp(v, -k) if k else v
-    rms = math.ldexp(math.sqrt(float(np.add.reduce(w * w)) / v.size), k)
+    if math.isfinite(mx):
+        k = math.frexp(mx)[1] if mx > _SQUARE_SAFE else 0
+        w = np.ldexp(v, -k) if k else v
+        rms = math.ldexp(math.sqrt(float(np.add.reduce(w * w)) / v.size), k)
+    else:  # the sum of the squares is inf, or NaN: no square is formed
+        rms = mx
     return ResidualEntry(eq=eq, max=mx, rms=rms, worst_r=float(grid[i]))
 
 
@@ -308,11 +308,13 @@ def _sphere_chart(ansatz, r):
 
 
 def _chart_ricci(b, b1, b2, e2, ee1, one_minus_bs2):
-    """(R_rr, Rab, R) from :func:`_radial_chart` data, as in :func:`ricci_warped`.
+    """(R_rr, Rab, R) from :func:`_radial_chart` data.
 
     With b_ss = e^2 b'' + e e' b': R_rr = -2 b_ss/b (orthonormal frame),
-    Rab = 1 - b_s^2 - b b_ss (tangential block in coordinates), and
-    R = R_rr + 2 Rab/b^2.
+    Rab = 1 - b_s^2 - b b_ss (tangential block in coordinates, so the
+    tangential Ricci is Rab g_{S^2}), and R = R_rr + 2 Rab/b^2.  In a warped
+    product (b = phi, e = 1) these read -2 phi''/phi, 1 - phi'^2 - phi phi''
+    and R_rr + 2 Rab/phi^2.
     """
     if np.any(b == 0.0):
         raise DomainError("areal radius b vanishes on the evaluation set")
@@ -320,20 +322,6 @@ def _chart_ricci(b, b1, b2, e2, ee1, one_minus_bs2):
     r11 = -2.0 * b_ss / b
     rab = one_minus_bs2 - b * b_ss
     return r11, rab, r11 + 2.0 * rab / (b * b)
-
-
-def ricci_warped(phi: RadialFunction, r):
-    """Ricci data of g = dr^2 + phi(r)^2 g_{S^2} at radius r.
-
-    Returns
-    -------
-    (R11, Rab_coeff, R_scalar):
-        R11 is the radial-radial Ricci component in the orthonormal frame,
-        ``-2 phi''/phi``; the tangential Ricci block is ``Rab_coeff * g_{S^2}``
-        in coordinates, with ``Rab_coeff = 1 - phi'^2 - phi phi''``; and
-        ``R_scalar = R11 + 2 Rab_coeff / phi^2``.
-    """
-    return _chart_ricci(*_radial_chart(WarpedProduct(phi), r))
 
 
 # ----------------------------------------------------------------------------
@@ -391,35 +379,6 @@ def conformal_hessian(phi: ScalarField, f: ScalarField, x) -> np.ndarray:
     pp = p[..., None, None]
     return hf + (cross + np.swapaxes(cross, -1, -2)) / pp \
         - (dot[..., None, None] / pp) * np.eye(phi.n)
-
-
-def sectional_conformal(phi: ScalarField, x, i: int, j: int) -> float:
-    """Sectional curvature of the coordinate 2-plane span(e_i, e_j).
-
-    For g = phi^{-2} delta, writing w = log phi,
-
-        K_ij = phi^2 [ w_{,ii} + w_{,jj} - sum_{l != i,j} (w_{,l})^2 ].
-
-    ``x`` is one point ``(n,)``; any other shape is BadParams.  Raises
-    IndexError for i == j or out-of-range indices (a 2-plane needs two
-    distinct directions).
-    """
-    n = phi.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"plane indices ({i}, {j}) out of range for n={n}")
-    if i == j:
-        raise IndexError("sectional curvature needs two distinct directions")
-    x = as_point(x, n)
-    p = phi.value(x)
-    if p <= 0.0:
-        raise DomainError("conformal factor must be positive")
-    g = np.asarray(phi.gradient(x), dtype=float)
-    h = np.asarray(phi.hessian(x), dtype=float)
-    # (log phi)_{,kk} = phi_{,kk}/phi - (phi_k/phi)^2 ;  (log phi)_{,l} = phi_l/phi
-    logh_ii = h[i, i] / p - (g[i] / p) ** 2
-    logh_jj = h[j, j] / p - (g[j] / p) ** 2
-    tail = sum((g[ell] / p) ** 2 for ell in range(n) if ell not in (i, j))
-    return float(p * p * (logh_ii + logh_jj - tail))
 
 
 # ----------------------------------------------------------------------------
@@ -596,21 +555,6 @@ def tolman_residuals(
     return _report(entries, r, tol)
 
 
-def conservation_residual(f: RadialFunction, mu: RadialFunction,
-                          rho: RadialFunction, grid) -> np.ndarray:
-    """Pointwise f rho' + (mu + rho) f' (vanishes on solutions).
-
-    Works in either convention: under the bridge the expression just rescales
-    by 8 pi, so a 1e-6 gate on geometric data is an 8 pi stricter gate on
-    physical data.
-    """
-    r = np.asarray(grid, dtype=float)
-    f_v = np.asarray(f.value(r), dtype=float)
-    f1 = np.asarray(f.d1(r), dtype=float)
-    return f_v * np.asarray(rho.d1(r), dtype=float) \
-        + (np.asarray(mu.value(r), dtype=float) + np.asarray(rho.value(r), dtype=float)) * f1
-
-
 # ----------------------------------------------------------------------------
 # coordinate spheres
 # ----------------------------------------------------------------------------
@@ -649,9 +593,3 @@ def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, flo
         raise DomainError(f"non-positive areal radius {b} at r={u}")
     e = math.sqrt(e2)
     return b, 2.0 * e * b1 / b, e
-
-
-def mean_curvature_sphere(ansatz: MetricAnsatz, r: float) -> float:
-    """Mean curvature of the coordinate sphere at radial value r, outward
-    normal: the H of :func:`coordinate_sphere`."""
-    return coordinate_sphere(ansatz, r)[1]

@@ -39,7 +39,6 @@ __all__ = [
     "Jet",
     "RadialFunction",
     "ScalarField",
-    "as_point",
     "as_points",
     "check_grid_n",
     "chebyshev_grid",
@@ -558,8 +557,9 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     Every event ``g(t, y)`` is terminal and may carry a ``direction``
     attribute, as in scipy: the solve stops at the first root, which Brent's
     method (:func:`refine_root`, ``xtol = 4 eps``) finds on the step's own
-    dense output.  Raises BadParams for an empty or backward span and for an
-    initial state that is not 1-d or not finite.
+    dense output.  Raises BadParams for an empty or backward span, for an
+    initial state that is not 1-d or not finite, and for a negative or NaN
+    ``rtol`` or entry of ``atol`` (scipy refuses a negative atol too).
     """
     t0, t_bound = map(float, t_span)
     if not t0 < t_bound:
@@ -569,8 +569,10 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
         raise BadParams(f"the initial state must be 1-d, as scipy's, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise BadParams(f"the initial state {y0} is not finite")
-    rtol = max(float(rtol), 100 * _EPS)
-    atol = np.asarray(atol, dtype=float)
+    rtol, atol = float(rtol), np.asarray(atol, dtype=float)
+    if not (rtol >= 0.0 and all(a >= 0.0 for a in atol.ravel().tolist())):  # NaN compares false
+        raise BadParams(f"tolerances must be non-negative, got rtol={rtol}, atol={atol}")
+    rtol = max(rtol, 100 * _EPS)
     f_cur = np.asarray(fun(t0, y.tolist()), dtype=float)
     h_abs = _initial_step(fun, t0, y, t_bound, f_cur, rtol, atol)
     nfev = 2
@@ -633,14 +635,6 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
 # ----------------------------------------------------------------------------
 # scalar fields on R^n
 # ----------------------------------------------------------------------------
-
-def as_point(x, n: int) -> np.ndarray:
-    """``x`` as a float array of one point ``(n,)``; any other shape is BadParams."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise BadParams(f"expected one point (n,) with n={n}, got shape {x.shape}")
-    return x
-
 
 def as_points(x, n: int) -> np.ndarray:
     """``x`` as a float array of one point ``(n,)`` or a batch ``(N, n)``.

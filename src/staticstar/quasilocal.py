@@ -48,7 +48,6 @@ __all__ = [
     "QuasiLocalReport",
     "hawking_mass",
     "willmore_energy",
-    "brown_york_sphere",
     "topology_identity_residual",
     "sphere_classification",
     "hawking_inequality_slack",
@@ -153,12 +152,6 @@ def willmore_energy(h_point, areal_radius: float) -> float:
     pts, wts = sphere_rule(AUDIT_DEGREE)
     h = np.broadcast_to(np.asarray(h_point(pts), dtype=float), wts.shape)
     return float(areal_radius**2 * (wts @ h**2))
-
-
-def brown_york_sphere(ansatz, r: float) -> float:
-    """(1/8 pi) area (H_0 - H) with flat reference H_0 = 2/b."""
-    b, H, _ = coordinate_sphere(ansatz, r)
-    return _brown_york(4.0 * math.pi * b * b, b, H)
 
 
 def _brown_york(area: float, b: float, H: float) -> float:

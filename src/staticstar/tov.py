@@ -63,7 +63,6 @@ __all__ = [
     "detect_surface",
     "integrate_lapse",
     "match_exterior",
-    "volkoff_gamma",
     "profile_to_csv",
 ]
 
@@ -654,15 +653,6 @@ def match_exterior(profile: RadialProfile, r_b: float) -> StellarModel:
 # ----------------------------------------------------------------------------
 # odds and ends
 # ----------------------------------------------------------------------------
-
-def volkoff_gamma(c: float, k: float, r):
-    """e^{-gamma} for the constant-density family: 1 - (8 pi c / 3) r^2 + k / r.
-
-    k = -2M with c = 0 is the vacuum exterior; k = 0 the regular interior.
-    """
-    r = np.asarray(r, dtype=float)
-    return 1.0 - (8.0 * math.pi * c / 3.0) * r * r + k / r
-
 
 def profile_to_csv(profile: RadialProfile, path) -> None:
     """Write the sample table with a header row and round-trip floats.

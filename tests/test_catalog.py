@@ -219,21 +219,16 @@ class TestWittenStellar:
     def test_pressure_poles(self, B):
         model = catalog.build("witten_stellar", B=B)
         delta = model.extras["delta"]
-        poles = catalog.witten_pressure_poles(model, count=3)
-        # log cosh t_k + delta is a multiple of pi: cot diverges there
-        phase = np.log(np.cosh(poles)) + delta
-        np.testing.assert_allclose(phase / math.pi, np.round(phase / math.pi),
-                                   rtol=0.0, atol=1e-12)
-        assert np.all(np.diff(poles) > 0.0) and poles[0] > 0.0
-        # extras["zeros"] also lists a t = 0 lapse zero; every positive zero
-        # below t_max is a pole, in order
-        positive = [z for z in model.extras["zeros"] if z > 0.0]
-        below = poles[poles < model.params["t_max"]]
-        np.testing.assert_allclose(below, positive, rtol=0.0, atol=1e-12)
-
-    def test_pressure_poles_wrong_model(self, vacuum):
-        with pytest.raises(BadParams):
-            catalog.witten_pressure_poles(vacuum)
+        poles = np.array(model.extras["zeros"])
+        # log cosh t_k + delta is a multiple k pi: cot diverges there
+        k = (np.log(np.cosh(poles)) + delta) / math.pi
+        np.testing.assert_allclose(k, np.round(k), rtol=0.0, atol=1e-12)
+        # in order, one per k, from the first t_k >= 0 to the last below t_max
+        assert np.all(np.diff(poles) > 0.0) and poles[0] >= 0.0
+        k = np.round(k)
+        np.testing.assert_array_equal(k, np.arange(max(0, math.ceil(delta / math.pi)),
+                                                   k[-1] + 1))
+        assert math.acosh(math.exp((k[-1] + 1) * math.pi - delta)) > model.params["t_max"]
 
     def test_windows_avoid_poles(self, witten):
         for lo, hi in witten.extras["windows"]:

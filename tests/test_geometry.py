@@ -1,6 +1,7 @@
 """Curvature formulas and residual machinery against independently derived values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,16 +14,13 @@ from staticstar.geometry import (
     FluidData,
     SchwarzschildForm,
     WarpedProduct,
+    _chart_ricci,
     _entry,
     conformal_curvature,
     conformal_hessian,
     _radial_chart,
     _radial_frame,
-    conservation_residual,
     coordinate_sphere,
-    mean_curvature_sphere,
-    ricci_warped,
-    sectional_conformal,
     spf_residuals,
     to_geometric,
     to_physical,
@@ -70,23 +68,23 @@ TANH_WARP = _rf(
 class TestWarpedCurvature:
     def test_round_sphere_slice(self):
         """phi = sin r is the unit round 3-sphere: Ric = 2g, R = 6."""
-        r11, rab, r_scal = ricci_warped(SIN_WARP, math.pi / 4)
+        r11, rab, r_scal = _chart_ricci(*_radial_chart(WarpedProduct(SIN_WARP), math.pi / 4))
         assert r11 == pytest.approx(2.0, abs=1e-14)
         assert rab == pytest.approx(1.0, abs=1e-14)
         assert r_scal == pytest.approx(6.0, abs=1e-13)
 
     def test_tanh_warp_value(self):
-        r11, _, _ = ricci_warped(TANH_WARP, 1.0)
+        r11, _, _ = _chart_ricci(*_radial_chart(WarpedProduct(TANH_WARP), 1.0))
         assert r11 == pytest.approx(1.6798973664561043, abs=1e-12)
 
     def test_vanishing_warp_rejected(self):
         with pytest.raises(DomainError):
-            ricci_warped(TANH_WARP, 0.0)
+            _chart_ricci(*_radial_chart(WarpedProduct(TANH_WARP), 0.0))
 
     def test_mean_curvature(self):
         ansatz = WarpedProduct(phi=TANH_WARP)
         want = 2.0 / (math.sinh(1.0) * math.cosh(1.0))
-        assert mean_curvature_sphere(ansatz, 1.0) == pytest.approx(want, abs=1e-14)
+        assert coordinate_sphere(ansatz, 1.0)[1] == pytest.approx(want, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,7 @@ class TestSchwarzschildForm:
         return SchwarzschildForm(gamma), f
 
     def test_mean_curvature(self):
-        assert mean_curvature_sphere(self._vacuum()[0], 4.0) == pytest.approx(
+        assert coordinate_sphere(self._vacuum()[0], 4.0)[1] == pytest.approx(
             0.35355339059327376, abs=1e-15
         )
 
@@ -174,18 +172,6 @@ class TestConformalCurvature:
             [-0.0509395196969287, 0.0339596797979525, 2.2215290534493916],
         ])
         assert np.allclose(ric, want, atol=1e-12)
-
-    def test_sectional_values(self):
-        phi = _sqrt_field()
-        assert sectional_conformal(phi, np.zeros(3), 0, 1) == pytest.approx(2.0)
-        assert sectional_conformal(phi, np.array([1.0, 0.0, 0.0]), 1, 2) == pytest.approx(1.5)
-        assert sectional_conformal(phi, GENERIC_POINT, 0, 1) == pytest.approx(
-            1836.0 / 1261.0, abs=1e-12
-        )
-
-    def test_sectional_needs_a_plane(self):
-        with pytest.raises(IndexError):
-            sectional_conformal(_sqrt_field(), GENERIC_POINT, 1, 1)
 
     def test_hessian_of_linear_function(self):
         """Hess_g of an affine function picks up pure connection terms."""
@@ -282,8 +268,9 @@ class TestResiduals:
         piece = witten.pieces[0]
         lo, hi = piece.interval
         grid = np.linspace(lo + 0.01, hi - 0.01, 200)
-        res = conservation_residual(piece.fluid.f, piece.mu_phys, piece.rho_phys, grid)
-        # the geometric residual is 8 pi times the physical one
+        f, mu, rho = piece.fluid.f, piece.mu_phys, piece.rho_phys
+        res = f.value(grid) * rho.d1(grid) + (mu.value(grid) + rho.value(grid)) * f.d1(grid)
+        # f rho' + (mu + rho) f' = 0; the geometric residual is 8 pi times the physical one
         assert np.max(np.abs(EIGHT_PI * res)) < 1e-10
 
 
@@ -342,6 +329,16 @@ def test_entry_rms_of_a_max_whose_square_overflows():
     assert (entry.max, entry.worst_r) == (1e200, 1.0)
     want = 1e200 / math.sqrt(3.0)
     assert abs(entry.rms - want) <= math.ulp(want)
+
+
+def test_entry_of_an_infinite_max_forms_no_square():
+    """An inf max makes the RMS inf without squaring 1e300, which would warn
+    of an overflow."""
+    grid = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry = _entry("eq", np.array([np.inf, 1e300]), grid)
+    assert (entry.max, entry.rms, entry.worst_r) == (math.inf, math.inf, grid[0])
 
 
 def test_entry_max_rms_and_worst_point():

@@ -35,8 +35,6 @@ def test_deliberate_refusals_are_bad_params(refused):
 
 
 VACUUM = "schwarzschild_exterior:M=1"
-POSITIVE_FIELD = conformal.BasicInvariant(1.0, (0.0,) * 3, (1.0, 0.0, 0.0))  # |x|^2 + 1
-TWO_POINTS = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
 
 
 @pytest.mark.parametrize("refused", [
@@ -45,8 +43,6 @@ TWO_POINTS = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
     lambda: quasilocal.level_set_data(catalog.parse_model_spec(VACUUM), 0.5, grid_n=64.0),
     lambda: quasilocal.mass_sweep(catalog.parse_model_spec(VACUUM), [0.5], grid_n=0),
     lambda: quasilocal.mass_sweep(catalog.parse_model_spec(VACUUM), [0.5], grid_n=1),
-    lambda: geometry.sectional_conformal(POSITIVE_FIELD.as_field(), TWO_POINTS, 0, 1),
-    lambda: conformal.basic_invariant_eval(TWO_POINTS, POSITIVE_FIELD),
     lambda: chebyshev_grid(0.0, 1.0, 2.5),
     lambda: chebyshev_grid(0.0, 1.0, True),
     lambda: tov.SolverOptions(grid_n=8.5),
@@ -61,7 +57,7 @@ TWO_POINTS = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
     lambda: RunConfig(grid_n=GRID_N_MAX + 1),
     lambda: energy.scan_model(catalog.parse_model_spec(VACUUM), n=GRID_N_MAX + 1),
 ], ids=["level-set-grid-0", "level-set-grid-1", "level-set-float-grid", "sweep-grid-0",
-        "sweep-grid-1", "sectional-batch", "invariant-eval-batch", "chebyshev-float-n",
+        "sweep-grid-1", "chebyshev-float-n",
         "chebyshev-bool-n", "solver-float-grid", "config-float-grid", "scan-float-n",
         "scan-negative-n", "cap-plus-one", "level-set-cap-plus-one", "chebyshev-cap-plus-one",
         "solver-cap-plus-one", "config-cap-plus-one", "scan-cap-plus-one"])
@@ -461,6 +457,22 @@ def test_a_zero_atol_divides_an_underflowed_state_as_numpy_does(rtol):
         call = _direct_run(lambda t, y: [-v for v in y], (0.0, 1000.0), (1.0,),
                            rtol=rtol, atol=0.0)()
         _assert_is_scipy(call)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: numerics.solve_ivp(lambda t, y: [-v for v in y], (0, 1), [1.0], atol=-1e-6),
+    lambda: numerics.solve_ivp(lambda t, y: [-v for v in y], (0, 1), [1.0], rtol=-1.0),
+    lambda: numerics.solve_ivp(lambda t, y: [-v for v in y], (0, 1), [1.0, 2.0],
+                               atol=[1e-6, math.nan]),
+    lambda: numerics.solve_ivp(lambda t, y: [-v for v in y], (0, 1), [1.0], rtol=math.nan),
+    lambda: conformal.solve_lapse(_sqrt_phi(), 3, (0, 10), (1.0, 0.2), abs_tol=-1e-6),
+], ids=["negative-atol", "negative-rtol", "nan-atol-entry", "nan-rtol",
+        "solve-lapse-negative-abs-tol"])
+def test_a_negative_or_nan_tolerance_is_bad_params(refused):
+    """scipy refuses a negative atol; a negative rtol, or a NaN, is no
+    tolerance either, and none of them may return a solution."""
+    with pytest.raises(BadParams, match="tolerances must be non-negative"):
+        refused()
 
 
 def test_every_fun_and_event_call_gets_a_list_of_floats():

@@ -18,7 +18,6 @@ from staticstar.geometry import conformal_hessian
 from staticstar.numerics import RadialFunction, ScalarField
 from staticstar.quasilocal import (
     SphereClass,
-    brown_york_sphere,
     hawking_inequality_slack,
     hawking_mass,
     level_set_data,
@@ -121,10 +120,10 @@ class TestVacuumLevels:
         assert "umbilical_spread" not in d
 
     def test_brown_york_direct(self, vacuum):
-        ansatz = vacuum.pieces[0].ansatz
-        assert brown_york_sphere(ansatz, 8.0 / 3.0) == pytest.approx(
-            4.0 / 3.0, rel=1e-12
-        )
+        # f = sqrt(1 - 2/r) = 1/2 on the sphere r = 8/3
+        rep = level_set_data(vacuum, 0.5)[0]
+        assert rep.r == pytest.approx(8.0 / 3.0, rel=1e-12)
+        assert rep.m_brown_york == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 class TestWarpedLevels:

@@ -201,13 +201,13 @@ class TestUniformStar:
 
     def test_volkoff_forms(self, const_star):
         r = np.array([1.0, 4.0, 8.0])
-        inside = tov.volkoff_gamma(0.001, 0.0, r)
+        # e^{-gamma} = 1 - (8 pi c / 3) r^2 + k / r: k = 0 inside, c = 0 and
+        # k = -2M outside
+        inside = 1.0 - (8.0 * math.pi * 0.001 / 3.0) * r * r
         got = np.array([const_star.exp_neg_gamma(s) for s in r])
         assert np.max(np.abs(inside - got)) < 1e-8
         M = const_star.mass
-        assert tov.volkoff_gamma(0.0, -2.0 * M, 20.0) == pytest.approx(
-            1.0 - 2.0 * M / 20.0
-        )
+        assert const_star.exp_neg_gamma(20.0) == pytest.approx(1.0 - 2.0 * M / 20.0)
 
 
 class TestLapseConstruction:
