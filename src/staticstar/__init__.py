@@ -23,8 +23,6 @@ from .geometry import FluidData, ResidualReport, spf_residuals, to_geometric, to
 from .quasilocal import QuasiLocalReport, SphereClass, level_set_data, mass_sweep
 from .tov import EquationOfState, StellarModel, integrate_tov, match_exterior
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AnalyticModel",
     "BasicInvariant",
@@ -37,7 +35,6 @@ __all__ = [
     "SphereClass",
     "StaticStarError",
     "StellarModel",
-    "__version__",
     "build_catalog_model",
     "build_model",
     "catalog",

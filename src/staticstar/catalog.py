@@ -12,14 +12,13 @@ Registry: ``MODELS`` maps id -> factory; ``build(model_id, **params)`` and
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import call_with, parse_spec
 from .conformal import witten_lapse
 from .errors import BadParams, UnknownModel
 from .geometry import (
@@ -57,20 +56,30 @@ RESIDUAL_TOL = 1e-9  # every model's field-equation residual gate
 
 @dataclass(frozen=True)
 class Piece:
-    """One chart of a model: ansatz + fluid on an interval.
+    """One chart of a model: ansatz, lapse and physical fluid on an interval.
 
     ``interval`` is the window verification grids are drawn from;
     ``scan_interval`` (defaults to ``interval``) is the usually wider window
-    level-set searches may sample.
+    level-set searches may sample.  ``lam`` is the cosmological constant.
     """
 
     label: str
     ansatz: object  # SchwarzschildForm | WarpedProduct | ConformalFlat
-    fluid: FluidData  # geometric convention
+    f: RadialFunction
     mu_phys: RadialFunction
     rho_phys: RadialFunction
     interval: tuple[float, float]
     scan_interval: tuple[float, float] | None = None
+    lam: float = 0.0
+
+    @property
+    def fluid(self) -> FluidData:
+        """Lapse and fluid, geometric: (8 pi mu + Lambda, 8 pi rho - Lambda)."""
+        return FluidData(
+            f=self.f,
+            mu=lambda r: EIGHT_PI * np.asarray(self.mu_phys(r), dtype=float) + self.lam,
+            rho=lambda r: EIGHT_PI * np.asarray(self.rho_phys(r), dtype=float) - self.lam,
+        )
 
     def scan_window(self):
         return self.scan_interval if self.scan_interval is not None else self.interval
@@ -133,7 +142,7 @@ class AnalyticModel:
         out = np.empty(r_arr.shape)
         todo = np.ones(r_arr.shape, dtype=bool)
         windows = [(p, *p.scan_window(), True) for p in self.pieces]
-        windows += [(p, *p.fluid.f.domain, False) for p in self.pieces]
+        windows += [(p, *p.f.domain, False) for p in self.pieces]
         for piece, lo, hi, closed in windows:
             inside = (lo <= r_arr) & (r_arr <= hi) if closed else (lo < r_arr) & (r_arr < hi)
             mask = todo & inside
@@ -151,7 +160,7 @@ class AnalyticModel:
         return self._piecewise(r, lambda p: p.rho_phys)
 
     def f(self, r):
-        return self._piecewise(r, lambda p: p.fluid.f)
+        return self._piecewise(r, lambda p: p.f)
 
     # -- verification -----------------------------------------------------------
 
@@ -166,7 +175,7 @@ class AnalyticModel:
                                                          tol=RESIDUAL_TOL)
             if isinstance(p.ansatz, SchwarzschildForm):
                 reports[f"tolman[{p.label}]"] = tolman_residuals(
-                    p.ansatz.gamma, p.fluid.f, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
+                    p.ansatz.gamma, p.f, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
                 )
         junction = self._junction_residuals()
         for hook in self.extra_verify:
@@ -187,7 +196,7 @@ class AnalyticModel:
         out: dict[str, float] = {}
         for r_j in self.junction_points:
             inner, outer = self.pieces[0], self.pieces[1]
-            f_i, f_o = inner.fluid.f, outer.fluid.f
+            f_i, f_o = inner.f, outer.f
             out[f"f@{r_j:.6g}"] = abs(float(f_i(r_j)) - float(f_o(r_j)))
             out[f"df@{r_j:.6g}"] = abs(float(f_i.d1(r_j)) - float(f_o.d1(r_j)))
             gi, go = inner.ansatz.gamma, outer.ansatz.gamma
@@ -209,8 +218,7 @@ def _vacuum_piece(M: float, interval, scan_interval) -> Piece:
     return Piece(
         label="exterior",
         ansatz=SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log(x(r)), domain)),
-        fluid=FluidData(f=RadialFunction.from_formula(lambda r: np.sqrt(x(r)), domain),
-                        mu=zero, rho=zero),
+        f=RadialFunction.from_formula(lambda r: np.sqrt(x(r)), domain),
         mu_phys=zero,
         rho_phys=zero,
         interval=interval,
@@ -248,11 +256,10 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
     f = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - a * r**2), domain)
     mu_phys = RadialFunction.constant(c, domain)
     rho_phys = RadialFunction.constant(-c, domain)
-    fluid = FluidData.from_physical(f, mu_phys, rho_phys, lam=0.0)
     piece = Piece(
         label="interior",
         ansatz=ansatz,
-        fluid=fluid,
+        f=f,
         mu_phys=mu_phys,
         rho_phys=rho_phys,
         interval=(1e-3 * hi, hi),
@@ -284,11 +291,10 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
     f = RadialFunction.from_formula(lambda r: rt * q(r), domain)
     mu_phys = RadialFunction.constant(0.0, domain)
     rho_phys = RadialFunction.from_formula(lambda r: 1.0 / q(r), domain)
-    fluid = FluidData.from_physical(f, mu_phys, rho_phys)
     piece = Piece(
         label="flat-slice",
         ansatz=ansatz,
-        fluid=fluid,
+        f=f,
         mu_phys=mu_phys,
         rho_phys=rho_phys,
         interval=(0.05, 20.0),
@@ -314,11 +320,10 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
     f = RadialFunction.constant(1.0, domain)
     mu_phys = RadialFunction.constant(math.sqrt(3.0) * c, domain)
     rho_phys = RadialFunction.constant(-c / math.sqrt(3.0), domain)
-    fluid = FluidData.from_physical(f, mu_phys, rho_phys)
     piece = Piece(
         label="interior",
         ansatz=ansatz,
-        fluid=fluid,
+        f=f,
         mu_phys=mu_phys,
         rho_phys=rho_phys,
         interval=(1e-3 * r_h, 0.995 * r_h),
@@ -384,11 +389,10 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         return (-r**2 / R4 + (1.0 - r**4 / R4) * 2.0 * f.d1 / (r * f.v)) / EIGHT_PI
 
     rho_i = RadialFunction.from_formula(rho, (1e-8, dom_i[1]))
-    fluid_i = FluidData.from_physical(f_i, mu_i, rho_i)
     piece_i = Piece(
         label="interior",
         ansatz=SchwarzschildForm(gamma_i),
-        fluid=fluid_i,
+        f=f_i,
         mu_phys=mu_i,
         rho_phys=rho_i,
         interval=(5e-3 * r_b, r_b),
@@ -495,15 +499,15 @@ def witten_stellar(
     f = RadialFunction.from_formula(lambda t: witten_lapse(3, A, B, t), domain)
     mu_phys = RadialFunction.from_formula(mu, domain)
     rho_phys = RadialFunction.from_formula(rho, domain)
-    fluid = FluidData.from_physical(f, mu_phys, rho_phys, lam)
     piece = Piece(
         label="star",
         ansatz=ansatz,
-        fluid=fluid,
+        f=f,
         mu_phys=mu_phys,
         rho_phys=rho_phys,
         interval=(max(0.05, domain[0] + 0.05), min(domain[1], t_max) - 0.05),
         scan_interval=domain,
+        lam=lam,
     )
 
     def tilde_chart_check(model: AnalyticModel, grid_n: int):
@@ -565,45 +569,17 @@ MODELS: dict[str, Callable[..., AnalyticModel]] = {
 }
 
 
-@functools.cache
-def _parameter_names(factory: Callable[..., AnalyticModel]) -> tuple[str, ...]:
-    """A factory's keyword names in signature order, read once per factory."""
-    return tuple(inspect.signature(factory).parameters)
-
-
-def build(model_id: str, **params) -> AnalyticModel:
+def build(model_id: str, /, **params) -> AnalyticModel:
     try:
         factory = MODELS[model_id]
     except KeyError:
         raise UnknownModel(
             f"unknown model {model_id!r}; known: {', '.join(sorted(MODELS))}"
         ) from None
-    accepted = _parameter_names(factory)
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise BadParams(
-            f"{model_id} takes no parameter {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(accepted)}"
-        )
-    infinite = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
-    if infinite:
-        raise BadParams(f"{model_id} needs finite parameters, got {', '.join(infinite)}")
-    return factory(**params)
+    return call_with(factory, model_id, params)
 
 
 def parse_model_spec(spec: str) -> AnalyticModel:
     """Build a model from 'id' or 'id:key=val,key=val'."""
-    model_id, _, rest = spec.partition(":")
-    model_id = model_id.strip()
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise BadParams(f"bad model parameter {item!r} in {spec!r}")
-            key = key.strip()
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise BadParams(f"model parameter {item!r} in {spec!r} is not a number") from None
+    model_id, params = parse_spec(spec, "model")
     return build(model_id, **params)

@@ -200,16 +200,10 @@ def _cmd_catalog(args, cfg: RunConfig) -> int:
     # action == "verify"
     if not args.catalog_model:
         raise BadParams("catalog verify needs a model id")
-    params = {}
-    for kv in args.param or ():
-        if "=" not in kv:
-            raise BadParams(f"--param expects key=value, got {kv!r}")
-        key, val = kv.split("=", 1)
-        try:
-            params[key] = float(val)
-        except ValueError:
-            raise BadParams(f"--param {kv!r}: the value is not a number") from None
-    model = catalog.build(args.catalog_model, **params)
+    # each --param is one more item of the spec ID:key=value,...
+    params = ",".join(args.param or ())
+    model = catalog.parse_model_spec(f"{args.catalog_model}:{params}" if params
+                                     else args.catalog_model)
     return _print_verify(model, args, cfg)
 
 

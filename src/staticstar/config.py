@@ -1,4 +1,4 @@
-"""Run configuration: defaults, config-file parsing, CLI merge.
+"""Run configuration: defaults, config-file parsing, CLI merge; and specs.
 
 Precedence is CLI > file > built-in defaults.  The file format is flat
 ``key = value`` pairs under a ``[staticstar]`` section, read with
@@ -7,11 +7,17 @@ Precedence is CLI > file > built-in defaults.  The file format is flat
     [staticstar]
     abs_tol = 1e-10
     grid_n = 512
+
+EOS and catalog model specs share one grammar, ``NAME[:key=value,...]``.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
+import inspect
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 from .errors import BadParams
@@ -72,3 +78,48 @@ def merge_config(file_overrides: dict | None = None,
         if explicit:
             cfg = replace(cfg, **explicit)
     return cfg
+
+
+def parse_spec(spec: str, what: str) -> tuple[str, dict[str, float]]:
+    """Read ``NAME[:key=value,...]`` into (name stripped and lower-cased,
+    params): each value a number, no key twice.  ``what`` ("model", "EOS")
+    names the spec in messages."""
+    name, _, rest = spec.partition(":")
+    params: dict[str, float] = {}
+    for item in rest.split(",") if rest else ():
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise BadParams(f"bad {what} parameter {item!r} in {spec!r}: expected key=value")
+        if key in params:
+            raise BadParams(f"{what} parameter {key!r} given twice in {spec!r}")
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise BadParams(f"{what} parameter {item!r} in {spec!r} is not a number") from None
+    return name.strip().lower(), params
+
+
+@functools.cache
+def _parameter_names(factory: Callable) -> tuple[str, ...]:
+    """A factory's keyword names in signature order, read once per factory."""
+    return tuple(inspect.signature(factory).parameters)
+
+
+def call_with(factory: Callable, name: str, params: dict[str, float]):
+    """``factory(**params)`` once every key is a parameter of it and every
+    value is finite; a float overflow or zero division in it is BadParams."""
+    accepted = _parameter_names(factory)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise BadParams(
+            f"{name} takes no parameter {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+    infinite = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
+    if infinite:
+        raise BadParams(f"{name} needs finite parameters, got {', '.join(infinite)}")
+    try:
+        return factory(**params)
+    except ArithmeticError as exc:  # e.g. R**4 of wyman:R=1e100
+        raise BadParams(f"{name} cannot be evaluated in floats at {params}: {exc}") from exc

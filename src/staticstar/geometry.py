@@ -151,9 +151,8 @@ class FluidData:
 
     ``f`` carries its two derivatives; ``mu`` and ``rho`` are values only,
     callables of a float or an ndarray, since no residual differentiates the
-    geometric pair.  They are geometric (mu = R/2 on solutions); construct
-    from physical profiles with :meth:`from_physical`, whose ``lam`` (the
-    cosmological constant) is absorbed into the geometric values.
+    geometric pair.  They are geometric (mu = R/2 on solutions); a catalog
+    piece forms them from its physical profiles (``catalog.Piece.fluid``).
 
     The lapse must be positive on the evaluation domain; residual evaluation
     raises DomainError the moment it sees f <= 0.
@@ -162,20 +161,6 @@ class FluidData:
     f: RadialFunction
     mu: Callable
     rho: Callable
-
-    @classmethod
-    def from_physical(
-        cls,
-        f: RadialFunction,
-        mu_phys: Callable,
-        rho_phys: Callable,
-        lam: float = 0.0,
-    ) -> "FluidData":
-        return cls(
-            f=f,
-            mu=lambda r: EIGHT_PI * np.asarray(mu_phys(r), dtype=float) + lam,
-            rho=lambda r: EIGHT_PI * np.asarray(rho_phys(r), dtype=float) - lam,
-        )
 
 
 # ----------------------------------------------------------------------------

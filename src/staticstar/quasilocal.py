@@ -383,7 +383,7 @@ def _charts(model, c: float, window):
         for piece in model.pieces:
             lo, hi = window if window is not None else piece.scan_window()
             p_lo, p_hi = piece.scan_window()
-            charts.append((piece.ansatz, piece.fluid.f, piece.fluid.rho,
+            charts.append((piece.ansatz, piece.f, piece.fluid.rho,
                            max(lo, p_lo), min(hi, p_hi), None))
         return charts
     if isinstance(model, _tov.StellarModel):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import call_with, parse_spec
 from .errors import (
     BadParams,
     CenterSingularity,
@@ -56,6 +57,7 @@ __all__ = [
     "Chaplygin",
     "Tabulated",
     "Custom",
+    "EOS_KINDS",
     "SolverOptions",
     "RadialProfile",
     "StellarModel",
@@ -91,48 +93,29 @@ class EquationOfState:
     @staticmethod
     def from_spec(spec: str) -> "EquationOfState":
         """Parse 'constant:c=0.001', 'chaplygin:c=1', 'table:points.csv'."""
-        kind, _, rest = spec.partition(":")
-        kind = kind.strip().lower()
-        params = {}
-        path = None
-        if kind == "table":
-            path = rest.strip()
-        elif rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if not _:
-                    raise BadParams(f"bad EOS parameter {item!r} in {spec!r}")
-                try:
-                    params[key.strip()] = float(val)
-                except ValueError:
-                    raise BadParams(f"EOS parameter {item!r} in {spec!r} is not a number") from None
-        infinite = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
-        if infinite:
-            raise BadParams(f"EOS {spec!r} needs finite parameters, got {', '.join(infinite)}")
-        if kind == "constant":
-            return ConstantDensity(params.get("c", 0.0))
-        if kind == "chaplygin":
-            if "c" not in params:
-                raise BadParams(f"chaplygin EOS needs c=..., got {spec!r}")
-            return Chaplygin(params["c"])
-        if kind == "table":
-            if not path:
-                raise BadParams("table EOS needs a CSV path: 'table:points.csv'")
-            try:
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            except ValueError as exc:
-                raise BadParams(f"table EOS {path!r} is not a numeric rho,mu CSV: {exc}") from None
-            if data.shape[1] < 2:
-                raise BadParams(f"table EOS {path!r} needs two columns rho,mu")
-            return Tabulated(data[:, 0], data[:, 1])
-        raise BadParams(f"unknown EOS kind {kind!r} in {spec!r}")
+        kind, _, path = spec.partition(":")
+        if kind.strip().lower() != "table":
+            kind, params = parse_spec(spec, "EOS")
+            if kind not in EOS_KINDS:
+                raise BadParams(f"unknown EOS kind {kind!r} in {spec!r}")
+            return call_with(EOS_KINDS[kind], f"{kind} EOS", params)
+        path = path.strip()
+        if not path:
+            raise BadParams("table EOS needs a CSV path: 'table:points.csv'")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise BadParams(f"table EOS {path!r} is not a numeric rho,mu CSV: {exc}") from None
+        if data.shape[1] < 2:
+            raise BadParams(f"table EOS {path!r} needs two columns rho,mu")
+        return Tabulated(data[:, 0], data[:, 1])
 
 
 @dataclass(frozen=True)
 class ConstantDensity(EquationOfState):
     """mu == c for every pressure; c = 0 is the vacuum EOS."""
 
-    c: float
+    c: float = 0.0
 
     def mu(self, rho):
         return self.c if _scalar(rho) else np.full(np.shape(rho), self.c)
@@ -142,7 +125,7 @@ class ConstantDensity(EquationOfState):
 class Chaplygin(EquationOfState):
     """mu = -c^2 / rho (negative density for positive pressure)."""
 
-    c: float
+    c: float = 0.0
 
     def __post_init__(self):
         if self.c == 0.0:
@@ -152,6 +135,9 @@ class Chaplygin(EquationOfState):
         if (rho == 0.0) if _scalar(rho) else np.any(rho == 0.0):
             raise CenterSingularity("chaplygin EOS singular at rho = 0")
         return -self.c * self.c / rho
+
+
+EOS_KINDS = {"constant": ConstantDensity, "chaplygin": Chaplygin}
 
 
 class Tabulated(EquationOfState):

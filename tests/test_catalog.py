@@ -41,23 +41,6 @@ def test_parse_model_spec():
         catalog.parse_model_spec("wyman:R2.5")
 
 
-def test_parameter_names_are_read_once_per_factory(monkeypatch):
-    reads = []
-    signature = catalog.inspect.signature
-
-    def counting_signature(factory):
-        reads.append(factory)
-        return signature(factory)
-
-    monkeypatch.setattr(catalog.inspect, "signature", counting_signature)
-    catalog._parameter_names.cache_clear()
-    for _ in range(3):
-        catalog.build("wyman", R=2.5)
-        with pytest.raises(BadParams, match=r"takes no parameter 'Q'; accepted: R, M$"):
-            catalog.build("wyman", Q=1.0)
-    assert reads == [catalog.wyman]
-
-
 @pytest.mark.parametrize("grid_n", [96, 512])
 @pytest.mark.parametrize("model_id", ALL_IDS)
 def test_every_model_verifies(model_id, grid_n):

@@ -293,9 +293,7 @@ def test_failed_gate_is_exit_2(capsys, monkeypatch):
     model = catalog.build("schwarzschild_interior", c=0.001)
     piece = model.pieces[0]
     wrong = RadialFunction.constant(0.05, piece.mu_phys.domain)
-    model.pieces[0] = dataclasses.replace(
-        piece, fluid=dataclasses.replace(piece.fluid, mu=wrong)
-    )
+    model.pieces[0] = dataclasses.replace(piece, mu_phys=wrong)
     monkeypatch.setitem(catalog.MODELS, "broken", lambda **kw: model)
     code, out, _ = run(capsys, "verify", "broken", "--grid-n", "32")
     assert code == 2
@@ -369,6 +367,29 @@ def test_a_huge_grid_is_refused_before_it_is_allocated(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err == f"error: a grid takes at most {numerics.GRID_N_MAX} points; got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("tov", "--eos", "constant:C=0.001", "--rho-c", "5e-4"),
+    ("tov", "--eos", "constant:c=0.001,k=3", "--rho-c", "5e-4"),
+    ("verify", "wyman:R=2,R=3"),
+    ("catalog", "verify", "wyman", "--param", "R=2", "--param", "R=3"),
+    ("verify", "wyman:model_id=3"),
+    ("audit", "--model", "wyman:R=1e100,M=1"),
+    ("verify", "witten_stellar:t_max=1e6"),
+], ids=["eos-unknown-key-C", "eos-unknown-key-k", "repeated-key", "repeated-param",
+        "build-argument-as-key", "wyman-R-overflows", "witten-t_max-overflows"])
+def test_a_spec_has_one_grammar(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_param_items_join_the_spec(capsys):
+    joined = run(capsys, "catalog", "verify", "wyman", "--param", "R=2.5", "--param", "M=0.3",
+                 "--json")
+    assert joined[0] == 0 and joined == run(capsys, "verify", "wyman:R=2.5,M=0.3", "--json")
+    # a --param holding a comma reads as two items
+    assert run(capsys, "catalog", "verify", "wyman", "--param", "R=2.5,M=0.3", "--json") == joined
 
 
 def test_unknown_parameter_names_the_accepted_ones(capsys):

@@ -376,8 +376,7 @@ def _chart_pair(space):
 
 def _chart_model(ansatz, f, lo, hi):
     zero = RadialFunction.constant(0.0, (lo, hi))
-    piece = catalog.Piece("chart", ansatz, FluidData(f=f, mu=zero, rho=zero),
-                          zero, zero, interval=(lo, hi))
+    piece = catalog.Piece("chart", ansatz, f, zero, zero, interval=(lo, hi))
     return catalog.AnalyticModel("chart", {}, [piece])
 
 
