@@ -161,7 +161,7 @@ def _cmd_tov(args, cfg: RunConfig) -> int:
     model = _tov_model(args, cfg)
     prof = model.profile
     if args.out:
-        model.to_csv(args.out)
+        tov.profile_to_csv(prof, args.out)
     payload = {
         "eos": args.eos,
         "rho_center": args.rho_c,

@@ -62,11 +62,18 @@ __all__ = [
     "solve_lapse",
     "ConformalModel",
     "build_model",
+    "N_MAX",
 ]
 
 # Seed of build_model's random off-axis check ray: one fixed draw, so builds
 # are reproducible.
 _OFF_AXIS_SEED = 7
+
+# The largest dimension n build_model takes.  Its checks hold (N, n, n)
+# Hessians; ``build --phi unit --n N`` peaks at about 37 MiB + 1.8 kB * n^2
+# (ru_maxrss at n = 64 to 256, CPython 3.11, numpy 2.4, x86-64 Linux), so
+# this n stays near the 1.6 GiB a grid of GRID_N_MAX points takes.
+N_MAX = 960
 
 
 # ----------------------------------------------------------------------------
@@ -207,6 +214,28 @@ def _witten_u_lapse(n: int, A: float, B: float, domain) -> RadialFunction:
     return RadialFunction.from_formula(lambda u: _witten_form(n, A, B, np.log1p(u)), domain)
 
 
+def _witten_u_zero(n: int, A: float, B: float, u0: float) -> float:
+    """The first downward zero u >= u0 of the u-lapse A sin(psi) + B cos(psi),
+    psi = w log(1 + u): where its phase psi + atan2(B, A) reaches pi mod 2 pi."""
+    w = 0.5 * math.sqrt(n - 2.0)
+    theta = math.atan2(B, A)
+    k = math.ceil((w * math.log1p(u0) + theta - math.pi) / (2.0 * math.pi))
+    return math.expm1((math.pi * (2 * k + 1) - theta) / w)
+
+
+def _lapse_end(u_zero: float | None, u0: float, u1: float) -> float:
+    """The end of a lapse's domain on the span [u0, u1]: u1, or just before
+    its first downward zero ``u_zero`` in the span, beyond which the
+    solution is meaningless.  A zero at the left end, which would leave
+    nothing, is a SignLoss."""
+    if u_zero is None or u_zero > u1:
+        return u1
+    u_end = u_zero - max(EPS_DOM, 1e-9 * (u1 - u0))
+    if u_end <= u0:
+        raise SignLoss(f"lapse crossed zero immediately at u={u_zero}")
+    return u_end
+
+
 def solve_lapse(
     phi: RadialFunction,
     n: int,
@@ -223,9 +252,9 @@ def solve_lapse(
     evaluated from the ODE right-hand side (exact given the solution), not
     by differencing.
 
-    If the lapse crosses zero the solution beyond that point is meaningless,
-    so the returned domain stops just before the crossing; a crossing at the
-    left end, which would leave nothing, is a SignLoss.  StepFailure
+    If the lapse crosses zero downward the returned domain stops just before
+    the crossing, as every lapse of :func:`build_model` does; a crossing at
+    the left end, which would leave nothing, is a SignLoss.  StepFailure
     propagates integrator breakdowns, and :func:`solve_ivp`'s BadParams a
     negative or NaN tolerance.
     """
@@ -260,15 +289,6 @@ def solve_lapse(
     if sol.status == -1:
         raise StepFailure(f"lapse integration failed at u={sol.t[-1]}: {sol.message}")
 
-    u_end = u1
-    if len(sol.t_events[0]):
-        u_zero = float(sol.t_events[0][0])
-        u_end = u_zero - max(EPS_DOM, 1e-9 * (u1 - u0))
-        if u_end <= u0:
-            # the crossing is at (or numerically at) the left endpoint:
-            # truncation would leave nothing
-            raise SignLoss(f"lapse crossed zero immediately at u={u_zero}")
-
     dense = sol.dense
 
     def d2(u):
@@ -280,8 +300,9 @@ def solve_lapse(
         out = ((n - 2.0) * y[..., 0] * p2 - 2.0 * p1 * y[..., 1]) / p
         return float(out) if out.ndim == 0 else out
 
+    u_zero = float(sol.t_events[0][0]) if len(sol.t_events[0]) else None
     return RadialFunction(dense.component(0), dense.component(1), d2, provenance="analytic",
-                          domain=(u0, u_end))
+                          domain=(u0, _lapse_end(u_zero, u0, u1)))
 
 
 # ----------------------------------------------------------------------------
@@ -417,7 +438,9 @@ def build_model(
     preset defaults: witten (0, sqrt(n-2)/2) — the pure-sine solution — and
     unit (1, 0).  A ``span`` that is not finite and increasing, or that
     starts below the invariant's range u >= -C/(4 tau) (tau > 0), a
-    non-finite ``lam`` or a non-finite ``ic`` is BadParams.
+    non-finite ``lam`` or a non-finite ``ic`` is BadParams, as is n above
+    ``N_MAX``.  Every lapse, preset or solved, is cut just before its first
+    downward zero in the span (``truncated``), as :func:`solve_lapse` cuts.
 
     Construction always runs four independent validations (a degenerate
     invariant, whose fluid is the vacuum pair, runs none): the lapse-ODE
@@ -429,8 +452,8 @@ def build_model(
     evaluated on it once, and each report reads its slice.  Results land in
     ``.checks``; nothing is raised on failure — inspect ``.passed``.
     """
-    if n < 3:
-        raise BadParams(f"need n >= 3, got {n}")
+    if not 3 <= n <= N_MAX:
+        raise BadParams(f"need 3 <= n <= {N_MAX}, got {n}")
     if invariant is None:
         invariant = BasicInvariant(1.0, (0.0,) * n, (0.0,) * n)
     if invariant.n != n:
@@ -464,34 +487,33 @@ def build_model(
             phi_rf = RadialFunction.from_formula(
                 lambda u: np.sqrt(1.0 + u), (-1.0 + EPS_DOM, math.inf)
             )
+            if u0 <= -1.0:
+                raise DomainError(f"conformal factor sqrt(1 + u) non-positive at u={u0}")
             if ic is None:
                 A, B = 1.0, 0.0
             else:
                 # rotate (f, f') at u0 into the (A, B) basis
                 basis = [_witten_u_lapse(n, *ab, (u0, u1)) for ab in ((1.0, 0.0), (0.0, 1.0))]
                 mat = [[g(u0) for g in basis], [g.d1(u0) for g in basis]]
-                A, B = np.linalg.solve(mat, np.asarray(ic, dtype=float))
-            f_rf = _witten_u_lapse(n, float(A), float(B), (u0, u1))
-            truncated = False
+                A, B = (float(c) for c in np.linalg.solve(mat, np.asarray(ic, dtype=float)))
+            u_end = _lapse_end(_witten_u_zero(n, A, B, u0), u0, u1)
+            f_rf = _witten_u_lapse(n, A, B, (u0, u_end))
         elif phi == "unit":
             phi_rf = RadialFunction.constant(1.0, (-math.inf, math.inf))
             f0, f1 = ic if ic is not None else (1.0, 0.0)
             # ODE reduces to f'' = 0: affine lapse
-            f_rf = RadialFunction.from_formula(lambda u: f0 + f1 * (u - u0), (u0, u1))
-            truncated = False
+            u_end = _lapse_end(u0 - f0 / f1 if f1 < 0.0 <= f0 else None, u0, u1)
+            f_rf = RadialFunction.from_formula(lambda u: f0 + f1 * (u - u0), (u0, u_end))
         else:
             raise BadParams(f"unknown phi preset {phi!r} (use 'witten' or 'unit')")
     else:
         phi_rf = phi
-        if ic is None:
-            ic = (1.0, 0.0)
-        f_rf = solve_lapse(phi_rf, n, (u0, u1), ic)
-        truncated = f_rf.domain[1] < u1
+        f_rf = solve_lapse(phi_rf, n, (u0, u1), ic if ic is not None else (1.0, 0.0))
 
-    domain = (u0, min(u1, f_rf.domain[1]))
+    domain = f_rf.domain
     model = ConformalModel(
         phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
-        domain=domain, label=label, truncated=truncated,
+        domain=domain, label=label, truncated=domain[1] < u1,
     )
     lo, hi = domain
     pad = max(1e-6 * (hi - lo), 1e-9)

@@ -373,7 +373,7 @@ def conformal_hessian(phi: ScalarField, f: ScalarField, x) -> np.ndarray:
 def _radial_frame(ansatz, fluid_f: RadialFunction, r: np.ndarray) -> dict:
     """Orthonormal-frame curvature and lapse Hessian data along a radial grid.
 
-    Returns ric_rr, ric_tan, R, hess_rr, hess_tan, lap, f, plus |grad f|.
+    Returns f, ric_rr, ric_tan, R, hess_rr, hess_tan and lap.
     """
     r = np.asarray(r, dtype=float)
     f = np.asarray(fluid_f.value(r), dtype=float)
@@ -385,10 +385,8 @@ def _radial_frame(ansatz, fluid_f: RadialFunction, r: np.ndarray) -> dict:
     hess_rr = e2 * f2 + ee1 * f1  # f_ss
     hess_tan = e2 * b1 * f1 / b  # b_s f_s / b
     return {
-        "f": f, "f1": f1, "f2": f2,
-        "ric_rr": ric_rr, "ric_tan": rab / (b * b), "R": scal,
+        "f": f, "ric_rr": ric_rr, "ric_tan": rab / (b * b), "R": scal,
         "hess_rr": hess_rr, "hess_tan": hess_tan, "lap": hess_rr + 2.0 * hess_tan,
-        "grad_f": np.sqrt(e2) * np.abs(f1),
     }
 
 

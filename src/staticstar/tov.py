@@ -7,12 +7,14 @@ Geometrized units throughout (G = c = 1).  The interior system integrated is
     v'(r)   =  2 (m + 4 pi r^3 rho) / (r (r - 2m))
     mu      =  eos(rho)
 
-with the center regularized by the series seed
+with the center regularized by the series
 
     rho(r) = rho_c - 2 pi (mu_c/3 + rho_c)(mu_c + rho_c) r^2 + O(r^4)
-    m(r)   = (4 pi / 3) mu_c r^3 + O(r^5)
+    m(r)   = (4 pi / 3) mu_c r^3 + O(r^5),
 
-started at r = R_START.  The lapse potential v = log f^2 is carried
+which gives the start state at r = R_START and is the profile's first piece,
+on [0, R_START], ahead of the integrator's dense output.  The lapse
+potential v = log f^2 is carried
 by the same solution, up to its additive constant, which :func:`integrate_tov`
 pins where the integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface
 event, or v(r_end) = 0 without one.  Every profile therefore has its lapse;
@@ -44,6 +46,7 @@ from .errors import (
 )
 from .numerics import (
     EPS_DOM,
+    PiecewisePoly,
     RadialFunction,
     chebyshev_grid,
     check_grid_n,
@@ -233,12 +236,12 @@ class RadialProfile:
     """Dense interior solution of :func:`integrate_tov`, its only constructor,
     with a sample table built on first read.
 
-    ``v_free_fn`` is the lapse potential up to its additive constant and
-    ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.  The
-    solution runs from ``R_START`` to ``r_end``, and dense evaluation reads
-    the integrator's own dense output, one
-    :class:`~staticstar.numerics.PiecewisePoly` per component.  The
-    evaluators take a float or an ndarray of radii.
+    ``rho``, ``m`` and ``v_free_fn`` are one
+    :class:`~staticstar.numerics.PiecewisePoly` each, read from r = 0 to
+    ``r_end``: the center series on [0, R_START], then the integrator's own
+    dense output.  ``v_free_fn`` is the lapse potential up to its additive
+    constant and ``v_shift`` the pinned constant, so v = v_free_fn + v_shift.
+    The evaluators take a float or an ndarray of radii.
 
     ``samples`` is a (grid_n, 7) float array with columns ``CSV_COLUMNS``
     (r, m, mu, rho, exp_neg_gamma, exp_v, f); ``exp_neg_gamma`` is *defined*
@@ -254,9 +257,9 @@ class RadialProfile:
     eos: EquationOfState
     rho_center: float
     r_end: float
-    rho_fn: Callable
-    m_fn: Callable
-    v_free_fn: Callable
+    rho: PiecewisePoly
+    m: PiecewisePoly
+    v_free_fn: PiecewisePoly
     v_shift: float
     surface_event_r: float | None = None
     grid_n: int = 512
@@ -280,24 +283,18 @@ class RadialProfile:
     def negative_density_seen(self) -> bool:
         """Advisory: a sampled rho lies below -surface_tol.  The surface root's
         own sign is round-off, so only densities past the threshold count."""
-        return bool(np.any(self.rho_fn(self._grid()) < -self.surface_tol))
+        return bool(np.any(self.rho(self._grid()) < -self.surface_tol))
 
     def _grid(self) -> np.ndarray:
         return chebyshev_grid(R_START, self.r_end, self.grid_n)
 
     # -- dense evaluators -----------------------------------------------------
 
-    def rho(self, r):
-        return self.rho_fn(r)
-
-    def m(self, r):
-        return self.m_fn(r)
-
     def mu(self, r):
-        return self.eos.mu(self.rho_fn(r))
+        return self.eos.mu(self.rho(r))
 
     def exp_neg_gamma(self, r):
-        return 1.0 - 2.0 * self.m_fn(r) / r
+        return 1.0 - 2.0 * self.m(r) / r
 
     def v(self, r):
         return self.v_free_fn(r) + self.v_shift
@@ -312,7 +309,7 @@ class RadialProfile:
 def _sample_table(profile: RadialProfile) -> np.ndarray:
     """The ``CSV_COLUMNS`` table of a dense profile on its Chebyshev grid."""
     grid = profile._grid()
-    rho, m = profile.rho_fn(grid), profile.m_fn(grid)
+    rho, m = profile.rho(grid), profile.m(grid)
     v = profile.v_free_fn(grid) + profile.v_shift
     return np.column_stack(
         (grid, m, profile.eos.mu(rho), rho, 1.0 - 2.0 * m / grid, np.exp(v), np.exp(0.5 * v))
@@ -345,12 +342,6 @@ def _lapse_shift(m_fn, v_free_fn, r_end: float, r_b: float | None) -> float:
     return math.log(x_b) - v_free_fn(r_b)
 
 
-def _center_series(rho_c: float, mu_c: float, r):
-    """(rho, m) at radius r from the regular-center series, to O(r^4) and O(r^5)."""
-    a2 = 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c)
-    return rho_c - a2 * r * r, FOUR_PI / 3.0 * mu_c * r**3
-
-
 # ----------------------------------------------------------------------------
 # TOV integration
 # ----------------------------------------------------------------------------
@@ -364,8 +355,9 @@ def integrate_tov(
 
     Runs until the surface event (rho crossing zero from above), the horizon
     guard r - 2m <= EPS_DOM (HorizonHit), or r_max.  The returned profile
-    holds the integrator's dense output, one piecewise polynomial per
-    component, the lapse potential included, and the lapse constant, pinned
+    holds one piecewise polynomial per component, the lapse potential
+    included: the center series on [0, R_START], then the integrator's dense
+    output.  It also holds the lapse constant, pinned
     where the integration stopped: e^{v(r_b)} = 1 - 2M/r_b at the surface
     event, or else v(r_end) = 0, flagged ``lapse_normalized``.  It samples
     nothing: its table of ``options.grid_n`` Chebyshev rows is built when
@@ -386,7 +378,9 @@ def integrate_tov(
     if not math.isfinite(mu_c):
         raise CenterSingularity(f"EOS gives non-finite mu at rho_center={rho_c}")
 
-    rho0, m0 = _center_series(rho_c, mu_c, R_START)
+    # the regular-center series rho_c - a2 r^2, m3 r^3
+    a2 = 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c)
+    m3 = FOUR_PI / 3.0 * mu_c
 
     def rhs(r, y):
         rho, m, _v = y
@@ -418,7 +412,7 @@ def integrate_tov(
     sol = solve_ivp(
         rhs,
         (R_START, opts.r_max),
-        (rho0, m0, 0.0),
+        (rho_c - a2 * R_START * R_START, m3 * R_START**3, 0.0),
         rtol=opts.rel_tol,
         # v is a logarithm: an absolute error in v is a relative error in f,
         # so v's absolute tolerance is the relative one
@@ -435,15 +429,21 @@ def integrate_tov(
         surface_r = float(sol.t_events[1][0])
     r_end = float(sol.t[-1])
 
-    rho_fn, m_fn, v_free_fn = (sol.dense.component(i) for i in range(3))
+    # the series as the first piece, on [0, R_START], in the dense output's
+    # local powers (highest first): rho = rho_c - a2 r^2, m = m3 r^3, v_free = 0
+    center = np.zeros((sol.dense.c.shape[0], 1, 3))
+    center[-1, 0, 0], center[-3, 0, 0], center[-4, 0, 1] = rho_c, -a2, m3
+    dense = PiecewisePoly(np.concatenate((center, sol.dense.c), axis=1),
+                          np.concatenate(([0.0], sol.dense.x)))
+    rho, m, v_free_fn = (dense.component(i) for i in range(3))
     return RadialProfile(
         eos=eos,
         rho_center=rho_c,
         r_end=r_end,
-        rho_fn=rho_fn,
-        m_fn=m_fn,
+        rho=rho,
+        m=m,
         v_free_fn=v_free_fn,
-        v_shift=_lapse_shift(m_fn, v_free_fn, r_end, surface_r),
+        v_shift=_lapse_shift(m, v_free_fn, r_end, surface_r),
         surface_event_r=surface_r,
         grid_n=opts.grid_n,
     )
@@ -454,11 +454,9 @@ def detect_surface(profile: RadialProfile) -> float:
 
     That radius is ``surface_event_r``, the integrator's terminal event,
     accepted when |rho(r_b)| <= ``profile.surface_tol``.  Raises NoSurface
-    otherwise: vacuum runs, constant negative-pressure branches, integrations
-    stopped by r_max.
+    otherwise: vacuum runs (rho_c = 0 installs no surface event), constant
+    negative-pressure branches, integrations stopped by r_max.
     """
-    if profile.rho_center == 0.0:
-        raise NoSurface("vacuum run: rho is identically zero")
     r_b = profile.surface_event_r
     if r_b is None or abs(profile.rho(r_b)) > profile.surface_tol:
         raise NoSurface("density never crosses zero on the integrated range")
@@ -474,7 +472,7 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
     ``r_end`` of the profile and the result is flagged ``lapse_normalized``.
     The copy's table is built from the new constant when read.
     """
-    shift = _lapse_shift(profile.m_fn, profile.v_free_fn, profile.r_end, r_b)
+    shift = _lapse_shift(profile.m, profile.v_free_fn, profile.r_end, r_b)
     return dataclasses.replace(profile, v_shift=shift)
 
 
@@ -486,9 +484,9 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
 class StellarModel:
     """Interior profile C^1-matched to the vacuum exterior at r_b.
 
-    Evaluators are valid on (0, infinity): inside ``R_START`` the center
-    series is used, between R_START and r_b the dense interior solution, and
-    outside r_b the vacuum closed forms with mass M = m(r_b).
+    Evaluators are valid on (0, infinity) and read two regions: the profile
+    below r_b (from r = 0, its first piece the center series) and, from r_b
+    on, the vacuum closed forms with mass M = m(r_b).
     """
 
     profile: RadialProfile
@@ -499,67 +497,42 @@ class StellarModel:
         if self.r_b <= 2.0 * self.mass + EPS_DOM:
             raise HorizonHit(f"r_b = {self.r_b} <= 2M = {2*self.mass}")
 
-    @functools.cached_property
-    def _mu_center(self) -> float:
-        return self.profile.eos.mu(self.profile.rho_center)
-
     # -- piecewise evaluators (float or ndarray of radii) ----------------------
 
-    def _piecewise(self, r, center, interior, exterior):
-        """One evaluator per region: r < R_START, the interior, r >= r_b."""
+    def _piecewise(self, r, interior, exterior):
+        """``interior`` below r_b, ``exterior`` from r_b on."""
         if _scalar(r):
-            fn = exterior if r >= self.r_b else center if r < R_START else interior
-            return float(fn(r))
+            return float((exterior if r >= self.r_b else interior)(r))
         r = np.asarray(r, dtype=float)
         out = np.empty(r.shape)
         outside = r >= self.r_b
-        core = ~outside & (r < R_START)
-        inside = ~(outside | core)
-        for mask, fn in ((core, center), (inside, interior), (outside, exterior)):
+        for mask, fn in ((~outside, interior), (outside, exterior)):
             if np.any(mask):
                 out[mask] = fn(r[mask])
         return out
 
     def rho(self, r):
-        p = self.profile
-        return self._piecewise(
-            r, lambda x: _center_series(p.rho_center, self._mu_center, x)[0], p.rho,
-            lambda x: 0.0,
-        )
+        return self._piecewise(r, self.profile.rho, lambda x: 0.0)
 
     def mu(self, r):
-        return self._piecewise(
-            r, lambda x: self.profile.eos.mu(self.rho(x)),
-            self.profile.mu, lambda x: 0.0,
-        )
+        return self._piecewise(r, self.profile.mu, lambda x: 0.0)
 
     def m(self, r):
-        p = self.profile
-        return self._piecewise(
-            r, lambda x: _center_series(p.rho_center, self._mu_center, x)[1], p.m,
-            lambda x: self.mass,
-        )
+        return self._piecewise(r, self.profile.m, lambda x: self.mass)
 
     def exp_neg_gamma(self, r):
         return 1.0 - 2.0 * self.m(r) / r
 
     def v(self, r):
-        p = self.profile
-        # flat to O(r^2) at the center
-        return self._piecewise(
-            r, lambda x: p.v(R_START), p.v, lambda x: np.log(1.0 - 2.0 * self.mass / x),
-        )
+        return self._piecewise(r, self.profile.v, lambda x: np.log(1.0 - 2.0 * self.mass / x))
 
     def f(self, r):
         return _out(np.exp(0.5 * self.v(r)))
 
     def _m_d2(self, r):
-        """m''(r): 8 pi mu_c r from the center series, the dense m's exact second
-        derivative inside, 0 outside."""
-        return self._piecewise(
-            r, lambda x: 2.0 * FOUR_PI * self._mu_center * x,
-            self.profile.m_fn.derivative().derivative(), lambda x: 0.0,
-        )
+        """m''(r): the dense m's exact second derivative inside (8 pi mu_c r
+        on the center piece), 0 outside."""
+        return self._piecewise(r, self.profile.m.derivative().derivative(), lambda x: 0.0)
 
     # -- derivative-carrying views ---------------------------------------------
 
@@ -609,25 +582,21 @@ class StellarModel:
 
         return RadialFunction(self.f, d1, d2, domain=(EPS_DOM, math.inf))
 
-    def to_csv(self, path) -> None:
-        profile_to_csv(self.profile, path)
-
 
 def match_exterior(profile: RadialProfile, r_b: float) -> StellarModel:
-    """Glue the interior to the vacuum exterior at r_b and validate the seams.
+    """Glue the interior to the vacuum exterior at its surface event r_b.
 
-    Checks (construction-time): rho(r_b) below the surface threshold,
-    e^{v(r_b)} equal to 1 - 2M/r_b within 1e-9, and r_b > 2M (HorizonHit
-    otherwise).
+    ``r_b`` must be the profile's ``surface_event_r``, the radius
+    :func:`detect_surface` returns (BadParams otherwise), and the lapse must
+    be pinned there, e^{v(r_b)} = 1 - 2M/r_b within 1e-9 (BadParams after an
+    :func:`integrate_lapse` that pinned it elsewhere).  StellarModel refuses
+    r_b <= 2M (HorizonHit).
     """
+    if r_b != profile.surface_event_r:
+        raise BadParams(f"r_b = {r_b} is not the profile's surface event "
+                        f"radius {profile.surface_event_r}")
     mass = profile.m(r_b)
-    tol = profile.surface_tol
-    rho_b = profile.rho(r_b)
-    if abs(rho_b) > 10.0 * tol:
-        raise BadParams(f"rho(r_b) = {rho_b} is not a surface (tol {tol})")
     x_b = 1.0 - 2.0 * mass / r_b
-    if x_b <= EPS_DOM:
-        raise HorizonHit(f"matching surface inside horizon: 1-2M/r_b = {x_b}")
     ev_b = math.exp(profile.v(r_b))
     if abs(ev_b - x_b) > 1e-9:
         raise BadParams(

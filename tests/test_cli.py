@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import staticstar
-from staticstar import catalog, cli, numerics, tov
+from staticstar import catalog, cli, conformal, numerics, tov
 from staticstar.cli import main
 from staticstar.config import RunConfig
 from staticstar.numerics import RadialFunction
@@ -128,6 +128,25 @@ def test_build_json(capsys):
     assert set(payload["checks"]) == {
         "lapse-ode", "field[on-axis]", "field[off-axis]", "closure",
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ("--phi", "witten", "--n", "12"),
+    ("--phi", "witten", "--n", "5", "--span", "0,40"),
+    ("--phi", "witten", "--ic", "1,-0.5"),
+    ("--phi", "unit", "--ic", "1,-0.5"),
+], ids=["witten-n12", "witten-n5-span40", "witten-ic", "unit-ic"])
+def test_a_preset_lapse_that_loses_sign_is_truncated(capsys, argv):
+    code, out, _ = run(capsys, "build", *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["truncated"] is True and payload["passed"] is True
+
+
+def test_a_dimension_above_the_cap_is_refused(capsys):
+    code, _, err = run(capsys, "build", "--phi", "unit", "--n", str(conformal.N_MAX + 1))
+    assert code == 1
+    assert err == f"error: need 3 <= n <= {conformal.N_MAX}, got {conformal.N_MAX + 1}\n"
 
 
 def test_json_is_deterministic(capsys):

@@ -438,6 +438,40 @@ class TestBuildModel:
         assert m.truncated and m.domain[1] < 2.0
         assert m.passed   # the surviving window is still a solution
 
+    def test_witten_preset_is_cut_where_the_solved_lapse_is(self):
+        # f = sin(w log(1 + u)) with w = sqrt(10)/2 turns down through zero at
+        # u = expm1(pi / w) = 6.293..., inside the default span (0, 10)
+        preset = build_model("witten", n=12)
+        solved = build_model(sqrt_one_plus_u(), n=12, ic=(0.0, math.sqrt(10.0) / 2.0))
+        for m in (preset, solved):
+            assert m.truncated and m.passed, {k: r.worst for k, r in m.checks.items()}
+        assert preset.domain[1] == pytest.approx(solved.domain[1], rel=1e-8)
+        # the preset's cut is the closed-form zero less solve_lapse's margin 1e-9 * span
+        assert preset.domain[1] == pytest.approx(
+            math.expm1(2.0 * math.pi / math.sqrt(10.0)) - 1e-8, rel=1e-15)
+
+    def test_unit_preset_is_cut_before_its_zero(self):
+        m = build_model("unit", n=3, ic=(1.0, -0.5))
+        assert m.truncated and m.passed
+        # just before f = 1 - u/2 reaches zero at u = 2, by the margin 1e-9 * span
+        assert m.domain[1] == pytest.approx(2.0 - 1e-8, rel=1e-15) and m.domain[1] < 2.0
+        assert m.f.domain == m.domain
+
+    @pytest.mark.parametrize("phi", ["witten", "unit"])
+    def test_a_preset_starting_on_a_downward_zero_is_a_sign_loss(self, phi):
+        with pytest.raises(SignLoss):
+            build_model(phi, n=3, ic=(0.0, -0.5))
+
+    def test_witten_default_start_is_an_upward_zero(self):
+        # f(0) = 0 with f'(0) > 0 is not a cut: the first downward zero of
+        # sin(log(1 + u) / 2) is at u = expm1(2 pi), far past the span
+        m = build_model("witten", n=3, span=(0.0, 12.0))
+        assert not m.truncated and m.domain == (0.0, 12.0)
+
+    def test_dimension_above_the_cap_is_refused(self):
+        with pytest.raises(BadParams, match=f"n <= {conformal.N_MAX}"):
+            build_model("unit", n=conformal.N_MAX + 1)
+
     def test_guards(self):
         with pytest.raises(BadParams):
             build_model("witten", n=2)
@@ -455,6 +489,10 @@ class TestBuildModel:
         with pytest.raises(BadParams):
             build_model("witten", n=3, invariant=shifted, span=(-0.2, 5.0))
         assert build_model("unit", n=3, invariant=shifted, span=(-0.15, 5.0)).domain[0] == -0.15
+        # C = 16 admits u >= -4, but witten's phi = sqrt(1 + u) needs u > -1
+        wide = BasicInvariant(1.0, (4.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="non-positive at u=-3.0"):
+            build_model("witten", n=3, invariant=wide, span=(-3.0, 1.0))
         # a degenerate invariant has no range to leave
         flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
         assert build_model("unit", n=3, invariant=flat, span=(-0.5, 5.0)).domain == (-0.5, 5.0)

@@ -141,6 +141,19 @@ class TestUniformStar:
             const_star.rho(r0 * (1 + 1e-9)), rel=1e-9
         )
 
+    def test_profile_reads_the_center_series(self, const_star):
+        # the profile's first piece, on [0, R_START], is the series itself,
+        # not the first step's polynomial extrapolated inward
+        profile, rho_c, mu_c = const_star.profile, 0.0005, 0.001
+        a2 = 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c)
+        assert profile.rho(1e-9) == pytest.approx(rho_c - a2 * 1e-18, rel=1e-15)
+        assert profile.rho(1e-9) <= rho_c and profile.rho(0.0) == rho_c
+        assert profile.m(1e-8) == pytest.approx(4.0 * math.pi / 3.0 * mu_c * 1e-24, rel=1e-14)
+        assert profile.m(0.0) == 0.0 and profile.v_free_fn(1e-7) == 0.0
+        r = np.array([0.0, 1e-9, 1e-8, 0.5 * profile.R_START])
+        assert np.array_equal(profile.rho(r), [profile.rho(float(x)) for x in r])
+        assert np.array_equal(const_star.m(r[1:]), profile.m(r[1:]))
+
     def test_metric_function_derivatives(self, const_star):
         gamma = const_star.gamma_function()
         lapse = const_star.lapse_function()
@@ -315,6 +328,20 @@ class TestSurfaceDetection:
         with pytest.raises(BadParams):
             tov.match_exterior(profile, k * const_star.r_b)
 
+    @pytest.mark.parametrize("shift", [
+        lambda r_b: math.nextafter(r_b, 0.0), lambda r_b: r_b * (1.0 - 1e-10),
+        lambda r_b: math.nextafter(r_b, math.inf)], ids=["ulp-below", "1e-10-below", "ulp-above"])
+    def test_match_takes_only_the_surface_event(self, const_star, shift):
+        profile = const_star.profile
+        with pytest.raises(BadParams, match="surface event"):
+            tov.match_exterior(profile, shift(profile.surface_event_r))
+        assert tov.match_exterior(profile, profile.surface_event_r).r_b == const_star.r_b
+
+    def test_match_refuses_a_lapse_pinned_elsewhere(self, const_star):
+        floating = tov.integrate_lapse(const_star.profile)
+        with pytest.raises(BadParams, match="lapse mismatch"):
+            tov.match_exterior(floating, floating.surface_event_r)
+
     def test_model_rejects_trapped_surface(self, const_star):
         with pytest.raises(HorizonHit):
             tov.StellarModel(profile=const_star.profile, r_b=1.0, mass=0.6)
@@ -444,9 +471,9 @@ def test_spec_rejects_malformed_table(tmp_path, body):
 def _eager_table(profile):
     """The table as integrate_tov used to sample it: the three-component dense
     output on the Chebyshev grid in one call, then the lapse columns."""
-    dense = PiecewisePoly(np.stack([fn.c for fn in (profile.rho_fn, profile.m_fn,
+    dense = PiecewisePoly(np.stack([fn.c for fn in (profile.rho, profile.m,
                                                     profile.v_free_fn)], axis=-1),
-                          profile.rho_fn.x)
+                          profile.rho.x)
     grid = chebyshev_grid(tov.R_START, profile.r_end, profile.grid_n)
     rho, m, v_free = dense(grid).T
     v = v_free + profile.v_shift
