@@ -175,7 +175,7 @@ class AnalyticModel:
                                                          tol=RESIDUAL_TOL)
             if isinstance(p.ansatz, SchwarzschildForm):
                 reports[f"tolman[{p.label}]"] = tolman_residuals(
-                    p.ansatz.gamma, p.f, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
+                    p.ansatz.m, p.f, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
                 )
         junction = self._junction_residuals()
         for hook in self.extra_verify:
@@ -193,32 +193,24 @@ class AnalyticModel:
         )
 
     def _junction_residuals(self) -> dict[str, float]:
+        """|inner - outer| of f, f' and x = 1 - 2m/r at each junction radius."""
         out: dict[str, float] = {}
         for r_j in self.junction_points:
             inner, outer = self.pieces[0], self.pieces[1]
-            f_i, f_o = inner.f, outer.f
-            out[f"f@{r_j:.6g}"] = abs(float(f_i(r_j)) - float(f_o(r_j)))
-            out[f"df@{r_j:.6g}"] = abs(float(f_i.d1(r_j)) - float(f_o.d1(r_j)))
-            gi, go = inner.ansatz.gamma, outer.ansatz.gamma
-            out[f"exp_neg_gamma@{r_j:.6g}"] = abs(
-                math.exp(-float(gi(r_j))) - math.exp(-float(go(r_j)))
-            )
+            for key, part in (("f", lambda p: p.f(r_j)), ("df", lambda p: p.f.d1(r_j)),
+                              ("exp_neg_gamma", lambda p: 1.0 - 2.0 * p.ansatz.m(r_j) / r_j)):
+                out[f"{key}@{r_j:.6g}"] = abs(float(part(inner)) - float(part(outer)))
         return out
 
 
 def _vacuum_piece(M: float, interval, scan_interval) -> Piece:
-    """The vacuum exterior of mass M on (2M, infinity): with x = 1 - 2M/r,
-    gamma = -log x and f = sqrt(x)."""
+    """The vacuum exterior of mass M on (2M, infinity): m = M, f = sqrt(1 - 2M/r)."""
     domain = (2.0 * M, math.inf)
-
-    def x(r):
-        return 1.0 - 2.0 * M / r
-
     zero = RadialFunction.constant(0.0, domain)
     return Piece(
         label="exterior",
-        ansatz=SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log(x(r)), domain)),
-        f=RadialFunction.from_formula(lambda r: np.sqrt(x(r)), domain),
+        ansatz=SchwarzschildForm(RadialFunction.constant(M, domain)),
+        f=RadialFunction.from_formula(lambda r: np.sqrt(1.0 - 2.0 * M / r), domain),
         mu_phys=zero,
         rho_phys=zero,
         interval=interval,
@@ -239,7 +231,7 @@ def schwarzschild_exterior(M: float = 1.0) -> AnalyticModel:
 
 
 def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
-    """Constant negative pressure: mu = c, rho = -c, f^2 = e^{-gamma} = 1 - (8 pi c/3) r^2.
+    """Constant negative pressure: mu = c, rho = -c, m = (4 pi c/3) r^3, f^2 = 1 - 2m/r.
 
     c = 0 degenerates to flat space with vanishing fluid.
     """
@@ -252,8 +244,9 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
         domain = (0.0, math.inf)
         hi = 10.0
 
-    ansatz = SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain))
-    f = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - a * r**2), domain)
+    m = RadialFunction.from_formula(lambda r: 0.5 * a * r**3, domain)
+    ansatz = SchwarzschildForm(m)
+    f = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - 2.0 * m(r) / r), domain)
     mu_phys = RadialFunction.constant(c, domain)
     rho_phys = RadialFunction.constant(-c, domain)
     piece = Piece(
@@ -273,7 +266,7 @@ def schwarzschild_interior(c: float = 0.0) -> AnalyticModel:
 
 
 def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
-    """Spatially flat slice: gamma = 0, rho = 1/(2 pi r^2 + c1), f = sqrt(c2) (2 pi r^2 + c1).
+    """Spatially flat slice: m = 0, rho = 1/(2 pi r^2 + c1), f = sqrt(c2) (2 pi r^2 + c1).
 
     The fluid fills all of space (rho -> 0 only as r -> infinity), so there is
     no surface to match; the model's note says so.
@@ -309,14 +302,14 @@ def gamma_zero(c1: float = 1.0, c2: float = 1.0) -> AnalyticModel:
 
 
 def einstein_static(c: float = 1.0) -> AnalyticModel:
-    """Closed static universe: mu = sqrt(3) c, rho = -c/sqrt(3), f = 1."""
+    """Closed static universe: mu = sqrt(3) c, rho = -c/sqrt(3), m = (4 pi mu/3) r^3, f = 1."""
     if c <= 0:
         raise BadParams(f"need c > 0, got {c}")
     a = EIGHT_PI * math.sqrt(3.0) * c / 3.0
     r_h = math.sqrt(1.0 / a)
     domain = (0.0, r_h)
 
-    ansatz = SchwarzschildForm(RadialFunction.from_formula(lambda r: -np.log1p(-a * r**2), domain))
+    ansatz = SchwarzschildForm(RadialFunction.from_formula(lambda r: 0.5 * a * r**3, domain))
     f = RadialFunction.constant(1.0, domain)
     mu_phys = RadialFunction.constant(math.sqrt(3.0) * c, domain)
     rho_phys = RadialFunction.constant(-c / math.sqrt(3.0), domain)
@@ -339,7 +332,7 @@ def einstein_static(c: float = 1.0) -> AnalyticModel:
 # -- quartic-density interior -------------------------------------------------
 
 def _wyman_lapse(R: float, M: float):
-    """The lapse of the e^{-gamma} = 1 - r^4/R^4 interior, as one formula.
+    """The lapse of the m = r^5/(2 R^4) interior, as one formula.
 
     f = a1 sinh(w/2) + a2 cosh(w/2) with w = asin(sqrt(1 - r^4/R^4)), written
     as w = acos(r^2/R^2), which keeps full precision near the centre;
@@ -364,7 +357,7 @@ def _wyman_lapse(R: float, M: float):
 
 
 def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
-    """Quartic interior e^{-gamma} = 1 - r^4/R^4 glued to the vacuum exterior.
+    """Quartic interior m = r^5/(2 R^4) glued to the vacuum exterior.
 
     Requires 2M < R (equivalently r_b > 2M and r_b < R).  The bundled density
     accessor is the internally consistent 8 pi mu = 5 r^2 / R^4; the historical
@@ -377,13 +370,13 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     r_b, a1, a2, lapse = _wyman_lapse(R, M)
 
     dom_i = (0.0, R * (1.0 - 1e-9))
-    gamma_i = RadialFunction.from_formula(lambda r: -np.log1p(-r**4 / R4), dom_i)
+    m_i = RadialFunction.from_formula(lambda r: 0.5 * r**5 / R4, dom_i)
     f_i = RadialFunction.from_formula(lapse, dom_i)
     mu_i = RadialFunction.from_formula(lambda r: 5.0 * r**2 / (EIGHT_PI * R4), dom_i)
     mu_printed = RadialFunction.from_formula(lambda r: 5.0 * r**2 / (EIGHT_PI * R), dom_i)
 
     def rho(r):
-        # 8 pi rho = -1/r^2 + e^{-gamma} (2 f'/(r f) + 1/r^2); the two 1/r^2
+        # 8 pi rho = -1/r^2 + (1 - 2m/r) (2 f'/(r f) + 1/r^2); the two 1/r^2
         # terms cancel to -r^2/R^4, which stays exact near the centre
         f = lapse(Jet(r, 1.0, 0.0))
         return (-r**2 / R4 + (1.0 - r**4 / R4) * 2.0 * f.d1 / (r * f.v)) / EIGHT_PI
@@ -391,7 +384,7 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     rho_i = RadialFunction.from_formula(rho, (1e-8, dom_i[1]))
     piece_i = Piece(
         label="interior",
-        ansatz=SchwarzschildForm(gamma_i),
+        ansatz=SchwarzschildForm(m_i),
         f=f_i,
         mu_phys=mu_i,
         rho_phys=rho_i,
@@ -404,7 +397,7 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         lo, hi = piece_i.interval
         grid = chebyshev_grid(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), grid_n)
         rep = tolman_residuals(
-            gamma_i, f_i, model.extras["mu_printed"], rho_i, grid,
+            m_i, f_i, model.extras["mu_printed"], rho_i, grid,
             tol=RESIDUAL_TOL,
         )
         return "diagnostic[printed-mu]", rep

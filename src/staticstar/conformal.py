@@ -440,14 +440,16 @@ def build_model(
     starts below the invariant's range u >= -C/(4 tau) (tau > 0), a
     non-finite ``lam`` or a non-finite ``ic`` is BadParams, as is n above
     ``N_MAX``.  Every lapse, preset or solved, is cut just before its first
-    downward zero in the span (``truncated``), as :func:`solve_lapse` cuts.
+    downward zero in the span (``truncated``), as :func:`solve_lapse` cuts;
+    a start on such a zero, f = 0 with f' <= 0, is a SignLoss.
 
     Construction always runs four independent validations (a degenerate
-    invariant, whose fluid is the vacuum pair, runs none): the lapse-ODE
-    residual, the traceless field equations sampled on the reference ray and
-    on a fixed random off-axis ray, and the closure of the closed-form
-    density against R/2 computed by the generic conformal-curvature
-    machinery.  The last three share one batched evaluation: both rays are
+    invariant, whose lapse is the constant f(u0), SignLoss if 0 and
+    DomainError if negative, and whose fluid is the vacuum pair, runs none):
+    the lapse-ODE residual, the traceless field equations sampled on the
+    reference ray and on a fixed random off-axis ray, and the closure of the
+    closed-form density against R/2 computed by the generic
+    conformal-curvature machinery.  The last three share one batched evaluation: both rays are
     stacked into one set of points, the curvature and the lapse Hessian are
     evaluated on it once, and each report reads its slice.  Results land in
     ``.checks``; nothing is raised on failure — inspect ``.passed``.
@@ -467,19 +469,24 @@ def build_model(
     if invariant.tau > 0.0 and disc < 0.0:
         raise BadParams(f"span starts at u = {u0}, below the invariant's range "
                         f"u >= -C/(4 tau): its level set is empty, 4 tau u + C = {disc} < 0")
+    if isinstance(phi, str) and phi not in ("witten", "unit"):
+        raise BadParams(f"unknown phi preset {phi!r} (use 'witten' or 'unit')")
+    if ic is not None and ic[0] == 0.0 and (ic[1] <= 0.0 or invariant.degenerate):
+        # a zero at u0 that goes down (or stays, on a degenerate invariant)
+        raise SignLoss(f"lapse crossed zero immediately at u={u0}")
     label = phi if isinstance(phi, str) else "custom"
 
     if invariant.degenerate:
-        # u is constant: the metric is a constant rescaling of flat space and
-        # the fluid degenerates to the vacuum pair (-Lambda, +Lambda)/8 pi.
-        if isinstance(phi, str):
-            phi_rf = RadialFunction.constant(1.0, (-math.inf, math.inf))
-        else:
-            phi_rf = phi
-        f_rf = RadialFunction.constant(ic[0] if ic else 1.0, (-math.inf, math.inf))
+        # u is constant: the metric is a constant rescaling of flat space, the
+        # lapse is the constant f(u0) and the fluid degenerates to the vacuum
+        # pair (-Lambda, +Lambda)/8 pi.
+        if ic is not None and ic[0] < 0.0:
+            raise DomainError(f"lapse non-positive at grid value {u0}")
+        everywhere = (-math.inf, math.inf)
         return ConformalModel(
-            phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
-            domain=(u0, u1), label=label,
+            phi=RadialFunction.constant(1.0, everywhere) if isinstance(phi, str) else phi,
+            f=RadialFunction.constant(ic[0] if ic else 1.0, everywhere),
+            invariant=invariant, lam=lam, domain=(u0, u1), label=label,
         )
 
     if isinstance(phi, str):
@@ -498,14 +505,12 @@ def build_model(
                 A, B = (float(c) for c in np.linalg.solve(mat, np.asarray(ic, dtype=float)))
             u_end = _lapse_end(_witten_u_zero(n, A, B, u0), u0, u1)
             f_rf = _witten_u_lapse(n, A, B, (u0, u_end))
-        elif phi == "unit":
+        else:  # "unit"
             phi_rf = RadialFunction.constant(1.0, (-math.inf, math.inf))
             f0, f1 = ic if ic is not None else (1.0, 0.0)
             # ODE reduces to f'' = 0: affine lapse
             u_end = _lapse_end(u0 - f0 / f1 if f1 < 0.0 <= f0 else None, u0, u1)
             f_rf = RadialFunction.from_formula(lambda u: f0 + f1 * (u - u0), (u0, u_end))
-        else:
-            raise BadParams(f"unknown phi preset {phi!r} (use 'witten' or 'unit')")
     else:
         phi_rf = phi
         f_rf = solve_lapse(phi_rf, n, (u0, u1), ic if ic is not None else (1.0, 0.0))

@@ -22,7 +22,7 @@ is ever constructed.
 
 Supported metric ansatz classes
 -------------------------------
-* :class:`SchwarzschildForm` — g = e^{gamma(r)} dr^2 + r^2 g_{S^2}
+* :class:`SchwarzschildForm` — g = dr^2/(1 - 2m(r)/r) + r^2 g_{S^2}, m the mass function
 * :class:`WarpedProduct`     — g = dr^2 + phi(r)^2 g_{S^2}   (r = proper distance)
 * :class:`ConformalFlat`     — g = phi(u(x))^{-2} delta  on a subset of R^n, u a quadric invariant
 """
@@ -81,9 +81,10 @@ def to_physical(mu_geo: float, rho_geo: float, lam: float = 0.0) -> tuple[float,
 
 @dataclass(frozen=True)
 class SchwarzschildForm:
-    """g = e^{gamma(r)} dr^2 + r^2 g_{S^2}."""
+    """g = dr^2/(1 - 2m(r)/r) + r^2 g_{S^2}; the mass function m(r) is the
+    Hawking mass of the coordinate sphere at r (Misner & Sharp 1964)."""
 
-    gamma: RadialFunction
+    m: RadialFunction
 
     @property
     def n(self) -> int:
@@ -255,21 +256,19 @@ def _radial_chart(ansatz, r):
     """(b, b', b'', e^2, e e', 1 - b_s^2) of a radial chart at r, with
     e = 1/a = |grad r|_g.
 
-    SchwarzschildForm is a = e^{gamma/2}, b = r; WarpedProduct is a = 1,
+    SchwarzschildForm is e^2 = 1 - 2m/r, b = r; WarpedProduct is a = 1,
     b = phi.  This is where the two are told apart for curvature (a
     coordinate sphere reads the first-order part, :func:`_sphere_chart`): the
     radial quantities below are written once in proper distance s, where d/ds =
     e d/dr, so that f_s = e f' and f_ss = e^2 f'' + e e' f'.  1 - b_s^2 is
-    formed here in each chart's own terms, -expm1(-gamma) and 1 - phi'^2:
-    near a regular centre gamma ~ r^2, and 1 - e^{-gamma} formed as a
-    difference would keep only about eps/gamma of its digits.
+    formed in each chart's own terms, 2m/r and 1 - phi'^2; e e' = (m/r - m')/r,
+    and no Schwarzschild-form entry is a difference that cancels at a centre.
     """
     r = np.asarray(r, dtype=float)
     if isinstance(ansatz, SchwarzschildForm):
-        gamma = np.asarray(ansatz.gamma.value(r), dtype=float)
-        e2 = np.exp(-gamma)
-        ee1 = -0.5 * np.asarray(ansatz.gamma.d1(r), dtype=float) * e2
-        return r, 1.0, 0.0, e2, ee1, -np.expm1(-gamma)
+        two_m_r = 2.0 * np.asarray(ansatz.m.value(r), dtype=float) / r
+        ee1 = (0.5 * two_m_r - np.asarray(ansatz.m.d1(r), dtype=float)) / r
+        return r, 1.0, 0.0, 1.0 - two_m_r, ee1, two_m_r
     if isinstance(ansatz, WarpedProduct):
         phi = ansatz.phi
         b1 = np.asarray(phi.d1(r), dtype=float)
@@ -280,12 +279,12 @@ def _radial_chart(ansatz, r):
 
 def _sphere_chart(ansatz, r):
     """(b, b', e^2) of a radial chart at r: the first-order part of
-    :func:`_radial_chart`, all a coordinate sphere reads.  It evaluates gamma
+    :func:`_radial_chart`, all a coordinate sphere reads.  It evaluates m
     of a SchwarzschildForm, or phi and phi' of a WarpedProduct, and no
     derivative beyond those."""
     r = np.asarray(r, dtype=float)
     if isinstance(ansatz, SchwarzschildForm):
-        return r, 1.0, np.exp(-np.asarray(ansatz.gamma.value(r), dtype=float))
+        return r, 1.0, 1.0 - 2.0 * np.asarray(ansatz.m.value(r), dtype=float) / r
     if isinstance(ansatz, WarpedProduct):
         phi = ansatz.phi
         return np.asarray(phi.value(r), dtype=float), np.asarray(phi.d1(r), dtype=float), 1.0
@@ -495,7 +494,7 @@ def _spf_report_conformal(residuals: dict, grid: np.ndarray, rows: slice,
 # ----------------------------------------------------------------------------
 
 def tolman_residuals(
-    gamma: RadialFunction,
+    m: RadialFunction,
     f: RadialFunction,
     mu: RadialFunction,
     rho: RadialFunction,
@@ -504,30 +503,25 @@ def tolman_residuals(
 ) -> ResidualReport:
     """Residuals of the first-order static-star system in physical variables.
 
-    With x = e^{-gamma} and v' = 2 f'/f (v = log f^2 is Tolman's potential):
+    With x = 1 - 2m/r and v' = 2 f'/f (v = log f^2 is Tolman's potential):
 
-        density:       8 pi mu  - (1 - x + r gamma' x) / r^2
-        pressure:      8 pi rho - [ x v'/r - (1 - x)/r^2 ]
+        density:       8 pi mu  - 2 m' / r^2
+        pressure:      8 pi rho - [ x v'/r - 2m/r^3 ]
         conservation:  2 rho' + v' (rho + mu)
 
-    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda).  1 - x is
-    formed as -expm1(-gamma), so near a regular centre, where gamma ~ r^2,
-    the 1/r^2 terms carry no round-off of size eps/r^2.
+    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda).
     """
     r = np.asarray(grid, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("Tolman residuals need r > 0")
-    g = np.asarray(gamma.value(r), dtype=float)
-    g1 = np.asarray(gamma.d1(r), dtype=float)
-    x = np.exp(-g)
-    one_minus_x = -np.expm1(-g)
+    two_m_r = 2.0 * np.asarray(m.value(r), dtype=float) / r
     v1 = 2.0 * np.asarray(f.d1(r), dtype=float) / np.asarray(f.value(r), dtype=float)
     mu_v = np.asarray(mu.value(r), dtype=float)
     rho_v = np.asarray(rho.value(r), dtype=float)
     rho1 = np.asarray(rho.d1(r), dtype=float)
 
-    t_density = EIGHT_PI * mu_v - (one_minus_x + r * g1 * x) / (r * r)
-    t_pressure = EIGHT_PI * rho_v - (x * v1 / r - one_minus_x / (r * r))
+    t_density = EIGHT_PI * mu_v - 2.0 * np.asarray(m.d1(r), dtype=float) / (r * r)
+    t_pressure = EIGHT_PI * rho_v - ((1.0 - two_m_r) * v1 / r - two_m_r / (r * r))
     t_conserv = 2.0 * rho1 + v1 * (rho_v + mu_v)
 
     entries = [
@@ -550,7 +544,7 @@ def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, flo
     there.
 
     * radial charts, g = a^2 dr^2 + b^2 g_{S^2}: H = 2 b_s/b = 2 e b'/b with
-      e = 1/a (so H = (2/r) e^{-gamma/2} in Schwarzschild form and
+      e = 1/a (so H = (2/r) sqrt(1 - 2m/r) in Schwarzschild form and
       2 phi'/phi in a warped product);
     * ConformalFlat: the level sphere of the invariant has Euclidean radius
       s = sqrt(4 tau u + C)/(2 tau) about its center, b = s/phi,

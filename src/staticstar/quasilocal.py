@@ -394,7 +394,7 @@ def _charts(model, c: float, window):
             if 0.0 < c < 1.0:
                 # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
                 hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))
-        return [(SchwarzschildForm(model.gamma_function()), model.lapse_function(),
+        return [(SchwarzschildForm(model.mass_function()), model.lapse_function(),
                  lambda r: EIGHT_PI * model.rho(r), lo, hi, None)]
     if isinstance(model, _conformal.ConformalModel):
         if model.n != 3:

@@ -529,38 +529,19 @@ class StellarModel:
     def f(self, r):
         return _out(np.exp(0.5 * self.v(r)))
 
-    def _m_d2(self, r):
-        """m''(r): the dense m's exact second derivative inside (8 pi mu_c r
-        on the center piece), 0 outside."""
-        return self._piecewise(r, self.profile.m.derivative().derivative(), lambda x: 0.0)
-
     # -- derivative-carrying views ---------------------------------------------
 
-    def gamma_function(self) -> RadialFunction:
-        """gamma(r) = -log x, x = 1 - 2 m(r)/r, with x' from m' = 4 pi r^2 mu and
-        gamma'' = (x'/x)^2 - x''/x, x'' from the dense m''.
+    def mass_function(self) -> RadialFunction:
+        """m(r) with the dense m's own derivatives inside (m' = 4 pi mu_c r^2 on
+        the center piece) and 0 outside, each polynomial built on first read."""
+        @functools.cache
+        def dense(k):
+            return self.profile.m if k == 0 else dense(k - 1).derivative()
 
-        Inside a tabulated-EOS star m'' is the curvature of the integrator's
-        quartic pieces, coarse (about 1e-2 relative on a soft-surface table);
-        nothing in the package reads gamma'' (the chart and the Tolman
-        residuals read gamma and gamma' only).
-        """
+        def derivative(k):
+            return lambda r: self._piecewise(r, dense(k), lambda x: 0.0)
 
-        def val(r):
-            return _out(-np.log(self.exp_neg_gamma(r)))
-
-        def x1(r):
-            return -8.0 * math.pi * r * self.mu(r) + 2.0 * self.m(r) / (r * r)
-
-        def d1(r):
-            return -x1(r) / self.exp_neg_gamma(r)
-
-        def d2(r):
-            x, xp = self.exp_neg_gamma(r), x1(r)
-            xpp = -2.0 * self._m_d2(r) / r + 16.0 * math.pi * self.mu(r) - 4.0 * self.m(r) / r**3
-            return _out((xp / x) ** 2 - xpp / x)
-
-        return RadialFunction(val, d1, d2, domain=(EPS_DOM, math.inf))
+        return RadialFunction(self.m, derivative(1), derivative(2), domain=(EPS_DOM, math.inf))
 
     def lapse_function(self) -> RadialFunction:
         """f(r) with f' = f v'/2 and f'' = f (v''/2 + v'^2/4), all from the TOV

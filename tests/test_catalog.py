@@ -165,7 +165,7 @@ class TestWyman:
         # so the density residual is 35/16
         piece = wyman.pieces[0]
         rep = tolman_residuals(
-            piece.ansatz.gamma,
+            piece.ansatz.m,
             piece.fluid.f,
             wyman.extras["mu_printed"],
             piece.rho_phys,

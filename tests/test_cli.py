@@ -143,6 +143,13 @@ def test_a_preset_lapse_that_loses_sign_is_truncated(capsys, argv):
     assert payload["truncated"] is True and payload["passed"] is True
 
 
+@pytest.mark.parametrize("phi", ["witten", "unit"])
+def test_a_preset_starting_on_a_flat_zero_is_a_sign_loss(capsys, phi):
+    code, _, err = run(capsys, "build", "--phi", phi, "--ic", "0,0")
+    assert code == 3
+    assert err == "error: SignLoss: lapse crossed zero immediately at u=0.0\n"
+
+
 def test_a_dimension_above_the_cap_is_refused(capsys):
     code, _, err = run(capsys, "build", "--phi", "unit", "--n", str(conformal.N_MAX + 1))
     assert code == 1

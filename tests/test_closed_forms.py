@@ -54,7 +54,7 @@ def _closed_forms():
                 "rho": p.rho_phys,
             }
             if isinstance(p.ansatz, SchwarzschildForm):
-                named.update(gamma=p.ansatz.gamma)
+                named.update(m=p.ansatz.m)
             if isinstance(p.ansatz, WarpedProduct):
                 named.update(phi=p.ansatz.phi)
             out += [(f"{spec}/{p.label}/{k}", rf, p.interval) for k, rf in named.items()]

@@ -462,6 +462,31 @@ class TestBuildModel:
         with pytest.raises(SignLoss):
             build_model(phi, n=3, ic=(0.0, -0.5))
 
+    @pytest.mark.parametrize("phi", ["witten", "unit", "custom"])
+    def test_a_zero_start_with_zero_slope_is_a_sign_loss_on_every_path(self, phi):
+        # f(u0) = 0 with f'(u0) = 0 is f == 0, a zero at u0 as solve_lapse's event reads it
+        if phi == "custom":
+            phi = RadialFunction.constant(1.0, (-math.inf, math.inf))
+        with pytest.raises(SignLoss, match="immediately at u=0.0"):
+            build_model(phi, n=3, ic=(0.0, 0.0))
+
+    def test_degenerate_invariant_refuses_an_unknown_preset(self):
+        flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
+        with pytest.raises(BadParams, match="unknown phi preset 'spiral'"):
+            build_model("spiral", n=3, invariant=flat)
+
+    @pytest.mark.parametrize("ic", [(0.0, 0.0), (0.0, 0.5)])
+    def test_degenerate_invariant_refuses_a_zero_lapse(self, ic):
+        # the lapse is the constant f(u0) whatever f'(u0) says
+        flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
+        with pytest.raises(SignLoss):
+            build_model("unit", n=3, invariant=flat, ic=ic)
+
+    def test_degenerate_invariant_refuses_a_negative_lapse(self):
+        flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
+        with pytest.raises(DomainError, match="lapse non-positive"):
+            build_model("unit", n=3, invariant=flat, ic=(-1.0, 0.0))
+
     def test_witten_default_start_is_an_upward_zero(self):
         # f(0) = 0 with f'(0) > 0 is not a cut: the first downward zero of
         # sin(log(1 + u) / 2) is at u = expm1(2 pi), far past the span

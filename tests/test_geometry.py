@@ -96,12 +96,7 @@ class TestSchwarzschildForm:
     def _vacuum(self, M=1.0):
         """The vacuum ansatz and its lapse f = sqrt(1 - 2M/r)."""
         dom = (2.0 * M + 1e-9, math.inf)
-        gamma = _rf(
-            lambda r: -np.log(1.0 - 2.0 * M / r),
-            lambda r: -2.0 * M / (r * (r - 2.0 * M)),
-            lambda r: 2.0 * M * (2.0 * r - 2.0 * M) / (r * (r - 2.0 * M)) ** 2,
-            dom,
-        )
+        m = RadialFunction.constant(M, dom)
         f = _rf(
             lambda r: np.sqrt(1.0 - 2.0 * M / r),
             lambda r: M / (r * r * np.sqrt(1.0 - 2.0 * M / r)),
@@ -109,7 +104,7 @@ class TestSchwarzschildForm:
             - M * M / (r**4 * np.sqrt(1.0 - 2.0 * M / r) ** 3),
             dom,
         )
-        return SchwarzschildForm(gamma), f
+        return SchwarzschildForm(m), f
 
     def test_mean_curvature(self):
         assert coordinate_sphere(self._vacuum()[0], 4.0)[1] == pytest.approx(
@@ -118,7 +113,7 @@ class TestSchwarzschildForm:
 
     def test_vacuum_field_equations(self):
         ansatz, f = self._vacuum()
-        zero = RadialFunction.constant(0.0, ansatz.gamma.domain)
+        zero = RadialFunction.constant(0.0, ansatz.m.domain)
         fluid = FluidData(f=f, mu=zero, rho=zero)
         rep = spf_residuals(ansatz, fluid, chebyshev_grid(2.5, 30.0, 48), tol=1e-9)
         assert rep.passed
@@ -200,25 +195,20 @@ class TestConformalCurvature:
 
 class TestResiduals:
     def test_unit_lapse_space_form_passes(self):
-        """f = 1 on the round slice e^{-gamma} = 1 - a r^2 needs rho = -mu/3."""
+        """f = 1 on the round slice 1 - 2m/r = 1 - a r^2 needs rho = -mu/3."""
         c = 0.001
         a = EIGHT_PI * c / 3.0
         r_h = math.sqrt(1.0 / a)
         dom = (0.0, 0.99 * r_h)
-        gamma = _rf(
-            lambda r: -np.log(1.0 - a * r * r),
-            lambda r: 2.0 * a * r / (1.0 - a * r * r),
-            lambda r: 2.0 * a * (1.0 + a * r * r) / (1.0 - a * r * r) ** 2,
-            dom,
-        )
+        m = _rf(lambda r: 0.5 * a * r**3, lambda r: 1.5 * a * r * r, lambda r: 3.0 * a * r, dom)
         f = RadialFunction.constant(1.0, dom)
         mu = RadialFunction.constant(c, dom)
         rho = RadialFunction.constant(-c / 3.0, dom)
         grid = chebyshev_grid(0.05 * r_h, 0.9 * r_h, 64)
-        rep = tolman_residuals(gamma, f, mu, rho, grid)
+        rep = tolman_residuals(m, f, mu, rho, grid)
         assert rep.passed, rep.to_json_dict()
 
-        ansatz = SchwarzschildForm(gamma)
+        ansatz = SchwarzschildForm(m)
         mu_g, rho_g = to_geometric(c, -c / 3.0)
         fluid = FluidData(
             f=f,
@@ -235,16 +225,11 @@ class TestResiduals:
         c = 0.001
         a = EIGHT_PI * c / 3.0
         dom = (0.0, 10.0)
-        gamma = _rf(
-            lambda r: -np.log(1.0 - a * r * r),
-            lambda r: 2.0 * a * r / (1.0 - a * r * r),
-            lambda r: 2.0 * a * (1.0 + a * r * r) / (1.0 - a * r * r) ** 2,
-            dom,
-        )
+        m = _rf(lambda r: 0.5 * a * r**3, lambda r: 1.5 * a * r * r, lambda r: 3.0 * a * r, dom)
         f = RadialFunction.constant(1.0, dom)
         mu = RadialFunction.constant(2.0 * c, dom)  # wrong by a factor of two
         rho = RadialFunction.constant(-c, dom)
-        rep = tolman_residuals(gamma, f, mu, rho, chebyshev_grid(0.5, 5.0, 16))
+        rep = tolman_residuals(m, f, mu, rho, chebyshev_grid(0.5, 5.0, 16))
         assert not rep.passed
         assert rep.entry("density").max == pytest.approx(EIGHT_PI * c, abs=1e-12)
 
@@ -356,8 +341,8 @@ def test_entry_max_rms_and_worst_point():
 def _chart_pair(space):
     """One space and lapse in both radial charts: (warped, schwarzschild, r(s)).
 
-    ``space`` is "sphere" (the unit 3-sphere, phi = sin s, e^gamma = 1/(1 - r^2)
-    with r = sin s) or "flat" (phi = s, gamma = 0, r = s).  The lapse is
+    ``space`` is "sphere" (the unit 3-sphere, phi = sin s, m = r^3/2, so
+    1 - 2m/r = 1 - r^2, with r = sin s) or "flat" (phi = s, m = 0, r = s).  The lapse is
     cos s = sqrt(1 - r^2) on the sphere and cos s = cos r on flat space.
     """
     s_dom = (0.0, 0.5 * math.pi)
@@ -365,7 +350,7 @@ def _chart_pair(space):
         warped = WarpedProduct(RadialFunction.from_formula(np.sin, s_dom))
         r_dom = (0.0, 1.0)
         schw = SchwarzschildForm(
-            RadialFunction.from_formula(lambda r: -np.log(1.0 - r * r), r_dom))
+            RadialFunction.from_formula(lambda r: 0.5 * r**3, r_dom))
         f_r = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - r * r), r_dom)
         return (warped, RadialFunction.from_formula(np.cos, s_dom)), (schw, f_r), np.sin
     warped = WarpedProduct(RadialFunction.from_formula(lambda s: s, s_dom))
@@ -413,7 +398,7 @@ class TestRadialChartsAgree:
 
 @pytest.mark.parametrize("model_id, radius", [
     ("wyman", lambda m: m.extras["r_b"]),
-    ("einstein_static", lambda m: m.pieces[0].ansatz.gamma.domain[1]),
+    ("einstein_static", lambda m: m.pieces[0].ansatz.m.domain[1]),
 ], ids=["wyman", "einstein_static"])
 def test_residuals_hold_near_a_regular_centre(model_id, radius):
     """Both residual checks at the 1e-9 gate from 1e-4 of the surface (wyman)
@@ -422,7 +407,7 @@ def test_residuals_hold_near_a_regular_centre(model_id, radius):
     p = model.pieces[0]
     grid = chebyshev_grid(1e-4 * radius(model), p.interval[1], 512)
     field = spf_residuals(p.ansatz, p.fluid, grid, tol=1e-9)
-    tolman = tolman_residuals(p.ansatz.gamma, p.fluid.f, p.mu_phys, p.rho_phys, grid, tol=1e-9)
+    tolman = tolman_residuals(p.ansatz.m, p.fluid.f, p.mu_phys, p.rho_phys, grid, tol=1e-9)
     assert field.passed, field.to_json_dict()
     assert tolman.passed, tolman.to_json_dict()
 
@@ -442,13 +427,13 @@ def _sphere_from_full_chart(ansatz, r):
 def _tov_star_ansatz():
     profile = tov.integrate_tov(tov.ConstantDensity(0.001), 5e-4)
     star = tov.match_exterior(profile, tov.detect_surface(profile))
-    return SchwarzschildForm(star.gamma_function()), star.r_b
+    return SchwarzschildForm(star.mass_function()), star.r_b
 
 
 @pytest.mark.parametrize("chart", ["tov", "wyman", "witten_stellar"])
 def test_coordinate_sphere_reads_first_order_data_only(chart):
     """Bit for bit the sphere of the full chart data, with every derivative
-    beyond gamma, phi and phi' made to raise."""
+    beyond m, phi and phi' made to raise."""
     if chart == "tov":
         ansatz, r_b = _tov_star_ansatz()
         radii = [1e-3, 0.5, 0.9 * r_b, r_b, 3.0 * r_b]
@@ -460,8 +445,8 @@ def test_coordinate_sphere_reads_first_order_data_only(chart):
         raise AssertionError("a derivative the sphere does not read")
 
     if isinstance(ansatz, SchwarzschildForm):
-        g = ansatz.gamma
-        first_order = SchwarzschildForm(RadialFunction(g.value, refuse, refuse, domain=g.domain))
+        m = ansatz.m
+        first_order = SchwarzschildForm(RadialFunction(m.value, refuse, refuse, domain=m.domain))
     else:
         p = ansatz.phi
         first_order = WarpedProduct(RadialFunction(p.value, p.d1, refuse, domain=p.domain))

@@ -3,9 +3,9 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from staticstar import conformal, quasilocal, tov
+from staticstar import catalog, conformal, quasilocal, tov
 from staticstar.energy import BAND, scan_conditions, scan_model
 from staticstar.errors import DomainError, StaticStarError
 from staticstar.geometry import _entry, to_geometric, to_physical
@@ -168,6 +168,7 @@ def _decade(lo, hi):
 
 
 _sign = st.sampled_from([1.0, 1.0, 1.0, -1.0])
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -247,6 +248,52 @@ def test_constant_density_pipeline_matches_interior_schwarzschild(c, ratio, t):
     assert scan.nec and scan.wec
     if abs(rho_c - c) > 10.0 * BAND:
         assert scan.dec == (rho_c < c)
+
+
+# --- on a Schwarzschild-form chart the Hawking mass is the mass function -------
+
+def _assert_hawking_mass_is_m(model, levels, mass):
+    """m_hawking of every level sphere {f = c}, c in ``levels``, is mass(r)
+    at its r, to 1e-13 relative.
+
+    The Hawking mass is sqrt(A/16 pi) (1 - W/16 pi), and 1 - W/16 pi = 2m/r
+    is formed as a difference of numbers near 1: its round-off is an absolute
+    eps or so, eps r/2 in m_hawking, which is the larger term only on nearly
+    flat spheres (2m/r below about 1e-2).
+    """
+    spheres = [rep for c in levels for rep in quasilocal.level_set_data(model, c)]
+    assert spheres
+    for rep in spheres:
+        assert math.isclose(rep.m_hawking, mass(rep.r), rel_tol=1e-13,
+                            abs_tol=2.0 * EPS * rep.r), (rep.r, rep.m_hawking)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.tuples(_decade(-4.0, -2.0).map(tov.ConstantDensity), _decade(-5.5, -1.0)),
+                 _tabulated()),
+       st.floats(min_value=0.05, max_value=0.95))
+def test_hawking_mass_is_the_mass_function_of_a_tov_star(star, t):
+    eos, rho_c = star
+    try:
+        profile = tov.integrate_tov(eos, rho_c)
+        model = tov.match_exterior(profile, tov.detect_surface(profile))
+    except StaticStarError:
+        assume(False)
+    f_center = model.f(profile.R_START)
+    _assert_hawking_mass_is_m(model, [f_center + t * (1.0 - f_center)], model.m)
+
+
+def test_hawking_mass_is_the_mass_function_of_the_vacuum():
+    model = catalog.build("schwarzschild_exterior", M=1.5)
+    _assert_hawking_mass_is_m(model, [0.05, 0.3, 0.6, 0.9, 0.99], lambda r: 1.5)
+
+
+def test_hawking_mass_is_the_mass_function_of_wyman():
+    model = catalog.build("wyman")  # R = 2, M = 0.2
+    r_b = model.extras["r_b"]
+    f_b = model.f(r_b)
+    levels = [model.f(0.05 * r_b), model.f(0.5 * r_b), f_b, 0.5 * (f_b + 1.0), 0.99]
+    _assert_hawking_mass_is_m(model, levels, lambda r: min(r, r_b) ** 5 / (2.0 * 2.0**4))
 
 
 def _mu_outcome(eos, rho):

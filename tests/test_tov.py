@@ -155,23 +155,22 @@ class TestUniformStar:
         assert np.array_equal(const_star.m(r[1:]), profile.m(r[1:]))
 
     def test_metric_function_derivatives(self, const_star):
-        gamma = const_star.gamma_function()
+        m = const_star.mass_function()
         lapse = const_star.lapse_function()
         for r in (3.0, 7.0, 15.0):
             h = 1e-5 * r
-            fd = (gamma.value(r + h) - gamma.value(r - h)) / (2 * h)
-            assert gamma.d1(r) == pytest.approx(fd, abs=1e-6)
+            fd = (m.value(r + h) - m.value(r - h)) / (2 * h)
+            assert m.d1(r) == pytest.approx(fd, abs=1e-6)
             # v' = 2 f'/f against a difference of v = log f^2
             fd = (const_star.v(r + h) - const_star.v(r - h)) / (2 * h)
             assert 2.0 * lapse.d1(r) / lapse.value(r) == pytest.approx(fd, abs=1e-6)
             assert lapse.value(r) == const_star.f(r)
 
-        # gamma'' and f'' against the closed forms, with x = e^{-gamma}:
-        # inside x = 1 - a r^2 and f = (3 sqrt(x_b) - sqrt(x))/2, outside
-        # x = 1 - 2M/r and f = sqrt(x)
-        def second_derivatives(x, x1, x2):
-            root2 = x2 / (2.0 * np.sqrt(x)) - x1 * x1 / (4.0 * x**1.5)
-            return (x1 / x) ** 2 - x2 / x, root2
+        # m'' and f'' against the closed forms, with x = 1 - 2m/r: inside
+        # m = a r^3/2, x = 1 - a r^2 and f = (3 sqrt(x_b) - sqrt(x))/2,
+        # outside m = M, x = 1 - 2M/r and f = sqrt(x)
+        def sqrt_x_d2(x, x1, x2):
+            return x2 / (2.0 * np.sqrt(x)) - x1 * x1 / (4.0 * x**1.5)
 
         def worst(got, want):
             return float(np.max(np.abs(got - want) / np.abs(want)))
@@ -179,35 +178,37 @@ class TestUniformStar:
         r_b, M = const_star.r_b, const_star.mass
         a = 8.0 * math.pi * 0.001 / 3.0
         r = np.linspace(0.05 * r_b, 0.98 * r_b, 200)
-        g2, root2 = second_derivatives(1.0 - a * r * r, -2.0 * a * r, -2.0 * a)
-        assert worst(gamma.d2(r), g2) < 1e-10
+        root2 = sqrt_x_d2(1.0 - a * r * r, -2.0 * a * r, -2.0 * a)
+        assert worst(m.d2(r), 3.0 * a * r) < 1e-10
         assert worst(lapse.d2(r), -0.5 * root2) < 5e-8
         r = np.linspace(1.01 * r_b, 5.0 * r_b, 200)
-        g2, root2 = second_derivatives(1.0 - 2.0 * M / r, 2.0 * M / r**2, -4.0 * M / r**3)
-        assert worst(gamma.d2(r), g2) < 1e-12
+        root2 = sqrt_x_d2(1.0 - 2.0 * M / r, 2.0 * M / r**2, -4.0 * M / r**3)
+        assert np.all(m.d2(r) == 0.0)
         assert worst(lapse.d2(r), root2) < 1e-12
 
     def test_tabulated_star_second_derivatives(self):
-        """gamma'' of a soft-surface table star against a difference of gamma'.
+        """m'' and f'' of a soft-surface table star against a difference of
+        m' and f'.
 
-        Inside, gamma'' reads the curvature of the integrator's quartic pieces
-        of m(r), which is coarse: the worst gap is 1.4e-2 of max |gamma''|,
-        near 0.91 r_b, while the difference agrees with an exact route through
-        the table's own derivative to 1.6e-4.  f'' comes from the right-hand
-        side and keeps to the difference of f' far better.
+        m' and m'' are both derivatives of the integrator's dense m, so they
+        agree to about 3.5e-11 of max |m''|; outside the star both are exactly
+        0.  f'' comes from the right-hand side and keeps to the difference of
+        f' to 1e-3.
         """
         rho_c = 2e-4
         rho = np.linspace(-rho_c, 1.5 * rho_c, 60)
         eos = tov.Tabulated(rho, np.sqrt(np.maximum(rho, 0.0) / 100.0))
         profile = tov.integrate_tov(eos, rho_c)
         star = tov.match_exterior(profile, tov.detect_surface(profile))
-        for fn, bound in ((star.gamma_function(), 2e-2), (star.lapse_function(), 1e-3)):
+        m, lapse = star.mass_function(), star.lapse_function()
+        for fn, bound in ((m, 1e-9), (lapse, 1e-3)):
             r = np.linspace(0.05 * star.r_b, 0.98 * star.r_b, 300)
             fd = fd_derivative(fn.d1, r)
             assert np.max(np.abs(fn.d2(r) - fd)) < bound * np.max(np.abs(fd))
-            r = np.linspace(1.01 * star.r_b, 5.0 * star.r_b, 300)
-            fd = fd_derivative(fn.d1, r)
-            assert np.max(np.abs(fn.d2(r) - fd)) < 1e-9 * np.max(np.abs(fd))
+        r = np.linspace(1.01 * star.r_b, 5.0 * star.r_b, 300)
+        assert np.all(m.d1(r) == 0.0) and np.all(m.d2(r) == 0.0)
+        fd = fd_derivative(lapse.d1, r)
+        assert np.max(np.abs(lapse.d2(r) - fd)) < 1e-9 * np.max(np.abs(fd))
 
     def test_no_negative_density_sampled(self, const_star):
         assert not const_star.profile.negative_density_seen
@@ -381,11 +382,11 @@ class TestArrayContract:
     def test_model_evaluators(self, const_star):
         r0, r_b = const_star.profile.R_START, const_star.r_b
         r = np.array([0.3 * r0, 0.9 * r0, r0, 0.5, 4.0, 0.999 * r_b, r_b, 1.5 * r_b, 40.0])
-        gamma = const_star.gamma_function()
+        m = const_star.mass_function()
         lapse = const_star.lapse_function()
         for fn in (const_star.rho, const_star.m, const_star.mu, const_star.v,
-                   const_star.f, const_star.exp_neg_gamma, gamma.value, gamma.d1,
-                   gamma.d2, lapse.value, lapse.d1, lapse.d2):
+                   const_star.f, const_star.exp_neg_gamma, m.value, m.d1,
+                   m.d2, lapse.value, lapse.d1, lapse.d2):
             got = fn(r)
             assert got.shape == r.shape
             for x, y in zip(r, got):
