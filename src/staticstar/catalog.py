@@ -39,6 +39,7 @@ __all__ = [
     "Piece",
     "VerifyResult",
     "AnalyticModel",
+    "vacuum_piece",
     "MODELS",
     "build",
     "parse_model_spec",
@@ -58,15 +59,16 @@ RESIDUAL_TOL = 1e-9  # every model's field-equation residual gate
 class Piece:
     """One chart of a model: ansatz, lapse and physical fluid on an interval.
 
-    ``interval`` is the window verification grids are drawn from;
-    ``scan_interval`` (defaults to ``interval``) is the usually wider window
-    level-set searches may sample.  ``lam`` is the cosmological constant.
+    ``mu_phys`` is values only: no residual differentiates it.  ``interval``
+    is the window verification grids are drawn from; ``scan_interval``
+    (defaults to ``interval``) is the usually wider window level-set
+    searches may sample.  ``lam`` is the cosmological constant.
     """
 
     label: str
     ansatz: object  # SchwarzschildForm | WarpedProduct | ConformalFlat
     f: RadialFunction
-    mu_phys: RadialFunction
+    mu_phys: Callable
     rho_phys: RadialFunction
     interval: tuple[float, float]
     scan_interval: tuple[float, float] | None = None
@@ -136,13 +138,18 @@ class AnalyticModel:
 
         A point belongs to the first piece whose scan window holds it; a
         point in no window falls back on the first piece whose lapse domain
-        holds it (open interval).  A float gives a float.
+        holds it (open interval).  A float gives a float, from one call.
         """
+        windows = [(p, *p.scan_window(), True) for p in self.pieces]
+        windows += [(p, *p.f.domain, False) for p in self.pieces]
+        if isinstance(r, float):
+            for piece, lo, hi, closed in windows:
+                if (lo <= r <= hi) if closed else (lo < r < hi):
+                    return float(part(piece)(r))
+            raise BadParams(f"r={r} outside every piece of {self.id}")
         r_arr = np.asarray(r, dtype=float)
         out = np.empty(r_arr.shape)
         todo = np.ones(r_arr.shape, dtype=bool)
-        windows = [(p, *p.scan_window(), True) for p in self.pieces]
-        windows += [(p, *p.f.domain, False) for p in self.pieces]
         for piece, lo, hi, closed in windows:
             inside = (lo <= r_arr) & (r_arr <= hi) if closed else (lo < r_arr) & (r_arr < hi)
             mask = todo & inside
@@ -203,7 +210,7 @@ class AnalyticModel:
         return out
 
 
-def _vacuum_piece(M: float, interval, scan_interval) -> Piece:
+def vacuum_piece(M: float, interval, scan_interval) -> Piece:
     """The vacuum exterior of mass M on (2M, infinity): m = M, f = sqrt(1 - 2M/r)."""
     domain = (2.0 * M, math.inf)
     zero = RadialFunction.constant(0.0, domain)
@@ -226,7 +233,7 @@ def schwarzschild_exterior(M: float = 1.0) -> AnalyticModel:
     """Vacuum exterior of mass M on (2M, infinity)."""
     if M <= 0:
         raise BadParams(f"need M > 0, got {M}")
-    piece = _vacuum_piece(M, (2.02 * M, 60.0 * M), (2.0 * M * (1.0 + 1e-9), 2000.0 * M))
+    piece = vacuum_piece(M, (2.02 * M, 60.0 * M), (2.0 * M * (1.0 + 1e-9), 2000.0 * M))
     return AnalyticModel("schwarzschild_exterior", {"M": M}, [piece])
 
 
@@ -391,7 +398,7 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         interval=(5e-3 * r_b, r_b),
     )
 
-    piece_o = _vacuum_piece(M, (r_b, 40.0 * max(M, 1.0)), (r_b, 500.0 * max(M, 1.0)))
+    piece_o = vacuum_piece(M, (r_b, 40.0 * max(M, 1.0)), (r_b, 500.0 * max(M, 1.0)))
 
     def printed_mu_diagnostic(model: AnalyticModel, grid_n: int):
         lo, hi = piece_i.interval

@@ -167,7 +167,7 @@ def _cmd_tov(args, cfg: RunConfig) -> int:
         "rho_center": args.rho_c,
         "r_b": model.r_b,
         "mass": model.mass,
-        "f_center": float(model.f(prof.R_START)),
+        "f_center": prof.f(prof.R_START),
         "samples": prof.grid_n,
         "negative_density_seen": prof.negative_density_seen,
         "out": args.out,

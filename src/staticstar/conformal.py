@@ -444,8 +444,8 @@ def build_model(
     a start on such a zero, f = 0 with f' <= 0, is a SignLoss.
 
     Construction always runs four independent validations (a degenerate
-    invariant, whose lapse is the constant f(u0), SignLoss if 0 and
-    DomainError if negative, and whose fluid is the vacuum pair, runs none):
+    invariant, whose lapse is the constant f(u0) (SignLoss if 0, DomainError
+    if negative, BadParams if f'(u0) != 0) and whose fluid is the vacuum pair, runs none):
     the lapse-ODE residual, the traceless field equations sampled on the
     reference ray and on a fixed random off-axis ray, and the closure of the
     closed-form density against R/2 computed by the generic
@@ -482,6 +482,8 @@ def build_model(
         # pair (-Lambda, +Lambda)/8 pi.
         if ic is not None and ic[0] < 0.0:
             raise DomainError(f"lapse non-positive at grid value {u0}")
+        if ic is not None and ic[1] != 0.0:
+            raise BadParams(f"a degenerate invariant's lapse is constant, not f'(u0) = {ic[1]}")
         everywhere = (-math.inf, math.inf)
         return ConformalModel(
             phi=RadialFunction.constant(1.0, everywhere) if isinstance(phi, str) else phi,

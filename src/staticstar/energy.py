@@ -110,18 +110,15 @@ def scan_conditions(mu, rho, grid) -> ConditionScan:
 
 
 def scan_model(model, n: int = 256) -> ConditionScan:
-    """Audit a catalog model or a TOV stellar model on ``n`` points per window
-    (an integer of at least 1, else BadParams).
+    """Audit a catalog model on ``n`` points per piece (an integer of at
+    least 1, else BadParams).
 
-    Catalog models are scanned over each piece's verification window
-    (concatenated); TOV models over the interior (R_START, r_b).  Either
-    model's evaluators take the whole grid in one call each.
+    The grid is each piece's verification window, concatenated; a TOV star
+    is a catalog model, scanned on its interior [R_START, r_b] and its vacuum
+    exterior.  The model's evaluators take the whole grid in one call each.
     """
     check_grid_n(n, 1)
-    if hasattr(model, "profile"):  # tov.StellarModel
-        grid = np.linspace(model.profile.R_START, model.r_b * (1.0 - 1e-12), n)
-    elif hasattr(model, "pieces"):  # catalog.AnalyticModel
-        grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
-    else:
+    if not hasattr(model, "pieces"):
         raise DomainError(f"don't know how to scan {type(model).__name__}")
+    grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
     return scan_conditions(model.mu(grid), model.rho(grid), grid)

@@ -109,15 +109,14 @@ class ConformalFlat:
 
     ``phi_radial`` is the factor's profile in u; everything else is read from
     the invariant: ``n``, the field ``radial`` = u(x), the full factor field
-    ``phi`` (built once per ansatz) and, unless ``point_of`` is given, the
-    reference ray ``invariant.point_at``, which embeds grid values u (a float
-    or an array) into R^n as points shaped ``u.shape + (n,)``.  For tau > 0
-    the level sets of u are round spheres about the invariant's center.
+    ``phi`` (built once per ansatz) and the reference ray
+    ``invariant.point_at``, which embeds grid values u (a float or an array)
+    into R^n as points shaped ``u.shape + (n,)``.  For tau > 0 the level sets
+    of u are round spheres about the invariant's center.
     """
 
     phi_radial: RadialFunction
     invariant: BasicInvariant
-    point_of: Callable[[np.ndarray], np.ndarray] | None = None
     radial: ScalarField = field(init=False, repr=False, compare=False)
     phi: ScalarField = field(init=False, repr=False, compare=False)
 
@@ -127,8 +126,6 @@ class ConformalFlat:
         radial = self.invariant.as_field()
         object.__setattr__(self, "radial", radial)
         object.__setattr__(self, "phi", ScalarField.compose(self.phi_radial, radial))
-        if self.point_of is None:
-            object.__setattr__(self, "point_of", self.invariant.point_at)
 
     @property
     def n(self) -> int:
@@ -278,16 +275,18 @@ def _radial_chart(ansatz, r):
 
 
 def _sphere_chart(ansatz, r):
-    """(b, b', e^2) of a radial chart at r: the first-order part of
-    :func:`_radial_chart`, all a coordinate sphere reads.  It evaluates m
+    """(b, b', e^2, 1 - b_s^2) of a radial chart at r: the first-order part
+    of :func:`_radial_chart`, all a coordinate sphere reads.  It evaluates m
     of a SchwarzschildForm, or phi and phi' of a WarpedProduct, and no
     derivative beyond those."""
     r = np.asarray(r, dtype=float)
     if isinstance(ansatz, SchwarzschildForm):
-        return r, 1.0, 1.0 - 2.0 * np.asarray(ansatz.m.value(r), dtype=float) / r
+        two_m_r = 2.0 * np.asarray(ansatz.m.value(r), dtype=float) / r
+        return r, 1.0, 1.0 - two_m_r, two_m_r
     if isinstance(ansatz, WarpedProduct):
         phi = ansatz.phi
-        return np.asarray(phi.value(r), dtype=float), np.asarray(phi.d1(r), dtype=float), 1.0
+        b1 = np.asarray(phi.d1(r), dtype=float)
+        return np.asarray(phi.value(r), dtype=float), b1, 1.0, 1.0 - b1**2
     raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
 
 
@@ -416,7 +415,7 @@ def spf_residuals(
         raise DomainError("empty residual grid")
 
     if isinstance(ansatz, ConformalFlat):
-        residuals, _ = _spf_arrays_conformal(ansatz, fluid, ansatz.point_of(grid), grid)
+        residuals, _ = _spf_arrays_conformal(ansatz, fluid, ansatz.invariant.point_at(grid), grid)
         return _spf_report_conformal(residuals, grid, slice(None), tol)
 
     n = ansatz.n
@@ -496,7 +495,7 @@ def _spf_report_conformal(residuals: dict, grid: np.ndarray, rows: slice,
 def tolman_residuals(
     m: RadialFunction,
     f: RadialFunction,
-    mu: RadialFunction,
+    mu: Callable,
     rho: RadialFunction,
     grid,
     tol: float = 1e-9,
@@ -509,14 +508,14 @@ def tolman_residuals(
         pressure:      8 pi rho - [ x v'/r - 2m/r^3 ]
         conservation:  2 rho' + v' (rho + mu)
 
-    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda).
+    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda); ``mu`` is values only.
     """
     r = np.asarray(grid, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("Tolman residuals need r > 0")
     two_m_r = 2.0 * np.asarray(m.value(r), dtype=float) / r
     v1 = 2.0 * np.asarray(f.d1(r), dtype=float) / np.asarray(f.value(r), dtype=float)
-    mu_v = np.asarray(mu.value(r), dtype=float)
+    mu_v = np.asarray(mu(r), dtype=float)
     rho_v = np.asarray(rho.value(r), dtype=float)
     rho1 = np.asarray(rho.d1(r), dtype=float)
 
@@ -536,20 +535,20 @@ def tolman_residuals(
 # coordinate spheres
 # ----------------------------------------------------------------------------
 
-def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, float]:
-    """(b, H, e) on the coordinate sphere at radial value r.
+def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, float, float]:
+    """(b, H, e, 1 - b_s^2) on the coordinate sphere at radial value r.
 
     b is the areal radius, H the mean curvature for the normal of increasing
     r, and e = |grad r|_g, so a lapse f(r) has surface gravity e |f'(r)|
-    there.
+    there.  b_s = H b/(n-1), and 1 - b_s^2 is formed without cancelling.
 
     * radial charts, g = a^2 dr^2 + b^2 g_{S^2}: H = 2 b_s/b = 2 e b'/b with
       e = 1/a (so H = (2/r) sqrt(1 - 2m/r) in Schwarzschild form and
-      2 phi'/phi in a warped product);
+      2 phi'/phi in a warped product), and 1 - b_s^2 is 2m/r or 1 - phi'^2;
     * ConformalFlat: the level sphere of the invariant has Euclidean radius
       s = sqrt(4 tau u + C)/(2 tau) about its center, b = s/phi,
       H = (n-1) (phi - s dphi/ds)/s and e = phi |grad u|_euclid, where
-      du/ds = 2 tau s.
+      du/ds = 2 tau s; b_s = 1 - q with q = s (dphi/ds)/phi.
 
     Sign conventions for level-set normals are handled by the quasi-local
     layer, not here.
@@ -562,11 +561,12 @@ def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, flo
         if s <= 0.0 or p <= 0.0:
             raise DomainError(f"no coordinate sphere at u={u}: radius {s}, phi {p}")
         du_ds = 2.0 * ansatz.invariant.tau * s
-        return s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds
+        q = s * dp * du_ds / p
+        return s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds, q * (2.0 - q)
     if u <= 0.0:
         raise DomainError("coordinate sphere needs r > 0")
-    b, b1, e2 = (float(v) for v in _sphere_chart(ansatz, u))
+    b, b1, e2, one_minus_bs2 = (float(v) for v in _sphere_chart(ansatz, u))
     if b <= 0.0:
         raise DomainError(f"non-positive areal radius {b} at r={u}")
     e = math.sqrt(e2)
-    return b, 2.0 * e * b1 / b, e
+    return b, 2.0 * e * b1 / b, e, one_minus_bs2

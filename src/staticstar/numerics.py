@@ -353,7 +353,12 @@ class PiecewisePoly:
 
     def derivative(self) -> "PiecewisePoly":
         """The derivative, c[:-1] * [K, ..., 1] as scipy's ``PPoly.derivative()``
-        forms it; a constant's is one row of zeros."""
+        forms it; a constant's is one row of zeros.  Built on the first call
+        and kept."""
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> "PiecewisePoly":
         k = self.c.shape[0] - 1
         if k == 0:
             return PiecewisePoly(np.zeros_like(self.c), self.x)

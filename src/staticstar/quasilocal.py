@@ -27,20 +27,13 @@ import numpy as np
 
 from . import catalog as _catalog
 from . import conformal as _conformal
-from . import tov as _tov
 from .errors import (
     BadParams,
     DomainError,
     NoLevelSet,
     NotARegularValue,
 )
-from .geometry import (
-    EIGHT_PI,
-    ConformalFlat,
-    SchwarzschildForm,
-    conformal_hessian,
-    coordinate_sphere,
-)
+from .geometry import EIGHT_PI, ConformalFlat, conformal_hessian, coordinate_sphere
 from .numerics import ScalarField, as_points, check_grid_n, refine_root, sign_brackets, sphere_rule
 
 __all__ = [
@@ -193,11 +186,10 @@ def sphere_classification(h_level: float, kappa: float, c: float,
 
 
 def hawking_inequality_slack(h_level: float, kappa: float, c: float, rho0: float,
-                             area: float, m_hawking: float, chi: float = 2.0) -> float:
-    """Slack in the Hawking-mass bound:
+                             area: float, m_hawking: float) -> float:
+    """Slack in the Hawking-mass bound on a sphere (chi = 2, so 2 - chi = 0):
 
-        [ (2 - chi) - kappa/(2 pi c) * int h dA - rho_0 area / 2 pi ]
-            - 2 sqrt(16 pi / area) m_H
+        [ - kappa/(2 pi c) * int h dA - rho_0 area / 2 pi ] - 2 sqrt(16 pi / area) m_H
 
     with int h dA = h_level * area (h constant on these spheres).  Zero, up
     to quadrature error, on umbilical level sets of the exact solutions.
@@ -206,9 +198,7 @@ def hawking_inequality_slack(h_level: float, kappa: float, c: float, rho0: float
         raise DomainError("the slack divides by the level value c")
     if area <= 0.0:
         raise DomainError(f"need positive area, got {area}")
-    lhs = (2.0 - chi) \
-        - kappa / (2.0 * math.pi * c) * h_level * area \
-        - rho0 * area / (2.0 * math.pi)
+    lhs = -kappa / (2.0 * math.pi * c) * h_level * area - rho0 * area / (2.0 * math.pi)
     rhs = 2.0 * math.sqrt(16.0 * math.pi / area) * m_hawking
     return lhs - rhs
 
@@ -307,21 +297,23 @@ def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
 def _level_report(c, r0, chart) -> QuasiLocalReport:
     """Everything measured on the level sphere {f = c} at r0 in a chart of :func:`_charts`.
 
-    A round coordinate sphere has constant H, so W = H^2 A exactly; a chart
-    with an ``audit`` replaces W by quadrature over the sampled surface.
+    A round coordinate sphere has W = H^2 A = 16 pi b_s^2, so m_H = (b/2) (1 - b_s^2)
+    from the chart, not 1 - W/16 pi; an ``audit`` gives W by quadrature.
     """
     ansatz, f_rf, rho, _, _, audit = chart
-    b, H_out, e = coordinate_sphere(ansatz, r0)
+    b, H_out, e, one_minus_bs2 = coordinate_sphere(ansatz, r0)
     f1 = float(f_rf.d1(r0))
     area = 4.0 * math.pi * b * b
     kappa = e * abs(f1)
     rho0 = float(rho(r0))
     h_level = -math.copysign(1.0, f1) * H_out
     spread = gradc = None
-    willmore = H_out * H_out * area
-    if audit is not None:
+    if audit is None:
+        willmore = H_out * H_out * area
+        m_h = 0.5 * b * one_minus_bs2
+    else:
         spread, gradc, willmore = audit(r0, b)
-    m_h = hawking_mass(area, willmore)
+        m_h = hawking_mass(area, willmore)
     m_by = _brown_york(area, b, H_out)
     chi_res = topology_identity_residual(h_level, kappa, c, rho0, area)
     cls, thresholds = sphere_classification(h_level, kappa, c, rho0)
@@ -371,7 +363,7 @@ def _sphere_audit(ansatz: ConformalFlat, f):
     return audit
 
 
-def _charts(model, c: float, window):
+def _charts(model, window):
     """(ansatz, lapse, geometric rho, lo, hi, audit) for each chart of a model.
 
     [lo, hi] is the scan window in the chart's radial value (empty when a
@@ -386,16 +378,6 @@ def _charts(model, c: float, window):
             charts.append((piece.ansatz, piece.f, piece.fluid.rho,
                            max(lo, p_lo), min(hi, p_hi), None))
         return charts
-    if isinstance(model, _tov.StellarModel):
-        if window is not None:
-            lo, hi = window
-        else:
-            lo, hi = model.profile.R_START, 3.0 * model.r_b
-            if 0.0 < c < 1.0:
-                # vacuum level sets sit at 2M/(1-c^2); make sure the scan covers it
-                hi = max(hi, 1.2 * 2.0 * model.mass / (1.0 - c * c))
-        return [(SchwarzschildForm(model.mass_function()), model.lapse_function(),
-                 lambda r: EIGHT_PI * model.rho(r), lo, hi, None)]
     if isinstance(model, _conformal.ConformalModel):
         if model.n != 3:
             raise DomainError(f"quasi-local masses are defined here for n=3, not n={model.n}")
@@ -416,8 +398,8 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
                    *, scans: dict | None = None) -> list[QuasiLocalReport]:
     """All level-set spheres {f = c} of a model, innermost first.
 
-    Accepts an analytic catalog model, an integrated stellar model, or a
-    conformally flat model; raises NoLevelSet when the lapse never attains c
+    Accepts a catalog model (a TOV ``StellarModel`` is one, with two pieces)
+    or a conformally flat model; raises NoLevelSet when the lapse never attains c
     in the scanned window and NotARegularValue at critical levels, tangential
     touches at an extremum of f included.  A non-finite level, or a
     ``window`` (lo, hi) that is not finite and increasing, is BadParams.
@@ -427,9 +409,9 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
     model that pass the same ``scans`` dict evaluate f once per scan window
     (see :func:`mass_sweep`).
 
-    Every chart is scanned; a root found by two charts (the seam of a
-    two-piece catalog model) is reported once, from the chart that found
-    the smaller value.
+    Every chart is scanned on its piece's scan window, clipped to ``window``;
+    a root found by two charts (the seam of a two-piece catalog model) is
+    reported once, from the chart that found the smaller value.
     """
     c = float(c)
     check_grid_n(grid_n, 2)
@@ -440,7 +422,7 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise BadParams(f"scan window must be finite and increasing, got {window}")
     scans = {} if scans is None else scans
-    charts = _charts(model, c, window)
+    charts = _charts(model, window)
     found = []
     for i, (_, f_rf, _, lo, hi, _) in enumerate(charts):
         if lo < hi:

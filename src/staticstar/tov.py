@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import AnalyticModel, Piece, vacuum_piece
 from .config import call_with, parse_spec
 from .errors import (
     BadParams,
@@ -44,6 +45,7 @@ from .errors import (
     NoSurface,
     StepFailure,
 )
+from .geometry import SchwarzschildForm
 from .numerics import (
     EPS_DOM,
     PiecewisePoly,
@@ -480,88 +482,61 @@ def integrate_lapse(profile: RadialProfile, r_b: float | None = None) -> RadialP
 # exterior matching
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StellarModel:
-    """Interior profile C^1-matched to the vacuum exterior at r_b.
+def _interior_piece(profile: RadialProfile, r_b: float) -> Piece:
+    """The profile below r_b as a catalog piece, verified on [R_START, r_b]
+    and read and scanned on [0, r_b].  m and rho carry their own derivative
+    polynomials, mu = eos(rho) is values only.  f' = f v'/2 and
+    f'' = f (v''/2 + v'^2/4) come from the TOV right-hand side: v' = N/D with
+    N = 2 (m + 4 pi r^3 rho), D = r (r - 2m), v'' = (N' - v' D')/D,
+    m' = 4 pi r^2 mu and rho' = -(mu + rho) v'/2, so no EOS derivative.  v' is
+    0/0 at the regular center, where a float r = 0 reads f' = 0.
+    """
+    m, rho, domain = profile.m, profile.rho, (0.0, r_b)
 
-    Evaluators are valid on (0, infinity) and read two regions: the profile
-    below r_b (from r = 0, its first piece the center series) and, from r_b
-    on, the vacuum closed forms with mass M = m(r_b).
+    def lapse_d1(r):
+        if _scalar(r) and r == 0.0:
+            return 0.0
+        return 0.5 * _lapse_rate(r, rho(r), m(r)) * profile.f(r)
+
+    def lapse_d2(r):
+        rho_r, m_r = rho(r), m(r)
+        mu = profile.eos.mu(rho_r)
+        dv = _lapse_rate(r, rho_r, m_r)
+        m1 = FOUR_PI * r * r * mu
+        rho1 = -0.5 * (mu + rho_r) * dv
+        n1 = 2.0 * (m1 + 3.0 * FOUR_PI * r * r * rho_r + FOUR_PI * r**3 * rho1)
+        dv2 = (n1 - dv * 2.0 * (r - m_r - r * m1)) / (r * (r - 2.0 * m_r))
+        return _out(profile.f(r) * (0.5 * dv2 + 0.25 * dv * dv))
+
+    def dense(poly: PiecewisePoly) -> RadialFunction:
+        return RadialFunction(poly, lambda r: poly.derivative()(r),
+                              lambda r: poly.derivative().derivative()(r), domain=domain)
+
+    return Piece(
+        label="interior",
+        ansatz=SchwarzschildForm(dense(m)),
+        f=RadialFunction(profile.f, lapse_d1, lapse_d2, domain=domain),
+        mu_phys=profile.mu,
+        rho_phys=dense(rho),
+        interval=(R_START, r_b),
+        scan_interval=(0.0, r_b),
+    )
+
+
+class StellarModel(AnalyticModel):
+    """Interior profile C^1-matched to the vacuum exterior at r_b, as a
+    two-piece catalog model: the interior (:func:`_interior_piece`, which owns
+    r_b) and ``catalog.vacuum_piece`` of M = m(r_b), verified on [r_b, 3 r_b]
+    and scanned to 1000 r_b, where 1 - f^2 is a thousandth of its surface value.
     """
 
-    profile: RadialProfile
-    r_b: float
-    mass: float
-
-    def __post_init__(self):
-        if self.r_b <= 2.0 * self.mass + EPS_DOM:
-            raise HorizonHit(f"r_b = {self.r_b} <= 2M = {2*self.mass}")
-
-    # -- piecewise evaluators (float or ndarray of radii) ----------------------
-
-    def _piecewise(self, r, interior, exterior):
-        """``interior`` below r_b, ``exterior`` from r_b on."""
-        if _scalar(r):
-            return float((exterior if r >= self.r_b else interior)(r))
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        outside = r >= self.r_b
-        for mask, fn in ((~outside, interior), (outside, exterior)):
-            if np.any(mask):
-                out[mask] = fn(r[mask])
-        return out
-
-    def rho(self, r):
-        return self._piecewise(r, self.profile.rho, lambda x: 0.0)
-
-    def mu(self, r):
-        return self._piecewise(r, self.profile.mu, lambda x: 0.0)
-
-    def m(self, r):
-        return self._piecewise(r, self.profile.m, lambda x: self.mass)
-
-    def exp_neg_gamma(self, r):
-        return 1.0 - 2.0 * self.m(r) / r
-
-    def v(self, r):
-        return self._piecewise(r, self.profile.v, lambda x: np.log(1.0 - 2.0 * self.mass / x))
-
-    def f(self, r):
-        return _out(np.exp(0.5 * self.v(r)))
-
-    # -- derivative-carrying views ---------------------------------------------
-
-    def mass_function(self) -> RadialFunction:
-        """m(r) with the dense m's own derivatives inside (m' = 4 pi mu_c r^2 on
-        the center piece) and 0 outside, each polynomial built on first read."""
-        @functools.cache
-        def dense(k):
-            return self.profile.m if k == 0 else dense(k - 1).derivative()
-
-        def derivative(k):
-            return lambda r: self._piecewise(r, dense(k), lambda x: 0.0)
-
-        return RadialFunction(self.m, derivative(1), derivative(2), domain=(EPS_DOM, math.inf))
-
-    def lapse_function(self) -> RadialFunction:
-        """f(r) with f' = f v'/2 and f'' = f (v''/2 + v'^2/4), all from the TOV
-        right-hand side (its vacuum form outside): v' = N/D with
-        N = 2 (m + 4 pi r^3 rho) and D = r (r - 2m), v'' = (N' - v' D')/D,
-        m' = 4 pi r^2 mu and rho' = -(mu + rho) v'/2, so no EOS derivative."""
-
-        def d1(r):
-            return 0.5 * _lapse_rate(r, self.rho(r), self.m(r)) * self.f(r)
-
-        def d2(r):
-            rho, mu, m = self.rho(r), self.mu(r), self.m(r)
-            dv = _lapse_rate(r, rho, m)
-            m1 = FOUR_PI * r * r * mu
-            rho1 = -0.5 * (mu + rho) * dv
-            n1 = 2.0 * (m1 + 3.0 * FOUR_PI * r * r * rho + FOUR_PI * r**3 * rho1)
-            dv2 = (n1 - dv * 2.0 * (r - m - r * m1)) / (r * (r - 2.0 * m))
-            return _out(self.f(r) * (0.5 * dv2 + 0.25 * dv * dv))
-
-        return RadialFunction(self.f, d1, d2, domain=(EPS_DOM, math.inf))
+    def __init__(self, profile: RadialProfile, r_b: float, mass: float):
+        if r_b <= 2.0 * mass + EPS_DOM:
+            raise HorizonHit(f"r_b = {r_b} <= 2M = {2*mass}")
+        self.profile, self.r_b, self.mass = profile, r_b, mass
+        exterior = vacuum_piece(mass, (r_b, 3.0 * r_b), (r_b, 1000.0 * r_b))
+        super().__init__("tov", {"rho_center": profile.rho_center},
+                         [_interior_piece(profile, r_b), exterior], junction_points=(r_b,))
 
 
 def match_exterior(profile: RadialProfile, r_b: float) -> StellarModel:

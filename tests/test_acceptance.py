@@ -211,7 +211,7 @@ def test_c11_tabulated_eos_reproduces_analytic_run(const_star):
                           0.98 * min(twin.r_b, const_star.r_b), 65)
     for r in grid:
         assert abs(twin.rho(r) - const_star.rho(r)) < 1e-6
-        assert abs(twin.m(r) - const_star.m(r)) < 1e-6
+        assert abs(twin.profile.m(r) - const_star.profile.m(r)) < 1e-6
         assert abs(twin.f(r) - const_star.f(r)) < 1e-6
 
 

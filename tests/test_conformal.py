@@ -9,7 +9,15 @@ import pytest
 
 from staticstar.errors import BadParams, DomainError, SignLoss
 from staticstar import geometry
-from staticstar.geometry import EIGHT_PI, _entry, _report, conformal_curvature, spf_residuals
+from staticstar.geometry import (
+    EIGHT_PI,
+    _entry,
+    _report,
+    _spf_arrays_conformal,
+    _spf_report_conformal,
+    conformal_curvature,
+    spf_residuals,
+)
 from staticstar.numerics import Jet, RadialFunction, chebyshev_grid
 from staticstar import catalog, conformal
 from staticstar.conformal import (
@@ -362,14 +370,14 @@ class TestBuildModel:
             off_ray = lambda u: inv.point_at(u) + draw  # noqa: E731
         ansatz = m.to_ansatz()
         fluid = m.fluid()
-        points = np.concatenate([ansatz.point_of(sparse), off_ray(sparse)])
+        points = np.concatenate([inv.point_at(sparse), off_ray(sparse)])
         us = inv.value(points)
         _, r_scal = conformal_curvature(ansatz.phi, points)
         closure = np.asarray(m.mu_geo(us), dtype=float) - 0.5 * r_scal
+        off_axis, _ = _spf_arrays_conformal(ansatz, fluid, off_ray(sparse), sparse)
         reference = {
             "field[on-axis]": spf_residuals(ansatz, fluid, sparse, tol=1e-7),
-            "field[off-axis]": spf_residuals(
-                dataclasses.replace(ansatz, point_of=off_ray), fluid, sparse, tol=1e-7),
+            "field[off-axis]": _spf_report_conformal(off_axis, sparse, slice(None), tol=1e-7),
             "closure": _report([_entry("mu-vs-half-R", closure, us)], us, tol=1e-7),
         }
         assert m.passed
@@ -486,6 +494,15 @@ class TestBuildModel:
         flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
         with pytest.raises(DomainError, match="lapse non-positive"):
             build_model("unit", n=3, invariant=flat, ic=(-1.0, 0.0))
+
+    @pytest.mark.parametrize("slope", [5.0, -0.5, 1e-300])
+    def test_degenerate_invariant_refuses_a_slope(self, slope):
+        # on a constant u the lapse is the constant f(u0): no slope can be met
+        flat = BasicInvariant(0.0, (0.0,) * 3, (0.0,) * 3)
+        with pytest.raises(BadParams, match="lapse is constant"):
+            build_model("unit", n=3, invariant=flat, ic=(1.0, slope))
+        m = build_model("unit", n=3, invariant=flat, ic=(1.0, 0.0))
+        assert m.degenerate and m.passed and m.f(0.5) == 1.0
 
     def test_witten_default_start_is_an_upward_zero(self):
         # f(0) = 0 with f'(0) > 0 is not a cut: the first downward zero of

@@ -145,21 +145,26 @@ def test_witten_breaks_everything(witten):
 
 
 def test_stellar_model_scan(const_star):
+    # a TOV star is scanned as a two-piece catalog model: the interior on
+    # [R_START, r_b], then the vacuum exterior from r_b on
     scan = scan_model(const_star)
     assert scan.wec and scan.nec and scan.dec
     assert scan.first_violation is None
-    assert scan.grid[-1] < const_star.r_b
+    interior = np.linspace(const_star.profile.R_START, const_star.r_b, 256)
+    assert scan.grid.size == 2 * 256 and np.array_equal(scan.grid[:256], interior)
+    # r_b itself is the interior's; past it the vacuum has mu = rho = 0
+    assert scan.grid[256] == const_star.r_b and np.all(scan.grid[257:] > const_star.r_b)
+    assert np.all(scan.mu[257:] == 0.0) and np.all(scan.rho[257:] == 0.0)
 
 
 def test_point_count_sets_the_grid(const_star):
     scan = scan_model(const_star, n=2)
-    assert scan.grid.size == 2 and scan.dec
+    assert scan.grid.size == 2 * 2 and scan.dec
     assert scan.grid[0] == const_star.profile.R_START
 
 
-@pytest.mark.parametrize("source", ["wyman", "witten"])
+@pytest.mark.parametrize("source", ["wyman", "witten", "const_star"])
 def test_catalog_scan_arrays_are_the_model_on_its_grid(source, request):
-    # test_stellar_model_scan_uses_array_evaluators holds a TOV star to this
     model = request.getfixturevalue(source)
     scan = scan_model(model)
     assert np.array_equal(scan.mu, model.mu(scan.grid))

@@ -379,10 +379,11 @@ class TestRadialChartsAgree:
     def test_coordinate_sphere(self, space):
         (warped, f_s), (schw, f_r), r_of = _chart_pair(space)
         for s in self.S:
-            b_w, h_w, e_w = coordinate_sphere(warped, s)
-            b_s, h_s, e_s = coordinate_sphere(schw, r_of(s))
+            b_w, h_w, e_w, k_w = coordinate_sphere(warped, s)
+            b_s, h_s, e_s, k_s = coordinate_sphere(schw, r_of(s))
             assert b_w == pytest.approx(b_s, rel=1e-12)
             assert h_w == pytest.approx(h_s, rel=1e-12)
+            assert k_w == pytest.approx(k_s, rel=1e-12, abs=1e-15)
             assert e_w * abs(f_s.d1(s)) == pytest.approx(e_s * abs(f_r.d1(r_of(s))), rel=1e-12)
 
     @pytest.mark.parametrize("c", [0.3, 0.6, 0.9])
@@ -418,42 +419,44 @@ def test_residuals_hold_near_a_regular_centre(model_id, radius):
 
 
 def _sphere_from_full_chart(ansatz, r):
-    """(b, H, e) from all of the chart's data, as coordinate_sphere once read it."""
-    b, b1, _, e2, _, _ = (float(v) for v in _radial_chart(ansatz, r))
+    """(b, H, e, 1 - b_s^2) from all of the chart's data, as coordinate_sphere
+    once read it."""
+    b, b1, _, e2, _, one_minus_bs2 = (float(v) for v in _radial_chart(ansatz, r))
     e = math.sqrt(e2)
-    return b, 2.0 * e * b1 / b, e
+    return b, 2.0 * e * b1 / b, e, one_minus_bs2
 
 
-def _tov_star_ansatz():
-    profile = tov.integrate_tov(tov.ConstantDensity(0.001), 5e-4)
-    star = tov.match_exterior(profile, tov.detect_surface(profile))
-    return SchwarzschildForm(star.mass_function()), star.r_b
+def _charts_and_radii(chart):
+    """(ansatz, radii) for each piece of a model that the test reads."""
+    if chart == "tov":
+        profile = tov.integrate_tov(tov.ConstantDensity(0.001), 5e-4)
+        star = tov.match_exterior(profile, tov.detect_surface(profile))
+        interior, exterior = (p.ansatz for p in star.pieces)
+        r_b = star.r_b
+        return [(interior, [1e-3, 0.5, 0.9 * r_b, r_b]), (exterior, [r_b, 3.0 * r_b])]
+    return [(catalog.build(chart).pieces[0].ansatz, [0.05, 0.3, 0.7, 1.2])]
 
 
 @pytest.mark.parametrize("chart", ["tov", "wyman", "witten_stellar"])
 def test_coordinate_sphere_reads_first_order_data_only(chart):
     """Bit for bit the sphere of the full chart data, with every derivative
     beyond m, phi and phi' made to raise."""
-    if chart == "tov":
-        ansatz, r_b = _tov_star_ansatz()
-        radii = [1e-3, 0.5, 0.9 * r_b, r_b, 3.0 * r_b]
-    else:
-        ansatz = catalog.build(chart).pieces[0].ansatz
-        radii = [0.05, 0.3, 0.7, 1.2]
 
     def refuse(r):
         raise AssertionError("a derivative the sphere does not read")
 
-    if isinstance(ansatz, SchwarzschildForm):
-        m = ansatz.m
-        first_order = SchwarzschildForm(RadialFunction(m.value, refuse, refuse, domain=m.domain))
-    else:
-        p = ansatz.phi
-        first_order = WarpedProduct(RadialFunction(p.value, p.d1, refuse, domain=p.domain))
-    for r in radii:
-        got = coordinate_sphere(first_order, r)
-        assert got == _sphere_from_full_chart(ansatz, r)
-        assert all(type(x) is float for x in got)
+    for ansatz, radii in _charts_and_radii(chart):
+        if isinstance(ansatz, SchwarzschildForm):
+            m = ansatz.m
+            first_order = SchwarzschildForm(RadialFunction(m.value, refuse, refuse,
+                                                           domain=m.domain))
+        else:
+            p = ansatz.phi
+            first_order = WarpedProduct(RadialFunction(p.value, p.d1, refuse, domain=p.domain))
+        for r in radii:
+            got = coordinate_sphere(first_order, r)
+            assert got == _sphere_from_full_chart(ansatz, r)
+            assert all(type(x) is float for x in got)
 
 
 def test_conformal_sphere_matches_the_warped_chart():
@@ -461,10 +464,13 @@ def test_conformal_sphere_matches_the_warped_chart():
     conformal_chart = conformal.build_model("witten", n=3).to_ansatz()
     warped = catalog.witten_stellar().pieces[0].ansatz
     for t in (0.1, 0.5, 1.0, 2.0, 3.0):
-        b_c, h_c, e_c = coordinate_sphere(conformal_chart, math.sinh(t) ** 2)
-        b_w, h_w, _ = coordinate_sphere(warped, t)
+        b_c, h_c, e_c, k_c = coordinate_sphere(conformal_chart, math.sinh(t) ** 2)
+        b_w, h_w, _, k_w = coordinate_sphere(warped, t)
         assert b_c == pytest.approx(b_w, rel=1e-13, abs=0.0)
         assert h_c == pytest.approx(h_w, rel=1e-13, abs=0.0)
+        # b_s = d tanh t/dt = sech^2 t in both charts
+        assert k_c == pytest.approx(k_w, rel=1e-13, abs=0.0)
+        assert k_w == pytest.approx(1.0 - math.cosh(t) ** -4, rel=1e-13, abs=0.0)
         assert e_c == pytest.approx(2.0 * math.sinh(t) * math.cosh(t), rel=1e-13, abs=0.0)
 
 

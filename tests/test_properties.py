@@ -168,7 +168,6 @@ def _decade(lo, hi):
 
 
 _sign = st.sampled_from([1.0, 1.0, 1.0, -1.0])
-EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -252,20 +251,19 @@ def test_constant_density_pipeline_matches_interior_schwarzschild(c, ratio, t):
 
 # --- on a Schwarzschild-form chart the Hawking mass is the mass function -------
 
-def _assert_hawking_mass_is_m(model, levels, mass):
+def _assert_hawking_mass_is_m(model, levels, mass, rel_tol=1e-13):
     """m_hawking of every level sphere {f = c}, c in ``levels``, is mass(r)
-    at its r, to 1e-13 relative.
+    at its r, to ``rel_tol`` relative.
 
-    The Hawking mass is sqrt(A/16 pi) (1 - W/16 pi), and 1 - W/16 pi = 2m/r
-    is formed as a difference of numbers near 1: its round-off is an absolute
-    eps or so, eps r/2 in m_hawking, which is the larger term only on nearly
-    flat spheres (2m/r below about 1e-2).
+    On a round sphere the Hawking mass is (b/2)(1 - b_s^2), with 1 - b_s^2 =
+    2m/r read from the chart, not formed as the difference 1 - W/16 pi of
+    numbers near 1, so nearly flat spheres keep their relative digits too.
     """
     spheres = [rep for c in levels for rep in quasilocal.level_set_data(model, c)]
     assert spheres
     for rep in spheres:
-        assert math.isclose(rep.m_hawking, mass(rep.r), rel_tol=1e-13,
-                            abs_tol=2.0 * EPS * rep.r), (rep.r, rep.m_hawking)
+        assert math.isclose(rep.m_hawking, mass(rep.r), rel_tol=rel_tol,
+                            abs_tol=0.0), (rep.r, rep.m_hawking)
 
 
 @settings(max_examples=25, deadline=None)
@@ -280,7 +278,11 @@ def test_hawking_mass_is_the_mass_function_of_a_tov_star(star, t):
     except StaticStarError:
         assume(False)
     f_center = model.f(profile.R_START)
-    _assert_hawking_mass_is_m(model, [f_center + t * (1.0 - f_center)], model.m)
+
+    def mass(r):
+        return profile.m(r) if r <= model.r_b else model.mass
+
+    _assert_hawking_mass_is_m(model, [f_center + t * (1.0 - f_center)], mass)
 
 
 def test_hawking_mass_is_the_mass_function_of_the_vacuum():
@@ -294,6 +296,14 @@ def test_hawking_mass_is_the_mass_function_of_wyman():
     f_b = model.f(r_b)
     levels = [model.f(0.05 * r_b), model.f(0.5 * r_b), f_b, 0.5 * (f_b + 1.0), 0.99]
     _assert_hawking_mass_is_m(model, levels, lambda r: min(r, r_b) ** 5 / (2.0 * 2.0**4))
+
+
+def test_hawking_mass_of_a_nearly_flat_sphere_keeps_its_digits():
+    """The wyman sphere at r = 0.0725 has 2m/r = 1.7e-6; 1 - W/16 pi read
+    m(r) there to only 1.2e-10 relative."""
+    model = catalog.build("wyman")  # R = 2, M = 0.2
+    _assert_hawking_mass_is_m(model, [model.f(0.0725)], lambda r: r**5 / (2.0 * 2.0**4),
+                              rel_tol=1e-15)
 
 
 def _mu_outcome(eos, rho):

@@ -418,8 +418,9 @@ def test_sweep_window(witten):
 
 
 @pytest.mark.parametrize("fixture, levels, windows", [
-    ("const_star", [0.45, 0.5, 0.7], 1),
-    # on the star the scan reaches past 3 r_b for levels above ~0.86
+    # a star's interior and vacuum exterior are two charts, each with one
+    # scan window whatever the level
+    ("const_star", [0.45, 0.5, 0.7], 2),
     ("const_star", [0.5, 0.9, 0.7], 2),
     ("witten", [0.3, 0.6, 0.999], 1),
     ("conformal_witten", [0.3, 0.5, 0.9], 1),

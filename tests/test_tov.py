@@ -24,7 +24,7 @@ from staticstar.errors import (
     HorizonHit,
     NoSurface,
 )
-from staticstar import tov
+from staticstar import catalog, tov
 from staticstar.cli import main
 from staticstar.numerics import PiecewisePoly, chebyshev_grid
 
@@ -114,7 +114,7 @@ class TestUniformStar:
     def test_interior_samples(self, const_star, r, rho, f, x):
         assert const_star.rho(r) == pytest.approx(rho, rel=1e-6)
         assert const_star.f(r) == pytest.approx(f, abs=1e-6)
-        assert const_star.exp_neg_gamma(r) == pytest.approx(x, abs=1e-10)
+        assert const_star.profile.exp_neg_gamma(r) == pytest.approx(x, abs=1e-10)
 
     def test_central_lapse(self, const_star):
         assert const_star.f(1e-6) == pytest.approx(0.4, abs=1e-6)
@@ -128,12 +128,12 @@ class TestUniformStar:
         assert const_star.rho(r_b + 0.1) == 0.0
         assert const_star.mu(r_b + 0.1) == 0.0
         r = 20.0
-        assert const_star.exp_neg_gamma(r) == 1.0 - 2.0 * M / r
+        assert 1.0 - 2.0 * const_star.pieces[1].ansatz.m(r) / r == 1.0 - 2.0 * M / r
 
     def test_center_series(self, const_star):
         # below R_START the O(r^2) series takes over, smoothly
         assert const_star.rho(1e-9) == pytest.approx(0.0005, abs=1e-12)
-        assert const_star.m(1e-8) == pytest.approx(
+        assert const_star.pieces[0].ansatz.m(1e-8) == pytest.approx(
             4.0 * math.pi / 3.0 * 0.001 * 1e-24, rel=1e-12
         )
         r0 = const_star.profile.R_START
@@ -152,17 +152,20 @@ class TestUniformStar:
         assert profile.m(0.0) == 0.0 and profile.v_free_fn(1e-7) == 0.0
         r = np.array([0.0, 1e-9, 1e-8, 0.5 * profile.R_START])
         assert np.array_equal(profile.rho(r), [profile.rho(float(x)) for x in r])
-        assert np.array_equal(const_star.m(r[1:]), profile.m(r[1:]))
+        assert np.array_equal(const_star.pieces[0].ansatz.m(r), profile.m(r))
 
     def test_metric_function_derivatives(self, const_star):
-        m = const_star.mass_function()
-        lapse = const_star.lapse_function()
+        interior, exterior = const_star.pieces
+        r_b, M = const_star.r_b, const_star.mass
         for r in (3.0, 7.0, 15.0):
+            piece = interior if r < r_b else exterior
+            m, lapse = piece.ansatz.m, piece.f
             h = 1e-5 * r
             fd = (m.value(r + h) - m.value(r - h)) / (2 * h)
             assert m.d1(r) == pytest.approx(fd, abs=1e-6)
             # v' = 2 f'/f against a difference of v = log f^2
-            fd = (const_star.v(r + h) - const_star.v(r - h)) / (2 * h)
+            fd = (2.0 * math.log(const_star.f(r + h))
+                  - 2.0 * math.log(const_star.f(r - h))) / (2 * h)
             assert 2.0 * lapse.d1(r) / lapse.value(r) == pytest.approx(fd, abs=1e-6)
             assert lapse.value(r) == const_star.f(r)
 
@@ -175,16 +178,15 @@ class TestUniformStar:
         def worst(got, want):
             return float(np.max(np.abs(got - want) / np.abs(want)))
 
-        r_b, M = const_star.r_b, const_star.mass
         a = 8.0 * math.pi * 0.001 / 3.0
         r = np.linspace(0.05 * r_b, 0.98 * r_b, 200)
         root2 = sqrt_x_d2(1.0 - a * r * r, -2.0 * a * r, -2.0 * a)
-        assert worst(m.d2(r), 3.0 * a * r) < 1e-10
-        assert worst(lapse.d2(r), -0.5 * root2) < 5e-8
+        assert worst(interior.ansatz.m.d2(r), 3.0 * a * r) < 1e-10
+        assert worst(interior.f.d2(r), -0.5 * root2) < 5e-8
         r = np.linspace(1.01 * r_b, 5.0 * r_b, 200)
         root2 = sqrt_x_d2(1.0 - 2.0 * M / r, 2.0 * M / r**2, -4.0 * M / r**3)
-        assert np.all(m.d2(r) == 0.0)
-        assert worst(lapse.d2(r), root2) < 1e-12
+        assert np.all(exterior.ansatz.m.d2(r) == 0.0)
+        assert worst(exterior.f.d2(r), root2) < 1e-12
 
     def test_tabulated_star_second_derivatives(self):
         """m'' and f'' of a soft-surface table star against a difference of
@@ -200,12 +202,13 @@ class TestUniformStar:
         eos = tov.Tabulated(rho, np.sqrt(np.maximum(rho, 0.0) / 100.0))
         profile = tov.integrate_tov(eos, rho_c)
         star = tov.match_exterior(profile, tov.detect_surface(profile))
-        m, lapse = star.mass_function(), star.lapse_function()
-        for fn, bound in ((m, 1e-9), (lapse, 1e-3)):
+        interior, exterior = star.pieces
+        for fn, bound in ((interior.ansatz.m, 1e-9), (interior.f, 1e-3)):
             r = np.linspace(0.05 * star.r_b, 0.98 * star.r_b, 300)
             fd = fd_derivative(fn.d1, r)
             assert np.max(np.abs(fn.d2(r) - fd)) < bound * np.max(np.abs(fd))
         r = np.linspace(1.01 * star.r_b, 5.0 * star.r_b, 300)
+        m, lapse = exterior.ansatz.m, exterior.f
         assert np.all(m.d1(r) == 0.0) and np.all(m.d2(r) == 0.0)
         fd = fd_derivative(lapse.d1, r)
         assert np.max(np.abs(lapse.d2(r) - fd)) < 1e-9 * np.max(np.abs(fd))
@@ -218,10 +221,11 @@ class TestUniformStar:
         # e^{-gamma} = 1 - (8 pi c / 3) r^2 + k / r: k = 0 inside, c = 0 and
         # k = -2M outside
         inside = 1.0 - (8.0 * math.pi * 0.001 / 3.0) * r * r
-        got = np.array([const_star.exp_neg_gamma(s) for s in r])
+        got = 1.0 - 2.0 * const_star.pieces[0].ansatz.m(r) / r
         assert np.max(np.abs(inside - got)) < 1e-8
         M = const_star.mass
-        assert const_star.exp_neg_gamma(20.0) == pytest.approx(1.0 - 2.0 * M / 20.0)
+        outside = 1.0 - 2.0 * const_star.pieces[1].ansatz.m(20.0) / 20.0
+        assert outside == pytest.approx(1.0 - 2.0 * M / 20.0)
 
 
 class TestLapseConstruction:
@@ -382,14 +386,16 @@ class TestArrayContract:
     def test_model_evaluators(self, const_star):
         r0, r_b = const_star.profile.R_START, const_star.r_b
         r = np.array([0.3 * r0, 0.9 * r0, r0, 0.5, 4.0, 0.999 * r_b, r_b, 1.5 * r_b, 40.0])
-        m = const_star.mass_function()
-        lapse = const_star.lapse_function()
-        for fn in (const_star.rho, const_star.m, const_star.mu, const_star.v,
-                   const_star.f, const_star.exp_neg_gamma, m.value, m.d1,
-                   m.d2, lapse.value, lapse.d1, lapse.d2):
-            got = fn(r)
-            assert got.shape == r.shape
-            for x, y in zip(r, got):
+        # the model's evaluators on every radius, each piece's metric and
+        # lapse with their derivatives on the radii the piece owns
+        fns = [(fn, r) for fn in (const_star.rho, const_star.mu, const_star.f)]
+        for piece, radii in zip(const_star.pieces, (r[r <= r_b], r[r > r_b])):
+            m, lapse = piece.ansatz.m, piece.f
+            fns += [(fn, radii) for fn in (m.value, m.d1, m.d2, lapse.value, lapse.d1, lapse.d2)]
+        for fn, radii in fns:
+            got = fn(radii)
+            assert got.shape == radii.shape
+            for x, y in zip(radii, got):
                 one = fn(float(x))
                 assert isinstance(one, float) and one == pytest.approx(y, rel=1e-15, abs=0.0)
 
@@ -401,6 +407,64 @@ class TestArrayContract:
             assert got.shape == r.shape
             assert all(type(fn(float(x))) is float and fn(float(x)) == y
                        for x, y in zip(r, got))
+
+
+class TestCatalogModel:
+    """A star is a two-piece catalog model: its dense interior, then the
+    catalog's vacuum piece."""
+
+    @staticmethod
+    def _star(eos, rel_tol=1e-8):
+        profile = tov.integrate_tov(eos, 0.0005, tov.SolverOptions(rel_tol=rel_tol))
+        return tov.match_exterior(profile, tov.detect_surface(profile))
+
+    def test_a_star_is_a_catalog_model(self, const_star):
+        assert issubclass(tov.StellarModel, catalog.AnalyticModel)
+        assert [p.label for p in const_star.pieces] == ["interior", "exterior"]
+        assert const_star.junction_points == (const_star.r_b,)
+
+    @pytest.mark.parametrize("eos", [
+        tov.ConstantDensity(0.001),
+        tov.Tabulated(np.linspace(-5e-5, 7.5e-4, 40), np.full(40, 0.001)),
+    ], ids=["constant", "table-twin"])
+    def test_verify_passes_at_the_default_tolerances(self, eos):
+        result = self._star(eos).verify()
+        assert result.passed, result.to_json_dict()
+        assert set(result.reports) == {"field[interior]", "tolman[interior]",
+                                       "field[exterior]", "tolman[exterior]"}
+        assert max(result.junction.values()) <= 1e-15
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-2])
+    def test_verify_fails_a_coarse_solve(self, rel_tol):
+        # the dense output's residual grows with the step: the pressure
+        # equation of tolman[interior] leaves the 1e-9 gate
+        result = self._star(tov.ConstantDensity(0.001), rel_tol).verify()
+        assert not result.passed
+        assert not result.reports["tolman[interior]"].passed
+
+    def test_exterior_is_the_catalog_vacuum(self, const_star):
+        exterior = const_star.pieces[1]
+        vacuum = catalog.schwarzschild_exterior(const_star.mass).pieces[0]
+        r = np.linspace(const_star.r_b, 10.0 * const_star.r_b, 50)
+        for name in ("value", "d1", "d2"):
+            np.testing.assert_array_equal(getattr(exterior.ansatz.m, name)(r),
+                                          getattr(vacuum.ansatz.m, name)(r))
+            np.testing.assert_array_equal(getattr(exterior.f, name)(r),
+                                          getattr(vacuum.f, name)(r))
+
+    def test_lapse_reads_the_center_series_and_is_continuous(self, const_star):
+        profile, r_b = const_star.profile, const_star.r_b
+        # the first piece of the profile, on [0, R_START], carries v_free = 0
+        assert const_star.f(0.0) == math.exp(0.5 * profile.v_shift)
+        r = np.array([0.0, 1e-9, 0.5 * profile.R_START, profile.R_START])
+        np.testing.assert_array_equal(const_star.f(r), profile.f(r))
+        # f' vanishes at the regular center, so c = f(0) is a critical level
+        assert const_star.pieces[0].f.d1(0.0) == 0.0
+        interior, exterior = const_star.pieces
+        for name in ("value", "d1"):
+            inner, outer = getattr(interior.f, name)(r_b), getattr(exterior.f, name)(r_b)
+            assert abs(inner - outer) <= 1e-15
+        assert abs(const_star.f(r_b) - const_star.f(math.nextafter(r_b, math.inf))) <= 1e-15
 
 
 class TestCarriedLapse:
