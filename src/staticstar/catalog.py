@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .conformal import witten_lapse
 from .errors import BadParams, UnknownModel
 from .geometry import (
     EIGHT_PI,
-    FluidData,
+    Piece,
     ResidualReport,
     SchwarzschildForm,
     WarpedProduct,
@@ -36,7 +36,6 @@ from .geometry import (
 from .numerics import Jet, RadialFunction, chebyshev_grid
 
 __all__ = [
-    "Piece",
     "VerifyResult",
     "AnalyticModel",
     "vacuum_piece",
@@ -53,38 +52,6 @@ __all__ = [
 
 JUNCTION_TOL = 1e-9
 RESIDUAL_TOL = 1e-9  # every model's field-equation residual gate
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One chart of a model: ansatz, lapse and physical fluid on an interval.
-
-    ``mu_phys`` is values only: no residual differentiates it.  ``interval``
-    is the window verification grids are drawn from; ``scan_interval``
-    (defaults to ``interval``) is the usually wider window level-set
-    searches may sample.  ``lam`` is the cosmological constant.
-    """
-
-    label: str
-    ansatz: object  # SchwarzschildForm | WarpedProduct | ConformalFlat
-    f: RadialFunction
-    mu_phys: Callable
-    rho_phys: RadialFunction
-    interval: tuple[float, float]
-    scan_interval: tuple[float, float] | None = None
-    lam: float = 0.0
-
-    @property
-    def fluid(self) -> FluidData:
-        """Lapse and fluid, geometric: (8 pi mu + Lambda, 8 pi rho - Lambda)."""
-        return FluidData(
-            f=self.f,
-            mu=lambda r: EIGHT_PI * np.asarray(self.mu_phys(r), dtype=float) + self.lam,
-            rho=lambda r: EIGHT_PI * np.asarray(self.rho_phys(r), dtype=float) - self.lam,
-        )
-
-    def scan_window(self):
-        return self.scan_interval if self.scan_interval is not None else self.interval
 
 
 @dataclass(frozen=True)

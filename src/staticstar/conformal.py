@@ -40,6 +40,7 @@ from .errors import BadParams, DomainError, SignLoss, StepFailure
 from .geometry import (
     ConformalFlat,
     FluidData,
+    Piece,
     ResidualReport,
     _entry,
     _report,
@@ -389,17 +390,23 @@ class ConformalModel:
     def rho(self, u):
         return to_physical(*self._geo(u), self.lam)[1]
 
-    def rho_geo(self, u):
-        return self._geo(u)[1]
-
     def mu_geo(self, u):
         return self._geo(u)[0]
 
-    def to_ansatz(self) -> ConformalFlat:
-        return ConformalFlat(self.phi, self.invariant)
-
     def fluid(self) -> FluidData:
-        return FluidData(f=self.f, mu=self.mu_geo, rho=self.rho_geo)
+        return FluidData(f=self.f, mu=self.mu_geo, rho=lambda u: self._geo(u)[1])
+
+    @property
+    def pieces(self) -> list[Piece]:
+        """The model as one :class:`Piece`, built on each read.  Its
+        ``interval``, where the build's checks sample, is the domain less
+        max(1e-6 span, 1e-9) at each end; level sets are searched on the
+        domain less max(1e-9, 1e-9 span)."""
+        lo, hi = self.domain
+        pad, scan_pad = max(1e-6 * (hi - lo), 1e-9), max(1e-9, 1e-9 * (hi - lo))
+        return [Piece(self.label, ConformalFlat(self.phi, self.invariant), self.f,
+                      mu_phys=self.mu, rho_phys=self.rho, interval=(lo + pad, hi - pad),
+                      scan_interval=(lo + scan_pad, hi - scan_pad), lam=self.lam)]
 
 
 def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
@@ -522,9 +529,8 @@ def build_model(
         phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
         domain=domain, label=label, truncated=domain[1] < u1,
     )
-    lo, hi = domain
-    pad = max(1e-6 * (hi - lo), 1e-9)
-    grid = chebyshev_grid(lo + pad, hi - pad, 64)
+    piece = model.pieces[0]
+    grid = chebyshev_grid(*piece.interval, 64)
     checks = {"lapse-ode": _ode_residual_report(phi_rf, f_rf, n, grid, tol=1e-9)}
 
     # the on- and off-axis residuals and the closure read one batched
@@ -538,9 +544,8 @@ def build_model(
         w = _off_axis_draw(n)
         off_axis = on_axis + (w - (w @ a) / (a @ a) * a)
     points = np.concatenate([on_axis, off_axis])
-    ansatz = model.to_ansatz()
     rays = np.concatenate([sparse, sparse])
-    residuals, r_scal = _spf_arrays_conformal(ansatz, model.fluid(), points, rays)
+    residuals, r_scal = _spf_arrays_conformal(piece.ansatz, model.fluid(), points, rays)
     k = len(sparse)
     checks["field[on-axis]"] = _spf_report_conformal(residuals, rays, slice(None, k), tol=1e-7)
     checks["field[off-axis]"] = _spf_report_conformal(residuals, rays, slice(k, None), tol=1e-7)

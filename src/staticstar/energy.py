@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DomainError
+from .geometry import _pieces
 from .numerics import check_grid_n
 
 __all__ = ["BAND", "ConditionScan", "scan_conditions", "scan_model"]
@@ -110,15 +111,14 @@ def scan_conditions(mu, rho, grid) -> ConditionScan:
 
 
 def scan_model(model, n: int = 256) -> ConditionScan:
-    """Audit a catalog model on ``n`` points per piece (an integer of at
-    least 1, else BadParams).
+    """Audit a model on ``n`` points per piece (an integer of at least 1,
+    else BadParams); an object with no pieces is BadParams.
 
-    The grid is each piece's verification window, concatenated; a TOV star
-    is a catalog model, scanned on its interior [R_START, r_b] and its vacuum
-    exterior.  The model's evaluators take the whole grid in one call each.
+    The grid is each piece's verification window, concatenated: a TOV star
+    is scanned on its interior [R_START, r_b] and its vacuum exterior, a
+    conformal model on its padded domain.  The model's evaluators take the
+    whole grid in one call each.
     """
     check_grid_n(n, 1)
-    if not hasattr(model, "pieces"):
-        raise DomainError(f"don't know how to scan {type(model).__name__}")
-    grid = np.concatenate([np.linspace(*p.interval, n) for p in model.pieces])
+    grid = np.concatenate([np.linspace(*p.interval, n) for p in _pieces(model)])
     return scan_conditions(model.mu(grid), model.rho(grid), grid)

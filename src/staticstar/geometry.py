@@ -47,6 +47,7 @@ __all__ = [
     "WarpedProduct",
     "ConformalFlat",
     "FluidData",
+    "Piece",
     "ResidualEntry",
     "ResidualReport",
     "to_geometric",
@@ -149,8 +150,8 @@ class FluidData:
 
     ``f`` carries its two derivatives; ``mu`` and ``rho`` are values only,
     callables of a float or an ndarray, since no residual differentiates the
-    geometric pair.  They are geometric (mu = R/2 on solutions); a catalog
-    piece forms them from its physical profiles (``catalog.Piece.fluid``).
+    geometric pair.  They are geometric (mu = R/2 on solutions); a model's
+    piece forms them from its physical profiles (:attr:`Piece.fluid`).
 
     The lapse must be positive on the evaluation domain; residual evaluation
     raises DomainError the moment it sees f <= 0.
@@ -159,6 +160,47 @@ class FluidData:
     f: RadialFunction
     mu: Callable
     rho: Callable
+
+
+@dataclass(frozen=True)
+class Piece:
+    """One chart of a model: ansatz, lapse and physical fluid on an interval.
+
+    ``mu_phys`` is values only: no residual differentiates it, nor
+    ``rho_phys`` off a SchwarzschildForm chart, whose Tolman residual reads
+    rho'.  ``interval`` is the window verification grids are drawn from;
+    ``scan_interval`` (defaults to ``interval``) is the usually wider window
+    level-set searches may sample.  ``lam`` is the cosmological constant.
+    """
+
+    label: str
+    ansatz: MetricAnsatz
+    f: RadialFunction
+    mu_phys: Callable
+    rho_phys: Callable
+    interval: tuple[float, float]
+    scan_interval: tuple[float, float] | None = None
+    lam: float = 0.0
+
+    @property
+    def fluid(self) -> FluidData:
+        """Lapse and fluid, geometric: (8 pi mu + Lambda, 8 pi rho - Lambda)."""
+        return FluidData(
+            f=self.f,
+            mu=lambda r: EIGHT_PI * np.asarray(self.mu_phys(r), dtype=float) + self.lam,
+            rho=lambda r: EIGHT_PI * np.asarray(self.rho_phys(r), dtype=float) - self.lam,
+        )
+
+    def scan_window(self):
+        return self.scan_interval if self.scan_interval is not None else self.interval
+
+
+def _pieces(model) -> list[Piece]:
+    """The pieces every model is read through; BadParams for an object with none."""
+    pieces = getattr(model, "pieces", None)
+    if pieces is None:
+        raise BadParams(f"{type(model).__name__} is not a model: it has no pieces")
+    return pieces
 
 
 # ----------------------------------------------------------------------------

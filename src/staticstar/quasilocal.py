@@ -25,15 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog as _catalog
-from . import conformal as _conformal
 from .errors import (
     BadParams,
     DomainError,
     NoLevelSet,
     NotARegularValue,
 )
-from .geometry import EIGHT_PI, ConformalFlat, conformal_hessian, coordinate_sphere
+from .geometry import EIGHT_PI, ConformalFlat, Piece, _pieces, conformal_hessian, coordinate_sphere
 from .numerics import ScalarField, as_points, check_grid_n, refine_root, sign_brackets, sphere_rule
 
 __all__ = [
@@ -250,11 +248,10 @@ def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
 
     ``f_value`` is evaluated on the whole grid in one call, which ``scans``
     keeps for the other levels of the same model; ``key`` tells the model's
-    charts apart (the pieces of a catalog model).  Sign changes
-    are polished by Brent's method.  A grid minimum of |f - c| with no sign
-    change beside it is a tangential touch candidate: the extremum of f there
-    is polished on f', and c is critical when f reaches it.  Minima at the
-    ends of the grid are not candidates.
+    pieces apart.  Sign changes are polished by Brent's method.  A grid
+    minimum of |f - c| with no sign change beside it is a tangential touch
+    candidate: the extremum of f there is polished on f', and c is critical
+    when f reaches it.  Minima at the ends of the grid are not candidates.
     """
     k = (key, lo, hi, grid_n)
     if k not in scans:
@@ -294,26 +291,26 @@ def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
     return roots
 
 
-def _level_report(c, r0, chart) -> QuasiLocalReport:
-    """Everything measured on the level sphere {f = c} at r0 in a chart of :func:`_charts`.
+def _level_report(c, r0, piece: Piece) -> QuasiLocalReport:
+    """Everything measured on the level sphere {f = c} at r0 in a model's piece.
 
     A round coordinate sphere has W = H^2 A = 16 pi b_s^2, so m_H = (b/2) (1 - b_s^2)
-    from the chart, not 1 - W/16 pi; an ``audit`` gives W by quadrature.
+    from the chart, not 1 - W/16 pi; a conformal chart's audit gives W by quadrature.
     """
-    ansatz, f_rf, rho, _, _, audit = chart
+    ansatz, f_rf = piece.ansatz, piece.f
     b, H_out, e, one_minus_bs2 = coordinate_sphere(ansatz, r0)
     f1 = float(f_rf.d1(r0))
     area = 4.0 * math.pi * b * b
     kappa = e * abs(f1)
-    rho0 = float(rho(r0))
+    rho0 = float(piece.fluid.rho(r0))
     h_level = -math.copysign(1.0, f1) * H_out
     spread = gradc = None
-    if audit is None:
+    if isinstance(ansatz, ConformalFlat):
+        spread, gradc, willmore = _sphere_audit(ansatz, f_rf, r0, b)
+        m_h = hawking_mass(area, willmore)
+    else:
         willmore = H_out * H_out * area
         m_h = 0.5 * b * one_minus_bs2
-    else:
-        spread, gradc, willmore = audit(r0, b)
-        m_h = hawking_mass(area, willmore)
     m_by = _brown_york(area, b, H_out)
     chi_res = topology_identity_residual(h_level, kappa, c, rho0, area)
     cls, thresholds = sphere_classification(h_level, kappa, c, rho0)
@@ -339,79 +336,45 @@ def _level_report(c, r0, chart) -> QuasiLocalReport:
     )
 
 
-def _sphere_audit(ansatz: ConformalFlat, f):
-    """Audit of a conformal level sphere over its actual 3D surface.
+def _sphere_audit(ansatz: ConformalFlat, f, u0: float, b: float):
+    """Audit of the conformal level sphere at u0, of areal radius b, over its
+    actual 3D surface.
 
-    Returns a function of (u0, b) giving the umbilicity spread of the shape
-    operator of the lapse profile ``f``, the relative spread of |grad f|_g
-    and the Willmore energy, all from one batch of shape operators at the
-    nodes of the degree-``AUDIT_DEGREE`` sphere rule.
+    Returns the umbilicity spread of the shape operator of the lapse profile
+    ``f``, the relative spread of |grad f|_g and the Willmore energy, all
+    from one batch of shape operators at the nodes of the
+    degree-``AUDIT_DEGREE`` sphere rule.
     """
     inv = ansatz.invariant
     f_field = ansatz.lift(f)
-
-    def audit(u0, b):
-        x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(AUDIT_DEGREE)[0]
-        A, traces = shape_operator(ansatz, f_field, x)
-        spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
-        gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
-        mean_g = np.mean(gnorms)
-        gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
-        # the traces are H at these very nodes
-        return spread, gradc, willmore_energy(lambda _: traces, b)
-
-    return audit
-
-
-def _charts(model, window):
-    """(ansatz, lapse, geometric rho, lo, hi, audit) for each chart of a model.
-
-    [lo, hi] is the scan window in the chart's radial value (empty when a
-    catalog piece lies outside ``window``); ``audit`` is None for round
-    coordinate spheres and :func:`_sphere_audit` for conformal models.
-    """
-    if isinstance(model, _catalog.AnalyticModel):
-        charts = []
-        for piece in model.pieces:
-            lo, hi = window if window is not None else piece.scan_window()
-            p_lo, p_hi = piece.scan_window()
-            charts.append((piece.ansatz, piece.f, piece.fluid.rho,
-                           max(lo, p_lo), min(hi, p_hi), None))
-        return charts
-    if isinstance(model, _conformal.ConformalModel):
-        if model.n != 3:
-            raise DomainError(f"quasi-local masses are defined here for n=3, not n={model.n}")
-        if model.invariant.tau <= 0.0:
-            raise DomainError("level-set spheres need tau > 0 in the invariant")
-        if window is not None:
-            lo, hi = window
-        else:
-            lo, hi = model.domain
-            pad = max(1e-9, 1e-9 * (hi - lo))
-            lo, hi = lo + pad, hi - pad
-        ansatz = model.to_ansatz()
-        return [(ansatz, model.f, model.rho_geo, lo, hi, _sphere_audit(ansatz, model.f))]
-    raise BadParams(f"no level-set support for {type(model).__name__}")
+    x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(AUDIT_DEGREE)[0]
+    A, traces = shape_operator(ansatz, f_field, x)
+    spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
+    gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
+    mean_g = np.mean(gnorms)
+    gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
+    # the traces are H at these very nodes
+    return spread, gradc, willmore_energy(lambda _: traces, b)
 
 
 def level_set_data(model, c: float, window=None, grid_n: int = 2048,
                    *, scans: dict | None = None) -> list[QuasiLocalReport]:
     """All level-set spheres {f = c} of a model, innermost first.
 
-    Accepts a catalog model (a TOV ``StellarModel`` is one, with two pieces)
-    or a conformally flat model; raises NoLevelSet when the lapse never attains c
-    in the scanned window and NotARegularValue at critical levels, tangential
-    touches at an extremum of f included.  A non-finite level, or a
-    ``window`` (lo, hi) that is not finite and increasing, is BadParams.
-    ``grid_n`` points (an integer of at least 2, else BadParams) scan each
-    chart's window for sign changes of f - c; conformal level spheres are
-    audited with the degree-``AUDIT_DEGREE`` sphere rule.  Calls on one
-    model that pass the same ``scans`` dict evaluate f once per scan window
-    (see :func:`mass_sweep`).
+    A model is read through its ``pieces`` (an object with none is
+    BadParams); raises NoLevelSet when the lapse never attains c in the
+    scanned window and NotARegularValue at critical levels, tangential
+    touches at an extremum of f included.  A conformal piece needs n = 3 and
+    tau > 0, else DomainError.  A non-finite level, or a ``window`` (lo, hi)
+    that is not finite and increasing, is BadParams.  ``grid_n`` points (an
+    integer of at least 2, else BadParams) scan each piece's window for sign
+    changes of f - c; conformal level spheres are audited with the
+    degree-``AUDIT_DEGREE`` sphere rule.  Calls on one model that pass the
+    same ``scans`` dict evaluate f once per scan window (see :func:`mass_sweep`).
 
-    Every chart is scanned on its piece's scan window, clipped to ``window``;
-    a root found by two charts (the seam of a two-piece catalog model) is
-    reported once, from the chart that found the smaller value.
+    Every piece is scanned on its scan window, clipped to ``window``; a root
+    found by two pieces (the seam of a two-piece catalog model) is reported
+    once, from the piece that found the smaller value.
     """
     c = float(c)
     check_grid_n(grid_n, 2)
@@ -422,20 +385,30 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise BadParams(f"scan window must be finite and increasing, got {window}")
     scans = {} if scans is None else scans
-    charts = _charts(model, window)
+    pieces = _pieces(model)
+    windows = []
+    for piece in pieces:
+        chart = piece.ansatz
+        if isinstance(chart, ConformalFlat) and (chart.n != 3 or chart.invariant.tau <= 0.0):
+            raise DomainError("level-set spheres need n = 3 and tau > 0 in the invariant, "
+                              f"not n = {chart.n}, tau = {chart.invariant.tau}")
+        lo, hi = piece.scan_window()
+        if window is not None:
+            lo, hi = max(lo, window[0]), min(hi, window[1])
+        windows.append((lo, hi))
     found = []
-    for i, (_, f_rf, _, lo, hi, _) in enumerate(charts):
+    for i, (piece, (lo, hi)) in enumerate(zip(pieces, windows)):
         if lo < hi:
-            roots = _root_scan(f_rf.value, f_rf.d1, c, lo, hi, grid_n, scans, i)
+            roots = _root_scan(piece.f.value, piece.f.d1, c, lo, hi, grid_n, scans, i)
             found += [(r0, i) for r0 in roots]
     kept = []
     for r0, i in sorted(found):
         if not kept or abs(r0 - kept[-1][0]) > 1e-9 * max(1.0, abs(r0)):
             kept.append((r0, i))
     if not kept:
-        spans = ", ".join(f"[{lo}, {hi}]" for _, _, _, lo, hi, _ in charts)
+        spans = ", ".join(f"[{lo}, {hi}]" for lo, hi in windows)
         raise NoLevelSet(f"the lapse never reaches c={c} on {spans}")
-    return [_level_report(c, r0, charts[i]) for r0, i in kept]
+    return [_level_report(c, r0, pieces[i]) for r0, i in kept]
 
 
 def mass_sweep(model, levels, grid_n: int = 2048, window=None) -> list[QuasiLocalReport]:

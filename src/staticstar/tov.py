@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import AnalyticModel, Piece, vacuum_piece
+from .catalog import AnalyticModel, vacuum_piece
 from .config import call_with, parse_spec
 from .errors import (
     BadParams,
@@ -45,7 +45,7 @@ from .errors import (
     NoSurface,
     StepFailure,
 )
-from .geometry import SchwarzschildForm
+from .geometry import Piece, SchwarzschildForm
 from .numerics import (
     EPS_DOM,
     PiecewisePoly,
@@ -294,9 +294,6 @@ class RadialProfile:
 
     def mu(self, r):
         return self.eos.mu(self.rho(r))
-
-    def exp_neg_gamma(self, r):
-        return 1.0 - 2.0 * self.m(r) / r
 
     def v(self, r):
         return self.v_free_fn(r) + self.v_shift

@@ -187,7 +187,7 @@ def test_c10_conformal_density_closes_against_curvature():
         assert max(e.max for e in rep.entries) < 1e-7
 
     m = models[0]
-    ansatz = m.to_ansatz()
+    ansatz = m.pieces[0].ansatz
     for x in ([0.3, 0.0, 0.0], [0.7, 0.2, 0.1], [1.5, -0.4, 0.8]):
         x = np.asarray(x, dtype=float)
         u = m.invariant.value(x)

@@ -315,7 +315,7 @@ class TestBuildModel:
         del calls[:]
         np.testing.assert_array_equal(m.mu(u), mu)
         np.testing.assert_array_equal(m.rho(u), rho)
-        m.mu_geo(u), m.rho_geo(u)
+        m.mu_geo(u), m.fluid().rho(u)
         assert len(calls) == 1
 
     def test_one_curvature_pass_per_build(self, monkeypatch):
@@ -368,7 +368,7 @@ class TestBuildModel:
             a = np.asarray(inv.alpha)
             draw -= (draw @ a) / (a @ a) * a
             off_ray = lambda u: inv.point_at(u) + draw  # noqa: E731
-        ansatz = m.to_ansatz()
+        ansatz = m.pieces[0].ansatz
         fluid = m.fluid()
         points = np.concatenate([inv.point_at(sparse), off_ray(sparse)])
         us = inv.value(points)
@@ -411,7 +411,7 @@ class TestBuildModel:
         else:
             m = build_model(phi, n=3, lam=lam, span=(0.0, 5.0))
         u = np.linspace(*m.domain, 35)[1:-1]  # off the witten lapse zero at u = 0
-        mu, rho = geometry.to_physical(m.mu_geo(u), m.rho_geo(u), lam)
+        mu, rho = geometry.to_physical(m.mu_geo(u), m.fluid().rho(u), lam)
         assert m.mu(u).tobytes() == mu.tobytes() and m.rho(u).tobytes() == rho.tobytes()
 
     def test_unit_preset_is_vacuum_plus_lambda(self):

@@ -1,11 +1,14 @@
 """Energy-condition scans: pointwise logic first, then whole models."""
 
+import math
+
 import numpy as np
 import pytest
 
 from staticstar.errors import BadParams, DomainError
-from staticstar import catalog
+from staticstar import catalog, conformal
 from staticstar.energy import BAND, scan_conditions, scan_model
+from staticstar.numerics import RadialFunction
 
 GRID = np.array([1.0, 2.0, 3.0])
 
@@ -171,6 +174,37 @@ def test_catalog_scan_arrays_are_the_model_on_its_grid(source, request):
     assert np.array_equal(scan.rho, model.rho(scan.grid))
 
 
+SQRT_ONE_PLUS_U = RadialFunction.from_formula(lambda u: np.sqrt(1.0 + u),
+                                              (-1.0 + 1e-9, math.inf))
+
+
+@pytest.mark.parametrize("phi, kw", [
+    ("witten", {"n": 3}),
+    ("witten", {"n": 5}),
+    ("unit", {"n": 3, "lam": 0.2}),
+    (SQRT_ONE_PLUS_U, {"n": 3, "ic": (1.0, 0.2)}),
+], ids=["witten-3", "witten-5", "unit", "custom"])
+def test_conformal_scan_is_the_model_on_its_piece(phi, kw):
+    model = conformal.build_model(phi, **kw)
+    n = 64
+    scan = scan_model(model, n=n)
+    g = np.linspace(*model.pieces[0].interval, n)
+    want = scan_conditions(model.mu(g), model.rho(g), g)
+    assert np.array_equal(scan.grid, g)
+    assert np.array_equal(scan.mu, want.mu) and np.array_equal(scan.rho, want.rho)
+    assert scan.to_json_dict() == want.to_json_dict()
+
+
+def test_witten_scan_fails_dec_at_the_lapse_zero():
+    # f(0) = 0: the pressure diverges at u = 0, and the padded grid keeps it finite
+    model = conformal.build_model("witten", n=3)
+    scan = scan_model(model)
+    lo = model.pieces[0].interval[0]
+    assert 0.0 < lo < 1e-4 and np.all(np.isfinite(scan.rho))
+    assert scan.nec and scan.wec and not scan.dec
+    assert scan.first_violation == ("dec", lo)
+
+
 def test_unknown_model_type():
-    with pytest.raises(DomainError):
+    with pytest.raises(BadParams):
         scan_model(3.14)

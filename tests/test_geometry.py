@@ -461,7 +461,7 @@ def test_coordinate_sphere_reads_first_order_data_only(chart):
 
 def test_conformal_sphere_matches_the_warped_chart():
     """g = delta/(1 + |x|^2) at u = |x|^2 = sinh^2 t is dt^2 + tanh^2 t g_{S^2}."""
-    conformal_chart = conformal.build_model("witten", n=3).to_ansatz()
+    conformal_chart = conformal.build_model("witten", n=3).pieces[0].ansatz
     warped = catalog.witten_stellar().pieces[0].ansatz
     for t in (0.1, 0.5, 1.0, 2.0, 3.0):
         b_c, h_c, e_c, k_c = coordinate_sphere(conformal_chart, math.sinh(t) ** 2)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from staticstar import catalog, conformal, quasilocal, tov
 from staticstar.energy import BAND, scan_conditions, scan_model
-from staticstar.errors import DomainError, StaticStarError
+from staticstar.errors import DomainError, NoLevelSet, NotARegularValue, StaticStarError
 from staticstar.geometry import _entry, to_geometric, to_physical
 from staticstar.numerics import RadialFunction, chebyshev_grid
 
@@ -122,6 +122,29 @@ def test_invariant_identities(tau, parts):
     assert math.isclose(u, manual, rel_tol=1e-12, abs_tol=1e-12)
 
 
+SQRT_ONE_PLUS_U = RadialFunction.from_formula(lambda u: np.sqrt(1.0 + u),
+                                              (-1.0 + 1e-9, math.inf))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["witten", "custom"]),
+       st.tuples(st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0)),
+       st.tuples(st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=0.5, max_value=20.0)),
+       st.tuples(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.1, max_value=4e2)),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_conformal_spheres_lie_in_the_scan_window(phi, ic, span, window, t):
+    phi = SQRT_ONE_PLUS_U if phi == "custom" else phi
+    model = conformal.build_model(phi, n=3, ic=ic, span=(span[0], span[0] + span[1]))
+    lo, hi = model.pieces[0].scan_window()
+    c = float(model.f(lo + t * (hi - lo)))  # a level the lapse reaches in its domain
+    window = (window[0], window[0] + window[1])
+    try:
+        reports = quasilocal.level_set_data(model, c, window=window)
+    except (NoLevelSet, NotARegularValue):
+        return
+    assert all(max(lo, window[0]) <= rep.r <= min(hi, window[1]) for rep in reports)
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -233,7 +256,7 @@ def test_constant_density_pipeline_matches_interior_schwarzschild(c, ratio, t):
     # acceptance-gate tolerances: e^{-gamma} to 1e-8 (c01); radius, mass and
     # lapse to 1e-6 (c11), taken relative because r_b reaches 30 here
     r = np.linspace(model.profile.R_START, model.r_b, 65)
-    assert np.max(np.abs(model.profile.exp_neg_gamma(r) - (1.0 - a * r * r))) < 1e-8
+    assert np.max(np.abs(1.0 - 2.0 * model.profile.m(r) / r - (1.0 - a * r * r))) < 1e-8
     assert math.isclose(model.r_b, r_b, rel_tol=1e-6)
     assert math.isclose(model.mass, mass, rel_tol=1e-6)
     assert all(math.isclose(model.f(x), f(x), rel_tol=1e-6) for x in r)

@@ -236,6 +236,25 @@ class TestConformalLevels:
         with pytest.raises(DomainError):
             level_set_data(m, 0.3)
 
+    def test_window_is_clipped_to_the_domain(self):
+        # the domain ends at u = 3; past it the closed-form lapse reaches
+        # 0.9 at u = 8.389 and 0.5 again at u = 186.9
+        m = conformal.build_model("witten", n=3, span=(0.0, 3.0))
+        with pytest.raises(NoLevelSet):
+            level_set_data(m, 0.9, window=(0.5, 40.0))
+        reports = level_set_data(m, 0.5, window=(0.1, 400.0))
+        assert [rep.r for rep in reports] == pytest.approx([math.exp(math.pi / 3.0) - 1.0],
+                                                           abs=1e-9)
+
+    def test_no_sphere_past_the_lapse_zero(self):
+        # the lapse crosses zero at u = 3.810, where the domain is cut; its
+        # dense output, extrapolated past it, reaches 0.05 again at u = 12.32
+        m = conformal.build_model(SQRT_ONE_PLUS_U, n=3, ic=(1.0, -0.5), span=(0.0, 10.0))
+        assert m.truncated and m.domain[1] == pytest.approx(3.810, abs=1e-3)
+        for window in (None, (0.1, 400.0), (0.5, 40.0)):
+            reports = level_set_data(m, 0.05, window=window)
+            assert [rep.r for rep in reports] == pytest.approx([3.482006856091119], rel=1e-12)
+
     def test_needs_spherical_invariant(self):
         inv = conformal.BasicInvariant(0.0, (1.0, 0.0, 0.0), (0.0,) * 3)
         m = conformal.build_model("unit", n=3, invariant=inv, span=(0.0, 4.0))
@@ -311,7 +330,7 @@ class TestBatchedShapeOperator:
 
     @pytest.mark.parametrize("lapse", [False, True], ids=["skew-field", "model-lapse"])
     def test_batch_equals_rows(self, model, points, lapse):
-        ansatz = model.to_ansatz()
+        ansatz = model.pieces[0].ansatz
         f = model.f if lapse else _skew_field()
         A, tr = quasilocal.shape_operator(ansatz, f, points)
         assert A.shape == (len(points), 2, 2) and tr.shape == (len(points),)
@@ -327,7 +346,7 @@ class TestBatchedShapeOperator:
             assert np.min(spread) > 1e-3
 
     def test_hessian_matches_finite_differences(self, model, points):
-        phi = model.to_ansatz().phi
+        phi = model.pieces[0].ansatz.phi
         f = _skew_field()
         hess = conformal_hessian(phi, f, points)
         assert hess.shape == (len(points), 3, 3)
@@ -341,7 +360,7 @@ class TestBatchedShapeOperator:
     def test_centre_in_batch_is_not_a_regular_value(self, model, points):
         batch = np.vstack([points[:3], OFF_CENTRE.center])
         with pytest.raises(NotARegularValue):
-            quasilocal.shape_operator(model.to_ansatz(), model.f, batch)
+            quasilocal.shape_operator(model.pieces[0].ansatz, model.f, batch)
 
     def test_nonpositive_factor_in_batch(self, points):
         two_minus_u = RadialFunction(
@@ -353,7 +372,7 @@ class TestBatchedShapeOperator:
 
     @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 3)])
     def test_malformed_point_arrays(self, model, shape):
-        ansatz = model.to_ansatz()
+        ansatz = model.pieces[0].ansatz
         x = np.ones(shape)
         with pytest.raises(BadParams):
             quasilocal.shape_operator(ansatz, model.f, x)

@@ -114,7 +114,7 @@ class TestUniformStar:
     def test_interior_samples(self, const_star, r, rho, f, x):
         assert const_star.rho(r) == pytest.approx(rho, rel=1e-6)
         assert const_star.f(r) == pytest.approx(f, abs=1e-6)
-        assert const_star.profile.exp_neg_gamma(r) == pytest.approx(x, abs=1e-10)
+        assert 1.0 - 2.0 * const_star.profile.m(r) / r == pytest.approx(x, abs=1e-10)
 
     def test_central_lapse(self, const_star):
         assert const_star.f(1e-6) == pytest.approx(0.4, abs=1e-6)
@@ -402,7 +402,7 @@ class TestArrayContract:
     def test_profile_evaluators(self, const_star):
         prof = const_star.profile
         r = np.array([prof.R_START, 1.0, 5.0, prof.r_end])
-        for fn in (prof.rho, prof.m, prof.mu, prof.v, prof.f, prof.exp_neg_gamma):
+        for fn in (prof.rho, prof.m, prof.mu, prof.v, prof.f):
             got = fn(r)
             assert got.shape == r.shape
             assert all(type(fn(float(x))) is float and fn(float(x)) == y
