@@ -50,6 +50,7 @@ from .geometry import (
 )
 from .numerics import (
     EPS_DOM,
+    ProfileAt,
     RadialFunction,
     ScalarField,
     as_points,
@@ -310,27 +311,20 @@ def solve_lapse(
 # fluid from (phi, f)
 # ----------------------------------------------------------------------------
 
-def _geo_pair(phi: RadialFunction, f: RadialFunction, invariant: BasicInvariant,
-              n: int, u):
-    """(mu_geo, rho_geo) at u, with rho via the conformal-Laplacian trace route."""
-    u = np.asarray(u, dtype=float)
-    tau, C = invariant.tau, invariant.C
-    q = 4.0 * tau * u + C
-    p = np.asarray(phi.value(u), dtype=float)
-    p1 = np.asarray(phi.d1(u), dtype=float)
-    p2 = np.asarray(phi.d2(u), dtype=float)
-    fv = np.asarray(f.value(u), dtype=float)
-    f1 = np.asarray(f.d1(u), dtype=float)
-    f2 = np.asarray(f.d2(u), dtype=float)
+def _geo_pair(invariant: BasicInvariant, n: int, u, phi: ProfileAt, f: ProfileAt):
+    """(mu_geo, rho_geo) at u from the readings of phi and f there, with rho
+    via the conformal-Laplacian trace route."""
+    p, p1 = phi.v, phi.d1
     if np.any(p <= 0.0):
         raise DomainError("conformal factor non-positive on evaluation set")
-    if np.any(fv == 0.0):
+    if np.any(f.v == 0.0):
         raise DomainError("lapse vanishes on evaluation set")
-
-    mu_geo = 0.5 * (n - 1) * (4.0 * n * tau * p * p1 + (2.0 * p * p2 - n * p1 * p1) * q)
-    lap_flat_part = f2 * q + 2.0 * n * tau * f1 + (2.0 - n) * p1 * f1 * q / p
+    tau = invariant.tau
+    q = 4.0 * tau * u + invariant.C
+    mu_geo = 0.5 * (n - 1) * (4.0 * n * tau * p * p1 + (2.0 * p * phi.d2 - n * p1 * p1) * q)
+    lap_flat_part = f.d2 * q + 2.0 * n * tau * f.d1 + (2.0 - n) * p1 * f.d1 * q / p
     lap_g = p * p * lap_flat_part
-    rho_geo = ((n - 1) * lap_g / fv - (n - 2) * mu_geo) / n
+    rho_geo = ((n - 1) * lap_g / f.v - (n - 2) * mu_geo) / n
     return mu_geo, rho_geo
 
 
@@ -347,6 +341,11 @@ class ConformalModel:
     closure); ``passed`` aggregates them.  ``truncated`` records that the
     lapse lost positivity before the requested span ended and the domain was
     cut back.  ``n`` and ``degenerate`` are read from the invariant.
+
+    ``domain`` is the lapse's domain, and its ends may be zeros of f (the
+    witten preset's default lapse starts on one), where ``mu`` and ``rho``
+    raise DomainError or blow up; ``pieces[0].interval`` and its
+    ``scan_interval`` are the windows to evaluate the fluid on.
     """
 
     phi: RadialFunction
@@ -377,7 +376,9 @@ class ConformalModel:
         arrays are read-only, and the pair is replaced in one assignment."""
         points, pair = self._geo_last
         if points is None or not np.array_equal(points, u):
-            pair = _geo_pair(self.phi, self.f, self.invariant, self.n, u)
+            u = np.asarray(u, dtype=float)
+            pair = _geo_pair(self.invariant, self.n, u,
+                             ProfileAt(self.phi, u), ProfileAt(self.f, u))
             for part in pair:
                 if isinstance(part, np.ndarray):
                     part.flags.writeable = False
@@ -545,14 +546,15 @@ def build_model(
         off_axis = on_axis + (w - (w @ a) / (a @ a) * a)
     points = np.concatenate([on_axis, off_axis])
     rays = np.concatenate([sparse, sparse])
-    residuals, r_scal = _spf_arrays_conformal(piece.ansatz, model.fluid(), points, rays)
+    residuals, r_scal, batch = _spf_arrays_conformal(piece.ansatz, model.fluid(), points, rays)
     k = len(sparse)
     checks["field[on-axis]"] = _spf_report_conformal(residuals, rays, slice(None, k), tol=1e-7)
     checks["field[off-axis]"] = _spf_report_conformal(residuals, rays, slice(k, None), tol=1e-7)
 
-    # the closed-form mu_geo against R/2 from the generic curvature route
-    us = invariant.value(points)
-    closure = np.asarray(model.mu_geo(us), dtype=float) - 0.5 * r_scal
+    # the closed-form mu_geo against R/2 from the generic curvature route,
+    # both read from the batch's u(x) and its readings of phi and f
+    us = batch.u
+    closure = _geo_pair(invariant, n, us, batch.phi, batch.f)[0] - 0.5 * r_scal
     checks["closure"] = _report([_entry("mu-vs-half-R", closure, us)], us, tol=1e-7)
 
     return dataclasses.replace(model, checks=checks)

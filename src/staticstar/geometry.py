@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import RadialFunction, ScalarField, as_points
+from .numerics import ProfileAt, RadialFunction, ScalarField, as_points
 
 if TYPE_CHECKING:  # conformal imports this module
     from .conformal import BasicInvariant
@@ -46,6 +46,7 @@ __all__ = [
     "SchwarzschildForm",
     "WarpedProduct",
     "ConformalFlat",
+    "ConformalBatch",
     "FluidData",
     "Piece",
     "ResidualEntry",
@@ -138,6 +139,23 @@ class ConformalFlat:
 
 
 MetricAnsatz = SchwarzschildForm | WarpedProduct | ConformalFlat
+
+
+class ConformalBatch:
+    """A :class:`ConformalFlat` chart evaluated once at points ``x``, ``(n,)``
+    or ``(N, n)``: u(x), and through u, grad u and Hess u the
+    :class:`~staticstar.numerics.ProfileAt` readings ``phi`` and, given a
+    lapse profile, ``f``.  The curvature, g-Hessian and shape-operator
+    kernels read these arrays."""
+
+    def __init__(self, ansatz: ConformalFlat, x, f: RadialFunction | None = None):
+        radial = ansatz.radial
+        x = as_points(x, ansatz.n)
+        self.u = u = radial.value(x)
+        grad_u = np.asarray(radial.gradient(x), dtype=float)
+        hess_u = radial.hessian(x)
+        self.phi = ProfileAt(ansatz.phi_radial, u, grad_u, hess_u)
+        self.f = None if f is None else ProfileAt(f, u, grad_u, hess_u)
 
 
 # ----------------------------------------------------------------------------
@@ -375,9 +393,13 @@ def conformal_curvature(phi: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
     tests pin to 1e-12).
     """
     x, p = _conformal_factor(phi, x)
-    n = phi.n
-    grad = np.asarray(phi.gradient(x), dtype=float)
-    hess = np.asarray(phi.hessian(x), dtype=float)
+    return _conformal_ricci(p, np.asarray(phi.gradient(x), dtype=float),
+                            np.asarray(phi.hessian(x), dtype=float))
+
+
+def _conformal_ricci(p, grad, hess):
+    """:func:`conformal_curvature` from phi, its gradient and its Hessian."""
+    n = grad.shape[-1]
     lap = np.trace(hess, axis1=-2, axis2=-1)
     grad2 = np.einsum("...i,...i->...", grad, grad)
     ric = ((n - 2) * p[..., None, None] * hess
@@ -396,14 +418,17 @@ def conformal_hessian(phi: ScalarField, f: ScalarField, x) -> np.ndarray:
     ``(..., n, n)``.
     """
     x, p = _conformal_factor(phi, x)
-    gp = np.asarray(phi.gradient(x), dtype=float)
-    gf = np.asarray(f.gradient(x), dtype=float)
-    hf = np.asarray(f.hessian(x), dtype=float)
-    cross = gp[..., :, None] * gf[..., None, :]
-    dot = np.einsum("...i,...i->...", gp, gf)
+    return _g_hessian(p, np.asarray(phi.gradient(x), dtype=float),
+                      np.asarray(f.gradient(x), dtype=float), np.asarray(f.hessian(x), dtype=float))
+
+
+def _g_hessian(p, grad_phi, grad_f, hess_f):
+    """:func:`conformal_hessian` from phi, its gradient and f's gradient and Hessian."""
+    cross = grad_phi[..., :, None] * grad_f[..., None, :]
+    dot = np.einsum("...i,...i->...", grad_phi, grad_f)
     pp = p[..., None, None]
-    return hf + (cross + np.swapaxes(cross, -1, -2)) / pp \
-        - (dot[..., None, None] / pp) * np.eye(phi.n)
+    return hess_f + (cross + np.swapaxes(cross, -1, -2)) / pp \
+        - (dot[..., None, None] / pp) * np.eye(grad_phi.shape[-1])
 
 
 # ----------------------------------------------------------------------------
@@ -457,7 +482,7 @@ def spf_residuals(
         raise DomainError("empty residual grid")
 
     if isinstance(ansatz, ConformalFlat):
-        residuals, _ = _spf_arrays_conformal(ansatz, fluid, ansatz.invariant.point_at(grid), grid)
+        residuals = _spf_arrays_conformal(ansatz, fluid, ansatz.invariant.point_at(grid), grid)[0]
         return _spf_report_conformal(residuals, grid, slice(None), tol)
 
     n = ansatz.n
@@ -487,28 +512,30 @@ def spf_residuals(
 
 
 def _spf_arrays_conformal(ansatz: ConformalFlat, fluid: FluidData, x: np.ndarray,
-                          grid: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Pointwise residual arrays of the static perfect-fluid system, and R, at
-    the points ``x`` ``(N, n)`` whose grid values are ``grid`` ``(N,)``.
+                          grid: np.ndarray) -> tuple[dict, np.ndarray, ConformalBatch]:
+    """Pointwise residual arrays of the static perfect-fluid system, R, and the
+    :class:`ConformalBatch` they read, at the points ``x`` ``(N, n)`` whose
+    grid values are ``grid`` ``(N,)``.
 
     Rows are independent: several rays may be stacked into one batch and each
     slice reported on its own by :func:`_spf_report_conformal`.
     """
     n = ansatz.n
-    f_field = ansatz.lift(fluid.f)
-    p = np.asarray(ansatz.phi.value(x), dtype=float)
+    batch = ConformalBatch(ansatz, x, fluid.f)
+    phi, f = batch.phi, batch.f
+    p = phi.v
     if np.any(p <= 0.0):
         u = grid[int(np.argmax(p <= 0.0))]
         raise DomainError(f"conformal factor non-positive at grid value {u}")
-    fval = np.asarray(f_field.value(x), dtype=float)
+    fval = f.v
     if np.any(fval <= 0.0):
         u = grid[int(np.argmax(fval <= 0.0))]
         raise DomainError(f"lapse non-positive at grid value {u}")
     mu = np.asarray(fluid.mu(grid), dtype=float)
     rho = np.asarray(fluid.rho(grid), dtype=float)
 
-    ric, r_scal = conformal_curvature(ansatz.phi, x)
-    hess = conformal_hessian(ansatz.phi, f_field, x)
+    ric, r_scal = _conformal_ricci(p, phi.grad, phi.hess)
+    hess = _g_hessian(p, phi.grad, f.grad, f.hess)
     metric = np.eye(n) / (p * p)[:, None, None]
     lap = (p * p) * np.trace(hess, axis1=-2, axis2=-1)
     fc = fval[:, None, None]
@@ -520,7 +547,7 @@ def _spf_arrays_conformal(ansatz: ConformalFlat, fluid: FluidData, x: np.ndarray
         "traceless": fc * (ric - (r_scal / n)[:, None, None] * metric)
         - (hess - (lap / n)[:, None, None] * metric),
     }
-    return residuals, r_scal
+    return residuals, r_scal, batch
 
 
 def _spf_report_conformal(residuals: dict, grid: np.ndarray, rows: slice,

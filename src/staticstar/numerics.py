@@ -38,6 +38,7 @@ __all__ = [
     "GRID_N_MAX",
     "Jet",
     "RadialFunction",
+    "ProfileAt",
     "ScalarField",
     "as_points",
     "check_grid_n",
@@ -653,6 +654,46 @@ def as_points(x, n: int) -> np.ndarray:
     return x
 
 
+class ProfileAt:
+    """A radial profile h read at u = u(x) on one set of points.
+
+    ``v``, ``d1`` and ``d2`` are h, h' and h'' at u; given the gradient
+    ``grad_u`` and Hessian ``hess_u`` of u at the points, ``grad`` and
+    ``hess`` are those of h(u(x)) by the chain rule
+
+        grad = h' grad u,      hess = h'' grad u grad u^T + h' Hess u.
+
+    Each is evaluated on its first read and kept, so every reader of one set
+    of points shares one evaluation, and a reader that stops early (a failed
+    positivity check) leaves the rest unevaluated.
+    """
+
+    def __init__(self, rf: RadialFunction, u, grad_u=None, hess_u=None):
+        self.rf, self.u, self.grad_u, self.hess_u = rf, u, grad_u, hess_u
+
+    @functools.cached_property
+    def v(self):
+        return np.asarray(self.rf.value(self.u), dtype=float)
+
+    @functools.cached_property
+    def d1(self):
+        return np.asarray(self.rf.d1(self.u), dtype=float)
+
+    @functools.cached_property
+    def d2(self):
+        return np.asarray(self.rf.d2(self.u), dtype=float)
+
+    @functools.cached_property
+    def grad(self):
+        return self.d1[..., None] * self.grad_u
+
+    @functools.cached_property
+    def hess(self):
+        g = self.grad_u
+        return (self.d2[..., None, None] * (g[..., :, None] * g[..., None, :])
+                + self.d1[..., None, None] * self.hess_u)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar function on R^n exposing value, gradient, and Hessian.
@@ -672,21 +713,18 @@ class ScalarField:
 
     @classmethod
     def compose(cls, rf: RadialFunction, inner: "ScalarField") -> "ScalarField":
-        """Exact chain-rule lift of ``F(x) = rf(inner(x))``; batches as ``inner`` does."""
+        """Exact chain-rule lift of ``F(x) = rf(inner(x))``; batches as ``inner`` does.
+        Each call reads one :class:`ProfileAt`."""
 
         def value(x):
             return rf.value(inner.value(x))
 
         def gradient(x):
-            u = inner.value(x)
-            return np.asarray(rf.d1(u), dtype=float)[..., None] * np.asarray(inner.gradient(x))
+            return ProfileAt(rf, inner.value(x), np.asarray(inner.gradient(x))).grad
 
         def hessian(x):
-            u = inner.value(x)
-            g = np.asarray(inner.gradient(x), dtype=float)
-            d1 = np.asarray(rf.d1(u), dtype=float)[..., None, None]
-            d2 = np.asarray(rf.d2(u), dtype=float)[..., None, None]
-            return d2 * (g[..., :, None] * g[..., None, :]) + d1 * np.asarray(inner.hessian(x))
+            return ProfileAt(rf, inner.value(x), np.asarray(inner.gradient(x), dtype=float),
+                             np.asarray(inner.hessian(x))).hess
 
         return cls(value=value, gradient=gradient, hessian=hessian, n=inner.n)
 

@@ -31,8 +31,10 @@ from .errors import (
     NoLevelSet,
     NotARegularValue,
 )
-from .geometry import EIGHT_PI, ConformalFlat, Piece, _pieces, conformal_hessian, coordinate_sphere
-from .numerics import ScalarField, as_points, check_grid_n, refine_root, sign_brackets, sphere_rule
+from .geometry import (EIGHT_PI, ConformalBatch, ConformalFlat, Piece, _g_hessian, _pieces,
+                       coordinate_sphere)
+from .numerics import (ProfileAt, ScalarField, as_points, check_grid_n, refine_root, sign_brackets,
+                       sphere_rule)
 
 __all__ = [
     "SphereClass",
@@ -216,19 +218,30 @@ def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, np.ndarray]
     Raises NotARegularValue if grad f vanishes at any point of the batch.
     """
     x = as_points(x, 3)
-    f_field = f if isinstance(f, ScalarField) else ansatz.lift(f)
-    grad = np.asarray(f_field.gradient(x), dtype=float)
-    gnorm = np.linalg.norm(grad, axis=-1)
+    if isinstance(f, ScalarField):
+        return _shape(x, ConformalBatch(ansatz, x).phi, np.asarray(f.gradient(x), dtype=float),
+                      np.asarray(f.hessian(x), dtype=float))
+    batch = ConformalBatch(ansatz, x, f)
+    return _shape(x, batch.phi, batch.f.grad, batch.f.hess)
+
+
+def _shape(x, phi: ProfileAt, grad_f, hess_f) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`shape_operator` at the points ``x``, from the reading of phi
+    there and the lapse's gradient and Hessian."""
+    gnorm = np.linalg.norm(grad_f, axis=-1)
     if np.any(gnorm < 1e-300):
         raise NotARegularValue(f"grad f vanishes at {x.reshape(-1, 3)[int(np.argmin(gnorm))]}")
-    nu = grad / gnorm[..., None]
+    nu = grad_f / gnorm[..., None]
     # Gram-Schmidt from the axis least aligned with the normal
     e = np.eye(3)[np.argmin(np.abs(nu), axis=-1)]
     t1 = e - np.einsum("...i,...i->...", e, nu)[..., None] * nu
     t1 /= np.linalg.norm(t1, axis=-1)[..., None]
     t2 = np.cross(nu, t1)
-    hess = conformal_hessian(ansatz.phi, f_field, x)
-    scale = np.asarray(ansatz.phi.value(x), dtype=float) / gnorm
+    p = phi.v
+    if np.any(p <= 0.0):
+        raise DomainError("conformal factor must be positive")
+    hess = _g_hessian(p, phi.grad, grad_f, hess_f)
+    scale = p / gnorm
 
     def form(ta, tb):
         return scale * np.einsum("...i,...ij,...j->...", ta, hess, tb)
@@ -346,11 +359,11 @@ def _sphere_audit(ansatz: ConformalFlat, f, u0: float, b: float):
     degree-``AUDIT_DEGREE`` sphere rule.
     """
     inv = ansatz.invariant
-    f_field = ansatz.lift(f)
     x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(AUDIT_DEGREE)[0]
-    A, traces = shape_operator(ansatz, f_field, x)
+    batch = ConformalBatch(ansatz, x, f)
+    A, traces = _shape(x, batch.phi, batch.f.grad, batch.f.hess)
     spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
-    gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
+    gnorms = batch.phi.v * np.linalg.norm(batch.f.grad, axis=-1)
     mean_g = np.mean(gnorms)
     gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
     # the traces are H at these very nodes

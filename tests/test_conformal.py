@@ -11,15 +11,17 @@ from staticstar.errors import BadParams, DomainError, SignLoss
 from staticstar import geometry
 from staticstar.geometry import (
     EIGHT_PI,
+    ConformalBatch,
     _entry,
     _report,
     _spf_arrays_conformal,
     _spf_report_conformal,
     conformal_curvature,
+    conformal_hessian,
     spf_residuals,
 )
-from staticstar.numerics import Jet, RadialFunction, chebyshev_grid
-from staticstar import catalog, conformal
+from staticstar.numerics import Jet, ProfileAt, RadialFunction, chebyshev_grid, sphere_rule
+from staticstar import catalog, conformal, quasilocal
 from staticstar.conformal import (
     BasicInvariant,
     build_model,
@@ -71,6 +73,20 @@ def sqrt_one_plus_u():
         provenance="analytic",
         domain=(-1.0 + 1e-9, math.inf),
     )
+
+
+def _logged(rf: RadialFunction, name: str, log: list) -> RadialFunction:
+    """``rf`` with each call of value, d1 and d2 logged as (name, which, the points' bytes)."""
+
+    def logging(which, fn):
+        def call(u):
+            log.append((name, which, np.asarray(u, dtype=float).tobytes()))
+            return fn(u)
+
+        return call
+
+    return dataclasses.replace(rf, value=logging("value", rf.value),
+                               d1=logging("d1", rf.d1), d2=logging("d2", rf.d2))
 
 
 class TestBasicInvariant:
@@ -291,90 +307,213 @@ class TestDensityPressure:
             conformal_witten.mu(0.0)
 
 
+CHECK_CASES = ["witten-3", "witten-4", "witten-5", "witten-6", "unit", "custom", "truncated",
+               "plane"]
+
+
+def _case_model(case: str):
+    """The build behind one of ``CHECK_CASES``."""
+    if case.startswith("witten"):
+        return build_model("witten", n=int(case[-1]), span=(0.0, 6.0))
+    if case == "unit":
+        return build_model("unit", n=3, ic=(1.0, 0.2), span=(0.0, 5.0))
+    if case == "custom":
+        return build_model(sqrt_one_plus_u(), n=3, ic=(0.9, 0.2), span=(0.0, 8.0))
+    if case == "truncated":
+        one = RadialFunction.constant(1.0, (-math.inf, math.inf))
+        m = build_model(one, n=3, ic=(1.0, -1.0), span=(0.0, 2.0))
+        assert m.truncated
+        return m
+    inv = BasicInvariant(0.0, (1.0, 0.5, -0.5), (0.0, 0.0, 0.0))
+    return build_model("witten", n=3, invariant=inv, span=(0.0, 5.0))
+
+
+def _check_rays(m):
+    """(grid values, on-axis points, off-axis points) of a build's field checks,
+    rebuilt here from the domain, the padding and the off-axis seed."""
+    inv, n = m.invariant, m.n
+    lo, hi = m.domain
+    pad = max(1e-6 * (hi - lo), 1e-9)
+    sparse = chebyshev_grid(lo + pad, hi - pad, 64)[::4]
+    draw = np.random.default_rng(conformal._OFF_AXIS_SEED).standard_normal(n)
+    if inv.tau > 0.0:
+        return sparse, inv.point_at(sparse), inv.point_at(sparse, direction=draw)
+    a = np.asarray(inv.alpha)
+    draw -= (draw @ a) / (a @ a) * a
+    return sparse, inv.point_at(sparse), inv.point_at(sparse) + draw
+
+
+def _assert_public_routes_match(ansatz, f: RadialFunction, x):
+    """The public conformal_curvature, conformal_hessian and (n = 3)
+    shape_operator, which read phi and the lapse through ScalarField.compose,
+    give the bytes of the kernels reading one ConformalBatch of ``x``."""
+    batch = ConformalBatch(ansatz, x, f)
+    f_field = ansatz.lift(f)
+    kernels = {
+        "curvature": geometry._conformal_ricci(batch.phi.v, batch.phi.grad, batch.phi.hess),
+        "hessian": (geometry._g_hessian(batch.phi.v, batch.phi.grad, batch.f.grad,
+                                        batch.f.hess),),
+    }
+    public = {
+        "curvature": conformal_curvature(ansatz.phi, x),
+        "hessian": (conformal_hessian(ansatz.phi, f_field, x),),
+    }
+    if ansatz.n == 3:
+        kernels["shape"] = quasilocal._shape(x, batch.phi, batch.f.grad, batch.f.hess)
+        public["shape"] = quasilocal.shape_operator(ansatz, f_field, x)
+    for name, arrays in kernels.items():
+        for got, want in zip(public[name], arrays, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+class TestConformalBatch:
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("kind", ["off-centre", "plane"])
+    def test_lift_matches_finite_differences(self, kind, n):
+        # phi(u(x)) and f(u(x)) against stencils of x -> rf(u(x)), with u
+        # written out here: an off-centre tau > 0 invariant and a plane one
+        # (tau = 0, alpha != 0), both preset profiles closed forms
+        rng = np.random.default_rng(n)
+        alpha, beta = rng.uniform(-0.6, 0.6, n), rng.uniform(0.0, 0.3, n)
+        tau = 1.0 if kind == "off-centre" else 0.0
+        inv = BasicInvariant(tau, tuple(alpha), tuple(beta))
+        u0 = max(0.0, -inv.C / 4.0) + 0.05 if tau else 0.0
+        m = build_model("witten", n=n, invariant=inv, span=(u0, u0 + 6.0))
+        u = rng.uniform(u0 + 0.5, u0 + 5.5, 4)
+        if tau:
+            dirs = rng.standard_normal((4, n))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            x = inv.center + inv.sphere_radius(u)[:, None] * dirs
+        else:
+            shift = rng.standard_normal((4, n))
+            shift -= (shift @ alpha)[:, None] / (alpha @ alpha) * alpha
+            x = inv.point_at(u) + shift
+
+        def u_of(y):
+            return np.sum(tau * y * y + alpha * y + beta, axis=-1)
+
+        batch = ConformalBatch(m.pieces[0].ansatz, x, m.f)
+        e = np.eye(n)
+        for rf, lifted in ((m.phi, batch.phi), (m.f, batch.f)):
+            for k, xk in enumerate(x):
+                def along(v, order, xk=xk, rf=rf):
+                    return fd_derivative(lambda t: rf.value(u_of(xk + t * v)), 0.0, order=order)
+
+                grad = np.array([along(e[i], 1) for i in range(n)])
+                hess = np.array([[along(e[i], 2) if i == j else
+                                  0.25 * (along(e[i] + e[j], 2) - along(e[i] - e[j], 2))
+                                  for j in range(n)] for i in range(n)])
+                assert lifted.v[k] == pytest.approx(rf.value(u_of(xk)), rel=1e-14)
+                np.testing.assert_allclose(lifted.grad[k], grad, rtol=0, atol=1e-9)
+                # second differences at h = 5e-4 lose up to ~2e-8 to round-off
+                np.testing.assert_allclose(lifted.hess[k], hess, rtol=0, atol=2e-7)
+
+    @pytest.mark.parametrize("case", CHECK_CASES)
+    def test_public_routes_match_on_the_check_rays(self, case):
+        m = _case_model(case)
+        _, on_points, off_points = _check_rays(m)
+        _assert_public_routes_match(m.pieces[0].ansatz, m.f,
+                                    np.concatenate([on_points, off_points]))
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 0.7])
+    def test_public_routes_match_on_the_audit_nodes(self, c):
+        m = build_model("witten", n=3)
+        ansatz, inv = m.pieces[0].ansatz, m.invariant
+        (rep,) = quasilocal.level_set_data(m, c)
+        x = inv.center + float(inv.sphere_radius(rep.r)) * sphere_rule(quasilocal.AUDIT_DEGREE)[0]
+        assert x.shape == (648, 3)
+        _assert_public_routes_match(ansatz, m.f, x)
+        # the audit's three figures, each read through the public routes
+        f_field = ansatz.lift(m.f)
+        A, traces = quasilocal.shape_operator(ansatz, f_field, x)
+        gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
+        b = geometry.coordinate_sphere(ansatz, rep.r)[0]
+        expect = (float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1]))),
+                  float(np.std(gnorms) / np.mean(gnorms)),
+                  quasilocal.willmore_energy(lambda _: traces, b))
+        assert quasilocal._sphere_audit(ansatz, m.f, rep.r, b) == expect
+
+
 class TestBuildModel:
     @pytest.mark.parametrize("phi", ["witten", "custom"])
-    def test_one_geo_pair_per_point_set(self, monkeypatch, phi):
-        # the on- and off-axis residuals share their grid; the closure check
-        # has its own points: two evaluations per build, whatever reads them
-        calls = []
-        real = conformal._geo_pair
-
-        def counted(*args):
-            calls.append(args[-1])
-            return real(*args)
-
-        monkeypatch.setattr(conformal, "_geo_pair", counted)
-        if phi == "custom":
-            phi = RadialFunction.from_formula(lambda u: 1.0 + 0.1 * u, (-1.0, math.inf))
+    def test_one_profile_jet_per_point_set(self, monkeypatch, phi):
+        # a build reads each profile (value, d1, d2) once on each of its three
+        # point sets: the 64-point ODE grid, the rays' grid values (the
+        # fluid) and u on the stacked rays (the curvature, the lapse Hessian
+        # and the closure), whatever reads them
+        log = []
+        if phi == "witten":  # both preset profiles are closed forms
+            real = RadialFunction.from_formula
+            names = iter(("phi", "f"))
+            monkeypatch.setattr(RadialFunction, "from_formula", classmethod(
+                lambda cls, fn, domain: _logged(real(fn, domain), next(names), log)))
+        else:  # the lapse's own d2 reads phi unlogged: only the build's reads count
+            raw = RadialFunction.from_formula(lambda u: 1.0 + 0.1 * u, (-1.0, math.inf))
+            real = conformal.solve_lapse
+            monkeypatch.setattr(conformal, "solve_lapse", lambda _, *args: _logged(
+                real(raw, *args), "f", log))
+            phi = _logged(raw, "phi", log)
         m = build_model(phi, span=(0.0, 4.0))
         assert m.passed
-        assert len(calls) == 2
+        grid = chebyshev_grid(*m.pieces[0].interval, 64)
+        rays = m.checks["field[on-axis]"].grid
+        point_sets = {grid.tobytes(), np.concatenate([rays, rays]).tobytes(),
+                      m.checks["closure"].grid.tobytes()}
+        for name in ("phi", "f"):
+            for kind in ("value", "d1", "d2"):
+                reads = [u for who, what, u in log if (who, what) == (name, kind)]
+                assert len(reads) == 3 and set(reads) == point_sets, (name, kind)
+        # after the build, the four fluid accessors share one read per point set
         u = np.linspace(0.5, 3.5, 7)
-        mu, rho = geometry.to_physical(*conformal._geo_pair(m.phi, m.f, m.invariant, m.n, u),
-                                       m.lam)
-        del calls[:]
+        mu, rho = geometry.to_physical(*conformal._geo_pair(
+            m.invariant, m.n, u, ProfileAt(m.phi, u), ProfileAt(m.f, u)), m.lam)
+        del log[:]
         np.testing.assert_array_equal(m.mu(u), mu)
         np.testing.assert_array_equal(m.rho(u), rho)
         m.mu_geo(u), m.fluid().rho(u)
-        assert len(calls) == 1
+        assert sorted(what for _, what, _ in log) == ["d1", "d1", "d2", "d2", "value", "value"]
 
-    def test_one_curvature_pass_per_build(self, monkeypatch):
-        # the on-axis, off-axis and closure checks read one batched evaluation
-        counts = {"conformal_curvature": 0, "conformal_hessian": 0, "_geo_pair": 0}
+    def test_one_batch_per_build(self, monkeypatch):
+        # the on-axis, off-axis and closure checks read one batch: u on the
+        # stacked rays once, and one curvature and one lapse Hessian from it;
+        # the fluid's algebra runs on the rays' grid values and, for the
+        # closure, on the batch's own readings
+        counts = {"value": 0, "_conformal_ricci": 0, "_g_hessian": 0, "_geo_pair": 0,
+                  "conformal_curvature": 0, "conformal_hessian": 0}
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args):
                 counts[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counted(geometry, "conformal_curvature")
-        counted(geometry, "conformal_hessian")
+        counted(BasicInvariant, "value")
+        for name in ("_conformal_ricci", "_g_hessian", "conformal_curvature",
+                     "conformal_hessian"):
+            counted(geometry, name)
         counted(conformal, "_geo_pair")
         assert build_model("witten", n=3).passed
-        assert counts == {"conformal_curvature": 1, "conformal_hessian": 1, "_geo_pair": 2}
+        assert counts == {"value": 1, "_conformal_ricci": 1, "_g_hessian": 1, "_geo_pair": 2,
+                          "conformal_curvature": 0, "conformal_hessian": 0}
 
-    @pytest.mark.parametrize("case", [
-        "witten-3", "witten-4", "witten-5", "witten-6", "unit", "custom", "truncated", "plane",
-    ])
+    @pytest.mark.parametrize("case", CHECK_CASES)
     def test_fused_checks_match_per_ray_reference(self, case):
         # each check byte for byte as three separate evaluations give it:
         # spf_residuals on each ray, and the closure against its own
         # curvature call
-        if case.startswith("witten"):
-            m = build_model("witten", n=int(case[-1]), span=(0.0, 6.0))
-        elif case == "unit":
-            m = build_model("unit", n=3, ic=(1.0, 0.2), span=(0.0, 5.0))
-        elif case == "custom":
-            m = build_model(sqrt_one_plus_u(), n=3, ic=(0.9, 0.2), span=(0.0, 8.0))
-        elif case == "truncated":
-            one = RadialFunction.constant(1.0, (-math.inf, math.inf))
-            m = build_model(one, n=3, ic=(1.0, -1.0), span=(0.0, 2.0))
-            assert m.truncated
-        else:
-            inv = BasicInvariant(0.0, (1.0, 0.5, -0.5), (0.0, 0.0, 0.0))
-            m = build_model("witten", n=3, invariant=inv, span=(0.0, 5.0))
-        inv, n = m.invariant, m.n
-        lo, hi = m.domain
-        pad = max(1e-6 * (hi - lo), 1e-9)
-        sparse = chebyshev_grid(lo + pad, hi - pad, 64)[::4]
-        draw = np.random.default_rng(conformal._OFF_AXIS_SEED).standard_normal(n)
-        if inv.tau > 0.0:
-            off_ray = lambda u: inv.point_at(u, direction=draw)  # noqa: E731
-        else:
-            a = np.asarray(inv.alpha)
-            draw -= (draw @ a) / (a @ a) * a
-            off_ray = lambda u: inv.point_at(u) + draw  # noqa: E731
+        m = _case_model(case)
+        inv = m.invariant
+        sparse, on_points, off_points = _check_rays(m)
         ansatz = m.pieces[0].ansatz
         fluid = m.fluid()
-        points = np.concatenate([inv.point_at(sparse), off_ray(sparse)])
+        points = np.concatenate([on_points, off_points])
         us = inv.value(points)
         _, r_scal = conformal_curvature(ansatz.phi, points)
         closure = np.asarray(m.mu_geo(us), dtype=float) - 0.5 * r_scal
-        off_axis, _ = _spf_arrays_conformal(ansatz, fluid, off_ray(sparse), sparse)
+        off_axis = _spf_arrays_conformal(ansatz, fluid, off_points, sparse)[0]
         reference = {
             "field[on-axis]": spf_residuals(ansatz, fluid, sparse, tol=1e-7),
             "field[off-axis]": _spf_report_conformal(off_axis, sparse, slice(None), tol=1e-7),
@@ -384,6 +523,18 @@ class TestBuildModel:
         for name, rep in reference.items():
             assert json.dumps(m.checks[name].to_json_dict()) == json.dumps(rep.to_json_dict())
         np.testing.assert_array_equal(m.checks["field[on-axis]"].grid, sparse)
+
+    def test_domain_is_the_lapse_domain(self):
+        # the domain may start on a zero of f, where the fluid refuses; the
+        # piece's two windows are where a model is evaluated
+        m = build_model("witten", n=3)
+        assert m.domain == (0.0, 10.0) and m.f.value(0.0) == 0.0
+        with pytest.raises(DomainError, match="lapse vanishes"):
+            m.mu(m.domain[0])
+        piece = m.pieces[0]
+        for window in (piece.interval, piece.scan_interval):
+            u = chebyshev_grid(*window, 64)
+            assert np.all(np.isfinite(m.mu(u))) and np.all(np.isfinite(m.rho(u)))
 
     def test_standard_model(self, conformal_witten):
         m = conformal_witten
