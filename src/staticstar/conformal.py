@@ -86,7 +86,7 @@ N_MAX = 960
 class BasicInvariant:
     """u(x) = sum(tau x_i^2 + alpha_i x_i + beta_i) on R^n.
 
-    ``C`` is always recomputed from (tau, alpha, beta); it is not an input.
+    ``C`` is computed from (tau, alpha, beta) on first read; it is not an input.
     For tau > 0 the level sets are round spheres about ``center``; for tau = 0
     with alpha != 0 they are parallel hyperplanes; tau = 0 = alpha is the
     degenerate case (u constant).
@@ -111,9 +111,13 @@ class BasicInvariant:
     def n(self) -> int:
         return len(self.alpha)
 
-    @property
+    @functools.cached_property
     def C(self) -> float:
         return float(sum(a * a - 4.0 * self.tau * b for a, b in zip(self.alpha, self.beta)))
+
+    def grad_sq(self, u):
+        """q = |grad u|^2 = 4 tau u + C, a function of u alone; elementwise."""
+        return 4.0 * self.tau * u + self.C
 
     @property
     def degenerate(self) -> bool:
@@ -137,7 +141,7 @@ class BasicInvariant:
         """Euclidean radius of the level sphere {u(x) = u} (tau > 0), elementwise."""
         if self.tau <= 0.0:
             raise DomainError("level sets are spheres only for tau > 0")
-        disc = 4.0 * self.tau * np.asarray(u, dtype=float) + self.C
+        disc = self.grad_sq(np.asarray(u, dtype=float))
         if np.any(disc < 0.0):
             raise DomainError(f"empty level set: 4 tau u + C = {np.min(disc)} < 0")
         return np.sqrt(disc) / (2.0 * self.tau)
@@ -320,7 +324,7 @@ def _geo_pair(invariant: BasicInvariant, n: int, u, phi: ProfileAt, f: ProfileAt
     if np.any(f.v == 0.0):
         raise DomainError("lapse vanishes on evaluation set")
     tau = invariant.tau
-    q = 4.0 * tau * u + invariant.C
+    q = invariant.grad_sq(u)
     mu_geo = 0.5 * (n - 1) * (4.0 * n * tau * p * p1 + (2.0 * p * phi.d2 - n * p1 * p1) * q)
     lap_flat_part = f.d2 * q + 2.0 * n * tau * f.d1 + (2.0 - n) * p1 * f.d1 * q / p
     lap_g = p * p * lap_flat_part
@@ -473,7 +477,7 @@ def build_model(
         raise BadParams(f"span must be finite and increasing, got {span}")
     if not all(map(math.isfinite, (lam, *(ic or ())))):
         raise BadParams(f"lam and ic must be finite, got lam={lam}, ic={ic}")
-    disc = 4.0 * invariant.tau * u0 + invariant.C
+    disc = invariant.grad_sq(u0)
     if invariant.tau > 0.0 and disc < 0.0:
         raise BadParams(f"span starts at u = {u0}, below the invariant's range "
                         f"u >= -C/(4 tau): its level set is empty, 4 tau u + C = {disc} < 0")

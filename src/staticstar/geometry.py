@@ -315,7 +315,7 @@ def _radial_chart(ansatz, r):
 
     SchwarzschildForm is e^2 = 1 - 2m/r, b = r; WarpedProduct is a = 1,
     b = phi.  This is where the two are told apart for curvature (a
-    coordinate sphere reads the first-order part, :func:`_sphere_chart`): the
+    coordinate sphere reads the first-order part, :func:`coordinate_sphere`): the
     radial quantities below are written once in proper distance s, where d/ds =
     e d/dr, so that f_s = e f' and f_ss = e^2 f'' + e e' f'.  1 - b_s^2 is
     formed in each chart's own terms, 2m/r and 1 - phi'^2; e e' = (m/r - m')/r,
@@ -331,22 +331,6 @@ def _radial_chart(ansatz, r):
         b1 = np.asarray(phi.d1(r), dtype=float)
         return (np.asarray(phi.value(r), dtype=float), b1,
                 np.asarray(phi.d2(r), dtype=float), 1.0, 0.0, 1 - b1**2)
-    raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
-
-
-def _sphere_chart(ansatz, r):
-    """(b, b', e^2, 1 - b_s^2) of a radial chart at r: the first-order part
-    of :func:`_radial_chart`, all a coordinate sphere reads.  It evaluates m
-    of a SchwarzschildForm, or phi and phi' of a WarpedProduct, and no
-    derivative beyond those."""
-    r = np.asarray(r, dtype=float)
-    if isinstance(ansatz, SchwarzschildForm):
-        two_m_r = 2.0 * np.asarray(ansatz.m.value(r), dtype=float) / r
-        return r, 1.0, 1.0 - two_m_r, two_m_r
-    if isinstance(ansatz, WarpedProduct):
-        phi = ansatz.phi
-        b1 = np.asarray(phi.d1(r), dtype=float)
-        return np.asarray(phi.value(r), dtype=float), b1, 1.0, 1.0 - b1**2
     raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
 
 
@@ -604,7 +588,7 @@ def tolman_residuals(
 # coordinate spheres
 # ----------------------------------------------------------------------------
 
-def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, float, float]:
+def coordinate_sphere(ansatz: MetricAnsatz, r):
     """(b, H, e, 1 - b_s^2) on the coordinate sphere at radial value r.
 
     b is the areal radius, H the mean curvature for the normal of increasing
@@ -619,23 +603,50 @@ def coordinate_sphere(ansatz: MetricAnsatz, r: float) -> tuple[float, float, flo
       H = (n-1) (phi - s dphi/ds)/s and e = phi |grad u|_euclid, where
       du/ds = 2 tau s; b_s = 1 - q with q = s (dphi/ds)/phi.
 
-    Sign conventions for level-set normals are handled by the quasi-local
-    layer, not here.
+    A float r gives four floats, read as a one-point array; an array gives
+    four arrays of its shape, each element the float its value alone gives.
+    DomainError names the first value with no sphere.  Sign conventions for
+    level-set normals are handled by the quasi-local layer, not here.
     """
-    u = float(r)
+    u = np.asarray(r, dtype=float)
+    if u.ndim == 0:  # read as a one-point array, so a float gets an array's bits
+        return tuple(float(v[0]) for v in coordinate_sphere(ansatz, u.reshape(1)))
     if isinstance(ansatz, ConformalFlat):
-        s = float(ansatz.invariant.sphere_radius(u))
-        p = float(ansatz.phi_radial.value(u))
-        dp = float(ansatz.phi_radial.d1(u))
-        if s <= 0.0 or p <= 0.0:
-            raise DomainError(f"no coordinate sphere at u={u}: radius {s}, phi {p}")
+        s = ansatz.invariant.sphere_radius(u)
+        p = np.asarray(ansatz.phi_radial.value(u), dtype=float)
+        dp = np.asarray(ansatz.phi_radial.d1(u), dtype=float)
+        bad = (s <= 0.0) | (p <= 0.0)
+        if np.count_nonzero(bad):
+            u0, s0, p0 = _first(bad, u, s, p)
+            raise DomainError(f"no coordinate sphere at u={u0}: radius {s0}, phi {p0}")
         du_ds = 2.0 * ansatz.invariant.tau * s
         q = s * dp * du_ds / p
-        return s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds, q * (2.0 - q)
-    if u <= 0.0:
-        raise DomainError("coordinate sphere needs r > 0")
-    b, b1, e2, one_minus_bs2 = (float(v) for v in _sphere_chart(ansatz, u))
-    if b <= 0.0:
-        raise DomainError(f"non-positive areal radius {b} at r={u}")
-    e = math.sqrt(e2)
-    return b, 2.0 * e * b1 / b, e, one_minus_bs2
+        out = s / p, (ansatz.n - 1) * (p - s * dp * du_ds) / s, p * du_ds, q * (2.0 - q)
+    else:
+        if np.count_nonzero(u <= 0.0):
+            raise DomainError("coordinate sphere needs r > 0")
+        if isinstance(ansatz, SchwarzschildForm):  # b = r, b' = 1
+            two_m_r = 2.0 * np.asarray(ansatz.m.value(u), dtype=float) / u
+            e2 = 1.0 - two_m_r
+            if np.count_nonzero(e2 < 0.0):
+                u0, e2_0 = _first(e2 < 0.0, u, e2)
+                raise DomainError(f"no coordinate sphere at r={u0}, inside a horizon: "
+                                  f"1 - 2m/r = {e2_0}")
+            e = np.sqrt(e2)
+            out = u, 2.0 * e / u, e, two_m_r
+        elif isinstance(ansatz, WarpedProduct):  # b = phi, e = 1
+            b = np.asarray(ansatz.phi.value(u), dtype=float)
+            b1 = np.asarray(ansatz.phi.d1(u), dtype=float)
+            if np.count_nonzero(b <= 0.0):
+                b0, u0 = _first(b <= 0.0, b, u)
+                raise DomainError(f"non-positive areal radius {b0} at r={u0}")
+            out = b, 2.0 * b1 / b, np.ones(u.shape), 1.0 - b1**2
+        else:
+            raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
+    return tuple(v if v.shape == u.shape else np.full(u.shape, v) for v in out)
+
+
+def _first(bad, *arrays) -> list[float]:
+    """The values of ``arrays`` (each of ``bad``'s shape, or one value) where ``bad`` is first true."""
+    i = int(np.argmax(bad))
+    return [float(np.broadcast_to(a, bad.shape).flat[i]) for a in arrays]

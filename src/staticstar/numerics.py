@@ -286,9 +286,9 @@ class RadialFunction:
     def constant(cls, c: float, domain=(-math.inf, math.inf)) -> "RadialFunction":
         c = float(c)
         return cls(
-            value=lambda r: np.full_like(np.asarray(r, dtype=float), c) if np.ndim(r) else c,
-            d1=lambda r: np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0,
-            d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0,
+            value=lambda r: np.full(np.shape(r), c) if np.ndim(r) else c,
+            d1=lambda r: np.zeros(np.shape(r)) if np.ndim(r) else 0.0,
+            d2=lambda r: np.zeros(np.shape(r)) if np.ndim(r) else 0.0,
             provenance="analytic",
             domain=domain,
         )
@@ -313,6 +313,10 @@ def _power_sums(c, s):
     return res
 
 
+# up to this many points, one-component polynomials are read one float at a time
+_FEW_POINTS = 4
+
+
 class PiecewisePoly:
     """A piecewise polynomial in local powers, evaluated as scipy's ``PPoly``.
 
@@ -326,7 +330,9 @@ class PiecewisePoly:
     points ``t`` then give values shaped ``t.shape + c.shape[2:]``, and
     :meth:`component` picks one.  A one-component polynomial called with a
     float, or any 0-d value, returns a float through a pure-Python path: root
-    finders and ODE right-hand sides call it one point at a time.
+    finders and ODE right-hand sides call it one point at a time.  An array
+    of at most ``_FEW_POINTS`` points takes that path point by point, which
+    costs less than the array operations there and gives the same bits.
     """
 
     def __init__(self, c, x):
@@ -339,14 +345,20 @@ class PiecewisePoly:
 
     def __call__(self, t):
         if self.c.ndim == 2 and (isinstance(t, float) or np.ndim(t) == 0):
-            t = float(t)
-            i = bisect.bisect_right(self._breaks, t, 1, len(self._breaks) - 1) - 1
-            return _power_sums(self._pieces[i], t - self._breaks[i])
+            return self._at(float(t))
         t = np.asarray(t, dtype=float)
+        if self.c.ndim == 2 and t.size <= _FEW_POINTS:
+            return np.array([self._at(x) for x in t.ravel().tolist()]).reshape(t.shape)
         flat = t.ravel()
         i = np.searchsorted(self._inner, flat, side="right")
         s = (flat - self.x[i]).reshape((-1,) + (1,) * (self.c.ndim - 2))
         return _power_sums(self.c[:, i], s).reshape(t.shape + self.c.shape[2:])
+
+    def _at(self, t: float) -> float:
+        """The value at a float t, in floats: the same operations in the same
+        order as the array path, so the same bits."""
+        i = bisect.bisect_right(self._breaks, t, 1, len(self._breaks) - 1) - 1
+        return _power_sums(self._pieces[i], t - self._breaks[i])
 
     def component(self, i: int) -> "PiecewisePoly":
         """State component ``i`` as a one-component polynomial."""
@@ -772,22 +784,29 @@ def chebyshev_grid(lo: float, hi: float, n: int):
 # roots
 # ----------------------------------------------------------------------------
 
-def sign_brackets(grid, vals) -> list[tuple[float, float]]:
+def sign_brackets(grid, vals) -> list:
     """Sign-change brackets of values ``vals`` sampled on increasing ``grid``.
 
     An exact zero at a grid point is reported as the degenerate bracket
-    (g, g); brackets come in grid order.
+    (g, g); brackets come in grid order.  ``vals`` shaped (L, N), one row
+    per function on the same N-point grid, gives L lists of brackets, found
+    in one pass over the array.
     """
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if np.count_nonzero(np.isfinite(vals)) < vals.size:
         raise DomainError("non-finite values while bracketing")
-    zero = vals == 0.0
-    hits = np.flatnonzero(zero[:-1] | (vals[:-1] * vals[1:] < 0.0))
-    out = [(float(grid[i]), float(grid[i if zero[i] else i + 1])) for i in hits]
-    if zero[-1]:
-        out.append((float(grid[-1]), float(grid[-1])))
-    return out
+    n = vals.shape[-1]
+    rows = vals.reshape(-1, n)
+    zero = rows == 0.0
+    hit = zero[:, :-1] | (rows[:, :-1] * rows[:, 1:] < 0.0)
+    out = [[] for _ in rows]
+    for h in np.flatnonzero(hit).tolist():
+        k, i = divmod(h, n - 1)
+        out[k].append((float(grid[i]), float(grid[i if zero[k, i] else i + 1])))
+    for k in np.flatnonzero(zero[:, -1]).tolist():
+        out[k].append((float(grid[-1]), float(grid[-1])))
+    return out if vals.ndim > 1 else out[0]
 
 
 _BRENT_RTOL = 4.0 * np.finfo(float).eps

@@ -33,8 +33,8 @@ from .errors import (
 )
 from .geometry import (EIGHT_PI, ConformalBatch, ConformalFlat, Piece, _g_hessian, _pieces,
                        coordinate_sphere)
-from .numerics import (ProfileAt, ScalarField, as_points, check_grid_n, refine_root, sign_brackets,
-                       sphere_rule)
+from .numerics import (ProfileAt, RadialFunction, ScalarField, as_points, check_grid_n, refine_root,
+                       sign_brackets, sphere_rule)
 
 __all__ = [
     "SphereClass",
@@ -219,15 +219,20 @@ def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, np.ndarray]
     """
     x = as_points(x, 3)
     if isinstance(f, ScalarField):
-        return _shape(x, ConformalBatch(ansatz, x).phi, np.asarray(f.gradient(x), dtype=float),
-                      np.asarray(f.hessian(x), dtype=float))
-    batch = ConformalBatch(ansatz, x, f)
-    return _shape(x, batch.phi, batch.f.grad, batch.f.hess)
+        a11, a22, a12, _ = _shape(x, ConformalBatch(ansatz, x).phi,
+                                  np.asarray(f.gradient(x), dtype=float),
+                                  np.asarray(f.hessian(x), dtype=float))
+    else:
+        batch = ConformalBatch(ansatz, x, f)
+        a11, a22, a12, _ = _shape(x, batch.phi, batch.f.grad, batch.f.hess)
+    A = np.stack([np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2)
+    return A, a11 + a22
 
 
-def _shape(x, phi: ProfileAt, grad_f, hess_f) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`shape_operator` at the points ``x``, from the reading of phi
-    there and the lapse's gradient and Hessian."""
+def _shape(x, phi: ProfileAt, grad_f, hess_f):
+    """The entries A_11, A_22 and A_12 of :func:`shape_operator` at the
+    points ``x``, and |grad f|_euclid there, from the reading of phi there
+    and the lapse's gradient and Hessian."""
     gnorm = np.linalg.norm(grad_f, axis=-1)
     if np.any(gnorm < 1e-300):
         raise NotARegularValue(f"grad f vanishes at {x.reshape(-1, 3)[int(np.argmin(gnorm))]}")
@@ -246,80 +251,150 @@ def _shape(x, phi: ProfileAt, grad_f, hess_f) -> tuple[np.ndarray, np.ndarray]:
     def form(ta, tb):
         return scale * np.einsum("...i,...ij,...j->...", ta, hess, tb)
 
-    a11, a22, a12 = form(t1, t1), form(t2, t2), form(t1, t2)
-    A = np.stack([np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2)
-    return A, a11 + a22
+    return form(t1, t1), form(t2, t2), form(t1, t2), gnorm
 
 
 # ----------------------------------------------------------------------------
 # level-set extraction
 # ----------------------------------------------------------------------------
 
-def _root_scan(f_value, f_slope, c: float, lo: float, hi: float, grid_n: int,
-               scans: dict, key=None):
-    """All simple roots of f - c on [lo, hi]; raises on critical levels.
+def _read_at(read, roots: list) -> list:
+    """``read``'s arrays at the roots, from one call, as one tuple of floats
+    per root.  If that call raises, each root is read alone, and a root whose
+    read raises holds its exception in place of its tuple, for the caller to
+    raise where a scan of that root's level alone would have."""
+    if not roots:
+        return []
+    try:
+        return _floats_at(read, roots)
+    except Exception:
+        out = []
+        for r0 in roots:
+            try:
+                out += _floats_at(read, [r0])
+            except Exception as exc:
+                out.append(exc)
+        return out
 
-    ``f_value`` is evaluated on the whole grid in one call, which ``scans``
-    keeps for the other levels of the same model; ``key`` tells the model's
-    pieces apart.  Sign changes are polished by Brent's method.  A grid
-    minimum of |f - c| with no sign change beside it is a tangential touch
-    candidate: the extremum of f there is polished on f', and c is critical
-    when f reaches it.  Minima at the ends of the grid are not candidates.
-    """
-    k = (key, lo, hi, grid_n)
-    if k not in scans:
-        grid = np.linspace(lo, hi, grid_n)
-        scans[k] = grid, np.asarray(f_value(grid), dtype=float)
-    grid, f_grid = scans[k]
-    vals = f_grid - c
-    tol = 1e-12 * max(1.0, abs(c))
 
-    def g(r):
-        return float(f_value(r)) - c
+def _floats_at(read, roots: list) -> list:
+    """``read`` at the roots as one array: one tuple of floats per root."""
+    r = np.array(roots)
+    cols = [np.asarray(v, dtype=float) for v in read(r)]
+    return list(zip(*[v.tolist() if v.shape == r.shape else np.full(r.shape, v).tolist()
+                      for v in cols]))
 
+
+def _touch(f: RadialFunction, c: float, tol: float, grid, candidates):
+    """The first touch of f = c among grid minima of |f - c| at the indices
+    ``candidates``, as NotARegularValue, or the exception polishing one
+    raises; None when f reaches c at no extremum there."""
     def slope(r):
-        return float(f_slope(r))
+        return float(f.d1(r))
 
-    roots = []
-    for a, b in sign_brackets(grid, vals):
-        r0 = refine_root(g, a, b)
-        if abs(slope(r0)) < tol:
-            raise NotARegularValue(
-                f"c={c} is a critical value of the lapse (f'({r0}) ~ 0)"
-            )
-        roots.append(float(r0))
+    try:
+        for i in candidates:
+            a, b = float(grid[i - 1]), float(grid[i + 1])
+            if slope(a) * slope(b) > 0.0:
+                continue
+            r_star = refine_root(slope, a, b)
+            if abs(float(f.value(r_star)) - c) <= tol:
+                return NotARegularValue(
+                    f"c={c} is a critical value of the lapse (f = c where f'({r_star}) = 0)"
+                )
+    except Exception as exc:
+        return exc
+    return None
 
+
+def _scan(f: RadialFunction, lo: float, hi: float, grid_n: int, cs: list, failed: dict,
+          found: list, piece: int) -> None:
+    """The simple roots r of f - c on [lo, hi], for every level c = cs[k]
+    whose index k is not in ``failed``, appended to ``found[k]`` as
+    (r, piece, f'(r)).
+
+    f is evaluated on the grid once, and the (levels x grid) array of f - c
+    is searched for sign changes and touch candidates in one pass.  Sign
+    changes are polished by Brent's method, one root at a time, and f' is
+    read at all the roots in one call.  A grid minimum of |f - c| with no
+    sign change beside it is a tangential touch candidate: the extremum of f
+    there is polished on f', and c is critical when f reaches it.  Minima at
+    the ends of the grid are not candidates.  A level that fails, at a
+    critical root or touch among others, goes into ``failed`` with the first
+    exception a scan of that level alone meets.
+    """
+    ks = [k for k in range(len(cs)) if k not in failed]
+    if not ks:
+        return
+    grid = np.linspace(lo, hi, grid_n)
+    vals = np.asarray(f.value(grid), dtype=float) - np.array([cs[k] for k in ks])[:, None]
+    try:
+        brackets = sign_brackets(grid, vals)
+    except DomainError as exc:  # the levels whose f - c is not finite fail
+        fine = np.isfinite(vals).all(axis=1).tolist()
+        failed.update((k, exc) for k, ok in zip(ks, fine) if not ok)
+        ks, vals = [k for k, ok in zip(ks, fine) if ok], vals[np.array(fine)]
+        brackets = sign_brackets(grid, vals)
     mag = np.abs(vals)
-    touch = (vals[:-2] * vals[1:-1] > 0.0) & (vals[1:-1] * vals[2:] > 0.0) \
-        & (mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])
-    for i in np.flatnonzero(touch) + 1:
-        a, b = float(grid[i - 1]), float(grid[i + 1])
-        if slope(a) * slope(b) > 0.0:
+    minima = (mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:])
+    touches = {}  # row -> grid indices of the touch candidates
+    for h in np.flatnonzero(minima).tolist():
+        row, i = divmod(h, grid_n - 2)
+        before, at, after = vals[row, i:i + 3].tolist()
+        if before * at > 0.0 and at * after > 0.0:
+            touches.setdefault(row, []).append(i + 1)
+
+    tol = {k: 1e-12 * max(1.0, abs(cs[k])) for k in ks}  # on |f'| at a root
+    roots, stops = [], {}  # (level, root) in scan order; what stopped a level's polish
+    for k, level_brackets in zip(ks, brackets):
+        def g(r, c=cs[k]):
+            return float(f.value(r)) - c
+
+        for a, b in level_brackets:
+            try:
+                roots.append((k, float(refine_root(g, a, b))))
+            except Exception as exc:
+                stops[k] = exc
+                break
+    slopes = _read_at(lambda r: (f.d1(r),), [r0 for _, r0 in roots])
+    for (k, r0), slope in zip(roots, slopes):
+        if k in failed:
             continue
-        r_star = refine_root(slope, a, b)
-        if abs(g(r_star)) <= tol:
-            raise NotARegularValue(
-                f"c={c} is a critical value of the lapse (f = c where f'({r_star}) = 0)"
-            )
-    return roots
+        if isinstance(slope, Exception):
+            failed[k] = slope
+        elif abs(slope[0]) < tol[k]:
+            failed[k] = NotARegularValue(
+                f"c={cs[k]} is a critical value of the lapse (f'({r0}) ~ 0)")
+        else:
+            found[k].append((r0, piece, slope[0]))
+    for row, k in enumerate(ks):
+        if k in failed:
+            continue
+        stop = stops.get(k)
+        if stop is None and row in touches:
+            stop = _touch(f, cs[k], tol[k], grid, touches[row])
+        if stop is not None:
+            failed[k] = stop
 
 
-def _level_report(c, r0, piece: Piece) -> QuasiLocalReport:
-    """Everything measured on the level sphere {f = c} at r0 in a model's piece.
+def _level_report(c, r0, piece: Piece, f1: float, read) -> QuasiLocalReport:
+    """Everything measured on the level sphere {f = c} at r0 in a model's
+    piece, from f'(r0) and the reading (b, H, e, 1 - b_s^2, rho_0) there of
+    :func:`coordinate_sphere` and the piece's geometric pressure.
 
     A round coordinate sphere has W = H^2 A = 16 pi b_s^2, so m_H = (b/2) (1 - b_s^2)
     from the chart, not 1 - W/16 pi; a conformal chart's audit gives W by quadrature.
     """
-    ansatz, f_rf = piece.ansatz, piece.f
-    b, H_out, e, one_minus_bs2 = coordinate_sphere(ansatz, r0)
-    f1 = float(f_rf.d1(r0))
+    if isinstance(read, Exception):
+        raise read
+    b, H_out, e, one_minus_bs2, rho0 = read
+    ansatz = piece.ansatz
     area = 4.0 * math.pi * b * b
     kappa = e * abs(f1)
-    rho0 = float(piece.fluid.rho(r0))
     h_level = -math.copysign(1.0, f1) * H_out
     spread = gradc = None
     if isinstance(ansatz, ConformalFlat):
-        spread, gradc, willmore = _sphere_audit(ansatz, f_rf, r0, b)
+        spread, gradc, willmore = _sphere_audit(ansatz, piece.f, r0, b)
         m_h = hawking_mass(area, willmore)
     else:
         willmore = H_out * H_out * area
@@ -361,43 +436,38 @@ def _sphere_audit(ansatz: ConformalFlat, f, u0: float, b: float):
     inv = ansatz.invariant
     x = inv.center + float(inv.sphere_radius(u0)) * sphere_rule(AUDIT_DEGREE)[0]
     batch = ConformalBatch(ansatz, x, f)
-    A, traces = _shape(x, batch.phi, batch.f.grad, batch.f.hess)
-    spread = float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1])))
-    gnorms = batch.phi.v * np.linalg.norm(batch.f.grad, axis=-1)
+    a11, a22, a12, gnorm = _shape(x, batch.phi, batch.f.grad, batch.f.hess)
+    spread = float(np.max(np.hypot(a11 - a22, 2.0 * a12)))
+    gnorms = batch.phi.v * gnorm
     mean_g = np.mean(gnorms)
     gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
     # the traces are H at these very nodes
+    traces = a11 + a22
     return spread, gradc, willmore_energy(lambda _: traces, b)
 
 
-def level_set_data(model, c: float, window=None, grid_n: int = 2048,
-                   *, scans: dict | None = None) -> list[QuasiLocalReport]:
-    """All level-set spheres {f = c} of a model, innermost first.
+def _level_sets(model, levels, window, grid_n: int) -> list:
+    """The level-set spheres of each level, in the order of ``levels``: a
+    list of reports, innermost first, or for a level the lapse never reaches
+    a NoLevelSet, not raised.  Raises what :func:`level_set_data` raises for
+    the first level, in that order, that fails.
 
-    A model is read through its ``pieces`` (an object with none is
-    BadParams); raises NoLevelSet when the lapse never attains c in the
-    scanned window and NotARegularValue at critical levels, tangential
-    touches at an extremum of f included.  A conformal piece needs n = 3 and
-    tau > 0, else DomainError.  A non-finite level, or a ``window`` (lo, hi)
-    that is not finite and increasing, is BadParams.  ``grid_n`` points (an
-    integer of at least 2, else BadParams) scan each piece's window for sign
-    changes of f - c; conformal level spheres are audited with the
-    degree-``AUDIT_DEGREE`` sphere rule.  Calls on one model that pass the
-    same ``scans`` dict evaluate f once per scan window (see :func:`mass_sweep`).
-
-    Every piece is scanned on its scan window, clipped to ``window``; a root
-    found by two pieces (the seam of a two-piece catalog model) is reported
-    once, from the piece that found the smaller value.
+    Each piece's lapse is scanned once for all the levels (:func:`_scan`);
+    the chart and the geometric pressure are then read at all of a piece's
+    roots in one call each.
     """
-    c = float(c)
+    cs = [float(c) for c in levels]
+    if not cs:
+        return []
     check_grid_n(grid_n, 2)
-    if not math.isfinite(c):
-        raise BadParams(f"level c={c} is not finite")
+    failed = {k: BadParams(f"level c={c} is not finite")
+              for k, c in enumerate(cs) if not math.isfinite(c)}
+    if 0 in failed:
+        raise failed[0]
     if window is not None:
         window = lo, hi = float(window[0]), float(window[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise BadParams(f"scan window must be finite and increasing, got {window}")
-    scans = {} if scans is None else scans
     pieces = _pieces(model)
     windows = []
     for piece in pieces:
@@ -409,32 +479,72 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048,
         if window is not None:
             lo, hi = max(lo, window[0]), min(hi, window[1])
         windows.append((lo, hi))
-    found = []
+    found = [[] for _ in cs]
     for i, (piece, (lo, hi)) in enumerate(zip(pieces, windows)):
         if lo < hi:
-            roots = _root_scan(piece.f.value, piece.f.d1, c, lo, hi, grid_n, scans, i)
-            found += [(r0, i) for r0 in roots]
+            _scan(piece.f, lo, hi, grid_n, cs, failed, found, i)
+    # levels after the first that fails are never reported
     kept = []
-    for r0, i in sorted(found):
-        if not kept or abs(r0 - kept[-1][0]) > 1e-9 * max(1.0, abs(r0)):
-            kept.append((r0, i))
-    if not kept:
-        spans = ", ".join(f"[{lo}, {hi}]" for lo, hi in windows)
-        raise NoLevelSet(f"the lapse never reaches c={c} on {spans}")
-    return [_level_report(c, r0, pieces[i]) for r0, i in kept]
+    for roots in found[:min(failed, default=len(cs))]:
+        level = []
+        for root in sorted(roots):
+            if not level or abs(root[0] - level[-1][0]) > 1e-9 * max(1.0, abs(root[0])):
+                level.append(root)
+        kept.append(level)
+    reads = [{} for _ in pieces]  # per piece: root -> its sphere and rho_0
+    for level in kept:
+        for r0, i, _ in level:
+            reads[i][r0] = None
+    for piece, at in zip(pieces, reads):
+        if at:
+            roots, rho = list(at), piece.fluid.rho
+            at.update(zip(roots, _read_at(lambda r: (*coordinate_sphere(piece.ansatz, r), rho(r)),
+                                          roots)))
+    out = []
+    for k, c in enumerate(cs):
+        if k in failed:
+            raise failed[k]
+        if kept[k]:
+            out.append([_level_report(c, r0, pieces[i], f1, reads[i][r0])
+                        for r0, i, f1 in kept[k]])
+        else:
+            spans = ", ".join(f"[{lo}, {hi}]" for lo, hi in windows)
+            out.append(NoLevelSet(f"the lapse never reaches c={c} on {spans}"))
+    return out
+
+
+def level_set_data(model, c: float, window=None, grid_n: int = 2048) -> list[QuasiLocalReport]:
+    """All level-set spheres {f = c} of a model, innermost first: the
+    one-level case of :func:`mass_sweep`.
+
+    A model is read through its ``pieces`` (an object with none is
+    BadParams); raises NoLevelSet when the lapse never attains c in the
+    scanned window and NotARegularValue at critical levels, tangential
+    touches at an extremum of f included.  A conformal piece needs n = 3 and
+    tau > 0, else DomainError.  A non-finite level, or a ``window`` (lo, hi)
+    that is not finite and increasing, is BadParams.  ``grid_n`` points (an
+    integer of at least 2, else BadParams) scan each piece's window for sign
+    changes of f - c; conformal level spheres are audited with the
+    degree-``AUDIT_DEGREE`` sphere rule.
+
+    Every piece is scanned on its scan window, clipped to ``window``; a root
+    found by two pieces (the seam of a two-piece catalog model) is reported
+    once, from the piece that found the smaller value.
+    """
+    (found,) = _level_sets(model, [c], window, grid_n)
+    if isinstance(found, NoLevelSet):
+        raise found
+    return found
 
 
 def mass_sweep(model, levels, grid_n: int = 2048, window=None) -> list[QuasiLocalReport]:
-    """level_set_data over many levels, in level order; levels with no level
-    set are skipped.  Levels with the same scan window share f on its grid."""
-    out, scans = [], {}
-    for c in levels:
-        try:
-            out.extend(level_set_data(model, float(c), window=window,
-                                      grid_n=grid_n, scans=scans))
-        except NoLevelSet:
-            continue
-    return out
+    """:func:`level_set_data` over many levels, in level order; levels with no
+    level set are skipped.  Each piece's lapse is evaluated on its scan grid
+    once, and all the levels are bracketed in one pass over it, so a sweep
+    returns the concatenated one-level results and raises what the first
+    failing level, in the given order, raises on its own."""
+    return [rep for found in _level_sets(model, levels, window, grid_n)
+            if not isinstance(found, NoLevelSet) for rep in found]
 
 
 def write_sweep_csv(reports, path) -> None:

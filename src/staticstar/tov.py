@@ -486,14 +486,21 @@ def _interior_piece(profile: RadialProfile, r_b: float) -> Piece:
     f'' = f (v''/2 + v'^2/4) come from the TOV right-hand side: v' = N/D with
     N = 2 (m + 4 pi r^3 rho), D = r (r - 2m), v'' = (N' - v' D')/D,
     m' = 4 pi r^2 mu and rho' = -(mu + rho) v'/2, so no EOS derivative.  v' is
-    0/0 at the regular center, where a float r = 0 reads f' = 0.
+    0/0 at the regular center, where f' reads 0, for a float r = 0 and for
+    the zeros among an array's points alike.
     """
     m, rho, domain = profile.m, profile.rho, (0.0, r_b)
 
-    def lapse_d1(r):
-        if _scalar(r) and r == 0.0:
-            return 0.0
+    def off_center_d1(r):
         return 0.5 * _lapse_rate(r, rho(r), m(r)) * profile.f(r)
+
+    def lapse_d1(r):
+        if _scalar(r):
+            return 0.0 if r == 0.0 else off_center_d1(r)
+        center = np.asarray(r) == 0.0
+        if np.count_nonzero(center):
+            return np.where(center, 0.0, off_center_d1(np.where(center, R_START, r)))
+        return off_center_d1(r)
 
     def lapse_d2(r):
         rho_r, m_r = rho(r), m(r)

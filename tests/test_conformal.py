@@ -136,6 +136,22 @@ class TestBasicInvariant:
         with pytest.raises(BadParams):
             inv.point_at(4.0, direction=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("tau, alpha, beta", [
+        (1.0, (0.4, -0.2, 0.6), (0.0, 0.1, 0.0)),   # off-centre spheres
+        (0.0, (1.0, 0.5, 0.0), (0.3, 0.0, -0.1)),   # planes
+    ])
+    def test_grad_sq_is_the_gradient_norm_as_a_function_of_u(self, tau, alpha, beta):
+        inv = BasicInvariant(tau, alpha, beta)
+        assert "C" not in vars(inv)
+        x = np.random.default_rng(5).standard_normal((16, 3))
+        grad = inv.as_field().gradient(x)
+        np.testing.assert_allclose(inv.grad_sq(inv.value(x)), np.sum(grad * grad, axis=-1),
+                                   rtol=1e-12, atol=1e-12)
+        # C is summed on the first read and then kept, with the same bits
+        assert vars(inv)["C"] is inv.C
+        assert inv.C == float(sum(a * a - 4.0 * tau * b for a, b in zip(alpha, beta)))
+        assert inv.grad_sq(0.7) == 4.0 * tau * 0.7 + inv.C
+
     def test_construction_guards(self):
         with pytest.raises(BadParams):
             BasicInvariant(1.0, (1.0, 0.0), (0.0,))
@@ -359,7 +375,9 @@ def _assert_public_routes_match(ansatz, f: RadialFunction, x):
         "hessian": (conformal_hessian(ansatz.phi, f_field, x),),
     }
     if ansatz.n == 3:
-        kernels["shape"] = quasilocal._shape(x, batch.phi, batch.f.grad, batch.f.hess)
+        a11, a22, a12, _ = quasilocal._shape(x, batch.phi, batch.f.grad, batch.f.hess)
+        kernels["shape"] = (np.stack([np.stack([a11, a12], axis=-1),
+                                      np.stack([a12, a22], axis=-1)], axis=-2), a11 + a22)
         public["shape"] = quasilocal.shape_operator(ansatz, f_field, x)
     for name, arrays in kernels.items():
         for got, want in zip(public[name], arrays, strict=True):

@@ -485,3 +485,62 @@ def test_conformal_sphere_needs_a_nonempty_round_level_set():
     assert coordinate_sphere(chart, -0.15)[0] > 0.0
     with pytest.raises(DomainError):
         coordinate_sphere(chart, -0.2)
+
+
+def _sphere_pieces(name):
+    """The pieces of a model whose coordinate spheres the array test reads."""
+    if name.startswith("tov-"):
+        if name == "tov-constant":
+            eos, rho_c = tov.ConstantDensity(0.001), 5e-4
+        else:  # a bag model mu = 3 rho + 4B on a table
+            rho = np.linspace(-3.5e-4, 5.25e-4, 60)
+            eos, rho_c = tov.Tabulated(rho, 3.0 * rho + 4e-4), 3.5e-4
+        profile = tov.integrate_tov(eos, rho_c)
+        return tov.match_exterior(profile, tov.detect_surface(profile)).pieces
+    if name == "conformal":
+        return conformal.build_model("witten", n=3).pieces
+    if name == "conformal-off-centre":
+        shifted = conformal.BasicInvariant(1.0, (0.4, -0.2, 0.6), (0.0, 0.1, 0.0))
+        return conformal.build_model("witten", n=3, invariant=shifted, span=(0.5, 6.0)).pieces
+    if name == "schwarzschild_interior":
+        return catalog.build(name, c=0.01).pieces
+    return catalog.parse_model_spec(name).pieces
+
+
+@pytest.mark.parametrize("name", ["schwarzschild_exterior", "schwarzschild_interior", "wyman",
+                                  "gamma_zero", "tov-constant", "tov-bag", "witten_stellar",
+                                  # H, read through a 0-d value, was one bit off the array's
+                                  # at r = 2.98196414544603, one of the points below
+                                  "witten_stellar:A=1.0591233546340295,B=-0.39304640352722564",
+                                  "conformal", "conformal-off-centre"])
+def test_coordinate_sphere_of_an_array_is_its_values_one_by_one(name):
+    """Bit for bit, on Schwarzschild-form, warped and conformal charts: an
+    array of radial values gives four arrays of its shape, each element the
+    float its value alone gives, since a float is read as a one-point array."""
+    for piece in _sphere_pieces(name):
+        lo, hi = piece.scan_window()
+        r = np.linspace(lo, min(hi, 50.0), 162)[1:-1]
+        got = coordinate_sphere(piece.ansatz, r)
+        assert all(type(v) is np.ndarray and v.shape == r.shape for v in got)
+        for i, x in enumerate(r.tolist()):
+            assert coordinate_sphere(piece.ansatz, x) == tuple(float(v[i]) for v in got)
+        square = coordinate_sphere(piece.ansatz, r.reshape(8, 20))
+        assert all(np.array_equal(a, b.reshape(8, 20)) for a, b in zip(square, got))
+
+
+def test_coordinate_sphere_of_an_array_names_its_first_value_without_a_sphere():
+    warped = WarpedProduct(RadialFunction.from_formula(lambda r: np.sin(r)))
+    with pytest.raises(DomainError, match="^coordinate sphere needs r > 0$"):
+        coordinate_sphere(warped, np.array([1.0, 0.0, -1.0]))
+    with pytest.raises(DomainError, match=r"areal radius -0\.75\d* at r=4\.0$"):
+        coordinate_sphere(warped, np.array([1.0, 4.0, 5.0]))
+    # inside the horizon of M = 1: 1 - 2m/r < 0 below r = 2
+    vacuum = catalog.build("schwarzschild_exterior").pieces[0].ansatz
+    with pytest.raises(DomainError, match="at r=1.5, inside a horizon"):
+        coordinate_sphere(vacuum, np.array([3.0, 1.5, 1.0]))
+    phi = RadialFunction.from_formula(lambda u: 1.0 - u)
+    chart = ConformalFlat(phi, conformal.BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3))
+    with pytest.raises(DomainError, match=r"^no coordinate sphere at u=2\.0: radius 1\.414\d*, phi -1\.0$"):
+        coordinate_sphere(chart, np.array([0.5, 2.0, 3.0]))
+    assert coordinate_sphere(chart, 0.5) == tuple(float(v[0]) for v in
+                                                  coordinate_sphere(chart, np.array([0.5])))

@@ -659,6 +659,23 @@ def test_piecewise_poly_is_ppoly_bit_for_bit(trailing):
             assert type(got) is float and _same_bits(got, want(t))
 
 
+def test_piecewise_poly_reads_a_few_points_as_floats_to_the_same_bits():
+    rng = np.random.default_rng(9)
+    c, x = _random_ppoly(rng, 40, 4)
+    pp, want = numerics.PiecewisePoly(c, x), PPoly(c, x)
+    points = np.concatenate([rng.uniform(x[0], x[-1], 200), x, np.nextafter(x, -np.inf),
+                             [x[0] - 1.5, x[-1] + 2.5, np.nan]])
+    for k in range(1, numerics._FEW_POINTS + 2):  # the float path and the first array past it
+        for i in range(0, len(points) - k, k):
+            t = points[i:i + k]
+            got = pp(t)
+            assert type(got) is np.ndarray and got.shape == t.shape
+            assert _same_bits(got, want(t))
+    assert pp(np.empty(0)).shape == (0,)
+    square = points[:4].reshape(2, 2)
+    assert _same_bits(pp(square), want(square))
+
+
 @pytest.mark.parametrize("degree", [3, 0])
 def test_piecewise_poly_derivative_matches_ppoly(degree):
     rng = np.random.default_rng(8)

@@ -1,6 +1,10 @@
 """Property-based checks of the structural invariants."""
 
+import functools
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -354,3 +358,78 @@ def test_tabulated_mu_on_a_float_is_its_array_path(table, data):
         assert math.isnan(eos.mu(rho))
     elif lo <= rho <= hi:
         assert type(eos.mu(rho)) is float
+
+
+@functools.cache
+def _sweep_model(name):
+    """The models a sweep is checked on: the six catalog entries, the README
+    constant-density star, a bag star read from a ``table:`` CSV and the
+    n = 3 conformal witten model."""
+    if name in catalog.MODELS:
+        return catalog.build(name)
+    if name == "schwarzschild_interior:c=0.01":
+        return catalog.build("schwarzschild_interior", c=0.01)
+    if name == "conformal":
+        return conformal.build_model("witten", n=3)
+    if name == "readme_star":
+        eos, rho_c = tov.EquationOfState.from_spec("constant:c=0.001"), 5e-4
+    else:  # a self-bound bag model mu = 3 rho + 4B, tabulated
+        rho = np.linspace(-3.5e-4, 5.25e-4, 60).tolist()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bag.csv")
+            with open(path, "w") as fh:
+                fh.write("rho,mu\n" + "".join(f"{r!r},{3.0 * r + 4e-4!r}\n" for r in rho))
+            eos = tov.EquationOfState.from_spec(f"table:{path}")
+        rho_c = 3.5e-4
+    profile = tov.integrate_tov(eos, rho_c)
+    return tov.match_exterior(profile, tov.detect_surface(profile))
+
+
+SWEEP_MODELS = sorted(catalog.MODELS) + ["schwarzschild_interior:c=0.01", "readme_star",
+                                         "bag_table_star", "conformal"]
+
+
+def _lapse_range(model):
+    """(min, max) of the lapse over the finite part of every piece's scan window."""
+    vals = np.concatenate([np.asarray(p.f.value(np.linspace(p.scan_window()[0],
+                                                            min(p.scan_window()[1], 1e4), 512)))
+                           for p in model.pieces])
+    return float(np.min(vals)), float(np.max(vals))
+
+
+def _outcome(run):
+    """The reports' JSON, or the type and message of the package error raised."""
+    try:
+        return json.dumps([rep.to_json_dict() for rep in run()])
+    except StaticStarError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SWEEP_MODELS), st.data())
+def test_sweep_is_the_one_level_results_concatenated(name, data):
+    """mass_sweep gives, byte for byte, the one-level reports level after
+    level, skipping levels with no sphere, or raises what the first failing
+    level raises: for unsorted and repeated levels, levels the lapse never
+    reaches and critical levels (the maximum of witten_stellar's lapse, 1.0
+    for the constant lapses)."""
+    model = _sweep_model(name)
+    lo, hi = _lapse_range(model)
+    level = st.one_of(st.floats(lo, hi), st.floats(lo, hi),
+                      st.floats(hi + 1e-6, hi + 1.0), st.floats(lo - 1.0, lo - 1e-6),
+                      st.sampled_from([1.0, hi]))
+    levels = data.draw(st.lists(level, min_size=1, max_size=3 if name == "conformal" else 6))
+    levels += data.draw(st.lists(st.sampled_from(levels), max_size=2))
+    levels = data.draw(st.permutations(levels))
+
+    def each_level():
+        out = []
+        for c in levels:
+            try:
+                out += quasilocal.level_set_data(model, c, grid_n=512)
+            except NoLevelSet:
+                continue
+        return out
+
+    assert _outcome(lambda: quasilocal.mass_sweep(model, levels, grid_n=512)) \
+        == _outcome(each_level)

@@ -6,16 +6,18 @@ exactly M and the Brown-York mass 2M/(1 + c).  The warped-chart rows were
 computed independently at high precision and frozen.
 """
 
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from staticstar.errors import BadParams, DomainError, NoLevelSet, NotARegularValue
 from staticstar import catalog, conformal, quasilocal
-from staticstar.geometry import conformal_hessian
-from staticstar.numerics import RadialFunction, ScalarField
+from staticstar.geometry import Piece, WarpedProduct, conformal_hessian
+from staticstar.numerics import RadialFunction, ScalarField, sphere_rule
 from staticstar.quasilocal import (
     SphereClass,
     hawking_inequality_slack,
@@ -436,23 +438,115 @@ def test_sweep_window(witten):
     assert all(rep.r <= 1.5 for rep in reports)
 
 
-@pytest.mark.parametrize("fixture, levels, windows", [
-    # a star's interior and vacuum exterior are two charts, each with one
-    # scan window whatever the level
-    ("const_star", [0.45, 0.5, 0.7], 2),
-    ("const_star", [0.5, 0.9, 0.7], 2),
-    ("witten", [0.3, 0.6, 0.999], 1),
-    ("conformal_witten", [0.3, 0.5, 0.9], 1),
+def _each_level(model, levels, **kwargs):
+    """The reports of level_set_data level by level, skipping the levels with
+    no level set: what a sweep returns, and raises, level by level."""
+    out = []
+    for c in levels:
+        try:
+            out += level_set_data(model, c, **kwargs)
+        except NoLevelSet:
+            continue
+    return out
+
+
+class TestSweepErrors:
+    """The first level that fails, in the given order, decides what a sweep raises."""
+
+    def _raises_as_each_level(self, model, levels, kind):
+        with pytest.raises(kind) as each:
+            _each_level(model, levels)
+        with pytest.raises(kind) as swept:
+            mass_sweep(model, levels)
+        assert str(swept.value) == str(each.value)
+        return str(swept.value)
+
+    @pytest.mark.parametrize("c", [0.05, 0.2, 0.3])
+    def test_constant_lapse(self, c):
+        flat = catalog.build("einstein_static", c=c)   # f is identically 1
+        msg = self._raises_as_each_level(flat, [0.5, 1.0, 0.7], NotARegularValue)
+        assert msg.startswith("c=1.0 is a critical value")
+
+    def test_lapse_maximum_after_regular_levels(self, witten):
+        msg = self._raises_as_each_level(witten, [0.5, 2.0, 0.3, 1.0, 0.7], NotARegularValue)
+        assert msg.startswith("c=1.0 is a critical value of the lapse (f = c where")
+
+    def test_repeated_critical_levels(self, witten):
+        flat = catalog.build("einstein_static", c=0.2)
+        assert "c=1.0 " in self._raises_as_each_level(witten, [0.5, 1.0, 0.999, 1.0], NotARegularValue)
+        assert "c=1.0 " in self._raises_as_each_level(flat, [1.0, 1.0], NotARegularValue)
+
+    def test_non_finite_level_after_a_critical_one(self, witten):
+        for bad in (math.nan, math.inf):
+            self._raises_as_each_level(witten, [0.5, 1.0, bad], NotARegularValue)
+        msg = self._raises_as_each_level(witten, [0.5, math.nan, 1.0], BadParams)
+        assert msg == "level c=nan is not finite"
+
+    def test_non_finite_first_level(self, vacuum):
+        self._raises_as_each_level(vacuum, [math.inf, 0.5], BadParams)
+        with pytest.raises(BadParams, match="grid"):
+            mass_sweep(vacuum, [math.inf, 0.5], grid_n=1)
+
+    def test_a_sphere_that_fails_to_read_after_a_level_that_fails_to_report(self):
+        """b = sin r < 0 past pi, so the sphere of f = r - 1 at c = 3 has no
+        chart, and c = 0 has a sphere whose identity divides by c: reading
+        both spheres in one call must not raise before the c = 0 report does."""
+        warped = WarpedProduct(RadialFunction.from_formula(lambda r: np.sin(r)))
+        zero = RadialFunction.constant(0.0)
+        piece = Piece("warped", warped, RadialFunction.from_formula(lambda r: r - 1.0),
+                      zero, zero, interval=(0.1, 5.0))
+        model = SimpleNamespace(pieces=[piece])
+        assert self._raises_as_each_level(model, [0.0, 3.0], DomainError) \
+            == "the identity divides by the level value c"
+        assert self._raises_as_each_level(model, [2.0, 3.0], DomainError).startswith(
+            "non-positive areal radius")
+        assert len(mass_sweep(model, [1.0, 2.0])) == 2
+
+    def test_a_level_with_no_sphere_before_a_critical_one(self, witten):
+        self._raises_as_each_level(witten, [3.0, -1.0, 1.0], NotARegularValue)
+        assert mass_sweep(witten, []) == []
+
+
+def _logged_pieces(model, log):
+    """The model's pieces with lapses that append (piece, derivative, points)
+    to ``log`` on every call: points is None for a float, else the array size."""
+    def logged(i, name, fn):
+        def call(r):
+            log.append((i, name, None if np.ndim(r) == 0 else np.size(r)))
+            return fn(r)
+        return call
+
+    return [dataclasses.replace(p, f=RadialFunction(
+        logged(i, "value", p.f.value), logged(i, "d1", p.f.d1), logged(i, "d2", p.f.d2),
+        domain=p.f.domain)) for i, p in enumerate(model.pieces)]
+
+
+@pytest.mark.parametrize("fixture, levels", [
+    # a star's interior and vacuum exterior are two pieces, each with roots here
+    ("const_star", [0.45, 0.5, 0.7]),
+    ("const_star", [0.5, 0.9, 0.7]),
+    ("witten", [0.3, 0.6, 0.999]),
+    ("conformal_witten", [0.3, 0.5, 0.9]),
 ])
-def test_sweep_shares_scans_and_matches_each_level(request, fixture, levels, windows):
+def test_sweep_reads_each_lapse_once_and_matches_each_level(request, fixture, levels):
+    """A sweep is the one-level results end to end, and reads each piece's
+    lapse on its scan grid in one call and f' at all of its roots in one
+    more; Brent's polish reads single points, and a conformal sphere's audit
+    its own nodes."""
     model = request.getfixturevalue(fixture)
     swept = [rep.to_json_dict() for rep in mass_sweep(model, levels)]
     single = [rep.to_json_dict() for c in levels for rep in level_set_data(model, c)]
     assert json.dumps(swept) == json.dumps(single)
-    scans = {}
-    for c in levels:
-        level_set_data(model, c, scans=scans)
-    assert len(scans) == windows
+
+    log = []
+    logged = SimpleNamespace(pieces=_logged_pieces(model, log))
+    again = [rep.to_json_dict() for rep in mass_sweep(logged, levels)]
+    assert json.dumps(again) == json.dumps(swept)
+    audit_nodes = len(sphere_rule(quasilocal.AUDIT_DEGREE)[0])
+    for i in range(len(model.pieces)):
+        arrays = [(name, n) for j, name, n in log if j == i and n not in (None, audit_nodes)]
+        assert [name for name, _ in arrays] == ["value", "d1"], arrays
+        assert arrays[0][1] == 2048 and arrays[1][1] >= 1, arrays
 
 
 def test_round_sphere_willmore_is_h_squared_area(vacuum, witten):

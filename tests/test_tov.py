@@ -23,8 +23,9 @@ from staticstar.errors import (
     DomainError,
     HorizonHit,
     NoSurface,
+    NotARegularValue,
 )
-from staticstar import catalog, tov
+from staticstar import catalog, quasilocal, tov
 from staticstar.cli import main
 from staticstar.numerics import PiecewisePoly, chebyshev_grid
 
@@ -458,8 +459,16 @@ class TestCatalogModel:
         assert const_star.f(0.0) == math.exp(0.5 * profile.v_shift)
         r = np.array([0.0, 1e-9, 0.5 * profile.R_START, profile.R_START])
         np.testing.assert_array_equal(const_star.f(r), profile.f(r))
-        # f' vanishes at the regular center, so c = f(0) is a critical level
-        assert const_star.pieces[0].f.d1(0.0) == 0.0
+        # f' vanishes at the regular center, for a float and among an array's
+        # points alike, so c = f(0) is a critical level of a one-level scan and
+        # of a sweep
+        lapse = const_star.pieces[0].f
+        assert lapse.d1(0.0) == 0.0
+        np.testing.assert_array_equal(lapse.d1(r), [0.0] + [lapse.d1(x) for x in r[1:].tolist()])
+        f_center = float(const_star.f(0.0))
+        for levels in ([f_center], [0.5, f_center]):
+            with pytest.raises(NotARegularValue, match=r"f'\(0\.0\) ~ 0"):
+                quasilocal.mass_sweep(const_star, levels)
         interior, exterior = const_star.pieces
         for name in ("value", "d1"):
             inner, outer = getattr(interior.f, name)(r_b), getattr(exterior.f, name)(r_b)
