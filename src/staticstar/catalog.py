@@ -105,15 +105,10 @@ class AnalyticModel:
 
         A point belongs to the first piece whose scan window holds it; a
         point in no window falls back on the first piece whose lapse domain
-        holds it (open interval).  A float gives a float, from one call.
+        holds it (open interval).  A float gives a float.
         """
         windows = [(p, *p.scan_window(), True) for p in self.pieces]
         windows += [(p, *p.f.domain, False) for p in self.pieces]
-        if isinstance(r, float):
-            for piece, lo, hi, closed in windows:
-                if (lo <= r <= hi) if closed else (lo < r < hi):
-                    return float(part(piece)(r))
-            raise BadParams(f"r={r} outside every piece of {self.id}")
         r_arr = np.asarray(r, dtype=float)
         out = np.empty(r_arr.shape)
         todo = np.ones(r_arr.shape, dtype=bool)

@@ -232,11 +232,11 @@ def _witten_u_zero(n: int, A: float, B: float, u0: float) -> float:
 def _lapse_end(u_zero: float | None, u0: float, u1: float) -> float:
     """The end of a lapse's domain on the span [u0, u1]: u1, or just before
     its first downward zero ``u_zero`` in the span, beyond which the
-    solution is meaningless.  A zero at the left end, which would leave
-    nothing, is a SignLoss."""
+    solution is meaningless, by max(EPS_DOM, 1e-9 (u_zero - u0)).  A zero at
+    the left end, which would leave nothing, is a SignLoss."""
     if u_zero is None or u_zero > u1:
         return u1
-    u_end = u_zero - max(EPS_DOM, 1e-9 * (u1 - u0))
+    u_end = u_zero - max(EPS_DOM, 1e-9 * (u_zero - u0))
     if u_end <= u0:
         raise SignLoss(f"lapse crossed zero immediately at u={u_zero}")
     return u_end

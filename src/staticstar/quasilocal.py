@@ -260,58 +260,36 @@ def _shape(x, phi: ProfileAt, grad_f, hess_f):
 
 def _read_at(read, roots: list) -> list:
     """``read``'s arrays at the roots, from one call, as one tuple of floats
-    per root.  If that call raises, each root is read alone, and a root whose
-    read raises holds its exception in place of its tuple, for the caller to
-    raise where a scan of that root's level alone would have."""
+    per root."""
     if not roots:
         return []
-    try:
-        return _floats_at(read, roots)
-    except Exception:
-        out = []
-        for r0 in roots:
-            try:
-                out += _floats_at(read, [r0])
-            except Exception as exc:
-                out.append(exc)
-        return out
-
-
-def _floats_at(read, roots: list) -> list:
-    """``read`` at the roots as one array: one tuple of floats per root."""
     r = np.array(roots)
     cols = [np.asarray(v, dtype=float) for v in read(r)]
     return list(zip(*[v.tolist() if v.shape == r.shape else np.full(r.shape, v).tolist()
                       for v in cols]))
 
 
-def _touch(f: RadialFunction, c: float, tol: float, grid, candidates):
-    """The first touch of f = c among grid minima of |f - c| at the indices
-    ``candidates``, as NotARegularValue, or the exception polishing one
-    raises; None when f reaches c at no extremum there."""
+def _touch(f: RadialFunction, c: float, tol: float, grid, candidates) -> None:
+    """Raises NotARegularValue at the first touch of f = c among grid minima
+    of |f - c| at the indices ``candidates``: an extremum of f, polished on
+    f', where f reaches c."""
     def slope(r):
         return float(f.d1(r))
 
-    try:
-        for i in candidates:
-            a, b = float(grid[i - 1]), float(grid[i + 1])
-            if slope(a) * slope(b) > 0.0:
-                continue
-            r_star = refine_root(slope, a, b)
-            if abs(float(f.value(r_star)) - c) <= tol:
-                return NotARegularValue(
-                    f"c={c} is a critical value of the lapse (f = c where f'({r_star}) = 0)"
-                )
-    except Exception as exc:
-        return exc
-    return None
+    for i in candidates:
+        a, b = float(grid[i - 1]), float(grid[i + 1])
+        if slope(a) * slope(b) > 0.0:
+            continue
+        r_star = refine_root(slope, a, b)
+        if abs(float(f.value(r_star)) - c) <= tol:
+            raise NotARegularValue(
+                f"c={c} is a critical value of the lapse (f = c where f'({r_star}) = 0)"
+            )
 
 
-def _scan(f: RadialFunction, lo: float, hi: float, grid_n: int, cs: list, failed: dict,
-          found: list, piece: int) -> None:
-    """The simple roots r of f - c on [lo, hi], for every level c = cs[k]
-    whose index k is not in ``failed``, appended to ``found[k]`` as
-    (r, piece, f'(r)).
+def _scan(f: RadialFunction, lo: float, hi: float, grid_n: int, cs: list) -> list:
+    """The simple roots r of f - c on [lo, hi] for every level c in ``cs``:
+    per level, a list of (r, f'(r)).  Raises the first fault it meets.
 
     f is evaluated on the grid once, and the (levels x grid) array of f - c
     is searched for sign changes and touch candidates in one pass.  Sign
@@ -319,62 +297,41 @@ def _scan(f: RadialFunction, lo: float, hi: float, grid_n: int, cs: list, failed
     read at all the roots in one call.  A grid minimum of |f - c| with no
     sign change beside it is a tangential touch candidate: the extremum of f
     there is polished on f', and c is critical when f reaches it.  Minima at
-    the ends of the grid are not candidates.  A level that fails, at a
-    critical root or touch among others, goes into ``failed`` with the first
-    exception a scan of that level alone meets.
+    the ends of the grid are not candidates.
+
+    A level's checks run in this order, so one that has two faults raises
+    the first: piece by piece (:func:`_level_pass`), the brackets
+    (DomainError where f - c is not finite), Brent's polish, f' at the roots
+    (NotARegularValue at a critical root), then the touches; after all the
+    pieces, the sphere and rho_0 reads at the roots, then the reports.
     """
-    ks = [k for k in range(len(cs)) if k not in failed]
-    if not ks:
-        return
     grid = np.linspace(lo, hi, grid_n)
-    vals = np.asarray(f.value(grid), dtype=float) - np.array([cs[k] for k in ks])[:, None]
-    try:
-        brackets = sign_brackets(grid, vals)
-    except DomainError as exc:  # the levels whose f - c is not finite fail
-        fine = np.isfinite(vals).all(axis=1).tolist()
-        failed.update((k, exc) for k, ok in zip(ks, fine) if not ok)
-        ks, vals = [k for k, ok in zip(ks, fine) if ok], vals[np.array(fine)]
-        brackets = sign_brackets(grid, vals)
+    vals = np.asarray(f.value(grid), dtype=float) - np.array(cs)[:, None]
+    brackets = sign_brackets(grid, vals)
     mag = np.abs(vals)
     minima = (mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] <= mag[:, 2:])
-    touches = {}  # row -> grid indices of the touch candidates
+    touches = {}  # level -> grid indices of the touch candidates
     for h in np.flatnonzero(minima).tolist():
-        row, i = divmod(h, grid_n - 2)
-        before, at, after = vals[row, i:i + 3].tolist()
+        k, i = divmod(h, grid_n - 2)
+        before, at, after = vals[k, i:i + 3].tolist()
         if before * at > 0.0 and at * after > 0.0:
-            touches.setdefault(row, []).append(i + 1)
+            touches.setdefault(k, []).append(i + 1)
 
-    tol = {k: 1e-12 * max(1.0, abs(cs[k])) for k in ks}  # on |f'| at a root
-    roots, stops = [], {}  # (level, root) in scan order; what stopped a level's polish
-    for k, level_brackets in zip(ks, brackets):
-        def g(r, c=cs[k]):
+    roots = []  # (level, root) in scan order
+    for k, (c, level_brackets) in enumerate(zip(cs, brackets)):
+        def g(r, c=c):
             return float(f.value(r)) - c
 
-        for a, b in level_brackets:
-            try:
-                roots.append((k, float(refine_root(g, a, b))))
-            except Exception as exc:
-                stops[k] = exc
-                break
-    slopes = _read_at(lambda r: (f.d1(r),), [r0 for _, r0 in roots])
-    for (k, r0), slope in zip(roots, slopes):
-        if k in failed:
-            continue
-        if isinstance(slope, Exception):
-            failed[k] = slope
-        elif abs(slope[0]) < tol[k]:
-            failed[k] = NotARegularValue(
-                f"c={cs[k]} is a critical value of the lapse (f'({r0}) ~ 0)")
-        else:
-            found[k].append((r0, piece, slope[0]))
-    for row, k in enumerate(ks):
-        if k in failed:
-            continue
-        stop = stops.get(k)
-        if stop is None and row in touches:
-            stop = _touch(f, cs[k], tol[k], grid, touches[row])
-        if stop is not None:
-            failed[k] = stop
+        roots += [(k, float(refine_root(g, a, b))) for a, b in level_brackets]
+    found = [[] for _ in cs]
+    tol = [1e-12 * max(1.0, abs(c)) for c in cs]  # on |f'| at a root
+    for (k, r0), (slope,) in zip(roots, _read_at(lambda r: (f.d1(r),), [r0 for _, r0 in roots])):
+        if abs(slope) < tol[k]:
+            raise NotARegularValue(f"c={cs[k]} is a critical value of the lapse (f'({r0}) ~ 0)")
+        found[k].append((r0, slope))
+    for k, candidates in touches.items():
+        _touch(f, cs[k], tol[k], grid, candidates)
+    return found
 
 
 def _level_report(c, r0, piece: Piece, f1: float, read) -> QuasiLocalReport:
@@ -385,8 +342,6 @@ def _level_report(c, r0, piece: Piece, f1: float, read) -> QuasiLocalReport:
     A round coordinate sphere has W = H^2 A = 16 pi b_s^2, so m_H = (b/2) (1 - b_s^2)
     from the chart, not 1 - W/16 pi; a conformal chart's audit gives W by quadrature.
     """
-    if isinstance(read, Exception):
-        raise read
     b, H_out, e, one_minus_bs2, rho0 = read
     ansatz = piece.ansatz
     area = 4.0 * math.pi * b * b
@@ -449,21 +404,38 @@ def _sphere_audit(ansatz: ConformalFlat, f, u0: float, b: float):
 def _level_sets(model, levels, window, grid_n: int) -> list:
     """The level-set spheres of each level, in the order of ``levels``: a
     list of reports, innermost first, or for a level the lapse never reaches
-    a NoLevelSet, not raised.  Raises what :func:`level_set_data` raises for
-    the first level, in that order, that fails.
+    a NoLevelSet, not raised.
 
-    Each piece's lapse is scanned once for all the levels (:func:`_scan`);
-    the chart and the geometric pressure are then read at all of a piece's
-    roots in one call each.
+    All the levels go through one :func:`_level_pass`.  If it raises, each
+    level is passed alone, in the given order, and what those passes give is
+    returned or raised: a sweep raises what its first failing level raises
+    on its own.
+    """
+    levels = list(levels)
+    try:
+        return _level_pass(model, levels, window, grid_n)
+    except Exception:  # of any type: a model's own lapse or chart may raise it
+        if len(levels) < 2:
+            raise
+    return [found for c in levels for found in _level_pass(model, [c], window, grid_n)]
+
+
+def _level_pass(model, levels: list, window, grid_n: int) -> list:
+    """:func:`_level_sets` in one pass over all the levels, raising the first
+    fault it meets.
+
+    Each piece's lapse is scanned once for all the levels (:func:`_scan`),
+    piece by piece; the chart and the geometric pressure are then read at
+    all of a piece's roots in one call each, and the reports are made level
+    by level.
     """
     cs = [float(c) for c in levels]
     if not cs:
         return []
     check_grid_n(grid_n, 2)
-    failed = {k: BadParams(f"level c={c} is not finite")
-              for k, c in enumerate(cs) if not math.isfinite(c)}
-    if 0 in failed:
-        raise failed[0]
+    for c in cs:
+        if not math.isfinite(c):
+            raise BadParams(f"level c={c} is not finite")
     if window is not None:
         window = lo, hi = float(window[0]), float(window[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -482,10 +454,10 @@ def _level_sets(model, levels, window, grid_n: int) -> list:
     found = [[] for _ in cs]
     for i, (piece, (lo, hi)) in enumerate(zip(pieces, windows)):
         if lo < hi:
-            _scan(piece.f, lo, hi, grid_n, cs, failed, found, i)
-    # levels after the first that fails are never reported
+            for roots, level in zip(found, _scan(piece.f, lo, hi, grid_n, cs)):
+                roots += [(r0, i, f1) for r0, f1 in level]
     kept = []
-    for roots in found[:min(failed, default=len(cs))]:
+    for roots in found:
         level = []
         for root in sorted(roots):
             if not level or abs(root[0] - level[-1][0]) > 1e-9 * max(1.0, abs(root[0])):
@@ -501,12 +473,9 @@ def _level_sets(model, levels, window, grid_n: int) -> list:
             at.update(zip(roots, _read_at(lambda r: (*coordinate_sphere(piece.ansatz, r), rho(r)),
                                           roots)))
     out = []
-    for k, c in enumerate(cs):
-        if k in failed:
-            raise failed[k]
-        if kept[k]:
-            out.append([_level_report(c, r0, pieces[i], f1, reads[i][r0])
-                        for r0, i, f1 in kept[k]])
+    for c, level in zip(cs, kept):
+        if level:
+            out.append([_level_report(c, r0, pieces[i], f1, reads[i][r0]) for r0, i, f1 in level])
         else:
             spans = ", ".join(f"[{lo}, {hi}]" for lo, hi in windows)
             out.append(NoLevelSet(f"the lapse never reaches c={c} on {spans}"))
@@ -529,7 +498,10 @@ def level_set_data(model, c: float, window=None, grid_n: int = 2048) -> list[Qua
 
     Every piece is scanned on its scan window, clipped to ``window``; a root
     found by two pieces (the seam of a two-piece catalog model) is reported
-    once, from the piece that found the smaller value.
+    once, from the piece that found the smaller value.  A level with two
+    faults raises the one met first in :func:`_scan`'s order: piece by
+    piece the brackets, Brent's polish, f' at the roots and the touches,
+    then the sphere and rho_0 reads, then the reports.
     """
     (found,) = _level_sets(model, [c], window, grid_n)
     if isinstance(found, NoLevelSet):
@@ -541,8 +513,9 @@ def mass_sweep(model, levels, grid_n: int = 2048, window=None) -> list[QuasiLoca
     """:func:`level_set_data` over many levels, in level order; levels with no
     level set are skipped.  Each piece's lapse is evaluated on its scan grid
     once, and all the levels are bracketed in one pass over it, so a sweep
-    returns the concatenated one-level results and raises what the first
-    failing level, in the given order, raises on its own."""
+    returns the concatenated one-level results.  A pass that raises is run
+    again level by level, in the given order, so a sweep raises what its
+    first failing level raises on its own."""
     return [rep for found in _level_sets(model, levels, window, grid_n)
             if not isinstance(found, NoLevelSet) for rep in found]
 

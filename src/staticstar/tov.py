@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -108,9 +109,14 @@ class EquationOfState:
         if not path:
             raise BadParams("table EOS needs a CSV path: 'table:points.csv'")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():
+                # numpy warns of a table with no rows, which is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise BadParams(f"table EOS {path!r} is not a numeric rho,mu CSV: {exc}") from None
+        if data.size == 0:
+            raise BadParams(f"table EOS {path!r} has no rows")
         if data.shape[1] < 2:
             raise BadParams(f"table EOS {path!r} needs two columns rho,mu")
         return Tabulated(data[:, 0], data[:, 1])

@@ -143,6 +143,18 @@ def test_a_preset_lapse_that_loses_sign_is_truncated(capsys, argv):
     assert payload["truncated"] is True and payload["passed"] is True
 
 
+@pytest.mark.parametrize("span", ["0,1e9", "0,1e12"])
+def test_a_long_span_cuts_the_lapse_just_before_its_zero(capsys, span):
+    # the n = 3 witten lapse turns down through zero at u = expm1(2 pi) = 534.49...;
+    # the margin scales with that zero, not with the span
+    code, out, _ = run(capsys, "build", "--phi", "witten", "--span", span, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["truncated"] is True and payload["passed"] is True
+    assert payload["domain"][1] < math.expm1(2.0 * math.pi)
+    assert payload["domain"][1] == pytest.approx(math.expm1(2.0 * math.pi), abs=1e-6)
+
+
 @pytest.mark.parametrize("phi", ["witten", "unit"])
 def test_a_preset_starting_on_a_flat_zero_is_a_sign_loss(capsys, phi):
     code, _, err = run(capsys, "build", "--phi", phi, "--ic", "0,0")
@@ -655,6 +667,19 @@ def _fresh_python(code, *args):
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("body", ["rho,mu\n", ""], ids=["header-only", "empty"])
+def test_a_table_with_no_rows_prints_one_error_line(tmp_path, body):
+    # in a fresh interpreter, so that a warning numpy prints would reach stderr
+    path = tmp_path / "eos.csv"
+    path.write_text(body)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from staticstar.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "tov", "--eos", f"table:{path}", "--rho-c", "5e-4"],
+        env=_fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: table EOS {str(path)!r} has no rows\n"
 
 
 def _table_eos(tmp_path):

@@ -623,15 +623,15 @@ class TestBuildModel:
         for m in (preset, solved):
             assert m.truncated and m.passed, {k: r.worst for k, r in m.checks.items()}
         assert preset.domain[1] == pytest.approx(solved.domain[1], rel=1e-8)
-        # the preset's cut is the closed-form zero less solve_lapse's margin 1e-9 * span
-        assert preset.domain[1] == pytest.approx(
-            math.expm1(2.0 * math.pi / math.sqrt(10.0)) - 1e-8, rel=1e-15)
+        # the preset's cut is the closed-form zero u_zero less the margin 1e-9 * u_zero
+        u_zero = math.expm1(2.0 * math.pi / math.sqrt(10.0))
+        assert preset.domain[1] == pytest.approx(u_zero - 1e-9 * u_zero, rel=1e-15)
 
     def test_unit_preset_is_cut_before_its_zero(self):
         m = build_model("unit", n=3, ic=(1.0, -0.5))
         assert m.truncated and m.passed
-        # just before f = 1 - u/2 reaches zero at u = 2, by the margin 1e-9 * span
-        assert m.domain[1] == pytest.approx(2.0 - 1e-8, rel=1e-15) and m.domain[1] < 2.0
+        # just before f = 1 - u/2 reaches zero at u = 2, by the margin 1e-9 * (2 - 0)
+        assert m.domain[1] == pytest.approx(2.0 - 2e-9, rel=1e-15) and m.domain[1] < 2.0
         assert m.f.domain == m.domain
 
     @pytest.mark.parametrize("phi", ["witten", "unit"])

@@ -506,6 +506,34 @@ class TestSweepErrors:
         self._raises_as_each_level(witten, [3.0, -1.0, 1.0], NotARegularValue)
         assert mass_sweep(witten, []) == []
 
+    def test_a_later_level_failing_in_an_earlier_piece(self):
+        """f touches c = 0.5 at r = 1 in piece 0 and c = 2 at r = 3 in piece
+        1, so one pass over [2, 0.5] meets the second level's touch first;
+        the sweep still raises the first level's."""
+        flat = WarpedProduct(RadialFunction.from_formula(lambda r: r))
+        zero = RadialFunction.constant(0.0)
+        model = SimpleNamespace(pieces=[
+            Piece("inner", flat, RadialFunction.from_formula(lambda r: 0.5 + (r - 1.0) ** 2),
+                  zero, zero, interval=(0.1, 2.3)),
+            Piece("outer", flat, RadialFunction.from_formula(lambda r: 2.0 + (r - 3.0) ** 2),
+                  zero, zero, interval=(2.3, 5.0)),
+        ])
+        assert self._raises_as_each_level(model, [0.5, 2.0], NotARegularValue).startswith(
+            "c=0.5 is a critical value")
+        assert self._raises_as_each_level(model, [2.0, 0.5], NotARegularValue).startswith(
+            "c=2.0 is a critical value")
+
+    def test_a_level_reads_all_its_spheres_before_it_reports(self):
+        """f = (r - 1)(r - 4) is 0 at r = 1, whose report divides by c = 0,
+        and at r = 4, where b = sin r < 0 leaves no sphere: the sphere reads
+        come first."""
+        warped = WarpedProduct(RadialFunction.from_formula(lambda r: np.sin(r)))
+        zero = RadialFunction.constant(0.0)
+        piece = Piece("warped", warped, RadialFunction.from_formula(lambda r: (r - 1.0) * (r - 4.0)),
+                      zero, zero, interval=(0.1, 5.0))
+        with pytest.raises(DomainError, match="^non-positive areal radius"):
+            level_set_data(SimpleNamespace(pieces=[piece]), 0.0)
+
 
 def _logged_pieces(model, log):
     """The model's pieces with lapses that append (piece, derivative, points)
