@@ -260,9 +260,11 @@ def solve_lapse(
 
     If the lapse crosses zero downward the returned domain stops just before
     the crossing, as every lapse of :func:`build_model` does; a crossing at
-    the left end, which would leave nothing, is a SignLoss.  StepFailure
-    propagates integrator breakdowns, and :func:`solve_ivp`'s BadParams a
-    negative or NaN tolerance.
+    the left end, which would leave nothing, is a SignLoss.  A phi that is
+    not positive, or a phi, phi' or phi'' that is not finite, where the
+    integrator reads it is a DomainError naming u.  StepFailure propagates
+    integrator breakdowns, and :func:`solve_ivp`'s BadParams a negative or
+    NaN tolerance.
     """
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
@@ -276,6 +278,10 @@ def solve_lapse(
             raise DomainError(f"conformal factor non-positive at u={u}")
         p1 = float(phi.d1(u))
         p2 = float(phi.d2(u))
+        if not (math.isfinite(p) and math.isfinite(p1) and math.isfinite(p2)):
+            # a NaN would otherwise shrink the step until it underflows
+            raise DomainError(f"conformal factor or its derivatives not finite at u={u}: "
+                              f"phi={p}, phi'={p1}, phi''={p2}")
         return (y[1], ((n - 2.0) * y[0] * p2 - 2.0 * p1 * y[1]) / p)
 
     def lapse_zero(u, y):

@@ -26,6 +26,7 @@ import bisect
 import functools
 import math
 import numbers
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -470,29 +471,16 @@ class OdeResult:
     message: str
 
 
-# the inner stages s = 1..5: (s, c_s as a float, the row a_s[:s])
+# the stages s = 1..6: (s, c_s as a float, the row a_s[:s]).  The sixth forms
+# y_new = y + h K[:6]^T B and calls fun at t + 1.0 h = t + h; that value, K[6],
+# starts the next step as its K[0] (first same as last)
 _RK_STAGES = [(s, float(c), a[:s]) for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1)]
+_RK_STAGES.append((6, 1.0, _RK_B))
 
 
 def _rms(x):
     """np.linalg.norm(x) / sqrt(x.size) for a real 1-d x, as that norm computes it."""
     return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-def _rk_step(fun, t, y, f, h, K, KT):
-    """One Dormand–Prince step from the state ``y``, a list of floats: y_new,
-    a list too.  Each stage's right-hand side is written straight into its
-    row of ``K``, the last one f(t + h, y_new); ``KT[s]`` is the view K[:s].T,
-    made once per solve since K is reused.  Only the products are numpy
-    (``ndarray.dot``, scipy's BLAS call without ``np.dot``'s dispatch); the
-    sums and scalings around them are exactly rounded, so on floats they
-    give numpy's bits, in scipy's operand order."""
-    K[0] = f
-    for s, c, a in _RK_STAGES:
-        K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, KT[s].dot(a).tolist())])
-    y_new = [yi + h * di for yi, di in zip(y, KT[-2].dot(_RK_B).tolist())]
-    K[-1] = fun(t + h, y_new)
-    return y_new
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -505,7 +493,9 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = np.asarray(fun(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1 - f0) / scale)
+    # h0 is 0 when d1 overflowed: scipy's numpy floats then divide to inf or nan
+    d2 = d2 / h0 if h0 else float(np.divide(d2, h0))
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -513,41 +503,17 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(e, y, y_new, h, rtol, atol):
+def _error_norm(e, y, y_new, h, rtol, atol, out, pack):
     """scipy's RMS of e h / (atol + max(|y|, |y_new|) rtol), on lists of floats.
     The max propagates NaN as ``np.maximum`` does, and a zero scale divides
-    as numpy divides."""
-    scale = [at + (b if b > a or b != b else a) * rtol
-             for at, a, b in zip(atol, map(abs, y), map(abs, y_new))]
+    as numpy divides.  The terms are packed into ``out`` by ``pack``, its
+    ``struct.Struct(f"{len(e)}d").pack_into``, for one BLAS ``dot``."""
     try:
-        err = [ei * h / s for ei, s in zip(e, scale)]
-    except ZeroDivisionError:  # atol 0 on a state at 0 both ends: inf or nan, as numpy gives
-        err = np.array(e) * h / np.array(scale)
-    return _rms(np.array(err))
-
-
-def _advance(fun, t, y, f, h_abs, t_bound, rtol, atol, K, KT):
-    """One step from t: the number of attempts, each six calls of ``fun``,
-    and (t_new, y_new, f_new, the next step size), or None in its place when
-    the step size falls below ten ulps of t."""
-    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-    h_abs = max(h_abs, min_step)
-    attempts = 0
-    while h_abs >= min_step:
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-        h_abs = abs(h)
-        y_new = _rk_step(fun, t, y, f, h, K, KT)
-        attempts += 1
-        error_norm = _error_norm(KT[-1].dot(_RK_E).tolist(), y, y_new, h, rtol, atol)
-        if error_norm < 1:
-            factor = _MAX_FACTOR if error_norm == 0 else min(
-                _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            # after a rejection the step may not grow; K is reused, so f_new is a copy
-            return attempts, (t_new, y_new, K[-1].copy(),
-                              h_abs * (min(1, factor) if attempts > 1 else factor))
-        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-    return attempts, None
+        pack(out, 0, *[ei * h / (at + (b if b > a or b != b else a) * rtol)
+                       for ei, at, a, b in zip(e, atol, map(abs, y), map(abs, y_new))])
+    except ZeroDivisionError:  # atol 0 on a state at 0 both ends: scipy's numpy expression
+        out[:] = np.array(e) * h / (np.array(atol) + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+    return _rms(out)
 
 
 def _crossed(g, g_new, direction) -> bool:
@@ -567,10 +533,15 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     calls per attempted step.
 
     ``fun`` and every event get ``y`` as a list of Python floats, in every
-    call; ``fun`` may return a tuple, list or array.  The step holds its
-    state as such a list and does its elementwise arithmetic on floats,
-    which round as numpy's do; only the tableau products and the error
-    norm's dot product are numpy's, the BLAS calls scipy makes.
+    call; ``fun`` may return a tuple, list or array.  A tuple or list of
+    ``len(y)`` floats is packed straight into its stage row; any other
+    result (an array, one bare value for a one-state system, one value to
+    broadcast) is assigned to the row as numpy assigns it, so what numpy
+    refuses raises numpy's error, as in scipy.  The step holds its state as
+    such a list and does its elementwise arithmetic on floats, which round
+    as numpy's do; only the tableau products and the error norm's dot
+    product are numpy's, the BLAS calls scipy makes: per attempt the five
+    stage products, B and E, then the norm's dot, and P per accepted step.
 
     Every event ``g(t, y)`` is terminal and may carry a ``direction``
     attribute, as in scipy: the solve stops at the first root, which Brent's
@@ -591,27 +562,58 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     if not (rtol >= 0.0 and all(a >= 0.0 for a in atol.ravel().tolist())):  # NaN compares false
         raise BadParams(f"tolerances must be non-negative, got rtol={rtol}, atol={atol}")
     rtol = max(rtol, 100 * _EPS)
-    f_cur = np.asarray(fun(t0, y.tolist()), dtype=float)
-    h_abs = _initial_step(fun, t0, y, t_bound, f_cur, rtol, atol)
+    f0 = np.asarray(fun(t0, y.tolist()), dtype=float)
+    h_abs = _initial_step(fun, t0, y, t_bound, f0, rtol, atol)
     nfev = 2
     # from here on the state and atol are lists of floats
     y, atol = y.tolist(), np.broadcast_to(atol, y.shape).tolist()
-    K = np.empty((len(_RK_C) + 1, len(y)))
-    KT = [K[:s].T for s in range(len(K) + 1)]
+    n = len(y)
+    # the stage rows: K[0] is f at the step's start, K[s] stage s's right-hand
+    # side and K[6] f(t + h, y_new), which an accepted step moves to K[0]
+    K = np.empty((len(_RK_C) + 1, n))
+    K[0] = f0
+    pack = struct.Struct(f"{n}d").pack_into
+    KT = K.T
+    stages = [(c, a, K[:s].T, s, s * K.strides[0]) for s, c, a in _RK_STAGES]
+    err = np.empty(n)
     directions = [getattr(event, "direction", 0) for event in events]
     g = [event(t0, y) for event in events]
     t_events = [[] for _ in events]
     t, ts, steps = t0, [t0], []
     status = None
     while status is None:
-        attempts, step = _advance(fun, t, y, f_cur, h_abs, t_bound, rtol, atol, K, KT)
-        nfev += 6 * attempts
-        if step is None:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            for c, a, Ks, s, offset in stages:
+                y_new = [yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())]
+                f = fun(t + c * h, y_new)
+                if type(f) is tuple or type(f) is list:
+                    try:
+                        pack(K, offset, *f)
+                        continue
+                    except struct.error:  # not n floats: numpy's row assignment decides
+                        pass
+                K[s] = f
+            nfev += 6
+            error_norm = _error_norm(KT.dot(_RK_E).tolist(), y, y_new, h, rtol, atol, err, pack)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        else:  # the step size fell below ten ulps of t
             status = -1
             break
-        t_old, y_old, Q = t, y, KT[-1].dot(_RK_P)
-        t, y, f_cur, h_abs = step
-        h = t - t_old
+        factor = _MAX_FACTOR if error_norm == 0 else min(
+            _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        h_abs *= min(1, factor) if rejected else factor  # after a rejection no growth
+        Q = KT.dot(_RK_P)
+        K[0] = K[6]
+        t_old, y_old, t, y = t, y, t_new, y_new
         steps.append((Q, h, y_old))
         if t >= t_bound:
             status = 0

@@ -27,6 +27,7 @@ pressures) and return a float or an ndarray of the same shape.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -129,7 +130,9 @@ class ConstantDensity(EquationOfState):
     c: float = 0.0
 
     def mu(self, rho):
-        return self.c if _scalar(rho) else np.full(np.shape(rho), self.c)
+        if isinstance(rho, float):  # one pressure, as the ODE right-hand side passes it
+            return self.c
+        return self.c if np.ndim(rho) == 0 else np.full(np.shape(rho), self.c)
 
 
 @dataclass(frozen=True)
@@ -178,13 +181,22 @@ class Tabulated(EquationOfState):
             self._interp = pchip(rho, mu)
         if not np.all(np.isfinite(self._interp.c)):
             raise BadParams("tabulated EOS rows give a non-finite interpolant")
+        # the cubic pieces as floats, for the float path of mu
+        self._breaks, self._pieces = self._interp.x.tolist(), self._interp.c.T.tolist()
 
     def mu(self, rho):
         if isinstance(rho, float):  # one pressure, as the ODE right-hand side passes it
             # not `not lo <= rho <= hi`: NaN passes through, as on the array path
             if rho < self.rho_min or rho > self.rho_max:
                 raise self._outside(rho)
-            return self._interp(rho)
+            # the interpolant's own float read, unrolled for a cubic: its piece
+            # by bisection, then numerics._power_sums' operations in its order
+            breaks = self._breaks
+            i = bisect.bisect_right(breaks, rho, 1, len(breaks) - 1) - 1
+            c3, c2, c1, c0 = self._pieces[i]
+            s = rho - breaks[i]
+            s2 = s * s
+            return c0 + 0.0 + c1 * s + c2 * s2 + c3 * (s2 * s)
         outside = np.less(rho, self.rho_min) | np.greater(rho, self.rho_max)
         if np.any(outside):
             raise self._outside(rho if _scalar(rho) else np.asarray(rho)[outside][0])
@@ -387,13 +399,15 @@ def integrate_tov(
     a2 = 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c)
     m3 = FOUR_PI / 3.0 * mu_c
 
+    eos_mu = eos.mu
+
     def rhs(r, y):
         rho, m, _v = y
-        mu = eos.mu(rho)
+        mu = eos_mu(rho)
         if not math.isfinite(mu):
             # a NaN would otherwise shrink the step until it underflows
             raise DomainError(f"EOS gives non-finite mu={mu} at rho={rho} (r={r})")
-        dv = _lapse_rate(r, rho, m)
+        dv = 2.0 * (m + FOUR_PI * r**3 * rho) / (r * (r - 2.0 * m))  # _lapse_rate, inlined
         return (-0.5 * dv * (mu + rho), FOUR_PI * r * r * mu, dv)
 
     def surface(r, y):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,28 @@ class TestSolveLapse:
         )
         with pytest.raises(DomainError):
             solve_lapse(dying, 3, (0.0, 2.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("which", ["value", "d1", "d2"])
+    def test_a_non_finite_factor_is_a_domain_error_where_it_turns(self, which, capfd):
+        """phi, phi' or phi'' NaN past u = 3: the right-hand side refuses the
+        first such u, rather than letting NaN stages shrink the step until it
+        collapses, and numpy never meets the NaN (no warning, no stderr)."""
+        parts = {
+            "value": lambda u: 1.0 + 0.1 * u * u,
+            "d1": lambda u: 0.2 * u,
+            "d2": lambda u: 0.2 + 0.0 * u,
+        }
+
+        def turning(fn):
+            return lambda u: np.where(np.asarray(u) > 3.0, np.nan, fn(np.asarray(u, dtype=float)))
+
+        phi = RadialFunction(**{k: turning(fn) if k == which else fn for k, fn in parts.items()})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"not finite at u=3\.\d+"):
+                solve_lapse(phi, 3, (0.0, 10.0), (1.0, 0.2))
+        assert seen == []
+        assert capfd.readouterr().err == ""
 
 
 class TestDensityPressure:

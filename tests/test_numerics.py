@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -459,6 +460,17 @@ def test_a_zero_atol_divides_an_underflowed_state_as_numpy_does(rtol):
         _assert_is_scipy(call)
 
 
+def test_an_overflowed_first_step_estimate_divides_as_numpy_does():
+    """With atol 0 on a state of 1e-185, |f0| / scale squares past the float
+    range, so d1 = inf and the first guess h0 = 0.01 d0 / d1 is 0; scipy's
+    numpy floats divide d2 by it to nan, not a ZeroDivisionError, and the
+    solve starts from the minimum step."""
+    with np.errstate(all="ignore"):
+        call = _direct_run(lambda t, y: [y[1], -y[0]], (0.0, 1.0), (1e-185, 1.0), atol=0.0)()
+        _assert_is_scipy(call)
+    assert call[2].status == 0
+
+
 @pytest.mark.parametrize("refused", [
     lambda: numerics.solve_ivp(lambda t, y: [-v for v in y], (0, 1), [1.0], atol=-1e-6),
     lambda: numerics.solve_ivp(lambda t, y: [-v for v in y], (0, 1), [1.0], rtol=-1.0),
@@ -534,7 +546,8 @@ def test_error_norm_is_scipys_on_every_float(rows, h, rtol):
     norm of scipy's ``norm(e h / (atol + np.maximum(|y|, |y_new|) rtol))``."""
     e, y, y_new, atol = (list(col) for col in zip(*rows))
     with np.errstate(all="ignore"):
-        got = numerics._error_norm(e, y, y_new, h, rtol, atol)
+        got = numerics._error_norm(e, y, y_new, h, rtol, atol, np.empty(len(e)),
+                                      struct.Struct(f"{len(e)}d").pack_into)
         scale = np.array(atol) + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         x = np.array(e) * h / scale
         want = np.linalg.norm(x) / x.size ** 0.5
@@ -560,6 +573,77 @@ def test_solve_ivp_takes_fun_results_as_tuple_list_or_array(wrap):
     assert got.status == want.status == 1 and got.nfev == want.nfev
     assert _same_bits(got.t, want.t) and _same_bits(got.t_events[0], want.t_events[0])
     assert _same_bits(got.dense.c, _scipy_coefficients(want.sol))
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+def test_a_one_state_fun_may_return_its_value_bare(wrap):
+    """Not a sequence: the stage row takes it as numpy assigns it, as scipy's does."""
+    _assert_is_scipy(_direct_run(lambda t, y: wrap(-y[0] + math.sin(t)), (0.0, 5.0), (1.0,),
+                                 rtol=1e-6)())
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, np.array, float], ids=["tuple", "list", "1-d", "bare"])
+def test_a_one_value_result_broadcasts_over_two_states(wrap):
+    """One value for both states, as numpy broadcasts it into scipy's stage row."""
+    def fun(t, y):
+        v = -0.5 * y[0] * abs(y[1])
+        return v if wrap is float else wrap([v])
+
+    _assert_is_scipy(_direct_run(fun, (0.0, 5.0), (1.0, 2.0), rtol=1e-6)())
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+@pytest.mark.parametrize("t_turn", [-1.0, 0.5], ids=["from-the-start", "in-a-stage"])
+def test_a_three_value_result_for_two_states_is_refused_as_scipy_refuses_it(wrap, t_turn):
+    """Three values for two states: the ValueError numpy raises for scipy,
+    whether the first call returns them or only a stage after the first step."""
+    def fun(t, y):
+        return wrap((y[1], -y[0], 0.0) if t > t_turn else (y[1], -y[0]))
+
+    for solve in (numerics.solve_ivp, scipy_solve_ivp):
+        with pytest.raises(ValueError):
+            solve(fun, (0.0, 5.0), (1.0, 0.0))
+
+
+@st.composite
+def _random_solves(draw):
+    """A solve of y_i' = a_i y_{i+1} + b_i y_i - 0.1 y_i |y_i| + c_i sin t,
+    damped for large |y|, whose fun returns a tuple, list or ndarray."""
+    n = draw(st.integers(1, 4))
+    a, b, c = (draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)) for _ in range(3))
+    wrap = draw(st.sampled_from([tuple, list, np.array]))
+
+    def fun(t, y):
+        y = [float(v) for v in y]
+        s = math.sin(t)
+        return wrap([a[i] * y[(i + 1) % n] + b[i] * y[i] - 0.1 * y[i] * abs(y[i]) + c[i] * s
+                     for i in range(n)])
+
+    atol = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), min_size=n, max_size=n))
+    # a state whose scale |y0| rtol is 0 (atol 0, y0 0 or subnormal) makes the
+    # first step size NaN, and scipy's attempt loop never leaves a NaN step
+    # (the port reports status -1); 1e-300 still reaches the overflowed d1
+    # of test_an_overflowed_first_step_estimate_divides_as_numpy_does
+    y0 = [draw(st.floats(-2.0, 2.0).filter(lambda v: abs(v) >= 1e-300) if at == 0.0
+               else st.floats(-2.0, 2.0)) for at in atol]
+    rtol = 10.0 ** draw(st.floats(-12.0, -3.0))
+    events = []
+    for _ in range(draw(st.integers(0, 2))):
+        i, level = draw(st.integers(0, n - 1)), draw(st.floats(-1.5, 1.5))
+        events.append(_terminal(lambda t, y, i=i, level=level: float(y[i]) - level,
+                                draw(st.sampled_from([-1.0, 0.0, 1.0]))))
+    return _direct_run(fun, (0.0, draw(st.floats(0.5, 8.0))), tuple(y0),
+                       events=tuple(events), rtol=rtol, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_solves())
+def test_solve_ivp_is_scipy_rk45_on_random_systems(run):
+    """Status, nfev, the breakpoints, the event roots and every dense
+    coefficient, bit for bit, over 1-4 states, per-state atol with zeros,
+    rtol 1e-12 to 1e-3 and up to two terminal events of direction -1, 0 or +1."""
+    with np.errstate(all="ignore"):
+        _assert_is_scipy(run())
 
 
 def test_a_collapsed_step_is_a_step_failure(monkeypatch):
