@@ -23,7 +23,9 @@ from .conformal import witten_lapse
 from .errors import BadParams, UnknownModel
 from .geometry import (
     EIGHT_PI,
+    ConformalFlat,
     Piece,
+    RadialReading,
     ResidualReport,
     SchwarzschildForm,
     WarpedProduct,
@@ -33,7 +35,7 @@ from .geometry import (
     spf_residuals,
     tolman_residuals,
 )
-from .numerics import Jet, RadialFunction, chebyshev_grid
+from .numerics import Jet, ProfileAt, RadialFunction, chebyshev_grid
 
 __all__ = [
     "VerifyResult",
@@ -78,6 +80,11 @@ class AnalyticModel:
     Diagnostic checks (report keys starting with ``diagnostic``) are reported
     but excluded from the aggregate pass flag; they exist to document known
     discrepancies rather than to gate correctness.
+
+    Each ``extra_verify`` hook is called as ``hook(model, grid_n, readings)``
+    and returns ``(report name, ResidualReport)``; ``readings`` holds, for
+    each piece in order, its :class:`~staticstar.geometry.RadialReading` on
+    the piece's verification grid (None for a conformally flat piece).
     """
 
     def __init__(
@@ -134,21 +141,29 @@ class AnalyticModel:
     # -- verification -----------------------------------------------------------
 
     def verify(self, grid_n: int = 96) -> VerifyResult:
-        """Recompute field-equation residuals for every piece on fresh grids."""
+        """Recompute field-equation residuals for every piece on fresh grids.
+
+        A radial piece is read once on its grid (a RadialReading): the field
+        equations, the Tolman system and the extra checks share its readings
+        of f, m or phi, mu and rho.
+        """
         reports: dict[str, ResidualReport] = {}
+        readings: list[RadialReading | None] = []
         for p in self.pieces:
             lo, hi = p.interval
             pad = 1e-6 * (hi - lo)
             grid = chebyshev_grid(lo + pad, hi - pad, grid_n)
-            reports[f"field[{p.label}]"] = spf_residuals(p.ansatz, p.fluid, grid,
-                                                         tol=RESIDUAL_TOL)
+            read = None if isinstance(p.ansatz, ConformalFlat) else RadialReading(p, grid)
+            readings.append(read)
+            reports[f"field[{p.label}]"] = spf_residuals(
+                p.ansatz, p.fluid if read is None else read, grid, tol=RESIDUAL_TOL)
             if isinstance(p.ansatz, SchwarzschildForm):
                 reports[f"tolman[{p.label}]"] = tolman_residuals(
-                    p.ansatz.m, p.f, p.mu_phys, p.rho_phys, grid, tol=RESIDUAL_TOL
+                    read.chart, read.f, read.mu, read.rho, grid, tol=RESIDUAL_TOL
                 )
         junction = self._junction_residuals()
         for hook in self.extra_verify:
-            name, rep = hook(self, grid_n)
+            name, rep = hook(self, grid_n, readings)
             reports[name] = rep
         passed = all(
             rep.passed for name, rep in reports.items() if not name.startswith("diagnostic")
@@ -162,13 +177,16 @@ class AnalyticModel:
         )
 
     def _junction_residuals(self) -> dict[str, float]:
-        """|inner - outer| of f, f' and x = 1 - 2m/r at each junction radius."""
+        """|inner - outer| of f, f' and x = 1 - 2m/r at each junction radius,
+        f and f' of each side from one reading."""
         out: dict[str, float] = {}
         for r_j in self.junction_points:
-            inner, outer = self.pieces[0], self.pieces[1]
-            for key, part in (("f", lambda p: p.f(r_j)), ("df", lambda p: p.f.d1(r_j)),
-                              ("exp_neg_gamma", lambda p: 1.0 - 2.0 * p.ansatz.m(r_j) / r_j)):
-                out[f"{key}@{r_j:.6g}"] = abs(float(part(inner)) - float(part(outer)))
+            sides = []
+            for p in (self.pieces[0], self.pieces[1]):
+                f = ProfileAt(p.f, r_j).with_derivatives()
+                sides.append((f.v, f.d1, 1.0 - 2.0 * p.ansatz.m(r_j) / r_j))
+            for key, inner, outer in zip(("f", "df", "exp_neg_gamma"), *sides):
+                out[f"{key}@{r_j:.6g}"] = abs(float(inner) - float(outer))
         return out
 
 
@@ -362,11 +380,12 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
 
     piece_o = vacuum_piece(M, (r_b, 40.0 * max(M, 1.0)), (r_b, 500.0 * max(M, 1.0)))
 
-    def printed_mu_diagnostic(model: AnalyticModel, grid_n: int):
-        lo, hi = piece_i.interval
-        grid = chebyshev_grid(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), grid_n)
+    def printed_mu_diagnostic(model: AnalyticModel, grid_n: int, readings):
+        # the interior's Tolman system with mu_printed, on the interior's
+        # readings: only mu_printed is evaluated here
+        read = readings[0]
         rep = tolman_residuals(
-            m_i, f_i, model.extras["mu_printed"], rho_i, grid,
+            read.chart, read.f, model.extras["mu_printed"], read.rho, read.r,
             tol=RESIDUAL_TOL,
         )
         return "diagnostic[printed-mu]", rep
@@ -472,7 +491,7 @@ def witten_stellar(
         lam=lam,
     )
 
-    def tilde_chart_check(model: AnalyticModel, grid_n: int):
+    def tilde_chart_check(model: AnalyticModel, grid_n: int, readings):
         lo, hi = piece.interval
         grid = chebyshev_grid(lo, hi, grid_n)
         r_t = M * np.cosh(grid) ** 2
@@ -486,8 +505,9 @@ def witten_stellar(
         entries = [_entry("tilde-density", mu_res, grid), _entry("tilde-pressure", rho_res, grid)]
         return "tilde-chart[star]", _report(entries, grid, tol=1e-9)
 
-    def sectional_check(model: AnalyticModel, grid_n: int):
-        # K_rad = -b_ss/b and K_tan = (1 - b_s^2)/b^2 of the model's own chart
+    def sectional_check(model: AnalyticModel, grid_n: int, readings):
+        # K_rad = -b_ss/b and K_tan = (1 - b_s^2)/b^2 of the model's own
+        # chart, on a grid of its own: _radial_chart reads phi there once
         star = model.pieces[0]
         grid = np.linspace(*star.interval, 1000)
         b, b1, b2, e2, ee1, one_minus_bs2 = _radial_chart(star.ansatz, grid)

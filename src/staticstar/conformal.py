@@ -255,8 +255,8 @@ def solve_lapse(
     ``ic = (f, f')`` at ``span[0]``.  The returned RadialFunction reads the
     integrator's dense output as one piecewise polynomial: the value and
     first derivative are its two components, and the second derivative is
-    evaluated from the ODE right-hand side (exact given the solution), not
-    by differencing.
+    evaluated from the ODE right-hand side on one reading of phi at the
+    points (exact given the solution), not by differencing.
 
     If the lapse crosses zero downward the returned domain stops just before
     the crossing, as every lapse of :func:`build_model` does; a crossing at
@@ -306,10 +306,8 @@ def solve_lapse(
     def d2(u):
         u = np.asarray(u, dtype=float)
         y = dense(u)
-        p = np.asarray(phi.value(u), dtype=float)
-        p1 = np.asarray(phi.d1(u), dtype=float)
-        p2 = np.asarray(phi.d2(u), dtype=float)
-        out = ((n - 2.0) * y[..., 0] * p2 - 2.0 * p1 * y[..., 1]) / p
+        at = ProfileAt(phi, u).with_derivatives()
+        out = ((n - 2.0) * y[..., 0] * at.d2 - 2.0 * at.d1 * y[..., 1]) / at.v
         return float(out) if out.ndim == 0 else out
 
     u_zero = float(sol.t_events[0][0]) if len(sol.t_events[0]) else None
@@ -421,13 +419,8 @@ class ConformalModel:
 
 
 def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
-    p = np.asarray(phi.value(grid), dtype=float)
-    p1 = np.asarray(phi.d1(grid), dtype=float)
-    p2 = np.asarray(phi.d2(grid), dtype=float)
-    fv = np.asarray(f.value(grid), dtype=float)
-    f1 = np.asarray(f.d1(grid), dtype=float)
-    f2 = np.asarray(f.d2(grid), dtype=float)
-    res = (n - 2.0) * fv * p2 - f2 * p - 2.0 * p1 * f1
+    phi_at, f_at = (ProfileAt(rf, grid).with_derivatives() for rf in (phi, f))
+    res = (n - 2.0) * f_at.v * phi_at.d2 - f_at.d2 * phi_at.v - 2.0 * phi_at.d1 * f_at.d1
     return _report([_entry("lapse-ode", res, grid)], grid, tol)
 
 

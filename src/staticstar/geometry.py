@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import ProfileAt, RadialFunction, ScalarField, as_points
+from .numerics import ProfileAt, RadialFunction, ScalarField, as_points, _lazy
 
 if TYPE_CHECKING:  # conformal imports this module
     from .conformal import BasicInvariant
@@ -49,6 +49,7 @@ __all__ = [
     "ConformalBatch",
     "FluidData",
     "Piece",
+    "RadialReading",
     "ResidualEntry",
     "ResidualReport",
     "to_geometric",
@@ -213,6 +214,65 @@ class Piece:
         return self.scan_interval if self.scan_interval is not None else self.interval
 
 
+def _chart_profile(ansatz) -> RadialFunction:
+    """The profile a radial chart is written in: m in Schwarzschild form, phi
+    in a warped product; BadParams for any other ansatz."""
+    if isinstance(ansatz, SchwarzschildForm):
+        return ansatz.m
+    if isinstance(ansatz, WarpedProduct):
+        return ansatz.phi
+    raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
+
+
+def _read(x, r: np.ndarray, derivatives: bool = True) -> ProfileAt:
+    """``x`` read at the points ``r``: a :class:`ProfileAt` on ``r`` as it is
+    (BadParams if it was read on other points), a function as a new reading,
+    its derivatives read at once unless it is read for values only."""
+    if isinstance(x, ProfileAt):
+        if x.u is not r and not np.array_equal(x.u, r):
+            raise BadParams("a reading passed with a grid must be read on that grid")
+        return x
+    at = ProfileAt(x, r)
+    return at.with_derivatives() if derivatives else at
+
+
+class RadialReading:
+    """A radial :class:`Piece` read once on a grid ``r``, for every check
+    that reads it there: ``verify`` hands one per piece to
+    :func:`spf_residuals`, :func:`tolman_residuals` and the model's extra
+    checks.
+
+    ``f``, ``chart`` (the chart's profile, :func:`_chart_profile`), ``rho``
+    and ``mu`` are :class:`~staticstar.numerics.ProfileAt` readings, each
+    made on first use.  The ones a residual differentiates, f, the chart's
+    and, on a SchwarzschildForm chart, whose Tolman residual reads rho', rho,
+    are read with their derivatives, so a closed form's value and
+    derivatives come from one jet; ``mu``, and ``rho`` on a warped chart, are
+    values only.  ``mu`` and ``rho`` are physical, as the piece's are.
+    """
+
+    def __init__(self, piece: Piece, r):
+        self.piece, self.r = piece, np.asarray(r, dtype=float)
+
+    @_lazy
+    def f(self) -> ProfileAt:
+        return _read(self.piece.f, self.r)
+
+    @_lazy
+    def chart(self) -> ProfileAt:
+        return _read(_chart_profile(self.piece.ansatz), self.r)
+
+    @_lazy
+    def mu(self) -> ProfileAt:
+        return _read(self.piece.mu_phys, self.r, derivatives=False)
+
+    @_lazy
+    def rho(self) -> ProfileAt:
+        return _read(self.piece.rho_phys, self.r,
+                     derivatives=isinstance(self.piece.ansatz, SchwarzschildForm))
+
+
+
 def _pieces(model) -> list[Piece]:
     """The pieces every model is read through; BadParams for an object with none."""
     pieces = getattr(model, "pieces", None)
@@ -309,9 +369,10 @@ def _report(entries: list[ResidualEntry], grid: np.ndarray, tol: float) -> Resid
 # curvature: radial charts g = a(r)^2 dr^2 + b(r)^2 g_{S^2}
 # ----------------------------------------------------------------------------
 
-def _radial_chart(ansatz, r):
+def _radial_chart(ansatz, r, chart: ProfileAt | None = None):
     """(b, b', b'', e^2, e e', 1 - b_s^2) of a radial chart at r, with
-    e = 1/a = |grad r|_g.
+    e = 1/a = |grad r|_g, read from ``chart``, the reading of the chart's
+    profile at r (read here if None).
 
     SchwarzschildForm is e^2 = 1 - 2m/r, b = r; WarpedProduct is a = 1,
     b = phi.  This is where the two are told apart for curvature (a
@@ -322,16 +383,13 @@ def _radial_chart(ansatz, r):
     and no Schwarzschild-form entry is a difference that cancels at a centre.
     """
     r = np.asarray(r, dtype=float)
+    chart = _read(_chart_profile(ansatz) if chart is None else chart, r)
     if isinstance(ansatz, SchwarzschildForm):
-        two_m_r = 2.0 * np.asarray(ansatz.m.value(r), dtype=float) / r
-        ee1 = (0.5 * two_m_r - np.asarray(ansatz.m.d1(r), dtype=float)) / r
+        two_m_r = 2.0 * chart.v / r
+        ee1 = (0.5 * two_m_r - chart.d1) / r
         return r, 1.0, 0.0, 1.0 - two_m_r, ee1, two_m_r
-    if isinstance(ansatz, WarpedProduct):
-        phi = ansatz.phi
-        b1 = np.asarray(phi.d1(r), dtype=float)
-        return (np.asarray(phi.value(r), dtype=float), b1,
-                np.asarray(phi.d2(r), dtype=float), 1.0, 0.0, 1 - b1**2)
-    raise BadParams(f"not a radial ansatz: {type(ansatz).__name__}")
+    b1 = chart.d1
+    return chart.v, b1, chart.d2, 1.0, 0.0, 1 - b1**2
 
 
 def _chart_ricci(b, b1, b2, e2, ee1, one_minus_bs2):
@@ -419,16 +477,17 @@ def _g_hessian(p, grad_phi, grad_f, hess_f):
 # radial frame data (shared by the two radial ansatz classes)
 # ----------------------------------------------------------------------------
 
-def _radial_frame(ansatz, fluid_f: RadialFunction, r: np.ndarray) -> dict:
+def _radial_frame(ansatz, f, r: np.ndarray, chart: ProfileAt | None = None) -> dict:
     """Orthonormal-frame curvature and lapse Hessian data along a radial grid.
 
-    Returns f, ric_rr, ric_tan, R, hess_rr, hess_tan and lap.
+    ``f`` is the lapse, a RadialFunction or its reading at r, and ``chart``
+    the reading of the chart's profile at r (read here if None).  Returns f,
+    ric_rr, ric_tan, R, hess_rr, hess_tan and lap.
     """
     r = np.asarray(r, dtype=float)
-    f = np.asarray(fluid_f.value(r), dtype=float)
-    f1 = np.asarray(fluid_f.d1(r), dtype=float)
-    f2 = np.asarray(fluid_f.d2(r), dtype=float)
-    chart = _radial_chart(ansatz, r)
+    lapse = _read(f, r)
+    f, f1, f2 = lapse.v, lapse.d1, lapse.d2
+    chart = _radial_chart(ansatz, r, chart)
     b, b1, _, e2, ee1, _ = chart
     ric_rr, rab, scal = _chart_ricci(*chart)
     hess_rr = e2 * f2 + ee1 * f1  # f_ss
@@ -459,6 +518,8 @@ def spf_residuals(
     ``traceless``          f (Ric - (R/n) g) - (Hess f - (Lap f / n) g), componentwise
 
     ``mu``/``rho`` are read from ``fluid`` in the geometric convention.
+    On a radial chart ``fluid`` may instead be the :class:`RadialReading` on
+    ``grid`` of a piece with this ansatz, whose readings other checks share.
     The lapse must be positive on the grid.
     """
     grid = np.asarray(grid, dtype=float)
@@ -470,12 +531,18 @@ def spf_residuals(
         return _spf_report_conformal(residuals, grid, slice(None), tol)
 
     n = ansatz.n
-    d = _radial_frame(ansatz, fluid.f, grid)
+    read = fluid if isinstance(fluid, RadialReading) else None
+    if read is not None and read.piece.ansatz is not ansatz:
+        raise BadParams("a piece's reading passed with another ansatz")
+    d = _radial_frame(ansatz, fluid.f, grid, None if read is None else read.chart)
     f = d["f"]
     if np.any(f <= 0.0):
         raise DomainError("lapse is not positive on the residual grid")
-    mu = np.asarray(fluid.mu(grid), dtype=float)
-    rho = np.asarray(fluid.rho(grid), dtype=float)
+    if read is None:
+        mu = np.asarray(fluid.mu(grid), dtype=float)
+        rho = np.asarray(fluid.rho(grid), dtype=float)
+    else:
+        mu, rho = to_geometric(read.mu.v, read.rho.v, read.piece.lam)
 
     coef = (mu - rho) / (n - 1)
     e_rr = f * d["ric_rr"] - d["hess_rr"] - coef * f
@@ -562,17 +629,21 @@ def tolman_residuals(
         conservation:  2 rho' + v' (rho + mu)
 
     ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda); ``mu`` is values only.
+    Each of ``m``, ``f``, ``mu`` and ``rho`` may instead be its
+    :class:`~staticstar.numerics.ProfileAt` reading on ``grid`` (a
+    :class:`RadialReading`'s), which other checks share.
     """
     r = np.asarray(grid, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("Tolman residuals need r > 0")
-    two_m_r = 2.0 * np.asarray(m.value(r), dtype=float) / r
-    v1 = 2.0 * np.asarray(f.d1(r), dtype=float) / np.asarray(f.value(r), dtype=float)
-    mu_v = np.asarray(mu(r), dtype=float)
-    rho_v = np.asarray(rho.value(r), dtype=float)
-    rho1 = np.asarray(rho.d1(r), dtype=float)
+    m, f, rho = (_read(x, r) for x in (m, f, rho))
+    two_m_r = 2.0 * m.v / r
+    v1 = 2.0 * f.d1 / f.v
+    mu_v = _read(mu, r, derivatives=False).v
+    rho_v = rho.v
+    rho1 = rho.d1
 
-    t_density = EIGHT_PI * mu_v - 2.0 * np.asarray(m.d1(r), dtype=float) / (r * r)
+    t_density = EIGHT_PI * mu_v - 2.0 * m.d1 / (r * r)
     t_pressure = EIGHT_PI * rho_v - ((1.0 - two_m_r) * v1 / r - two_m_r / (r * r))
     t_conserv = 2.0 * rho1 + v1 * (rho_v + mu_v)
 
@@ -613,8 +684,8 @@ def coordinate_sphere(ansatz: MetricAnsatz, r):
         return tuple(float(v[0]) for v in coordinate_sphere(ansatz, u.reshape(1)))
     if isinstance(ansatz, ConformalFlat):
         s = ansatz.invariant.sphere_radius(u)
-        p = np.asarray(ansatz.phi_radial.value(u), dtype=float)
-        dp = np.asarray(ansatz.phi_radial.d1(u), dtype=float)
+        phi = _read(ansatz.phi_radial, u)
+        p, dp = phi.v, phi.d1
         bad = (s <= 0.0) | (p <= 0.0)
         if np.count_nonzero(bad):
             u0, s0, p0 = _first(bad, u, s, p)
@@ -635,8 +706,8 @@ def coordinate_sphere(ansatz: MetricAnsatz, r):
             e = np.sqrt(e2)
             out = u, 2.0 * e / u, e, two_m_r
         elif isinstance(ansatz, WarpedProduct):  # b = phi, e = 1
-            b = np.asarray(ansatz.phi.value(u), dtype=float)
-            b1 = np.asarray(ansatz.phi.d1(u), dtype=float)
+            phi = _read(ansatz.phi, u)
+            b, b1 = phi.v, phi.d1
             if np.count_nonzero(b <= 0.0):
                 b0, u0 = _first(b <= 0.0, b, u)
                 raise DomainError(f"non-positive areal radius {b0} at r={u0}")

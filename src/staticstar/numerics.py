@@ -28,7 +28,7 @@ import math
 import numbers
 import struct
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,6 +219,13 @@ _JET_UFUNCS = {
 # radial functions
 # ----------------------------------------------------------------------------
 
+def _shaped(x, r):
+    """A jet component at r as a new array of r's shape: no caller can write
+    into the shared jet, and a formula linear in r gets its constant
+    derivative in r's shape."""
+    return x + np.zeros(np.shape(r))
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """A scalar function of one radial variable with two derivatives.
@@ -233,6 +240,11 @@ class RadialFunction:
     domain:
         Open interval ``(lo, hi)`` on which evaluation is admissible; ``hi``
         may be ``math.inf``.
+    jet:
+        Set by :meth:`from_formula` only: ``jet(r)`` is the formula's
+        ``fn(Jet(r, 1, 0))``, through the point cache ``d1`` and ``d2`` read.
+        None on every other profile, and on a ``dataclasses.replace`` copy,
+        whose callables need not be the formula's.
     """
 
     value: Callable
@@ -240,6 +252,7 @@ class RadialFunction:
     d2: Callable
     provenance: str = "analytic"
     domain: tuple[float, float] = (-math.inf, math.inf)
+    jet: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.provenance != "analytic":
@@ -257,7 +270,10 @@ class RadialFunction:
 
         ``fn`` takes a float or an array, and must use only the operations a
         Jet implements.  ``d1`` and ``d2`` called at the same points (as the
-        residual checks call them) share one jet evaluation.
+        residual checks call them) share one jet evaluation.  ``value`` is
+        ``fn`` itself and builds no jet.  A :class:`ProfileAt` that reads a
+        derivative takes its value from that jet too: the jet's value runs the
+        ufuncs ``fn(r)`` runs on the same arrays, so it has ``value(r)``'s bits.
         """
         last = (None, None)  # (a copy of the points, their jet)
 
@@ -269,19 +285,15 @@ class RadialFunction:
                 last = (np.array(r, dtype=float), j)
             return j
 
-        def shaped(x, r):
-            # a new array each call, so no caller can write into the shared
-            # jet; a formula linear in r also gets its constant derivative in
-            # r's shape
-            return x + np.zeros(np.shape(r))
-
-        return cls(
+        rf = cls(
             value=fn,
-            d1=lambda r: shaped(jet(r).d1, r),
-            d2=lambda r: shaped(jet(r).d2, r),
+            d1=lambda r: _shaped(jet(r).d1, r),
+            d2=lambda r: _shaped(jet(r).d2, r),
             provenance="analytic",
             domain=domain,
         )
+        object.__setattr__(rf, "jet", jet)
+        return rf
 
     @classmethod
     def constant(cls, c: float, domain=(-math.inf, math.inf)) -> "RadialFunction":
@@ -668,6 +680,26 @@ def as_points(x, n: int) -> np.ndarray:
     return x
 
 
+class _lazy:
+    """A read-once attribute: the method runs on the first read, and its
+    value is stored on the instance, where every later read finds it.  This
+    is ``functools.cached_property`` without the lock that Python 3.11 and
+    earlier take on each first read, a cost the many small readings of one
+    residual check would pay dozens of times."""
+
+    def __init__(self, method: Callable):
+        self.method, self.__doc__ = method, method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class ProfileAt:
     """A radial profile h read at u = u(x) on one set of points.
 
@@ -680,28 +712,54 @@ class ProfileAt:
     Each is evaluated on its first read and kept, so every reader of one set
     of points shares one evaluation, and a reader that stops early (a failed
     positivity check) leaves the rest unevaluated.
+
+    For a :meth:`RadialFunction.from_formula` profile the first derivative
+    read builds the formula's jet at u, and ``d1``, ``d2`` and, if it was not
+    read before, ``v`` all come from that one jet, with the bits of
+    ``value``, ``d1`` and ``d2`` called at u.  ``v`` read before any
+    derivative calls ``value`` and builds no jet, so a values-only reading
+    never runs the derivative rules; :meth:`with_derivatives` is the start of
+    a reading that wants both.  ``rf`` may be any callable of the points for a
+    reading that reads ``v`` alone.
     """
 
     def __init__(self, rf: RadialFunction, u, grad_u=None, hess_u=None):
         self.rf, self.u, self.grad_u, self.hess_u = rf, u, grad_u, hess_u
+        self._jet = None  # rf's jet at u, once a derivative has built it
 
-    @functools.cached_property
+    def with_derivatives(self) -> "ProfileAt":
+        """This reading with ``d1`` read now, so that a closed form's ``v``
+        comes from the jet its derivatives need."""
+        self.d1  # read for its jet
+        return self
+
+    def _derivative(self, name: str):
+        make = getattr(self.rf, "jet", None)
+        if make is None:
+            return np.asarray(getattr(self.rf, name)(self.u), dtype=float)
+        if self._jet is None:
+            self._jet = make(self.u)
+        return np.asarray(_shaped(getattr(self._jet, name), self.u), dtype=float)
+
+    @_lazy
     def v(self):
-        return np.asarray(self.rf.value(self.u), dtype=float)
+        if self._jet is None:
+            return np.asarray(self.rf(self.u), dtype=float)
+        return np.array(self._jet.v, dtype=float)  # a copy: the jet is the cache's
 
-    @functools.cached_property
+    @_lazy
     def d1(self):
-        return np.asarray(self.rf.d1(self.u), dtype=float)
+        return self._derivative("d1")
 
-    @functools.cached_property
+    @_lazy
     def d2(self):
-        return np.asarray(self.rf.d2(self.u), dtype=float)
+        return self._derivative("d2")
 
-    @functools.cached_property
+    @_lazy
     def grad(self):
         return self.d1[..., None] * self.grad_u
 
-    @functools.cached_property
+    @_lazy
     def hess(self):
         g = self.grad_u
         return (self.d2[..., None, None] * (g[..., :, None] * g[..., None, :])
