@@ -492,16 +492,18 @@ def witten_stellar(
     )
 
     def tilde_chart_check(model: AnalyticModel, grid_n: int, readings):
-        lo, hi = piece.interval
-        grid = chebyshev_grid(lo, hi, grid_n)
+        # the one piece's scan window holds its whole interval: read mu and
+        # rho off the piece, not through model.mu's window search
+        star = model.pieces[0]
+        grid = chebyshev_grid(*star.interval, grid_n)
         r_t = M * np.cosh(grid) ** 2
-        mu_res = np.abs(EIGHT_PI * model.mu(grid) - (1.0 + 5.0 * M / r_t - lam))
+        mu_res = np.abs(EIGHT_PI * star.mu_phys(grid) - (1.0 + 5.0 * M / r_t - lam))
         # phase delta = atan2(B, A); the printed sine-branch form is delta = 0
         rho_claim = (
             2.0 * M / (r_t * np.tan(np.log(np.sqrt(r_t / M)) + delta))
             - M / r_t - 1.0 + lam
         )
-        rho_res = np.abs(EIGHT_PI * model.rho(grid) - rho_claim)
+        rho_res = np.abs(EIGHT_PI * star.rho_phys(grid) - rho_claim)
         entries = [_entry("tilde-density", mu_res, grid), _entry("tilde-pressure", rho_res, grid)]
         return "tilde-chart[star]", _report(entries, grid, tol=1e-9)
 

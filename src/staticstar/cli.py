@@ -17,6 +17,13 @@ its Lambda as ``--param lam=...`` or ``id:lam=...``, not as ``--lam``)::
 ``catalog list`` refuses a model id, ``--param`` and ``--grid-n``:
 neither runs what those flags tune.
 
+A command line whose first word names a subcommand is parsed by that
+subcommand's own parser alone; what it leaves over is refused with the
+top-level usage line, as the whole tree refuses it.  Every other command line
+goes through the top-level parser: no arguments, ``-h``/``--help``, an
+unknown subcommand, an option before the subcommand, and ``argv=None``
+(``sys.argv[1:]``).  Both routes print the same bytes and exit alike.
+
 Examples
 --------
 ::
@@ -376,10 +383,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, without the top-level pass when ``argv[0]``
+    names a subcommand: the whole tree would hand every later argument to that
+    subcommand's parser unread, and refuse what it leaves over."""
+    if argv:
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparser = sub.choices.get(argv[0])
+        if subparser is not None:
+            args, extras = subparser.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 

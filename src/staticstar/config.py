@@ -39,8 +39,12 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol"):
-            if not getattr(self, name) > 0.0:
-                raise BadParams(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise BadParams(f"{name} must be positive, got {value}")
+            # an infinite tolerance takes the integrator's step-size control away
+            if not math.isfinite(value):
+                raise BadParams(f"{name} must be finite, got {value}")
         check_grid_n(self.grid_n, 8)
 
 

@@ -246,6 +246,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise BadParams("tolerances must be positive")
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise BadParams(f"tolerances must be finite, got abs_tol={self.abs_tol}, "
+                            f"rel_tol={self.rel_tol}")
         if not R_START < self.r_max:
             raise BadParams(f"need r_max > R_START = {R_START}")
         check_grid_n(self.grid_n, 8)

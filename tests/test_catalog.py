@@ -9,7 +9,7 @@ import pytest
 from staticstar.errors import BadParams, UnknownModel
 from staticstar import catalog
 from staticstar.geometry import EIGHT_PI, WarpedProduct, tolman_residuals
-from staticstar.numerics import RadialFunction
+from staticstar.numerics import RadialFunction, chebyshev_grid
 
 ALL_IDS = sorted(catalog.MODELS)
 
@@ -236,6 +236,17 @@ class TestWittenStellar:
         assert not rep.passed
         assert rep.entry("positivity[rad]").max == pytest.approx(1.0, rel=1e-12)
         assert rep.entry("positivity[tan]").max == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [{}, {"B": 0.5}, {"B": -0.5}, {"lam": 0.1, "M": 2.0}])
+    def test_the_tilde_check_reads_the_piece_as_the_model_reads_it(self, params):
+        # the one piece's scan window holds its interval, so the tilde-chart
+        # check may read mu and rho off the piece: the same bytes as model.mu
+        model = catalog.build("witten_stellar", **params)
+        (star,) = model.pieces
+        for grid_n in (48, 96, 512):
+            grid = chebyshev_grid(*star.interval, grid_n)
+            assert star.mu_phys(grid).tobytes() == model.mu(grid).tobytes()
+            assert star.rho_phys(grid).tobytes() == model.rho(grid).tobytes()
 
     def test_cosine_branch(self):
         m = catalog.build("witten_stellar", A=0.0, B=1.0)

@@ -653,6 +653,143 @@ def test_usage_error_repeats(capsys):
         assert run(capsys, *argv) == first
 
 
+
+# --- a subcommand's line through its own parser ----------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# command lines whose parse both routes must agree on: every subcommand, help
+# and abbreviations, missing and repeated values, '--', a negative value,
+# unrecognized flags, and the lines that still go through the top-level parser
+PARSE_CORPUS = [
+    ("tov", *STAR),
+    ("tov", *STAR, "--json", "--grid-n", "64"),
+    ("tov", "--eos", "constant:c=0.001"),
+    ("tov", "--eos"),
+    ("tov", *STAR, "--abs-tol", "inf"),
+    ("tov", *STAR, "--rel-tol", "inf"),
+    ("catalog", "list"),
+    ("catalog", "list", "--json"),
+    ("catalog", "verify", "witten_stellar", "--param", "B=1.0", "--param", "A=0.5",
+     "--grid-n", "48"),
+    ("catalog",),
+    ("catalog", "show"),
+    ("catalog", "verify", "--param"),
+    ("verify", "wyman", "--grid-n", "96", "--json"),
+    ("verify", "wyman", "--gri", "48"),
+    ("verify", "wyman", "--grid-n=48"),
+    ("verify", "wyman", "--grid-n"),
+    ("verify", "wyman", "--grid-n", "4.5"),
+    ("verify", "wyman", "--grid-n", "48", "--grid-n", "64"),
+    ("verify", "wyman", "--json", "--json"),
+    ("verify",),
+    ("verify", "wyman", "--out", "x.json"),
+    ("verify", "wyman", "extra"),
+    ("verify", "wyman", "-x"),
+    ("verify", "--", "wyman"),
+    ("verify", "wyman", "--config"),
+    ("verify", "-h"),
+    ("verify", "--he"),
+    ("mass", "--model", "schwarzschild_exterior:M=1", "--level", "0.5"),
+    ("mass", "--model", "schwarzschild_exterior:M=1", "--level", "0.1", "--level", "0.5",
+     "--json"),
+    ("mass", "--model", "schwarzschild_exterior:M=1", "--level", "-0.5"),
+    ("mass", "--model", "schwarzschild_exterior:M=1"),
+    ("mass", "--level", "0.5"),
+    ("mass", "--model", "witten_stellar", "--level", "0.6", "--window", "0.05,1.5"),
+    ("mass", "--help"),
+    ("audit", "--model", "witten_stellar"),
+    ("audit", "--model", "wyman", "--abs-tol", "1e-3"),
+    ("audit", *STAR, "--json"),
+    ("build", "--phi", "witten", "--json"),
+    ("build", "--phi", "witten", "--span=-0.5,5"),
+    ("build", "--phi", "witten", "--span", "-0.5,5"),
+    ("build", "--phi", "witten", "--lam", "-0.5", "--json"),
+    ("build", "--n", "x"),
+    (),
+    ("--help",),
+    ("-h",),
+    ("--he",),
+    ("bogus",),
+    ("bogus", "--json"),
+    ("Verify", "wyman"),
+    ("--json", "verify", "wyman"),
+    ("-h", "verify"),
+    ("--", "verify", "wyman"),
+]
+
+
+def _ci_usage_errors():
+    """The command lines of CI's usage-error loop in the "Console script" step."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = text.split("# malformed input is a usage error", 1)[1]
+    loop = step[step.index("for argv in "):step.index("; do")]
+    return [tuple(line.split()) for line in shlex.split(loop.replace("\\\n", " "))[3:]]
+
+
+def _workload_argvs(workdir):
+    """The command lines of the benchmark's three workloads at seeds 1 and 7."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [req.argv for name in workloads.WORKLOADS for seed in (1, 7)
+            for req in workloads.generate(name, seed, str(workdir)) if req.argv is not None]
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse`` fills from ``argv`` (repr, so that NaN equals
+    itself), or the code it exits with."""
+    try:
+        return repr(sorted(vars(parse(list(argv))).items()))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_a_subcommand_line_parses_as_the_whole_tree_parses_it(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    corpus = PARSE_CORPUS + _ci_usage_errors() + _workload_argvs(tmp_path)
+    assert len(corpus) > 100
+    parser = cli._build_parser()
+    for argv in corpus:
+        assert (_parsed(lambda a: cli._parse_args(parser, a), argv)
+                == _parsed(parser.parse_args, argv)), argv
+    capsys.readouterr()
+    ours = [run(capsys, *argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    for argv, got in zip(corpus, ours):
+        assert got == run(capsys, *argv), argv
+    assert {code for code, _, _ in ours} == {0, 1, 3}
+
+
+def test_argv_none_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["staticstar", "verify", "wyman", "--grid-n", "48"])
+    code = main()
+    assert (code, *capsys.readouterr()) == run(capsys, "verify", "wyman", "--grid-n", "48")
+
+
+def test_only_lines_without_a_leading_subcommand_run_the_top_level_parser(capsys, monkeypatch):
+    parser = cli._build_parser()
+    calls = []
+    parse_known_args = parser.parse_known_args
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    assert run(capsys, "verify", "wyman", "--grid-n", "48", "--json")[0] == 0
+    assert run(capsys, "catalog", "list")[0] == 0
+    code, _, err = run(capsys, "verify", "wyman", "--out", "x.json")
+    assert code == 1 and err.startswith("usage: staticstar [-h]")
+    assert err.endswith("staticstar: error: unrecognized arguments: --out x.json\n")
+    assert calls == []
+    for argv in (("--help",), ("bogus",), ()):
+        run(capsys, *argv)
+    assert len(calls) == 3
+
+
 # --- import footprint -----------------------------------------------------------
 
 def _fresh_env():
@@ -680,6 +817,23 @@ def test_a_table_with_no_rows_prints_one_error_line(tmp_path, body):
         env=_fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr == f"error: table EOS {str(path)!r} has no rows\n"
+
+
+@pytest.mark.parametrize("name,how", [
+    ("abs_tol", "flag"), ("rel_tol", "flag"), ("abs_tol", "config"), ("rel_tol", "config"),
+])
+def test_an_infinite_tolerance_is_refused_without_a_warning(tmp_path, name, how):
+    # an infinite abs_tol takes rho and m out of the step-size control, and an
+    # infinite rel_tol made numpy warn before the integrator failed
+    if how == "flag":
+        extra = ["--" + name.replace("_", "-"), "inf"]
+    else:
+        (tmp_path / "run.ini").write_text(f"[staticstar]\n{name} = inf\n")
+        extra = ["--config", str(tmp_path / "run.ini")]
+    proc = subprocess.run([sys.executable, "-m", "staticstar.cli", "tov", *STAR, *extra],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {name} must be finite, got inf\n"
 
 
 def _table_eos(tmp_path):

@@ -1,4 +1,5 @@
-"""The spec grammar NAME[:key=value,...] and the checked factory call."""
+"""The spec grammar NAME[:key=value,...], the checked factory call and the
+run configuration's tolerances."""
 
 import inspect
 import math
@@ -123,3 +124,20 @@ def test_any_model_spec_builds_or_raises_a_package_error(spec):
 def test_any_eos_spec_builds_or_raises_a_package_error(spec):
     assume(spec.partition(":")[0].strip().lower() != "table")
     _builds_or_refuses(tov.EquationOfState.from_spec, spec)
+
+
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value,words", [
+    (math.inf, "must be finite"), (-math.inf, "must be positive"),
+    (math.nan, "must be positive"), (0.0, "must be positive"),
+])
+def test_a_tolerance_must_be_finite_and_positive(name, value, words):
+    with pytest.raises(BadParams, match=f"^{name} {words}, got {value}$"):
+        config.RunConfig(**{name: value})
+
+
+def test_a_config_file_tolerance_must_be_finite(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[staticstar]\nabs_tol = inf\n")
+    with pytest.raises(BadParams, match="^abs_tol must be finite, got inf$"):
+        config.merge_config(config.load_config(str(path)))

@@ -14,6 +14,19 @@ def _ab_pass(*args):
                           stderr=subprocess.PIPE, text=True, cwd=ROOT)
 
 
+def _edited_copy(tmp_path, module: str, old: str, new: str) -> str:
+    """A checkout holding a copy of this one's src/ with ``old`` replaced by
+    ``new`` in ``staticstar/module``."""
+    other = tmp_path / "other"
+    shutil.copytree(os.path.join(ROOT, "src"), other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = other / "src" / "staticstar" / module
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(other)
+
+
 def test_a_checkout_against_itself_gives_the_same_bytes():
     proc = _ab_pass(ROOT, ROOT, "--passes", "2", "--workload", "conformal_build")
     assert proc.returncode == 0, proc.stderr
@@ -23,15 +36,19 @@ def test_a_checkout_against_itself_gives_the_same_bytes():
 
 def test_a_checkout_whose_outputs_differ_exits_1(tmp_path):
     """A step-size safety factor of 0.8 for scipy's 0.9: other steps, other floats."""
-    other = tmp_path / "other"
-    shutil.copytree(os.path.join(ROOT, "src"), other / "src",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    numerics = other / "src" / "staticstar" / "numerics.py"
-    text = numerics.read_text(encoding="utf-8")
-    assert "_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9," in text
-    numerics.write_text(text.replace("_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9,",
-                                     "_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.8,"), encoding="utf-8")
-    proc = _ab_pass(ROOT, str(other), "--passes", "1", "--workload", "tov_stars")
+    other = _edited_copy(tmp_path, "numerics.py", "_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9,",
+                         "_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.8,")
+    proc = _ab_pass(ROOT, other, "--passes", "1", "--workload", "tov_stars")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "tov_stars: the outputs differ at\nstaticstar tov " in proc.stderr
+
+
+def test_a_checkout_whose_stderr_alone_differs_exits_1(tmp_path):
+    """One more space in the usage-error line: same exit codes, same stdout."""
+    other = _edited_copy(tmp_path, "cli.py", 'print(f"error: {exc}", file=sys.stderr)',
+                         'print(f"error:  {exc}", file=sys.stderr)')
+    proc = _ab_pass(ROOT, other, "--passes", "1", "--workload", "catalog_verify")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "catalog_verify: the outputs differ at\nstaticstar verify no_such_model" in proc.stderr

@@ -84,6 +84,14 @@ class TestEquationOfState:
         assert eos.mu(3.0) == 6.0
 
 
+@pytest.mark.parametrize("options", [
+    {"abs_tol": math.inf}, {"rel_tol": math.inf}, {"abs_tol": math.nan}, {"rel_tol": math.nan},
+], ids=["abs-inf", "rel-inf", "abs-nan", "rel-nan"])
+def test_solver_options_refuse_a_tolerance_that_is_not_finite(options):
+    with pytest.raises(BadParams, match="^tolerances must be finite, got abs_tol="):
+        tov.SolverOptions(**options)
+
+
 class TestUniformStar:
     """Solver output against the closed-form star (session fixture)."""
 

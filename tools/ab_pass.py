@@ -13,8 +13,8 @@ falls on both.  A pass's time is the process CPU time of its requests, the
 rendering of their outputs left out.
 
 Every request's output must be the same bytes on both sides in every pass:
-a command line's exit code and stdout (run through ``staticstar.cli.main``
-with stdout and stderr captured), a library call's reports as
+a command line's exit code, stdout and stderr (run through
+``staticstar.cli.main`` with both captured), a library call's reports as
 ``to_json_dict()``, as ``tools/workload_digest.py`` hashes them.  Prints,
 per workload, the median of the pairs' change/parent CPU ratios with its
 quartiles and each side's median pass time; exits 1 at the first output
@@ -61,9 +61,10 @@ def _load(checkout: str) -> dict:
     return {name: mod for name, mod in sys.modules.items() if _is_package_module(name)}
 
 
-def _output_bytes(req, result, stdout: str) -> bytes:
+def _output_bytes(req, result, stdout: str, stderr: str) -> bytes:
     if req.argv is not None:
-        return f"{result}\n{stdout}".encode()
+        # the length of stdout marks where stderr starts
+        return f"{result} {len(stdout)}\n{stdout}{stderr}".encode()
     return _library_bytes(result)
 
 
@@ -73,15 +74,15 @@ def _run_pass(modules: dict, requests) -> tuple[float, list[bytes]]:
     main = modules["staticstar.cli"].main
     cpu, outputs = 0.0, []
     for req in requests:
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         start = time.process_time()
         if req.argv is None:
             result = req.call()
         else:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 result = main(list(req.argv))
         cpu += time.process_time() - start
-        outputs.append(_output_bytes(req, result, out.getvalue()))
+        outputs.append(_output_bytes(req, result, out.getvalue(), err.getvalue()))
     return cpu, outputs
 
 
