@@ -22,7 +22,10 @@ subcommand's own parser alone; what it leaves over is refused with the
 top-level usage line, as the whole tree refuses it.  Every other command line
 goes through the top-level parser: no arguments, ``-h``/``--help``, an
 unknown subcommand, an option before the subcommand, and ``argv=None``
-(``sys.argv[1:]``).  Both routes print the same bytes and exit alike.
+(``sys.argv[1:]``).  Both routes print the same bytes and exit alike.  A
+word that starts with a minus sign and a digit, or a minus sign, a dot and a
+digit (``--rho-c -1e-4``, ``--span -0.5,5``), is a value, read as its
+``--flag=value`` form is, on every Python version.
 
 Examples
 --------
@@ -42,6 +45,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import catalog, conformal, energy, quasilocal, tov
@@ -305,6 +309,9 @@ def _cmd_build(args, cfg: RunConfig) -> int:
 # parser
 # ----------------------------------------------------------------------------
 
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on first use and shared by every ``main`` call.
@@ -380,6 +387,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", help="invariant span lo,hi (default 0,10)")
     p.set_defaults(handler=_cmd_build)
 
+    # A word that starts with a minus sign and then a digit, or a dot and a
+    # digit, is a value (-1e-4, -0.5,5), never an option: no option of the
+    # tree starts with a digit.  Argparse's own test for a negative number
+    # differs between Python versions; 3.11's takes only plain decimals.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

@@ -52,7 +52,6 @@ from .numerics import (
     EPS_DOM,
     ProfileAt,
     RadialFunction,
-    ScalarField,
     as_points,
     chebyshev_grid,
     solve_ivp,
@@ -172,19 +171,14 @@ class BasicInvariant:
             raise DomainError("degenerate invariant: u is constant")
         return ((u - float(np.sum(self.beta))) / a2)[..., None] * a
 
-    def as_field(self) -> ScalarField:
-        """The invariant as an exact ScalarField (polynomial derivatives)."""
-        m = self.n
-        a = np.asarray(self.alpha)
-        tau = self.tau
+    def gradient(self, x) -> np.ndarray:
+        """grad u = 2 tau x + alpha at one point ``(n,)`` or at each row of ``(N, n)``."""
+        return 2.0 * self.tau * as_points(x, self.n) + np.asarray(self.alpha)
 
-        hess = 2.0 * tau * np.eye(m)
-        return ScalarField(
-            value=self.value,
-            gradient=lambda x: 2.0 * tau * as_points(x, m) + a,
-            hessian=lambda x: np.broadcast_to(hess, as_points(x, m).shape + (m,)),
-            n=m,
-        )
+    def hessian(self, x) -> np.ndarray:
+        """Hess u = 2 tau I, broadcast to ``(n, n)`` or ``(N, n, n)`` (read-only)."""
+        x = as_points(x, self.n)
+        return np.broadcast_to(2.0 * self.tau * np.eye(self.n), x.shape + (self.n,))
 
 
 # ----------------------------------------------------------------------------

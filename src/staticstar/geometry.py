@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParams, DomainError
-from .numerics import ProfileAt, RadialFunction, ScalarField, as_points, _lazy
+from .numerics import ProfileAt, RadialFunction, as_points, _lazy
 
 if TYPE_CHECKING:  # conformal imports this module
     from .conformal import BasicInvariant
@@ -111,32 +111,23 @@ class ConformalFlat:
     invariant u (:class:`~staticstar.conformal.BasicInvariant`).
 
     ``phi_radial`` is the factor's profile in u; everything else is read from
-    the invariant: ``n``, the field ``radial`` = u(x), the full factor field
-    ``phi`` (built once per ansatz) and the reference ray
-    ``invariant.point_at``, which embeds grid values u (a float or an array)
-    into R^n as points shaped ``u.shape + (n,)``.  For tau > 0 the level sets
-    of u are round spheres about the invariant's center.
+    the invariant: ``n``, u(x) with its gradient and Hessian, and the
+    reference ray ``invariant.point_at``, which embeds grid values u (a float
+    or an array) into R^n as points shaped ``u.shape + (n,)``.  For tau > 0
+    the level sets of u are round spheres about the invariant's center.  At
+    points of R^n the chart is read through a :class:`ConformalBatch`.
     """
 
     phi_radial: RadialFunction
     invariant: BasicInvariant
-    radial: ScalarField = field(init=False, repr=False, compare=False)
-    phi: ScalarField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise BadParams(f"conformally flat ansatz needs n >= 3, got n={self.n}")
-        radial = self.invariant.as_field()
-        object.__setattr__(self, "radial", radial)
-        object.__setattr__(self, "phi", ScalarField.compose(self.phi_radial, radial))
 
     @property
     def n(self) -> int:
         return self.invariant.n
-
-    def lift(self, rf: RadialFunction) -> ScalarField:
-        """Interpret a radial profile as a field on R^n: F(x) = rf(u(x))."""
-        return ScalarField.compose(rf, self.radial)
 
 
 MetricAnsatz = SchwarzschildForm | WarpedProduct | ConformalFlat
@@ -144,17 +135,19 @@ MetricAnsatz = SchwarzschildForm | WarpedProduct | ConformalFlat
 
 class ConformalBatch:
     """A :class:`ConformalFlat` chart evaluated once at points ``x``, ``(n,)``
-    or ``(N, n)``: u(x), and through u, grad u and Hess u the
+    or ``(N, n)`` (BadParams for any other shape): u(x), grad u and Hess u
+    from the invariant, and through them the
     :class:`~staticstar.numerics.ProfileAt` readings ``phi`` and, given a
-    lapse profile, ``f``.  The curvature, g-Hessian and shape-operator
-    kernels read these arrays."""
+    lapse profile in u, ``f``.  The curvature, g-Hessian and shape-operator
+    kernels read these arrays, inside the package and behind the public
+    :func:`conformal_curvature`, :func:`conformal_hessian` and
+    :func:`~staticstar.quasilocal.shape_operator` alike."""
 
     def __init__(self, ansatz: ConformalFlat, x, f: RadialFunction | None = None):
-        radial = ansatz.radial
+        inv = ansatz.invariant
         x = as_points(x, ansatz.n)
-        self.u = u = radial.value(x)
-        grad_u = np.asarray(radial.gradient(x), dtype=float)
-        hess_u = radial.hessian(x)
+        self.u = u = inv.value(x)
+        grad_u, hess_u = inv.gradient(x), inv.hessian(x)
         self.phi = ProfileAt(ansatz.phi_radial, u, grad_u, hess_u)
         self.f = None if f is None else ProfileAt(f, u, grad_u, hess_u)
 
@@ -413,30 +406,28 @@ def _chart_ricci(b, b1, b2, e2, ee1, one_minus_bs2):
 # curvature: conformally flat metrics
 # ----------------------------------------------------------------------------
 
-def _conformal_factor(phi: ScalarField, x):
-    """(points, phi(points)) for one point or a batch; DomainError unless phi > 0."""
-    x = as_points(x, phi.n)
-    p = np.asarray(phi.value(x), dtype=float)
+def _positive(p: np.ndarray) -> np.ndarray:
+    """The conformal factor's values ``p`` at a batch; DomainError unless all are positive."""
     if np.any(p <= 0.0):
         raise DomainError("conformal factor must be positive")
-    return x, p
+    return p
 
 
-def conformal_curvature(phi: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
+def conformal_curvature(ansatz: ConformalFlat, x) -> tuple[np.ndarray, np.ndarray]:
     """Ricci tensor (coordinate components) and scalar curvature of phi^{-2} delta.
 
         Ric_ij = phi^{-2} { (n-2) phi phi_{,ij}
                             + [phi Lap phi - (n-1) |dphi|^2] delta_ij }
         R      = (n-1) [ 2 phi Lap phi - n |dphi|^2 ]
 
-    with all derivatives Euclidean.  ``x`` is one point ``(n,)`` or a batch
-    ``(N, n)``; Ricci comes back shaped ``(..., n, n)`` and R ``(...)``.  The
+    with all derivatives Euclidean and phi = ``ansatz.phi_radial`` of u(x).
+    ``x`` is one point ``(n,)`` or a batch ``(N, n)``; Ricci comes back shaped
+    ``(..., n, n)`` and R ``(...)``.  DomainError where phi <= 0.  The
     g-trace of Ricci reproduces R (a cheap internal consistency check the
     tests pin to 1e-12).
     """
-    x, p = _conformal_factor(phi, x)
-    return _conformal_ricci(p, np.asarray(phi.gradient(x), dtype=float),
-                            np.asarray(phi.hessian(x), dtype=float))
+    phi = ConformalBatch(ansatz, x).phi
+    return _conformal_ricci(_positive(phi.v), phi.grad, phi.hess)
 
 
 def _conformal_ricci(p, grad, hess):
@@ -450,18 +441,19 @@ def _conformal_ricci(p, grad, hess):
     return ric, r_scalar
 
 
-def conformal_hessian(phi: ScalarField, f: ScalarField, x) -> np.ndarray:
-    """Hessian of f with respect to g = phi^{-2} delta (coordinate components).
+def conformal_hessian(ansatz: ConformalFlat, f: RadialFunction, x) -> np.ndarray:
+    """Hessian of f(u(x)) with respect to g = phi^{-2} delta (coordinate components).
 
         (Hess_g f)_ij = f_{,ij} + (phi_i f_j + phi_j f_i)/phi
                         - delta_ij <dphi, df> / phi
 
-    ``x`` is one point ``(n,)`` or a batch ``(N, n)``; the result is shaped
-    ``(..., n, n)``.
+    ``f`` is a radial profile in the ansatz's invariant u.  ``x`` is one point
+    ``(n,)`` or a batch ``(N, n)``; the result is shaped ``(..., n, n)``.
+    DomainError where phi <= 0.
     """
-    x, p = _conformal_factor(phi, x)
-    return _g_hessian(p, np.asarray(phi.gradient(x), dtype=float),
-                      np.asarray(f.gradient(x), dtype=float), np.asarray(f.hessian(x), dtype=float))
+    batch = ConformalBatch(ansatz, x, f)
+    phi = batch.phi
+    return _g_hessian(_positive(phi.v), phi.grad, batch.f.grad, batch.f.hess)
 
 
 def _g_hessian(p, grad_phi, grad_f, hess_f):

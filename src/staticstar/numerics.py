@@ -7,8 +7,10 @@ Everything geometric in this package is assembled from two building blocks:
   written once and differentiated by a second-order :class:`Jet`
   (:meth:`RadialFunction.from_formula`); ODE solutions differentiate their
   dense output (:meth:`PiecewisePoly.derivative`) or their right-hand side.
-* :class:`ScalarField` — a scalar function on R^n with gradient and Hessian,
-  used by the conformally flat machinery.
+* :class:`ProfileAt` — a radial function read once on a set of points u; given
+  the gradient and Hessian of u(x) on R^n there, it also gives those of the
+  function in x by the chain rule, as the conformally flat machinery reads
+  them.
 
 ODE solutions come from :func:`solve_ivp`, a step-for-step port of scipy's
 RK45 whose dense output is one :class:`PiecewisePoly`: its right-hand side
@@ -40,7 +42,6 @@ __all__ = [
     "Jet",
     "RadialFunction",
     "ProfileAt",
-    "ScalarField",
     "as_points",
     "check_grid_n",
     "chebyshev_grid",
@@ -764,41 +765,6 @@ class ProfileAt:
         g = self.grad_u
         return (self.d2[..., None, None] * (g[..., :, None] * g[..., None, :])
                 + self.d1[..., None, None] * self.hess_u)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar function on R^n exposing value, gradient, and Hessian.
-
-    Fields built by this package take one point ``(n,)`` or a batch
-    ``(N, n)`` and return values shaped ``()``/``(N,)``, gradients
-    ``(..., n)`` and Hessians ``(..., n, n)``; other shapes raise BadParams.
-    A hand-written field only needs to handle the shapes its caller passes.
-    Fields built by :meth:`compose` are exact (chain rule), not finite
-    differences.
-    """
-
-    value: Callable
-    gradient: Callable
-    hessian: Callable
-    n: int
-
-    @classmethod
-    def compose(cls, rf: RadialFunction, inner: "ScalarField") -> "ScalarField":
-        """Exact chain-rule lift of ``F(x) = rf(inner(x))``; batches as ``inner`` does.
-        Each call reads one :class:`ProfileAt`."""
-
-        def value(x):
-            return rf.value(inner.value(x))
-
-        def gradient(x):
-            return ProfileAt(rf, inner.value(x), np.asarray(inner.gradient(x))).grad
-
-        def hessian(x):
-            return ProfileAt(rf, inner.value(x), np.asarray(inner.gradient(x), dtype=float),
-                             np.asarray(inner.hessian(x))).hess
-
-        return cls(value=value, gradient=gradient, hessian=hessian, n=inner.n)
 
 
 # ----------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .errors import (
     NotARegularValue,
 )
 from .geometry import (EIGHT_PI, ConformalBatch, ConformalFlat, Piece, _g_hessian, _pieces,
-                       coordinate_sphere)
-from .numerics import (ProfileAt, RadialFunction, ScalarField, as_points, check_grid_n, refine_root,
+                       _positive, coordinate_sphere)
+from .numerics import (ProfileAt, RadialFunction, as_points, check_grid_n, refine_root,
                        sign_brackets, sphere_rule)
 
 __all__ = [
@@ -131,19 +131,19 @@ def hawking_mass(area: float, willmore: float) -> float:
     return math.sqrt(area / (16.0 * math.pi)) * (1.0 - willmore / (16.0 * math.pi))
 
 
-def willmore_energy(h_point, areal_radius: float) -> float:
+def willmore_energy(h, areal_radius: float) -> float:
     """int H^2 dA over a round sphere of areal radius b, by the
     degree-``AUDIT_DEGREE`` sphere rule.
 
-    ``h_point`` maps the ``(N, 3)`` batch of unit quadrature nodes to the
-    mean curvature at the corresponding surface points, as ``(N,)`` values
-    or one value for all of them; the area element is b^2 times the
-    unit-sphere measure (the product rule used sums to 4 pi).
+    ``h`` is the mean curvature at the surface points of the rule's ``(N, 3)``
+    unit nodes (``sphere_rule(AUDIT_DEGREE)[0]``), as ``(N,)`` values or one
+    value for all of them; the area element is b^2 times the unit-sphere
+    measure (the product rule used sums to 4 pi).
     """
     if areal_radius <= 0.0:
         raise DomainError(f"need positive areal radius, got {areal_radius}")
-    pts, wts = sphere_rule(AUDIT_DEGREE)
-    h = np.broadcast_to(np.asarray(h_point(pts), dtype=float), wts.shape)
+    _, wts = sphere_rule(AUDIT_DEGREE)
+    h = np.broadcast_to(np.asarray(h, dtype=float), wts.shape)
     return float(areal_radius**2 * (wts @ h**2))
 
 
@@ -203,28 +203,23 @@ def hawking_inequality_slack(h_level: float, kappa: float, c: float, rho0: float
     return lhs - rhs
 
 
-def shape_operator(ansatz: ConformalFlat, f, x) -> tuple[np.ndarray, np.ndarray]:
+def shape_operator(ansatz: ConformalFlat, f: RadialFunction, x) -> tuple[np.ndarray, np.ndarray]:
     """Level-set shape operator at points of a conformally flat model.
 
-    ``f`` is the lapse, as a radial profile in the ansatz's radial variable or
-    already lifted to a ScalarField.  ``x`` is one point ``(3,)`` or a batch
-    ``(N, 3)``.  Returns (A, trace), shaped ``(..., 2, 2)`` and ``(...)``, in a
-    2-frame tangent to the level set of f through each point, for the unit
-    normal along +grad f.  A_ab = phi (t_a . Hess_g f . t_b) / |grad f|_euclid
-    with euclidean-orthonormal tangents t_a; the trace is the mean curvature
-    with respect to that normal (so -h_level in the signed convention, and
-    sign(f') H_outward).
+    ``f`` is the lapse, a radial profile in the ansatz's invariant u.  ``x``
+    is one point ``(3,)`` or a batch ``(N, 3)``.  Returns (A, trace), shaped
+    ``(..., 2, 2)`` and ``(...)``, in a 2-frame tangent to the level set of f
+    through each point, for the unit normal along +grad f.  A_ab = phi (t_a .
+    Hess_g f . t_b) / |grad f|_euclid with euclidean-orthonormal tangents
+    t_a; the trace is the mean curvature with respect to that normal (so
+    -h_level in the signed convention, and sign(f') H_outward).
 
-    Raises NotARegularValue if grad f vanishes at any point of the batch.
+    Raises NotARegularValue if grad f vanishes at any point of the batch,
+    and DomainError if phi <= 0 at any.
     """
     x = as_points(x, 3)
-    if isinstance(f, ScalarField):
-        a11, a22, a12, _ = _shape(x, ConformalBatch(ansatz, x).phi,
-                                  np.asarray(f.gradient(x), dtype=float),
-                                  np.asarray(f.hessian(x), dtype=float))
-    else:
-        batch = ConformalBatch(ansatz, x, f)
-        a11, a22, a12, _ = _shape(x, batch.phi, batch.f.grad, batch.f.hess)
+    batch = ConformalBatch(ansatz, x, f)
+    a11, a22, a12, _ = _shape(x, batch.phi, batch.f.grad, batch.f.hess)
     A = np.stack([np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2)
     return A, a11 + a22
 
@@ -242,9 +237,7 @@ def _shape(x, phi: ProfileAt, grad_f, hess_f):
     t1 = e - np.einsum("...i,...i->...", e, nu)[..., None] * nu
     t1 /= np.linalg.norm(t1, axis=-1)[..., None]
     t2 = np.cross(nu, t1)
-    p = phi.v
-    if np.any(p <= 0.0):
-        raise DomainError("conformal factor must be positive")
+    p = _positive(phi.v)
     hess = _g_hessian(p, phi.grad, grad_f, hess_f)
     scale = p / gnorm
 
@@ -397,8 +390,7 @@ def _sphere_audit(ansatz: ConformalFlat, f, u0: float, b: float):
     mean_g = np.mean(gnorms)
     gradc = float(np.std(gnorms) / mean_g) if mean_g != 0 else math.inf
     # the traces are H at these very nodes
-    traces = a11 + a22
-    return spread, gradc, willmore_energy(lambda _: traces, b)
+    return spread, gradc, willmore_energy(a11 + a22, b)
 
 
 def _level_sets(model, levels, window, grid_n: int) -> list:

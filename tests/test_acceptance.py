@@ -85,7 +85,7 @@ def test_c04_vacuum_saturates_hawking_inequality(vacuum):
 def test_c05_flat_unit_sphere_willmore_energy():
     """Quadrature of H^2 over the flat unit sphere (H = 2) gives 16 pi to
     1e-10, hence a vanishing Hawking mass."""
-    w = quasilocal.willmore_energy(lambda p: 2.0, 1.0)
+    w = quasilocal.willmore_energy(2.0, 1.0)
     assert abs(w - 16.0 * math.pi) < 1e-10
     assert abs(quasilocal.hawking_mass(FOUR_PI, w)) < 1e-10
 
@@ -191,7 +191,7 @@ def test_c10_conformal_density_closes_against_curvature():
     for x in ([0.3, 0.0, 0.0], [0.7, 0.2, 0.1], [1.5, -0.4, 0.8]):
         x = np.asarray(x, dtype=float)
         u = m.invariant.value(x)
-        _, r_scal = conformal_curvature(ansatz.phi, x)
+        _, r_scal = conformal_curvature(ansatz, x)
         assert abs(float(m.mu_geo(u)) - 0.5 * float(r_scal)) < 1e-7
 
 

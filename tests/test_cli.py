@@ -317,6 +317,37 @@ def test_missing_or_unknown_flag(capsys, argv):
     assert code == 1 and "usage:" in err and "Traceback" not in err
 
 
+# a value that starts with a minus sign, after its flag: the split form parses
+# as the '=' form does on every Python, and so reaches the handler
+NEGATIVE_VALUES = [
+    (("tov", *STAR[:2], "--rho-c"), "-1e-4"),
+    (("mass", "--model", "witten_stellar", "--level"), "-1e-3"),
+    (("mass", "--model", "witten_stellar", "--level", "0.5", "--window"), "-1,20"),
+    (("build", "--span"), "-0.5,5"),
+    (("build", "--phi", "unit", "--ic"), "-1,0.5"),
+]
+
+
+@pytest.mark.parametrize("head, value", NEGATIVE_VALUES, ids=[v for _, v in NEGATIVE_VALUES])
+def test_a_negative_value_after_its_flag_reads_as_the_equals_form(capsys, head, value):
+    split = run(capsys, *head, value)
+    joined = run(capsys, *head[:-1], f"{head[-1]}={value}")
+    assert split == joined
+    assert "usage:" not in split[2] and "expected one argument" not in split[2]
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (("mass", "--model", "witten_stellar", "--level", "0.5", "--window", "--json"),
+     "staticstar mass: error: argument --window: expected one argument"),
+    (("mass", *STAR, "--level", "0.6", "--quad-degree", "5"),
+     "staticstar: error: unrecognized arguments: --quad-degree 5"),
+    (("verify", "wyman", "-x"), "staticstar: error: unrecognized arguments: -x"),
+], ids=["flag-after-flag", "unknown-flag", "unknown-short-flag"])
+def test_an_option_word_is_still_an_option(capsys, argv, last_line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.splitlines()[-1] == last_line
+
+
 def test_catalog_verify_needs_id(capsys):
     code, _, err = run(capsys, "catalog", "verify")
     assert code == 1 and "needs a model id" in err
@@ -705,6 +736,7 @@ PARSE_CORPUS = [
     ("build", "--phi", "witten", "--span=-0.5,5"),
     ("build", "--phi", "witten", "--span", "-0.5,5"),
     ("build", "--phi", "witten", "--lam", "-0.5", "--json"),
+    *[(*head, value) for head, value in NEGATIVE_VALUES],
     ("build", "--n", "x"),
     (),
     ("--help",),

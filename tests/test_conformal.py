@@ -96,9 +96,9 @@ class TestBasicInvariant:
         x = np.array([1.0, 1.0, 1.0])
         assert inv.value(x) == pytest.approx(3.0)
         assert inv.C == 0.0
-        g = inv.as_field().gradient(x)
+        g = inv.gradient(x)
         assert float(g @ g) == pytest.approx(4.0 * inv.tau * 3.0 + inv.C)
-        assert np.trace(inv.as_field().hessian(x)) == pytest.approx(6.0)
+        assert np.trace(inv.hessian(x)) == pytest.approx(6.0)
 
     def test_plane_case(self):
         inv = BasicInvariant(0.0, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -145,13 +145,34 @@ class TestBasicInvariant:
         inv = BasicInvariant(tau, alpha, beta)
         assert "C" not in vars(inv)
         x = np.random.default_rng(5).standard_normal((16, 3))
-        grad = inv.as_field().gradient(x)
+        grad = inv.gradient(x)
         np.testing.assert_allclose(inv.grad_sq(inv.value(x)), np.sum(grad * grad, axis=-1),
                                    rtol=1e-12, atol=1e-12)
         # C is summed on the first read and then kept, with the same bits
         assert vars(inv)["C"] is inv.C
         assert inv.C == float(sum(a * a - 4.0 * tau * b for a, b in zip(alpha, beta)))
         assert inv.grad_sq(0.7) == 4.0 * tau * 0.7 + inv.C
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_gradient_and_hessian_shapes(self, n):
+        rng = np.random.default_rng(n)
+        inv = BasicInvariant(0.8, tuple(rng.standard_normal(n)), tuple(rng.standard_normal(n)))
+        x = rng.standard_normal((4, n))
+        assert inv.gradient(x[0]).shape == (n,) and inv.hessian(x[0]).shape == (n, n)
+        assert inv.gradient(x).shape == (4, n) and inv.hessian(x).shape == (4, n, n)
+        np.testing.assert_array_equal(inv.hessian(x), np.broadcast_to(1.6 * np.eye(n), (4, n, n)))
+        for k, xk in enumerate(x):
+            assert inv.gradient(xk).tobytes() == inv.gradient(x)[k].tobytes()
+            # the polynomial's derivatives against stencils of u along each axis
+            for i in range(n):
+                e = np.eye(n)[i]
+                assert inv.gradient(xk)[i] == pytest.approx(
+                    fd_derivative(lambda t: inv.value(xk + t * e), 0.0, order=1), abs=1e-9)
+        for bad in (np.ones(n + 1), np.ones((4, n - 1)), np.ones((2, 2, n)), np.float64(1.0)):
+            with pytest.raises(BadParams):
+                inv.gradient(bad)
+            with pytest.raises(BadParams):
+                inv.hessian(bad)
 
     def test_construction_guards(self):
         with pytest.raises(BadParams):
@@ -384,24 +405,23 @@ def _check_rays(m):
 
 def _assert_public_routes_match(ansatz, f: RadialFunction, x):
     """The public conformal_curvature, conformal_hessian and (n = 3)
-    shape_operator, which read phi and the lapse through ScalarField.compose,
-    give the bytes of the kernels reading one ConformalBatch of ``x``."""
+    shape_operator give the bytes of the kernels reading one ConformalBatch
+    of ``x``."""
     batch = ConformalBatch(ansatz, x, f)
-    f_field = ansatz.lift(f)
     kernels = {
         "curvature": geometry._conformal_ricci(batch.phi.v, batch.phi.grad, batch.phi.hess),
         "hessian": (geometry._g_hessian(batch.phi.v, batch.phi.grad, batch.f.grad,
                                         batch.f.hess),),
     }
     public = {
-        "curvature": conformal_curvature(ansatz.phi, x),
-        "hessian": (conformal_hessian(ansatz.phi, f_field, x),),
+        "curvature": conformal_curvature(ansatz, x),
+        "hessian": (conformal_hessian(ansatz, f, x),),
     }
     if ansatz.n == 3:
         a11, a22, a12, _ = quasilocal._shape(x, batch.phi, batch.f.grad, batch.f.hess)
         kernels["shape"] = (np.stack([np.stack([a11, a12], axis=-1),
                                       np.stack([a12, a22], axis=-1)], axis=-2), a11 + a22)
-        public["shape"] = quasilocal.shape_operator(ansatz, f_field, x)
+        public["shape"] = quasilocal.shape_operator(ansatz, f, x)
     for name, arrays in kernels.items():
         for got, want in zip(public[name], arrays, strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
@@ -449,6 +469,18 @@ class TestConformalBatch:
                 # second differences at h = 5e-4 lose up to ~2e-8 to round-off
                 np.testing.assert_allclose(lifted.hess[k], hess, rtol=0, atol=2e-7)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_public_routes_match_at_one_point_and_in_a_batch(self, n):
+        m = build_model("witten", n=n)
+        ansatz, inv = m.pieces[0].ansatz, m.invariant
+        dirs = np.random.default_rng(n).standard_normal((5, n))
+        x = np.concatenate([inv.point_at(np.linspace(0.5, 4.0, 5), direction=dirs[0]),
+                            inv.center + dirs])
+        _assert_public_routes_match(ansatz, m.f, x)
+        for xk in x:
+            assert xk.shape == (n,)
+            _assert_public_routes_match(ansatz, m.f, xk)
+
     @pytest.mark.parametrize("case", CHECK_CASES)
     def test_public_routes_match_on_the_check_rays(self, case):
         m = _case_model(case)
@@ -465,13 +497,13 @@ class TestConformalBatch:
         assert x.shape == (648, 3)
         _assert_public_routes_match(ansatz, m.f, x)
         # the audit's three figures, each read through the public routes
-        f_field = ansatz.lift(m.f)
-        A, traces = quasilocal.shape_operator(ansatz, f_field, x)
-        gnorms = ansatz.phi.value(x) * np.linalg.norm(f_field.gradient(x), axis=-1)
+        A, traces = quasilocal.shape_operator(ansatz, m.f, x)
+        batch = ConformalBatch(ansatz, x, m.f)
+        gnorms = batch.phi.v * np.linalg.norm(batch.f.grad, axis=-1)
         b = geometry.coordinate_sphere(ansatz, rep.r)[0]
         expect = (float(np.max(np.hypot(A[:, 0, 0] - A[:, 1, 1], 2.0 * A[:, 0, 1]))),
                   float(np.std(gnorms) / np.mean(gnorms)),
-                  quasilocal.willmore_energy(lambda _: traces, b))
+                  quasilocal.willmore_energy(traces, b))
         assert quasilocal._sphere_audit(ansatz, m.f, rep.r, b) == expect
 
 
@@ -552,7 +584,7 @@ class TestBuildModel:
         fluid = m.fluid()
         points = np.concatenate([on_points, off_points])
         us = inv.value(points)
-        _, r_scal = conformal_curvature(ansatz.phi, points)
+        _, r_scal = conformal_curvature(ansatz, points)
         closure = np.asarray(m.mu_geo(us), dtype=float) - 0.5 * r_scal
         off_axis = _spf_arrays_conformal(ansatz, fluid, off_points, sparse)[0]
         reference = {

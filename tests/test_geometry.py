@@ -15,7 +15,9 @@ from staticstar.geometry import (
     SchwarzschildForm,
     WarpedProduct,
     _chart_ricci,
+    _conformal_ricci,
     _entry,
+    _g_hessian,
     conformal_curvature,
     conformal_hessian,
     _radial_chart,
@@ -26,7 +28,7 @@ from staticstar.geometry import (
     to_physical,
     tolman_residuals,
 )
-from staticstar.numerics import RadialFunction, ScalarField, chebyshev_grid
+from staticstar.numerics import RadialFunction, chebyshev_grid
 
 # ---------------------------------------------------------------------------
 # convention bridge
@@ -125,67 +127,77 @@ class TestSchwarzschildForm:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_field():
-    def val(x):
-        return math.sqrt(1.0 + float(np.dot(x, x)))
+def _sqrt_factor(x):
+    """phi = sqrt(1 + |x|^2) at one point or a batch, with its Euclidean
+    gradient and Hessian written out by hand: (phi, x/phi, I/phi - x x^T/phi^3)."""
+    x = np.asarray(x, dtype=float)
+    p = np.sqrt(1.0 + np.sum(x * x, axis=-1))
+    grad = x / p[..., None]
+    hess = (np.eye(3) / p[..., None, None]
+            - x[..., :, None] * x[..., None, :] / (p**3)[..., None, None])
+    return p, grad, hess
 
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return x / val(x)
 
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        p = val(x)
-        return np.eye(3) / p - np.outer(x, x) / p**3
-
-    return ScalarField(val, grad, hess, 3)
-
+# the same factor as a ConformalFlat chart: sqrt(1 + u) in u = |x|^2
+SQRT_CHART = ConformalFlat(
+    RadialFunction.from_formula(lambda u: np.sqrt(1.0 + u), (-1.0 + 1e-12, math.inf)),
+    conformal.BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3),
+)
 
 GENERIC_POINT = np.array([0.5, -1.0 / 3.0, 0.2])
+GENERIC_RICCI = np.array([
+    [2.1145560620858413, 0.0848991994948812, -0.0509395196969287],
+    [0.0848991994948812, 2.1853053949982423, 0.0339596797979525],
+    [-0.0509395196969287, 0.0339596797979525, 2.2215290534493916],
+])
 
 
 class TestConformalCurvature:
-    def test_scalar_curvature_values(self):
-        phi = _sqrt_field()
-        assert conformal_curvature(phi, np.zeros(3))[1] == pytest.approx(12.0, abs=1e-12)
-        assert conformal_curvature(phi, np.array([1.0, 0.0, 0.0]))[1] == pytest.approx(
-            7.0, abs=1e-12
-        )
-        assert conformal_curvature(phi, GENERIC_POINT)[1] == pytest.approx(
-            9.1371927042030135, abs=1e-12
-        )
+    @pytest.mark.parametrize("curvature", [
+        lambda x: _conformal_ricci(*_sqrt_factor(x)),
+        lambda x: conformal_curvature(SQRT_CHART, x),
+    ], ids=["kernel", "public"])
+    def test_scalar_curvature_values(self, curvature):
+        assert curvature(np.zeros(3))[1] == pytest.approx(12.0, abs=1e-12)
+        assert curvature(np.array([1.0, 0.0, 0.0]))[1] == pytest.approx(7.0, abs=1e-12)
+        assert curvature(GENERIC_POINT)[1] == pytest.approx(9.1371927042030135, abs=1e-12)
+        # a batch gives its rows
+        _, r_scal = curvature(np.stack([np.zeros(3), GENERIC_POINT]))
+        np.testing.assert_allclose(r_scal, [12.0, 9.1371927042030135], rtol=0, atol=1e-12)
 
-    def test_ricci_on_axis(self):
-        ric, _ = conformal_curvature(_sqrt_field(), np.array([1.0, 0.0, 0.0]))
+    @pytest.mark.parametrize("curvature", [
+        lambda x: _conformal_ricci(*_sqrt_factor(x)),
+        lambda x: conformal_curvature(SQRT_CHART, x),
+    ], ids=["kernel", "public"])
+    def test_ricci_closed_forms(self, curvature):
+        ric, _ = curvature(np.array([1.0, 0.0, 0.0]))
         assert np.allclose(ric, np.diag([1.0, 1.25, 1.25]), atol=1e-13)
-
-    def test_ricci_generic_point(self):
-        ric, _ = conformal_curvature(_sqrt_field(), GENERIC_POINT)
-        want = np.array([
-            [2.1145560620858413, 0.0848991994948812, -0.0509395196969287],
-            [0.0848991994948812, 2.1853053949982423, 0.0339596797979525],
-            [-0.0509395196969287, 0.0339596797979525, 2.2215290534493916],
-        ])
-        assert np.allclose(ric, want, atol=1e-12)
+        ric, _ = curvature(GENERIC_POINT)
+        assert np.allclose(ric, GENERIC_RICCI, atol=1e-12)
 
     def test_hessian_of_linear_function(self):
         """Hess_g of an affine function picks up pure connection terms."""
-        phi = _sqrt_field()
-        aff = ScalarField(
-            value=lambda x: float(x[0]),
-            gradient=lambda x: np.array([1.0, 0.0, 0.0]),
-            hessian=lambda x: np.zeros((3, 3)),
-            n=3,
-        )
-        h = conformal_hessian(phi, aff, np.zeros(3))
+        grad_f, hess_f = np.array([1.0, 0.0, 0.0]), np.zeros((3, 3))
+        p, grad_phi, _ = _sqrt_factor(np.zeros(3))
+        h = _g_hessian(p, grad_phi, grad_f, hess_f)
         assert np.allclose(h, np.zeros((3, 3)), atol=1e-14)
-        x = np.array([0.0, 1.0, 0.0])
-        h = conformal_hessian(phi, aff, x)
+        p, grad_phi, _ = _sqrt_factor(np.array([0.0, 1.0, 0.0]))
+        h = _g_hessian(p, grad_phi, grad_f, hess_f)
         # Gamma-terms: (phi_i f_j + phi_j f_i)/phi - <grad phi, grad f>/phi delta_ij
         p = math.sqrt(2.0)
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = (1.0 / p) / p
         assert np.allclose(h, want, atol=1e-14)
+
+    def test_hessian_of_the_invariant_itself(self):
+        """f = u = |x|^2 through the public route: Hess_g u = 2 I plus the
+        connection terms of sqrt(1 + u), 4 x x^T/phi^2 - 2|x|^2/phi^2 I."""
+        u = RadialFunction.from_formula(lambda u: u, (-math.inf, math.inf))
+        x = GENERIC_POINT
+        p2 = 1.0 + float(x @ x)
+        want = 2.0 * np.eye(3) + (4.0 * np.outer(x, x) - 2.0 * float(x @ x) * np.eye(3)) / p2
+        np.testing.assert_allclose(conformal_hessian(SQRT_CHART, u, x), want,
+                                   rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ from staticstar.config import RunConfig
 from staticstar.errors import BadParams, DomainError, StaticStarError, StepFailure
 from staticstar.numerics import (
     GRID_N_MAX,
+    ProfileAt,
     RadialFunction,
-    ScalarField,
     check_grid_n,
     chebyshev_grid,
     refine_root,
     sign_brackets,
     sphere_rule,
 )
+
+from fd import fd_derivative
 
 
 @pytest.mark.parametrize("refused", [
@@ -83,48 +85,79 @@ def test_two_point_scan_finds_the_vacuum_sphere():
     assert rep.r == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
-def test_scalar_field_compose_chain_rule():
-    # F(x) = (|x|^2)^2: gradient 4 |x|^2 x, hessian 4 |x|^2 I + 8 x x^T
-    inner = ScalarField(
-        value=lambda x: float(np.dot(x, x)),
-        gradient=lambda x: 2.0 * np.asarray(x, dtype=float),
-        hessian=lambda x: 2.0 * np.eye(len(x)),
-        n=3,
-    )
-    outer = RadialFunction(lambda u: u**2, d1=lambda u: 2.0 * u, d2=lambda u: 2.0 + 0 * u)
-    field = ScalarField.compose(outer, inner)
-    x = np.array([1.0, -1.0, 0.5])
-    u = float(x @ x)
-    assert np.allclose(field.gradient(x), 4.0 * u * x)
-    assert np.allclose(field.hessian(x), 4.0 * u * np.eye(3) + 8.0 * np.outer(x, x))
-
-
 # u = |x|^2 as a quadric invariant
 _SQUARED_RADIUS = conformal.BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3)
+# an off-centre one: tau != 1, alpha != 0
+_SKEW_INVARIANT = conformal.BasicInvariant(0.7, (0.4, -0.2, 0.6), (0.3, 0.1, 0.2))
 
 
-def test_composed_field_batches_like_its_rows():
-    inner = _SQUARED_RADIUS.as_field()
-    field = ScalarField.compose(
-        RadialFunction(np.exp, d1=np.exp, d2=np.exp), inner)
+def _profile_at(rf, inv, x):
+    """rf read at u(x), with the gradient and Hessian of u from ``inv``."""
+    return ProfileAt(rf, inv.value(x), inv.gradient(x), inv.hessian(x))
+
+
+def test_profile_chain_rule_closed_form():
+    # F(x) = (|x|^2)^2: gradient 4 |x|^2 x, hessian 4 |x|^2 I + 8 x x^T
+    outer = RadialFunction(lambda u: u**2, d1=lambda u: 2.0 * u, d2=lambda u: 2.0 + 0 * u)
+    x = np.array([1.0, -1.0, 0.5])
+    u = float(x @ x)
+    at = _profile_at(outer, _SQUARED_RADIUS, x)
+    assert np.allclose(at.grad, 4.0 * u * x)
+    assert np.allclose(at.hess, 4.0 * u * np.eye(3) + 8.0 * np.outer(x, x))
+
+
+@pytest.mark.parametrize("rf", [
+    RadialFunction(np.exp, d1=np.exp, d2=np.exp),
+    RadialFunction.from_formula(lambda u: np.sin(u) / (2.0 + u), (-1.5, math.inf)),
+], ids=["exp", "from-formula"])
+def test_profile_chain_rule_matches_finite_differences(rf):
+    """grad and hess of rf(u(x)), read through a ProfileAt, against stencils
+    of x -> rf(u(x)) with u written out here."""
+    x = np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0], [-0.3, 0.4, -0.6]])
+    at = _profile_at(rf, _SKEW_INVARIANT, x)
+    inv, e = _SKEW_INVARIANT, np.eye(3)
+
+    def u_of(y):
+        return np.sum(inv.tau * y * y + np.asarray(inv.alpha) * y + np.asarray(inv.beta), axis=-1)
+
+    for k, xk in enumerate(x):
+        def along(v, order, xk=xk):
+            return fd_derivative(lambda t: rf.value(u_of(xk + t * v)), 0.0, order=order)
+
+        grad = np.array([along(e[i], 1) for i in range(3)])
+        hess = np.array([[along(e[i], 2) if i == j else
+                          0.25 * (along(e[i] + e[j], 2) - along(e[i] - e[j], 2))
+                          for j in range(3)] for i in range(3)])
+        np.testing.assert_allclose(at.grad[k], grad, rtol=0, atol=1e-9)
+        # second differences at h = 5e-4 lose up to ~2e-8 to round-off
+        np.testing.assert_allclose(at.hess[k], hess, rtol=0, atol=2e-7)
+
+
+def test_profile_reading_batches_like_its_rows():
+    rf = RadialFunction(np.exp, d1=np.exp, d2=np.exp)
     pts = np.array([[0.1, 0.2, 0.3], [0.5, -0.5, 0.0]])
-    hess = field.hessian(pts)
+    at = _profile_at(rf, _SQUARED_RADIUS, pts)
     for k, x in enumerate(pts):
         u = float(x @ x)
         want = math.exp(u) * (2.0 * np.eye(3) + 4.0 * np.outer(x, x))
-        np.testing.assert_allclose(hess[k], want, rtol=1e-14)
-        np.testing.assert_allclose(field.gradient(pts)[k], 2.0 * math.exp(u) * x, rtol=1e-14)
+        np.testing.assert_allclose(at.hess[k], want, rtol=1e-14)
+        np.testing.assert_allclose(at.grad[k], 2.0 * math.exp(u) * x, rtol=1e-14)
+        row = _profile_at(rf, _SQUARED_RADIUS, x)
+        assert row.grad.tobytes() == at.grad[k].tobytes()
+        assert row.hess.tobytes() == at.hess[k].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 3), (2,)])
-@pytest.mark.parametrize("field", [
-    _SQUARED_RADIUS.as_field(),
-    ScalarField.compose(RadialFunction.constant(1.0), _SQUARED_RADIUS.as_field()),
-], ids=["invariant", "composed"])
-def test_package_fields_reject_malformed_point_arrays(field, shape):
-    for fn in (field.value, field.gradient, field.hessian):
-        with pytest.raises(BadParams):
-            fn(np.ones(shape))
+@pytest.mark.parametrize("read", [
+    _SQUARED_RADIUS.value,
+    _SQUARED_RADIUS.gradient,
+    _SQUARED_RADIUS.hessian,
+    lambda x: geometry.ConformalBatch(
+        geometry.ConformalFlat(RadialFunction.constant(1.0), _SQUARED_RADIUS), x),
+], ids=["invariant-value", "invariant-gradient", "invariant-hessian", "batch"])
+def test_package_point_readers_reject_malformed_point_arrays(read, shape):
+    with pytest.raises(BadParams):
+        read(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

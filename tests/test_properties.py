@@ -113,13 +113,12 @@ def test_chebyshev_grid_shape(lo, width, n):
 def test_invariant_identities(tau, parts):
     inv = conformal.BasicInvariant(tau, tuple(parts[:3]), tuple(parts[3:]))
     x = np.array([0.3, -1.2, 0.7])
-    fld = inv.as_field()
-    u = fld.value(x)
-    g = fld.gradient(x)
+    u = inv.value(x)
+    g = inv.gradient(x)
     # |grad u|^2 = 4 tau u + C and Lap u = 2 n tau
     lhs, rhs = float(g @ g), 4.0 * tau * u + inv.C
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-    lap = float(np.trace(fld.hessian(x)))
+    lap = float(np.trace(inv.hessian(x)))
     assert abs(lap - 2.0 * inv.n * tau) <= 1e-12 * max(1.0, abs(lap))
     manual = sum(tau * xi * xi + a * xi + b
                  for xi, a, b in zip(x, inv.alpha, inv.beta))

@@ -16,8 +16,9 @@ import pytest
 
 from staticstar.errors import BadParams, DomainError, NoLevelSet, NotARegularValue
 from staticstar import catalog, conformal, quasilocal
-from staticstar.geometry import Piece, WarpedProduct, conformal_hessian
-from staticstar.numerics import RadialFunction, ScalarField, sphere_rule
+from staticstar.geometry import (ConformalBatch, ConformalFlat, Piece, WarpedProduct, _g_hessian,
+                                 conformal_curvature, conformal_hessian)
+from staticstar.numerics import RadialFunction, sphere_rule
 from staticstar.quasilocal import (
     SphereClass,
     hawking_inequality_slack,
@@ -42,10 +43,13 @@ class TestFunctionals:
 
     def test_willmore_flat_sphere(self):
         # H = 2 on the unit sphere in flat space: int H^2 dA = 16 pi
-        w = willmore_energy(lambda p: 2.0, 1.0)
+        w = willmore_energy(2.0, 1.0)
         assert w == pytest.approx(16.0 * math.pi, rel=1e-12)
+        # one value per node of the rule, as the audit passes its traces
+        nodes = sphere_rule(quasilocal.AUDIT_DEGREE)[0]
+        assert willmore_energy(np.full(len(nodes), 2.0), 1.0) == w
         with pytest.raises(DomainError):
-            willmore_energy(lambda p: 2.0, -1.0)
+            willmore_energy(2.0, -1.0)
 
     def test_identity_and_slack_need_a_level(self):
         with pytest.raises(DomainError):
@@ -274,42 +278,51 @@ SQRT_ONE_PLUS_U = RadialFunction(
 )
 
 
-def _skew_field():
-    """f = exp(0.3 x) + y^2 - xz/2: its level sets are not round, so A is not umbilic."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(0.3 * x[..., 0]) + x[..., 1] ** 2 - 0.5 * x[..., 0] * x[..., 2]
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([0.3 * np.exp(0.3 * x[..., 0]) - 0.5 * x[..., 2],
+def _skew_lapse(x):
+    """f = exp(0.3 x) + y^2 - xz/2 at a point or a batch, as (value, gradient,
+    Hessian) written out by hand: its level sets are not round, so A is not
+    umbilic."""
+    x = np.asarray(x, dtype=float)
+    value = np.exp(0.3 * x[..., 0]) + x[..., 1] ** 2 - 0.5 * x[..., 0] * x[..., 2]
+    gradient = np.stack([0.3 * np.exp(0.3 * x[..., 0]) - 0.5 * x[..., 2],
                          2.0 * x[..., 1], -0.5 * x[..., 0]], axis=-1)
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (3,))
-        out[..., 0, 0] = 0.09 * np.exp(0.3 * x[..., 0])
-        out[..., 0, 2] = out[..., 2, 0] = -0.5
-        out[..., 1, 1] = 2.0
-        return out
-
-    return ScalarField(value, gradient, hessian, 3)
+    hessian = np.zeros(x.shape + (3,))
+    hessian[..., 0, 0] = 0.09 * np.exp(0.3 * x[..., 0])
+    hessian[..., 0, 2] = hessian[..., 2, 0] = -0.5
+    hessian[..., 1, 1] = 2.0
+    return value, gradient, hessian
 
 
-def _fd_conformal_hessian(phi: ScalarField, f: ScalarField, x):
+def _skew_shape(ansatz, x):
+    """(A, trace) of the skew lapse's level sets through ``x``: the kernel
+    the public shape_operator calls, fed the chart's ConformalBatch reading
+    of phi and the hand-written lapse arrays."""
+    _, grad_f, hess_f = _skew_lapse(x)
+    a11, a22, a12, _ = quasilocal._shape(x, ConformalBatch(ansatz, x).phi, grad_f, hess_f)
+    A = np.stack([np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2)
+    return A, a11 + a22
+
+
+def _skew_hessian(ansatz, x):
+    """Hess_g of the skew lapse at ``x``, by the kernel behind conformal_hessian."""
+    _, grad_f, hess_f = _skew_lapse(x)
+    phi = ConformalBatch(ansatz, x).phi
+    return _g_hessian(phi.v, phi.grad, grad_f, hess_f)
+
+
+def _fd_conformal_hessian(phi_value, f_value, x):
     """Hess_g f from values only: finite-difference derivatives plus connection terms."""
     e = np.eye(3)
 
     def along(fn, v, order):
         return fd_derivative(lambda t: fn(x + t * v), 0.0, order=order)
 
-    hf = np.array([[along(f.value, e[i], 2) if i == j else
-                    0.25 * (along(f.value, e[i] + e[j], 2) - along(f.value, e[i] - e[j], 2))
+    hf = np.array([[along(f_value, e[i], 2) if i == j else
+                    0.25 * (along(f_value, e[i] + e[j], 2) - along(f_value, e[i] - e[j], 2))
                     for j in range(3)] for i in range(3)])
-    gp = np.array([along(phi.value, e[i], 1) for i in range(3)])
-    gf = np.array([along(f.value, e[i], 1) for i in range(3)])
-    p = phi.value(x)
+    gp = np.array([along(phi_value, e[i], 1) for i in range(3)])
+    gf = np.array([along(f_value, e[i], 1) for i in range(3)])
+    p = phi_value(x)
     return hf + (np.outer(gp, gf) + np.outer(gf, gp)) / p - (gp @ gf / p) * np.eye(3)
 
 
@@ -333,11 +346,14 @@ class TestBatchedShapeOperator:
     @pytest.mark.parametrize("lapse", [False, True], ids=["skew-field", "model-lapse"])
     def test_batch_equals_rows(self, model, points, lapse):
         ansatz = model.pieces[0].ansatz
-        f = model.f if lapse else _skew_field()
-        A, tr = quasilocal.shape_operator(ansatz, f, points)
+
+        def shape(x):
+            return quasilocal.shape_operator(ansatz, model.f, x) if lapse else _skew_shape(ansatz, x)
+
+        A, tr = shape(points)
         assert A.shape == (len(points), 2, 2) and tr.shape == (len(points),)
         for k, x in enumerate(points):
-            A_k, tr_k = quasilocal.shape_operator(ansatz, f, x)
+            A_k, tr_k = shape(x)
             assert A_k.shape == (2, 2) and np.ndim(tr_k) == 0
             np.testing.assert_allclose(A[k], A_k, rtol=1e-14, atol=1e-14)
             assert tr[k] == pytest.approx(float(tr_k), rel=1e-14, abs=1e-14)
@@ -348,40 +364,52 @@ class TestBatchedShapeOperator:
             assert np.min(spread) > 1e-3
 
     def test_hessian_matches_finite_differences(self, model, points):
-        phi = model.pieces[0].ansatz.phi
-        f = _skew_field()
-        hess = conformal_hessian(phi, f, points)
+        ansatz = model.pieces[0].ansatz
+
+        def phi_value(y):
+            return SQRT_ONE_PLUS_U.value(OFF_CENTRE.value(y))
+
+        hess = _skew_hessian(ansatz, points)
         assert hess.shape == (len(points), 3, 3)
         for k, x in enumerate(points):
-            np.testing.assert_allclose(hess[k], conformal_hessian(phi, f, x),
+            np.testing.assert_allclose(hess[k], _skew_hessian(ansatz, x),
                                        rtol=1e-14, atol=1e-14)
             # second differences at h = 5e-4 of values up to ~20 lose ~1e-7 to roundoff
-            np.testing.assert_allclose(hess[k], _fd_conformal_hessian(phi, f, x),
-                                       rtol=0, atol=1e-6)
+            np.testing.assert_allclose(
+                hess[k], _fd_conformal_hessian(phi_value, lambda y: _skew_lapse(y)[0], x),
+                rtol=0, atol=1e-6)
 
     def test_centre_in_batch_is_not_a_regular_value(self, model, points):
         batch = np.vstack([points[:3], OFF_CENTRE.center])
         with pytest.raises(NotARegularValue):
             quasilocal.shape_operator(model.pieces[0].ansatz, model.f, batch)
 
-    def test_nonpositive_factor_in_batch(self, points):
+    def test_nonpositive_factor_in_batch(self, model, points):
         two_minus_u = RadialFunction(
             lambda u: 2.0 - u, d1=lambda u: -1.0 + 0.0 * u, d2=lambda u: 0.0 * u)
-        phi = ScalarField.compose(two_minus_u, OFF_CENTRE.as_field())
+        ansatz = ConformalFlat(two_minus_u, OFF_CENTRE)
         batch = np.vstack([OFF_CENTRE.point_at(1.0), points])  # u > 2 in `points`
         with pytest.raises(DomainError):
-            conformal_hessian(phi, _skew_field(), batch)
+            _skew_shape(ansatz, batch)
+        for public in (lambda x: conformal_hessian(ansatz, model.f, x),
+                       lambda x: conformal_curvature(ansatz, x),
+                       lambda x: quasilocal.shape_operator(ansatz, model.f, x)):
+            with pytest.raises(DomainError):
+                public(batch)
+            public(OFF_CENTRE.point_at(1.0))  # phi = 1 there
 
     @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 3)])
     def test_malformed_point_arrays(self, model, shape):
         ansatz = model.pieces[0].ansatz
         x = np.ones(shape)
-        with pytest.raises(BadParams):
-            quasilocal.shape_operator(ansatz, model.f, x)
-        with pytest.raises(BadParams):
-            conformal_hessian(ansatz.phi, _skew_field(), x)
-        with pytest.raises(BadParams):
-            OFF_CENTRE.as_field().gradient(x)
+        for call in (lambda: quasilocal.shape_operator(ansatz, model.f, x),
+                     lambda: conformal_hessian(ansatz, model.f, x),
+                     lambda: conformal_curvature(ansatz, x),
+                     lambda: ConformalBatch(ansatz, x),
+                     lambda: OFF_CENTRE.gradient(x),
+                     lambda: OFF_CENTRE.hessian(x)):
+            with pytest.raises(BadParams):
+                call()
 
 
 class TestLevelScan:
