@@ -313,20 +313,24 @@ def solve_lapse(
 # fluid from (phi, f)
 # ----------------------------------------------------------------------------
 
-def _geo_pair(invariant: BasicInvariant, n: int, u, phi: ProfileAt, f: ProfileAt):
-    """(mu_geo, rho_geo) at u from the readings of phi and f there, with rho
-    via the conformal-Laplacian trace route."""
-    p, p1 = phi.v, phi.d1
+def _geo_pair(invariant: BasicInvariant, n: int, u, phi: ProfileAt, f: ProfileAt,
+              rows=...):
+    """(mu_geo, rho_geo) at u[rows] from the readings of phi and f at u, with
+    rho via the conformal-Laplacian trace route.  The algebra is elementwise,
+    so a pair formed on some rows of a reading has the bits of one formed on
+    a reading of those rows alone."""
+    p, p1, p2 = phi.v[rows], phi.d1[rows], phi.d2[rows]
+    fv, f1, f2 = f.v[rows], f.d1[rows], f.d2[rows]
     if np.any(p <= 0.0):
         raise DomainError("conformal factor non-positive on evaluation set")
-    if np.any(f.v == 0.0):
+    if np.any(fv == 0.0):
         raise DomainError("lapse vanishes on evaluation set")
     tau = invariant.tau
-    q = invariant.grad_sq(u)
-    mu_geo = 0.5 * (n - 1) * (4.0 * n * tau * p * p1 + (2.0 * p * phi.d2 - n * p1 * p1) * q)
-    lap_flat_part = f.d2 * q + 2.0 * n * tau * f.d1 + (2.0 - n) * p1 * f.d1 * q / p
+    q = invariant.grad_sq(u[rows])
+    mu_geo = 0.5 * (n - 1) * (4.0 * n * tau * p * p1 + (2.0 * p * p2 - n * p1 * p1) * q)
+    lap_flat_part = f2 * q + 2.0 * n * tau * f1 + (2.0 - n) * p1 * f1 * q / p
     lap_g = p * p * lap_flat_part
-    rho_geo = ((n - 1) * lap_g / f.v - (n - 2) * mu_geo) / n
+    rho_geo = ((n - 1) * lap_g / fv - (n - 2) * mu_geo) / n
     return mu_geo, rho_geo
 
 
@@ -401,19 +405,31 @@ class ConformalModel:
 
     @property
     def pieces(self) -> list[Piece]:
-        """The model as one :class:`Piece`, built on each read.  Its
-        ``interval``, where the build's checks sample, is the domain less
-        max(1e-6 span, 1e-9) at each end; level sets are searched on the
-        domain less max(1e-9, 1e-9 span)."""
-        lo, hi = self.domain
-        pad, scan_pad = max(1e-6 * (hi - lo), 1e-9), max(1e-9, 1e-9 * (hi - lo))
+        """The model as one :class:`Piece`, built on each read, with the
+        windows :func:`_windows` gives its domain."""
+        interval, scan_interval = _windows(*self.domain)
         return [Piece(self.label, ConformalFlat(self.phi, self.invariant), self.f,
-                      mu_phys=self.mu, rho_phys=self.rho, interval=(lo + pad, hi - pad),
-                      scan_interval=(lo + scan_pad, hi - scan_pad), lam=self.lam)]
+                      mu_phys=self.mu, rho_phys=self.rho, interval=interval,
+                      scan_interval=scan_interval, lam=self.lam)]
 
 
-def _ode_residual_report(phi, f, n, grid, tol) -> ResidualReport:
-    phi_at, f_at = (ProfileAt(rf, grid).with_derivatives() for rf in (phi, f))
+def _windows(lo: float, hi: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two windows of a conformal model on the domain [lo, hi]: the
+    domain less max(1e-6 span, 1e-9) at each end, where the build's checks
+    sample, and less max(1e-9, 1e-9 span), where level sets are searched.
+    The first is empty on a domain at most 2e-9 long."""
+    pad, scan_pad = max(1e-6 * (hi - lo), 1e-9), max(1e-9, 1e-9 * (hi - lo))
+    return (lo + pad, hi - pad), (lo + scan_pad, hi - scan_pad)
+
+
+def _too_short(lo: float, hi: float) -> bool:
+    """Whether the domain [lo, hi] leaves the build's checks no window."""
+    start, end = _windows(lo, hi)[0]
+    return not start < end
+
+
+def _ode_residual_report(phi_at: ProfileAt, f_at: ProfileAt, n, grid, tol) -> ResidualReport:
+    """The lapse-ODE residual on ``grid`` from the readings of phi and f there."""
     res = (n - 2.0) * f_at.v * phi_at.d2 - f_at.d2 * phi_at.v - 2.0 * phi_at.d1 * f_at.d1
     return _report([_entry("lapse-ode", res, grid)], grid, tol)
 
@@ -446,7 +462,10 @@ def build_model(
     non-finite ``lam`` or a non-finite ``ic`` is BadParams, as is n above
     ``N_MAX``.  Every lapse, preset or solved, is cut just before its first
     downward zero in the span (``truncated``), as :func:`solve_lapse` cuts;
-    a start on such a zero, f = 0 with f' <= 0, is a SignLoss.
+    a start on such a zero, f = 0 with f' <= 0, is a SignLoss.  The checks
+    sample the domain less max(1e-6 span, 1e-9) at each end, which leaves
+    nothing of a domain at most 2e-9 long: such a span is BadParams, and a
+    cut that leaves such a domain is a SignLoss naming the zero.
 
     Construction always runs four independent validations (a degenerate
     invariant, whose lapse is the constant f(u0) (SignLoss if 0, DomainError
@@ -458,6 +477,13 @@ def build_model(
     stacked into one set of points, the curvature and the lapse Hessian are
     evaluated on it once, and each report reads its slice.  Results land in
     ``.checks``; nothing is raised on failure — inspect ``.passed``.
+
+    A build reads phi and f (value, first and second derivative) on two
+    point sets: the lapse-ODE residual's 64-point grid, whose readings at
+    every fourth grid value also give the rays' fluid, and u on the stacked
+    rays.  So a custom phi must be elementwise, as a RadialFunction's
+    vectorized callables are: its value at a point may not depend on the
+    other points read with it.
     """
     if not 3 <= n <= N_MAX:
         raise BadParams(f"need 3 <= n <= {N_MAX}, got {n}")
@@ -468,6 +494,9 @@ def build_model(
     u0, u1 = float(span[0]), float(span[1])
     if not (math.isfinite(u0) and math.isfinite(u1) and u0 < u1):
         raise BadParams(f"span must be finite and increasing, got {span}")
+    if _too_short(u0, u1):
+        raise BadParams(f"span {span} is too short for the checks, which sample it less "
+                        f"max(1e-6 span, 1e-9) at each end: it must be longer than 2e-9")
     if not all(map(math.isfinite, (lam, *(ic or ())))):
         raise BadParams(f"lam and ic must be finite, got lam={lam}, ic={ic}")
     disc = invariant.grad_sq(u0)
@@ -510,30 +539,42 @@ def build_model(
                 basis = [_witten_u_lapse(n, *ab, (u0, u1)) for ab in ((1.0, 0.0), (0.0, 1.0))]
                 mat = [[g(u0) for g in basis], [g.d1(u0) for g in basis]]
                 A, B = (float(c) for c in np.linalg.solve(mat, np.asarray(ic, dtype=float)))
-            u_end = _lapse_end(_witten_u_zero(n, A, B, u0), u0, u1)
-            f_rf = _witten_u_lapse(n, A, B, (u0, u_end))
+            u_zero = _witten_u_zero(n, A, B, u0)
+            f_rf = _witten_u_lapse(n, A, B, (u0, _lapse_end(u_zero, u0, u1)))
         else:  # "unit"
             phi_rf = RadialFunction.constant(1.0, (-math.inf, math.inf))
             f0, f1 = ic if ic is not None else (1.0, 0.0)
             # ODE reduces to f'' = 0: affine lapse
-            u_end = _lapse_end(u0 - f0 / f1 if f1 < 0.0 <= f0 else None, u0, u1)
+            u_zero = u0 - f0 / f1 if f1 < 0.0 <= f0 else None
+            u_end = _lapse_end(u_zero, u0, u1)
             f_rf = RadialFunction.from_formula(lambda u: f0 + f1 * (u - u0), (u0, u_end))
     else:
         phi_rf = phi
         f_rf = solve_lapse(phi_rf, n, (u0, u1), ic if ic is not None else (1.0, 0.0))
+        u_zero = None  # solve_lapse returns its lapse's cut, not the zero
 
     domain = f_rf.domain
+    if _too_short(*domain):
+        # the span passed this test, so the lapse was cut
+        where = f"at u={u_zero}" if u_zero is not None else f"just past u={domain[1]}"
+        raise SignLoss(f"lapse crosses zero {where}, which leaves the domain "
+                       f"[{u0}, {domain[1]}], too short for the checks, which sample it "
+                       f"less max(1e-6 span, 1e-9) at each end")
     model = ConformalModel(
         phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
         domain=domain, label=label, truncated=domain[1] < u1,
     )
     piece = model.pieces[0]
     grid = chebyshev_grid(*piece.interval, 64)
-    checks = {"lapse-ode": _ode_residual_report(phi_rf, f_rf, n, grid, tol=1e-9)}
+    # phi and f are read once on the 64-point grid: the lapse-ODE residual
+    # reads them there, and the rays' fluid at its rows ``ray_rows``
+    phi_at, f_at = (ProfileAt(rf, grid).with_derivatives() for rf in (phi_rf, f_rf))
+    checks = {"lapse-ode": _ode_residual_report(phi_at, f_at, n, grid, tol=1e-9)}
 
     # the on- and off-axis residuals and the closure read one batched
     # evaluation of both rays
-    sparse = grid[:: max(1, len(grid) // 16)]
+    sparse_rows = np.arange(0, len(grid), max(1, len(grid) // 16))
+    sparse = grid[sparse_rows]
     on_axis = invariant.point_at(sparse)
     if invariant.tau > 0.0:
         off_axis = invariant.point_at(sparse, direction=_off_axis_draw(n))
@@ -542,8 +583,11 @@ def build_model(
         w = _off_axis_draw(n)
         off_axis = on_axis + (w - (w @ a) / (a @ a) * a)
     points = np.concatenate([on_axis, off_axis])
-    rays = np.concatenate([sparse, sparse])
-    residuals, r_scal, batch = _spf_arrays_conformal(piece.ansatz, model.fluid(), points, rays)
+    ray_rows = np.concatenate([sparse_rows, sparse_rows])
+    rays = grid[ray_rows]
+    residuals, r_scal, batch = _spf_arrays_conformal(
+        piece.ansatz, f_rf, points, rays,
+        lambda: _geo_pair(invariant, n, grid, phi_at, f_at, ray_rows))
     k = len(sparse)
     checks["field[on-axis]"] = _spf_report_conformal(residuals, rays, slice(None, k), tol=1e-7)
     checks["field[off-axis]"] = _spf_report_conformal(residuals, rays, slice(k, None), tol=1e-7)

@@ -519,7 +519,8 @@ def spf_residuals(
         raise DomainError("empty residual grid")
 
     if isinstance(ansatz, ConformalFlat):
-        residuals = _spf_arrays_conformal(ansatz, fluid, ansatz.invariant.point_at(grid), grid)[0]
+        residuals = _spf_arrays_conformal(ansatz, fluid.f, ansatz.invariant.point_at(grid), grid,
+                                          lambda: (fluid.mu(grid), fluid.rho(grid)))[0]
         return _spf_report_conformal(residuals, grid, slice(None), tol)
 
     n = ansatz.n
@@ -554,17 +555,20 @@ def spf_residuals(
     return _report(entries, grid, tol)
 
 
-def _spf_arrays_conformal(ansatz: ConformalFlat, fluid: FluidData, x: np.ndarray,
-                          grid: np.ndarray) -> tuple[dict, np.ndarray, ConformalBatch]:
+def _spf_arrays_conformal(ansatz: ConformalFlat, f: RadialFunction, x: np.ndarray, grid: np.ndarray,
+                          fluid: Callable) -> tuple[dict, np.ndarray, ConformalBatch]:
     """Pointwise residual arrays of the static perfect-fluid system, R, and the
     :class:`ConformalBatch` they read, at the points ``x`` ``(N, n)`` whose
-    grid values are ``grid`` ``(N,)``.
+    grid values are ``grid`` ``(N,)``, for the lapse profile ``f`` in u.
 
-    Rows are independent: several rays may be stacked into one batch and each
-    slice reported on its own by :func:`_spf_report_conformal`.
+    ``fluid()`` gives the geometric pair (mu, rho) at ``grid``.  It is called
+    after the batch's phi > 0 and f > 0 checks pass, so a batch that fails
+    one raises before any fluid is formed.  Rows are independent: several
+    rays may be stacked into one batch and each slice reported on its own by
+    :func:`_spf_report_conformal`.
     """
     n = ansatz.n
-    batch = ConformalBatch(ansatz, x, fluid.f)
+    batch = ConformalBatch(ansatz, x, f)
     phi, f = batch.phi, batch.f
     p = phi.v
     if np.any(p <= 0.0):
@@ -574,8 +578,7 @@ def _spf_arrays_conformal(ansatz: ConformalFlat, fluid: FluidData, x: np.ndarray
     if np.any(fval <= 0.0):
         u = grid[int(np.argmax(fval <= 0.0))]
         raise DomainError(f"lapse non-positive at grid value {u}")
-    mu = np.asarray(fluid.mu(grid), dtype=float)
-    rho = np.asarray(fluid.rho(grid), dtype=float)
+    mu, rho = (np.asarray(part, dtype=float) for part in fluid())
 
     ric, r_scal = _conformal_ricci(p, phi.grad, phi.hess)
     hess = _g_hessian(p, phi.grad, f.grad, f.hess)

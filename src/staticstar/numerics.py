@@ -234,7 +234,8 @@ class RadialFunction:
     Attributes
     ----------
     value, d1, d2:
-        Vectorized callables (accept float or ndarray).
+        Vectorized callables (accept float or ndarray), elementwise: the
+        value at a point does not depend on the other points read with it.
     provenance:
         ``"analytic"``, the only value: both derivatives are exact (closed
         forms, a :class:`Jet` through one formula, or an ODE's own equations).
@@ -366,7 +367,8 @@ class PiecewisePoly:
         flat = t.ravel()
         i = np.searchsorted(self._inner, flat, side="right")
         s = (flat - self.x[i]).reshape((-1,) + (1,) * (self.c.ndim - 2))
-        return _power_sums(self.c[:, i], s).reshape(t.shape + self.c.shape[2:])
+        # np.take gathers the pieces' columns faster than the same fancy index
+        return _power_sums(np.take(self.c, i, axis=1), s).reshape(t.shape + self.c.shape[2:])
 
     def _at(self, t: float) -> float:
         """The value at a float t, in floats: the same operations in the same

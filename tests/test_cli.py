@@ -162,6 +162,29 @@ def test_a_preset_starting_on_a_flat_zero_is_a_sign_loss(capsys, phi):
     assert err == "error: SignLoss: lapse crossed zero immediately at u=0.0\n"
 
 
+@pytest.mark.parametrize("hi", ["1e-12", "2e-9"])
+def test_a_span_too_short_for_the_checks_is_a_usage_error(capsys, hi):
+    code, out, err = run(capsys, "build", "--phi", "witten", "--span", f"0,{hi}")
+    assert (code, out) == (1, "")
+    assert err == (f"error: span (0.0, {float(hi)!r}) is too short for the checks, which sample "
+                   f"it less max(1e-6 span, 1e-9) at each end: it must be longer than 2e-9\n")
+
+
+def test_a_lapse_cut_too_near_its_start_is_a_sign_loss(capsys):
+    code, out, err = run(capsys, "build", "--phi", "unit", "--ic", "3e-9,-1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: SignLoss: lapse crosses zero at u=3e-09, which leaves the "
+                          "domain [0.0, 1.9999999999999997e-09], too short for the checks")
+
+
+@pytest.mark.parametrize("argv", [("--phi", "witten", "--span", "0,2.5e-9"),
+                                  ("--phi", "unit", "--ic", "3.5e-9,-1")])
+def test_a_domain_just_longer_than_the_padding_builds(capsys, argv):
+    code, out, _ = run(capsys, "build", *argv, "--json")
+    assert code == 0 and set(json.loads(out)["checks"]) == {
+        "lapse-ode", "field[on-axis]", "field[off-axis]", "closure"}
+
+
 def test_a_dimension_above_the_cap_is_refused(capsys):
     code, _, err = run(capsys, "build", "--phi", "unit", "--n", str(conformal.N_MAX + 1))
     assert code == 1

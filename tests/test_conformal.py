@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from staticstar import geometry
 from staticstar.geometry import (
     EIGHT_PI,
     ConformalBatch,
+    ConformalFlat,
+    FluidData,
     _entry,
     _report,
     _spf_arrays_conformal,
@@ -427,6 +430,73 @@ def _assert_public_routes_match(ansatz, f: RadialFunction, x):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
+def _residuals_as_written(ansatz, fluid, grid, tol):
+    """spf_residuals on a ConformalFlat chart written out from its kernels:
+    one ConformalBatch on the reference ray, mu and then rho called on the
+    grid values, and the four residuals of the static perfect-fluid system."""
+    n = ansatz.n
+    batch = ConformalBatch(ansatz, ansatz.invariant.point_at(grid), fluid.f)
+    p, fval = batch.phi.v, batch.f.v
+    mu = np.asarray(fluid.mu(grid), dtype=float)
+    rho = np.asarray(fluid.rho(grid), dtype=float)
+    ric, r_scal = geometry._conformal_ricci(p, batch.phi.grad, batch.phi.hess)
+    hess = geometry._g_hessian(p, batch.phi.grad, batch.f.grad, batch.f.hess)
+    metric = np.eye(n) / (p * p)[:, None, None]
+    lap = (p * p) * np.trace(hess, axis1=-2, axis2=-1)
+    fc = fval[:, None, None]
+    residuals = {
+        "field[ij]": fc * ric - hess - ((mu - rho) / (n - 1))[:, None, None] * fc * metric,
+        "trace": lap - ((n - 2) * mu + n * rho) / (n - 1) * fval,
+        "scalar-curvature": mu - 0.5 * r_scal,
+        "traceless": fc * (ric - (r_scal / n)[:, None, None] * metric)
+        - (hess - (lap / n)[:, None, None] * metric),
+    }
+    return _report([_entry(eq, vals, grid) for eq, vals in residuals.items()], grid, tol)
+
+
+class TestConformalResiduals:
+    @pytest.mark.parametrize("case", CHECK_CASES)
+    @pytest.mark.parametrize("which", ["model", "piece"])
+    def test_residuals_are_the_kernels_residuals_byte_for_byte(self, case, which):
+        # the model's geometric fluid, and its piece's physical pair bridged
+        # back: the report's bytes as the kernels give them
+        m = _case_model(case)
+        piece = m.pieces[0]
+        fluid = m.fluid() if which == "model" else piece.fluid
+        grid = chebyshev_grid(*piece.interval, 24)
+        got = spf_residuals(piece.ansatz, fluid, grid, tol=1e-7)
+        want = _residuals_as_written(piece.ansatz, fluid, grid, tol=1e-7)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert got.passed
+
+    @pytest.mark.parametrize("bad", ["phi", "f"])
+    def test_a_batch_that_fails_its_checks_reads_no_fluid(self, conformal_witten, bad):
+        # phi > 0 and then f > 0 on the batch, before mu or rho is read
+        piece = conformal_witten.pieces[0]
+        grid = chebyshev_grid(*piece.interval, 8)
+        negative = RadialFunction.constant(-1.0)
+        ansatz = ConformalFlat(negative, piece.ansatz.invariant) if bad == "phi" else piece.ansatz
+
+        def unread(u):
+            raise AssertionError("fluid read before the batch's checks")
+
+        fluid = FluidData(f=negative, mu=unread, rho=unread)
+        what = "conformal factor" if bad == "phi" else "lapse"
+        with pytest.raises(DomainError,
+                           match=re.escape(f"{what} non-positive at grid value {float(grid[0])}")):
+            spf_residuals(ansatz, fluid, grid)
+
+    def test_mu_is_read_before_rho_once_each(self, conformal_witten):
+        m = conformal_witten
+        grid = chebyshev_grid(*m.pieces[0].interval, 8)
+        calls = []
+        fluid = FluidData(f=m.f, mu=lambda u: calls.append(("mu", u)) or m.mu_geo(u),
+                          rho=lambda u: calls.append(("rho", u)) or m.fluid().rho(u))
+        spf_residuals(m.pieces[0].ansatz, fluid, grid)
+        assert [who for who, _ in calls] == ["mu", "rho"]
+        assert all(u is grid for _, u in calls)
+
+
 class TestConformalBatch:
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("kind", ["off-centre", "plane"])
@@ -510,10 +580,10 @@ class TestConformalBatch:
 class TestBuildModel:
     @pytest.mark.parametrize("phi", ["witten", "custom"])
     def test_one_profile_jet_per_point_set(self, monkeypatch, phi):
-        # a build reads each profile (value, d1, d2) once on each of its three
-        # point sets: the 64-point ODE grid, the rays' grid values (the
-        # fluid) and u on the stacked rays (the curvature, the lapse Hessian
-        # and the closure), whatever reads them
+        # a build reads each profile (value, d1, d2) once on each of its two
+        # point sets, whatever reads them: the 64-point ODE grid (the
+        # lapse-ODE residual, and the rays' fluid at its rows) and u on the
+        # stacked rays (the curvature, the lapse Hessian and the closure)
         log = []
         if phi == "witten":  # both preset profiles are closed forms
             real = RadialFunction.from_formula
@@ -529,13 +599,12 @@ class TestBuildModel:
         m = build_model(phi, span=(0.0, 4.0))
         assert m.passed
         grid = chebyshev_grid(*m.pieces[0].interval, 64)
-        rays = m.checks["field[on-axis]"].grid
-        point_sets = {grid.tobytes(), np.concatenate([rays, rays]).tobytes(),
-                      m.checks["closure"].grid.tobytes()}
+        point_sets = {grid.tobytes(), m.checks["closure"].grid.tobytes()}
+        assert len(point_sets) == 2
         for name in ("phi", "f"):
             for kind in ("value", "d1", "d2"):
                 reads = [u for who, what, u in log if (who, what) == (name, kind)]
-                assert len(reads) == 3 and set(reads) == point_sets, (name, kind)
+                assert len(reads) == 2 and set(reads) == point_sets, (name, kind)
         # after the build, the four fluid accessors share one read per point set
         u = np.linspace(0.5, 3.5, 7)
         mu, rho = geometry.to_physical(*conformal._geo_pair(
@@ -549,8 +618,8 @@ class TestBuildModel:
     def test_one_batch_per_build(self, monkeypatch):
         # the on-axis, off-axis and closure checks read one batch: u on the
         # stacked rays once, and one curvature and one lapse Hessian from it;
-        # the fluid's algebra runs on the rays' grid values and, for the
-        # closure, on the batch's own readings
+        # the fluid's algebra runs on the ODE grid's readings at the rays'
+        # grid values and, for the closure, on the batch's own readings
         counts = {"value": 0, "_conformal_ricci": 0, "_g_hessian": 0, "_geo_pair": 0,
                   "conformal_curvature": 0, "conformal_hessian": 0}
 
@@ -572,6 +641,72 @@ class TestBuildModel:
         assert counts == {"value": 1, "_conformal_ricci": 1, "_g_hessian": 1, "_geo_pair": 2,
                           "conformal_curvature": 0, "conformal_hessian": 0}
 
+    @pytest.mark.parametrize("case", ["witten-3", "witten-4", "witten-5", "witten-12", "unit",
+                                      "custom", "plane"])
+    def test_rays_fluid_has_the_bits_of_a_reading_on_the_rays(self, monkeypatch, case):
+        # the rays' (mu_geo, rho_geo) come from the 64-point grid's readings,
+        # at the rays' rows; they equal _geo_pair on fresh readings at the rays
+        seen = []
+        real = conformal._spf_arrays_conformal
+
+        def spy(ansatz, f, x, grid, fluid):
+            seen.append((grid, fluid()))
+            return real(ansatz, f, x, grid, fluid)
+
+        monkeypatch.setattr(conformal, "_spf_arrays_conformal", spy)
+        m = build_model("witten", n=12) if case == "witten-12" else _case_model(case)
+        assert m.passed and m.truncated == (case == "witten-12")
+        ((rays, (mu, rho)),) = seen
+        sparse = _check_rays(m)[0]
+        np.testing.assert_array_equal(rays, np.concatenate([sparse, sparse]))
+        want_mu, want_rho = conformal._geo_pair(m.invariant, m.n, rays, ProfileAt(m.phi, rays),
+                                                ProfileAt(m.f, rays))
+        assert mu.shape == rho.shape == rays.shape
+        assert np.array_equal(mu, want_mu) and np.array_equal(rho, want_rho)
+
+    def test_a_build_that_fails_the_batch_checks_forms_no_fluid(self, monkeypatch):
+        # f = -1 + u/2 is negative on the rays' first grid values: the batch's
+        # f > 0 check raises before the rays' fluid is formed
+        calls = []
+        real = conformal._geo_pair
+        monkeypatch.setattr(conformal, "_geo_pair", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(DomainError, match=r"^lapse non-positive at grid value 9\.99"):
+            build_model("unit", n=3, ic=(-1.0, 0.5))
+        assert calls == []
+
+    @pytest.mark.parametrize("hi", [1e-12, 1e-9, 2e-9])
+    @pytest.mark.parametrize("phi", ["witten", "unit", "custom"])
+    def test_a_span_too_short_for_the_checks_is_bad_params(self, phi, hi):
+        # the checks sample the span less max(1e-6 span, 1e-9) at each end
+        if phi == "custom":
+            phi = sqrt_one_plus_u()
+        with pytest.raises(BadParams, match=re.escape(f"span (0.0, {hi!r}) is too short")):
+            build_model(phi, n=3, span=(0.0, hi))
+
+    @pytest.mark.parametrize("phi, ic, where", [
+        ("unit", (3e-9, -1.0), "at u=3e-09"),
+        ("unit", (2e-9, -1.0), "at u=2e-09"),
+        ("witten", (2.5e-9, -1.0), "at u=2.4999"),  # the closed-form zero, to 7 digits
+        ("custom", (3e-9, -1.0), "just past u="),
+    ])
+    def test_a_lapse_cut_that_leaves_the_checks_no_window_is_a_sign_loss(self, phi, ic, where):
+        if phi == "custom":
+            phi = RadialFunction.constant(1.0, (-math.inf, math.inf))
+        with pytest.raises(SignLoss, match=re.escape(f"lapse crosses zero {where}")):
+            build_model(phi, n=3, ic=ic)
+
+    @pytest.mark.parametrize("kw", [
+        {"span": (0.0, 2.5e-9)},
+        {"ic": (3.5e-9, -1.0)},
+    ], ids=["short-span", "early-cut"])
+    @pytest.mark.parametrize("phi", ["witten", "unit"])
+    def test_a_domain_just_longer_than_the_padding_builds(self, phi, kw):
+        # both presets' lapses with ic (3.5e-9, -1) cross zero near u = 3.5e-9
+        m = build_model(phi, n=3, **kw)
+        lo, hi = m.pieces[0].interval
+        assert lo < hi and set(m.checks) == {"lapse-ode", "field[on-axis]", "field[off-axis]",
+                                               "closure"}
+
     @pytest.mark.parametrize("case", CHECK_CASES)
     def test_fused_checks_match_per_ray_reference(self, case):
         # each check byte for byte as three separate evaluations give it:
@@ -586,7 +721,8 @@ class TestBuildModel:
         us = inv.value(points)
         _, r_scal = conformal_curvature(ansatz, points)
         closure = np.asarray(m.mu_geo(us), dtype=float) - 0.5 * r_scal
-        off_axis = _spf_arrays_conformal(ansatz, fluid, off_points, sparse)[0]
+        off_axis = _spf_arrays_conformal(ansatz, m.f, off_points, sparse,
+                                         lambda: (fluid.mu(sparse), fluid.rho(sparse)))[0]
         reference = {
             "field[on-axis]": spf_residuals(ansatz, fluid, sparse, tol=1e-7),
             "field[off-axis]": _spf_report_conformal(off_axis, sparse, slice(None), tol=1e-7),
