@@ -12,9 +12,10 @@ Registry: ``MODELS`` maps id -> factory; ``build(model_id, **params)`` and
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .geometry import (
     _radial_chart,
     _report,
     spf_residuals,
-    tolman_residuals,
 )
 from .numerics import Jet, ProfileAt, RadialFunction, chebyshev_grid
 
@@ -144,8 +144,8 @@ class AnalyticModel:
         """Recompute field-equation residuals for every piece on fresh grids.
 
         A radial piece is read once on its grid (a RadialReading): the field
-        equations, the Tolman system and the extra checks share its readings
-        of f, m or phi, mu and rho.
+        equations, conservation among them, and the extra checks share its
+        readings of f, m or phi, mu and rho.
         """
         reports: dict[str, ResidualReport] = {}
         readings: list[RadialReading | None] = []
@@ -157,10 +157,6 @@ class AnalyticModel:
             readings.append(read)
             reports[f"field[{p.label}]"] = spf_residuals(
                 p.ansatz, p.fluid if read is None else read, grid, tol=RESIDUAL_TOL)
-            if isinstance(p.ansatz, SchwarzschildForm):
-                reports[f"tolman[{p.label}]"] = tolman_residuals(
-                    read.chart, read.f, read.mu, read.rho, grid, tol=RESIDUAL_TOL
-                )
         junction = self._junction_residuals()
         for hook in self.extra_verify:
             name, rep = hook(self, grid_n, readings)
@@ -381,14 +377,14 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     piece_o = vacuum_piece(M, (r_b, 40.0 * max(M, 1.0)), (r_b, 500.0 * max(M, 1.0)))
 
     def printed_mu_diagnostic(model: AnalyticModel, grid_n: int, readings):
-        # the interior's Tolman system with mu_printed, on the interior's
-        # readings: only mu_printed is evaluated here
+        # the interior's field report with mu_printed, on a copy of the
+        # interior's reading: only mu_printed is evaluated here
         read = readings[0]
-        rep = tolman_residuals(
-            read.chart, read.f, model.extras["mu_printed"], read.rho, read.r,
-            tol=RESIDUAL_TOL,
-        )
-        return "diagnostic[printed-mu]", rep
+        printed = copy.copy(read)
+        printed.piece = replace(read.piece, mu_phys=model.extras["mu_printed"])
+        vars(printed).pop("mu", None)
+        return "diagnostic[printed-mu]", spf_residuals(
+            printed.piece.ansatz, printed, read.r, tol=RESIDUAL_TOL)
 
     return AnalyticModel(
         "wyman",

@@ -88,7 +88,8 @@ class BasicInvariant:
     ``C`` is computed from (tau, alpha, beta) on first read; it is not an input.
     For tau > 0 the level sets are round spheres about ``center``; for tau = 0
     with alpha != 0 they are parallel hyperplanes; tau = 0 = alpha is the
-    degenerate case (u constant).
+    degenerate case (u constant).  tau < 0, whose level sets ``point_at``
+    does not sample, and a non-finite tau, alpha or beta are BadParams.
     """
 
     tau: float
@@ -105,6 +106,11 @@ class BasicInvariant:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "tau", float(self.tau))
+        if not all(map(math.isfinite, (self.tau, *self.alpha, *self.beta))):
+            raise BadParams(f"invariant needs finite tau, alpha and beta, got tau={self.tau}, "
+                            f"alpha={self.alpha}, beta={self.beta}")
+        if self.tau < 0.0:
+            raise BadParams(f"invariant needs tau >= 0, got tau={self.tau}")
 
     @property
     def n(self) -> int:

@@ -57,7 +57,6 @@ __all__ = [
     "conformal_curvature",
     "conformal_hessian",
     "spf_residuals",
-    "tolman_residuals",
     "coordinate_sphere",
 ]
 
@@ -178,11 +177,11 @@ class FluidData:
 class Piece:
     """One chart of a model: ansatz, lapse and physical fluid on an interval.
 
-    ``mu_phys`` is values only: no residual differentiates it, nor
-    ``rho_phys`` off a SchwarzschildForm chart, whose Tolman residual reads
-    rho'.  ``interval`` is the window verification grids are drawn from;
-    ``scan_interval`` (defaults to ``interval``) is the usually wider window
-    level-set searches may sample.  ``lam`` is the cosmological constant.
+    ``mu_phys`` is values only: no residual differentiates it; the
+    conservation residual of a radial chart reads rho'.  ``interval`` is the
+    window verification grids are drawn from; ``scan_interval`` (defaults to
+    ``interval``) is the usually wider window level-set searches may sample.
+    ``lam`` is the cosmological constant.
     """
 
     label: str
@@ -232,16 +231,17 @@ def _read(x, r: np.ndarray, derivatives: bool = True) -> ProfileAt:
 class RadialReading:
     """A radial :class:`Piece` read once on a grid ``r``, for every check
     that reads it there: ``verify`` hands one per piece to
-    :func:`spf_residuals`, :func:`tolman_residuals` and the model's extra
-    checks.
+    :func:`spf_residuals` and the model's extra checks.
 
     ``f``, ``chart`` (the chart's profile, :func:`_chart_profile`), ``rho``
     and ``mu`` are :class:`~staticstar.numerics.ProfileAt` readings, each
     made on first use.  The ones a residual differentiates, f, the chart's
-    and, on a SchwarzschildForm chart, whose Tolman residual reads rho', rho,
-    are read with their derivatives, so a closed form's value and
-    derivatives come from one jet; ``mu``, and ``rho`` on a warped chart, are
-    values only.  ``mu`` and ``rho`` are physical, as the piece's are.
+    and rho (the conservation residual reads rho'), are read with their
+    derivatives, so a closed form's value and derivatives come from one jet;
+    ``mu`` is values only.  ``mu`` and ``rho`` are physical, as the piece's
+    are.  ``frame``, the curvature and lapse Hessian the field equations
+    read, is formed from f and the chart's reading on first use too; a copy
+    of the reading with another mu (Wyman's printed-mu check) shares it.
     """
 
     def __init__(self, piece: Piece, r):
@@ -261,9 +261,12 @@ class RadialReading:
 
     @_lazy
     def rho(self) -> ProfileAt:
-        return _read(self.piece.rho_phys, self.r,
-                     derivatives=isinstance(self.piece.ansatz, SchwarzschildForm))
+        return _read(self.piece.rho_phys, self.r)
 
+    @_lazy
+    def frame(self) -> dict:
+        """The chart's curvature and the lapse Hessian on ``r`` (:func:`_radial_frame`)."""
+        return _radial_frame(self.piece.ansatz, self.f, self.r, self.chart)
 
 
 def _pieces(model) -> list[Piece]:
@@ -508,11 +511,14 @@ def spf_residuals(
     ``trace``              Lap f - ((n-2) mu + n rho)/(n-1) f
     ``scalar-curvature``   mu - R/2
     ``traceless``          f (Ric - (R/n) g) - (Hess f - (Lap f / n) g), componentwise
+    ``conservation``       2 rho' + (2 f'/f) (rho + mu), physical; a reading's report only
 
     ``mu``/``rho`` are read from ``fluid`` in the geometric convention.
     On a radial chart ``fluid`` may instead be the :class:`RadialReading` on
-    ``grid`` of a piece with this ansatz, whose readings other checks share.
-    The lapse must be positive on the grid.
+    ``grid`` of a piece with this ansatz, whose readings other checks share;
+    its report adds the conservation equation rho' + (f'/f)(mu + rho) = 0,
+    the same in either radial chart, in the reading's physical variables,
+    where Lambda cancels.  The lapse must be positive on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -527,7 +533,9 @@ def spf_residuals(
     read = fluid if isinstance(fluid, RadialReading) else None
     if read is not None and read.piece.ansatz is not ansatz:
         raise BadParams("a piece's reading passed with another ansatz")
-    d = _radial_frame(ansatz, fluid.f, grid, None if read is None else read.chart)
+    if read is not None and read.r is not grid and not np.array_equal(read.r, grid):
+        raise BadParams("a reading passed with a grid must be read on that grid")
+    d = _radial_frame(ansatz, fluid.f, grid) if read is None else read.frame
     f = d["f"]
     if np.any(f <= 0.0):
         raise DomainError("lapse is not positive on the residual grid")
@@ -552,6 +560,9 @@ def spf_residuals(
         _entry("scalar-curvature", e_scal, grid),
         _entry("traceless", np.stack([t_rr, t_tan], axis=-1), grid),
     ]
+    if read is not None:  # physical variables, where Lambda cancels
+        entries.append(_entry("conservation", 2.0 * read.rho.d1
+                              + 2.0 * read.f.d1 / f * (read.rho.v + read.mu.v), grid))
     return _report(entries, grid, tol)
 
 
@@ -601,53 +612,6 @@ def _spf_report_conformal(residuals: dict, grid: np.ndarray, rows: slice,
     """The report of the rows ``rows`` of :func:`_spf_arrays_conformal`'s arrays."""
     grid = grid[rows]
     return _report([_entry(eq, vals[rows], grid) for eq, vals in residuals.items()], grid, tol)
-
-
-# ----------------------------------------------------------------------------
-# Tolman-form residuals (Schwarzschild-form coordinates, physical variables)
-# ----------------------------------------------------------------------------
-
-def tolman_residuals(
-    m: RadialFunction,
-    f: RadialFunction,
-    mu: Callable,
-    rho: RadialFunction,
-    grid,
-    tol: float = 1e-9,
-) -> ResidualReport:
-    """Residuals of the first-order static-star system in physical variables.
-
-    With x = 1 - 2m/r and v' = 2 f'/f (v = log f^2 is Tolman's potential):
-
-        density:       8 pi mu  - 2 m' / r^2
-        pressure:      8 pi rho - [ x v'/r - 2m/r^3 ]
-        conservation:  2 rho' + v' (rho + mu)
-
-    ``mu``/``rho`` here are *physical* (no 8 pi, no Lambda); ``mu`` is values only.
-    Each of ``m``, ``f``, ``mu`` and ``rho`` may instead be its
-    :class:`~staticstar.numerics.ProfileAt` reading on ``grid`` (a
-    :class:`RadialReading`'s), which other checks share.
-    """
-    r = np.asarray(grid, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("Tolman residuals need r > 0")
-    m, f, rho = (_read(x, r) for x in (m, f, rho))
-    two_m_r = 2.0 * m.v / r
-    v1 = 2.0 * f.d1 / f.v
-    mu_v = _read(mu, r, derivatives=False).v
-    rho_v = rho.v
-    rho1 = rho.d1
-
-    t_density = EIGHT_PI * mu_v - 2.0 * m.d1 / (r * r)
-    t_pressure = EIGHT_PI * rho_v - ((1.0 - two_m_r) * v1 / r - two_m_r / (r * r))
-    t_conserv = 2.0 * rho1 + v1 * (rho_v + mu_v)
-
-    entries = [
-        _entry("density", t_density, r),
-        _entry("pressure", t_pressure, r),
-        _entry("conservation", t_conserv, r),
-    ]
-    return _report(entries, r, tol)
 
 
 # ----------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from staticstar.errors import BadParams, UnknownModel
 from staticstar import catalog
-from staticstar.geometry import EIGHT_PI, WarpedProduct, tolman_residuals
+from staticstar.geometry import EIGHT_PI, Piece, RadialReading, SchwarzschildForm, WarpedProduct
 from staticstar.numerics import RadialFunction, chebyshev_grid
 
 ALL_IDS = sorted(catalog.MODELS)
@@ -161,17 +161,14 @@ class TestWyman:
         assert res.passed           # ...without failing the model
 
     def test_printed_density_residual_value(self, wyman):
-        # at r = 1, R = 2: 8 pi (mu_consistent - mu_printed) = 5/16 - 5/2,
-        # so the density residual is 35/16
-        piece = wyman.pieces[0]
-        rep = tolman_residuals(
-            piece.ansatz.m,
-            piece.fluid.f,
-            wyman.extras["mu_printed"],
-            piece.rho_phys,
-            np.array([1.0]),
-        )
-        assert rep.entry("density").max == pytest.approx(35.0 / 16.0, rel=1e-12)
+        # at r = 1, R = 2: 8 pi (mu_consistent - mu_printed) = 5/16 - 5/2, so
+        # the density equation, the scalar constraint mu = R/2, is off by 35/16
+        (hook,) = wyman.extra_verify
+        r = np.array([1.0])
+        name, rep = hook(wyman, 1, [RadialReading(wyman.pieces[0], r), None])
+        assert name == "diagnostic[printed-mu]"
+        assert rep.entry("scalar-curvature").max == pytest.approx(35.0 / 16.0, rel=1e-12)
+        assert rep.entry("traceless").max < 1e-14  # mu_printed enters only the trace parts
 
     def test_rejects_trapped_interior(self):
         with pytest.raises(BadParams):
@@ -271,3 +268,35 @@ class TestWittenStellar:
             catalog.build("witten_stellar", A=0.0, B=0.0)
         with pytest.raises(BadParams):
             catalog.build("witten_stellar", M=0.0)
+
+
+def _kottler_piece(lam: float = 0.3, M: float = 0.1) -> Piece:
+    """Schwarzschild-de Sitter (Kottler) vacuum in Schwarzschild form:
+    m = M + lam r^3/6, f = sqrt(1 - 2M/r - lam r^2/3), zero physical fluid,
+    so the geometric pair is (lam, -lam)."""
+    interval = (0.25, 2.9)
+    m = RadialFunction.from_formula(lambda r: M + lam * r**3 / 6.0, interval)
+    f = RadialFunction.from_formula(lambda r: np.sqrt(1.0 - 2.0 * M / r - lam * r**2 / 3.0),
+                                    interval)
+    zero = RadialFunction.constant(0.0, interval)
+    return Piece("kottler", SchwarzschildForm(m), f, zero, zero, interval, lam=lam)
+
+
+class TestCosmologicalConstant:
+    """Lambda enters a Schwarzschild-form piece's residuals through its
+    geometric pair alone."""
+
+    def test_a_kottler_piece_verifies(self):
+        result = catalog.AnalyticModel("kottler", {}, [_kottler_piece()]).verify(96)
+        assert result.passed, result.to_json_dict()
+        assert set(result.reports) == {"field[kottler]"}
+
+    def test_a_kottler_piece_without_its_lambda_fails(self):
+        piece = dataclasses.replace(_kottler_piece(), lam=0.0)
+        result = catalog.AnalyticModel("kottler", {}, [piece]).verify(96)
+        assert not result.passed
+        rep = result.reports["field[kottler]"]
+        # R = 2 lam on the Kottler slice: mu = 0 is off by lam
+        assert rep.entry("scalar-curvature").max == pytest.approx(0.3, rel=1e-12)
+        # zero fluid conserves whatever the lapse
+        assert rep.entry("conservation").max == 0.0

@@ -183,6 +183,22 @@ class TestBasicInvariant:
         with pytest.raises(BadParams):
             BasicInvariant(1.0, (), ())
 
+    @pytest.mark.parametrize("tau, alpha, beta", [
+        (-0.5, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),   # point_at missed u by 15-20%
+        (math.nan, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        (math.inf, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        (1.0, (0.0, -math.inf, 0.0), (0.0, 0.0, 0.0)),
+        (1.0, (0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
+        (0.0, (1.0, 0.0, 0.0), (0.0, 0.0, math.inf)),
+    ], ids=["negative-tau", "nan-tau", "inf-tau", "inf-alpha", "nan-beta", "inf-beta"])
+    def test_a_negative_or_non_finite_coefficient_is_refused(self, tau, alpha, beta):
+        with pytest.raises(BadParams):
+            BasicInvariant(tau, alpha, beta)
+        # so no build samples such an invariant's level sets
+        with pytest.raises(BadParams):
+            build_model("unit", n=3, invariant=BasicInvariant(tau, alpha, beta),
+                        span=(0.0, 0.4), ic=(1.0, 0.1))
+
 
 class TestWittenLapse:
     def test_warped_values(self):

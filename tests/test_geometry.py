@@ -12,6 +12,8 @@ from staticstar.geometry import (
     EIGHT_PI,
     ConformalFlat,
     FluidData,
+    Piece,
+    RadialReading,
     SchwarzschildForm,
     WarpedProduct,
     _chart_ricci,
@@ -26,7 +28,6 @@ from staticstar.geometry import (
     spf_residuals,
     to_geometric,
     to_physical,
-    tolman_residuals,
 )
 from staticstar.numerics import RadialFunction, chebyshev_grid
 
@@ -214,13 +215,16 @@ class TestResiduals:
         dom = (0.0, 0.99 * r_h)
         m = _rf(lambda r: 0.5 * a * r**3, lambda r: 1.5 * a * r * r, lambda r: 3.0 * a * r, dom)
         f = RadialFunction.constant(1.0, dom)
-        mu = RadialFunction.constant(c, dom)
-        rho = RadialFunction.constant(-c / 3.0, dom)
         grid = chebyshev_grid(0.05 * r_h, 0.9 * r_h, 64)
-        rep = tolman_residuals(m, f, mu, rho, grid)
-        assert rep.passed, rep.to_json_dict()
-
         ansatz = SchwarzschildForm(m)
+        piece = Piece("slice", ansatz, f, RadialFunction.constant(c, dom),
+                      RadialFunction.constant(-c / 3.0, dom), dom)
+        rep = spf_residuals(ansatz, RadialReading(piece, grid), grid, tol=1e-9)
+        assert rep.passed, rep.to_json_dict()
+        assert [e.eq for e in rep.entries] == [
+            "field[rr]", "field[tan]", "trace", "scalar-curvature", "traceless", "conservation",
+        ]
+
         mu_g, rho_g = to_geometric(c, -c / 3.0)
         fluid = FluidData(
             f=f,
@@ -229,9 +233,9 @@ class TestResiduals:
         )
         rep2 = spf_residuals(ansatz, fluid, grid, tol=1e-9)
         assert rep2.passed
-        assert {e.eq for e in rep2.entries} == {
-            "field[rr]", "field[tan]", "trace", "scalar-curvature", "traceless",
-        }
+        # geometric values carry no derivatives: no conservation entry, and
+        # every other entry has the reading's bits
+        assert rep2.entries == rep.entries[:-1]
 
     def test_nonsolution_is_flagged(self):
         c = 0.001
@@ -241,9 +245,14 @@ class TestResiduals:
         f = RadialFunction.constant(1.0, dom)
         mu = RadialFunction.constant(2.0 * c, dom)  # wrong by a factor of two
         rho = RadialFunction.constant(-c, dom)
-        rep = tolman_residuals(m, f, mu, rho, chebyshev_grid(0.5, 5.0, 16))
+        grid = chebyshev_grid(0.5, 5.0, 16)
+        piece = Piece("slice", SchwarzschildForm(m), f, mu, rho, dom)
+        rep = spf_residuals(piece.ansatz, RadialReading(piece, grid), grid, tol=1e-9)
         assert not rep.passed
-        assert rep.entry("density").max == pytest.approx(EIGHT_PI * c, abs=1e-12)
+        # 8 pi mu - 2 m'/r^2: the density equation is the scalar constraint
+        assert rep.entry("scalar-curvature").max == pytest.approx(EIGHT_PI * c, abs=1e-12)
+        # a constant rho with f = 1 conserves whatever mu is
+        assert rep.entry("conservation").max == 0.0
 
     def test_positive_lapse_required(self, witten):
         piece = witten.pieces[0]
@@ -261,14 +270,24 @@ class TestResiduals:
         assert d["pass"] is True
         assert {e["eq"] for e in d["entries"]} >= {"field[rr]", "trace"}
 
-    def test_conservation_residual_on_solution(self, witten):
-        piece = witten.pieces[0]
+    @pytest.mark.parametrize("params", [{}, {"B": -0.5}, {"A": 0.6, "B": 0.45, "lam": 0.3}],
+                             ids=["default", "phase", "lambda"])
+    def test_conservation_residual_on_solution(self, params):
+        # the warped chart's rho is read as a jet; f rho' + (mu + rho) f' = 0 is
+        # Lambda-free in physical variables, and the report carries it as
+        # 2 rho' + (2 f'/f)(rho + mu), written out here from the profiles
+        model = catalog.build("witten_stellar", **params)
+        piece = model.pieces[0]
         lo, hi = piece.interval
         grid = np.linspace(lo + 0.01, hi - 0.01, 200)
-        f, mu, rho = piece.fluid.f, piece.mu_phys, piece.rho_phys
-        res = f.value(grid) * rho.d1(grid) + (mu.value(grid) + rho.value(grid)) * f.d1(grid)
-        # f rho' + (mu + rho) f' = 0; the geometric residual is 8 pi times the physical one
-        assert np.max(np.abs(EIGHT_PI * res)) < 1e-10
+        rep = spf_residuals(piece.ansatz, RadialReading(piece, grid), grid, tol=1e-9)
+        f, mu, rho = piece.f, piece.mu_phys, piece.rho_phys
+        res = 2.0 * rho.d1(grid) + 2.0 * f.d1(grid) / f.value(grid) * (rho.value(grid)
+                                                                        + mu.value(grid))
+        assert rep.entry("conservation").max == float(np.max(np.abs(res)))
+        assert rep.entry("conservation").max < 1e-11
+        field = model.verify().reports["field[star]"]
+        assert field.passed and field.entry("conservation").max < 1e-11
 
 
 def _two_call_entry(values, grid):
@@ -414,15 +433,15 @@ class TestRadialChartsAgree:
     ("einstein_static", lambda m: m.pieces[0].ansatz.m.domain[1]),
 ], ids=["wyman", "einstein_static"])
 def test_residuals_hold_near_a_regular_centre(model_id, radius):
-    """Both residual checks at the 1e-9 gate from 1e-4 of the surface (wyman)
-    or horizon (einstein_static) radius, where the 1/r^2 terms are ~1e8."""
+    """The field report, conservation included, at the 1e-9 gate from 1e-4 of
+    the surface (wyman) or horizon (einstein_static) radius, where the 1/r^2
+    terms are ~1e8."""
     model = catalog.build(model_id)
     p = model.pieces[0]
     grid = chebyshev_grid(1e-4 * radius(model), p.interval[1], 512)
-    field = spf_residuals(p.ansatz, p.fluid, grid, tol=1e-9)
-    tolman = tolman_residuals(p.ansatz.m, p.fluid.f, p.mu_phys, p.rho_phys, grid, tol=1e-9)
+    field = spf_residuals(p.ansatz, RadialReading(p, grid), grid, tol=1e-9)
     assert field.passed, field.to_json_dict()
-    assert tolman.passed, tolman.to_json_dict()
+    assert field.entry("conservation").max <= 1e-9
 
 
 # ---------------------------------------------------------------------------

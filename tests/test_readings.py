@@ -119,11 +119,16 @@ def test_a_reading_passed_with_another_grid_is_refused():
     p = catalog.build("wyman").pieces[0]
     grid = _verify_grid(p.interval, 16)
     other = ProfileAt(p.f, grid[::-1]).with_derivatives()
+    foreign = geometry.RadialReading(dataclasses.replace(p, f=other), grid)
     with pytest.raises(BadParams):
-        geometry.tolman_residuals(p.ansatz.m, other, p.mu_phys, p.rho_phys, grid)
+        geometry.spf_residuals(p.ansatz, foreign, grid)
     read = geometry.RadialReading(p, grid)
     with pytest.raises(BadParams):
         geometry.spf_residuals(geometry.SchwarzschildForm(p.ansatz.m), read, grid)
+    # a reading whose frame is formed already is still read on its own grid only
+    geometry.spf_residuals(p.ansatz, read, grid.copy())
+    with pytest.raises(BadParams):
+        geometry.spf_residuals(p.ansatz, read, grid[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +195,12 @@ def test_verify_reads_each_profile_once_per_grid(monkeypatch, model_id, n):
         assert kinds in (["jet"], ["value"]), (k, kinds)
     for p in model.pieces:
         grid = _verify_grid(p.interval, n).tobytes()
-        schwarzschild = isinstance(p.ansatz, geometry.SchwarzschildForm)
         for rf, differentiated in ((p.f, True), (geometry._chart_profile(p.ansatz), True),
-                                   (p.rho_phys, schwarzschild), (p.mu_phys, False)):
+                                   (p.rho_phys, True), (p.mu_phys, False)):
             if id(rf) in numbers:
                 assert calls[numbers[id(rf)], grid] == ["jet" if differentiated else "value"]
     if model_id == "wyman":
-        # rho is one jet of the lapse: once for the field, Tolman and printed-mu checks
+        # rho is one jet of the lapse: once for the field report and the printed-mu check
         rho = model.pieces[0].rho_phys
         grid = _verify_grid(model.pieces[0].interval, n).tobytes()
         assert [kind for k, kind, points in log if k == numbers[id(rho)] and points == grid] == ["jet"]

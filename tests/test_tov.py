@@ -10,6 +10,7 @@ Frozen sample rows below come from the closed-form interior evaluated at a
 few radii; the solver at default tolerances lands within ~3e-7 of them.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -25,7 +26,7 @@ from staticstar.errors import (
     NoSurface,
     NotARegularValue,
 )
-from staticstar import catalog, quasilocal, tov
+from staticstar import catalog, geometry, quasilocal, tov
 from staticstar.cli import main
 from staticstar.numerics import PiecewisePoly, chebyshev_grid
 
@@ -439,17 +440,38 @@ class TestCatalogModel:
     def test_verify_passes_at_the_default_tolerances(self, eos):
         result = self._star(eos).verify()
         assert result.passed, result.to_json_dict()
-        assert set(result.reports) == {"field[interior]", "tolman[interior]",
-                                       "field[exterior]", "tolman[exterior]"}
+        assert set(result.reports) == {"field[interior]", "field[exterior]"}
+        for rep in result.reports.values():
+            assert [e.eq for e in rep.entries][-1] == "conservation"
         assert max(result.junction.values()) <= 1e-15
 
-    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-2])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-4, 1e-2])
     def test_verify_fails_a_coarse_solve(self, rel_tol):
-        # the dense output's residual grows with the step: the pressure
-        # equation of tolman[interior] leaves the 1e-9 gate
+        # the dense output's residual grows with the step: the conservation
+        # equation rho' + (f'/f)(mu + rho) = 0 of field[interior] leaves the
+        # 1e-9 gate, while the field equations themselves stay near rounding
         result = self._star(tov.ConstantDensity(0.001), rel_tol).verify()
         assert not result.passed
-        assert not result.reports["tolman[interior]"].passed
+        rep = result.reports["field[interior]"]
+        assert [e.eq for e in rep.entries if e.max > catalog.RESIDUAL_TOL] == ["conservation"]
+
+    @pytest.mark.parametrize("part, eq", [("m", "scalar-curvature"), ("rho", "conservation")])
+    def test_a_derivative_off_by_1e_6_fails_verify(self, const_star, part, eq):
+        # the quick-start star's interior passes the 1e-9 gate as solved; with
+        # m' or rho' off by 1e-6 the equation that reads it fails there
+        interior = const_star.pieces[0]
+        if part == "m":
+            m = interior.ansatz.m
+            off = dataclasses.replace(m, d1=lambda r: m.d1(r) + 1e-6)
+            mutant = dataclasses.replace(interior, ansatz=geometry.SchwarzschildForm(off))
+        else:
+            rho = interior.rho_phys
+            mutant = dataclasses.replace(
+                interior, rho_phys=dataclasses.replace(rho, d1=lambda r: rho.d1(r) + 1e-6))
+        for piece, passed in ((interior, True), (mutant, False)):
+            result = catalog.AnalyticModel("star", {}, [piece]).verify()
+            assert result.passed is passed
+        assert result.reports["field[interior]"].entry(eq).max > catalog.RESIDUAL_TOL
 
     def test_exterior_is_the_catalog_vacuum(self, const_star):
         exterior = const_star.pieces[1]
