@@ -470,8 +470,9 @@ def witten_stellar(
         return (1.0 + 5.0 / np.cosh(t) ** 2 - lam) / EIGHT_PI
 
     def rho(t):
-        s2 = 1.0 / np.cosh(t) ** 2
-        return (-1.0 - s2 + 2.0 * s2 / np.tan(np.log(np.cosh(t)) + delta) + lam) / EIGHT_PI
+        c = np.cosh(t)  # once, so that a jet through rho builds one cosh jet
+        s2 = 1.0 / c ** 2
+        return (-1.0 - s2 + 2.0 * s2 / np.tan(np.log(c) + delta) + lam) / EIGHT_PI
 
     f = RadialFunction.from_formula(lambda t: witten_lapse(3, A, B, t), domain)
     mu_phys = RadialFunction.from_formula(mu, domain)

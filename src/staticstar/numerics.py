@@ -395,13 +395,29 @@ class PiecewisePoly:
         return PiecewisePoly(self.c[:-1] * powers, self.x)
 
 
-def _hermite(x, y, slopes) -> PiecewisePoly:
-    """The cubic through (x, y) with the given slopes, as scipy's ``CubicHermiteSpline``."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
-    return PiecewisePoly(np.stack((t / dx, (slope - slopes[:-1]) / dx - t, slopes[:-1], y[:-1])),
-                         x)
+def _hermite(x, y, h, m, slopes) -> PiecewisePoly:
+    """The cubic through (x, y) with the given slopes, as scipy's ``CubicHermiteSpline``;
+    ``h`` and ``m`` are the steps ``np.diff(x)`` and secants ``np.diff(y) / h``."""
+    t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+    c = np.empty((4, h.size))
+    c[0], c[1], c[2], c[3] = t / h, (m - slopes[:-1]) / h - t, slopes[:-1], y[:-1]
+    return PiecewisePoly(c, x)
+
+
+def _sign(v: float):
+    """np.sign of a float: -1, 0 or 1, and NaN for NaN."""
+    return (v > 0.0) - (v < 0.0) if v == v else math.nan
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """The one-sided three-point slope at an end, clipped to keep the data's
+    shape, on floats with numpy's operations in scipy's order."""
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(end) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(end) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return end
 
 
 def pchip(x, y) -> PiecewisePoly:
@@ -412,25 +428,23 @@ def pchip(x, y) -> PiecewisePoly:
     the result, whose coefficients overflow on extreme data.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
+    h = x[1:] - x[:-1]  # np.diff's subtraction
+    m = (y[1:] - y[:-1]) / h
     if x.size == 2:
-        return _hermite(x, y, np.array([m[0], m[0]]))
+        return _hermite(x, y, h, m, np.array([m[0], m[0]]))
     # the weighted harmonic mean of the two secants, or 0 at an extremum or a flat run
     sm = np.sign(m)
     flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d = np.zeros_like(y)
-    d[1:-1][~flat] = 1.0 / whmean[~flat]
-    # one-sided three-point slopes at both ends, clipped to keep the data's shape
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
-    d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(steep, 3.0 * m0, end))
-    return _hermite(x, y, d)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    (h0, h1), (hn, hn1) = h[:2].tolist(), h[:-3:-1].tolist()
+    (m0, m1), (mn, mn1) = m[:2].tolist(), m[:-3:-1].tolist()
+    d[0], d[-1] = _end_slope(h0, h1, m0, m1), _end_slope(hn, hn1, mn, mn1)
+    return _hermite(x, y, h, m, d)
 
 
 # ----------------------------------------------------------------------------
@@ -498,17 +512,45 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+@functools.lru_cache(maxsize=None)
+def _packer(n: int):
+    """``struct.Struct(f"{n}d").pack_into``: n floats into a float64 buffer."""
+    return struct.Struct(f"{n}d").pack_into
+
+
+def _put_row(K, s, f, pack) -> None:
+    """fun's result ``f`` as row ``s`` of the stage matrix ``K``: a tuple or list
+    of n floats is packed, anything else assigned as numpy assigns it."""
+    if type(f) is tuple or type(f) is list:
+        try:
+            pack(K, s * K.strides[0], *f)
+            return
+        except struct.error:  # not n floats: numpy's row assignment decides
+            pass
+    K[s] = f
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol, K, out, pack):
     """The first step size of Hairer, Nørsett & Wanner, *Solving ODEs I*, Sec. II.4.
-    ``y0``, ``f0`` and ``atol`` are arrays; ``fun`` gets its probe as a list."""
+    ``y0``, ``f0`` and ``atol`` are lists of floats, and ``fun`` gets its probe
+    as one; the probe's result passes through row 1 of ``K``, which the first
+    attempt overwrites.  The elementwise terms are float operations, each
+    rounding as numpy's does, and each norm is :func:`_rms`'s dot on ``out``."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [at + abs(yi) * rtol for at, yi in zip(atol, y0)]
+
+    def norm(v):  # the RMS of v / scale
+        try:
+            pack(out, 0, *[a / s for a, s in zip(v, scale)])
+        except ZeroDivisionError:  # a zero scale: inf or nan, as scipy's numpy divides
+            out[:] = np.divide(v, scale)
+        return _rms(out)
+
+    d0, d1 = norm(y0), norm(f0)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = np.asarray(fun(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
-    d2 = _rms((f1 - f0) / scale)
+    _put_row(K, 1, fun(t0 + h0, [yi + h0 * fi for yi, fi in zip(y0, f0)]), pack)
+    d2 = norm([a - b for a, b in zip(K[1].tolist(), f0)])
     # h0 is 0 when d1 overflowed: scipy's numpy floats then divide to inf or nan
     d2 = d2 / h0 if h0 else float(np.divide(d2, h0))
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -531,9 +573,8 @@ def _error_norm(e, y, y_new, h, rtol, atol, out, pack):
     return _rms(out)
 
 
-def _crossed(g, g_new, direction) -> bool:
-    """Whether an event went from g to g_new through zero in its direction (0: either)."""
-    return (g <= 0 <= g_new and direction >= 0) or (g >= 0 >= g_new and direction <= 0)
+# the accepted steps the dense-output buffers hold at first; they double when full
+_FIRST_STEPS = 64
 
 
 def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeResult:
@@ -556,14 +597,17 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     such a list and does its elementwise arithmetic on floats, which round
     as numpy's do; only the tableau products and the error norm's dot
     product are numpy's, the BLAS calls scipy makes: per attempt the five
-    stage products, B and E, then the norm's dot, and P per accepted step.
+    stage products, B and E, then the norm's dot, and P per accepted step,
+    written straight into a buffer of the steps' Q = K^T P that doubles when
+    full.
 
     Every event ``g(t, y)`` is terminal and may carry a ``direction``
     attribute, as in scipy: the solve stops at the first root, which Brent's
     method (:func:`refine_root`, ``xtol = 4 eps``) finds on the step's own
     dense output.  Raises BadParams for an empty or backward span, for an
-    initial state that is not 1-d or not finite, and for a negative or NaN
-    ``rtol`` or entry of ``atol`` (scipy refuses a negative atol too).
+    initial state that is empty, not 1-d or not finite, for an ``atol`` that
+    is neither one value nor one per state, and for a negative or NaN
+    ``rtol`` or entry of ``atol`` (scipy refuses all three of the last).
     """
     t0, t_bound = map(float, t_span)
     if not t0 < t_bound:
@@ -571,30 +615,42 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1:
         raise BadParams(f"the initial state must be 1-d, as scipy's, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise BadParams(f"the initial state {y0} is not finite")
-    rtol, atol = float(rtol), np.asarray(atol, dtype=float)
-    if not (rtol >= 0.0 and all(a >= 0.0 for a in atol.ravel().tolist())):  # NaN compares false
-        raise BadParams(f"tolerances must be non-negative, got rtol={rtol}, atol={atol}")
-    rtol = max(rtol, 100 * _EPS)
-    f0 = np.asarray(fun(t0, y.tolist()), dtype=float)
-    h_abs = _initial_step(fun, t0, y, t_bound, f0, rtol, atol)
-    nfev = 2
     # from here on the state and atol are lists of floats
-    y, atol = y.tolist(), np.broadcast_to(atol, y.shape).tolist()
+    y = y.tolist()
     n = len(y)
+    if not n:
+        raise BadParams("the initial state is empty")
+    if not all(map(math.isfinite, y)):
+        raise BadParams(f"the initial state {y0} is not finite")
+    rtol, atol_given = float(rtol), np.asarray(atol, dtype=float)
+    if atol_given.ndim == 0:
+        atol = [atol_given.item()] * n
+    elif atol_given.shape == (n,):
+        atol = atol_given.tolist()
+    else:
+        raise BadParams(f"atol must be one value or one per state ({n}), as scipy's; "
+                        f"got shape {atol_given.shape}")
+    if not (rtol >= 0.0 and all(a >= 0.0 for a in atol)):  # NaN compares false
+        raise BadParams(f"tolerances must be non-negative, got rtol={rtol}, atol={atol_given}")
+    rtol = max(rtol, 100 * _EPS)
     # the stage rows: K[0] is f at the step's start, K[s] stage s's right-hand
     # side and K[6] f(t + h, y_new), which an accepted step moves to K[0]
     K = np.empty((len(_RK_C) + 1, n))
-    K[0] = f0
-    pack = struct.Struct(f"{n}d").pack_into
-    KT = K.T
-    stages = [(c, a, K[:s].T, s, s * K.strides[0]) for s, c, a in _RK_STAGES]
+    pack = _packer(n)
     err = np.empty(n)
-    directions = [getattr(event, "direction", 0) for event in events]
+    _put_row(K, 0, fun(t0, y), pack)
+    h_abs = _initial_step(fun, t0, y, t_bound, K[0].tolist(), rtol, atol, K, err, pack)
+    nfev = 2
+    KT = K.T
+    stages = [(c, a, KT[:, :s], s, s * K.strides[0]) for s, c, a in _RK_STAGES]
+    # each accepted step's Q, y_old and h: the step's dense output
+    qs = np.empty((_FIRST_STEPS, n, _RK_P.shape[1]))
+    y_olds = np.empty((_FIRST_STEPS, n))
+    hs = []
+    watched = [(event, getattr(event, "direction", 0)) for event in events]
     g = [event(t0, y) for event in events]
     t_events = [[] for _ in events]
-    t, ts, steps = t0, [t0], []
+    t, ts = t0, [t0]
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -626,15 +682,24 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
         factor = _MAX_FACTOR if error_norm == 0 else min(
             _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
         h_abs *= min(1, factor) if rejected else factor  # after a rejection no growth
-        Q = KT.dot(_RK_P)
+        step = len(hs)
+        if step == len(qs):
+            qs = np.concatenate((qs, np.empty_like(qs)))
+            y_olds = np.concatenate((y_olds, np.empty_like(y_olds)))
+        Q = KT.dot(_RK_P, out=qs[step])
+        pack(y_olds, step * y_olds.strides[0], *y)
+        hs.append(h)
         K[0] = K[6]
         t_old, y_old, t, y = t, y, t_new, y_new
-        steps.append((Q, h, y_old))
         if t >= t_bound:
             status = 0
 
-        g_new = [event(t, y) for event in events]
-        hits = [j for j in range(len(events)) if _crossed(g[j], g_new[j], directions[j])]
+        hits = []
+        for j, (event, direction) in enumerate(watched):
+            a, b = g[j], event(t, y)
+            g[j] = b
+            if (a <= 0 <= b and direction >= 0) or (a >= 0 >= b and direction <= 0):
+                hits.append(j)
         if hits:
             def y_at(s):  # the step's dense output, as scipy's RkDenseOutput computes it
                 x = (s - t_old) / h
@@ -647,21 +712,20 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
                        for j in hits)
             t_events[j].append(t)
             status = 1
-        g = g_new
         if len(ts) > 1 and ts[-1] == t:  # an event root on the last breakpoint
-            steps.pop()
+            hs.pop()
         else:
             ts.append(t)
 
     dense = None
-    if steps:
+    if hs:
         # each step's dense output y_old + h Q [x, ..., x^k], x = (t - t_old)/h,
         # in local powers of t - t_old, highest first: c[k] = y_old, c[k-1-j] = Q[:, j] / h^j
-        qs, hs, y_olds = (np.array(part) for part in zip(*steps))
+        steps = len(hs)
         k = qs.shape[2]
-        c = np.empty((k + 1,) + qs.shape[:2])
-        c[k] = y_olds
-        c[k - 1::-1] = np.moveaxis(qs / hs[:, None, None] ** np.arange(k), 2, 0)
+        c = np.empty((k + 1, steps, n))
+        c[k] = y_olds[:steps]
+        c[k - 1::-1] = (qs[:steps] / np.array(hs)[:, None, None] ** np.arange(k)).transpose(2, 0, 1)
         dense = PiecewisePoly(c, ts)
     return OdeResult(t=np.array(ts), dense=dense, t_events=[np.asarray(te) for te in t_events],
                      nfev=nfev, status=status, message=_MESSAGES[status])
@@ -790,9 +854,22 @@ def check_grid_n(n, least: int) -> None:
         raise BadParams(f"a grid takes at most {GRID_N_MAX} points; got {n!r}")
 
 
+# grids of up to this many points share their unit nodes, kept for the last
+# 16 such sizes; larger grids compute theirs
+_SHARED_NODES_MAX = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _lobatto_nodes(n: int) -> np.ndarray:
+    """cos(pi j / (n - 1)) for j = 0..n-1, read-only: shared by every grid of n points."""
+    nodes = np.cos(np.pi * np.arange(n) / (n - 1))
+    nodes.flags.writeable = False
+    return nodes
+
+
 def chebyshev_grid(lo: float, hi: float, n: int):
     """Chebyshev–Lobatto points on [lo, hi], increasing; ``n`` is an integer
-    of at least 2.
+    of at least 2.  Each call returns a new array.
 
     Lobatto points cluster near the interval ends, which is where the residual
     checks need resolution (centers, surfaces, horizons).
@@ -800,8 +877,8 @@ def chebyshev_grid(lo: float, hi: float, n: int):
     if not lo < hi:
         raise DomainError(f"empty grid interval ({lo}, {hi})")
     check_grid_n(n, 2)
-    j = np.arange(n)
-    grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * j / (n - 1))
+    nodes = _lobatto_nodes(n) if n <= _SHARED_NODES_MAX else _lobatto_nodes.__wrapped__(n)
+    grid = 0.5 * (lo + hi) - 0.5 * (hi - lo) * nodes
     # the affine map can land an ulp off the interval ends; pin them so that
     # callers may rely on grid[0] == lo and grid[-1] == hi
     grid[0], grid[-1] = lo, hi

@@ -110,10 +110,11 @@ class EquationOfState:
         if not path:
             raise BadParams("table EOS needs a CSV path: 'table:points.csv'")
         try:
-            with warnings.catch_warnings():
+            # an open file skips numpy's path handling; the parser is the same
+            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
                 # numpy warns of a table with no rows, which is refused below
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise BadParams(f"table EOS {path!r} is not a numeric rho,mu CSV: {exc}") from None
         if data.size == 0:
@@ -169,20 +170,22 @@ class Tabulated(EquationOfState):
         mu = np.asarray(mu, dtype=float)
         if rho.ndim != 1 or rho.size < 2 or rho.shape != mu.shape:
             raise BadParams("tabulated EOS needs matching 1-d rho/mu arrays")
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mu))):
-            raise BadParams("tabulated EOS needs finite rho/mu values")
-        if not np.all(np.diff(rho) > 0.0):
+        self.rho_min, self.rho_max = rho_min, rho_max = rho[[0, -1]].tolist()
+        # rows with every step positive (NaN is not) and finite ends are finite
+        increasing = (rho[1:] - rho[:-1] > 0.0).all()
+        if not (increasing and math.isfinite(rho_min) and math.isfinite(rho_max)
+                and np.isfinite(mu).all()):
+            if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
+                raise BadParams("tabulated EOS needs finite rho/mu values")
             raise BadParams("tabulated EOS needs strictly increasing rho")
-        self.rho_min = float(rho[0])
-        self.rho_max = float(rho[-1])
         # subnormal steps in mu overflow pchip's slope ratios harmlessly, so
         # the interpolant is judged by its coefficients, not by the warnings
         with np.errstate(all="ignore"):
             self._interp = pchip(rho, mu)
-        if not np.all(np.isfinite(self._interp.c)):
+        if not np.isfinite(self._interp.c).all():
             raise BadParams("tabulated EOS rows give a non-finite interpolant")
-        # the cubic pieces as floats, for the float path of mu
-        self._breaks, self._pieces = self._interp.x.tolist(), self._interp.c.T.tolist()
+        # the cubic pieces as floats, for the float path of mu: the interpolant's own
+        self._breaks, self._pieces = self._interp._breaks, self._interp._pieces
 
     def mu(self, rho):
         if isinstance(rho, float):  # one pressure, as the ODE right-hand side passes it

@@ -522,6 +522,18 @@ def test_bad_output_path_is_exit_4(capsys):
     assert code == 4 and "i/o error" in err
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["tov", "mass"])
+def test_an_unreadable_table_path_is_exit_4(capsys, tmp_path, where, command):
+    """A table that cannot be opened: Python's OSError text, and no traceback."""
+    path = tmp_path / "no-such.csv" if where == "missing" else tmp_path
+    argv = [command, "--eos", f"table:{path}", "--rho-c", "5e-4"]
+    code, out, err = run(capsys, *(argv + ["--level", "0.6"] if command == "mass" else argv))
+    assert code == 4 and out == ""
+    assert err.startswith("i/o error: [Errno ") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -172,6 +172,24 @@ def test_chebyshev_grid_basic():
     assert np.all(np.diff(g) > 0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 512, numerics._SHARED_NODES_MAX + 1])
+def test_chebyshev_grids_share_read_only_nodes_and_return_their_own_array(n):
+    """The unit nodes are cos(pi j / (n - 1)) bit for bit, shared and read-only
+    up to _SHARED_NODES_MAX points; every grid is a new, writable array."""
+    nodes = np.cos(np.pi * np.arange(n) / (n - 1))
+    if n <= numerics._SHARED_NODES_MAX:
+        shared = numerics._lobatto_nodes(n)
+        assert _same_bits(shared, nodes) and not shared.flags.writeable
+        assert numerics._lobatto_nodes(n) is shared
+    lo, hi = 1e-6, 2.7
+    a, b = chebyshev_grid(lo, hi, n), chebyshev_grid(lo, hi, n)
+    assert a is not b and a.flags.writeable and b.flags.writeable
+    assert a[0] == lo and a[-1] == hi
+    assert _same_bits(a[1:-1], (0.5 * (lo + hi) - 0.5 * (hi - lo) * nodes)[1:-1])
+    a[:] = 0.0
+    assert _same_bits(b, chebyshev_grid(lo, hi, n))
+
+
 def test_sign_brackets_sin():
     grid = np.linspace(0.5, 10.0, 400)
     brackets = sign_brackets(grid, np.sin(grid))
@@ -402,6 +420,16 @@ def _direct_run(fun, span, y0, events=(), **tol):
     return run
 
 
+def _event_on_a_breakpoint():
+    """An event that rises to exactly 0 at the third breakpoint, which its
+    direction -1 does not count, and falls below 0 in the next step: its root
+    is that breakpoint, so the last step is dropped, as scipy drops it."""
+    fun, span, y0 = (lambda t, y: (y[1], -y[0])), (0.0, 10.0), (1.0, 0.0)
+    tb = float(numerics.solve_ivp(fun, span, y0).t[3])
+    return _direct_run(fun, span, y0,
+                       events=(_terminal(lambda t, y: 0.0 if t == tb else -1.0, -1.0),))()
+
+
 _TWIN_RHO = np.linspace(-5e-4, 7.5e-4, 40)
 # the EOS shapes of a tov_stars pass: a self-bound bag model mu = 3 rho + 4B,
 # finite at the surface, and a Gamma = 2 polytrope rho = K mu^2, mu -> 0 there
@@ -432,6 +460,13 @@ SOLVE_CASES = {
     "step-size-collapse": _direct_run(lambda t, y: [v * v for v in y], (0.0, 2.0), (1.0,)),
     "rtol-below-100-eps": _direct_run(lambda t, y: [-v for v in y], (0.0, 3.0), (1.0, 2.0),
                                       rtol=1e-17, atol=1e-20),
+    # hundreds of accepted steps, past the dense-output buffer's first capacity,
+    # and an event whose root lies in a step after the buffer has grown
+    "many-steps": _direct_run(lambda t, y: (y[1], -y[0]), (0.0, 100.0), (1.0, 0.0),
+                              events=(_terminal(lambda t, y: y[0] * y[0] + y[1] * y[1] + t - 80.0,
+                                                1.0),),
+                              rtol=1e-6, atol=1e-10),
+    "event-on-a-breakpoint": _event_on_a_breakpoint,
 }
 
 
@@ -461,8 +496,13 @@ def test_solve_ivp_is_scipy_rk45_bit_for_bit(case):
         assert got.status == -1 and got.t[-1] < 1.0
     if case == "tov-constant-rejections":  # six calls per attempt, accepted or not
         assert got.nfev > 2 + 6 * (len(got.t) - 1)
-    if "event" in case:
+    if "event" in case or case == "many-steps":
         assert got.status == 1
+    if case == "many-steps":
+        assert len(got.t) - 1 > 4 * numerics._FIRST_STEPS
+    if case == "event-on-a-breakpoint":
+        assert len(got.t) == 4 and got.t_events[0][0] == got.t[-1]
+        assert got.dense.c.shape[1] == 3
 
 
 def test_a_nan_in_y_new_rejects_the_step_as_np_maximum_does():
@@ -689,12 +729,18 @@ def test_a_collapsed_step_is_a_step_failure(monkeypatch):
         conformal.solve_lapse(_sqrt_phi(), 3, (0.0, 10.0), (1.0, 0.2))
 
 
-@pytest.mark.parametrize("span, y0", [((1.0, 1.0), (1.0,)), ((1.0, 0.0), (1.0,)),
-                                      ((0.0, 1.0), (math.inf,)), ((0.0, 1.0), 1.0),
-                                      ((0.0, 1.0), ((1.0, 2.0),))])
-def test_solve_ivp_refuses_what_it_does_not_port(span, y0):
+@pytest.mark.parametrize("span, y0, atol", [
+    ((1.0, 1.0), (1.0,), 1e-6), ((1.0, 0.0), (1.0,), 1e-6),
+    ((0.0, 1.0), (math.inf,), 1e-6), ((0.0, 1.0), 1.0, 1e-6),
+    ((0.0, 1.0), ((1.0, 2.0),), 1e-6), ((0.0, 1.0), (), 1e-6),
+    # scipy's `atol` has wrong shape: neither one value nor one per state
+    ((0.0, 1.0), (1.0, 2.0), (1e-6, 1e-6, 1e-6)), ((0.0, 1.0), (1.0, 2.0), ((1e-6, 1e-6),)),
+    ((0.0, 1.0), (1.0, 2.0), (1e-6,)),
+], ids=["empty-span", "backward-span", "infinite-state", "0-d-state", "2-d-state",
+        "empty-state", "atol-of-3-for-2-states", "atol-of-shape-1x2", "atol-of-1-for-2-states"])
+def test_solve_ivp_refuses_what_it_does_not_port(span, y0, atol):
     with pytest.raises(BadParams):
-        numerics.solve_ivp(lambda t, y: -y, span, y0)
+        numerics.solve_ivp(lambda t, y: [-v for v in y], span, y0, atol=atol)
 
 
 # --- ODE-backed evaluators read the dense output ------------------------------------
@@ -815,6 +861,22 @@ PCHIP_TABLES = {
     "three-rows": ([0.0, 1.0, 3.0], [2.0, -1.0, 5.0]),
     "subnormal": ([0.0, 1.0, 2.0, 3.0], [0.0, 1e-310, 0.0, 1e-3]),
 }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-6, 10.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)),
+             min_size=n, max_size=n))))
+def test_pchip_is_scipy_pchip_on_random_rows(rows):
+    """Steps of any size, flat runs, extrema and sign changes, at both ends too."""
+    steps, y = rows
+    x = np.cumsum([0.0] + steps)
+    if not np.all(np.diff(x) > 0.0):
+        return
+    with np.errstate(all="ignore"):
+        got, want = numerics.pchip(x, y), PchipInterpolator(x, y)
+    assert _same_bits(got.x, want.x) and _same_bits(got.c, want.c)
 
 
 @pytest.mark.parametrize("table", sorted(PCHIP_TABLES))

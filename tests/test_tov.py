@@ -532,11 +532,20 @@ class TestCarriedLapse:
         assert short.f(short.r_end) == 1.0 and short.column("f")[-1] == 1.0
 
 
-def test_table_rejects_non_finite_values():
-    with pytest.raises(BadParams):
-        tov.Tabulated([0.0, 1.0, 2.0], [1.0, float("nan"), 1.0])
-    with pytest.raises(BadParams):
-        tov.Tabulated([0.0, 1.0, float("inf")], [1.0, 1.0, 1.0])
+@pytest.mark.parametrize("rho, mu, message", [
+    ([0.0, 1.0, 2.0], [1.0, math.nan, 1.0], "finite"),
+    ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0], "finite"),
+    ([-math.inf, 1.0, 2.0], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, 1.0, 2.0], [1.0, 1.0, -math.inf], "finite"),
+    ([0.0, 2.0, 1.0], [1.0, math.inf, 1.0], "finite"),
+    ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+])
+def test_table_rejects_non_finite_values(rho, mu, message):
+    """A non-finite entry is named as such, also in rows that are out of order."""
+    with pytest.raises(BadParams, match=message):
+        tov.Tabulated(rho, mu)
 
 
 def test_table_with_subnormal_steps_builds_without_warning():
