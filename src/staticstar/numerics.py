@@ -518,39 +518,17 @@ def _packer(n: int):
     return struct.Struct(f"{n}d").pack_into
 
 
-def _put_row(K, s, f, pack) -> None:
-    """fun's result ``f`` as row ``s`` of the stage matrix ``K``: a tuple or list
-    of n floats is packed, anything else assigned as numpy assigns it."""
-    if type(f) is tuple or type(f) is list:
-        try:
-            pack(K, s * K.strides[0], *f)
-            return
-        except struct.error:  # not n floats: numpy's row assignment decides
-            pass
-    K[s] = f
-
-
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol, K, out, pack):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """The first step size of Hairer, Nørsett & Wanner, *Solving ODEs I*, Sec. II.4.
-    ``y0``, ``f0`` and ``atol`` are lists of floats, and ``fun`` gets its probe
-    as one; the probe's result passes through row 1 of ``K``, which the first
-    attempt overwrites.  The elementwise terms are float operations, each
-    rounding as numpy's does, and each norm is :func:`_rms`'s dot on ``out``."""
+    ``y0``, ``f0`` and ``atol`` are arrays; ``fun`` gets its probe as a list."""
     interval_length = abs(t_bound - t0)
-    scale = [at + abs(yi) * rtol for at, yi in zip(atol, y0)]
-
-    def norm(v):  # the RMS of v / scale
-        try:
-            pack(out, 0, *[a / s for a, s in zip(v, scale)])
-        except ZeroDivisionError:  # a zero scale: inf or nan, as scipy's numpy divides
-            out[:] = np.divide(v, scale)
-        return _rms(out)
-
-    d0, d1 = norm(y0), norm(f0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    _put_row(K, 1, fun(t0 + h0, [yi + h0 * fi for yi, fi in zip(y0, f0)]), pack)
-    d2 = norm([a - b for a, b in zip(K[1].tolist(), f0)])
+    f1 = np.asarray(fun(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
+    d2 = _rms((f1 - f0) / scale)
     # h0 is 0 when d1 overflowed: scipy's numpy floats then divide to inf or nan
     d2 = d2 / h0 if h0 else float(np.divide(d2, h0))
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -636,10 +614,10 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     # the stage rows: K[0] is f at the step's start, K[s] stage s's right-hand
     # side and K[6] f(t + h, y_new), which an accepted step moves to K[0]
     K = np.empty((len(_RK_C) + 1, n))
+    K[0] = fun(t0, y)
+    h_abs = _initial_step(fun, t0, np.array(y), t_bound, K[0], rtol, np.array(atol))
     pack = _packer(n)
     err = np.empty(n)
-    _put_row(K, 0, fun(t0, y), pack)
-    h_abs = _initial_step(fun, t0, y, t_bound, K[0].tolist(), rtol, atol, K, err, pack)
     nfev = 2
     KT = K.T
     stages = [(c, a, KT[:, :s], s, s * K.strides[0]) for s, c, a in _RK_STAGES]

@@ -170,14 +170,12 @@ class Tabulated(EquationOfState):
         mu = np.asarray(mu, dtype=float)
         if rho.ndim != 1 or rho.size < 2 or rho.shape != mu.shape:
             raise BadParams("tabulated EOS needs matching 1-d rho/mu arrays")
-        self.rho_min, self.rho_max = rho_min, rho_max = rho[[0, -1]].tolist()
-        # rows with every step positive (NaN is not) and finite ends are finite
-        increasing = (rho[1:] - rho[:-1] > 0.0).all()
-        if not (increasing and math.isfinite(rho_min) and math.isfinite(rho_max)
-                and np.isfinite(mu).all()):
-            if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
-                raise BadParams("tabulated EOS needs finite rho/mu values")
+        # finite first: neighbouring equal infinities would subtract to NaN
+        if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
+            raise BadParams("tabulated EOS needs finite rho/mu values")
+        if not (rho[1:] - rho[:-1] > 0.0).all():  # np.diff's subtraction
             raise BadParams("tabulated EOS needs strictly increasing rho")
+        self.rho_min, self.rho_max = rho[[0, -1]].tolist()
         # subnormal steps in mu overflow pchip's slope ratios harmlessly, so
         # the interpolant is judged by its coefficients, not by the warnings
         with np.errstate(all="ignore"):

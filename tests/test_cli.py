@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gzip
 import json
 import math
 import os
@@ -532,6 +533,15 @@ def test_an_unreadable_table_path_is_exit_4(capsys, tmp_path, where, command):
     assert code == 4 and out == ""
     assert err.startswith("i/o error: [Errno ") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_a_compressed_table_is_not_a_csv(capsys, tmp_path):
+    """A table is read as plain UTF-8 text: a gzip file is refused, not unpacked."""
+    path = tmp_path / "eos.csv.gz"
+    path.write_bytes(gzip.compress(b"rho,mu\n0.0,0.001\n0.001,0.001\n"))
+    code, out, err = run(capsys, "tov", "--eos", f"table:{path}", "--rho-c", "5e-4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is not a numeric rho,mu CSV" in err
 
 
 def test_help_exits_zero(capsys):

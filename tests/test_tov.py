@@ -539,6 +539,8 @@ class TestCarriedLapse:
     ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0], "finite"),
     ([0.0, 1.0, 2.0], [1.0, 1.0, -math.inf], "finite"),
     ([0.0, 2.0, 1.0], [1.0, math.inf, 1.0], "finite"),
+    ([0.0, 1.0, math.inf, math.inf], [1.0, 1.0, 1.0, 1.0], "finite"),
+    ([-math.inf, -math.inf, 1.0], [1.0, 1.0, 1.0], "finite"),
     ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
     ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
 ])
