@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import call_with, parse_spec
-from .conformal import witten_lapse
 from .errors import BadParams, UnknownModel
 from .geometry import (
     EIGHT_PI,
@@ -82,9 +81,13 @@ class AnalyticModel:
     discrepancies rather than to gate correctness.
 
     Each ``extra_verify`` hook is called as ``hook(model, grid_n, readings)``
-    and returns ``(report name, ResidualReport)``; ``readings`` holds, for
-    each piece in order, its :class:`~staticstar.geometry.RadialReading` on
-    the piece's verification grid (None for a conformally flat piece).
+    and returns a ``dict[str, ResidualReport]`` of report name to report,
+    which may be empty; several checks that share one evaluation return
+    together.  ``readings`` holds, for each piece in order, its
+    :class:`~staticstar.geometry.RadialReading` on the piece's verification
+    grid, or None for a conformally flat piece, which has no default field
+    report: its model's hooks check it, as
+    :class:`~staticstar.conformal.ConformalModel`'s one hook does.
     """
 
     def __init__(
@@ -145,22 +148,27 @@ class AnalyticModel:
 
         A radial piece is read once on its grid (a RadialReading): the field
         equations, conservation among them, and the extra checks share its
-        readings of f, m or phi, mu and rho.
+        readings of f, m or phi, mu and rho.  A conformally flat piece is
+        checked by its model's hooks alone, and BadParams in a model with none.
         """
         reports: dict[str, ResidualReport] = {}
         readings: list[RadialReading | None] = []
         for p in self.pieces:
+            if isinstance(p.ansatz, ConformalFlat):
+                if not self.extra_verify:  # it would pass unchecked
+                    raise BadParams(f"{self.id} has a conformally flat piece and no hook "
+                                    "to check it")
+                readings.append(None)
+                continue
             lo, hi = p.interval
             pad = 1e-6 * (hi - lo)
             grid = chebyshev_grid(lo + pad, hi - pad, grid_n)
-            read = None if isinstance(p.ansatz, ConformalFlat) else RadialReading(p, grid)
+            read = RadialReading(p, grid)
             readings.append(read)
-            reports[f"field[{p.label}]"] = spf_residuals(
-                p.ansatz, p.fluid if read is None else read, grid, tol=RESIDUAL_TOL)
+            reports[f"field[{p.label}]"] = spf_residuals(p.ansatz, read, grid, tol=RESIDUAL_TOL)
         junction = self._junction_residuals()
         for hook in self.extra_verify:
-            name, rep = hook(self, grid_n, readings)
-            reports[name] = rep
+            reports.update(hook(self, grid_n, readings))
         passed = all(
             rep.passed for name, rep in reports.items() if not name.startswith("diagnostic")
         ) and all(v <= JUNCTION_TOL for v in junction.values())
@@ -342,7 +350,10 @@ def _wyman_lapse(R: float, M: float):
 def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
     """Quartic interior m = r^5/(2 R^4) glued to the vacuum exterior.
 
-    Requires 2M < R (equivalently r_b > 2M and r_b < R).  The bundled density
+    Requires 2M < R (equivalently r_b > 2M and r_b < R) and a positive lapse
+    at the centre, where the interior lapse, which grows outward, is least:
+    f(0) <= 0, which holds from 2M/R = 0.90716 on, is BadParams, since such
+    a model is not a static star.  The bundled density
     accessor is the internally consistent 8 pi mu = 5 r^2 / R^4; the historical
     printed form 8 pi mu = (5/R) r^2 is kept as ``mu_printed`` and surfaced by
     a diagnostic verify entry that is expected to fail.
@@ -351,6 +362,10 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         raise BadParams(f"need R > 0, M > 0, 2M < R; got R={R}, M={M}")
     R4 = R**4
     r_b, a1, a2, lapse = _wyman_lapse(R, M)
+    f0 = float(lapse(0.0))
+    if not f0 > 0.0:
+        raise BadParams(f"the lapse is not positive at the centre, f(0) = {f0}, as for "
+                        f"every 2M/R from about 0.90716 on; got R={R}, M={M}")
 
     dom_i = (0.0, R * (1.0 - 1e-9))
     m_i = RadialFunction.from_formula(lambda r: 0.5 * r**5 / R4, dom_i)
@@ -383,8 +398,8 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
         printed = copy.copy(read)
         printed.piece = replace(read.piece, mu_phys=model.extras["mu_printed"])
         vars(printed).pop("mu", None)
-        return "diagnostic[printed-mu]", spf_residuals(
-            printed.piece.ansatz, printed, read.r, tol=RESIDUAL_TOL)
+        return {"diagnostic[printed-mu]": spf_residuals(
+            printed.piece.ansatz, printed, read.r, tol=RESIDUAL_TOL)}
 
     return AnalyticModel(
         "wyman",
@@ -402,6 +417,30 @@ def wyman(R: float = 2.0, M: float = 0.2) -> AnalyticModel:
 
 
 # -- bounded warped-product star ----------------------------------------------
+
+def _witten_form(n: int, A: float, B: float, lam):
+    """A sin(w lam) + B cos(w lam) with w = sqrt(n-2)/2: the Witten lapse in
+    its phase lam = log(1 + u) = 2 log(cosh r).
+
+    Each chart supplies its own lam; a float, an array or a :class:`Jet`
+    passes through.
+    """
+    phase = 0.5 * math.sqrt(n - 2.0) * lam
+    return A * np.sin(phase) + B * np.cos(phase)
+
+
+def witten_lapse(n: int, A: float, B: float, r):
+    """Closed-form lapse in the warped variable: A sin(w L) + B cos(w L).
+
+    L = 2 log(cosh r) and w = sqrt(n-2)/2.  (In the invariant variable
+    u = sinh^2 r this is the Euler-equation solution with frequency
+    sqrt(n-2)/2 in log(1+u).)  A float, an array or a :class:`Jet` passes
+    through; a float gives a float.
+    """
+    if n < 3:
+        raise BadParams(f"need n >= 3, got {n}")
+    return _witten_form(n, A, B, 2.0 * np.log(np.cosh(r)))
+
 
 def _witten_zeros(delta: float, t_max: float) -> list[float]:
     """t with log(cosh t) + delta = k pi (the lapse zeros / pressure poles)."""
@@ -502,7 +541,7 @@ def witten_stellar(
         )
         rho_res = np.abs(EIGHT_PI * star.rho_phys(grid) - rho_claim)
         entries = [_entry("tilde-density", mu_res, grid), _entry("tilde-pressure", rho_res, grid)]
-        return "tilde-chart[star]", _report(entries, grid, tol=1e-9)
+        return {"tilde-chart[star]": _report(entries, grid, tol=1e-9)}
 
     def sectional_check(model: AnalyticModel, grid_n: int, readings):
         # K_rad = -b_ss/b and K_tan = (1 - b_s^2)/b^2 of the model's own
@@ -518,7 +557,7 @@ def witten_stellar(
             _entry("positivity[rad]", viol_rad, grid),
             _entry("positivity[tan]", viol_tan, grid),
         ]
-        return "sectional-curvature[star]", _report(entries, grid, tol=0.0)
+        return {"sectional-curvature[star]": _report(entries, grid, tol=0.0)}
 
     note_windows = ", ".join(f"({a:.4f}, {b:.4f})" for a, b in windows)
     return AnalyticModel(

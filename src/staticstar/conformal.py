@@ -29,17 +29,16 @@ oracle ``tests/test_conformal.py`` compares this route against on solutions.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import AnalyticModel, _witten_form, witten_lapse
 from .errors import BadParams, DomainError, SignLoss, StepFailure
 from .geometry import (
     ConformalFlat,
-    FluidData,
     Piece,
     ResidualReport,
     _entry,
@@ -191,30 +190,6 @@ class BasicInvariant:
 # lapse solutions
 # ----------------------------------------------------------------------------
 
-def _witten_form(n: int, A: float, B: float, lam):
-    """A sin(w lam) + B cos(w lam) with w = sqrt(n-2)/2: the Witten lapse in
-    its phase lam = log(1 + u) = 2 log(cosh r).
-
-    Each chart supplies its own lam; a float, an array or a :class:`Jet`
-    passes through.
-    """
-    phase = 0.5 * math.sqrt(n - 2.0) * lam
-    return A * np.sin(phase) + B * np.cos(phase)
-
-
-def witten_lapse(n: int, A: float, B: float, r):
-    """Closed-form lapse in the warped variable: A sin(w L) + B cos(w L).
-
-    L = 2 log(cosh r) and w = sqrt(n-2)/2.  (In the invariant variable
-    u = sinh^2 r this is the Euler-equation solution with frequency
-    sqrt(n-2)/2 in log(1+u).)  A float, an array or a :class:`Jet` passes
-    through; a float gives a float.
-    """
-    if n < 3:
-        raise BadParams(f"need n >= 3, got {n}")
-    return _witten_form(n, A, B, 2.0 * np.log(np.cosh(r)))
-
-
 def _witten_u_lapse(n: int, A: float, B: float, domain) -> RadialFunction:
     """The same solution as a RadialFunction of the invariant u (analytic)."""
     return RadialFunction.from_formula(lambda u: _witten_form(n, A, B, np.log1p(u)), domain)
@@ -344,31 +319,49 @@ def _geo_pair(invariant: BasicInvariant, n: int, u, phi: ProfileAt, f: ProfileAt
 # assembled models
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConformalModel:
-    """A conformally flat static fluid: factor phi(u), lapse f(u), invariant.
+class ConformalModel(AnalyticModel):
+    """A conformally flat static fluid, factor phi(u), lapse f(u) on
+    ``domain`` and the invariant u, as a one-piece :class:`AnalyticModel`.
 
-    ``checks`` holds the construction-time validation reports (lapse ODE
-    residual, traceless field equations on- and off-axis, scalar-curvature
-    closure); ``passed`` aggregates them.  ``truncated`` records that the
-    lapse lost positivity before the requested span ended and the domain was
-    cut back.  ``n`` and ``degenerate`` are read from the invariant.
+    The constructor builds the one :class:`Piece`: the chart
+    ``ConformalFlat(phi, invariant)``, the lapse, the physical fluid from
+    :func:`_geo_pair`, the two :func:`_windows` of ``domain``, and ``lam``.
+    It then runs ``verify(64)``, whose one hook is :func:`_checks`:
+    ``checks`` are its reports and ``passed`` its verdict, so no model
+    exists without its checks.  ``truncated`` records that the lapse lost
+    positivity before the requested span ended and the domain was cut back.
+    ``n`` and ``degenerate`` are read from the invariant.
 
-    ``domain`` is the lapse's domain, and its ends may be zeros of f (the
-    witten preset's default lapse starts on one), where ``mu`` and ``rho``
-    raise DomainError or blow up; ``pieces[0].interval`` and its
-    ``scan_interval`` are the windows to evaluate the fluid on.
+    ``f`` is the lapse itself, read on its whole domain.  ``domain``'s ends
+    may be zeros of f (the witten preset's default lapse starts on one);
+    ``mu`` and ``rho`` read the piece's windows and, outside them, the open
+    domain, as on every model, so a point outside both is BadParams.
     """
 
-    phi: RadialFunction
-    f: RadialFunction
-    invariant: BasicInvariant
-    lam: float
-    domain: tuple[float, float]
-    label: str = "custom"
-    truncated: bool = False
-    checks: dict = field(default_factory=dict, repr=False)
-    _geo_last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    def __init__(self, phi: RadialFunction, f: RadialFunction, invariant: BasicInvariant,
+                 lam: float, domain: tuple[float, float], label: str = "custom",
+                 truncated: bool = False):
+        self.phi, self.invariant, self.lam = phi, invariant, lam
+        self.domain, self.label, self.truncated = domain, label, truncated
+        n = invariant.n
+
+        def physical(u):  # the (mu, rho) at u
+            u = np.asarray(u, dtype=float)
+            return to_physical(*_geo_pair(invariant, n, u, ProfileAt(phi, u), ProfileAt(f, u)),
+                               lam)
+
+        interval, scan_interval = _windows(*domain)
+        piece = Piece(label, ConformalFlat(phi, invariant), f,
+                      mu_phys=lambda u: physical(u)[0], rho_phys=lambda u: physical(u)[1],
+                      interval=interval, scan_interval=scan_interval, lam=lam)
+        super().__init__("conformal", {"phi": label, "n": n, "lam": lam}, [piece],
+                         extra_verify=(_checks,))
+        result = self.verify(64)
+        self.checks, self.passed = result.reports, result.passed
+
+    @property
+    def f(self) -> RadialFunction:
+        return self.pieces[0].f
 
     @property
     def n(self) -> int:
@@ -377,46 +370,6 @@ class ConformalModel:
     @property
     def degenerate(self) -> bool:
         return self.invariant.degenerate
-
-    @property
-    def passed(self) -> bool:
-        return all(rep.passed for rep in self.checks.values())
-
-    def _geo(self, u):
-        """(mu_geo, rho_geo) at u; the four accessors share one evaluation
-        per set of points, as the residual checks call them.  The shared
-        arrays are read-only, and the pair is replaced in one assignment."""
-        points, pair = self._geo_last
-        if points is None or not np.array_equal(points, u):
-            u = np.asarray(u, dtype=float)
-            pair = _geo_pair(self.invariant, self.n, u,
-                             ProfileAt(self.phi, u), ProfileAt(self.f, u))
-            for part in pair:
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-            object.__setattr__(self, "_geo_last", (np.array(u, dtype=float), pair))
-        return pair
-
-    def mu(self, u):
-        return to_physical(*self._geo(u), self.lam)[0]
-
-    def rho(self, u):
-        return to_physical(*self._geo(u), self.lam)[1]
-
-    def mu_geo(self, u):
-        return self._geo(u)[0]
-
-    def fluid(self) -> FluidData:
-        return FluidData(f=self.f, mu=self.mu_geo, rho=lambda u: self._geo(u)[1])
-
-    @property
-    def pieces(self) -> list[Piece]:
-        """The model as one :class:`Piece`, built on each read, with the
-        windows :func:`_windows` gives its domain."""
-        interval, scan_interval = _windows(*self.domain)
-        return [Piece(self.label, ConformalFlat(self.phi, self.invariant), self.f,
-                      mu_phys=self.mu, rho_phys=self.rho, interval=interval,
-                      scan_interval=scan_interval, lam=self.lam)]
 
 
 def _windows(lo: float, hi: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -434,12 +387,6 @@ def _too_short(lo: float, hi: float) -> bool:
     return not start < end
 
 
-def _ode_residual_report(phi_at: ProfileAt, f_at: ProfileAt, n, grid, tol) -> ResidualReport:
-    """The lapse-ODE residual on ``grid`` from the readings of phi and f there."""
-    res = (n - 2.0) * f_at.v * phi_at.d2 - f_at.d2 * phi_at.v - 2.0 * phi_at.d1 * f_at.d1
-    return _report([_entry("lapse-ode", res, grid)], grid, tol)
-
-
 @functools.cache
 def _off_axis_draw(n: int) -> np.ndarray:
     """The one standard-normal draw behind build_model's off-axis ray on R^n,
@@ -447,6 +394,54 @@ def _off_axis_draw(n: int) -> np.ndarray:
     vec = np.random.default_rng(_OFF_AXIS_SEED).standard_normal(n)
     vec.flags.writeable = False
     return vec
+
+
+def _checks(model: ConformalModel, grid_n: int, readings) -> dict[str, ResidualReport]:
+    """A conformal model's four checks on its piece's ``interval``: the
+    lapse-ODE residual on a ``grid_n``-point Chebyshev grid (tolerance 1e-9),
+    and (1e-7) the field equations on the reference ray and on a fixed random
+    off-axis ray through every ``grid_n // 16``-th grid value, and the
+    closure of the closed-form density against R/2 from the generic
+    curvature route.  A degenerate invariant, whose fluid is the vacuum
+    pair, has none.
+
+    phi and f are read once on the grid, for the lapse-ODE residual and, at
+    its rows ``ray_rows``, the rays' fluid.  The last three checks read one
+    batch: both rays stacked into one set of points, on which the curvature
+    and the lapse Hessian are evaluated once, and each report reads its slice.
+    """
+    inv, n, piece = model.invariant, model.n, model.pieces[0]
+    if inv.degenerate:
+        return {}
+    grid = chebyshev_grid(*piece.interval, grid_n)
+    phi_at, f_at = (ProfileAt(rf, grid).with_derivatives() for rf in (model.phi, model.f))
+    ode = (n - 2.0) * f_at.v * phi_at.d2 - f_at.d2 * phi_at.v - 2.0 * phi_at.d1 * f_at.d1
+    checks = {"lapse-ode": _report([_entry("lapse-ode", ode, grid)], grid, tol=1e-9)}
+
+    sparse_rows = np.arange(0, len(grid), max(1, len(grid) // 16))
+    sparse = grid[sparse_rows]
+    on_axis, w = inv.point_at(sparse), _off_axis_draw(n)
+    if inv.tau > 0.0:
+        off_axis = inv.point_at(sparse, direction=w)
+    else:
+        a = np.asarray(inv.alpha)
+        off_axis = on_axis + (w - (w @ a) / (a @ a) * a)
+    points = np.concatenate([on_axis, off_axis])
+    ray_rows = np.concatenate([sparse_rows, sparse_rows])
+    rays = grid[ray_rows]
+    residuals, r_scal, batch = _spf_arrays_conformal(
+        piece.ansatz, model.f, points, rays,
+        lambda: _geo_pair(inv, n, grid, phi_at, f_at, ray_rows))
+    k = len(sparse)
+    checks["field[on-axis]"] = _spf_report_conformal(residuals, rays, slice(None, k), tol=1e-7)
+    checks["field[off-axis]"] = _spf_report_conformal(residuals, rays, slice(k, None), tol=1e-7)
+
+    # the closed-form mu_geo against R/2 from the generic curvature route,
+    # both read from the batch's u(x) and its readings of phi and f
+    us = batch.u
+    closure = _geo_pair(inv, n, us, batch.phi, batch.f)[0] - 0.5 * r_scal
+    checks["closure"] = _report([_entry("mu-vs-half-R", closure, us)], us, tol=1e-7)
+    return checks
 
 
 def build_model(
@@ -473,16 +468,11 @@ def build_model(
     nothing of a domain at most 2e-9 long: such a span is BadParams, and a
     cut that leaves such a domain is a SignLoss naming the zero.
 
-    Construction always runs four independent validations (a degenerate
-    invariant, whose lapse is the constant f(u0) (SignLoss if 0, DomainError
-    if negative, BadParams if f'(u0) != 0) and whose fluid is the vacuum pair, runs none):
-    the lapse-ODE residual, the traceless field equations sampled on the
-    reference ray and on a fixed random off-axis ray, and the closure of the
-    closed-form density against R/2 computed by the generic
-    conformal-curvature machinery.  The last three share one batched evaluation: both rays are
-    stacked into one set of points, the curvature and the lapse Hessian are
-    evaluated on it once, and each report reads its slice.  Results land in
-    ``.checks``; nothing is raised on failure — inspect ``.passed``.
+    The model runs its four checks (:func:`_checks`) as it is made; a
+    degenerate invariant, whose lapse is the constant f(u0) (SignLoss if 0,
+    DomainError if negative, BadParams if f'(u0) != 0) and whose fluid is the
+    vacuum pair, has none.  Results land in ``.checks``; nothing is raised on
+    failure — inspect ``.passed``.
 
     A build reads phi and f (value, first and second derivative) on two
     point sets: the lapse-ODE residual's 64-point grid, whose readings at
@@ -526,9 +516,9 @@ def build_model(
             raise BadParams(f"a degenerate invariant's lapse is constant, not f'(u0) = {ic[1]}")
         everywhere = (-math.inf, math.inf)
         return ConformalModel(
-            phi=RadialFunction.constant(1.0, everywhere) if isinstance(phi, str) else phi,
-            f=RadialFunction.constant(ic[0] if ic else 1.0, everywhere),
-            invariant=invariant, lam=lam, domain=(u0, u1), label=label,
+            RadialFunction.constant(1.0, everywhere) if isinstance(phi, str) else phi,
+            RadialFunction.constant(ic[0] if ic else 1.0, everywhere),
+            invariant, lam, (u0, u1), label,
         )
 
     if isinstance(phi, str):
@@ -566,42 +556,5 @@ def build_model(
         raise SignLoss(f"lapse crosses zero {where}, which leaves the domain "
                        f"[{u0}, {domain[1]}], too short for the checks, which sample it "
                        f"less max(1e-6 span, 1e-9) at each end")
-    model = ConformalModel(
-        phi=phi_rf, f=f_rf, invariant=invariant, lam=lam,
-        domain=domain, label=label, truncated=domain[1] < u1,
-    )
-    piece = model.pieces[0]
-    grid = chebyshev_grid(*piece.interval, 64)
-    # phi and f are read once on the 64-point grid: the lapse-ODE residual
-    # reads them there, and the rays' fluid at its rows ``ray_rows``
-    phi_at, f_at = (ProfileAt(rf, grid).with_derivatives() for rf in (phi_rf, f_rf))
-    checks = {"lapse-ode": _ode_residual_report(phi_at, f_at, n, grid, tol=1e-9)}
-
-    # the on- and off-axis residuals and the closure read one batched
-    # evaluation of both rays
-    sparse_rows = np.arange(0, len(grid), max(1, len(grid) // 16))
-    sparse = grid[sparse_rows]
-    on_axis = invariant.point_at(sparse)
-    if invariant.tau > 0.0:
-        off_axis = invariant.point_at(sparse, direction=_off_axis_draw(n))
-    else:
-        a = np.asarray(invariant.alpha)
-        w = _off_axis_draw(n)
-        off_axis = on_axis + (w - (w @ a) / (a @ a) * a)
-    points = np.concatenate([on_axis, off_axis])
-    ray_rows = np.concatenate([sparse_rows, sparse_rows])
-    rays = grid[ray_rows]
-    residuals, r_scal, batch = _spf_arrays_conformal(
-        piece.ansatz, f_rf, points, rays,
-        lambda: _geo_pair(invariant, n, grid, phi_at, f_at, ray_rows))
-    k = len(sparse)
-    checks["field[on-axis]"] = _spf_report_conformal(residuals, rays, slice(None, k), tol=1e-7)
-    checks["field[off-axis]"] = _spf_report_conformal(residuals, rays, slice(k, None), tol=1e-7)
-
-    # the closed-form mu_geo against R/2 from the generic curvature route,
-    # both read from the batch's u(x) and its readings of phi and f
-    us = batch.u
-    closure = _geo_pair(invariant, n, us, batch.phi, batch.f)[0] - 0.5 * r_scal
-    checks["closure"] = _report([_entry("mu-vs-half-R", closure, us)], us, tol=1e-7)
-
-    return dataclasses.replace(model, checks=checks)
+    return ConformalModel(phi_rf, f_rf, invariant, lam, domain, label,
+                          truncated=domain[1] < u1)

@@ -384,7 +384,8 @@ def integrate_tov(
     nothing: its table of ``options.grid_n`` Chebyshev rows is built when
     first read (:class:`RadialProfile`).
 
-    Raises BadParams for a non-finite rho_center, CenterSingularity if the
+    Raises BadParams for a non-finite rho_center or a centre series it
+    overflows (a non-finite a2 or m3), CenterSingularity if the
     EOS cannot be evaluated there, HorizonHit (also for a surface event
     inside the horizon) or StepFailure as described, DomainError where the
     EOS gives a non-finite mu along the way, and lets Tabulated range errors
@@ -402,6 +403,9 @@ def integrate_tov(
     # the regular-center series rho_c - a2 r^2, m3 r^3
     a2 = 2.0 * math.pi * (mu_c / 3.0 + rho_c) * (mu_c + rho_c)
     m3 = FOUR_PI / 3.0 * mu_c
+    if not (math.isfinite(a2) and math.isfinite(m3)):
+        raise BadParams(f"rho_center={rho_c} with mu_c={mu_c} overflows the centre series "
+                        f"rho_c - a2 r^2, m3 r^3: a2={a2}, m3={m3}")
 
     eos_mu = eos.mu
 

@@ -192,7 +192,7 @@ def test_c10_conformal_density_closes_against_curvature():
         x = np.asarray(x, dtype=float)
         u = m.invariant.value(x)
         _, r_scal = conformal_curvature(ansatz, x)
-        assert abs(float(m.mu_geo(u)) - 0.5 * float(r_scal)) < 1e-7
+        assert abs(float(m.pieces[0].fluid.mu(u)) - 0.5 * float(r_scal)) < 1e-7
 
 
 def test_c11_tabulated_eos_reproduces_analytic_run(const_star):

@@ -165,7 +165,7 @@ class TestWyman:
         # the density equation, the scalar constraint mu = R/2, is off by 35/16
         (hook,) = wyman.extra_verify
         r = np.array([1.0])
-        name, rep = hook(wyman, 1, [RadialReading(wyman.pieces[0], r), None])
+        ((name, rep),) = hook(wyman, 1, [RadialReading(wyman.pieces[0], r), None]).items()
         assert name == "diagnostic[printed-mu]"
         assert rep.entry("scalar-curvature").max == pytest.approx(35.0 / 16.0, rel=1e-12)
         assert rep.entry("traceless").max < 1e-14  # mu_printed enters only the trace parts
@@ -175,6 +175,16 @@ class TestWyman:
             catalog.build("wyman", R=2.0, M=1.0)   # 2M = R
         with pytest.raises(BadParams):
             catalog.build("wyman", R=2.0, M=-0.1)
+
+    @pytest.mark.parametrize("R", [0.5, 2.0, 7.0])
+    def test_a_lapse_not_positive_at_the_centre_is_refused(self, R):
+        # the interior lapse grows outward, so f(0) is its least value; it
+        # reaches zero at 2M/R = 0.907160 whatever R is
+        below = catalog.build("wyman", R=R, M=0.9071 * R / 2.0)
+        assert 0.0 < below.pieces[0].f(0.0) < 1e-3
+        assert below.verify(grid_n=48).passed
+        with pytest.raises(BadParams, match=r"not positive at the centre, f\(0\) = -"):
+            catalog.build("wyman", R=R, M=0.9072 * R / 2.0)
 
 
 class TestWittenStellar:

@@ -50,7 +50,7 @@ def pressure_closed_form(
                                         + 2 n tau (phi/f) [ f' phi - (n-2) f phi' ] }
 
     with q = 4 tau u + C.  A separate code path from the trace route of
-    :meth:`ConformalModel.rho`; the two must agree on solutions of the lapse
+    the model's ``rho``; the two must agree on solutions of the lapse
     ODE, and ``TestDensityPressure.test_routes_agree`` compares them.
     """
     u = np.asarray(u, dtype=float)
@@ -91,6 +91,17 @@ def _logged(rf: RadialFunction, name: str, log: list) -> RadialFunction:
 
     return dataclasses.replace(rf, value=logging("value", rf.value),
                                d1=logging("d1", rf.d1), d2=logging("d2", rf.d2))
+
+
+def _geo_fluid(m) -> FluidData:
+    """A conformal model's geometric fluid, from :func:`conformal._geo_pair`
+    on fresh readings of phi and f at the points, as the model's checks form it."""
+
+    def pair(u):
+        u = np.asarray(u, dtype=float)
+        return conformal._geo_pair(m.invariant, m.n, u, ProfileAt(m.phi, u), ProfileAt(m.f, u))
+
+    return FluidData(f=m.f, mu=lambda u: pair(u)[0], rho=lambda u: pair(u)[1])
 
 
 class TestBasicInvariant:
@@ -359,10 +370,12 @@ class TestDensityPressure:
         ],
     )
     def test_frozen_samples(self, conformal_witten, u, f, mu8pi, rho8pi):
-        m = conformal_witten
-        assert m.f(u) == pytest.approx(f, rel=1e-12)
-        assert EIGHT_PI * m.mu(u) == pytest.approx(mu8pi, rel=1e-12)
-        assert EIGHT_PI * m.rho(u) == pytest.approx(rho8pi, rel=1e-12)
+        # read off the piece: u = 10 is the domain's end, outside the
+        # model's windows and its open domain
+        piece = conformal_witten.pieces[0]
+        assert conformal_witten.f(u) == pytest.approx(f, rel=1e-12)
+        assert EIGHT_PI * piece.mu_phys(u) == pytest.approx(mu8pi, rel=1e-12)
+        assert EIGHT_PI * piece.rho_phys(u) == pytest.approx(rho8pi, rel=1e-12)
 
     def test_routes_agree(self, conformal_witten):
         m = conformal_witten
@@ -375,14 +388,18 @@ class TestDensityPressure:
 
     def test_cosmological_split(self, conformal_witten):
         lam = 0.2
-        m0, m1 = (dataclasses.replace(conformal_witten, lam=v) for v in (0.0, lam))
+        m0, m1 = (build_model("witten", n=3, lam=v) for v in (0.0, lam))
         mu0, rho0 = m0.mu(3.0), m0.rho(3.0)
         mu1, rho1 = m1.mu(3.0), m1.rho(3.0)
         assert mu1 == pytest.approx(mu0 - lam / EIGHT_PI, rel=1e-14)
         assert rho1 == pytest.approx(rho0 + lam / EIGHT_PI, rel=1e-14)
 
     def test_vanishing_lapse_rejected(self, conformal_witten):
-        with pytest.raises(DomainError):
+        # f(0) = 0: the piece's fluid refuses u = 0, which the model's
+        # windows and open domain leave out
+        with pytest.raises(DomainError, match="lapse vanishes"):
+            conformal_witten.pieces[0].mu_phys(0.0)
+        with pytest.raises(BadParams, match="r=0.0 outside every piece of conformal"):
             conformal_witten.mu(0.0)
 
 
@@ -474,11 +491,11 @@ class TestConformalResiduals:
     @pytest.mark.parametrize("case", CHECK_CASES)
     @pytest.mark.parametrize("which", ["model", "piece"])
     def test_residuals_are_the_kernels_residuals_byte_for_byte(self, case, which):
-        # the model's geometric fluid, and its piece's physical pair bridged
-        # back: the report's bytes as the kernels give them
+        # the geometric fluid as the checks form it, and the piece's
+        # physical pair bridged back: the report's bytes as the kernels give them
         m = _case_model(case)
         piece = m.pieces[0]
-        fluid = m.fluid() if which == "model" else piece.fluid
+        fluid = _geo_fluid(m) if which == "model" else piece.fluid
         grid = chebyshev_grid(*piece.interval, 24)
         got = spf_residuals(piece.ansatz, fluid, grid, tol=1e-7)
         want = _residuals_as_written(piece.ansatz, fluid, grid, tol=1e-7)
@@ -506,8 +523,9 @@ class TestConformalResiduals:
         m = conformal_witten
         grid = chebyshev_grid(*m.pieces[0].interval, 8)
         calls = []
-        fluid = FluidData(f=m.f, mu=lambda u: calls.append(("mu", u)) or m.mu_geo(u),
-                          rho=lambda u: calls.append(("rho", u)) or m.fluid().rho(u))
+        geo = m.pieces[0].fluid
+        fluid = FluidData(f=m.f, mu=lambda u: calls.append(("mu", u)) or geo.mu(u),
+                          rho=lambda u: calls.append(("rho", u)) or geo.rho(u))
         spf_residuals(m.pieces[0].ansatz, fluid, grid)
         assert [who for who, _ in calls] == ["mu", "rho"]
         assert all(u is grid for _, u in calls)
@@ -621,15 +639,15 @@ class TestBuildModel:
             for kind in ("value", "d1", "d2"):
                 reads = [u for who, what, u in log if (who, what) == (name, kind)]
                 assert len(reads) == 2 and set(reads) == point_sets, (name, kind)
-        # after the build, the four fluid accessors share one read per point set
+        # after the build, mu and rho each read phi and f once at their points
         u = np.linspace(0.5, 3.5, 7)
         mu, rho = geometry.to_physical(*conformal._geo_pair(
             m.invariant, m.n, u, ProfileAt(m.phi, u), ProfileAt(m.f, u)), m.lam)
-        del log[:]
-        np.testing.assert_array_equal(m.mu(u), mu)
-        np.testing.assert_array_equal(m.rho(u), rho)
-        m.mu_geo(u), m.fluid().rho(u)
-        assert sorted(what for _, what, _ in log) == ["d1", "d1", "d2", "d2", "value", "value"]
+        for accessor, want in ((m.mu, mu), (m.rho, rho)):
+            del log[:]
+            np.testing.assert_array_equal(accessor(u), want)
+            assert sorted(what for _, what, _ in log) == ["d1", "d1", "d2", "d2", "value",
+                                                          "value"]
 
     def test_one_batch_per_build(self, monkeypatch):
         # the on-axis, off-axis and closure checks read one batch: u on the
@@ -732,11 +750,11 @@ class TestBuildModel:
         inv = m.invariant
         sparse, on_points, off_points = _check_rays(m)
         ansatz = m.pieces[0].ansatz
-        fluid = m.fluid()
+        fluid = _geo_fluid(m)
         points = np.concatenate([on_points, off_points])
         us = inv.value(points)
         _, r_scal = conformal_curvature(ansatz, points)
-        closure = np.asarray(m.mu_geo(us), dtype=float) - 0.5 * r_scal
+        closure = fluid.mu(us) - 0.5 * r_scal
         off_axis = _spf_arrays_conformal(ansatz, m.f, off_points, sparse,
                                          lambda: (fluid.mu(sparse), fluid.rho(sparse)))[0]
         reference = {
@@ -749,13 +767,47 @@ class TestBuildModel:
             assert json.dumps(m.checks[name].to_json_dict()) == json.dumps(rep.to_json_dict())
         np.testing.assert_array_equal(m.checks["field[on-axis]"].grid, sparse)
 
+    @pytest.mark.parametrize("case", CHECK_CASES + ["degenerate"])
+    def test_checks_are_the_reports_of_verify_at_64(self, case):
+        if case == "degenerate":
+            flat = BasicInvariant(0.0, (0.0,) * 3, (1.0, 0.0, 0.0))
+            m = build_model("unit", n=3, invariant=flat)
+        else:
+            m = _case_model(case)
+        assert isinstance(m, catalog.AnalyticModel)
+        result = m.verify(64)
+        assert json.dumps({k: rep.to_json_dict() for k, rep in result.reports.items()}) == \
+            json.dumps({k: rep.to_json_dict() for k, rep in m.checks.items()})
+        assert result.passed == m.passed and result.junction == {}
+
+    def test_verify_reads_its_grid_size(self, conformal_witten):
+        reports = conformal_witten.verify(96).reports
+        assert len(reports["lapse-ode"].grid) == 96
+        assert len(reports["field[on-axis]"].grid) == 16  # every sixth grid value
+
+    def test_a_hand_built_model_runs_its_checks(self, conformal_witten):
+        # phi = sqrt(1 + u) with f = 1 + 0.3 u, which does not solve the lapse ODE
+        wrong = RadialFunction.from_formula(lambda u: 1.0 + 0.3 * u, (0.0, 10.0))
+        m = conformal.ConformalModel(sqrt_one_plus_u(), wrong, conformal_witten.invariant,
+                                     0.0, (0.0, 10.0))
+        assert set(m.checks) == {"lapse-ode", "field[on-axis]", "field[off-axis]", "closure"}
+        assert not m.passed and not m.checks["lapse-ode"].passed
+        # a model is no dataclass: no copy carries another model's checks
+        with pytest.raises(TypeError):
+            dataclasses.replace(conformal_witten, f=wrong)
+        # nor does a catalog model of its piece pass with no checks
+        bare = catalog.AnalyticModel("bare", {}, m.pieces)
+        with pytest.raises(BadParams, match="bare has a conformally flat piece and no hook"):
+            bare.verify()
+
     def test_domain_is_the_lapse_domain(self):
-        # the domain may start on a zero of f, where the fluid refuses; the
-        # piece's two windows are where a model is evaluated
+        # the domain may start on a zero of f; the piece's two windows and,
+        # outside them, the open domain are where a model is evaluated
         m = build_model("witten", n=3)
         assert m.domain == (0.0, 10.0) and m.f.value(0.0) == 0.0
-        with pytest.raises(DomainError, match="lapse vanishes"):
-            m.mu(m.domain[0])
+        for end in m.domain:
+            with pytest.raises(BadParams, match=f"r={end} outside every piece"):
+                m.mu(end)
         piece = m.pieces[0]
         for window in (piece.interval, piece.scan_interval):
             u = chebyshev_grid(*window, 64)
@@ -787,7 +839,8 @@ class TestBuildModel:
         else:
             m = build_model(phi, n=3, lam=lam, span=(0.0, 5.0))
         u = np.linspace(*m.domain, 35)[1:-1]  # off the witten lapse zero at u = 0
-        mu, rho = geometry.to_physical(m.mu_geo(u), m.fluid().rho(u), lam)
+        geo = _geo_fluid(m)
+        mu, rho = geometry.to_physical(geo.mu(u), geo.rho(u), lam)
         assert m.mu(u).tobytes() == mu.tobytes() and m.rho(u).tobytes() == rho.tobytes()
 
     def test_unit_preset_is_vacuum_plus_lambda(self):
@@ -803,11 +856,10 @@ class TestBuildModel:
         assert m.degenerate and m.checks == {}
 
     def test_dimension_and_degeneracy_come_from_the_invariant(self):
-        field_names = {f.name for f in dataclasses.fields(conformal.ConformalModel)}
-        assert not {"n", "degenerate"} & field_names
         flat = BasicInvariant(0.0, (0.0,) * 4, (1.0, 0.0, 0.0, 0.0))
         for m in (build_model("witten", n=5, span=(0.0, 6.0)),
                   build_model("unit", n=4, invariant=flat)):
+            assert not {"n", "degenerate"} & set(vars(m))
             assert (m.n, m.degenerate) == (m.invariant.n, m.invariant.degenerate)
             assert m.n == len(m.invariant.alpha)
 

@@ -13,6 +13,7 @@ few radii; the solver at default tolerances lands within ~3e-7 of them.
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -548,6 +549,14 @@ def test_table_rejects_non_finite_values(rho, mu, message):
     """A non-finite entry is named as such, also in rows that are out of order."""
     with pytest.raises(BadParams, match=message):
         tov.Tabulated(rho, mu)
+
+
+@pytest.mark.parametrize("rho_center", [1e300, -1e300])
+def test_a_centre_series_that_overflows_is_bad_params(rho_center):
+    # a2 = 2 pi (mu_c/3 + rho_c)(mu_c + rho_c) overflows for |rho_c| near 1e300
+    with pytest.raises(BadParams, match=re.escape(f"rho_center={rho_center!r} with mu_c=0.001 "
+                                                  "overflows the centre series") + ".*a2=inf"):
+        tov.integrate_tov(tov.ConstantDensity(0.001), rho_center)
 
 
 def test_table_with_subnormal_steps_builds_without_warning():
