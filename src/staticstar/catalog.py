@@ -110,26 +110,33 @@ class AnalyticModel:
 
     # -- piecewise accessors (physical units) ----------------------------------
 
-    def _piecewise(self, r, part: Callable[[Piece], RadialFunction]):
-        """Evaluate ``part(piece)`` at each r on the piece that owns it.
+    def _owners(self, r_arr: np.ndarray):
+        """Each piece with the mask of the points of ``r_arr`` it owns, in turn.
 
         A point belongs to the first piece whose scan window holds it; a
         point in no window falls back on the first piece whose lapse domain
-        holds it (open interval).  A float gives a float.
+        holds it (open interval).  After the last piece, a point that none
+        owns is BadParams.
         """
         windows = [(p, *p.scan_window(), True) for p in self.pieces]
         windows += [(p, *p.f.domain, False) for p in self.pieces]
-        r_arr = np.asarray(r, dtype=float)
-        out = np.empty(r_arr.shape)
         todo = np.ones(r_arr.shape, dtype=bool)
         for piece, lo, hi, closed in windows:
             inside = (lo <= r_arr) & (r_arr <= hi) if closed else (lo < r_arr) & (r_arr < hi)
             mask = todo & inside
             if np.any(mask):
-                out[mask] = part(piece)(r_arr[mask])
+                yield piece, mask
                 todo &= ~mask
         if np.any(todo):
             raise BadParams(f"r={r_arr[todo][0]} outside every piece of {self.id}")
+
+    def _piecewise(self, r, part: Callable[[Piece], RadialFunction]):
+        """Evaluate ``part(piece)`` at each r on the piece that owns it
+        (:meth:`_owners`).  A float gives a float."""
+        r_arr = np.asarray(r, dtype=float)
+        out = np.empty(r_arr.shape)
+        for piece, mask in self._owners(r_arr):
+            out[mask] = part(piece)(r_arr[mask])
         return float(out) if out.ndim == 0 else out
 
     def mu(self, r):
@@ -140,6 +147,17 @@ class AnalyticModel:
 
     def f(self, r):
         return self._piecewise(r, lambda p: p.f)
+
+    def mu_rho(self, r):
+        """``(mu(r), rho(r))``, the values of :meth:`mu` and :meth:`rho`, from
+        one evaluation on a piece that has one (its ``pair_phys``)."""
+        r_arr = np.asarray(r, dtype=float)
+        mu, rho = np.empty(r_arr.shape), np.empty(r_arr.shape)
+        for p, mask in self._owners(r_arr):
+            x = r_arr[mask]
+            mu[mask], rho[mask] = (p.pair_phys(x) if p.pair_phys is not None
+                                   else (p.mu_phys(x), p.rho_phys(x)))
+        return (float(mu), float(rho)) if mu.ndim == 0 else (mu, rho)
 
     # -- verification -----------------------------------------------------------
 

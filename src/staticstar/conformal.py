@@ -332,16 +332,17 @@ class ConformalModel(AnalyticModel):
     positivity before the requested span ended and the domain was cut back.
     ``n`` and ``degenerate`` are read from the invariant.
 
-    ``f`` is the lapse itself, read on its whole domain.  ``domain``'s ends
-    may be zeros of f (the witten preset's default lapse starts on one);
-    ``mu`` and ``rho`` read the piece's windows and, outside them, the open
-    domain, as on every model, so a point outside both is BadParams.
+    ``phi``, ``invariant``, ``lam`` and ``f``, the lapse itself read on its
+    whole domain, are read through the piece.  ``domain``'s ends may be
+    zeros of f (the witten preset's default lapse starts on one); ``mu`` and
+    ``rho`` read the piece's windows and, outside them, the open domain, as
+    on every model, so a point outside both is BadParams.  The piece forms
+    both from one :func:`_geo_pair` for :meth:`~AnalyticModel.mu_rho`.
     """
 
     def __init__(self, phi: RadialFunction, f: RadialFunction, invariant: BasicInvariant,
                  lam: float, domain: tuple[float, float], label: str = "custom",
                  truncated: bool = False):
-        self.phi, self.invariant, self.lam = phi, invariant, lam
         self.domain, self.label, self.truncated = domain, label, truncated
         n = invariant.n
 
@@ -353,11 +354,24 @@ class ConformalModel(AnalyticModel):
         interval, scan_interval = _windows(*domain)
         piece = Piece(label, ConformalFlat(phi, invariant), f,
                       mu_phys=lambda u: physical(u)[0], rho_phys=lambda u: physical(u)[1],
-                      interval=interval, scan_interval=scan_interval, lam=lam)
+                      interval=interval, scan_interval=scan_interval, lam=lam,
+                      pair_phys=physical)
         super().__init__("conformal", {"phi": label, "n": n, "lam": lam}, [piece],
                          extra_verify=(_checks,))
         result = self.verify(64)
         self.checks, self.passed = result.reports, result.passed
+
+    @property
+    def phi(self) -> RadialFunction:
+        return self.pieces[0].ansatz.phi_radial
+
+    @property
+    def invariant(self) -> BasicInvariant:
+        return self.pieces[0].ansatz.invariant
+
+    @property
+    def lam(self) -> float:
+        return self.pieces[0].lam
 
     @property
     def f(self) -> RadialFunction:

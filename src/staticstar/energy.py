@@ -116,9 +116,10 @@ def scan_model(model, n: int = 256) -> ConditionScan:
 
     The grid is each piece's verification window, concatenated: a TOV star
     is scanned on its interior [R_START, r_b] and its vacuum exterior, a
-    conformal model on its padded domain.  The model's evaluators take the
-    whole grid in one call each.
+    conformal model on its padded domain.  The model's ``mu_rho`` takes the
+    whole grid in one call, so a piece that forms both from one evaluation
+    forms it once.
     """
     check_grid_n(n, 1)
     grid = np.concatenate([np.linspace(*p.interval, n) for p in _pieces(model)])
-    return scan_conditions(model.mu(grid), model.rho(grid), grid)
+    return scan_conditions(*model.mu_rho(grid), grid)

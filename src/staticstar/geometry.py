@@ -181,7 +181,8 @@ class Piece:
     conservation residual of a radial chart reads rho'.  ``interval`` is the
     window verification grids are drawn from; ``scan_interval`` (defaults to
     ``interval``) is the usually wider window level-set searches may sample.
-    ``lam`` is the cosmological constant.
+    ``lam`` is the cosmological constant.  ``pair_phys``, where given, gives
+    ``(mu_phys(r), rho_phys(r))`` from one evaluation that the two share.
     """
 
     label: str
@@ -192,6 +193,7 @@ class Piece:
     interval: tuple[float, float]
     scan_interval: tuple[float, float] | None = None
     lam: float = 0.0
+    pair_phys: Callable | None = None
 
     @property
     def fluid(self) -> FluidData:

@@ -31,6 +31,7 @@ import numbers
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -538,17 +539,105 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(e, y, y_new, h, rtol, atol, out, pack):
-    """scipy's RMS of e h / (atol + max(|y|, |y_new|) rtol), on lists of floats.
-    The max propagates NaN as ``np.maximum`` does, and a zero scale divides
-    as numpy divides.  The terms are packed into ``out`` by ``pack``, its
-    ``struct.Struct(f"{len(e)}d").pack_into``, for one BLAS ``dot``."""
-    try:
-        pack(out, 0, *[ei * h / (at + (b if b > a or b != b else a) * rtol)
-                       for ei, at, a, b in zip(e, atol, map(abs, y), map(abs, y_new))])
+# the largest state an attempt kernel names float by float.  Unrolled, an
+# attempt ran 17-33% faster than the comprehension form at every size from 1
+# to 128, but each state adds about 60 us of compile time: up to 8 states it
+# is repaid within about 80 attempts (three TOV solves), at 64 within 360
+_UNROLL_MAX = 8
+
+# one stage of an attempt: y_new = y + h K[:s]^T a_s, then fun's result into
+# row s of K, packed when it is a tuple or list of n floats, else (or when it
+# is not n floats) assigned as numpy assigns it
+_STAGE = """\
+        {d} = K{s}.dot(A{s}).tolist()
+        y_new = {state}
+        f = fun(t + {c!r} * h, y_new)
+        if type(f) is tuple or type(f) is list:
+            try:
+                pack(K, {offset}, *f)
+            except struct_error:
+                K[{s}] = f
+        else:
+            K[{s}] = f
+"""
+
+# scipy's RMS of e h / (atol + max(|y|, |y_new|) rtol); the max propagates NaN
+# as np.maximum does, and a zero scale divides as numpy divides.  The terms are
+# packed into ``out`` for one BLAS dot
+_ERROR_TERM = "{e} * h / ({at} + ({b} if {b} > {a} or {b} != {b} else {a}) * rtol)"
+_ERROR_NORM = """\
+def error_norm(e, y, y_new, h, rtol, atol, out):
+{unpack}    try:
+        pack(out, 0, {terms})
     except ZeroDivisionError:  # atol 0 on a state at 0 both ends: scipy's numpy expression
-        out[:] = np.array(e) * h / (np.array(atol) + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
-    return _rms(out)
+        out[:] = array(e) * h / (array(atol) + maximum(absolute(y), absolute(y_new)) * rtol)
+    return sqrt(out.dot(out)) / {root_n!r}
+"""
+
+_ATTEMPT = """\
+def bind(fun, K, rtol, atol):
+    KT = K.T
+    {views} = [KT[:, :s] for s, _, _ in STAGES]
+    err = empty({n})
+
+    def attempt(t, h, y):
+{unpack}{stages}        return y_new, error_norm(KT.dot(E).tolist(), y, y_new, h, rtol, atol, err)
+
+    return attempt
+"""
+
+
+class _Kernel(NamedTuple):
+    """One state size's attempt kernel: ``bind`` and the norm its attempts return."""
+
+    bind: Callable
+    error_norm: Callable
+
+
+@functools.lru_cache(maxsize=16)
+def _attempt_kernel(n: int) -> _Kernel:
+    """The RK45 attempt for a state of ``n`` floats, compiled from the tableau.
+
+    ``bind(fun, K, rtol, atol)`` gives ``attempt(t, h, y)``, which runs the
+    six stages from ``y``, a list of n floats, over the solve's C-ordered
+    ``(7, n)`` stage rows ``K`` (K[0] set) and returns the step's state
+    ``y_new`` and its ``error_norm(e, y, y_new, h, rtol, atol, out)``, scipy's.
+    Up to ``_UNROLL_MAX`` states each float has its own local name; a larger
+    state runs the same statements as comprehensions over the lists.  The
+    BLAS calls are those of scipy's step: five stage products, B, E and the
+    norm's dot.
+    """
+
+    def names(x):  # "x0, x1, ..." as an unpacking target
+        return ", ".join(f"{x}{i}" for i in range(n)) + ("," if n == 1 else "")
+
+    if n <= _UNROLL_MAX:
+        unpack_y = f"        {names('y')} = y\n"
+        state = "[" + ", ".join(f"y{i} + d{i} * h" for i in range(n)) + "]"
+        d = names("d")
+        norm_unpack = "".join(f"    {names(x)} = {src}\n" for x, src in
+                              [("e", "e"), ("at", "atol"), ("a", "map(abs, y)"),
+                               ("b", "map(abs, y_new)")])
+        terms = ", ".join(_ERROR_TERM.format(e=f"e{i}", at=f"at{i}", a=f"a{i}", b=f"b{i}")
+                          for i in range(n))
+    else:
+        unpack_y, d, state = "", "d", "[yi + di * h for yi, di in zip(y, d)]"
+        norm_unpack = ""
+        terms = (f"*[{_ERROR_TERM.format(e='ei', at='at', a='a', b='b')}"
+                 " for ei, at, a, b in zip(e, atol, map(abs, y), map(abs, y_new))]")
+    row = 8 * n  # the bytes of one float64 row of K
+    stages = "".join(_STAGE.format(d=d, s=s, state=state, c=c, offset=s * row)
+                     for s, c, _ in _RK_STAGES)
+    source = (_ERROR_NORM.format(unpack=norm_unpack, terms=terms, root_n=n ** 0.5)
+              + _ATTEMPT.format(views=", ".join(f"K{s}" for s, _, _ in _RK_STAGES), n=n,
+                                unpack=unpack_y, stages=stages))
+    namespace = {
+        "STAGES": _RK_STAGES, "E": _RK_E, "pack": _packer(n), "struct_error": struct.error,
+        "empty": np.empty, "array": np.array, "maximum": np.maximum, "absolute": np.abs,
+        "sqrt": math.sqrt, **{f"A{s}": a for s, _, a in _RK_STAGES},
+    }
+    exec(compile(source, f"<RK45 attempt, n={n}>", "exec"), namespace)
+    return _Kernel(namespace["bind"], namespace["error_norm"])
 
 
 # the accepted steps the dense-output buffers hold at first; they double when full
@@ -577,7 +666,10 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     product are numpy's, the BLAS calls scipy makes: per attempt the five
     stage products, B and E, then the norm's dot, and P per accepted step,
     written straight into a buffer of the steps' Q = K^T P that doubles when
-    full.
+    full.  Each attempt is one call of straight-line code compiled from the
+    tableau once per state size (:func:`_attempt_kernel`): the six stages
+    and the error norm, each float of a state of up to ``_UNROLL_MAX`` (8)
+    under its own name, a larger state in comprehensions over its lists.
 
     Every event ``g(t, y)`` is terminal and may carry a ``direction``
     attribute, as in scipy: the solve stops at the first root, which Brent's
@@ -617,10 +709,9 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
     K[0] = fun(t0, y)
     h_abs = _initial_step(fun, t0, np.array(y), t_bound, K[0], rtol, np.array(atol))
     pack = _packer(n)
-    err = np.empty(n)
+    attempt = _attempt_kernel(n).bind(fun, K, rtol, atol)
     nfev = 2
     KT = K.T
-    stages = [(c, a, KT[:, :s], s, s * K.strides[0]) for s, c, a in _RK_STAGES]
     # each accepted step's Q, y_old and h: the step's dense output
     qs = np.empty((_FIRST_STEPS, n, _RK_P.shape[1]))
     y_olds = np.empty((_FIRST_STEPS, n))
@@ -638,18 +729,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol=1e-6, events=()) -> OdeR
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            for c, a, Ks, s, offset in stages:
-                y_new = [yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())]
-                f = fun(t + c * h, y_new)
-                if type(f) is tuple or type(f) is list:
-                    try:
-                        pack(K, offset, *f)
-                        continue
-                    except struct.error:  # not n floats: numpy's row assignment decides
-                        pass
-                K[s] = f
+            y_new, error_norm = attempt(t, h, y)
             nfev += 6
-            error_norm = _error_norm(KT.dot(_RK_E).tolist(), y, y_new, h, rtol, atol, err, pack)
             if error_norm < 1:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)

@@ -25,7 +25,7 @@ from staticstar.geometry import (
     spf_residuals,
 )
 from staticstar.numerics import Jet, ProfileAt, RadialFunction, chebyshev_grid, sphere_rule
-from staticstar import catalog, conformal, quasilocal
+from staticstar import catalog, conformal, energy, quasilocal
 from staticstar.conformal import (
     BasicInvariant,
     build_model,
@@ -799,6 +799,34 @@ class TestBuildModel:
         bare = catalog.AnalyticModel("bare", {}, m.pieces)
         with pytest.raises(BadParams, match="bare has a conformally flat piece and no hook"):
             bare.verify()
+
+    def test_phi_invariant_and_lam_are_the_pieces(self):
+        # read through the one piece, as f is: none can be set beside it
+        m = build_model("unit", n=3, lam=0.2)
+        piece = m.pieces[0]
+        assert m.phi is piece.ansatz.phi_radial and m.invariant is piece.ansatz.invariant
+        assert m.lam == piece.lam == 0.2 and m.f is piece.f
+        sphere = BasicInvariant(1.0, (0.0,) * 3, (0.0,) * 3)
+        for name, other in (("phi", sqrt_one_plus_u()), ("invariant", sphere), ("lam", 0.0),
+                            ("f", piece.f)):
+            with pytest.raises(AttributeError):
+                setattr(m, name, other)
+        assert m.lam == 0.2 and m.phi is piece.ansatz.phi_radial
+
+    def test_a_scan_reads_phi_once_on_its_grid(self, monkeypatch):
+        # scan_model forms the fluid pair once: phi's value, d1 and d2 are
+        # each read once, on the scan's grid (the lapse reads phi unlogged)
+        log = []
+        raw = RadialFunction.from_formula(lambda u: 1.0 + 0.1 * u, (-1.0, math.inf))
+        real = conformal.solve_lapse
+        monkeypatch.setattr(conformal, "solve_lapse", lambda _, *args: real(raw, *args))
+        m = build_model(_logged(raw, "phi", log), span=(0.0, 4.0))
+        del log[:]
+        scan = energy.scan_model(m, n=64)
+        assert sorted(what for _, what, _ in log) == ["d1", "d2", "value"]
+        assert {u for _, _, u in log} == {scan.grid.tobytes()}
+        np.testing.assert_array_equal(scan.mu, m.mu(scan.grid))
+        np.testing.assert_array_equal(scan.rho, m.rho(scan.grid))
 
     def test_domain_is_the_lapse_domain(self):
         # the domain may start on a zero of f; the piece's two windows and,

@@ -172,6 +172,10 @@ def test_catalog_scan_arrays_are_the_model_on_its_grid(source, request):
     scan = scan_model(model)
     assert np.array_equal(scan.mu, model.mu(scan.grid))
     assert np.array_equal(scan.rho, model.rho(scan.grid))
+    r = float(scan.grid[3])
+    mu, rho = model.mu_rho(r)
+    assert type(mu) is float and type(rho) is float
+    assert (mu, rho) == (model.mu(r), model.rho(r))
 
 
 SQRT_ONE_PLUS_U = RadialFunction.from_formula(lambda u: np.sqrt(1.0 + u),

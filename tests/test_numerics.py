@@ -1,5 +1,4 @@
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -610,17 +609,27 @@ _ANY_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf
                        st.floats())
 
 
+# the state sizes of each form the attempt kernel's generator writes
+_UNROLLED_SIZES = (1, numerics._UNROLL_MAX)
+_LOOPED_SIZES = (numerics._UNROLL_MAX + 1, numerics._UNROLL_MAX + 2)
+
+
+@pytest.mark.parametrize("sizes", [_UNROLLED_SIZES, _LOOPED_SIZES], ids=["unrolled", "comprehension"])
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, st.sampled_from([0.0, 1e-10, 1.0])),
-    min_size=n, max_size=n)), st.floats(1e-3, 10.0), st.sampled_from([1e-3, 1e-12]))
-def test_error_norm_is_scipys_on_every_float(rows, h, rtol):
-    """NaN, inf, zero and an atol of 0 included: the list arithmetic gives the
-    norm of scipy's ``norm(e h / (atol + np.maximum(|y|, |y_new|) rtol))``."""
+@given(data=st.data(), h=st.floats(1e-3, 10.0), rtol=st.sampled_from([1e-3, 1e-12]))
+def test_error_norm_is_scipys_on_every_float(sizes, data, h, rtol):
+    """NaN, inf, zero and an atol of 0 included: the kernel's float arithmetic
+    gives the norm of scipy's ``norm(e h / (atol + np.maximum(|y|, |y_new|) rtol))``,
+    both where it names each float and where it loops over the lists."""
+    n = data.draw(st.integers(*sizes))
+    rows = data.draw(st.lists(
+        st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, st.sampled_from([0.0, 1e-10, 1.0])),
+        min_size=n, max_size=n))
     e, y, y_new, atol = (list(col) for col in zip(*rows))
+    error_norm = numerics._attempt_kernel(n).error_norm
+    assert ("e0" in error_norm.__code__.co_varnames) == (sizes == _UNROLLED_SIZES)
     with np.errstate(all="ignore"):
-        got = numerics._error_norm(e, y, y_new, h, rtol, atol, np.empty(len(e)),
-                                      struct.Struct(f"{len(e)}d").pack_into)
+        got = error_norm(e, y, y_new, h, rtol, atol, np.empty(n))
         scale = np.array(atol) + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         x = np.array(e) * h / scale
         want = np.linalg.norm(x) / x.size ** 0.5
@@ -628,20 +637,25 @@ def test_error_norm_is_scipys_on_every_float(rows, h, rtol):
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+@pytest.mark.parametrize("n", [2, numerics._UNROLL_MAX, numerics._UNROLL_MAX + 1])
 @pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
-def test_solve_ivp_takes_fun_results_as_tuple_list_or_array(wrap):
+def test_solve_ivp_takes_fun_results_as_tuple_list_or_array(wrap, n):
     """The stage rows take fun's result as it comes: every container gives the
-    bits of scipy's solve, whose fun returns an ndarray."""
+    bits of scipy's solve, whose fun returns an ndarray, on either side of
+    the largest state the attempt kernel unrolls.  The oscillator is the
+    first two states; the others decay, each at its own rate."""
 
     def fun(t, y):
-        return wrap((y[1], -y[0] - 0.1 * y[1] * abs(y[1])))
+        return wrap((y[1], -y[0] - 0.1 * y[1] * abs(y[1]),
+                     *[-0.5 * (i + 1) * v for i, v in enumerate(y[2:])]))
 
     def crossing(t, y):
         return y[0] + 0.5
 
     events = (_terminal(crossing, -1.0),)
-    got = numerics.solve_ivp(fun, (0.0, 20.0), (1.0, 0.0), rtol=1e-8, atol=1e-10, events=events)
-    want = scipy_solve_ivp(lambda t, y: np.array(fun(t, y)), (0.0, 20.0), (1.0, 0.0),
+    y0 = (1.0, 0.0) + (1.0,) * (n - 2)
+    got = numerics.solve_ivp(fun, (0.0, 20.0), y0, rtol=1e-8, atol=1e-10, events=events)
+    want = scipy_solve_ivp(lambda t, y: np.array(fun(t, y)), (0.0, 20.0), y0,
                            method="RK45", dense_output=True, rtol=1e-8, atol=1e-10, events=events)
     assert got.status == want.status == 1 and got.nfev == want.nfev
     assert _same_bits(got.t, want.t) and _same_bits(got.t_events[0], want.t_events[0])
@@ -681,8 +695,9 @@ def test_a_three_value_result_for_two_states_is_refused_as_scipy_refuses_it(wrap
 @st.composite
 def _random_solves(draw):
     """A solve of y_i' = a_i y_{i+1} + b_i y_i - 0.1 y_i |y_i| + c_i sin t,
-    damped for large |y|, whose fun returns a tuple, list or ndarray."""
-    n = draw(st.integers(1, 4))
+    damped for large |y|, whose fun returns a tuple, list or ndarray, on 1
+    to two more states than the attempt kernel unrolls."""
+    n = draw(st.integers(1, numerics._UNROLL_MAX + 2))
     a, b, c = (draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)) for _ in range(3))
     wrap = draw(st.sampled_from([tuple, list, np.array]))
 
@@ -713,7 +728,7 @@ def _random_solves(draw):
 @given(_random_solves())
 def test_solve_ivp_is_scipy_rk45_on_random_systems(run):
     """Status, nfev, the breakpoints, the event roots and every dense
-    coefficient, bit for bit, over 1-4 states, per-state atol with zeros,
+    coefficient, bit for bit, over 1 to ``_UNROLL_MAX + 2`` states, per-state atol with zeros,
     rtol 1e-12 to 1e-3 and up to two terminal events of direction -1, 0 or +1."""
     with np.errstate(all="ignore"):
         _assert_is_scipy(run())
